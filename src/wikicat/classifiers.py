@@ -385,6 +385,8 @@ def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
                 {k: list(map(float, v)) for k, v in doc["loss_history"].items()},
                 tfidf_from_dict(doc["tfidf"]),
             )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: malformed model file: {exc}") from None
     raise ConfigurationError(f"{path}: unknown model format {fmt!r}")

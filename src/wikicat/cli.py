@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 import traceback
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -61,12 +62,14 @@ logger = logging.getLogger(__name__)
 COARSE_SET = "coarse"
 SCHEMES = ("coarse", "fine")
 KINDS = ("centroid", "svm")
+WORKERS_HELP = "must be >= 1 (default: CPU count); labeling runs in one thread"
 
 
 # ------------------------------------------------------------ shared bits
 
 
 def _load_config(path: str | None) -> dict:
+    """The JSON object in a file (a config, or map's overrides); None gives {}."""
     if path is None:
         return {}
     try:
@@ -74,7 +77,7 @@ def _load_config(path: str | None) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path}: config must be a JSON object")
+        raise ConfigurationError(f"{path}: expected a JSON object")
     return doc
 
 
@@ -84,6 +87,19 @@ def _get(args: argparse.Namespace, cfg: dict, key: str, default):
     if val is None:
         val = cfg.get(key, default)
     return val
+
+
+def _get_as(args: argparse.Namespace, cfg: dict, key: str, default, kind):
+    """``_get`` converted by ``kind``; None passes through when it is the default."""
+    val = _get(args, cfg, key, default)
+    if val is None and default is None:
+        return None
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{key}: expected {kind.__name__}, got {val!r}"
+        ) from None
 
 
 def _require(args: argparse.Namespace, cfg: dict, key: str):
@@ -139,11 +155,9 @@ def _named_scheme(taxonomy: Taxonomy, scheme: str) -> dict[str, list[str]]:
     """Competition sets keyed by name: 'coarse', or one set per parent."""
     if scheme == "coarse":
         return {COARSE_SET: coarse_scheme(taxonomy)[0]}
-    groups = fine_scheme(taxonomy)
-    out = {}
-    for group in groups:
-        parent = taxonomy.by_id[group[0]].parent
-        out[parent] = group
+    out = {taxonomy.by_id[group[0]].parent: group for group in fine_scheme(taxonomy)}
+    if not out:
+        raise ConfigurationError("scheme 'fine': taxonomy has no child labels")
     return out
 
 
@@ -260,10 +274,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     overrides_path = _get(args, cfg, "overrides", None)
     overrides = None
     if overrides_path is not None:
-        raw = json.loads(Path(overrides_path).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"{overrides_path}: expected an object")
-        overrides = resolve_override_names(graph, raw)
+        overrides = resolve_override_names(graph, _load_config(overrides_path))
     out = _require(args, cfg, "out")
     mapping = map_taxonomy(taxonomy, graph, overrides=overrides, threshold=threshold)
     save_mapping(mapping, graph, out)
@@ -286,28 +297,18 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _label_config(args: argparse.Namespace, cfg: dict) -> LabelingConfig:
-    max_depth = _get(args, cfg, "max_depth", None)
     return LabelingConfig(
         mode=_get(args, cfg, "mode", "full"),
-        coverage_threshold=float(_get(args, cfg, "coverage_threshold", 0.3)),
-        assignment_threshold=float(_get(args, cfg, "assignment_threshold", 0.3)),
-        max_depth=None if max_depth is None else int(max_depth),
+        coverage_threshold=_get_as(args, cfg, "coverage_threshold", 0.3, float),
+        assignment_threshold=_get_as(args, cfg, "assignment_threshold", 0.3, float),
+        max_depth=_get_as(args, cfg, "max_depth", None, int),
         path_mode=_get(args, cfg, "path_mode", "dag"),
-        exact_path_cap=int(_get(args, cfg, "exact_path_cap", 8)),
+        exact_path_cap=_get_as(args, cfg, "exact_path_cap", 8, int),
     )
 
 
 def _label_echo(lab_cfg: LabelingConfig, scheme: str, workers: int) -> dict:
-    return {
-        "mode": lab_cfg.mode,
-        "coverage_threshold": lab_cfg.coverage_threshold,
-        "assignment_threshold": lab_cfg.assignment_threshold,
-        "max_depth": lab_cfg.max_depth,
-        "path_mode": lab_cfg.path_mode,
-        "exact_path_cap": lab_cfg.exact_path_cap,
-        "scheme": scheme,
-        "workers": workers,
-    }
+    return {**asdict(lab_cfg), "scheme": scheme, "workers": workers}
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
@@ -317,7 +318,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     mapping = load_mapping(_require(args, cfg, "mapping"), graph)
     scheme_name = _get(args, cfg, "scheme", "coarse")
     lab_cfg = _label_config(args, cfg)
-    workers = int(_get(args, cfg, "workers", 0) or (os.cpu_count() or 1))
+    workers = _get_as(args, cfg, "workers", 0, int) or (os.cpu_count() or 1)
     out = _require(args, cfg, "out")
     named = _named_scheme(taxonomy, scheme_name)
     records = []
@@ -510,7 +511,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     seed = int(_get(args, cfg, "seed", 0))
     min_df = int(_get(args, cfg, "min_df", 3))
     n_per_class = int(_get(args, cfg, "n_per_class", 0) or 200)
-    workers = int(_get(args, cfg, "workers", 0) or (os.cpu_count() or 1))
+    workers = _get_as(args, cfg, "workers", 0, int) or (os.cpu_count() or 1)
     out_dir = Path(_require(args, cfg, "out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     mapping_path = _get(args, cfg, "mapping", None)
@@ -527,17 +528,10 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     named = _named_scheme(taxonomy, scheme_name)
     train_cfg = TrainConfig(seed=seed)
     modes = _get(args, cfg, "modes", None) or list(MODES)
+    base_cfg = _label_config(args, cfg)
     rows_out = []
     for mode in modes:
-        lab_cfg = _label_config(args, cfg)
-        lab_cfg = LabelingConfig(
-            mode=mode,
-            coverage_threshold=lab_cfg.coverage_threshold,
-            assignment_threshold=lab_cfg.assignment_threshold,
-            max_depth=lab_cfg.max_depth,
-            path_mode=lab_cfg.path_mode,
-            exact_path_cap=lab_cfg.exact_path_cap,
-        )
+        lab_cfg = replace(base_cfg, mode=mode)
         records = []
         for name in sorted(named):
             records.extend(
@@ -585,7 +579,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             "min_df": min_df,
             "n_per_class": n_per_class,
             "modes": list(modes),
-            "path_mode": _get(args, cfg, "path_mode", "dag"),
+            "path_mode": base_cfg.path_mode,
         },
         "rows": rows_out,
     }
@@ -642,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", dest="max_depth", type=int)
     p.add_argument("--path-mode", dest="path_mode", choices=PATH_MODES)
     p.add_argument("--exact-path-cap", dest="exact_path_cap", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help=WORKERS_HELP)
     p.add_argument("--out", help="labels JSONL output path")
     p.add_argument("--summary-out", dest="summary_out")
 
@@ -698,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-per-class", dest="n_per_class", type=int)
     p.add_argument("--min-df", dest="min_df", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help=WORKERS_HELP)
     p.add_argument("--out-dir", dest="out_dir")
 
     return parser

@@ -10,15 +10,22 @@ competing labels so a label is assigned only when it clearly wins.
 Besides the ``full`` pipeline there are four reduced modes used for
 comparison runs: ``child_only``, ``all_descendants``, ``min_dist``, and
 ``no_pruning``.
+
+Each root takes one level-synchronous pass over the CSR arrays: the
+children of a whole BFS level are gathered at once, and the pass sets
+their depth and their ``dag`` path weight w(v) = sum of w(u)/2 over the
+parents u one level up, with w = 1 at the mapped nodes.  That float equals
+(number of depth-increasing paths) / 2**depth exactly while the path count
+stays below 2**53 and the depth at most 1022.  Past that it is rounded,
+and a weight beyond the float range becomes ``inf``.  Candidates stay
+sparse, one row per (page, root), and a page's raw weights are summed in
+root order.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -107,12 +114,12 @@ class LabelingConfig:
 
 
 class ReachableSet:
-    """BFS result for one root: depths, candidate pages, and path counts.
+    """BFS result for one root: depths, candidate pages, and path weights.
 
     ``depth`` holds the shortest distance from the root's mapped nodes for
     every node (-1 when unreached); blocked competitor nodes stay at -1.
-    Path counts over depth-increasing edges are computed on first use and
-    kept as Python ints because they can exceed any fixed-width type.
+    ``weight`` holds the dag path weight: the sum of 2**-len over the
+    depth-increasing paths from the mapped nodes (0 when unreached).
     """
 
     def __init__(
@@ -120,65 +127,24 @@ class ReachableSet:
         graph: CategoryGraph,
         root: RootSpec,
         depth: np.ndarray,
+        weight: np.ndarray,
         blocked: frozenset[int],
     ) -> None:
         self.graph = graph
         self.root = root
         self.depth = depth
+        self.weight = weight
         self.blocked = blocked
-        self._counts: dict[int, int] | None = None
-        self._candidate_pages: dict[int, int] | None = None
-        self._reachable_categories: set[int] | None = None
+        split = graph.n_categories
+        self.pages = np.flatnonzero(depth[split:] >= 0) + split
 
     @property
     def reachable_categories(self) -> set[int]:
-        if self._reachable_categories is None:
-            cats = np.nonzero(self.depth[: self.graph.n_categories] >= 0)[0]
-            self._reachable_categories = set(cats.tolist())
-        return self._reachable_categories
+        return set(np.flatnonzero(self.depth[: self.graph.n_categories] >= 0).tolist())
 
     @property
     def candidate_pages(self) -> dict[int, int]:
-        if self._candidate_pages is None:
-            split = self.graph.n_categories
-            page_depth = self.depth[split:]
-            hit = np.nonzero(page_depth >= 0)[0]
-            self._candidate_pages = {
-                int(p) + split: int(d) for p, d in zip(hit, page_depth[hit])
-            }
-        return self._candidate_pages
-
-    def level_dag_edges(self) -> Iterable[tuple[int, int]]:
-        """Edges (u, v) retained by BFS with depth(v) = depth(u) + 1."""
-        depth = self.depth
-        graph = self.graph
-        for u in np.nonzero(depth[: graph.n_categories] >= 0)[0].tolist():
-            du = int(depth[u])
-            for v in graph.children(u).tolist():
-                if depth[v] == du + 1:
-                    yield u, v
-
-    def path_count(self, node: int) -> int:
-        """Distinct depth-increasing paths from the mapped nodes to ``node``."""
-        if self._counts is None:
-            self._counts = self._compute_counts()
-        return self._counts.get(node, 0)
-
-    def _compute_counts(self) -> dict[int, int]:
-        graph = self.graph
-        depth = self.depth
-        cats = np.nonzero(depth[: graph.n_categories] >= 0)[0]
-        order = cats[np.argsort(depth[cats], kind="stable")]
-        counts: dict[int, int] = {int(n): 1 for n in self.root.nodes}
-        for u in order.tolist():
-            cu = counts.get(u)
-            if not cu:
-                continue
-            du = int(depth[u])
-            for v in graph.children(u).tolist():
-                if depth[v] == du + 1:
-                    counts[v] = counts.get(v, 0) + cu
-        return counts
+        return dict(zip(self.pages.tolist(), self.depth[self.pages].tolist()))
 
 
 def traverse(
@@ -192,42 +158,67 @@ def traverse(
     return _bfs(graph, root, blocked, cfg.max_depth)
 
 
+def _gather(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows ``rows`` concatenated, and each entry's position in ``rows``."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    offsets = np.cumsum(lens) - lens
+    at = np.repeat(starts - offsets, lens) + np.arange(int(lens.sum()))
+    return np.repeat(np.arange(len(rows)), lens), indices[at]
+
+
 def _bfs(
     graph: CategoryGraph,
     root: RootSpec,
     blocked: frozenset[int],
     max_depth: int | None,
 ) -> ReachableSet:
-    depth = np.full(graph.n_nodes, -1, dtype=np.int64)
+    """One level per step: gather the frontier's children, keep the new ones."""
+    n = graph.n_nodes
     for node in root.nodes:
         if not 0 <= node < graph.n_categories:
             raise ConfigurationError(
                 f"root node {node} of {root.label!r} is not a category"
             )
-        depth[node] = 0
-    queue = deque(sorted(set(root.nodes)))
-    while queue:
-        u = queue.popleft()
-        d = int(depth[u])
-        if max_depth is not None and d + 1 > max_depth:
-            continue
-        for v in graph.children(u).tolist():
-            if depth[v] == -1 and v not in blocked:
-                depth[v] = d + 1
-                if v < graph.n_categories:
-                    queue.append(v)
-    return ReachableSet(graph, root, depth, blocked)
+    allowed = np.ones(n, dtype=bool)
+    allowed[[v for v in blocked if 0 <= v < n]] = False
+    depth = np.full(n, -1, dtype=np.int64)
+    weight = np.zeros(n)
+    frontier = np.unique(np.asarray(root.nodes, dtype=np.int64))
+    depth[frontier] = 0
+    weight[frontier] = 1.0
+    level = 0
+    while frontier.size and (max_depth is None or level < max_depth):
+        src, kids = _gather(graph.indptr, graph.indices, frontier)
+        new = (depth[kids] == -1) & allowed[kids]
+        src, kids = frontier[src[new]], kids[new]
+        # Every edge into a node first reached at this level comes from the
+        # level above, so its weight is complete once the level is summed.
+        weight += np.bincount(kids, weights=weight[src] * 0.5, minlength=n)
+        level += 1
+        depth[kids] = level
+        reached = np.unique(kids)
+        frontier = reached[reached < graph.n_categories]
+    return ReachableSet(graph, root, depth, weight, blocked)
+
+
+def _coverage(graph: CategoryGraph, pages: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Share of each page's parent categories that ``depth`` marks reached.
+
+    Every page passed here was reached over an edge, so it has a parent.
+    """
+    at, parents = _gather(graph.rindptr, graph.rindices, pages)
+    reached = np.bincount(at, weights=depth[parents] >= 0, minlength=len(pages))
+    return reached / (graph.rindptr[pages + 1] - graph.rindptr[pages])
 
 
 def parent_coverage(graph: CategoryGraph, page: int, reach: ReachableSet) -> float:
     """Share of the page's parent categories reached by this root."""
-    if not graph.is_page(page) or page not in reach.candidate_pages:
+    if not graph.is_page(page) or reach.depth[page] < 0:
         raise ConfigurationError(f"node {page} is not a candidate page")
-    parents = reach.graph.parents(page)
-    if len(parents) == 0:
-        return 0.0
-    reached = int((reach.depth[parents] >= 0).sum())
-    return reached / len(parents)
+    return float(_coverage(reach.graph, np.array([page]), reach.depth)[0])
 
 
 def enumerate_paths(
@@ -273,11 +264,7 @@ def page_weight(reach: ReachableSet, page: int, cfg: LabelingConfig) -> float:
     if not reach.graph.is_page(page) or d < 0:
         raise ConfigurationError(f"node {page} is not a reachable page")
     if cfg.path_mode == "dag":
-        count = reach.path_count(page)
-        try:
-            return count / (1 << d)
-        except OverflowError:
-            return math.inf
+        return float(reach.weight[page])
     lengths = enumerate_paths(
         reach.graph, reach.root, page, cfg.exact_path_cap, reach.blocked
     )
@@ -286,6 +273,23 @@ def page_weight(reach: ReachableSet, page: int, cfg: LabelingConfig) -> float:
             f"page {page} has no path within the cap {cfg.exact_path_cap}"
         )
     return float(sum(2.0 ** -n for n in lengths))
+
+
+def _shares(group: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Each raw weight over its group's total; infinite raws split the group.
+
+    Totals are summed in array order, so rows ordered by root give every
+    page the same float as summing its raws root by root.
+    """
+    if (raw <= 0).any():
+        raise ConfigurationError("raw weights must be positive")
+    infinite = np.isinf(raw)
+    n_inf = np.bincount(group, weights=infinite)[group]
+    total = np.bincount(group, weights=np.where(infinite, 0.0, raw))[group]
+    # Infinite raws (path-count overflow) dominate everything finite.
+    return np.divide(
+        raw, total, where=n_inf == 0, out=infinite / np.maximum(n_inf, 1.0)
+    )
 
 
 def normalize_and_assign(
@@ -301,19 +305,9 @@ def normalize_and_assign(
     labels = [label for label, _ in candidates]
     if len(set(labels)) != len(labels):
         raise ConfigurationError("duplicate labels among candidates")
-    if any(raw <= 0 for _, raw in candidates):
-        raise ConfigurationError("raw weights must be positive")
-    infinite = [label for label, raw in candidates if math.isinf(raw)]
-    if infinite:
-        # Infinite raws (path-count overflow) dominate everything finite.
-        share = 1.0 / len(infinite)
-        normalized = [
-            (label, share if math.isinf(raw) else 0.0) for label, raw in candidates
-        ]
-    else:
-        total = sum(raw for _, raw in candidates)
-        normalized = [(label, raw / total) for label, raw in candidates]
-    assigned = [(label, w) for label, w in normalized if w > threshold]
+    raw = np.array([raw for _, raw in candidates], dtype=np.float64)
+    shares = _shares(np.zeros(len(raw), dtype=np.int64), raw).tolist()
+    assigned = [(label, w) for label, w in zip(labels, shares) if w > threshold]
     assigned.sort(key=lambda item: (-item[1], item[0]))
     return assigned
 
@@ -374,14 +368,15 @@ def label_corpus(
     """Label pages for every competition set in the scheme.
 
     Records are ordered by competition set, then external page id; a page
-    may appear once per competition set.  Worker count only affects how
-    root traversals are scheduled, never the output.
+    may appear once per competition set.  Labeling runs in the calling
+    thread; ``workers`` is validated but never changes the work or the
+    output.
     """
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
     records: list[PageLabels] = []
     for cs in build_competition_sets(mapping, scheme):
-        records.extend(_label_competition_set(graph, cs, cfg, workers))
+        records.extend(_label_competition_set(graph, cs, cfg))
     return records
 
 
@@ -390,85 +385,70 @@ def _collect_root(
     spec: RootSpec,
     blocked: frozenset[int],
     cfg: LabelingConfig,
-) -> list[tuple[int, str, float, int]]:
-    """(page, label, raw weight, depth) candidates for one root."""
-    reach = _bfs(graph, spec, blocked, cfg.max_depth)
-    out = []
-    if cfg.mode == "child_only":
-        for node in sorted(set(spec.nodes)):
-            for v in graph.children(node).tolist():
-                if v >= graph.n_categories:
-                    out.append((v, spec.label, 1.0, 1))
-        return sorted(set(out))
-    pages = sorted(reach.candidate_pages.items())
-    if cfg.mode == "all_descendants":
-        return [(page, spec.label, 1.0, d) for page, d in pages]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pages, raw weights, depths) of one root's candidates."""
+    # A child_only candidate is a member page of a mapped node: exactly the
+    # pages a one-level traversal reaches, whatever max_depth says.
+    reach = _bfs(graph, spec, blocked, 1 if cfg.mode == "child_only" else cfg.max_depth)
+    pages = reach.pages
     if cfg.mode in ("full", "min_dist"):
-        pages = [
-            (page, d)
-            for page, d in pages
-            if parent_coverage(graph, page, reach) >= cfg.coverage_threshold
-        ]
-    if cfg.mode == "min_dist":
-        return [(page, spec.label, 1.0, d) for page, d in pages]
-    return [
-        (page, spec.label, page_weight(reach, page, cfg), d) for page, d in pages
-    ]
+        pages = pages[_coverage(graph, pages, reach.depth) >= cfg.coverage_threshold]
+    if cfg.mode not in ("full", "no_pruning"):
+        raw = np.ones(len(pages))
+    elif cfg.path_mode == "dag":
+        raw = reach.weight[pages]
+    else:
+        raw = np.array(
+            [page_weight(reach, page, cfg) for page in pages.tolist()], dtype=np.float64
+        )
+    return pages, raw, reach.depth[pages]
 
 
 def _label_competition_set(
-    graph: CategoryGraph,
-    cs: CompetitionSet,
-    cfg: LabelingConfig,
-    workers: int,
+    graph: CategoryGraph, cs: CompetitionSet, cfg: LabelingConfig
 ) -> list[PageLabels]:
-    no_blocking = cfg.mode == "no_pruning"
+    if not cs.roots:
+        return []
+    per_root = [
+        _collect_root(
+            graph,
+            spec,
+            frozenset() if cfg.mode == "no_pruning" else cs.blocked_for(spec.label),
+            cfg,
+        )
+        for spec in cs.roots
+    ]
+    # One row per (page, root) candidate, rows grouped by root in set order;
+    # ``label`` indexes the sorted label ids.
+    labels = sorted(spec.label for spec in cs.roots)
+    page, raw, depth = (np.concatenate(cols) for cols in zip(*per_root))
+    label = np.repeat(
+        [labels.index(spec.label) for spec in cs.roots],
+        [len(p) for p, _, _ in per_root],
+    )
 
-    def run(spec: RootSpec) -> list[tuple[int, str, float, int]]:
-        blocked = frozenset() if no_blocking else cs.blocked_for(spec.label)
-        return _collect_root(graph, spec, blocked, cfg)
-
-    if workers == 1 or len(cs.roots) <= 1:
-        per_root = [run(spec) for spec in cs.roots]
+    if cfg.mode in ("full", "no_pruning"):
+        w_norm = _shares(page, raw)
+        keep = w_norm > cfg.assignment_threshold
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_root = list(pool.map(run, cs.roots))
-
-    by_page: dict[int, list[tuple[str, float, int]]] = {}
-    for rows in per_root:
-        for page, label, raw, d in rows:
-            by_page.setdefault(page, []).append((label, raw, d))
-
-    records = []
-    for page in sorted(by_page, key=graph.external_id):
-        cands = by_page[page]
-        if cfg.mode in ("full", "no_pruning"):
-            assigned = normalize_and_assign(
-                [(label, raw) for label, raw, _ in cands],
-                cfg.assignment_threshold,
-            )
-            raw_by_label = {label: (raw, d) for label, raw, d in cands}
-            assignments = tuple(
-                Assignment(label, raw_by_label[label][0], w, raw_by_label[label][1])
-                for label, w in assigned
-            )
-        elif cfg.mode == "min_dist":
-            best = min(d for _, _, d in cands)
-            winners = sorted(
-                (label, raw, d) for label, raw, d in cands if d == best
-            )
-            share = 1.0 / len(winners)
-            assignments = tuple(
-                Assignment(label, raw, share, d) for label, raw, d in winners
-            )
+        if cfg.mode == "min_dist":
+            best = np.full(graph.n_nodes, np.iinfo(np.int64).max)
+            np.minimum.at(best, page, depth)
+            keep = depth == best[page]
         else:  # child_only, all_descendants
-            share = 1.0 / len(cands)
-            assignments = tuple(
-                Assignment(label, raw, share, d)
-                for label, raw, d in sorted(cands)
-            )
-        records.append(PageLabels(page, assignments, cfg.mode))
-    return records
+            keep = np.ones(len(page), dtype=bool)
+        w_norm = 1.0 / np.bincount(page, weights=keep)[page]
+
+    external = graph.page_external[page - graph.n_categories]
+    order = np.lexsort((label, -w_norm, external))
+
+    by_page: dict[int, list[Assignment]] = {}
+    columns = (page, label, raw, w_norm, depth, keep)
+    for p, lab, w_raw, w, d, k in zip(*(col[order].tolist() for col in columns)):
+        kept = by_page.setdefault(p, [])
+        if k:
+            kept.append(Assignment(labels[lab], w_raw, w, d))
+    return [PageLabels(p, tuple(a), cfg.mode) for p, a in by_page.items()]
 
 
 def write_labels(

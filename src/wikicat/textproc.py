@@ -85,15 +85,9 @@ def transform(model: TfIdfModel, text: str) -> DocumentVector:
 
 
 def save_tfidf(model: TfIdfModel, path: str | Path) -> None:
-    doc = {
-        "n_docs": model.n_docs,
-        "min_df": model.min_df,
-        "terms": [
-            [t, d, i] for t, d, i in zip(model.terms, model.df, model.idf)
-        ],
-    }
     Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(tfidf_to_dict(model), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
     )
 
 
@@ -103,27 +97,23 @@ def load_tfidf(path: str | Path) -> TfIdfModel:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
     try:
+        return tfidf_from_dict(doc)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def tfidf_from_dict(doc: dict) -> TfIdfModel:
+    """Rebuild a model from its dict form, as in tf-idf and classifier files."""
+    try:
         terms = [str(row[0]) for row in doc["terms"]]
         df = [int(row[1]) for row in doc["terms"]]
         idf = [float(row[2]) for row in doc["terms"]]
         model = TfIdfModel(int(doc["n_docs"]), int(doc["min_df"]), terms, df, idf)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: malformed tf-idf model: {exc}") from None
+        raise ConfigurationError(f"malformed tf-idf model: {exc}") from None
     if terms != sorted(terms):
-        raise ConfigurationError(f"{path}: model terms are not sorted")
+        raise ConfigurationError("model terms are not sorted")
     return model
-
-
-def tfidf_from_dict(doc: dict) -> TfIdfModel:
-    """Rebuild a model from the dict shape used inside classifier files."""
-    terms = [str(row[0]) for row in doc["terms"]]
-    return TfIdfModel(
-        int(doc["n_docs"]),
-        int(doc["min_df"]),
-        terms,
-        [int(row[1]) for row in doc["terms"]],
-        [float(row[2]) for row in doc["terms"]],
-    )
 
 
 def tfidf_to_dict(model: TfIdfModel) -> dict:

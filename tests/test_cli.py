@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from wikicat.classifiers import save_model, train_centroid
 from wikicat.cli import main
 from wikicat.synth import make_ablation_wiki
+from wikicat.textproc import fit_tfidf, transform
 
 from conftest import write_graph_files
 
@@ -296,3 +298,68 @@ def test_missing_required_setting_exits_2(capsys):
     rc = main(["map"])
     assert rc == 2
     assert "graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("exact_path_cap", None), ("max_depth", "x"), ("coverage_threshold", [1])],
+)
+def test_label_bad_config_value_exits_2(wiki, tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "graph": str(wiki / "graph.bin"),
+        "taxonomy": str(wiki / "taxonomy.json"),
+        "mapping": str(wiki / "mapping.json"),
+        "out": str(tmp_path / "labels.jsonl"),
+        key: value,
+    }))
+    assert main(["label", "--config", str(config)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_map_malformed_overrides_exits_2(wiki, tmp_path, capsys):
+    overrides = tmp_path / "ov.json"
+    for text in ("{broken", '["a list"]'):
+        overrides.write_text(text)
+        rc = main([
+            "map",
+            "--graph", str(wiki / "graph.bin"),
+            "--taxonomy", str(wiki / "taxonomy.json"),
+            "--overrides", str(overrides),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert rc == 2
+        assert "ov.json" in capsys.readouterr().err
+
+
+def test_label_fine_scheme_on_flat_taxonomy_exits_2(wiki, tmp_path, capsys):
+    rc = main([
+        "label",
+        "--graph", str(wiki / "graph.bin"),
+        "--taxonomy", str(wiki / "taxonomy.json"),
+        "--mapping", str(wiki / "mapping.json"),
+        "--scheme", "fine",
+        "--out", str(tmp_path / "labels.jsonl"),
+    ])
+    assert rc == 2
+    assert "taxonomy has no child labels" in capsys.readouterr().err
+
+
+def test_predict_model_with_unsorted_terms_exits_2(tmp_path, capsys):
+    tfidf = fit_tfidf(["aa bb", "bb cc"], min_df=1)
+    vectors = [transform(tfidf, "aa bb"), transform(tfidf, "bb cc")]
+    model_path = tmp_path / "model.json"
+    save_model(train_centroid(vectors, ["x", "y"], tfidf=tfidf), model_path)
+    doc = json.loads(model_path.read_text())
+    doc["tfidf"]["terms"].reverse()
+    model_path.write_text(json.dumps(doc))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": 1, "text": "aa cc"}\n')
+    rc = main([
+        "predict",
+        "--model", str(model_path),
+        "--corpus", str(corpus),
+        "--out", str(tmp_path / "preds.jsonl"),
+    ])
+    assert rc == 2
+    assert "model.json: model terms are not sorted" in capsys.readouterr().err
