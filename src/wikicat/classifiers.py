@@ -15,6 +15,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
@@ -36,6 +37,7 @@ CENTROID_FORMAT = "wikicat/centroid/v1"
 SVM_FORMAT = "wikicat/svm/v1"
 
 _SCALE_FLOOR = 1e-9  # fold the scale factor back into the weights below this
+_OBJECTIVE_BLOCK = 1 << 13  # gathered weights per chunk of the epoch objective
 
 T = TypeVar("T")
 
@@ -48,12 +50,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ConfigurationError("lam must be > 0")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ConfigurationError(f"lam must be finite and > 0, got {self.lam}")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
-        if self.eta0 <= 0:
-            raise ConfigurationError("eta0 must be > 0")
+        if not (math.isfinite(self.eta0) and self.eta0 > 0):
+            raise ConfigurationError(f"eta0 must be finite and > 0, got {self.eta0}")
 
 
 def _class_rng(seed: int, label: str) -> random.Random:
@@ -174,64 +176,139 @@ class LinearSvmModel:
     tfidf: TfIdfModel | None = None
 
 
-def _objective(
-    vectors: Sequence[DocumentVector],
-    targets: Sequence[float],
+def _pad_docs(
+    vectors: Sequence[DocumentVector], n_features: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Docs as ``(n_docs, width)`` feature index and value arrays.
+
+    Each row keeps its document's own item order.  Pad slots carry 0.0 and
+    point at column ``n_features``, a sink the trainer keeps at 0.0, so a
+    padded dot product adds only exact zeros after the real terms.
+    """
+    lengths = np.fromiter(map(len, vectors), dtype=np.intp, count=len(vectors))
+    n_items = int(lengths.sum())
+    filled = np.arange(max(int(lengths.max(initial=0)), 1)) < lengths[:, None]
+    try:
+        keys = np.fromiter(chain.from_iterable(vectors), dtype=np.int64, count=n_items)
+    except OverflowError:
+        raise ConfigurationError("feature index out of range") from None
+    bad = (keys < 0) | (keys >= n_features)
+    if bad.any():
+        raise ConfigurationError(f"feature index {keys[bad.argmax()]} out of range")
+    idx = np.full(filled.shape, n_features, dtype=np.int32)
+    idx[filled] = keys
+    del keys
+    val = np.zeros(filled.shape)
+    val[filled] = np.fromiter(
+        chain.from_iterable(vec.values() for vec in vectors),
+        dtype=np.float64,
+        count=n_items,
+    )
+    return idx, val
+
+
+def _hinge_totals(
+    idx: np.ndarray,
+    val: np.ndarray,
+    targets: np.ndarray,
     u: np.ndarray,
     scale: float,
-    bias: float,
-    lam: float,
-) -> float:
-    total = 0.0
-    for vec, y in zip(vectors, targets):
-        dot = 0.0
-        for ix, v in vec.items():
-            dot += u[ix] * v
-        total += max(0.0, 1.0 - y * (scale * dot + bias))
-    penalty = 0.5 * lam * scale * scale * float(np.dot(u, u))
-    return total / len(vectors) + penalty
+    bias: np.ndarray,
+) -> np.ndarray:
+    """Per class, the hinge losses of all docs summed in doc order."""
+    n_cls, n_docs = targets.shape
+    totals = np.zeros((n_cls, 1))
+    rows = max(1, _OBJECTIVE_BLOCK // (n_cls * idx.shape[1]))
+    for lo in range(0, n_docs, rows):
+        prod = u[:, idx[lo : lo + rows]]
+        prod *= val[lo : lo + rows]
+        dots = np.cumsum(prod, axis=2, out=prod)[:, :, -1]
+        hinge = 1.0 - targets[:, lo : lo + rows] * (scale * dots + bias[:, None])
+        # not np.maximum: max(0.0, nan) is 0.0
+        hinge = np.where(hinge > 0.0, hinge, 0.0)
+        totals = np.cumsum(np.concatenate([totals, hinge], axis=1), axis=1)[:, -1:]
+    return totals[:, 0]
 
 
-def _train_one_class(
+def _train_classes(
     vectors: Sequence[DocumentVector],
-    targets: Sequence[float],
-    label: str,
+    targets: np.ndarray,
+    names: Sequence[str],
     cfg: TrainConfig,
     n_features: int,
-) -> tuple[SvmClass, list[float]]:
-    # w is kept as scale * u so the L2 shrink each step is O(1) and only
-    # the nonzero features of a document cost work.
-    u = np.zeros(n_features, dtype=np.float64)
+) -> list[tuple[SvmClass, list[float]]]:
+    """One model and its per-epoch losses per row of ``targets``."""
+    w, bias, losses = _sgd(vectors, targets, names, cfg, n_features)
+    out = []
+    for c, row in enumerate(w):
+        nz = np.flatnonzero(row)
+        weights = dict(zip(nz.tolist(), row[nz].tolist()))
+        out.append((SvmClass(weights, float(bias[c])), losses[c]))
+    return out
+
+
+def _sgd(
+    vectors: Sequence[DocumentVector],
+    targets: np.ndarray,
+    names: Sequence[str],
+    cfg: TrainConfig,
+    n_features: int,
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Hinge-loss SGD for every row of ``targets`` (+1/-1 per doc) at once.
+
+    Row c is the class ``names[c]``: it visits the docs in its own
+    ``(seed, name)`` shuffle order and does exactly the float operations of
+    a one-class loop, so its model is independent of the other rows.  w is
+    kept as scale * u (Bottou 2010), so the L2 shrink each step is O(1);
+    eta and scale depend only on the step count, so all rows share them.
+    Dot products are sequential sums in feature order (``cumsum``), as a
+    loop adds them, never ``np.dot``'s blocked sums.
+    """
+    idx, val = _pad_docs(vectors, n_features)
+    n_cls, n_docs = targets.shape
+    u = np.zeros((n_cls, n_features + 1))
+    flat_u = u.reshape(-1)
+    row_start = np.arange(n_cls)[:, None] * (n_features + 1)
+    bias = np.zeros(n_cls)
     scale = 1.0
-    bias = 0.0
     t = 0
-    rng = _class_rng(cfg.seed, label)
-    order = list(range(len(vectors)))
-    losses: list[float] = []
+    lam, eta0 = cfg.lam, cfg.eta0
+    rngs = [_class_rng(cfg.seed, name) for name in names]
+    identity = list(range(n_docs))
+    order = np.tile(np.arange(n_docs, dtype=np.int32), (n_cls, 1))
+    losses: list[list[float]] = [[] for _ in names]
     for _ in range(cfg.epochs):
-        rng.shuffle(order)
-        for i in order:
-            vec = vectors[i]
-            y = targets[i]
-            eta = cfg.eta0 / (1.0 + cfg.eta0 * cfg.lam * t)
+        for c, rng in enumerate(rngs):
+            # A shuffle's swaps depend only on the length and the generator,
+            # so shuffling the identity gives the permutation to apply.
+            perm = identity.copy()
+            rng.shuffle(perm)
+            order[c] = order[c, perm]
+        ys = np.take_along_axis(targets, order, axis=1)
+        for docs, y in zip(order.T, ys.T):
+            eta = eta0 / (1.0 + eta0 * lam * t)
             t += 1
-            dot = 0.0
-            for ix, v in vec.items():
-                dot += u[ix] * v
-            margin = y * (scale * dot + bias)
-            scale *= max(1.0 - eta * cfg.lam, 1e-12)
+            cols = idx.take(docs, axis=0) + row_start
+            x = val.take(docs, axis=0)
+            prod = flat_u.take(cols)
+            prod *= x
+            margin = y * (scale * prod.cumsum(axis=1)[:, -1] + bias)
+            scale *= max(1.0 - eta * lam, 1e-12)
             if scale < _SCALE_FLOOR:
                 u *= scale
                 scale = 1.0
-            if margin < 1.0:
-                coef = eta * y / scale
-                for ix, v in vec.items():
-                    u[ix] += coef * v
-                bias += eta * y
-        losses.append(_objective(vectors, targets, u, scale, bias, cfg.lam))
-    w = u * scale
-    weights = {int(ix): float(w[ix]) for ix in np.nonzero(w)[0]}
-    return SvmClass(weights, float(bias)), losses
+            hit = (margin < 1.0).nonzero()[0]
+            if len(hit):
+                step = eta * y[hit]
+                flat_u[cols[hit]] += (step / scale)[:, None] * x[hit]
+                bias[hit] += step
+                u[:, n_features] = 0.0  # an inf step leaves inf * 0.0 = NaN there
+        totals = _hinge_totals(idx, val, targets, u, scale, bias)
+        for c in range(n_cls):
+            row = u[c, :n_features].copy()
+            penalty = 0.5 * lam * scale * scale * float(np.dot(row, row))
+            losses[c].append(float(totals[c]) / n_docs + penalty)
+    return u[:, :n_features] * scale, bias, losses
 
 
 def train_svm(
@@ -247,19 +324,19 @@ def train_svm(
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise ConfigurationError("svm training needs at least 2 classes")
-    for vec in vectors:
-        for ix in vec:
-            if not 0 <= ix < n_features:
-                raise ConfigurationError(f"feature index {ix} out of range")
-    vectors = list(vectors)
-    out: dict[str, SvmClass] = {}
-    history: dict[str, list[float]] = {}
-    for cls in classes:
-        targets = [1.0 if lab == cls else -1.0 for lab in labels]
-        out[cls], history[cls] = _train_one_class(
-            vectors, targets, cls, cfg, n_features
-        )
-    return LinearSvmModel(out, cfg, n_features, history, tfidf)
+    code = {label: i for i, label in enumerate(classes)}
+    codes = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
+    targets = np.where(
+        codes == np.arange(len(classes))[:, None], np.int8(1), np.int8(-1)
+    )
+    trained = _train_classes(vectors, targets, classes, cfg, n_features)
+    return LinearSvmModel(
+        {label: cls for label, (cls, _) in zip(classes, trained)},
+        cfg,
+        n_features,
+        {label: losses for label, (_, losses) in zip(classes, trained)},
+        tfidf,
+    )
 
 
 def predict_svm(model: LinearSvmModel, vector: DocumentVector) -> str:

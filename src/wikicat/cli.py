@@ -153,6 +153,10 @@ def _load_corpus(path: str | Path) -> dict[int, str]:
 
 def _named_scheme(taxonomy: Taxonomy, scheme: str) -> dict[str, list[str]]:
     """Competition sets keyed by name: 'coarse', or one set per parent."""
+    if scheme not in SCHEMES:
+        raise ConfigurationError(
+            f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEMES)}"
+        )
     if scheme == "coarse":
         return {COARSE_SET: coarse_scheme(taxonomy)[0]}
     out = {taxonomy.by_id[group[0]].parent: group for group in fine_scheme(taxonomy)}
@@ -270,7 +274,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     graph = _load_graph_arg(_require(args, cfg, "graph"))
     taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
-    threshold = float(_get(args, cfg, "threshold", 0.9))
+    threshold = _get_as(args, cfg, "threshold", 0.9, float)
     overrides_path = _get(args, cfg, "overrides", None)
     overrides = None
     if overrides_path is not None:
@@ -356,10 +360,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     records = read_labels(_require(args, cfg, "labels"))
     corpus = _load_corpus(_require(args, cfg, "corpus"))
     scheme_name = _get(args, cfg, "scheme", "coarse")
-    seed = int(_get(args, cfg, "seed", 0))
-    n_per_class = int(
-        _get(args, cfg, "n_per_class", 0) or _default_n_per_class(scheme_name)
-    )
+    seed = _get_as(args, cfg, "seed", 0, int)
+    n_per_class = _get_as(
+        args, cfg, "n_per_class", None, int
+    ) or _default_n_per_class(scheme_name)
     out = _require(args, cfg, "out")
     named = _named_scheme(taxonomy, scheme_name)
     rows = _collect_training_rows(records, corpus, named)
@@ -398,15 +402,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     corpus = _load_corpus(_require(args, cfg, "corpus"))
     scheme_name = _get(args, cfg, "scheme", "coarse")
     kind = _get(args, cfg, "kind", "svm")
-    seed = int(_get(args, cfg, "seed", 0))
-    min_df = int(_get(args, cfg, "min_df", 3))
-    n_per_class = int(
-        _get(args, cfg, "n_per_class", 0) or _default_n_per_class(scheme_name)
-    )
+    seed = _get_as(args, cfg, "seed", 0, int)
+    min_df = _get_as(args, cfg, "min_df", 3, int)
+    n_per_class = _get_as(
+        args, cfg, "n_per_class", None, int
+    ) or _default_n_per_class(scheme_name)
     train_cfg = TrainConfig(
-        lam=float(_get(args, cfg, "lam", 1e-4)),
-        epochs=int(_get(args, cfg, "epochs", 5)),
-        eta0=float(_get(args, cfg, "eta0", 0.1)),
+        lam=_get_as(args, cfg, "lam", 1e-4, float),
+        epochs=_get_as(args, cfg, "epochs", 5, int),
+        eta0=_get_as(args, cfg, "eta0", 0.1, float),
         seed=seed,
     )
     out_dir = Path(_require(args, cfg, "out_dir"))
@@ -508,9 +512,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
     corpus = _load_corpus(_require(args, cfg, "corpus"))
     scheme_name = _get(args, cfg, "scheme", "coarse")
-    seed = int(_get(args, cfg, "seed", 0))
-    min_df = int(_get(args, cfg, "min_df", 3))
-    n_per_class = int(_get(args, cfg, "n_per_class", 0) or 200)
+    seed = _get_as(args, cfg, "seed", 0, int)
+    min_df = _get_as(args, cfg, "min_df", 3, int)
+    n_per_class = _get_as(args, cfg, "n_per_class", None, int) or 200
     workers = _get_as(args, cfg, "workers", 0, int) or (os.cpu_count() or 1)
     out_dir = Path(_require(args, cfg, "out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -130,6 +130,18 @@ class CategoryGraph:
             return int(self.cat_external[node])
         return int(self.page_external[node - self.n_categories])
 
+    def external_ids(self, nodes: np.ndarray) -> np.ndarray:
+        """``external_id`` of every node in an array, with one bounds check."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        bad = (nodes < 0) | (nodes >= self.n_nodes)
+        if bad.any():
+            raise ConfigurationError(f"node id out of range: {nodes[bad.argmax()]}")
+        pages = nodes >= self.n_categories
+        out = np.empty(len(nodes), dtype=np.int64)
+        out[~pages] = self.cat_external[nodes[~pages]]
+        out[pages] = self.page_external[nodes[pages] - self.n_categories]
+        return out
+
     def stats(self) -> dict[str, int]:
         n_subcat = int((self.indices < self.n_categories).sum())
         return {

@@ -454,22 +454,29 @@ def _label_competition_set(
 def write_labels(
     records: Iterable[PageLabels], graph: CategoryGraph, path: str | Path
 ) -> None:
+    records = list(records)
+    pages = graph.external_ids([rec.page for rec in records]).tolist()
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            doc = {
-                "page": graph.external_id(rec.page),
-                "assignments": [
-                    {
-                        "label": a.label,
-                        "w_raw": a.w_raw,
-                        "w_norm": a.w_norm,
-                        "depth": a.depth,
-                    }
-                    for a in rec.assignments
-                ],
-                "mode": rec.mode,
-            }
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        fh.writelines(
+            encode(
+                {
+                    "page": page,
+                    "assignments": [
+                        {
+                            "label": a.label,
+                            "w_raw": a.w_raw,
+                            "w_norm": a.w_norm,
+                            "depth": a.depth,
+                        }
+                        for a in rec.assignments
+                    ],
+                    "mode": rec.mode,
+                }
+            )
+            + "\n"
+            for page, rec in zip(pages, records)
+        )
 
 
 def read_labels(path: str | Path) -> list[dict]:

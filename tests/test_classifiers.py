@@ -1,6 +1,7 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from wikicat.classifiers import (
@@ -8,7 +9,7 @@ from wikicat.classifiers import (
     LinearSvmModel,
     SvmClass,
     TrainConfig,
-    _train_one_class,
+    _train_classes,
     keyword_vote,
     load_model,
     predict_centroid,
@@ -134,7 +135,7 @@ def test_svm_single_step_hand_oracle():
     # exactly 1, so hinge = 0 and the objective is the penalty alone:
     # .5 * .01 * (scale * u0)^2 = .005 * .25 = .00125.
     cfg = TrainConfig(lam=0.01, epochs=1, eta0=0.5, seed=0)
-    cls, losses = _train_one_class([{0: 1.0}], [1.0], "pos", cfg, 2)
+    [(cls, losses)] = _train_classes([{0: 1.0}], np.array([[1.0]]), ["pos"], cfg, 2)
     assert cls.weights[0] == pytest.approx(0.5, abs=1e-12)
     assert cls.bias == 0.5
     assert losses == [pytest.approx(0.00125, rel=1e-9)]
@@ -220,6 +221,11 @@ def test_svm_validation():
         TrainConfig(lam=0.0)
     with pytest.raises(ConfigurationError):
         TrainConfig(epochs=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="lam must be finite"):
+            TrainConfig(lam=bad)
+        with pytest.raises(ConfigurationError, match="eta0 must be finite"):
+            TrainConfig(eta0=bad)
 
 
 def test_svm_predict_tie_picks_first_label():

@@ -363,3 +363,102 @@ def test_predict_model_with_unsorted_terms_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "model.json: model terms are not sorted" in capsys.readouterr().err
+
+
+def test_package_entry_point():
+    proc = subprocess.run(
+        [sys.executable, "-m", "wikicat", "--version"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "0.1.0"
+
+
+@pytest.fixture(scope="module")
+def labels_path(wiki, tmp_path_factory):
+    """Coarse labels of the ablation wiki, used read-only."""
+    path = tmp_path_factory.mktemp("labeled") / "labels.jsonl"
+    assert main([
+        "label",
+        "--graph", str(wiki / "graph.bin"),
+        "--taxonomy", str(wiki / "taxonomy.json"),
+        "--mapping", str(wiki / "mapping.json"),
+        "--out", str(path),
+        "--workers", "1",
+    ]) == 0
+    return path
+
+
+def test_map_bad_threshold_exits_2(wiki, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "graph": str(wiki / "graph.bin"),
+        "taxonomy": str(wiki / "taxonomy.json"),
+        "out": str(tmp_path / "m.json"),
+        "threshold": "x",
+    }))
+    assert main(["map", "--config", str(config)]) == 2
+    assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("train", "lam", "x"),
+        ("train", "lam", "nan"),
+        ("train", "eta0", "inf"),
+        ("train", "epochs", "x"),
+        ("train", "seed", [1]),
+        ("train", "min_df", None),
+        ("train", "n_per_class", "x"),
+        ("sample", "seed", "x"),
+        ("sample", "n_per_class", "x"),
+    ],
+)
+def test_bad_training_config_value_exits_2(
+    wiki, labels_path, tmp_path, capsys, command, key, value
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "labels": str(labels_path),
+        "corpus": str(wiki / "corpus.jsonl"),
+        "taxonomy": str(wiki / "taxonomy.json"),
+        "out": str(tmp_path / "sampled.jsonl"),
+        "out_dir": str(tmp_path / "models"),
+        key: value,
+    }))
+    assert main([command, "--config", str(config)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_ablate_bad_config_value_exits_2(wiki, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "graph": str(wiki / "graph.bin"),
+        "taxonomy": str(wiki / "taxonomy.json"),
+        "corpus": str(wiki / "corpus.jsonl"),
+        "out_dir": str(tmp_path / "ablate"),
+        "min_df": "x",
+    }))
+    assert main(["ablate", "--config", str(config)]) == 2
+    assert "min_df" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["label", "train"])
+def test_unknown_scheme_in_config_exits_2(
+    wiki, labels_path, tmp_path, capsys, command
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "graph": str(wiki / "graph.bin"),
+        "taxonomy": str(wiki / "taxonomy.json"),
+        "mapping": str(wiki / "mapping.json"),
+        "labels": str(labels_path),
+        "corpus": str(wiki / "corpus.jsonl"),
+        "out": str(tmp_path / "labels.jsonl"),
+        "out_dir": str(tmp_path / "models"),
+        "scheme": "bogus",
+    }))
+    assert main([command, "--config", str(config)]) == 2
+    assert "unknown scheme 'bogus'" in capsys.readouterr().err

@@ -67,6 +67,16 @@ def test_shared_external_ids_across_namespaces(make_graph):
     assert g.node_name(g.page_node(7)) == "Article"
 
 
+def test_external_ids_gather_matches_external_id(make_graph):
+    g = make_graph(CATS, PAGES, EDGES)
+    nodes = list(range(g.n_nodes))[::-1]
+    assert g.external_ids(nodes).tolist() == [g.external_id(n) for n in nodes]
+    assert g.external_ids([]).tolist() == []
+    for bad in ([0, g.n_nodes], [-1]):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            g.external_ids(bad)
+
+
 def test_children_on_page_is_error(make_graph):
     g = make_graph(CATS, PAGES, EDGES)
     with pytest.raises(ConfigurationError):
