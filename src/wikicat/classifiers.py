@@ -1,6 +1,7 @@
 """Corpus balancing, centroid and linear-SVM classifiers, keyword baseline.
 
-Both trainable models consume sparse tf-idf vectors.  The SVM is trained
+Both trainable models consume sparse tf-idf vectors and score them as
+w.x + b from one (classes x features) weight matrix.  The SVM is trained
 one-vs-rest by stochastic gradient descent on the hinge loss with an L2
 penalty; every class draws its own random generator from (seed, label), so
 class models are independent of training order.  All randomness anywhere
@@ -101,12 +102,61 @@ def sample_balance(
     return out
 
 
+# ------------------------------------------------------------ linear models
+
+
+def _feature_indices(
+    keys: Iterable[int], n_features: int, count: int = -1
+) -> np.ndarray:
+    """Feature indices as an array, each checked to lie in [0, n_features)."""
+    try:
+        ix = np.fromiter(keys, dtype=np.int64, count=count)
+    except OverflowError:
+        raise ConfigurationError("feature index out of range") from None
+    bad = (ix < 0) | (ix >= n_features)
+    if bad.any():
+        raise ConfigurationError(f"feature index {ix[bad.argmax()]} out of range")
+    return ix
+
+
+def _argmax_score(
+    classes: tuple[str, ...],
+    weights: np.ndarray,
+    bias: np.ndarray | float,
+    vector: DocumentVector,
+) -> str | None:
+    """The class of the first strictly largest w.x + b, or None if none is > -inf.
+
+    Both models score this way, from one (classes x features) float64 weight
+    matrix; centroids have b = 0.  Each score is a sequential sum, b first
+    and then each w * v in the vector's item order, as a loop adds them.
+    Features outside the model add nothing.  A NaN score never wins.
+    """
+    if not classes:
+        raise ConfigurationError("model has no classes")
+    ix = np.fromiter(vector, dtype=np.int64, count=len(vector))
+    val = np.fromiter(vector.values(), dtype=np.float64, count=len(vector))
+    keep = (ix >= 0) & (ix < weights.shape[1])
+    ix, val = ix[keep], val[keep]
+    terms = np.empty((len(classes), 1 + len(ix)))
+    terms[:, 0] = bias
+    np.multiply(weights[:, ix], val, out=terms[:, 1:])
+    scores = np.cumsum(terms, axis=1)[:, -1]
+    best = np.fmax.reduce(scores)  # NaN only if every score is NaN
+    if not best > -math.inf:
+        return None
+    return classes[int(np.argmax(scores == best))]
+
+
 # ----------------------------------------------------------------- centroid
 
 
 @dataclass
 class CentroidModel:
-    centroids: dict[str, DocumentVector]
+    """Unit-length class means: row c of ``weights`` belongs to ``classes[c]``."""
+
+    classes: tuple[str, ...]
+    weights: np.ndarray
     tfidf: TfIdfModel | None = None
 
 
@@ -116,7 +166,11 @@ def train_centroid(
     expected_classes: Iterable[str] | None = None,
     tfidf: TfIdfModel | None = None,
 ) -> CentroidModel:
-    """Per class: mean of the class vectors, L2-normalized."""
+    """Per class: mean of the class vectors, L2-normalized.
+
+    The model is as wide as the tf-idf vocabulary, or one past the largest
+    feature index when no tf-idf model is given.
+    """
     if len(vectors) != len(labels):
         raise ConfigurationError("vectors and labels differ in length")
     if not vectors:
@@ -134,46 +188,47 @@ def train_centroid(
             raise ConfigurationError(
                 f"classes without documents: {', '.join(missing)}"
             )
-    centroids: dict[str, DocumentVector] = {}
-    for label in sorted(sums):
+    if tfidf is not None:
+        width = tfidf.vocab_size
+    else:
+        width = 1 + max((ix for acc in sums.values() for ix in acc), default=-1)
+    classes = tuple(sorted(sums))
+    weights = np.zeros((len(classes), width))
+    for row, label in zip(weights, classes):
         mean = {ix: v / counts[label] for ix, v in sums[label].items()}
+        # summed in first-seen order, as the stored bytes depend on it
         norm = math.sqrt(sum(w * w for w in mean.values()))
         if norm == 0.0:
             raise ConfigurationError(f"class {label!r} has an all-zero centroid")
-        centroids[label] = {ix: w / norm for ix, w in sorted(mean.items())}
-    return CentroidModel(centroids, tfidf)
+        row[_feature_indices(mean, width, len(mean))] = [
+            w / norm for w in mean.values()
+        ]
+    return CentroidModel(classes, weights, tfidf)
 
 
-def predict_centroid(model: CentroidModel, vector: DocumentVector) -> str:
+def predict_centroid(model: CentroidModel, vector: DocumentVector) -> str | None:
     """Nearest centroid by dot product; ties break to the first label id."""
-    if not model.centroids:
-        raise ConfigurationError("centroid model has no classes")
-    best_label = None
-    best_score = -math.inf
-    for label in sorted(model.centroids):
-        centroid = model.centroids[label]
-        score = sum(w * centroid.get(ix, 0.0) for ix, w in vector.items())
-        if score > best_score:
-            best_label, best_score = label, score
-    return best_label
+    return _argmax_score(model.classes, model.weights, 0.0, vector)
 
 
 # ---------------------------------------------------------------------- svm
 
 
 @dataclass
-class SvmClass:
-    weights: dict[int, float]
-    bias: float
-
-
-@dataclass
 class LinearSvmModel:
-    classes: dict[str, SvmClass]
+    """One-vs-rest scorer w.x + b: row c of ``weights`` and ``bias[c]``
+    belong to ``classes[c]``."""
+
+    classes: tuple[str, ...]
+    weights: np.ndarray
+    bias: np.ndarray
     config: TrainConfig
-    n_features: int
     loss_history: dict[str, list[float]] = field(default_factory=dict)
     tfidf: TfIdfModel | None = None
+
+    @property
+    def n_features(self) -> int:
+        return self.weights.shape[1]
 
 
 def _pad_docs(
@@ -188,13 +243,7 @@ def _pad_docs(
     lengths = np.fromiter(map(len, vectors), dtype=np.intp, count=len(vectors))
     n_items = int(lengths.sum())
     filled = np.arange(max(int(lengths.max(initial=0)), 1)) < lengths[:, None]
-    try:
-        keys = np.fromiter(chain.from_iterable(vectors), dtype=np.int64, count=n_items)
-    except OverflowError:
-        raise ConfigurationError("feature index out of range") from None
-    bad = (keys < 0) | (keys >= n_features)
-    if bad.any():
-        raise ConfigurationError(f"feature index {keys[bad.argmax()]} out of range")
+    keys = _feature_indices(chain.from_iterable(vectors), n_features, n_items)
     idx = np.full(filled.shape, n_features, dtype=np.int32)
     idx[filled] = keys
     del keys
@@ -228,23 +277,6 @@ def _hinge_totals(
         hinge = np.where(hinge > 0.0, hinge, 0.0)
         totals = np.cumsum(np.concatenate([totals, hinge], axis=1), axis=1)[:, -1:]
     return totals[:, 0]
-
-
-def _train_classes(
-    vectors: Sequence[DocumentVector],
-    targets: np.ndarray,
-    names: Sequence[str],
-    cfg: TrainConfig,
-    n_features: int,
-) -> list[tuple[SvmClass, list[float]]]:
-    """One model and its per-epoch losses per row of ``targets``."""
-    w, bias, losses = _sgd(vectors, targets, names, cfg, n_features)
-    out = []
-    for c, row in enumerate(w):
-        nz = np.flatnonzero(row)
-        weights = dict(zip(nz.tolist(), row[nz].tolist()))
-        out.append((SvmClass(weights, float(bias[c])), losses[c]))
-    return out
 
 
 def _sgd(
@@ -329,33 +361,15 @@ def train_svm(
     targets = np.where(
         codes == np.arange(len(classes))[:, None], np.int8(1), np.int8(-1)
     )
-    trained = _train_classes(vectors, targets, classes, cfg, n_features)
+    weights, bias, losses = _sgd(vectors, targets, classes, cfg, n_features)
     return LinearSvmModel(
-        {label: cls for label, (cls, _) in zip(classes, trained)},
-        cfg,
-        n_features,
-        {label: losses for label, (_, losses) in zip(classes, trained)},
-        tfidf,
+        tuple(classes), weights, bias, cfg, dict(zip(classes, losses)), tfidf
     )
 
 
-def predict_svm(model: LinearSvmModel, vector: DocumentVector) -> str:
+def predict_svm(model: LinearSvmModel, vector: DocumentVector) -> str | None:
     """Argmax of w.x + b over classes; ties break to the first label id."""
-    if not model.classes:
-        raise ConfigurationError("svm model has no classes")
-    best_label = None
-    best_score = -math.inf
-    for label in sorted(model.classes):
-        cls = model.classes[label]
-        score = cls.bias
-        weights = cls.weights
-        for ix, v in vector.items():
-            w = weights.get(ix)
-            if w is not None:
-                score += w * v
-        if score > best_score:
-            best_label, best_score = label, score
-    return best_label
+    return _argmax_score(model.classes, model.weights, model.bias, vector)
 
 
 # ------------------------------------------------------------ keyword vote
@@ -391,8 +405,18 @@ def keyword_vote(text: str, label_names: dict[str, str], seed: int) -> str:
 # ------------------------------------------------------------ serialization
 
 
-def _weights_rows(weights: dict[int, float]) -> list[list]:
-    return [[ix, weights[ix]] for ix in sorted(weights)]
+def _weights_rows(row: np.ndarray) -> list[list]:
+    nz = np.flatnonzero(row)
+    return [[ix, w] for ix, w in zip(nz.tolist(), row[nz].tolist())]
+
+
+def _weights_matrix(rows_per_class: list[list], n_features: int) -> np.ndarray:
+    """The weight matrix whose row c holds the ``[ix, w]`` rows of class c."""
+    weights = np.zeros((len(rows_per_class), n_features))
+    for row, rows in zip(weights, rows_per_class):
+        cols = _feature_indices((int(ix) for ix, _ in rows), n_features, len(rows))
+        row[cols] = [float(w) for _, w in rows]
+    return weights
 
 
 def save_model(model: CentroidModel | LinearSvmModel, path: str | Path) -> None:
@@ -403,8 +427,8 @@ def save_model(model: CentroidModel | LinearSvmModel, path: str | Path) -> None:
             "format": CENTROID_FORMAT,
             "tfidf": tfidf_to_dict(model.tfidf),
             "centroids": {
-                label: _weights_rows(vec)
-                for label, vec in model.centroids.items()
+                label: _weights_rows(row)
+                for label, row in zip(model.classes, model.weights)
             },
         }
     elif isinstance(model, LinearSvmModel):
@@ -419,8 +443,8 @@ def save_model(model: CentroidModel | LinearSvmModel, path: str | Path) -> None:
             },
             "n_features": model.n_features,
             "classes": {
-                label: {"bias": cls.bias, "weights": _weights_rows(cls.weights)}
-                for label, cls in model.classes.items()
+                label: {"bias": float(b), "weights": _weights_rows(row)}
+                for label, row, b in zip(model.classes, model.weights, model.bias)
             },
             "loss_history": model.loss_history,
         }
@@ -439,28 +463,30 @@ def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
     fmt = doc.get("format") if isinstance(doc, dict) else None
     try:
         if fmt == CENTROID_FORMAT:
+            tfidf = tfidf_from_dict(doc["tfidf"])
+            classes = tuple(sorted(doc["centroids"]))
+            rows = [doc["centroids"][label] for label in classes]
             return CentroidModel(
-                centroids={
-                    label: {int(ix): float(w) for ix, w in rows}
-                    for label, rows in doc["centroids"].items()
-                },
-                tfidf=tfidf_from_dict(doc["tfidf"]),
+                classes, _weights_matrix(rows, tfidf.vocab_size), tfidf
             )
         if fmt == SVM_FORMAT:
             cfg = TrainConfig(**doc["config"])
-            classes = {
-                label: SvmClass(
-                    weights={int(ix): float(w) for ix, w in row["weights"]},
-                    bias=float(row["bias"]),
+            tfidf = tfidf_from_dict(doc["tfidf"])
+            n_features = int(doc["n_features"])
+            if n_features != tfidf.vocab_size:
+                raise ConfigurationError(
+                    f"n_features {n_features} differs from the tf-idf "
+                    f"vocabulary size {tfidf.vocab_size}"
                 )
-                for label, row in doc["classes"].items()
-            }
+            classes = tuple(sorted(doc["classes"]))
+            rows = [doc["classes"][label] for label in classes]
             return LinearSvmModel(
                 classes,
+                _weights_matrix([row["weights"] for row in rows], n_features),
+                np.array([float(row["bias"]) for row in rows]),
                 cfg,
-                int(doc["n_features"]),
                 {k: list(map(float, v)) for k, v in doc["loss_history"].items()},
-                tfidf_from_dict(doc["tfidf"]),
+                tfidf,
             )
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None

@@ -224,6 +224,15 @@ def _train_set(
     return model, counts
 
 
+def _load_eval_sets(path: str, taxonomy: Taxonomy) -> list[EvalInstance]:
+    """Gold instances, each with its competition set (``parent`` or coarse)."""
+    valid = [lab.id for lab in taxonomy.labels]
+    return [
+        EvalInstance(inst.text, inst.gold, inst.parent or COARSE_SET)
+        for inst in load_eval(path, valid_labels=valid)
+    ]
+
+
 def _predictor(model: CentroidModel | LinearSvmModel) -> Callable[[str], str]:
     if isinstance(model, CentroidModel):
         return lambda text: predict_centroid(model, transform(model.tfidf, text))
@@ -469,12 +478,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     kind = _get(args, cfg, "kind", "svm")
     models_dir = Path(_require(args, cfg, "models_dir"))
     out = _require(args, cfg, "out")
-    valid = [lab.id for lab in taxonomy.labels]
-    instances = load_eval(_require(args, cfg, "eval"), valid_labels=valid)
-    instances = [
-        EvalInstance(inst.text, inst.gold, inst.parent or COARSE_SET)
-        for inst in instances
-    ]
+    instances = _load_eval_sets(_require(args, cfg, "eval"), taxonomy)
     models: dict[str, Callable[[str], str]] = {}
     for parent in sorted({inst.parent for inst in instances}):
         path = models_dir / f"{parent}.{kind}.json"
@@ -523,12 +527,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         mapping = load_mapping(mapping_path, graph)
     else:
         mapping = map_taxonomy(taxonomy, graph)
-    valid = [lab.id for lab in taxonomy.labels]
-    instances = load_eval(_require(args, cfg, "eval"), valid_labels=valid)
-    instances = [
-        EvalInstance(inst.text, inst.gold, inst.parent or COARSE_SET)
-        for inst in instances
-    ]
+    instances = _load_eval_sets(_require(args, cfg, "eval"), taxonomy)
     named = _named_scheme(taxonomy, scheme_name)
     train_cfg = TrainConfig(seed=seed)
     modes = _get(args, cfg, "modes", None) or list(MODES)
@@ -542,13 +541,14 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
                 label_corpus(graph, mapping, [named[name]], lab_cfg, workers=workers)
             )
         write_labels(records, graph, out_dir / f"labels.{mode}.jsonl")
+        pages = graph.external_ids([rec.page for rec in records]).tolist()
         row_map = _collect_training_rows(
             [
                 {
-                    "page": graph.external_id(rec.page),
+                    "page": page,
                     "assignments": [{"label": a.label} for a in rec.assignments],
                 }
-                for rec in records
+                for page, rec in zip(pages, records)
             ],
             corpus,
             named,

@@ -154,18 +154,6 @@ class CategoryGraph:
             "dropped_aliases": self.dropped_aliases,
         }
 
-    def iter_edges(self) -> Iterator[tuple[int, int, str]]:
-        """Yield (parent_external, child_external, kind) in storage order."""
-        for parent in range(self.n_categories):
-            ext_p = int(self.cat_external[parent])
-            row = self.indices[self.indptr[parent] : self.indptr[parent + 1]]
-            for child in row.tolist():
-                if child < self.n_categories:
-                    yield ext_p, int(self.cat_external[child]), SUBCAT
-                else:
-                    page_ix = child - self.n_categories
-                    yield ext_p, int(self.page_external[page_ix]), MEMBER
-
 
 def _iter_tsv(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
     with path.open("r", encoding="utf-8") as fh:
@@ -366,15 +354,28 @@ def _write_str(fh, text: str) -> None:
 
 
 def load_snapshot(path: str | Path) -> CategoryGraph:
-    """Read a snapshot written by :func:`save_snapshot`."""
+    """Read a snapshot written by :func:`save_snapshot`.
+
+    A truncated or corrupt file raises :class:`GraphFormatError` naming it;
+    the adjacency is checked before any array is sized from its values.
+    """
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise GraphFormatError(f"{path}: not a graph snapshot")
+    try:
+        return _decode_snapshot(data)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
+    except (struct.error, ValueError) as exc:  # UnicodeDecodeError included
+        raise GraphFormatError(f"{path}: corrupt snapshot: {exc}") from None
+
+
+def _decode_snapshot(data: bytes) -> CategoryGraph:
     (version, n_cats, n_pages, n_edges, n_aliases) = struct.unpack_from(
         "<IQQQQ", data, 4
     )
     if version != _VERSION:
-        raise GraphFormatError(f"{path}: unsupported snapshot version {version}")
+        raise GraphFormatError(f"unsupported snapshot version {version}")
     off = 4 + struct.calcsize("<IQQQQ")
 
     cat_external = np.frombuffer(data, "<i8", n_cats, off).astype(np.int64)
@@ -404,7 +405,13 @@ def load_snapshot(path: str | Path) -> CategoryGraph:
         off += 4
         aliases[alias] = node
     if off != len(data):
-        raise GraphFormatError(f"{path}: trailing bytes in snapshot")
+        raise GraphFormatError("trailing bytes in snapshot")
+    if indptr[0] != 0 or indptr[-1] != n_edges or (np.diff(indptr) < 0).any():
+        raise GraphFormatError("corrupt snapshot: bad adjacency offsets")
+    if len(indices) and (indices.min() < 0 or indices.max() >= n_nodes):
+        raise GraphFormatError("corrupt snapshot: edge to an unknown node")
+    if any(not 0 <= node < n_cats for node in aliases.values()):
+        raise GraphFormatError("corrupt snapshot: alias of an unknown category")
 
     return CategoryGraph(
         cat_external, cat_names, page_external, page_titles, indptr, indices, aliases

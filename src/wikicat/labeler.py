@@ -492,38 +492,3 @@ def read_labels(path: str | Path) -> list[dict]:
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(f"{path}:{lineno}: bad JSON: {exc}") from None
     return out
-
-
-def save_label_config(cfg: LabelingConfig, path: str | Path) -> None:
-    doc = {
-        "mode": cfg.mode,
-        "coverage_threshold": cfg.coverage_threshold,
-        "assignment_threshold": cfg.assignment_threshold,
-        "max_depth": cfg.max_depth,
-        "path_mode": cfg.path_mode,
-        "exact_path_cap": cfg.exact_path_cap,
-    }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def load_label_config(path: str | Path) -> LabelingConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path}: expected a JSON object")
-    known = {
-        "mode",
-        "coverage_threshold",
-        "assignment_threshold",
-        "max_depth",
-        "path_mode",
-        "exact_path_cap",
-    }
-    extra = set(doc) - known
-    if extra:
-        raise ConfigurationError(f"{path}: unknown fields {sorted(extra)}")
-    return LabelingConfig(**doc)

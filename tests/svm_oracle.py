@@ -12,13 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from wikicat.classifiers import (
-    _SCALE_FLOOR,
-    LinearSvmModel,
-    SvmClass,
-    TrainConfig,
-    _class_rng,
-)
+from wikicat.classifiers import _SCALE_FLOOR, TrainConfig, _class_rng
 from wikicat.exceptions import ConfigurationError
 from wikicat.textproc import DocumentVector
 
@@ -47,7 +41,7 @@ def train_one_class(
     label: str,
     cfg: TrainConfig,
     n_features: int,
-) -> tuple[SvmClass, list[float]]:
+) -> tuple[dict[int, float], float, list[float]]:
     # w is kept as scale * u so the L2 shrink each step is O(1) and only
     # the nonzero features of a document cost work.
     u = np.zeros(n_features, dtype=np.float64)
@@ -80,7 +74,7 @@ def train_one_class(
         losses.append(objective(vectors, targets, u, scale, bias, cfg.lam))
     w = u * scale
     weights = {int(ix): float(w[ix]) for ix in np.nonzero(w)[0]}
-    return SvmClass(weights, float(bias)), losses
+    return weights, float(bias), losses
 
 
 def train_svm(
@@ -88,7 +82,8 @@ def train_svm(
     labels: Sequence[str],
     cfg: TrainConfig,
     n_features: int,
-) -> LinearSvmModel:
+) -> tuple[dict[str, tuple[dict[int, float], float]], dict[str, list[float]]]:
+    """Per class its nonzero weights and bias, and its per-epoch losses."""
     if len(vectors) != len(labels):
         raise ConfigurationError("vectors and labels differ in length")
     classes = sorted(set(labels))
@@ -99,11 +94,12 @@ def train_svm(
             if not 0 <= ix < n_features:
                 raise ConfigurationError(f"feature index {ix} out of range")
     vectors = list(vectors)
-    out: dict[str, SvmClass] = {}
+    out: dict[str, tuple[dict[int, float], float]] = {}
     history: dict[str, list[float]] = {}
     for cls in classes:
         targets = [1.0 if lab == cls else -1.0 for lab in labels]
-        out[cls], history[cls] = train_one_class(
+        weights, bias, history[cls] = train_one_class(
             vectors, targets, cls, cfg, n_features
         )
-    return LinearSvmModel(out, cfg, n_features, history)
+        out[cls] = weights, bias
+    return out, history

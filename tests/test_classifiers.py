@@ -7,9 +7,8 @@ import pytest
 from wikicat.classifiers import (
     CentroidModel,
     LinearSvmModel,
-    SvmClass,
     TrainConfig,
-    _train_classes,
+    _sgd,
     keyword_vote,
     load_model,
     predict_centroid,
@@ -86,15 +85,16 @@ def test_centroid_of_orthogonal_docs():
     # mean of e0 and e1 is (.5, .5); its L2 norm is sqrt(.5), so each
     # normalized component is 1/sqrt(2).
     model = train_centroid([{0: 1.0}, {1: 1.0}], ["m", "m"])
-    cen = model.centroids["m"]
+    assert model.classes == ("m",)
+    [cen] = model.weights
     assert cen[0] == pytest.approx(0.70710678, abs=1e-8)
     assert cen[1] == pytest.approx(0.70710678, abs=1e-8)
-    assert list(cen) == [0, 1]
+    assert np.flatnonzero(cen).tolist() == [0, 1]
 
 
 def test_centroid_predict_hand_fixture():
     model = CentroidModel(
-        centroids={"a": {0: 1.0}, "b": {1: 1.0}, "c": {0: 0.6, 1: 0.8}}
+        ("a", "b", "c"), np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
     )
     # a: 0.9, b: 0.1, c: 0.62
     assert predict_centroid(model, {0: 0.9, 1: 0.1}) == "a"
@@ -103,7 +103,7 @@ def test_centroid_predict_hand_fixture():
 
 
 def test_centroid_tie_and_empty_vector_pick_first_label():
-    model = CentroidModel(centroids={"b": {0: 1.0}, "a": {0: 1.0}})
+    model = CentroidModel(("a", "b"), np.array([[1.0], [1.0]]))
     assert predict_centroid(model, {0: 1.0}) == "a"
     assert predict_centroid(model, {}) == "a"
 
@@ -135,9 +135,9 @@ def test_svm_single_step_hand_oracle():
     # exactly 1, so hinge = 0 and the objective is the penalty alone:
     # .5 * .01 * (scale * u0)^2 = .005 * .25 = .00125.
     cfg = TrainConfig(lam=0.01, epochs=1, eta0=0.5, seed=0)
-    [(cls, losses)] = _train_classes([{0: 1.0}], np.array([[1.0]]), ["pos"], cfg, 2)
-    assert cls.weights[0] == pytest.approx(0.5, abs=1e-12)
-    assert cls.bias == 0.5
+    weights, bias, [losses] = _sgd([{0: 1.0}], np.array([[1.0]]), ["pos"], cfg, 2)
+    assert weights[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert bias[0] == 0.5
     assert losses == [pytest.approx(0.00125, rel=1e-9)]
 
 
@@ -152,9 +152,9 @@ def test_svm_same_seed_reproduces_bitwise():
     cfg = TrainConfig(seed=5)
     m1 = train_svm(vecs, labs, cfg, n_features=3)
     m2 = train_svm(vecs, labs, cfg, n_features=3)
-    for name in m1.classes:
-        assert m1.classes[name].weights == m2.classes[name].weights
-        assert m1.classes[name].bias == m2.classes[name].bias
+    assert m1.classes == m2.classes
+    assert np.array_equal(m1.weights, m2.weights)
+    assert np.array_equal(m1.bias, m2.bias)
     assert m1.loss_history == m2.loss_history
 
 
@@ -162,10 +162,8 @@ def test_svm_seed_changes_model():
     vecs, labs = _toy_corpus()
     m1 = train_svm(vecs, labs, TrainConfig(seed=0), n_features=3)
     m2 = train_svm(vecs, labs, TrainConfig(seed=1), n_features=3)
-    assert any(
-        m1.classes[n].weights != m2.classes[n].weights
-        or m1.classes[n].bias != m2.classes[n].bias
-        for n in m1.classes
+    assert not (
+        np.array_equal(m1.weights, m2.weights) and np.array_equal(m1.bias, m2.bias)
     )
 
 
@@ -188,14 +186,11 @@ def test_svm_survives_huge_regularization():
     # refold must keep everything finite.
     vecs, labs = _toy_corpus()
     model = train_svm(vecs, labs, TrainConfig(lam=1e3, seed=0), n_features=3)
-    import math
-
-    for cls in model.classes.values():
-        assert math.isfinite(cls.bias)
-        assert all(math.isfinite(w) for w in cls.weights.values())
-        assert all(abs(w) < 1.0 for w in cls.weights.values())
+    assert np.isfinite(model.bias).all()
+    assert np.isfinite(model.weights).all()
+    assert (np.abs(model.weights) < 1.0).all()
     for losses in model.loss_history.values():
-        assert all(math.isfinite(x) for x in losses)
+        assert np.isfinite(losses).all()
 
 
 def test_svm_classes_train_independently():
@@ -205,8 +200,9 @@ def test_svm_classes_train_independently():
     base = train_svm(vecs, labs, TrainConfig(seed=0), n_features=3)
     renamed = ["ant" if lab == "ant" else "z" + lab for lab in labs]
     other = train_svm(vecs, renamed, TrainConfig(seed=0), n_features=3)
-    assert base.classes["ant"].weights == other.classes["ant"].weights
-    assert base.classes["ant"].bias == other.classes["ant"].bias
+    ant, other_ant = base.classes.index("ant"), other.classes.index("ant")
+    assert np.array_equal(base.weights[ant], other.weights[other_ant])
+    assert base.bias[ant] == other.bias[other_ant]
     assert base.loss_history["ant"] == other.loss_history["ant"]
 
 
@@ -229,11 +225,7 @@ def test_svm_validation():
 
 
 def test_svm_predict_tie_picks_first_label():
-    model = LinearSvmModel(
-        classes={"b": SvmClass({}, 0.0), "a": SvmClass({}, 0.0)},
-        config=TrainConfig(),
-        n_features=1,
-    )
+    model = LinearSvmModel(("a", "b"), np.zeros((2, 1)), np.zeros(2), TrainConfig())
     assert predict_svm(model, {0: 1.0}) == "a"
 
 
@@ -293,7 +285,8 @@ def test_centroid_round_trip(tmp_path, small_tfidf):
     save_model(model, path)
     loaded = load_model(path)
     assert isinstance(loaded, CentroidModel)
-    assert loaded.centroids == model.centroids
+    assert loaded.classes == model.classes
+    assert np.array_equal(loaded.weights, model.weights)
     assert loaded.tfidf.terms == small_tfidf.terms
     assert loaded.tfidf.idf == small_tfidf.idf
 
@@ -310,9 +303,9 @@ def test_svm_round_trip(tmp_path, small_tfidf):
     assert loaded.config == model.config
     assert loaded.n_features == model.n_features
     assert loaded.loss_history == model.loss_history
-    for name in model.classes:
-        assert loaded.classes[name].weights == model.classes[name].weights
-        assert loaded.classes[name].bias == model.classes[name].bias
+    assert loaded.classes == model.classes
+    assert np.array_equal(loaded.weights, model.weights)
+    assert np.array_equal(loaded.bias, model.bias)
     vec = {0: 0.4, 1: 0.2}
     assert predict_svm(loaded, vec) == predict_svm(model, vec)
 
@@ -330,4 +323,48 @@ def test_load_rejects_unknown_format(tmp_path):
         load_model(path)
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigurationError, match="invalid JSON"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["centroid", "svm"])
+def test_save_load_save_is_byte_identical(tmp_path, small_tfidf, kind):
+    vecs, labs = _toy_corpus()
+    if kind == "centroid":
+        model = train_centroid(vecs, labs, tfidf=small_tfidf)
+    else:
+        model = train_svm(vecs, labs, TrainConfig(seed=3), 3, tfidf=small_tfidf)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, first)
+    save_model(load_model(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["centroid", "svm"])
+@pytest.mark.parametrize("ix", [3, -1])
+def test_load_rejects_weight_index_out_of_range(tmp_path, small_tfidf, kind, ix):
+    vecs, labs = _toy_corpus()
+    if kind == "centroid":
+        model = train_centroid(vecs, labs, tfidf=small_tfidf)
+    else:
+        model = train_svm(vecs, labs, TrainConfig(), 3, tfidf=small_tfidf)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    if kind == "centroid":
+        doc["centroids"]["bee"].append([ix, 0.5])
+    else:
+        doc["classes"]["bee"]["weights"].append([ix, 0.5])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match=rf"model.json: feature index {ix} out"):
+        load_model(path)
+
+
+def test_load_rejects_svm_width_other_than_vocabulary(tmp_path, small_tfidf):
+    vecs, labs = _toy_corpus()
+    path = tmp_path / "svm.json"
+    save_model(train_svm(vecs, labs, TrainConfig(), 3, tfidf=small_tfidf), path)
+    doc = json.loads(path.read_text())
+    doc["n_features"] = 4
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match="svm.json: n_features 4 differs"):
         load_model(path)

@@ -1,20 +1,31 @@
-"""The class-vectorized SVM trainer against the loop oracle in ``svm_oracle``.
+"""The class-vectorized SVM trainer and the matrix scorer against loop oracles.
 
-Every weight, bias and epoch loss must have the same bits: the trainer
-does each class's float operations in the loop's order, so nothing may
-differ, not even the last place.
+Every weight, bias and epoch loss must have the same bits as in
+``svm_oracle``: the trainer does each class's float operations in the
+loop's order, so nothing may differ, not even the last place.  Every
+prediction must name the label that the per-class dict loops of
+``predict_oracle`` name.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import predict_oracle
 import svm_oracle
-from wikicat.classifiers import TrainConfig, train_svm
+from wikicat.classifiers import (
+    CentroidModel,
+    LinearSvmModel,
+    TrainConfig,
+    predict_centroid,
+    predict_svm,
+    train_svm,
+)
 
 _VALUES = st.one_of(
     st.floats(0.01, 1.0),
@@ -60,13 +71,15 @@ def _bits(xs):
 
 
 def _assert_same(model, oracle):
-    assert list(model.classes) == list(oracle.classes)
-    for name, want in oracle.classes.items():
-        got = model.classes[name]
-        assert list(got.weights) == list(want.weights), name
-        assert _bits(got.weights.values()) == _bits(want.weights.values()), name
-        assert _bits([got.bias]) == _bits([want.bias]), name
-        assert _bits(model.loss_history[name]) == _bits(oracle.loss_history[name])
+    classes, history = oracle
+    assert model.classes == tuple(classes)
+    for name, row, bias in zip(model.classes, model.weights, model.bias):
+        want, want_bias = classes[name]
+        nz = np.flatnonzero(row)
+        assert nz.tolist() == list(want), name
+        assert _bits(row[nz]) == _bits(want.values()), name
+        assert _bits([bias]) == _bits([want_bias]), name
+        assert _bits(model.loss_history[name]) == _bits(history[name])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -102,3 +115,72 @@ def test_overflowing_step_keeps_the_pad_sink_clean():
         train_svm(vectors, labels, cfg, 2),
         svm_oracle.train_svm(vectors, labels, cfg, 2),
     )
+
+
+# a small pool, so that scores tie; 1e308 overflows to inf in a product
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308, math.inf, -math.inf, math.nan]),
+    st.floats(-2.0, 2.0),
+)
+_DOC_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e308]), st.floats(-2.0, 2.0)
+)
+
+
+@st.composite
+def _scoring_cases(draw):
+    n_classes = draw(st.integers(1, 5))
+    n_features = draw(st.integers(0, 6))
+    classes = tuple(f"c{i}" for i in range(n_classes))
+    weights = np.array(
+        [[draw(_WEIGHTS) for _ in range(n_features)] for _ in range(n_classes)]
+    ).reshape(n_classes, n_features)
+    bias = np.array([draw(_WEIGHTS) for _ in range(n_classes)])
+    if n_classes > 1 and draw(st.booleans()):  # an exact tie with class 0
+        weights[-1], bias[-1] = weights[0], bias[0]
+    # negative and past-the-end indices too, in any order
+    keys = draw(st.lists(st.integers(-3, n_features + 3), unique=True, max_size=9))
+    vector = {ix: draw(_DOC_VALUES) for ix in keys}
+    return classes, weights, bias, vector
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@seed(20261019)
+@settings(max_examples=400, deadline=None)
+@given(_scoring_cases())
+def test_scorer_matches_dict_loops(case):
+    classes, weights, bias, vector = case
+    svm = LinearSvmModel(classes, weights, bias, TrainConfig())
+    svm_dicts = predict_oracle.svm_dicts(classes, weights, bias)
+    assert predict_svm(svm, vector) == predict_oracle.predict_svm(svm_dicts, vector)
+    centroid = CentroidModel(classes, weights)
+    centroids = predict_oracle.centroid_dicts(classes, weights)
+    assert predict_centroid(centroid, vector) == predict_oracle.predict_centroid(
+        centroids, vector
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scorer_returns_none_when_no_score_beats_minus_inf():
+    weights = np.array([[1.0], [math.nan]])
+    for bias in ([math.nan, math.nan], [-math.inf, 0.0]):
+        svm = LinearSvmModel(("a", "b"), weights, np.array(bias), TrainConfig())
+        assert predict_svm(svm, {0: 1.0}) is None
+    centroid = CentroidModel(("a", "b"), np.array([[-math.inf], [math.nan]]))
+    assert predict_centroid(centroid, {0: 1.0}) is None
+    assert predict_centroid(centroid, {}) == "a"
+
+
+def test_scorer_adds_bias_then_terms_in_item_order():
+    # In order, 1e16 + 1.0 rounds back to 1e16 twelve times, so "b" wins;
+    # adding the ones first, or in pairs, would make "a" reach 1e16 + 12.
+    n = 12
+    weights = np.array([[1.0] * n, [0.0] * n])
+    bias = np.array([1e16, 1e16 + 2])
+    vector = dict.fromkeys(range(n), 1.0)
+    svm = LinearSvmModel(("a", "b"), weights, bias, TrainConfig())
+    want = predict_oracle.predict_svm(
+        predict_oracle.svm_dicts(svm.classes, weights, bias), vector
+    )
+    assert want == "b"
+    assert predict_svm(svm, vector) == want

@@ -6,6 +6,7 @@ import pytest
 
 from wikicat.classifiers import save_model, train_centroid
 from wikicat.cli import main
+from wikicat.graph_store import load_snapshot
 from wikicat.synth import make_ablation_wiki
 from wikicat.textproc import fit_tfidf, transform
 
@@ -462,3 +463,43 @@ def test_unknown_scheme_in_config_exits_2(
     }))
     assert main([command, "--config", str(config)]) == 2
     assert "unknown scheme 'bogus'" in capsys.readouterr().err
+
+
+def _truncated(data: bytes, n_edges: int) -> bytes:
+    return data[:100]
+
+
+def _index_flipped(data: bytes, n_edges: int) -> bytes:
+    # No aliases, so the edge indices are the last 4 * n_edges bytes; setting
+    # bit 30 of the first one points it a billion nodes past the end.
+    out = bytearray(data)
+    out[len(data) - 4 * n_edges + 3] ^= 0x40
+    return bytes(out)
+
+
+@pytest.mark.parametrize("damage", [_truncated, _index_flipped])
+def test_damaged_snapshot_exits_2_naming_it(wiki, tmp_path, damage):
+    graph = load_snapshot(wiki / "graph.bin")
+    assert not graph.aliases
+    bad = tmp_path / "damaged.bin"
+    bad.write_bytes(damage((wiki / "graph.bin").read_bytes(), len(graph.indices)))
+    # Under a 2 GiB address-space limit a multi-GiB allocation fails with
+    # exit 3 instead of being attempted on the machine.
+    limit = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from wikicat.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", limit,
+            "map",
+            "--graph", str(bad),
+            "--taxonomy", str(wiki / "taxonomy.json"),
+            "--out", str(tmp_path / "mapping.json"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: {bad}: corrupt snapshot" in proc.stderr

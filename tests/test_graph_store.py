@@ -175,7 +175,10 @@ def test_snapshot_round_trip(make_graph, tmp_path):
     assert h.stats() == g.stats()
     assert h.cat_names == g.cat_names
     assert h.page_titles == g.page_titles
-    assert list(h.iter_edges()) == list(g.iter_edges())
+    assert np.array_equal(h.indptr, g.indptr)
+    assert np.array_equal(h.indices, g.indices)
+    assert np.array_equal(h.cat_external, g.cat_external)
+    assert np.array_equal(h.page_external, g.page_external)
     assert h.aliases == g.aliases
     assert np.array_equal(h.rindptr, g.rindptr)
     assert np.array_equal(h.rindices, g.rindices)
@@ -190,6 +193,61 @@ def test_snapshot_rejects_junk(tmp_path):
     bad.write_bytes(b"not a snapshot at all")
     with pytest.raises(GraphFormatError, match="not a graph snapshot"):
         load_snapshot(bad)
+
+
+def _shift_first_offset(g):
+    g.indptr[0] = 1
+
+
+def _offsets_decrease(g):
+    g.indptr[1], g.indptr[2] = g.indptr[2] + 1, g.indptr[1]
+
+
+def _offsets_overrun(g):
+    g.indptr[-1] += 1
+
+
+def _edge_past_the_end(g):
+    g.indices[0] = g.n_nodes
+
+
+def _negative_edge(g):
+    g.indices[-1] = -1
+
+
+def _alias_of_a_page(g):
+    g.aliases["Lorries"] = g.n_categories
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _shift_first_offset,
+        _offsets_decrease,
+        _offsets_overrun,
+        _edge_past_the_end,
+        _negative_edge,
+        _alias_of_a_page,
+    ],
+)
+def test_snapshot_rejects_inconsistent_adjacency(make_graph, tmp_path, damage):
+    g = make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)])
+    damage(g)
+    snap = tmp_path / "bad.bin"
+    save_snapshot(g, snap)
+    with pytest.raises(GraphFormatError, match="bad.bin: corrupt snapshot"):
+        load_snapshot(snap)
+
+
+def test_snapshot_rejects_truncation_anywhere(make_graph, tmp_path):
+    snap = tmp_path / "graph.bin"
+    save_snapshot(make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]), snap)
+    data = snap.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(4, len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(GraphFormatError, match="cut.bin: "):
+            load_snapshot(cut)
 
 
 def test_empty_graph(make_graph):

@@ -18,12 +18,10 @@ from wikicat.labeler import (
     enumerate_paths,
     fine_scheme,
     label_corpus,
-    load_label_config,
     normalize_and_assign,
     page_weight,
     parent_coverage,
     read_labels,
-    save_label_config,
     traverse,
     write_labels,
 )
@@ -593,17 +591,3 @@ def test_labels_round_trip(suvs_graph, suvs_taxonomy, tmp_path):
     assert all(row["mode"] == "full" for row in rows)
     first = rows[0]["assignments"][0]
     assert set(first) == {"label", "w_raw", "w_norm", "depth"}
-
-
-def test_label_config_round_trip(tmp_path):
-    cfg = LabelingConfig(mode="min_dist", max_depth=5, path_mode="exact")
-    path = tmp_path / "labelconfig.json"
-    save_label_config(cfg, path)
-    assert load_label_config(path) == cfg
-
-    path.write_text('{"mode": "full", "bogus": 1}', encoding="utf-8")
-    with pytest.raises(ConfigurationError, match="unknown fields"):
-        load_label_config(path)
-    path.write_text('{"mode": "nope"}', encoding="utf-8")
-    with pytest.raises(ConfigurationError, match="unknown mode"):
-        load_label_config(path)
