@@ -56,7 +56,7 @@ from .taxonomy_mapper import (
     map_taxonomy,
     save_mapping,
 )
-from .textproc import TfIdfModel, fit_tfidf, load_tfidf, save_tfidf, transform
+from .textproc import DocMatrix, TfIdfModel, fit_tfidf, load_tfidf, save_tfidf, transform
 
 __version__ = "0.1.0"
 
@@ -65,6 +65,7 @@ __all__ = [
     "CategoryMapping",
     "CentroidModel",
     "ConfigurationError",
+    "DocMatrix",
     "EvalInstance",
     "EvalReport",
     "GraphFormatError",

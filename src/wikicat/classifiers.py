@@ -1,6 +1,6 @@
 """Corpus balancing, centroid and linear-SVM classifiers, keyword baseline.
 
-Both trainable models consume sparse tf-idf vectors and score them as
+Both trainable models consume a tf-idf ``DocMatrix`` and score its rows as
 w.x + b from one (classes x features) weight matrix.  The SVM is trained
 one-vs-rest by stochastic gradient descent on the hinge loss with an L2
 penalty; every class draws its own random generator from (seed, label), so
@@ -16,7 +16,6 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
@@ -25,7 +24,7 @@ import numpy as np
 from .exceptions import ConfigurationError
 from .taxonomy_mapper import strip_plural
 from .textproc import (
-    DocumentVector,
+    DocMatrix,
     TfIdfModel,
     tfidf_from_dict,
     tfidf_to_dict,
@@ -38,7 +37,7 @@ CENTROID_FORMAT = "wikicat/centroid/v1"
 SVM_FORMAT = "wikicat/svm/v1"
 
 _SCALE_FLOOR = 1e-9  # fold the scale factor back into the weights below this
-_OBJECTIVE_BLOCK = 1 << 13  # gathered weights per chunk of the epoch objective
+_CHUNK_SCORES = 1 << 15  # (docs x classes) floats per buffer of the scorer
 
 T = TypeVar("T")
 
@@ -105,12 +104,10 @@ def sample_balance(
 # ------------------------------------------------------------ linear models
 
 
-def _feature_indices(
-    keys: Iterable[int], n_features: int, count: int = -1
-) -> np.ndarray:
-    """Feature indices as an array, each checked to lie in [0, n_features)."""
+def _feature_indices(keys, n_features: int) -> np.ndarray:
+    """Feature indices as an int64 array, each checked to lie in [0, n_features)."""
     try:
-        ix = np.fromiter(keys, dtype=np.int64, count=count)
+        ix = np.asarray(keys, dtype=np.int64)
     except OverflowError:
         raise ConfigurationError("feature index out of range") from None
     bad = (ix < 0) | (ix >= n_features)
@@ -119,33 +116,72 @@ def _feature_indices(
     return ix
 
 
-def _argmax_score(
-    classes: tuple[str, ...],
-    weights: np.ndarray,
-    bias: np.ndarray | float,
-    vector: DocumentVector,
-) -> str | None:
-    """The class of the first strictly largest w.x + b, or None if none is > -inf.
+def _pad_docs(
+    docs: DocMatrix, pad: int, lo: int = 0, hi: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``lo:hi`` as ``(rows, width)`` feature index and value arrays.
+
+    Each row keeps its items in order, then has pad slots of value 0.0 that
+    point at column ``pad``: a sink of zeros, so that a padded dot product
+    adds only exact zeros after the real terms.
+    """
+    ptr = docs.indptr[lo : None if hi is None else hi + 1]
+    lengths = np.diff(ptr)
+    filled = np.arange(max(int(lengths.max(initial=0)), 1)) < lengths[:, None]
+    idx = np.full(filled.shape, pad, dtype=np.int32)
+    idx[filled] = docs.indices[ptr[0] : ptr[-1]]
+    val = np.zeros(filled.shape)
+    val[filled] = docs.data[ptr[0] : ptr[-1]]
+    return idx, val
+
+
+def _dot_chunks(weights: np.ndarray, first: np.ndarray, docs: DocMatrix):
+    """Yield ``(lo, hi, sums)`` per chunk of rows, with ``sums[r, c]`` equal to
+    ``first[c] + weights[c, i0] * v0 + weights[c, i1] * v1 + ...`` for row
+    ``lo + r``.
+
+    The terms are added one at a time in item order, as a loop adds them,
+    never in BLAS's blocks, so the sums do not depend on the chunk size.  A
+    chunk's buffers hold ``_CHUNK_SCORES`` floats each, which stay in cache.
+    """
+    n_cls, n_features = weights.shape
+    table = np.zeros((n_features + 1, n_cls))  # a feature per row, then the sink
+    table[:n_features] = weights.T
+    step = max(1, _CHUNK_SCORES // n_cls)
+    for lo in range(0, len(docs), step):
+        hi = min(lo + step, len(docs))
+        idx, val = _pad_docs(docs, n_features, lo, hi)
+        sums = np.tile(first, (hi - lo, 1))
+        term = np.empty_like(sums)
+        for ix, v in zip(idx.T, val.T):
+            np.take(table, ix, axis=0, out=term)
+            term *= v[:, None]
+            sums += term
+        yield lo, hi, sums
+
+
+def _predict(
+    model: CentroidModel | LinearSvmModel, vectors: DocMatrix
+) -> list[str | None]:
+    """Per row, the class of the first strictly largest w.x + b, or None if
+    no score is > -inf.
 
     Both models score this way, from one (classes x features) float64 weight
-    matrix; centroids have b = 0.  Each score is a sequential sum, b first
-    and then each w * v in the vector's item order, as a loop adds them.
-    Features outside the model add nothing.  A NaN score never wins.
+    matrix; centroids have b = 0.  A NaN score never wins.
     """
+    classes, weights = model.classes, model.weights
     if not classes:
         raise ConfigurationError("model has no classes")
-    ix = np.fromiter(vector, dtype=np.int64, count=len(vector))
-    val = np.fromiter(vector.values(), dtype=np.float64, count=len(vector))
-    keep = (ix >= 0) & (ix < weights.shape[1])
-    ix, val = ix[keep], val[keep]
-    terms = np.empty((len(classes), 1 + len(ix)))
-    terms[:, 0] = bias
-    np.multiply(weights[:, ix], val, out=terms[:, 1:])
-    scores = np.cumsum(terms, axis=1)[:, -1]
-    best = np.fmax.reduce(scores)  # NaN only if every score is NaN
-    if not best > -math.inf:
-        return None
-    return classes[int(np.argmax(scores == best))]
+    _feature_indices(vectors.indices, weights.shape[1])
+    bias = getattr(model, "bias", np.zeros(len(classes)))
+    names = np.array([*classes, None], dtype=object)
+    out: list[str | None] = []
+    for _, _, scores in _dot_chunks(weights, bias, vectors):
+        best = np.fmax.reduce(scores, axis=1)  # NaN only if every score is NaN
+        win = np.argmax(scores == best[:, None], axis=1)
+        win[~(best > -math.inf)] = len(classes)
+        out += names[win].tolist()
+    return out
 
 
 # ----------------------------------------------------------------- centroid
@@ -161,29 +197,23 @@ class CentroidModel:
 
 
 def train_centroid(
-    vectors: Sequence[DocumentVector],
+    vectors: DocMatrix,
     labels: Sequence[str],
     expected_classes: Iterable[str] | None = None,
     tfidf: TfIdfModel | None = None,
 ) -> CentroidModel:
-    """Per class: mean of the class vectors, L2-normalized.
+    """Per class: mean of the class rows, L2-normalized.
 
     The model is as wide as the tf-idf vocabulary, or one past the largest
     feature index when no tf-idf model is given.
     """
     if len(vectors) != len(labels):
         raise ConfigurationError("vectors and labels differ in length")
-    if not vectors:
+    if not len(vectors):
         raise ConfigurationError("no training documents")
-    sums: dict[str, dict[int, float]] = {}
-    counts: dict[str, int] = {}
-    for vec, label in zip(vectors, labels):
-        acc = sums.setdefault(label, {})
-        for ix, w in vec.items():
-            acc[ix] = acc.get(ix, 0.0) + w
-        counts[label] = counts.get(label, 0) + 1
+    classes = tuple(sorted(set(labels)))
     if expected_classes is not None:
-        missing = sorted(set(expected_classes) - set(sums))
+        missing = sorted(set(expected_classes) - set(classes))
         if missing:
             raise ConfigurationError(
                 f"classes without documents: {', '.join(missing)}"
@@ -191,24 +221,33 @@ def train_centroid(
     if tfidf is not None:
         width = tfidf.vocab_size
     else:
-        width = 1 + max((ix for acc in sums.values() for ix in acc), default=-1)
-    classes = tuple(sorted(sums))
+        width = 1 + int(vectors.indices.max(initial=-1))
+    cols = _feature_indices(vectors.indices, width)
+    code = {label: i for i, label in enumerate(classes)}
+    doc_class = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
+    rows = np.repeat(doc_class, np.diff(vectors.indptr))
     weights = np.zeros((len(classes), width))
-    for row, label in zip(weights, classes):
-        mean = {ix: v / counts[label] for ix, v in sums[label].items()}
-        # summed in first-seen order, as the stored bytes depend on it
-        norm = math.sqrt(sum(w * w for w in mean.values()))
-        if norm == 0.0:
-            raise ConfigurationError(f"class {label!r} has an all-zero centroid")
-        row[_feature_indices(mean, width, len(mean))] = [
-            w / norm for w in mean.values()
-        ]
+    np.add.at(weights, (rows, cols), vectors.data)  # in document order
+    weights /= np.bincount(doc_class, minlength=len(classes))[:, None]
+    # each class's norm adds its features in first-seen order, as the
+    # stored bytes depend on it
+    keys, first = np.unique(rows * width + cols, return_index=True)
+    seen = keys[np.argsort(first)]
+    norms = np.zeros(len(classes))
+    np.add.at(norms, seen // max(width, 1), np.square(weights.ravel()[seen]))
+    norms = np.sqrt(norms)
+    zero = np.flatnonzero(norms == 0.0)
+    if len(zero):
+        raise ConfigurationError(
+            f"class {classes[zero[0]]!r} has an all-zero centroid"
+        )
+    weights /= norms[:, None]
     return CentroidModel(classes, weights, tfidf)
 
 
-def predict_centroid(model: CentroidModel, vector: DocumentVector) -> str | None:
-    """Nearest centroid by dot product; ties break to the first label id."""
-    return _argmax_score(model.classes, model.weights, 0.0, vector)
+def predict_centroid(model: CentroidModel, vectors: DocMatrix) -> list[str | None]:
+    """Per row, the nearest centroid by dot product; ties go to the first label."""
+    return _predict(model, vectors)
 
 
 # ---------------------------------------------------------------------- svm
@@ -231,56 +270,8 @@ class LinearSvmModel:
         return self.weights.shape[1]
 
 
-def _pad_docs(
-    vectors: Sequence[DocumentVector], n_features: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Docs as ``(n_docs, width)`` feature index and value arrays.
-
-    Each row keeps its document's own item order.  Pad slots carry 0.0 and
-    point at column ``n_features``, a sink the trainer keeps at 0.0, so a
-    padded dot product adds only exact zeros after the real terms.
-    """
-    lengths = np.fromiter(map(len, vectors), dtype=np.intp, count=len(vectors))
-    n_items = int(lengths.sum())
-    filled = np.arange(max(int(lengths.max(initial=0)), 1)) < lengths[:, None]
-    keys = _feature_indices(chain.from_iterable(vectors), n_features, n_items)
-    idx = np.full(filled.shape, n_features, dtype=np.int32)
-    idx[filled] = keys
-    del keys
-    val = np.zeros(filled.shape)
-    val[filled] = np.fromiter(
-        chain.from_iterable(vec.values() for vec in vectors),
-        dtype=np.float64,
-        count=n_items,
-    )
-    return idx, val
-
-
-def _hinge_totals(
-    idx: np.ndarray,
-    val: np.ndarray,
-    targets: np.ndarray,
-    u: np.ndarray,
-    scale: float,
-    bias: np.ndarray,
-) -> np.ndarray:
-    """Per class, the hinge losses of all docs summed in doc order."""
-    n_cls, n_docs = targets.shape
-    totals = np.zeros((n_cls, 1))
-    rows = max(1, _OBJECTIVE_BLOCK // (n_cls * idx.shape[1]))
-    for lo in range(0, n_docs, rows):
-        prod = u[:, idx[lo : lo + rows]]
-        prod *= val[lo : lo + rows]
-        dots = np.cumsum(prod, axis=2, out=prod)[:, :, -1]
-        hinge = 1.0 - targets[:, lo : lo + rows] * (scale * dots + bias[:, None])
-        # not np.maximum: max(0.0, nan) is 0.0
-        hinge = np.where(hinge > 0.0, hinge, 0.0)
-        totals = np.cumsum(np.concatenate([totals, hinge], axis=1), axis=1)[:, -1:]
-    return totals[:, 0]
-
-
 def _sgd(
-    vectors: Sequence[DocumentVector],
+    vectors: DocMatrix,
     targets: np.ndarray,
     names: Sequence[str],
     cfg: TrainConfig,
@@ -296,7 +287,8 @@ def _sgd(
     Dot products are sequential sums in feature order (``cumsum``), as a
     loop adds them, never ``np.dot``'s blocked sums.
     """
-    idx, val = _pad_docs(vectors, n_features)
+    _feature_indices(vectors.indices, n_features)
+    idx, val = _pad_docs(vectors, n_features)  # u keeps its sink column at 0.0
     n_cls, n_docs = targets.shape
     u = np.zeros((n_cls, n_features + 1))
     flat_u = u.reshape(-1)
@@ -335,16 +327,21 @@ def _sgd(
                 flat_u[cols[hit]] += (step / scale)[:, None] * x[hit]
                 bias[hit] += step
                 u[:, n_features] = 0.0  # an inf step leaves inf * 0.0 = NaN there
-        totals = _hinge_totals(idx, val, targets, u, scale, bias)
+        # the epoch objective: per class, the hinge losses summed in doc order
+        totals = np.zeros((1, n_cls))
+        for lo, hi, dots in _dot_chunks(u, np.zeros(n_cls), vectors):
+            hinge = 1.0 - targets[:, lo:hi].T * (scale * dots + bias)
+            hinge = np.where(hinge > 0.0, hinge, 0.0)  # max(0.0, nan) is 0.0
+            totals = np.cumsum(np.concatenate([totals, hinge]), axis=0)[-1:]
         for c in range(n_cls):
             row = u[c, :n_features].copy()
             penalty = 0.5 * lam * scale * scale * float(np.dot(row, row))
-            losses[c].append(float(totals[c]) / n_docs + penalty)
+            losses[c].append(float(totals[0, c]) / n_docs + penalty)
     return u[:, :n_features] * scale, bias, losses
 
 
 def train_svm(
-    vectors: Sequence[DocumentVector],
+    vectors: DocMatrix,
     labels: Sequence[str],
     cfg: TrainConfig,
     n_features: int,
@@ -367,9 +364,9 @@ def train_svm(
     )
 
 
-def predict_svm(model: LinearSvmModel, vector: DocumentVector) -> str | None:
-    """Argmax of w.x + b over classes; ties break to the first label id."""
-    return _argmax_score(model.classes, model.weights, model.bias, vector)
+def predict_svm(model: LinearSvmModel, vectors: DocMatrix) -> list[str | None]:
+    """Per row, the argmax of w.x + b over classes; ties go to the first label."""
+    return _predict(model, vectors)
 
 
 # ------------------------------------------------------------ keyword vote
@@ -414,7 +411,7 @@ def _weights_matrix(rows_per_class: list[list], n_features: int) -> np.ndarray:
     """The weight matrix whose row c holds the ``[ix, w]`` rows of class c."""
     weights = np.zeros((len(rows_per_class), n_features))
     for row, rows in zip(weights, rows_per_class):
-        cols = _feature_indices((int(ix) for ix, _ in rows), n_features, len(rows))
+        cols = _feature_indices([int(ix) for ix, _ in rows], n_features)
         row[cols] = [float(w) for _, w in rows]
     return weights
 
@@ -450,15 +447,16 @@ def save_model(model: CentroidModel | LinearSvmModel, path: str | Path) -> None:
         }
     else:
         raise ConfigurationError(f"cannot serialize {type(model).__name__}")
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with open(path, "w", encoding="utf-8") as fh:
+        # chunk by chunk: json.dumps would hold every chunk and the whole text
+        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc))
+        fh.write("\n")
 
 
 def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
     fmt = doc.get("format") if isinstance(doc, dict) else None
     try:

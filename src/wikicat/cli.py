@@ -17,9 +17,10 @@ import logging
 import os
 import sys
 import traceback
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .classifiers import (
@@ -74,7 +75,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
@@ -102,6 +103,14 @@ def _get_as(args: argparse.Namespace, cfg: dict, key: str, default, kind):
         ) from None
 
 
+def _one_of(key: str, val, choices: Sequence[str]):
+    if val not in choices:
+        raise ConfigurationError(
+            f"unknown {key} {val!r}; expected one of {', '.join(choices)}"
+        )
+    return val
+
+
 def _require(args: argparse.Namespace, cfg: dict, key: str):
     val = _get(args, cfg, key, None)
     if val is None:
@@ -125,27 +134,30 @@ def _load_graph_arg(path: str):
 
 def _load_corpus(path: str | Path) -> dict[int, str]:
     texts: dict[int, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{where}: invalid JSON: {exc}") from None
-            if (
-                not isinstance(row, dict)
-                or not isinstance(row.get("id"), int)
-                or not isinstance(row.get("text"), str)
-            ):
-                raise ConfigurationError(
-                    f"{where}: expected an object with int 'id' and str 'text'"
-                )
-            if row["id"] in texts:
-                raise ConfigurationError(f"{where}: duplicate page id {row['id']}")
-            texts[row["id"]] = row["text"]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ConfigurationError(f"{where}: invalid JSON: {exc}") from None
+                if (
+                    not isinstance(row, dict)
+                    or not isinstance(row.get("id"), int)
+                    or not isinstance(row.get("text"), str)
+                ):
+                    raise ConfigurationError(
+                        f"{where}: expected an object with int 'id' and str 'text'"
+                    )
+                if row["id"] in texts:
+                    raise ConfigurationError(f"{where}: duplicate page id {row['id']}")
+                texts[row["id"]] = row["text"]
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8: {exc}") from None
     if not texts:
         raise ConfigurationError(f"{path}: no documents")
     return texts
@@ -153,11 +165,7 @@ def _load_corpus(path: str | Path) -> dict[int, str]:
 
 def _named_scheme(taxonomy: Taxonomy, scheme: str) -> dict[str, list[str]]:
     """Competition sets keyed by name: 'coarse', or one set per parent."""
-    if scheme not in SCHEMES:
-        raise ConfigurationError(
-            f"unknown scheme {scheme!r}; expected one of {', '.join(SCHEMES)}"
-        )
-    if scheme == "coarse":
+    if _one_of("scheme", scheme, SCHEMES) == "coarse":
         return {COARSE_SET: coarse_scheme(taxonomy)[0]}
     out = {taxonomy.by_id[group[0]].parent: group for group in fine_scheme(taxonomy)}
     if not out:
@@ -166,62 +174,87 @@ def _named_scheme(taxonomy: Taxonomy, scheme: str) -> dict[str, list[str]]:
 
 
 def _collect_training_rows(
-    records: list[dict],
+    tops: Iterable[tuple[int, str | None]],
     corpus: dict[int, str],
     named: dict[str, list[str]],
 ) -> dict[str, list[tuple[int, str, str]]]:
-    """Group labeled pages into (page id, top label, text) rows per set."""
+    """Group (page id, top label or None) pairs into (page id, top label,
+    text) rows per set."""
     label_to_set = {
         label: name for name, group in named.items() for label in group
     }
     rows: dict[str, list[tuple[int, str, str]]] = {name: [] for name in named}
     skipped = 0
-    for rec in records:
-        if not rec["assignments"]:
+    for page, top in tops:
+        if top is None:
             skipped += 1
             continue
-        top = rec["assignments"][0]["label"]
         set_name = label_to_set.get(top)
         if set_name is None:
             raise ConfigurationError(
                 f"label {top!r} in labels file is not in the chosen scheme"
             )
-        text = corpus.get(rec["page"])
+        text = corpus.get(page)
         if text is None:
-            raise ConfigurationError(f"page {rec['page']} missing from corpus")
-        rows[set_name].append((rec["page"], top, text))
+            raise ConfigurationError(f"page {page} missing from corpus")
+        rows[set_name].append((page, top, text))
     if skipped:
         logger.info("skipped %d pages with no assignment", skipped)
     return rows
 
 
-def _train_set(
-    rows: list[tuple[int, str, str]],
-    group: list[str],
+def _labeled_rows(args: argparse.Namespace, cfg: dict) -> tuple:
+    """The scheme name, its competition sets by name, and the labels file's
+    (page id, top label, text) rows per set."""
+    taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
+    records = read_labels(_require(args, cfg, "labels"))
+    corpus = _load_corpus(_require(args, cfg, "corpus"))
+    scheme_name = _get(args, cfg, "scheme", "coarse")
+    named = _named_scheme(taxonomy, scheme_name)
+    tops = (
+        (rec["page"], rec["assignments"][0]["label"] if rec["assignments"] else None)
+        for rec in records
+    )
+    return scheme_name, named, _collect_training_rows(tops, corpus, named)
+
+
+def _train_sets(
+    rows: dict[str, list[tuple[int, str, str]]],
+    named: dict[str, list[str]],
     kind: str,
     n_per_class: int,
     min_df: int,
     train_cfg: TrainConfig,
-) -> tuple[CentroidModel | LinearSvmModel, dict[str, int]]:
-    """Fit tf-idf and one model on this competition set's documents."""
-    if kind == "svm":
-        rows = sample_balance(rows, n_per_class, train_cfg.seed, group)
-    counts: dict[str, int] = {}
-    for _, label, _ in rows:
-        counts[label] = counts.get(label, 0) + 1
-    missing = sorted(set(group) - set(counts))
-    if missing:
-        logger.warning("classes with no training documents: %s", ", ".join(missing))
-    tfidf = fit_tfidf((text for _, _, text in rows), min_df=min_df)
-    vectors = [transform(tfidf, text) for _, _, text in rows]
-    labels = [label for _, label, _ in rows]
-    if kind == "centroid":
-        model = train_centroid(vectors, labels, tfidf=tfidf)
-    else:
-        model = train_svm(
-            vectors, labels, train_cfg, n_features=tfidf.vocab_size, tfidf=tfidf
-        )
-    return model, counts
+    out_dir: Path,
+    prefix: str = "",
+) -> dict[str, tuple[CentroidModel | LinearSvmModel, dict[str, int]]]:
+    """Fit tf-idf and one model per competition set, in name order, and save
+    each as ``out_dir/<prefix><set>.<kind>.json``; with each its class counts."""
+    out = {}
+    for name in sorted(named):
+        set_rows = rows[name]
+        if not set_rows:
+            raise ConfigurationError(f"no labeled documents for set {name!r}")
+        if kind == "svm":
+            set_rows = sample_balance(set_rows, n_per_class, train_cfg.seed, named[name])
+        labels = [label for _, label, _ in set_rows]
+        counts = Counter(labels)
+        missing = sorted(set(named[name]) - set(counts))
+        if missing:
+            logger.warning(
+                "classes with no training documents: %s", ", ".join(missing)
+            )
+        tfidf = fit_tfidf((text for _, _, text in set_rows), min_df=min_df)
+        vectors = transform(tfidf, [text for _, _, text in set_rows])
+        if kind == "centroid":
+            model = train_centroid(vectors, labels, tfidf=tfidf)
+        else:
+            model = train_svm(
+                vectors, labels, train_cfg, n_features=tfidf.vocab_size, tfidf=tfidf
+            )
+        save_model(model, out_dir / f"{prefix}{name}.{kind}.json")
+        out[name] = model, counts
+    return out
 
 
 def _load_eval_sets(path: str, taxonomy: Taxonomy) -> list[EvalInstance]:
@@ -233,10 +266,13 @@ def _load_eval_sets(path: str, taxonomy: Taxonomy) -> list[EvalInstance]:
     ]
 
 
-def _predictor(model: CentroidModel | LinearSvmModel) -> Callable[[str], str]:
+def _predictor(
+    model: CentroidModel | LinearSvmModel,
+) -> Callable[[Sequence[str]], list[str | None]]:
+    """Classify a batch of texts in one call, with the model's own tf-idf."""
     if isinstance(model, CentroidModel):
-        return lambda text: predict_centroid(model, transform(model.tfidf, text))
-    return lambda text: predict_svm(model, transform(model.tfidf, text))
+        return lambda texts: predict_centroid(model, transform(model.tfidf, texts))
+    return lambda texts: predict_svm(model, transform(model.tfidf, texts))
 
 
 def _write_json(doc: dict, path: str | Path) -> None:
@@ -256,7 +292,10 @@ def _emit(summary: dict, out: str | None) -> None:
 
 def _cmd_build_graph(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    strict = not (args.lenient or bool(cfg.get("lenient", False)))
+    lenient = cfg.get("lenient", False)
+    if not isinstance(lenient, bool):
+        raise ConfigurationError(f"lenient: expected true or false, got {lenient!r}")
+    strict = not (args.lenient or lenient)
     categories = _require(args, cfg, "categories")
     pages = _require(args, cfg, "pages")
     edges = _require(args, cfg, "edges")
@@ -320,10 +359,6 @@ def _label_config(args: argparse.Namespace, cfg: dict) -> LabelingConfig:
     )
 
 
-def _label_echo(lab_cfg: LabelingConfig, scheme: str, workers: int) -> dict:
-    return {**asdict(lab_cfg), "scheme": scheme, "workers": workers}
-
-
 def _cmd_label(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     graph = _load_graph_arg(_require(args, cfg, "graph"))
@@ -334,24 +369,15 @@ def _cmd_label(args: argparse.Namespace) -> int:
     workers = _get_as(args, cfg, "workers", 0, int) or (os.cpu_count() or 1)
     out = _require(args, cfg, "out")
     named = _named_scheme(taxonomy, scheme_name)
-    records = []
-    for name in sorted(named):
-        records.extend(
-            label_corpus(graph, mapping, [named[name]], lab_cfg, workers=workers)
-        )
+    scheme = [named[name] for name in sorted(named)]
+    records = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
     write_labels(records, graph, out)
-    per_label: dict[str, int] = {}
-    unassigned = 0
-    for rec in records:
-        if not rec.assignments:
-            unassigned += 1
-        for a in rec.assignments:
-            per_label[a.label] = per_label.get(a.label, 0) + 1
+    per_label = Counter(a.label for rec in records for a in rec.assignments)
     summary = {
-        "config": _label_echo(lab_cfg, scheme_name, workers),
+        "config": {**asdict(lab_cfg), "scheme": scheme_name, "workers": workers},
         "out": str(out),
         "pages_seen": len(records),
-        "unassigned": unassigned,
+        "unassigned": sum(1 for rec in records if not rec.assignments),
         "per_label": dict(sorted(per_label.items())),
     }
     _emit(summary, _get(args, cfg, "summary_out", None))
@@ -365,31 +391,23 @@ def _default_n_per_class(scheme: str) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
-    records = read_labels(_require(args, cfg, "labels"))
-    corpus = _load_corpus(_require(args, cfg, "corpus"))
-    scheme_name = _get(args, cfg, "scheme", "coarse")
+    scheme_name, named, rows = _labeled_rows(args, cfg)
     seed = _get_as(args, cfg, "seed", 0, int)
     n_per_class = _get_as(
         args, cfg, "n_per_class", None, int
     ) or _default_n_per_class(scheme_name)
     out = _require(args, cfg, "out")
-    named = _named_scheme(taxonomy, scheme_name)
-    rows = _collect_training_rows(records, corpus, named)
     n_rows = 0
     with open(out, "w", encoding="utf-8") as fh:
         for name in sorted(rows):
             if not rows[name]:
                 raise ConfigurationError(f"no labeled documents for set {name!r}")
             balanced = sample_balance(rows[name], n_per_class, seed, named[name])
-            for page, label, text in balanced:
-                fh.write(
-                    json.dumps(
-                        {"id": page, "label": label, "set": name, "text": text},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            fh.writelines(
+                json.dumps({"id": page, "label": label, "set": name, "text": text},
+                           sort_keys=True) + "\n"
+                for page, label, text in balanced
+            )
             n_rows += len(balanced)
     summary = {
         "config": {
@@ -406,11 +424,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
-    records = read_labels(_require(args, cfg, "labels"))
-    corpus = _load_corpus(_require(args, cfg, "corpus"))
-    scheme_name = _get(args, cfg, "scheme", "coarse")
-    kind = _get(args, cfg, "kind", "svm")
+    scheme_name, named, rows = _labeled_rows(args, cfg)
+    kind = _one_of("kind", _get(args, cfg, "kind", "svm"), KINDS)
     seed = _get_as(args, cfg, "seed", 0, int)
     min_df = _get_as(args, cfg, "min_df", 3, int)
     n_per_class = _get_as(
@@ -424,21 +439,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     out_dir = Path(_require(args, cfg, "out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    named = _named_scheme(taxonomy, scheme_name)
-    rows = _collect_training_rows(records, corpus, named)
-    sets_summary: dict[str, dict] = {}
-    for name in sorted(named):
-        if not rows[name]:
-            raise ConfigurationError(f"no labeled documents for set {name!r}")
-        model, counts = _train_set(
-            rows[name], named[name], kind, n_per_class, min_df, train_cfg
-        )
-        save_model(model, out_dir / f"{name}.{kind}.json")
-        sets_summary[name] = {
+    trained = _train_sets(
+        rows, named, kind, n_per_class, min_df, train_cfg, out_dir
+    )
+    sets_summary = {
+        name: {
             "classes": dict(sorted(counts.items())),
             "n_train": sum(counts.values()),
             "vocab_size": model.tfidf.vocab_size,
         }
+        for name, (model, counts) in trained.items()
+    }
     summary = {
         "config": {
             "scheme": scheme_name,
@@ -462,12 +473,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(_require(args, cfg, "model"))
     corpus = _load_corpus(_require(args, cfg, "corpus"))
     out = _require(args, cfg, "out")
-    predict = _predictor(model)
+    pages = sorted(corpus)
+    labels = _predictor(model)([corpus[page] for page in pages])
     with open(out, "w", encoding="utf-8") as fh:
-        for page in sorted(corpus):
-            fh.write(
-                json.dumps({"id": page, "label": predict(corpus[page])}) + "\n"
-            )
+        fh.writelines(
+            json.dumps({"id": page, "label": label}) + "\n"
+            for page, label in zip(pages, labels)
+        )
     print(json.dumps({"n": len(corpus), "out": str(out)}, sort_keys=True))
     return 0
 
@@ -475,11 +487,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
-    kind = _get(args, cfg, "kind", "svm")
+    kind = _one_of("kind", _get(args, cfg, "kind", "svm"), KINDS)
     models_dir = Path(_require(args, cfg, "models_dir"))
     out = _require(args, cfg, "out")
     instances = _load_eval_sets(_require(args, cfg, "eval"), taxonomy)
-    models: dict[str, Callable[[str], str]] = {}
+    models = {}
     for parent in sorted({inst.parent for inst in instances}):
         path = models_dir / f"{parent}.{kind}.json"
         if not path.exists():
@@ -529,41 +541,25 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         mapping = map_taxonomy(taxonomy, graph)
     instances = _load_eval_sets(_require(args, cfg, "eval"), taxonomy)
     named = _named_scheme(taxonomy, scheme_name)
+    scheme = [named[name] for name in sorted(named)]
     train_cfg = TrainConfig(seed=seed)
     modes = _get(args, cfg, "modes", None) or list(MODES)
+    if not (isinstance(modes, list) and all(isinstance(m, str) for m in modes)):
+        raise ConfigurationError(f"modes: expected a list of strings, got {modes!r}")
     base_cfg = _label_config(args, cfg)
     rows_out = []
     for mode in modes:
         lab_cfg = replace(base_cfg, mode=mode)
-        records = []
-        for name in sorted(named):
-            records.extend(
-                label_corpus(graph, mapping, [named[name]], lab_cfg, workers=workers)
-            )
+        records = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
         write_labels(records, graph, out_dir / f"labels.{mode}.jsonl")
         pages = graph.external_ids([rec.page for rec in records]).tolist()
-        row_map = _collect_training_rows(
-            [
-                {
-                    "page": page,
-                    "assignments": [{"label": a.label} for a in rec.assignments],
-                }
-                for page, rec in zip(pages, records)
-            ],
-            corpus,
-            named,
+        tops = [rec.assignments[0].label if rec.assignments else None for rec in records]
+        trained = _train_sets(
+            _collect_training_rows(zip(pages, tops), corpus, named),
+            named, "svm", n_per_class, min_df, train_cfg, out_dir, f"{mode}.",
         )
-        models: dict[str, Callable[[str], str]] = {}
-        n_train = 0
-        for name in sorted(named):
-            if not row_map[name]:
-                raise ConfigurationError(f"no labeled documents for set {name!r}")
-            model, counts = _train_set(
-                row_map[name], named[name], "svm", n_per_class, min_df, train_cfg
-            )
-            save_model(model, out_dir / f"{mode}.{name}.svm.json")
-            models[name] = _predictor(model)
-            n_train += sum(counts.values())
+        models = {name: _predictor(model) for name, (model, _) in trained.items()}
+        n_train = sum(sum(counts.values()) for _, counts in trained.values())
         _, pooled = evaluate_grouped(instances, models)
         row = {
             "mode": mode,
@@ -606,98 +602,90 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str, *paths: str) -> argparse.ArgumentParser:
+        """A subcommand with --config and a plain string option per path flag."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
+        for flag in paths:
+            p.add_argument(flag)
         p.set_defaults(func=func)
         return p
 
-    p = add("build-graph", _cmd_build_graph, "load TSV graph files, write a snapshot")
-    p.add_argument("--categories")
-    p.add_argument("--pages")
-    p.add_argument("--edges")
-    p.add_argument("--redirects")
+    def add_labeling(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--scheme", choices=SCHEMES)
+        p.add_argument("--coverage-threshold", type=float)
+        p.add_argument("--assignment-threshold", type=float)
+        p.add_argument("--max-depth", type=int)
+        p.add_argument("--path-mode", choices=PATH_MODES)
+        p.add_argument("--exact-path-cap", type=int)
+        p.add_argument("--workers", type=int, help=WORKERS_HELP)
+
+    p = add(
+        "build-graph", _cmd_build_graph, "load TSV graph files, write a snapshot",
+        "--categories", "--pages", "--edges", "--redirects", "--stats-out",
+    )
     p.add_argument("--lenient", action="store_true", help="drop bad edges instead of failing")
     p.add_argument("--out", help="snapshot output path")
-    p.add_argument("--stats-out", dest="stats_out")
 
-    p = add("map", _cmd_map, "map taxonomy labels onto category nodes")
+    p = add(
+        "map", _cmd_map, "map taxonomy labels onto category nodes",
+        "--taxonomy", "--summary-out",
+    )
     p.add_argument("--graph", help="snapshot file or TSV directory")
-    p.add_argument("--taxonomy")
     p.add_argument("--overrides", help="JSON {label id: [category names]}")
     p.add_argument("--threshold", type=float)
     p.add_argument("--out", help="mapping output path")
-    p.add_argument("--summary-out", dest="summary_out")
 
-    p = add("label", _cmd_label, "propagate labels to pages over the graph")
-    p.add_argument("--graph")
-    p.add_argument("--taxonomy")
-    p.add_argument("--mapping")
-    p.add_argument("--scheme", choices=SCHEMES)
+    p = add(
+        "label", _cmd_label, "propagate labels to pages over the graph",
+        "--graph", "--taxonomy", "--mapping", "--summary-out",
+    )
+    add_labeling(p)
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--coverage-threshold", dest="coverage_threshold", type=float)
-    p.add_argument("--assignment-threshold", dest="assignment_threshold", type=float)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--path-mode", dest="path_mode", choices=PATH_MODES)
-    p.add_argument("--exact-path-cap", dest="exact_path_cap", type=int)
-    p.add_argument("--workers", type=int, help=WORKERS_HELP)
     p.add_argument("--out", help="labels JSONL output path")
-    p.add_argument("--summary-out", dest="summary_out")
 
-    p = add("sample", _cmd_sample, "balance labeled pages per class")
-    p.add_argument("--labels")
-    p.add_argument("--corpus")
-    p.add_argument("--taxonomy")
+    p = add(
+        "sample", _cmd_sample, "balance labeled pages per class",
+        "--labels", "--corpus", "--taxonomy", "--out", "--summary-out",
+    )
     p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--n-per-class", dest="n_per_class", type=int)
+    p.add_argument("--n-per-class", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--summary-out", dest="summary_out")
 
-    p = add("train", _cmd_train, "train one model per competition set")
-    p.add_argument("--labels")
-    p.add_argument("--corpus")
-    p.add_argument("--taxonomy")
+    p = add(
+        "train", _cmd_train, "train one model per competition set",
+        "--labels", "--corpus", "--taxonomy", "--out-dir",
+    )
     p.add_argument("--scheme", choices=SCHEMES)
     p.add_argument("--kind", choices=KINDS)
-    p.add_argument("--n-per-class", dest="n_per_class", type=int)
-    p.add_argument("--min-df", dest="min_df", type=int)
+    p.add_argument("--n-per-class", type=int)
+    p.add_argument("--min-df", type=int)
     p.add_argument("--lam", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--eta0", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
 
-    p = add("predict", _cmd_predict, "classify a corpus with a saved model")
-    p.add_argument("--model")
-    p.add_argument("--corpus")
-    p.add_argument("--out")
+    add(
+        "predict", _cmd_predict, "classify a corpus with a saved model",
+        "--model", "--corpus", "--out",
+    )
 
-    p = add("evaluate", _cmd_evaluate, "score saved models on gold instances")
-    p.add_argument("--eval", dest="eval")
-    p.add_argument("--models-dir", dest="models_dir")
+    p = add(
+        "evaluate", _cmd_evaluate, "score saved models on gold instances",
+        "--eval", "--models-dir", "--taxonomy",
+    )
     p.add_argument("--kind", choices=KINDS)
-    p.add_argument("--taxonomy")
     p.add_argument("--out", help="report output path")
 
-    p = add("ablate", _cmd_ablate, "compare labeling modes end to end")
-    p.add_argument("--graph")
-    p.add_argument("--taxonomy")
-    p.add_argument("--mapping")
-    p.add_argument("--corpus")
-    p.add_argument("--eval", dest="eval")
-    p.add_argument("--scheme", choices=SCHEMES)
+    p = add(
+        "ablate", _cmd_ablate, "compare labeling modes end to end",
+        "--graph", "--taxonomy", "--mapping", "--corpus", "--eval", "--out-dir",
+    )
+    add_labeling(p)
     p.add_argument("--modes", nargs="+", choices=MODES)
-    p.add_argument("--coverage-threshold", dest="coverage_threshold", type=float)
-    p.add_argument("--assignment-threshold", dest="assignment_threshold", type=float)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--path-mode", dest="path_mode", choices=PATH_MODES)
-    p.add_argument("--exact-path-cap", dest="exact_path_cap", type=int)
-    p.add_argument("--n-per-class", dest="n_per_class", type=int)
-    p.add_argument("--min-df", dest="min_df", type=int)
+    p.add_argument("--n-per-class", type=int)
+    p.add_argument("--min-df", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, help=WORKERS_HELP)
-    p.add_argument("--out-dir", dest="out_dir")
 
     return parser
 
@@ -712,10 +700,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except WikicatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (WikicatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -127,33 +127,31 @@ def evaluate(
 
 def evaluate_grouped(
     instances: Sequence[EvalInstance],
-    models: Mapping[str, Callable[[str], str]],
+    models: Mapping[str, Callable[[Sequence[str]], Sequence[str]]],
 ) -> tuple[dict[str, EvalReport], EvalReport]:
-    """Classify every instance with its parent's model.
+    """Classify every instance with its parent's model, one batch call per
+    parent.
 
-    Returns one report per parent plus a pooled report over all
-    instances together.
+    Returns one report per parent plus a pooled report over all instances
+    together, in their own order.
     """
     if not instances:
         raise ConfigurationError("nothing to evaluate")
-    grouped: dict[str, tuple[list[str], list[tuple[str, ...]]]] = {}
-    all_preds: list[str] = []
-    all_golds: list[tuple[str, ...]] = []
-    for inst in instances:
-        model = models.get(inst.parent) if inst.parent is not None else None
-        if model is None:
+    grouped: dict[str, list[int]] = {}
+    for i, inst in enumerate(instances):
+        if inst.parent not in models:
             raise ConfigurationError(f"no model for parent {inst.parent!r}")
-        pred = model(inst.text)
-        preds, golds = grouped.setdefault(inst.parent, ([], []))
-        preds.append(pred)
-        golds.append(inst.gold)
-        all_preds.append(pred)
-        all_golds.append(inst.gold)
-    reports = {
-        parent: evaluate(preds, golds, group=parent)
-        for parent, (preds, golds) in sorted(grouped.items())
-    }
-    return reports, evaluate(all_preds, all_golds, group="pooled")
+        grouped.setdefault(inst.parent, []).append(i)
+    all_preds: list = [None] * len(instances)
+    reports = {}
+    for parent, members in sorted(grouped.items()):
+        preds = list(models[parent]([instances[i].text for i in members]))
+        golds = [instances[i].gold for i in members]
+        reports[parent] = evaluate(preds, golds, group=parent)  # checks lengths
+        for i, pred in zip(members, preds):
+            all_preds[i] = pred
+    pooled = evaluate(all_preds, [inst.gold for inst in instances], group="pooled")
+    return reports, pooled
 
 
 def load_eval(

@@ -139,7 +139,7 @@ class Taxonomy:
 def load_taxonomy(path: str | Path) -> Taxonomy:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
         raise TaxonomyError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
         raise TaxonomyError(f"{path}: expected an object with a 'labels' list")
@@ -367,7 +367,7 @@ def save_mapping(
 def load_mapping(path: str | Path, graph: CategoryGraph) -> CategoryMapping:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
         raise TaxonomyError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("labels"), dict):
         raise TaxonomyError(f"{path}: expected an object with a 'labels' table")

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from wikicat.textproc import DocumentVector
+DocumentVector = dict[int, float]
 
 
 def centroid_dicts(classes, weights) -> dict[str, dict[int, float]]:

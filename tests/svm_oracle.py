@@ -14,7 +14,8 @@ import numpy as np
 
 from wikicat.classifiers import _SCALE_FLOOR, TrainConfig, _class_rng
 from wikicat.exceptions import ConfigurationError
-from wikicat.textproc import DocumentVector
+
+DocumentVector = dict[int, float]
 
 
 def objective(

@@ -279,18 +279,19 @@ def test_c6_classifiers_beat_keyword_baseline():
     rows, names = make_separable_corpus(5, 200, seed=0)
     train, test = split_corpus(rows, fold=5)
     tfidf = fit_tfidf((text for _, _, text in train), min_df=3)
-    vectors = [transform(tfidf, text) for _, _, text in train]
+    vectors = transform(tfidf, [text for _, _, text in train])
     labels = [lab for _, lab, _ in train]
     cen = train_centroid(vectors, labels)
     svm = train_svm(vectors, labels, TrainConfig(seed=0), tfidf.vocab_size)
 
     def acc(predict):
-        hits = sum(1 for _, lab, text in test if predict(text) == lab)
+        preds = predict([text for _, _, text in test])
+        hits = sum(1 for (_, lab, _), pred in zip(test, preds) if pred == lab)
         return hits / len(test)
 
-    cen_acc = acc(lambda t: predict_centroid(cen, transform(tfidf, t)))
-    svm_acc = acc(lambda t: predict_svm(svm, transform(tfidf, t)))
-    kw_acc = acc(lambda t: keyword_vote(t, names, seed=0))
+    cen_acc = acc(lambda ts: predict_centroid(cen, transform(tfidf, ts)))
+    svm_acc = acc(lambda ts: predict_svm(svm, transform(tfidf, ts)))
+    kw_acc = acc(lambda ts: [keyword_vote(t, names, seed=0) for t in ts])
     elapsed = time.monotonic() - t0
     ok = (
         cen_acc >= 0.95

@@ -21,6 +21,8 @@ from wikicat.classifiers import (
 from wikicat.exceptions import ConfigurationError
 from wikicat.textproc import fit_tfidf
 
+from docmatrix import docs
+
 
 def _toy_corpus():
     # Linearly separable: each class owns one feature, feature 2 is noise.
@@ -84,7 +86,7 @@ def test_balance_rejects_bad_count():
 def test_centroid_of_orthogonal_docs():
     # mean of e0 and e1 is (.5, .5); its L2 norm is sqrt(.5), so each
     # normalized component is 1/sqrt(2).
-    model = train_centroid([{0: 1.0}, {1: 1.0}], ["m", "m"])
+    model = train_centroid(docs([{0: 1.0}, {1: 1.0}]), ["m", "m"])
     assert model.classes == ("m",)
     [cen] = model.weights
     assert cen[0] == pytest.approx(0.70710678, abs=1e-8)
@@ -97,32 +99,31 @@ def test_centroid_predict_hand_fixture():
         ("a", "b", "c"), np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
     )
     # a: 0.9, b: 0.1, c: 0.62
-    assert predict_centroid(model, {0: 0.9, 1: 0.1}) == "a"
+    assert predict_centroid(model, docs([{0: 0.9, 1: 0.1}])) == ["a"]
     # a: 0.5, b: 0.6, c: 0.78
-    assert predict_centroid(model, {0: 0.5, 1: 0.6}) == "c"
+    assert predict_centroid(model, docs([{0: 0.5, 1: 0.6}])) == ["c"]
 
 
 def test_centroid_tie_and_empty_vector_pick_first_label():
     model = CentroidModel(("a", "b"), np.array([[1.0], [1.0]]))
-    assert predict_centroid(model, {0: 1.0}) == "a"
-    assert predict_centroid(model, {}) == "a"
+    assert predict_centroid(model, docs([{0: 1.0}, {}])) == ["a", "a"]
 
 
 def test_centroid_separable_corpus_fits_training_set():
     vecs, labs = _toy_corpus()
-    model = train_centroid(vecs, labs)
-    assert all(predict_centroid(model, v) == lab for v, lab in zip(vecs, labs))
+    model = train_centroid(docs(vecs), labs)
+    assert predict_centroid(model, docs(vecs)) == labs
 
 
 def test_centroid_validation():
     with pytest.raises(ConfigurationError):
-        train_centroid([{0: 1.0}], ["a", "b"])
+        train_centroid(docs([{0: 1.0}]), ["a", "b"])
     with pytest.raises(ConfigurationError):
-        train_centroid([], [])
+        train_centroid(docs([]), [])
     with pytest.raises(ConfigurationError, match="all-zero"):
-        train_centroid([{}], ["z"])
+        train_centroid(docs([{}]), ["z"])
     with pytest.raises(ConfigurationError, match="ghost"):
-        train_centroid([{0: 1.0}], ["a"], expected_classes=["a", "ghost"])
+        train_centroid(docs([{0: 1.0}]), ["a"], expected_classes=["a", "ghost"])
 
 
 # ---------------------------------------------------------------------- svm
@@ -135,7 +136,7 @@ def test_svm_single_step_hand_oracle():
     # exactly 1, so hinge = 0 and the objective is the penalty alone:
     # .5 * .01 * (scale * u0)^2 = .005 * .25 = .00125.
     cfg = TrainConfig(lam=0.01, epochs=1, eta0=0.5, seed=0)
-    weights, bias, [losses] = _sgd([{0: 1.0}], np.array([[1.0]]), ["pos"], cfg, 2)
+    weights, bias, [losses] = _sgd(docs([{0: 1.0}]), np.array([[1.0]]), ["pos"], cfg, 2)
     assert weights[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert bias[0] == 0.5
     assert losses == [pytest.approx(0.00125, rel=1e-9)]
@@ -143,15 +144,15 @@ def test_svm_single_step_hand_oracle():
 
 def test_svm_fits_separable_corpus():
     vecs, labs = _toy_corpus()
-    model = train_svm(vecs, labs, TrainConfig(seed=0), n_features=3)
-    assert all(predict_svm(model, v) == lab for v, lab in zip(vecs, labs))
+    model = train_svm(docs(vecs), labs, TrainConfig(seed=0), n_features=3)
+    assert predict_svm(model, docs(vecs)) == labs
 
 
 def test_svm_same_seed_reproduces_bitwise():
     vecs, labs = _toy_corpus()
     cfg = TrainConfig(seed=5)
-    m1 = train_svm(vecs, labs, cfg, n_features=3)
-    m2 = train_svm(vecs, labs, cfg, n_features=3)
+    m1 = train_svm(docs(vecs), labs, cfg, n_features=3)
+    m2 = train_svm(docs(vecs), labs, cfg, n_features=3)
     assert m1.classes == m2.classes
     assert np.array_equal(m1.weights, m2.weights)
     assert np.array_equal(m1.bias, m2.bias)
@@ -160,8 +161,8 @@ def test_svm_same_seed_reproduces_bitwise():
 
 def test_svm_seed_changes_model():
     vecs, labs = _toy_corpus()
-    m1 = train_svm(vecs, labs, TrainConfig(seed=0), n_features=3)
-    m2 = train_svm(vecs, labs, TrainConfig(seed=1), n_features=3)
+    m1 = train_svm(docs(vecs), labs, TrainConfig(seed=0), n_features=3)
+    m2 = train_svm(docs(vecs), labs, TrainConfig(seed=1), n_features=3)
     assert not (
         np.array_equal(m1.weights, m2.weights) and np.array_equal(m1.bias, m2.bias)
     )
@@ -170,7 +171,7 @@ def test_svm_seed_changes_model():
 def test_svm_loss_history_trends_down():
     vecs, labs = _toy_corpus()
     model = train_svm(
-        vecs, labs, TrainConfig(epochs=8, seed=2), n_features=3
+        docs(vecs), labs, TrainConfig(epochs=8, seed=2), n_features=3
     )
     assert set(model.loss_history) == {"ant", "bee"}
     for losses in model.loss_history.values():
@@ -185,7 +186,7 @@ def test_svm_survives_huge_regularization():
     # lam=1e3 drives the per-step shrink to the 1e-12 clamp; the scale
     # refold must keep everything finite.
     vecs, labs = _toy_corpus()
-    model = train_svm(vecs, labs, TrainConfig(lam=1e3, seed=0), n_features=3)
+    model = train_svm(docs(vecs), labs, TrainConfig(lam=1e3, seed=0), n_features=3)
     assert np.isfinite(model.bias).all()
     assert np.isfinite(model.weights).all()
     assert (np.abs(model.weights) < 1.0).all()
@@ -197,9 +198,9 @@ def test_svm_classes_train_independently():
     vecs, labs = _toy_corpus()
     vecs = vecs + [{2: 1.0} for _ in range(8)]
     labs = labs + ["cow"] * 8
-    base = train_svm(vecs, labs, TrainConfig(seed=0), n_features=3)
+    base = train_svm(docs(vecs), labs, TrainConfig(seed=0), n_features=3)
     renamed = ["ant" if lab == "ant" else "z" + lab for lab in labs]
-    other = train_svm(vecs, renamed, TrainConfig(seed=0), n_features=3)
+    other = train_svm(docs(vecs), renamed, TrainConfig(seed=0), n_features=3)
     ant, other_ant = base.classes.index("ant"), other.classes.index("ant")
     assert np.array_equal(base.weights[ant], other.weights[other_ant])
     assert base.bias[ant] == other.bias[other_ant]
@@ -208,10 +209,10 @@ def test_svm_classes_train_independently():
 
 def test_svm_validation():
     with pytest.raises(ConfigurationError):
-        train_svm([{0: 1.0}], ["solo"], TrainConfig(), n_features=1)
+        train_svm(docs([{0: 1.0}]), ["solo"], TrainConfig(), n_features=1)
     with pytest.raises(ConfigurationError, match="out of range"):
         train_svm(
-            [{5: 1.0}, {0: 1.0}], ["a", "b"], TrainConfig(), n_features=2
+            docs([{5: 1.0}, {0: 1.0}]), ["a", "b"], TrainConfig(), n_features=2
         )
     with pytest.raises(ConfigurationError):
         TrainConfig(lam=0.0)
@@ -226,7 +227,7 @@ def test_svm_validation():
 
 def test_svm_predict_tie_picks_first_label():
     model = LinearSvmModel(("a", "b"), np.zeros((2, 1)), np.zeros(2), TrainConfig())
-    assert predict_svm(model, {0: 1.0}) == "a"
+    assert predict_svm(model, docs([{0: 1.0}])) == ["a"]
 
 
 # ------------------------------------------------------------ keyword vote
@@ -280,7 +281,7 @@ def small_tfidf():
 
 def test_centroid_round_trip(tmp_path, small_tfidf):
     vecs, labs = _toy_corpus()
-    model = train_centroid(vecs, labs, tfidf=small_tfidf)
+    model = train_centroid(docs(vecs), labs, tfidf=small_tfidf)
     path = tmp_path / "cen.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -294,7 +295,7 @@ def test_centroid_round_trip(tmp_path, small_tfidf):
 def test_svm_round_trip(tmp_path, small_tfidf):
     vecs, labs = _toy_corpus()
     model = train_svm(
-        vecs, labs, TrainConfig(seed=9), n_features=3, tfidf=small_tfidf
+        docs(vecs), labs, TrainConfig(seed=9), n_features=3, tfidf=small_tfidf
     )
     path = tmp_path / "svm.json"
     save_model(model, path)
@@ -306,12 +307,12 @@ def test_svm_round_trip(tmp_path, small_tfidf):
     assert loaded.classes == model.classes
     assert np.array_equal(loaded.weights, model.weights)
     assert np.array_equal(loaded.bias, model.bias)
-    vec = {0: 0.4, 1: 0.2}
+    vec = docs([{0: 0.4, 1: 0.2}])
     assert predict_svm(loaded, vec) == predict_svm(model, vec)
 
 
 def test_save_requires_tfidf(tmp_path):
-    model = train_centroid([{0: 1.0}], ["a"])
+    model = train_centroid(docs([{0: 1.0}]), ["a"])
     with pytest.raises(ConfigurationError, match="tf-idf"):
         save_model(model, tmp_path / "no.json")
 
@@ -330,9 +331,9 @@ def test_load_rejects_unknown_format(tmp_path):
 def test_save_load_save_is_byte_identical(tmp_path, small_tfidf, kind):
     vecs, labs = _toy_corpus()
     if kind == "centroid":
-        model = train_centroid(vecs, labs, tfidf=small_tfidf)
+        model = train_centroid(docs(vecs), labs, tfidf=small_tfidf)
     else:
-        model = train_svm(vecs, labs, TrainConfig(seed=3), 3, tfidf=small_tfidf)
+        model = train_svm(docs(vecs), labs, TrainConfig(seed=3), 3, tfidf=small_tfidf)
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     save_model(model, first)
     save_model(load_model(first), second)
@@ -344,9 +345,9 @@ def test_save_load_save_is_byte_identical(tmp_path, small_tfidf, kind):
 def test_load_rejects_weight_index_out_of_range(tmp_path, small_tfidf, kind, ix):
     vecs, labs = _toy_corpus()
     if kind == "centroid":
-        model = train_centroid(vecs, labs, tfidf=small_tfidf)
+        model = train_centroid(docs(vecs), labs, tfidf=small_tfidf)
     else:
-        model = train_svm(vecs, labs, TrainConfig(), 3, tfidf=small_tfidf)
+        model = train_svm(docs(vecs), labs, TrainConfig(), 3, tfidf=small_tfidf)
     path = tmp_path / "model.json"
     save_model(model, path)
     doc = json.loads(path.read_text())
@@ -362,7 +363,7 @@ def test_load_rejects_weight_index_out_of_range(tmp_path, small_tfidf, kind, ix)
 def test_load_rejects_svm_width_other_than_vocabulary(tmp_path, small_tfidf):
     vecs, labs = _toy_corpus()
     path = tmp_path / "svm.json"
-    save_model(train_svm(vecs, labs, TrainConfig(), 3, tfidf=small_tfidf), path)
+    save_model(train_svm(docs(vecs), labs, TrainConfig(), 3, tfidf=small_tfidf), path)
     doc = json.loads(path.read_text())
     doc["n_features"] = 4
     path.write_text(json.dumps(doc))

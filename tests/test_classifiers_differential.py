@@ -1,8 +1,9 @@
-"""The class-vectorized SVM trainer and the matrix scorer against loop oracles.
+"""The class-vectorized trainers and the batch scorer against loop oracles.
 
 Every weight, bias and epoch loss must have the same bits as in
-``svm_oracle``: the trainer does each class's float operations in the
-loop's order, so nothing may differ, not even the last place.  Every
+``svm_oracle``, and every centroid weight the same bits as in
+``centroid_oracle``: the trainers do each class's float operations in the
+loops' order, so nothing may differ, not even the last place.  Every
 prediction must name the label that the per-class dict loops of
 ``predict_oracle`` name.
 """
@@ -16,16 +17,21 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import centroid_oracle
 import predict_oracle
 import svm_oracle
+import wikicat.classifiers as classifiers
+from docmatrix import docs
 from wikicat.classifiers import (
     CentroidModel,
     LinearSvmModel,
     TrainConfig,
     predict_centroid,
     predict_svm,
+    train_centroid,
     train_svm,
 )
+from wikicat.exceptions import ConfigurationError
 
 _VALUES = st.one_of(
     st.floats(0.01, 1.0),
@@ -88,7 +94,7 @@ def _assert_same(model, oracle):
 @given(_cases())
 def test_train_svm_matches_loop_oracle(case):
     vectors, labels, cfg, n_features = case
-    model = train_svm(vectors, labels, cfg, n_features)
+    model = train_svm(docs(vectors), labels, cfg, n_features)
     _assert_same(model, svm_oracle.train_svm(vectors, labels, cfg, n_features))
 
 
@@ -97,7 +103,7 @@ def test_huge_regularization_refolds_like_the_loop():
     vectors = [{0: 1.0, 2: 0.3}, {1: 1.0}, {2: 0.5, 0: 0.2}, {}, {1: 0.7}]
     labels = ["a", "b", "a", "c", "c"]
     cfg = TrainConfig(lam=1e3, epochs=3, eta0=0.1, seed=1)
-    model = train_svm(vectors, labels, cfg, 3)
+    model = train_svm(docs(vectors), labels, cfg, 3)
     _assert_same(model, svm_oracle.train_svm(vectors, labels, cfg, 3))
     assert all(math.isfinite(x) for h in model.loss_history.values() for x in h)
 
@@ -112,7 +118,7 @@ def test_overflowing_step_keeps_the_pad_sink_clean():
     vectors = [{0: 1.0}, {1: 0.5, 0: 0.5}, {1: 1.0}]
     labels = ["a", "b", "b"]
     _assert_same(
-        train_svm(vectors, labels, cfg, 2),
+        train_svm(docs(vectors), labels, cfg, 2),
         svm_oracle.train_svm(vectors, labels, cfg, 2),
     )
 
@@ -138,10 +144,14 @@ def _scoring_cases(draw):
     bias = np.array([draw(_WEIGHTS) for _ in range(n_classes)])
     if n_classes > 1 and draw(st.booleans()):  # an exact tie with class 0
         weights[-1], bias[-1] = weights[0], bias[0]
-    # negative and past-the-end indices too, in any order
-    keys = draw(st.lists(st.integers(-3, n_features + 3), unique=True, max_size=9))
-    vector = {ix: draw(_DOC_VALUES) for ix in keys}
-    return classes, weights, bias, vector
+    vectors = []
+    for _ in range(draw(st.integers(0, 6))):
+        # past-the-end and negative indices sometimes, in any order
+        keys = draw(st.lists(st.integers(-1, n_features), unique=True, max_size=9))
+        if draw(st.integers(0, 4)):
+            keys = [ix for ix in keys if 0 <= ix < n_features]
+        vectors.append({ix: draw(_DOC_VALUES) for ix in keys})
+    return classes, weights, bias, vectors
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -149,15 +159,22 @@ def _scoring_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(_scoring_cases())
 def test_scorer_matches_dict_loops(case):
-    classes, weights, bias, vector = case
+    classes, weights, bias, vectors = case
     svm = LinearSvmModel(classes, weights, bias, TrainConfig())
-    svm_dicts = predict_oracle.svm_dicts(classes, weights, bias)
-    assert predict_svm(svm, vector) == predict_oracle.predict_svm(svm_dicts, vector)
     centroid = CentroidModel(classes, weights)
+    if any(not 0 <= ix < weights.shape[1] for vec in vectors for ix in vec):
+        for model, predict in ((svm, predict_svm), (centroid, predict_centroid)):
+            with pytest.raises(ConfigurationError, match="out of range"):
+                predict(model, docs(vectors))
+        return
+    svm_dicts = predict_oracle.svm_dicts(classes, weights, bias)
+    assert predict_svm(svm, docs(vectors)) == [
+        predict_oracle.predict_svm(svm_dicts, vec) for vec in vectors
+    ]
     centroids = predict_oracle.centroid_dicts(classes, weights)
-    assert predict_centroid(centroid, vector) == predict_oracle.predict_centroid(
-        centroids, vector
-    )
+    assert predict_centroid(centroid, docs(vectors)) == [
+        predict_oracle.predict_centroid(centroids, vec) for vec in vectors
+    ]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -165,10 +182,9 @@ def test_scorer_returns_none_when_no_score_beats_minus_inf():
     weights = np.array([[1.0], [math.nan]])
     for bias in ([math.nan, math.nan], [-math.inf, 0.0]):
         svm = LinearSvmModel(("a", "b"), weights, np.array(bias), TrainConfig())
-        assert predict_svm(svm, {0: 1.0}) is None
+        assert predict_svm(svm, docs([{0: 1.0}])) == [None]
     centroid = CentroidModel(("a", "b"), np.array([[-math.inf], [math.nan]]))
-    assert predict_centroid(centroid, {0: 1.0}) is None
-    assert predict_centroid(centroid, {}) == "a"
+    assert predict_centroid(centroid, docs([{0: 1.0}, {}])) == [None, "a"]
 
 
 def test_scorer_adds_bias_then_terms_in_item_order():
@@ -183,4 +199,62 @@ def test_scorer_adds_bias_then_terms_in_item_order():
         predict_oracle.svm_dicts(svm.classes, weights, bias), vector
     )
     assert want == "b"
-    assert predict_svm(svm, vector) == want
+    assert predict_svm(svm, docs([vector])) == [want]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
+    # rows of different widths, empty rows, and a NaN weight, scored and
+    # trained with the default chunks and with chunks of one to three rows
+    rng = np.random.default_rng(5)
+    vectors = [
+        {int(ix): float(rng.uniform(-1, 1)) for ix in rng.permutation(8)[:k]}
+        for k in rng.integers(0, 9, size=23)
+    ]
+    labels = [f"c{i % 3}" for i in range(len(vectors))]
+    weights = rng.uniform(-1, 1, (3, 8))
+    weights[1, 4] = math.nan
+    svm = LinearSvmModel(("c0", "c1", "c2"), weights, np.zeros(3), TrainConfig())
+    cfg = TrainConfig(epochs=2, seed=1)
+
+    def run():
+        trained = train_svm(docs(vectors), labels, cfg, 8)
+        return predict_svm(svm, docs(vectors)), trained.loss_history
+
+    want = run()
+    for chunk in (3, 6, 9):
+        monkeypatch.setattr(classifiers, "_CHUNK_SCORES", chunk)
+        assert run() == want
+    dicts = predict_oracle.svm_dicts(svm.classes, weights, svm.bias)
+    assert want[0] == [predict_oracle.predict_svm(dicts, vec) for vec in vectors]
+
+
+@st.composite
+def _centroid_cases(draw):
+    n_features = draw(st.integers(1, 12))
+    names = [f"c{i}" for i in range(draw(st.integers(1, 5)))]
+    vectors, labels = [], []
+    for i in range(draw(st.integers(len(names), 30))):
+        keys = draw(st.lists(st.integers(0, n_features - 1), unique=True, max_size=8))
+        vectors.append({ix: draw(st.floats(0.001, 1.0)) for ix in keys})
+        labels.append(names[i] if i < len(names) else draw(st.sampled_from(names)))
+    for label in names:  # every class needs some weight
+        vectors.append({draw(st.integers(0, n_features - 1)): 1.0})
+        labels.append(label)
+    return vectors, labels, n_features
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None)
+@given(_centroid_cases())
+def test_train_centroid_matches_loop_oracle(case):
+    vectors, labels, n_features = case
+    model = train_centroid(docs(vectors), labels)
+    want = centroid_oracle.train_centroid(vectors, labels)
+    assert model.classes == tuple(want)
+    width = 1 + max(ix for vec in vectors for ix in vec)
+    assert model.weights.shape == (len(want), width)
+    for row, label in zip(model.weights, model.classes):
+        cols = sorted(want[label])
+        assert np.flatnonzero(row).tolist() == cols, label
+        assert _bits(row[cols]) == _bits(want[label][ix] for ix in cols), label

@@ -348,7 +348,7 @@ def test_label_fine_scheme_on_flat_taxonomy_exits_2(wiki, tmp_path, capsys):
 
 def test_predict_model_with_unsorted_terms_exits_2(tmp_path, capsys):
     tfidf = fit_tfidf(["aa bb", "bb cc"], min_df=1)
-    vectors = [transform(tfidf, "aa bb"), transform(tfidf, "bb cc")]
+    vectors = transform(tfidf, ["aa bb", "bb cc"])
     model_path = tmp_path / "model.json"
     save_model(train_centroid(vectors, ["x", "y"], tfidf=tfidf), model_path)
     doc = json.loads(model_path.read_text())
@@ -503,3 +503,81 @@ def test_damaged_snapshot_exits_2_naming_it(wiki, tmp_path, damage):
     )
     assert proc.returncode == 2, proc.stderr
     assert f"error: {bad}: corrupt snapshot" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_unknown_kind_in_config_exits_2(
+    wiki, labels_path, tmp_path, capsys, command
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "taxonomy": str(wiki / "taxonomy.json"),
+        "labels": str(labels_path),
+        "corpus": str(wiki / "corpus.jsonl"),
+        "eval": str(wiki / "eval.jsonl"),
+        "out_dir": str(tmp_path / "models"),
+        "models_dir": str(tmp_path / "models"),
+        "out": str(tmp_path / "report.json"),
+        "kind": "bogus",
+    }))
+    assert main([command, "--config", str(config)]) == 2
+    assert "unknown kind 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "models" / "coarse.bogus.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["config.json", "corpus.jsonl", "taxonomy.json"])
+def test_non_utf8_input_exits_2_naming_the_file(
+    wiki, labels_path, tmp_path, capsys, bad
+):
+    inputs = {
+        "taxonomy.json": wiki / "taxonomy.json",
+        "corpus.jsonl": wiki / "corpus.jsonl",
+    }
+    if bad in inputs:
+        data = inputs[bad].read_bytes()
+        cut = data.index(b"\n") + 20  # inside the second line's text
+        inputs[bad] = tmp_path / bad
+        inputs[bad].write_bytes(data[:cut] + b"\xff" + data[cut:])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "taxonomy": str(inputs["taxonomy.json"]),
+        "corpus": str(inputs["corpus.jsonl"]),
+        "labels": str(labels_path),
+        "out_dir": str(tmp_path / "models"),
+    }))
+    if bad == "config.json":
+        config.write_bytes(config.read_bytes().replace(b"models", b"m\xffdels"))
+    assert main(["train", "--config", str(config)]) == 2
+    assert str(tmp_path / bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modes", [5, "full", ["full", 3]])
+def test_ablate_modes_must_be_a_list_of_strings(wiki, tmp_path, capsys, modes):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "graph": str(wiki / "graph.bin"),
+        "taxonomy": str(wiki / "taxonomy.json"),
+        "corpus": str(wiki / "corpus.jsonl"),
+        "eval": str(wiki / "eval.jsonl"),
+        "out_dir": str(tmp_path / "ablate"),
+        "modes": modes,
+    }))
+    assert main(["ablate", "--config", str(config)]) == 2
+    assert "modes: expected a list of strings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lenient, code", [("no", 2), (1, 2), (True, 0), (False, 0)])
+def test_build_graph_lenient_must_be_a_json_bool(
+    wiki, tmp_path, capsys, lenient, code
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "categories": str(wiki / "categories.tsv"),
+        "pages": str(wiki / "pages.tsv"),
+        "edges": str(wiki / "edges.tsv"),
+        "out": str(tmp_path / "graph.bin"),
+        "lenient": lenient,
+    }))
+    assert main(["build-graph", "--config", str(config)]) == code
+    if code == 2:
+        assert "lenient: expected true or false" in capsys.readouterr().err

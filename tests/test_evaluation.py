@@ -99,7 +99,7 @@ def _grouped_fixture():
     instances = []
     models = {}
     for p in ("p1", "p2", "p3"):
-        models[p] = lambda text: text.split()[0]
+        models[p] = lambda texts: [text.split()[0] for text in texts]
         for k in range(1, 5):
             cls = f"{p}_c{k}"
             instances.append(EvalInstance(f"{cls} doc", (cls,), parent=p))
@@ -134,7 +134,10 @@ def test_evaluate_grouped_accuracy_pools_by_weight():
         EvalInstance("a", ("b",), parent="small"),
     ]
     instances += [EvalInstance("c", ("c",), parent="big") for _ in range(6)]
-    models = {"small": lambda text: "a", "big": lambda text: "c"}
+    models = {
+        "small": lambda texts: ["a"] * len(texts),
+        "big": lambda texts: ["c"] * len(texts),
+    }
     reports, pooled = evaluate_grouped(instances, models)
     assert reports["small"].accuracy == 0.5
     assert reports["big"].accuracy == 1.0
@@ -146,7 +149,7 @@ def test_evaluate_grouped_single_parent_matches_plain_evaluation():
         EvalInstance("a x", ("a",), parent="only"),
         EvalInstance("b x", ("a",), parent="only"),
     ]
-    models = {"only": lambda text: text.split()[0]}
+    models = {"only": lambda texts: [text.split()[0] for text in texts]}
     reports, pooled = evaluate_grouped(instances, models)
     flat = evaluate(["a", "b"], [["a"], ["a"]])
     assert reports["only"].accuracy == flat.accuracy
@@ -154,13 +157,36 @@ def test_evaluate_grouped_single_parent_matches_plain_evaluation():
     assert pooled.accuracy == flat.accuracy
 
 
+def test_evaluate_grouped_calls_each_model_once_and_keeps_instance_order():
+    # parents interleave, so pooling must put each prediction back in place
+    instances = [
+        EvalInstance("a", ("a",), parent="p"),
+        EvalInstance("b", ("b",), parent="q"),
+        EvalInstance("c", ("a",), parent="p"),
+        EvalInstance("d", ("d",), parent="q"),
+    ]
+    batches = []
+
+    def model(texts):
+        batches.append(list(texts))
+        return list(texts)
+
+    reports, pooled = evaluate_grouped(instances, {"p": model, "q": model})
+    assert batches == [["a", "c"], ["b", "d"]]
+    assert reports["p"].accuracy == 0.5 and reports["q"].accuracy == 1.0
+    flat = evaluate(["a", "b", "c", "d"], [inst.gold for inst in instances])
+    assert pooled.to_dict() == {**flat.to_dict(), "group": "pooled"}
+    with pytest.raises(ConfigurationError, match="differ in length"):
+        evaluate_grouped(instances, {"p": model, "q": lambda texts: ["b"]})
+
+
 def test_evaluate_grouped_unknown_parent_errors():
     instances = [EvalInstance("x", ("a",), parent="ghost")]
     with pytest.raises(ConfigurationError, match="ghost"):
-        evaluate_grouped(instances, {"real": lambda text: "a"})
+        evaluate_grouped(instances, {"real": lambda texts: ["a"] * len(texts)})
     with pytest.raises(ConfigurationError, match="None"):
         evaluate_grouped(
-            [EvalInstance("x", ("a",))], {"real": lambda text: "a"}
+            [EvalInstance("x", ("a",))], {"real": lambda texts: ["a"] * len(texts)}
         )
 
 

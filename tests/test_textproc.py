@@ -5,7 +5,12 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+import textproc_oracle
 
 from wikicat.exceptions import ConfigurationError
 from wikicat.textproc import (
@@ -15,6 +20,8 @@ from wikicat.textproc import (
     tokenize,
     transform,
 )
+
+from docmatrix import dicts
 
 
 def test_tokenize():
@@ -63,14 +70,14 @@ def test_empty_corpus_errors_all_filtered_warns(caplog):
 def test_transform_normalizes():
     corpus = ["alpha beta", "alpha beta", "alpha gamma", "beta gamma"]
     model = fit_tfidf(corpus, min_df=2)
-    vec = transform(model, "alpha alpha beta unseen")
+    [vec] = dicts(transform(model, ["alpha alpha beta unseen"]))
     norm = math.sqrt(sum(w * w for w in vec.values()))
     assert norm == pytest.approx(1.0, abs=1e-9)
     assert set(vec) <= set(range(model.vocab_size))
     assert list(vec) == sorted(vec)
 
-    assert transform(model, "unseen words only") == {}
-    single = transform(model, "alpha alpha alpha")
+    assert dicts(transform(model, ["unseen words only"])) == [{}]
+    [single] = dicts(transform(model, ["alpha alpha alpha"]))
     assert single == {model.index["alpha"]: pytest.approx(1.0)}
 
 
@@ -78,8 +85,7 @@ def test_transform_scale_invariant():
     corpus = ["alpha beta gamma", "beta gamma", "alpha gamma", "alpha beta"]
     model = fit_tfidf(corpus, min_df=1)
     doc = "alpha beta beta gamma"
-    once = transform(model, doc)
-    thrice = transform(model, " ".join([doc] * 3))
+    once, thrice = dicts(transform(model, [doc, " ".join([doc] * 3)]))
     assert set(once) == set(thrice)
     for ix in once:
         assert once[ix] == pytest.approx(thrice[ix], abs=1e-12)
@@ -93,8 +99,8 @@ def test_fitting_corpus_stays_in_vocab_bounds():
         for _ in range(50)
     ]
     model = fit_tfidf(corpus, min_df=3)
-    for doc in corpus:
-        for ix in transform(model, doc):
+    for vec in dicts(transform(model, corpus)):
+        for ix in vec:
             assert 0 <= ix < model.vocab_size
 
 
@@ -109,4 +115,61 @@ def test_model_round_trip(tmp_path):
     assert loaded.idf == model.idf
     assert loaded.n_docs == model.n_docs
     assert loaded.min_df == model.min_df
-    assert transform(loaded, "alpha beta") == transform(model, "alpha beta")
+    assert dicts(transform(loaded, ["alpha beta"])) == dicts(
+        transform(model, ["alpha beta"])
+    )
+
+
+def test_transform_rejects_a_bare_string():
+    model = fit_tfidf(["alpha beta", "alpha beta"], min_df=1)
+    with pytest.raises(ConfigurationError, match="not a str"):
+        transform(model, "alpha beta")
+
+
+# a small pool, so that tokens repeat; "ü" and "ж" words are non-ASCII, and
+# single letters, digits-only words and "_" joiners test the tokenizer
+_WORDS = ["alpha", "beta", "gamma", "über", "жук", "x", "42", "a_b", "Alpha", "zz"]
+
+
+@st.composite
+def _transform_cases(draw):
+    text = st.lists(st.sampled_from(_WORDS + ["unseen", ""]), max_size=12).map(" ".join)
+    fit = draw(st.lists(text, min_size=1, max_size=8))
+    corpus = draw(st.lists(text, max_size=8))
+    return fit, draw(st.integers(1, 4)), corpus
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None)
+@given(_transform_cases())
+def test_transform_matches_dict_oracle(case):
+    fit, min_df, corpus = case
+    model = fit_tfidf(fit, min_df=min_df)  # vocabulary may be empty
+    got = transform(model, iter(corpus))
+    assert len(got) == len(corpus)
+    assert got.data.dtype == np.float64
+    rows = dicts(got)
+    for row, text in zip(rows, corpus):
+        want = textproc_oracle.transform(model, text)
+        assert list(row) == list(want)
+        assert [w.hex() for w in row.values()] == [w.hex() for w in want.values()]
+
+
+def test_transform_rows_do_not_depend_on_the_run_length(monkeypatch):
+    import wikicat.textproc as textproc
+
+    rng = random.Random(4)
+    words = _WORDS + ["unseen"]
+    corpus = [
+        " ".join(rng.choice(words) for _ in range(rng.randint(0, 9)))
+        for _ in range(40)
+    ]
+    model = fit_tfidf(corpus, min_df=2)
+    want = [textproc_oracle.transform(model, text) for text in corpus]
+    for run in (1, 2, 7, 1 << 14):
+        monkeypatch.setattr(textproc, "_RUN_TOKENS", run)
+        got = dicts(transform(model, corpus))
+        assert [list(row) for row in got] == [list(row) for row in want]
+        assert [[w.hex() for w in row.values()] for row in got] == [
+            [w.hex() for w in row.values()] for row in want
+        ]
