@@ -56,7 +56,7 @@ from .taxonomy_mapper import (
     map_taxonomy,
     save_mapping,
 )
-from .textproc import DocMatrix, TfIdfModel, fit_tfidf, load_tfidf, save_tfidf, transform
+from .textproc import DocMatrix, TfIdfModel, fit_tfidf, transform
 
 __version__ = "0.1.0"
 
@@ -94,7 +94,6 @@ __all__ = [
     "load_model",
     "load_snapshot",
     "load_taxonomy",
-    "load_tfidf",
     "macro_f1",
     "map_taxonomy",
     "predict_centroid",
@@ -104,7 +103,6 @@ __all__ = [
     "save_mapping",
     "save_model",
     "save_snapshot",
-    "save_tfidf",
     "train_centroid",
     "train_svm",
     "transform",

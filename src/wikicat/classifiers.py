@@ -11,7 +11,6 @@ in this module flows from explicit seeds.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import random
@@ -22,6 +21,7 @@ from typing import Iterable, Sequence, TypeVar
 import numpy as np
 
 from .exceptions import ConfigurationError
+from .jsonio import read_json, write_json
 from .taxonomy_mapper import strip_plural
 from .textproc import (
     DocMatrix,
@@ -447,17 +447,11 @@ def save_model(model: CentroidModel | LinearSvmModel, path: str | Path) -> None:
         }
     else:
         raise ConfigurationError(f"cannot serialize {type(model).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        # chunk by chunk: json.dumps would hold every chunk and the whole text
-        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc))
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+    doc = read_json(path)
     fmt = doc.get("format") if isinstance(doc, dict) else None
     try:
         if fmt == CENTROID_FORMAT:
@@ -488,6 +482,6 @@ def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
             )
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: malformed model file: {exc}") from None
     raise ConfigurationError(f"{path}: unknown model format {fmt!r}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import traceback
 from collections import Counter
@@ -38,6 +37,7 @@ from .classifiers import (
 from .evaluation import EvalInstance, evaluate_grouped, load_eval
 from .exceptions import ConfigurationError, WikicatError
 from .graph_store import load_graph, load_snapshot, save_snapshot
+from .jsonio import read_json, read_jsonl, write_json, write_jsonl
 from .labeler import (
     MODES,
     PATH_MODES,
@@ -63,7 +63,7 @@ logger = logging.getLogger(__name__)
 COARSE_SET = "coarse"
 SCHEMES = ("coarse", "fine")
 KINDS = ("centroid", "svm")
-WORKERS_HELP = "must be >= 1 (default: CPU count); labeling runs in one thread"
+WORKERS_HELP = "must be >= 1 (default: 1); labeling runs in one thread"
 
 
 # ------------------------------------------------------------ shared bits
@@ -73,10 +73,7 @@ def _load_config(path: str | None) -> dict:
     """The JSON object in a file (a config, or map's overrides); None gives {}."""
     if path is None:
         return {}
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
     return doc
@@ -134,30 +131,18 @@ def _load_graph_arg(path: str):
 
 def _load_corpus(path: str | Path) -> dict[int, str]:
     texts: dict[int, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path}:{lineno}"
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ConfigurationError(f"{where}: invalid JSON: {exc}") from None
-                if (
-                    not isinstance(row, dict)
-                    or not isinstance(row.get("id"), int)
-                    or not isinstance(row.get("text"), str)
-                ):
-                    raise ConfigurationError(
-                        f"{where}: expected an object with int 'id' and str 'text'"
-                    )
-                if row["id"] in texts:
-                    raise ConfigurationError(f"{where}: duplicate page id {row['id']}")
-                texts[row["id"]] = row["text"]
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not UTF-8: {exc}") from None
+    for where, row in read_jsonl(path):
+        if (
+            not isinstance(row, dict)
+            or not isinstance(row.get("id"), int)
+            or not isinstance(row.get("text"), str)
+        ):
+            raise ConfigurationError(
+                f"{where}: expected an object with int 'id' and str 'text'"
+            )
+        if row["id"] in texts:
+            raise ConfigurationError(f"{where}: duplicate page id {row['id']}")
+        texts[row["id"]] = row["text"]
     if not texts:
         raise ConfigurationError(f"{path}: no documents")
     return texts
@@ -275,15 +260,9 @@ def _predictor(
     return lambda texts: predict_svm(model, transform(model.tfidf, texts))
 
 
-def _write_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def _emit(summary: dict, out: str | None) -> None:
     if out is not None:
-        _write_json(summary, out)
+        write_json(summary, out)
     print(json.dumps(summary, sort_keys=True))
 
 
@@ -366,7 +345,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     mapping = load_mapping(_require(args, cfg, "mapping"), graph)
     scheme_name = _get(args, cfg, "scheme", "coarse")
     lab_cfg = _label_config(args, cfg)
-    workers = _get_as(args, cfg, "workers", 0, int) or (os.cpu_count() or 1)
+    workers = _get_as(args, cfg, "workers", 1, int)
     out = _require(args, cfg, "out")
     named = _named_scheme(taxonomy, scheme_name)
     scheme = [named[name] for name in sorted(named)]
@@ -397,18 +376,19 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         args, cfg, "n_per_class", None, int
     ) or _default_n_per_class(scheme_name)
     out = _require(args, cfg, "out")
-    n_rows = 0
-    with open(out, "w", encoding="utf-8") as fh:
-        for name in sorted(rows):
-            if not rows[name]:
-                raise ConfigurationError(f"no labeled documents for set {name!r}")
-            balanced = sample_balance(rows[name], n_per_class, seed, named[name])
-            fh.writelines(
-                json.dumps({"id": page, "label": label, "set": name, "text": text},
-                           sort_keys=True) + "\n"
-                for page, label, text in balanced
-            )
-            n_rows += len(balanced)
+    balanced = {}
+    for name in sorted(rows):
+        if not rows[name]:
+            raise ConfigurationError(f"no labeled documents for set {name!r}")
+        balanced[name] = sample_balance(rows[name], n_per_class, seed, named[name])
+    write_jsonl(
+        (
+            {"id": page, "label": label, "set": name, "text": text}
+            for name, set_rows in balanced.items()
+            for page, label, text in set_rows
+        ),
+        out,
+    )
     summary = {
         "config": {
             "scheme": scheme_name,
@@ -416,7 +396,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "seed": seed,
         },
         "out": str(out),
-        "rows": n_rows,
+        "rows": sum(map(len, balanced.values())),
     }
     _emit(summary, _get(args, cfg, "summary_out", None))
     return 0
@@ -475,11 +455,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     out = _require(args, cfg, "out")
     pages = sorted(corpus)
     labels = _predictor(model)([corpus[page] for page in pages])
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            json.dumps({"id": page, "label": label}) + "\n"
-            for page, label in zip(pages, labels)
-        )
+    write_jsonl(
+        ({"id": page, "label": label} for page, label in zip(pages, labels)), out
+    )
     print(json.dumps({"n": len(corpus), "out": str(out)}, sort_keys=True))
     return 0
 
@@ -507,7 +485,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "pooled": pooled.to_dict(),
         "per_parent": {name: rep.to_dict() for name, rep in reports.items()},
     }
-    _write_json(doc, out)
+    write_json(doc, out)
     print(
         json.dumps(
             {
@@ -531,7 +509,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     seed = _get_as(args, cfg, "seed", 0, int)
     min_df = _get_as(args, cfg, "min_df", 3, int)
     n_per_class = _get_as(args, cfg, "n_per_class", None, int) or 200
-    workers = _get_as(args, cfg, "workers", 0, int) or (os.cpu_count() or 1)
+    workers = _get_as(args, cfg, "workers", 1, int)
     out_dir = Path(_require(args, cfg, "out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     mapping_path = _get(args, cfg, "mapping", None)
@@ -583,7 +561,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         },
         "rows": rows_out,
     }
-    _write_json(doc, out_dir / "ablation.json")
+    write_json(doc, out_dir / "ablation.json")
     print(json.dumps({"rows": rows_out}, sort_keys=True))
     return 0
 

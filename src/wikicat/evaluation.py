@@ -9,12 +9,12 @@ appear in those resolved golds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exceptions import ConfigurationError
+from .jsonio import read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -160,56 +160,38 @@ def load_eval(
     """Read instances from JSONL rows {"text", "labels", "parent"}."""
     known = set(valid_labels) if valid_labels is not None else None
     out: list[EvalInstance] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{where}: invalid JSON: {exc}") from None
-            if not isinstance(row, dict):
-                raise ConfigurationError(f"{where}: expected an object")
-            text = row.get("text")
-            labels = row.get("labels")
-            parent = row.get("parent")
-            if not isinstance(text, str):
-                raise ConfigurationError(f"{where}: 'text' must be a string")
-            if (
-                not isinstance(labels, list)
-                or not labels
-                or not all(isinstance(x, str) for x in labels)
-            ):
+    for where, row in read_jsonl(path):
+        if not isinstance(row, dict):
+            raise ConfigurationError(f"{where}: expected an object")
+        text = row.get("text")
+        labels = row.get("labels")
+        parent = row.get("parent")
+        if not isinstance(text, str):
+            raise ConfigurationError(f"{where}: 'text' must be a string")
+        if (
+            not isinstance(labels, list)
+            or not labels
+            or not all(isinstance(x, str) for x in labels)
+        ):
+            raise ConfigurationError(
+                f"{where}: 'labels' must be a non-empty list of strings"
+            )
+        if parent is not None and not isinstance(parent, str):
+            raise ConfigurationError(f"{where}: 'parent' must be a string")
+        if known is not None:
+            unknown = sorted(set(labels) - known)
+            if unknown:
                 raise ConfigurationError(
-                    f"{where}: 'labels' must be a non-empty list of strings"
+                    f"{where}: unknown gold labels: {', '.join(unknown)}"
                 )
-            if parent is not None and not isinstance(parent, str):
-                raise ConfigurationError(f"{where}: 'parent' must be a string")
-            if known is not None:
-                unknown = sorted(set(labels) - known)
-                if unknown:
-                    raise ConfigurationError(
-                        f"{where}: unknown gold labels: {', '.join(unknown)}"
-                    )
-            out.append(EvalInstance(text, tuple(labels), parent))
+        out.append(EvalInstance(text, tuple(labels), parent))
     if not out:
         raise ConfigurationError(f"{path}: no instances")
     return out
 
 
 def write_eval(instances: Sequence[EvalInstance], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for inst in instances:
-            handle.write(
-                json.dumps(
-                    {
-                        "labels": list(inst.gold),
-                        "parent": inst.parent,
-                        "text": inst.text,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    rows = (
+        {"labels": list(i.gold), "parent": i.parent, "text": i.text} for i in instances
+    )
+    write_jsonl(rows, path)

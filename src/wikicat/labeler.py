@@ -24,7 +24,6 @@ root order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -33,6 +32,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, TaxonomyError
 from .graph_store import CategoryGraph
+from .jsonio import read_jsonl, write_jsonl
 from .taxonomy_mapper import CategoryMapping, Taxonomy
 
 MODES = ("full", "child_only", "all_descendants", "min_dist", "no_pruning")
@@ -456,39 +456,46 @@ def write_labels(
 ) -> None:
     records = list(records)
     pages = graph.external_ids([rec.page for rec in records]).tolist()
-    encode = json.JSONEncoder(sort_keys=True).encode
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            encode(
-                {
-                    "page": page,
-                    "assignments": [
-                        {
-                            "label": a.label,
-                            "w_raw": a.w_raw,
-                            "w_norm": a.w_norm,
-                            "depth": a.depth,
-                        }
-                        for a in rec.assignments
-                    ],
-                    "mode": rec.mode,
-                }
-            )
-            + "\n"
+    write_jsonl(
+        (
+            {
+                "page": page,
+                "assignments": [
+                    {
+                        "label": a.label,
+                        "w_raw": a.w_raw,
+                        "w_norm": a.w_norm,
+                        "depth": a.depth,
+                    }
+                    for a in rec.assignments
+                ],
+                "mode": rec.mode,
+            }
             for page, rec in zip(pages, records)
-        )
+        ),
+        path,
+    )
+
+
+def _is_labels_row(rec) -> bool:
+    assignments = rec.get("assignments") if isinstance(rec, dict) else None
+    if not (isinstance(assignments, list) and isinstance(rec.get("page"), int)):
+        return False
+    for a in assignments:  # a loop, not all(): this runs once per page
+        if not (isinstance(a, dict) and isinstance(a.get("label"), str)):
+            return False
+    return True
 
 
 def read_labels(path: str | Path) -> list[dict]:
-    """Parse a labels file back into plain dicts (external page ids)."""
+    """Parse a labels file back into plain dicts (external page ids), checked
+    to hold an int ``page`` and ``assignments`` with a str ``label`` each."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{path}:{lineno}: bad JSON: {exc}") from None
+    for where, rec in read_jsonl(path):
+        if not _is_labels_row(rec):
+            raise ConfigurationError(
+                f"{where}: expected an object with int 'page' and a list of "
+                "'assignments', each with a str 'label'"
+            )
+        out.append(rec)
     return out

@@ -9,10 +9,12 @@ class's core, attached to the tree through a single weak membership edge.
 
 from __future__ import annotations
 
-import json
 import random
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .evaluation import EvalInstance, write_eval
+from .jsonio import write_json, write_jsonl
 
 _CLASS_POOL = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot")
 
@@ -89,9 +91,7 @@ def split_corpus(
 
 def write_corpus(rows: Iterable[tuple[int, str]], path: str | Path) -> None:
     """Write (page id, text) rows as JSONL."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for page_id, text in rows:
-            fh.write(json.dumps({"id": page_id, "text": text}, sort_keys=True) + "\n")
+    write_jsonl(({"id": page_id, "text": text} for page_id, text in rows), path)
 
 
 def _write_tsvs(
@@ -118,9 +118,7 @@ def _write_taxonomy(outdir: Path, names: dict[str, str]) -> None:
             for lab in sorted(names)
         ]
     }
-    (outdir / "taxonomy.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(doc, outdir / "taxonomy.json")
 
 
 def make_ablation_wiki(outdir: str | Path, seed: int = 0) -> dict:
@@ -191,15 +189,10 @@ def make_ablation_wiki(outdir: str | Path, seed: int = 0) -> dict:
     _write_taxonomy(outdir, names)
     write_corpus(corpus, outdir / "corpus.jsonl")
 
-    with open(outdir / "eval.jsonl", "w", encoding="utf-8") as fh:
-        for lab in labels:
-            for _ in range(30):
-                row = {
-                    "labels": [lab],
-                    "parent": None,
-                    "text": _doc(rng, cores[lab]),
-                }
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+    gold = [
+        EvalInstance(_doc(rng, cores[lab]), (lab,)) for lab in labels for _ in range(30)
+    ]
+    write_eval(gold, outdir / "eval.jsonl")
 
     return {
         "categories": len(categories),

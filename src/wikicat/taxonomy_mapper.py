@@ -12,13 +12,13 @@ so they can be curated into overrides.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .exceptions import TaxonomyError
+from .exceptions import ConfigurationError, TaxonomyError
 from .graph_store import CategoryGraph
+from .jsonio import read_json, write_json
 
 DEFAULT_THRESHOLD = 0.9
 
@@ -137,10 +137,7 @@ class Taxonomy:
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
-        raise TaxonomyError(f"{path}: invalid JSON: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("labels"), list):
         raise TaxonomyError(f"{path}: expected an object with a 'labels' list")
     labels = []
@@ -359,38 +356,38 @@ def save_mapping(
             for lid, misses in mapping.near_misses.items()
         },
     }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(doc, path)
 
 
 def load_mapping(path: str | Path, graph: CategoryGraph) -> CategoryMapping:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
-        raise TaxonomyError(f"{path}: invalid JSON: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("labels"), dict):
         raise TaxonomyError(f"{path}: expected an object with a 'labels' table")
-    entries: dict[str, list[MappedCategory]] = {}
-    for lid, rows in doc["labels"].items():
-        cats = []
-        for row in rows:
-            node = graph.category_node(int(row["category_id"]))
-            cats.append(MappedCategory(node, str(row["kind"]), float(row["score"])))
-        entries[lid] = sorted(cats, key=lambda mc: mc.node)
-    near: dict[str, list[NearMiss]] = {}
-    for lid, rows in doc.get("near_misses", {}).items():
-        near[lid] = [
-            NearMiss(
-                str(row["part"]),
-                graph.category_node(int(row["category_id"])),
-                float(row["score"]),
-            )
-            for row in rows
-        ]
-    return CategoryMapping(
-        entries,
-        list(doc.get("unmapped", [])),
-        near,
-        float(doc.get("threshold", DEFAULT_THRESHOLD)),
-    )
+    try:
+        entries: dict[str, list[MappedCategory]] = {}
+        for lid, rows in doc["labels"].items():
+            cats = []
+            for row in rows:
+                node = graph.category_node(int(row["category_id"]))
+                cats.append(MappedCategory(node, str(row["kind"]), float(row["score"])))
+            entries[lid] = sorted(cats, key=lambda mc: mc.node)
+        near: dict[str, list[NearMiss]] = {}
+        for lid, rows in doc.get("near_misses", {}).items():
+            near[lid] = [
+                NearMiss(
+                    str(row["part"]),
+                    graph.category_node(int(row["category_id"])),
+                    float(row["score"]),
+                )
+                for row in rows
+            ]
+        return CategoryMapping(
+            entries,
+            list(doc.get("unmapped", [])),
+            near,
+            float(doc.get("threshold", DEFAULT_THRESHOLD)),
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: malformed mapping file: {exc}") from None

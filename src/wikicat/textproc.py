@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -123,24 +121,6 @@ def _weigh(idf: np.ndarray, ids: array, ends: array):
     np.add.at(norms, rows[seen], np.square(data[seen]))
     data /= np.sqrt(norms)[rows]
     return np.bincount(rows, minlength=n_docs), cols.astype(np.int32), data
-
-
-def save_tfidf(model: TfIdfModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(tfidf_to_dict(model), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def load_tfidf(path: str | Path) -> TfIdfModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
-    try:
-        return tfidf_from_dict(doc)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def tfidf_from_dict(doc: dict) -> TfIdfModel:

@@ -369,3 +369,14 @@ def test_load_rejects_svm_width_other_than_vocabulary(tmp_path, small_tfidf):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigurationError, match="svm.json: n_features 4 differs"):
         load_model(path)
+
+
+def test_load_rejects_svm_loss_history_that_is_not_a_table(tmp_path, small_tfidf):
+    vecs, labs = _toy_corpus()
+    path = tmp_path / "svm.json"
+    save_model(train_svm(docs(vecs), labs, TrainConfig(), 3, tfidf=small_tfidf), path)
+    doc = json.loads(path.read_text())
+    doc["loss_history"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match="svm.json: malformed model file"):
+        load_model(path)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -159,6 +160,24 @@ def test_label_full_mode_summary(wiki, tmp_path, capsys):
     assert summary["config"]["mode"] == "full"
 
 
+def test_label_summary_does_not_depend_on_cpu_count(
+    wiki, tmp_path, capsys, monkeypatch
+):
+    argv = [
+        "label",
+        "--graph", str(wiki / "graph.bin"),
+        "--taxonomy", str(wiki / "taxonomy.json"),
+        "--mapping", str(wiki / "mapping.json"),
+        "--out", str(tmp_path / "labels.jsonl"),
+    ]
+    assert main(argv) == 0
+    summary = _last_json(capsys)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert main(argv) == 0
+    assert _last_json(capsys) == summary
+    assert summary["config"]["workers"] == 1
+
+
 def test_label_mode_flag_switches_behavior(wiki, tmp_path, capsys):
     rc = main([
         "label",
@@ -303,7 +322,12 @@ def test_missing_required_setting_exits_2(capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("exact_path_cap", None), ("max_depth", "x"), ("coverage_threshold", [1])],
+    [
+        ("exact_path_cap", None),
+        ("max_depth", "x"),
+        ("coverage_threshold", [1]),
+        ("workers", 0),
+    ],
 )
 def test_label_bad_config_value_exits_2(wiki, tmp_path, capsys, key, value):
     config = tmp_path / "config.json"
@@ -525,29 +549,121 @@ def test_unknown_kind_in_config_exits_2(
     assert not (tmp_path / "models" / "coarse.bogus.json").exists()
 
 
-@pytest.mark.parametrize("bad", ["config.json", "corpus.jsonl", "taxonomy.json"])
+@pytest.fixture(scope="module")
+def centroid_dir(wiki, labels_path, tmp_path_factory):
+    """Coarse centroid model of the ablation wiki, used read-only."""
+    out_dir = tmp_path_factory.mktemp("centroid")
+    assert main([
+        "train",
+        "--labels", str(labels_path),
+        "--corpus", str(wiki / "corpus.jsonl"),
+        "--taxonomy", str(wiki / "taxonomy.json"),
+        "--kind", "centroid",
+        "--out-dir", str(out_dir),
+    ]) == 0
+    return out_dir
+
+
+def _byte_ff(data: bytes) -> bytes:
+    cut = data.index(b"\n") + 20  # inside the second line
+    return data[:cut] + b"\xff" + data[cut:]
+
+
+def _last_line_cut(data: bytes) -> bytes:
+    return data[:-10]
+
+
+def _mapping_doc(edit):
+    def damage(data: bytes) -> bytes:
+        doc = json.loads(data)
+        edit(doc)
+        return json.dumps(doc).encode()
+    return damage
+
+
+def _labels_line(line: bytes):
+    return lambda data: line + b"\n" + data
+
+
+# Which subcommand reads each file; the rest of the config is shared.
+_READER = {
+    "config.json": "train",
+    "corpus.jsonl": "train",
+    "taxonomy.json": "train",
+    "labels.jsonl": "train",
+    "eval.jsonl": "evaluate",
+    "mapping.json": "label",
+    "coarse.centroid.json": "evaluate",
+}
+
+
+@pytest.mark.parametrize("bad, damage", [
+    pytest.param("config.json", _byte_ff, id="config.json"),
+    pytest.param("corpus.jsonl", _byte_ff, id="corpus.jsonl"),
+    pytest.param("taxonomy.json", _byte_ff, id="taxonomy.json"),
+    *(
+        pytest.param(bad, damage, id=f"{bad}-{damage.__name__.strip('_')}")
+        for bad in ("labels.jsonl", "eval.jsonl", "mapping.json", "coarse.centroid.json")
+        for damage in (_byte_ff, _last_line_cut)
+    ),
+    pytest.param("labels.jsonl", _labels_line(b"[1]"), id="labels.jsonl-list"),
+    pytest.param(
+        "labels.jsonl", _labels_line(b'{"page": 1}'), id="labels.jsonl-no-assignments"
+    ),
+    pytest.param(
+        "labels.jsonl",
+        _labels_line(b'{"page": 1000, "assignments": [{"w_norm": 1.0}]}'),
+        id="labels.jsonl-no-label",
+    ),
+    pytest.param(
+        "mapping.json",
+        _mapping_doc(lambda doc: doc["labels"].update(alpha=[1])),
+        id="mapping.json-row-int",
+    ),
+    pytest.param(
+        "mapping.json",
+        _mapping_doc(lambda doc: doc["labels"]["alpha"][0].update(category_id="x")),
+        id="mapping.json-id-str",
+    ),
+    pytest.param(
+        "mapping.json",
+        _mapping_doc(lambda doc: doc.update(near_misses=[])),
+        id="mapping.json-near-misses-list",
+    ),
+])
 def test_non_utf8_input_exits_2_naming_the_file(
-    wiki, labels_path, tmp_path, capsys, bad
+    wiki, labels_path, centroid_dir, tmp_path, capsys, bad, damage
 ):
+    """An undecodable, cut or wrong-shape input file exits 2 and names the
+    file, whichever subcommand reads it."""
     inputs = {
         "taxonomy.json": wiki / "taxonomy.json",
         "corpus.jsonl": wiki / "corpus.jsonl",
+        "labels.jsonl": labels_path,
+        "eval.jsonl": wiki / "eval.jsonl",
+        "mapping.json": wiki / "mapping.json",
+        "coarse.centroid.json": centroid_dir / "coarse.centroid.json",
     }
     if bad in inputs:
         data = inputs[bad].read_bytes()
-        cut = data.index(b"\n") + 20  # inside the second line's text
         inputs[bad] = tmp_path / bad
-        inputs[bad].write_bytes(data[:cut] + b"\xff" + data[cut:])
+        inputs[bad].write_bytes(damage(data))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
+        "graph": str(wiki / "graph.bin"),
         "taxonomy": str(inputs["taxonomy.json"]),
         "corpus": str(inputs["corpus.jsonl"]),
-        "labels": str(labels_path),
+        "labels": str(inputs["labels.jsonl"]),
+        "eval": str(inputs["eval.jsonl"]),
+        "mapping": str(inputs["mapping.json"]),
+        "models_dir": str(inputs["coarse.centroid.json"].parent),
+        "kind": "centroid",
         "out_dir": str(tmp_path / "models"),
-    }))
+        "out": str(tmp_path / "out"),
+    }, indent=0))  # one key a line
     if bad == "config.json":
-        config.write_bytes(config.read_bytes().replace(b"models", b"m\xffdels"))
-    assert main(["train", "--config", str(config)]) == 2
+        config.write_bytes(damage(config.read_bytes()))
+    assert main([_READER[bad], "--config", str(config)]) == 2
     assert str(tmp_path / bad) in capsys.readouterr().err
 
 

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 import textproc_oracle
 
 from wikicat.exceptions import ConfigurationError
+from wikicat.jsonio import read_json, write_json
 from wikicat.textproc import (
     fit_tfidf,
-    load_tfidf,
-    save_tfidf,
+    tfidf_from_dict,
+    tfidf_to_dict,
     tokenize,
     transform,
 )
@@ -108,8 +109,8 @@ def test_model_round_trip(tmp_path):
     corpus = ["alpha beta", "alpha beta", "alpha gamma", "beta gamma"]
     model = fit_tfidf(corpus, min_df=2)
     path = tmp_path / "tfidf_model.json"
-    save_tfidf(model, path)
-    loaded = load_tfidf(path)
+    write_json(tfidf_to_dict(model), path)
+    loaded = tfidf_from_dict(read_json(path))
     assert loaded.terms == model.terms
     assert loaded.df == model.df
     assert loaded.idf == model.idf
