@@ -35,7 +35,7 @@ from .classifiers import (
     train_svm,
 )
 from .evaluation import EvalInstance, evaluate_grouped, load_eval
-from .exceptions import ConfigurationError, WikicatError
+from .exceptions import ConfigurationError, TaxonomyError, WikicatError
 from .graph_store import load_graph, load_snapshot, save_snapshot
 from .jsonio import read_json, read_jsonl, write_json, write_jsonl
 from .labeler import (
@@ -303,11 +303,15 @@ def _cmd_map(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
     threshold = _get_as(args, cfg, "threshold", 0.9, float)
     overrides_path = _get(args, cfg, "overrides", None)
-    overrides = None
-    if overrides_path is not None:
-        overrides = resolve_override_names(graph, _load_config(overrides_path))
     out = _require(args, cfg, "out")
-    mapping = map_taxonomy(taxonomy, graph, overrides=overrides, threshold=threshold)
+    raw = None if overrides_path is None else _load_config(overrides_path)
+    try:
+        overrides = None if raw is None else resolve_override_names(graph, raw)
+        mapping = map_taxonomy(
+            taxonomy, graph, overrides=overrides, threshold=threshold
+        )
+    except TaxonomyError as exc:  # only an override row can raise it here
+        raise TaxonomyError(f"{overrides_path}: {exc}") from None
     save_mapping(mapping, graph, out)
     summary = {
         "config": {

@@ -4,17 +4,21 @@ Matching per label: manual overrides win outright; otherwise the label name
 and its conjunction parts are normalized and looked up in an inverted token
 index over normalized category names and redirect aliases.  All exact
 normalized matches are accepted, and each query part may additionally accept
-its best fuzzy candidate when its similarity clears the threshold.  For
-labels that stay unmapped, the best below-threshold candidates are reported
-so they can be curated into overrides.
+its best fuzzy candidate when its similarity clears the threshold.  The
+candidates of every label are scored in one batched Jaro-Winkler kernel.
+For labels that stay unmapped, the best below-threshold candidates are
+reported so they can be curated into overrides.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .exceptions import ConfigurationError, TaxonomyError
 from .graph_store import CategoryGraph
@@ -24,8 +28,12 @@ DEFAULT_THRESHOLD = 0.9
 
 _NON_WORD = re.compile(r"[\W_]+")
 _CONJUNCTION = re.compile(r"&|/|,|\band\b", re.IGNORECASE)
-# minimum shared prefix for a token to widen candidate retrieval
+# minimum shared prefix for a token to widen candidate retrieval, and the
+# cap on the Winkler prefix boost
 _PREFIX_LEN = 4
+_BLOCK_PAIRS = 1 << 12  # (query, form) pairs per padded numpy pass of the scorer
+# pads above every code point, and unequal, so a pad never matches anything
+_PAD_QUERY, _PAD_FORM = 0xFFFFFFFF, 0xFFFFFFFE
 
 
 def strip_plural(token: str) -> str:
@@ -47,37 +55,93 @@ def normalize_name(name: str) -> str:
 
 def jaro_winkler(a: str, b: str) -> float:
     """String similarity in [0, 1]: Jaro plus the common-prefix boost."""
-    if a == b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    window = max(len(a), len(b)) // 2 - 1
-    if window < 0:
-        window = 0
-    taken = [False] * len(b)
-    a_hits: list[str] = []
-    b_hit_pos: list[int] = []
-    for i, ch in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(len(b), i + window + 1)
-        for j in range(lo, hi):
-            if not taken[j] and b[j] == ch:
-                taken[j] = True
-                a_hits.append(ch)
-                b_hit_pos.append(j)
-                break
-    m = len(a_hits)
-    if m == 0:
-        return 0.0
-    b_hits = [b[j] for j in sorted(b_hit_pos)]
-    t = sum(x != y for x, y in zip(a_hits, b_hits)) // 2
-    jaro = (m / len(a) + m / len(b) + (m - t) / m) / 3.0
-    prefix = 0
-    for x, y in zip(a, b):
-        if x != y or prefix == _PREFIX_LEN:
-            break
-        prefix += 1
-    return jaro + prefix * 0.1 * (1.0 - jaro)
+    one = np.zeros(1, np.int64)
+    pair = _score_pairs(_Strings.encode([a]), one, _Strings.encode([b]), one)
+    return float(pair[0])
+
+
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
+class _Strings:
+    """Strings as CSR rows of UTF-32 code points: string r is
+    ``codes[indptr[r]:indptr[r + 1]]`` (uint32)."""
+
+    indptr: np.ndarray
+    codes: np.ndarray
+
+    @classmethod
+    def encode(cls, strings: list[str]) -> _Strings:
+        lengths = np.fromiter(map(len, strings), np.int64, len(strings))
+        blob = "".join(strings).encode("utf-32-le", "surrogatepass")
+        return cls(
+            np.concatenate([[0], np.cumsum(lengths)]),
+            np.frombuffer(blob, np.uint32),
+        )
+
+    def padded(self, rows: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
+        """The strings ``rows`` as a matrix padded with ``fill``, and their
+        lengths.  The matrix has at least one column, so a row always has a
+        position for ``argmax`` to return."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        cols = np.arange(max(lengths.max(initial=0), 1))
+        inside = cols < lengths[:, None]
+        out = np.full(inside.shape, fill, np.uint32)
+        out[inside] = self.codes[(starts[:, None] + cols)[inside]]
+        return out, lengths
+
+
+def _score_pairs(
+    queries: _Strings, qrows: np.ndarray, forms: _Strings, frows: np.ndarray
+) -> np.ndarray:
+    """``jaro_winkler(queries[qrows[k]], forms[frows[k]])`` for every k.
+
+    The pairs are scored in padded blocks of ``_BLOCK_PAIRS`` rows, so the
+    temporary matrices stay small however many pairs there are.
+    """
+    out = np.empty(len(qrows))
+    for lo in range(0, len(qrows), _BLOCK_PAIRS):
+        rows = slice(lo, lo + _BLOCK_PAIRS)
+        out[rows] = _score_block(
+            *queries.padded(qrows[rows], _PAD_QUERY),
+            *forms.padded(frows[rows], _PAD_FORM),
+        )
+    return out
+
+
+def _score_block(
+    a: np.ndarray, len_a: np.ndarray, b: np.ndarray, len_b: np.ndarray
+) -> np.ndarray:
+    """Jaro-Winkler of each row pair of two padded code-point matrices.
+
+    The loop runs over query positions only.  Query character i takes the
+    first free form position within the match window that holds it, as a
+    scan from the left does, so the match count, transpositions and prefix
+    are the scalar definition's integers.  The float expression keeps the
+    scalar order of operations, which makes the scores equal bit for bit.
+    """
+    rows, cols = np.arange(len(a)), np.arange(b.shape[1])
+    window = np.maximum(np.maximum(len_a, len_b) // 2 - 1, 0)[:, None]
+    free = np.ones(b.shape, bool)  # form positions not matched yet
+    hit = np.zeros(a.shape, bool)  # query positions that matched
+    for i in range(a.shape[1]):
+        # the pads of a and b differ, so no pad position ever matches
+        match = (b == a[:, i, None]) & free & (np.abs(cols - i) <= window)
+        j = match.argmax(axis=1)
+        found = match[rows, j]
+        free[rows[found], j[found]] = False
+        hit[:, i] = found
+    m = hit.sum(axis=1)
+    # the k-th matched query character against the k-th matched form one
+    swapped = a[hit] != b[~free]
+    t = np.bincount(np.nonzero(hit)[0][swapped], minlength=len(a)) // 2
+    k = min(_PREFIX_LEN, a.shape[1], b.shape[1])
+    prefix = np.logical_and.accumulate(a[:, :k] == b[:, :k], axis=1).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jaro = (m / len_a + m / len_b + (m - t) / m) / 3.0
+        score = jaro + prefix * 0.1 * (1.0 - jaro)
+    score[m == 0] = 0.0
+    score[(len_a == 0) & (len_b == 0)] = 1.0
+    return score
 
 
 def split_conjunctions(name: str) -> list[str]:
@@ -150,7 +214,10 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
         if parent is not None and not isinstance(parent, str):
             raise TaxonomyError(f"{path}: labels[{i}] parent must be string or null")
         labels.append(TaxonomyLabel(lid, name, parent))
-    return Taxonomy(labels)
+    try:
+        return Taxonomy(labels)
+    except TaxonomyError as exc:
+        raise TaxonomyError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -176,18 +243,23 @@ class CategoryMapping:
 
 
 class _NameIndex:
-    """Inverted token index over normalized category names and aliases.
+    """Inverted index over normalized category names and aliases.
 
-    A query token retrieves every form sharing that token, widened by forms
-    whose tokens share its first four characters so that close inflections
-    (singular against -ism, -ing, ... variants) stay reachable.
+    Each form is posted under the first four characters of each of its
+    tokens (a shorter token is its own key).  A query token retrieves the
+    posting of its own key: every form sharing the token, widened by forms
+    whose tokens share its first four characters, so that close inflections
+    (singular against -ism, -ing, ... variants) stay reachable.  A distinct
+    normalized text is stored once; form ``f`` is text ``form_text[f]``
+    naming node ``form_node[f]``.
     """
 
     def __init__(self, graph: CategoryGraph) -> None:
-        self.forms: list[tuple[str, int]] = []
         self.exact: dict[str, set[int]] = {}
-        self.by_token: dict[str, set[int]] = {}
-        self.by_prefix: dict[str, set[int]] = {}
+        self.keys: dict[str, int] = {}
+        texts: dict[str, int] = {}
+        form_text, form_node = array("q"), array("q")
+        post_key, post_form = array("q"), array("q")
         sources = itertools.chain(
             ((name, node) for node, name in enumerate(graph.cat_names)),
             graph.aliases.items(),
@@ -196,24 +268,73 @@ class _NameIndex:
             norm = normalize_name(raw)
             if not norm:
                 continue
-            fid = len(self.forms)
-            self.forms.append((norm, node))
+            fid = len(form_node)
+            form_text.append(texts.setdefault(norm, len(texts)))
+            form_node.append(node)
             self.exact.setdefault(norm, set()).add(node)
-            for tok in set(norm.split()):
-                self.by_token.setdefault(tok, set()).add(fid)
-                if len(tok) >= _PREFIX_LEN:
-                    self.by_prefix.setdefault(tok[:_PREFIX_LEN], set()).add(fid)
+            for key in {tok[:_PREFIX_LEN] for tok in norm.split()}:
+                post_key.append(self.keys.setdefault(key, len(self.keys)))
+                post_form.append(fid)
+        self.texts = _Strings.encode(list(texts))
+        self.form_text = np.array(form_text, np.int64)
+        self.form_node = np.array(form_node, np.int64)
+        keys = np.array(post_key, np.int64)
+        order = np.argsort(keys, kind="stable")  # keeps each posting ascending
+        self.postings = np.array(post_form, np.int64)[order]
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys, minlength=len(self.keys)))]
+        )
 
     def exact_nodes(self, query: str) -> list[int]:
         return sorted(self.exact.get(query, ()))
 
-    def candidate_forms(self, query: str) -> set[int]:
-        out: set[int] = set()
-        for tok in set(query.split()):
-            out |= self.by_token.get(tok, set())
-            if len(tok) >= _PREFIX_LEN:
-                out |= self.by_prefix.get(tok[:_PREFIX_LEN], set())
-        return out
+    def best_fuzzy(self, queries: list[str]) -> tuple[list[int], list[float]]:
+        """Per query, its best candidate node and that node's score.
+
+        A node's score is the highest Jaro-Winkler similarity of its forms;
+        the best node has the highest score, the lowest node id among equal
+        ones.  Nodes that match the query exactly are not candidates.  A
+        query without candidates gets node -1 and score 0.0.  Every
+        candidate pair of every query is scored in one kernel call.
+        """
+        # the posting of each key of each query, and the query it serves;
+        # the empty first chunk keeps concatenate defined when none match
+        chunks: list[np.ndarray] = [np.empty(0, np.int64)]
+        owners: list[int] = [0]
+        exact_keys: list[int] = []
+        n_forms = len(self.form_node)
+        n_nodes = int(self.form_node.max(initial=-1)) + 1
+        for qid, query in enumerate(queries):
+            for key in {tok[:_PREFIX_LEN] for tok in query.split()}:
+                row = self.keys.get(key)
+                if row is not None:
+                    start, end = self.indptr[row], self.indptr[row + 1]
+                    chunks.append(self.postings[start:end])
+                    owners.append(qid)
+            exact_keys += [qid * n_nodes + n for n in self.exact.get(query, ())]
+        pairs = np.repeat(owners, [len(c) for c in chunks]) * n_forms
+        pairs = np.sort(pairs + np.concatenate(chunks))
+        qid, fid = np.divmod(pairs[_run_starts(pairs)], n_forms)
+        node = self.form_node[fid]
+        # a form equal to the query names one of its exact nodes, so this
+        # also drops the pairs that would score 1.0
+        keep = ~np.isin(qid * n_nodes + node, exact_keys)
+        qid, fid, node = qid[keep], fid[keep], node[keep]
+        score = _score_pairs(
+            _Strings.encode(queries), qid, self.texts, self.form_text[fid]
+        )
+        order = np.lexsort((node, -score, qid))
+        best = order[_run_starts(qid[order])]
+        best_node = np.full(len(queries), -1)
+        best_score = np.zeros(len(queries))
+        best_node[qid[best]] = node[best]
+        best_score[qid[best]] = score[best]
+        return best_node.tolist(), best_score.tolist()
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in ``keys``."""
+    return np.concatenate([[True], keys[1:] != keys[:-1]])[: len(keys)]
 
 
 def map_taxonomy(
@@ -227,9 +348,11 @@ def map_taxonomy(
     ``overrides`` maps label ids to category nodes and replaces automatic
     matching for those labels.  Exact matches are accepted with score 1.0;
     each query part may add its best fuzzy candidate scoring at least
-    ``threshold``.  Ties go to the lowest node id, so results do not depend
-    on iteration order.
+    ``threshold``, which must be in [0, 1].  Ties go to the lowest node id,
+    so results do not depend on iteration order.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigurationError(f"threshold must be in [0, 1], got {threshold}")
     overrides = overrides or {}
     for label_id, nodes in overrides.items():
         if label_id not in taxonomy.by_id:
@@ -240,11 +363,24 @@ def map_taxonomy(
                     f"override for {label_id!r} maps to non-category node {node}"
                 )
 
+    # every label's query parts first, so one kernel call scores them all
+    queries: list[tuple[str, str]] = []  # (part, normalized part)
+    label_queries: dict[str, range] = {}
+    for lab in taxonomy.labels:
+        if lab.id in overrides:
+            continue
+        start = len(queries)
+        for part in split_conjunctions(lab.name):
+            norm = normalize_name(part)
+            if norm and norm not in (q for _, q in queries[start:]):
+                queries.append((part, norm))
+        label_queries[lab.id] = range(start, len(queries))
     index = _NameIndex(graph)
+    best_node, best_score = index.best_fuzzy([q for _, q in queries])
+
     entries: dict[str, list[MappedCategory]] = {}
     unmapped: list[str] = []
     near_misses: dict[str, list[NearMiss]] = {}
-
     for lab in taxonomy.labels:
         if lab.id in overrides:
             nodes = sorted(set(overrides[lab.id]))
@@ -254,40 +390,21 @@ def map_taxonomy(
                 unmapped.append(lab.id)
             continue
 
-        queries: list[tuple[str, str]] = []
-        for part in split_conjunctions(lab.name):
-            norm = normalize_name(part)
-            if norm and norm not in (q for _, q in queries):
-                queries.append((part, norm))
-
         accepted: dict[int, MappedCategory] = {}
         label_near: list[NearMiss] = []
-        for part, query in queries:
-            exact = index.exact_nodes(query)
-            for node in exact:
+        for k in label_queries[lab.id]:
+            part, query = queries[k]
+            for node in index.exact_nodes(query):
                 accepted[node] = MappedCategory(node, "exact", 1.0)
-            exact_set = set(exact)
-
-            node_best: dict[int, float] = {}
-            for fid in index.candidate_forms(query):
-                form, node = index.forms[fid]
-                if form == query or node in exact_set:
-                    continue
-                score = jaro_winkler(query, form)
-                if score > node_best.get(node, -1.0):
-                    node_best[node] = score
-            best_node, best_score = None, 0.0
-            for node in sorted(node_best):
-                if best_node is None or node_best[node] > best_score:
-                    best_node, best_score = node, node_best[node]
-            if best_node is None:
+            node, score = best_node[k], best_score[k]
+            if node < 0:
                 continue
-            if best_score >= threshold:
-                prev = accepted.get(best_node)
-                if prev is None or (prev.kind == "fuzzy" and best_score > prev.score):
-                    accepted[best_node] = MappedCategory(best_node, "fuzzy", best_score)
+            if score >= threshold:
+                prev = accepted.get(node)
+                if prev is None or (prev.kind == "fuzzy" and score > prev.score):
+                    accepted[node] = MappedCategory(node, "fuzzy", score)
             else:
-                label_near.append(NearMiss(part, best_node, best_score))
+                label_near.append(NearMiss(part, node, score))
 
         if accepted:
             entries[lab.id] = [accepted[n] for n in sorted(accepted)]

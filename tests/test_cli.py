@@ -344,7 +344,13 @@ def test_label_bad_config_value_exits_2(wiki, tmp_path, capsys, key, value):
 
 def test_map_malformed_overrides_exits_2(wiki, tmp_path, capsys):
     overrides = tmp_path / "ov.json"
-    for text in ("{broken", '["a list"]'):
+    for text in (
+        "{broken",
+        '["a list"]',
+        '{"alpha": 5}',
+        '{"alpha": ["No such category"]}',
+        '{"zulu": ["Standalone archive 0"]}',
+    ):
         overrides.write_text(text)
         rc = main([
             "map",
@@ -425,6 +431,20 @@ def test_map_bad_threshold_exits_2(wiki, tmp_path, capsys):
     }))
     assert main(["map", "--config", str(config)]) == 2
     assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "inf", "1.5"])
+def test_map_threshold_outside_0_1_exits_2(wiki, tmp_path, capsys, threshold):
+    rc = main([
+        "map",
+        "--graph", str(wiki / "graph.bin"),
+        "--taxonomy", str(wiki / "taxonomy.json"),
+        "--threshold", threshold,
+        "--out", str(tmp_path / "m.json"),
+    ])
+    assert rc == 2
+    assert "threshold must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -573,7 +593,7 @@ def _last_line_cut(data: bytes) -> bytes:
     return data[:-10]
 
 
-def _mapping_doc(edit):
+def _json_edit(edit):
     def damage(data: bytes) -> bytes:
         doc = json.loads(data)
         edit(doc)
@@ -617,18 +637,23 @@ _READER = {
     ),
     pytest.param(
         "mapping.json",
-        _mapping_doc(lambda doc: doc["labels"].update(alpha=[1])),
+        _json_edit(lambda doc: doc["labels"].update(alpha=[1])),
         id="mapping.json-row-int",
     ),
     pytest.param(
         "mapping.json",
-        _mapping_doc(lambda doc: doc["labels"]["alpha"][0].update(category_id="x")),
+        _json_edit(lambda doc: doc["labels"]["alpha"][0].update(category_id="x")),
         id="mapping.json-id-str",
     ),
     pytest.param(
         "mapping.json",
-        _mapping_doc(lambda doc: doc.update(near_misses=[])),
+        _json_edit(lambda doc: doc.update(near_misses=[])),
         id="mapping.json-near-misses-list",
+    ),
+    pytest.param(
+        "taxonomy.json",
+        _json_edit(lambda doc: doc["labels"].append(dict(doc["labels"][0]))),
+        id="taxonomy.json-duplicate-label",
     ),
 ])
 def test_non_utf8_input_exits_2_naming_the_file(

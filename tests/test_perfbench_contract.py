@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import wikicat.cli as cli
+import wikicat.taxonomy_mapper as taxonomy_mapper
 from docmatrix import docs
 from wikicat.classifiers import TrainConfig, train_centroid, train_svm
 from wikicat.labeler import LabelingConfig, coarse_scheme
@@ -112,3 +113,24 @@ def test_every_counter_hook_reads_a_real_call(shim, calls):
     assert counts["records"] >= counts["assigned"] > 0
     assert counts["vocab"] == calls["train_svm"][1]["n_features"]
     assert counts["instances"] == 90
+
+
+def test_mapper_counters_see_the_calls_they_wrap(shim, tmp_path, monkeypatch):
+    """``install`` replaces two module attributes of ``taxonomy_mapper``;
+    the mapper must look ``split_conjunctions`` up there when it runs, or
+    ``query_parts`` reads 0."""
+    for name in ("jaro_winkler", "split_conjunctions"):
+        assert callable(getattr(taxonomy_mapper, name))
+    real = taxonomy_mapper.split_conjunctions
+    tracer = shim.Tracer()
+    monkeypatch.setattr(
+        taxonomy_mapper,
+        "split_conjunctions",
+        tracer.counting("query_parts", real, per_result=True),
+    )
+    make_ablation_wiki(tmp_path, seed=0)
+    files = [tmp_path / f"{name}.tsv" for name in ("categories", "pages", "edges")]
+    taxonomy = load_taxonomy(tmp_path / "taxonomy.json")
+    map_taxonomy(taxonomy, cli.load_graph(*files, None))
+    parts = sum(len(real(lab.name)) for lab in taxonomy.labels)
+    assert tracer.counts["query_parts"] == parts > 0
