@@ -367,6 +367,12 @@ def _cmd_label(args: argparse.Namespace) -> int:
     return 0
 
 
+def _n_per_class(args: argparse.Namespace, cfg: dict, default: int) -> int:
+    """The ``n_per_class`` setting; only an absent one takes the default."""
+    n = _get_as(args, cfg, "n_per_class", None, int)
+    return default if n is None else n
+
+
 def _default_n_per_class(scheme: str) -> int:
     # Coarse sets span the whole corpus; fine sets are per parent.
     return 20_000 if scheme == "coarse" else 1_000
@@ -376,9 +382,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     scheme_name, named, rows = _labeled_rows(args, cfg)
     seed = _get_as(args, cfg, "seed", 0, int)
-    n_per_class = _get_as(
-        args, cfg, "n_per_class", None, int
-    ) or _default_n_per_class(scheme_name)
+    n_per_class = _n_per_class(args, cfg, _default_n_per_class(scheme_name))
     out = _require(args, cfg, "out")
     balanced = {}
     for name in sorted(rows):
@@ -412,9 +416,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     kind = _one_of("kind", _get(args, cfg, "kind", "svm"), KINDS)
     seed = _get_as(args, cfg, "seed", 0, int)
     min_df = _get_as(args, cfg, "min_df", 3, int)
-    n_per_class = _get_as(
-        args, cfg, "n_per_class", None, int
-    ) or _default_n_per_class(scheme_name)
+    n_per_class = _n_per_class(args, cfg, _default_n_per_class(scheme_name))
     train_cfg = TrainConfig(
         lam=_get_as(args, cfg, "lam", 1e-4, float),
         epochs=_get_as(args, cfg, "epochs", 5, int),
@@ -512,7 +514,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     scheme_name = _get(args, cfg, "scheme", "coarse")
     seed = _get_as(args, cfg, "seed", 0, int)
     min_df = _get_as(args, cfg, "min_df", 3, int)
-    n_per_class = _get_as(args, cfg, "n_per_class", None, int) or 200
+    n_per_class = _n_per_class(args, cfg, 200)
     workers = _get_as(args, cfg, "workers", 1, int)
     out_dir = Path(_require(args, cfg, "out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,11 +20,19 @@ stays below 2**53 and the depth at most 1022.  Past that it is rounded,
 and a weight beyond the float range becomes ``inf``.  Candidates stay
 sparse, one row per (page, root), and a page's raw weights are summed in
 root order.
+
+In ``exact`` mode a page's raw weight is instead the sum of 2**-len over
+its simple paths of length at most ``exact_path_cap``.  A root with
+candidates takes one depth-first walk that counts its simple paths to each
+(category, length); the walk, and so its cost, grows exponentially with
+the cap.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -71,14 +79,8 @@ class CompetitionSet:
                     )
                 owner[node] = spec.label
 
-    def get(self, label: str) -> RootSpec:
-        for spec in self.roots:
-            if spec.label == label:
-                return spec
-        raise ConfigurationError(f"label {label!r} not in competition set")
-
     def blocked_for(self, label: str) -> frozenset[int]:
-        self.get(label)
+        """The root nodes of every other label in the set."""
         return frozenset(
             node
             for spec in self.roots
@@ -113,51 +115,6 @@ class LabelingConfig:
             raise ConfigurationError("exact path mode requires a positive depth cap")
 
 
-class ReachableSet:
-    """BFS result for one root: depths, candidate pages, and path weights.
-
-    ``depth`` holds the shortest distance from the root's mapped nodes for
-    every node (-1 when unreached); blocked competitor nodes stay at -1.
-    ``weight`` holds the dag path weight: the sum of 2**-len over the
-    depth-increasing paths from the mapped nodes (0 when unreached).
-    """
-
-    def __init__(
-        self,
-        graph: CategoryGraph,
-        root: RootSpec,
-        depth: np.ndarray,
-        weight: np.ndarray,
-        blocked: frozenset[int],
-    ) -> None:
-        self.graph = graph
-        self.root = root
-        self.depth = depth
-        self.weight = weight
-        self.blocked = blocked
-        split = graph.n_categories
-        self.pages = np.flatnonzero(depth[split:] >= 0) + split
-
-    @property
-    def reachable_categories(self) -> set[int]:
-        return set(np.flatnonzero(self.depth[: self.graph.n_categories] >= 0).tolist())
-
-    @property
-    def candidate_pages(self) -> dict[int, int]:
-        return dict(zip(self.pages.tolist(), self.depth[self.pages].tolist()))
-
-
-def traverse(
-    graph: CategoryGraph,
-    root: RootSpec,
-    competitors: CompetitionSet,
-    cfg: LabelingConfig,
-) -> ReachableSet:
-    """Multi-source BFS from the root's nodes, competitors' nodes blocked."""
-    blocked = competitors.blocked_for(root.label)
-    return _bfs(graph, root, blocked, cfg.max_depth)
-
-
 def _gather(
     indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -174,8 +131,11 @@ def _bfs(
     root: RootSpec,
     blocked: frozenset[int],
     max_depth: int | None,
-) -> ReachableSet:
-    """One level per step: gather the frontier's children, keep the new ones."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(depth, dag weight) of every node, -1 and 0 where unreached.
+
+    One level per step: gather the frontier's children, keep the new ones.
+    """
     n = graph.n_nodes
     for node in root.nodes:
         if not 0 <= node < graph.n_categories:
@@ -201,7 +161,7 @@ def _bfs(
         depth[kids] = level
         reached = np.unique(kids)
         frontier = reached[reached < graph.n_categories]
-    return ReachableSet(graph, root, depth, weight, blocked)
+    return depth, weight
 
 
 def _coverage(graph: CategoryGraph, pages: np.ndarray, depth: np.ndarray) -> np.ndarray:
@@ -212,67 +172,6 @@ def _coverage(graph: CategoryGraph, pages: np.ndarray, depth: np.ndarray) -> np.
     at, parents = _gather(graph.rindptr, graph.rindices, pages)
     reached = np.bincount(at, weights=depth[parents] >= 0, minlength=len(pages))
     return reached / (graph.rindptr[pages + 1] - graph.rindptr[pages])
-
-
-def parent_coverage(graph: CategoryGraph, page: int, reach: ReachableSet) -> float:
-    """Share of the page's parent categories reached by this root."""
-    if not graph.is_page(page) or reach.depth[page] < 0:
-        raise ConfigurationError(f"node {page} is not a candidate page")
-    return float(_coverage(reach.graph, np.array([page]), reach.depth)[0])
-
-
-def enumerate_paths(
-    graph: CategoryGraph,
-    root: RootSpec,
-    page: int,
-    cap: int,
-    blocked: frozenset[int] = frozenset(),
-) -> list[int]:
-    """Lengths of every simple root-to-page path of length <= cap.
-
-    Exhaustive depth-first search; intermediate nodes are categories only
-    and competitor nodes are excluded.  Exponential in the worst case, so
-    only suitable for small graphs and as a reference for the dag mode.
-    """
-    if cap is None or cap < 1:
-        raise ConfigurationError("path enumeration needs a positive cap")
-    lengths: list[int] = []
-    children = graph.children
-    split = graph.n_categories
-
-    def walk(u: int, dist: int, on_path: set[int]) -> None:
-        if dist >= cap:
-            return
-        for v in children(u).tolist():
-            if v == page:
-                lengths.append(dist + 1)
-            elif v < split and v not in blocked and v not in on_path:
-                on_path.add(v)
-                walk(v, dist + 1, on_path)
-                on_path.remove(v)
-
-    for start in sorted(set(root.nodes)):
-        if start in blocked:
-            continue
-        walk(start, 0, {start})
-    return sorted(lengths)
-
-
-def page_weight(reach: ReachableSet, page: int, cfg: LabelingConfig) -> float:
-    """Path weight of a candidate page: many short paths score high."""
-    d = int(reach.depth[page])
-    if not reach.graph.is_page(page) or d < 0:
-        raise ConfigurationError(f"node {page} is not a reachable page")
-    if cfg.path_mode == "dag":
-        return float(reach.weight[page])
-    lengths = enumerate_paths(
-        reach.graph, reach.root, page, cfg.exact_path_cap, reach.blocked
-    )
-    if not lengths:
-        raise ConfigurationError(
-            f"page {page} has no path within the cap {cfg.exact_path_cap}"
-        )
-    return float(sum(2.0 ** -n for n in lengths))
 
 
 def _shares(group: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -290,26 +189,6 @@ def _shares(group: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return np.divide(
         raw, total, where=n_inf == 0, out=infinite / np.maximum(n_inf, 1.0)
     )
-
-
-def normalize_and_assign(
-    candidates: Sequence[tuple[str, float]], threshold: float = 0.3
-) -> list[tuple[str, float]]:
-    """Normalize raw weights to sum 1, keep labels strictly above threshold.
-
-    Returns (label, normalized weight) sorted by descending weight, then
-    label id.  May be empty when no label dominates.
-    """
-    if not candidates:
-        raise ConfigurationError("no candidate labels to normalize")
-    labels = [label for label, _ in candidates]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError("duplicate labels among candidates")
-    raw = np.array([raw for _, raw in candidates], dtype=np.float64)
-    shares = _shares(np.zeros(len(raw), dtype=np.int64), raw).tolist()
-    assigned = [(label, w) for label, w in zip(labels, shares) if w > threshold]
-    assigned.sort(key=lambda item: (-item[1], item[0]))
-    return assigned
 
 
 @dataclass(frozen=True)
@@ -389,19 +268,83 @@ def _collect_root(
     """(pages, raw weights, depths) of one root's candidates."""
     # A child_only candidate is a member page of a mapped node: exactly the
     # pages a one-level traversal reaches, whatever max_depth says.
-    reach = _bfs(graph, spec, blocked, 1 if cfg.mode == "child_only" else cfg.max_depth)
-    pages = reach.pages
+    depth, weight = _bfs(
+        graph, spec, blocked, 1 if cfg.mode == "child_only" else cfg.max_depth
+    )
+    split = graph.n_categories
+    pages = np.flatnonzero(depth[split:] >= 0) + split
     if cfg.mode in ("full", "min_dist"):
-        pages = pages[_coverage(graph, pages, reach.depth) >= cfg.coverage_threshold]
+        pages = pages[_coverage(graph, pages, depth) >= cfg.coverage_threshold]
     if cfg.mode not in ("full", "no_pruning"):
         raw = np.ones(len(pages))
-    elif cfg.path_mode == "dag":
-        raw = reach.weight[pages]
+    elif cfg.path_mode == "exact" and len(pages):
+        raw = _exact_weights(graph, spec, blocked, pages, cfg.exact_path_cap)
     else:
-        raw = np.array(
-            [page_weight(reach, page, cfg) for page in pages.tolist()], dtype=np.float64
-        )
-    return pages, raw, reach.depth[pages]
+        raw = weight[pages]
+    return pages, raw, depth[pages]
+
+
+def _exact_weights(
+    graph: CategoryGraph,
+    spec: RootSpec,
+    blocked: frozenset[int],
+    pages: np.ndarray,
+    cap: int,
+) -> np.ndarray:
+    """Sum of 2**-len over each page's simple paths of length <= cap.
+
+    One depth-first walk from the root's nodes counts the simple category
+    paths that reach each (category, length < cap); a page's paths are
+    those counts one member edge further.  Each page adds its terms one at
+    a time in ascending length order, the float order of its sorted path
+    lengths.
+    """
+    split = graph.n_categories
+    indptr, indices = graph.indptr, graph.indices
+    subcats: dict[int, list[int]] = {}
+
+    def kids(u: int) -> list[int]:
+        if u not in subcats:
+            row = indices[indptr[u] : indptr[u + 1]]
+            subcats[u] = [v for v in row[row < split].tolist() if v not in blocked]
+        return subcats[u]
+
+    paths: Counter[tuple[int, int]] = Counter()  # (category, length) -> paths
+    for start in sorted(set(spec.nodes)):
+        paths[start, 0] += 1
+        # The path's last node has length len(path) - 1; a node is expanded
+        # only when its children lie below the cap.
+        path, on_path = [start], {start}
+        stack = [iter(kids(start))] if cap > 1 else []
+        while stack:
+            v = next(stack[-1], None)
+            if v is None:
+                stack.pop()
+                on_path.remove(path.pop())
+            elif v not in on_path:
+                paths[v, len(path)] += 1
+                if len(path) + 1 < cap:
+                    path.append(v)
+                    on_path.add(v)
+                    stack.append(iter(kids(v)))
+
+    cats, lengths = (np.array(col, dtype=np.int64) for col in zip(*paths))
+    counts = np.fromiter(paths.values(), dtype=np.int64, count=len(paths))
+    at, kid = _gather(indptr, indices, cats)
+    candidate = np.zeros(graph.n_nodes, dtype=bool)
+    candidate[pages] = True
+    at, page = at[candidate[kid]], kid[candidate[kid]]
+    length, count = lengths[at] + 1, counts[at]
+    order = np.lexsort((length, page))
+    terms: dict[int, list[repeat]] = {}
+    for p, n, c in zip(*(col[order].tolist() for col in (page, length, count))):
+        terms.setdefault(p, []).append(repeat(2.0**-n, c))
+    raw = np.empty(len(pages))
+    for i, p in enumerate(pages.tolist()):
+        if p not in terms:
+            raise ConfigurationError(f"page {p} has no path within the cap {cap}")
+        raw[i] = sum(chain.from_iterable(terms[p]))
+    return raw
 
 
 def _label_competition_set(

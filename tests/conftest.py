@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from wikicat.graph_store import load_graph
-from wikicat.taxonomy_mapper import load_taxonomy
+from wikicat.taxonomy_mapper import CategoryMapping, MappedCategory, load_taxonomy
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -108,3 +108,32 @@ def make_graph(graph_files):
         )
 
     return _make
+
+
+def fan_in_case(make_graph, fan: dict[str, int]):
+    """One page that competing labels reach: label L over ``fan[L]`` paths of
+    length 2 (dag and exact raw weight ``fan[L] / 4``), or over one member
+    edge when ``fan[L]`` is 0 (raw weight 1/2).
+
+    Returns (graph, mapping, scheme) with all labels in one competition set.
+    """
+    cats, edges = [], []
+    for i, label in enumerate(fan, start=1):
+        root = 10 * i
+        cats.append((root, label))
+        if fan[label] == 0:
+            edges.append((root, 1000, "member"))
+        for j in range(1, fan[label] + 1):
+            cats.append((root + j, f"{label} {j}"))
+            edges += [(root, root + j, "subcat"), (root + j, 1000, "member")]
+    graph = make_graph(cats, [(1000, "page")], edges)
+    mapping = CategoryMapping(
+        {
+            label: [MappedCategory(graph.category_node(10 * i), "exact", 1.0)]
+            for i, label in enumerate(fan, start=1)
+        },
+        [],
+        {},
+        0.9,
+    )
+    return graph, mapping, [sorted(fan)]

@@ -1,8 +1,8 @@
 """Loop reference for ``wikicat.labeler.label_corpus``.
 
 One node and one page at a time: a ``deque`` BFS, path counts as Python
-ints (which never overflow), parent coverage page by page, and a per-page
-normalization.  Slow, but each step reads like the method's description,
+ints (which never overflow), parent coverage page by page, one path
+enumeration per page in ``exact`` mode, and a per-page normalization.  Slow, but each step reads like the method's description,
 so the array labeler is tested against it.
 """
 
@@ -23,7 +23,6 @@ from wikicat.labeler import (
     PageLabels,
     RootSpec,
     build_competition_sets,
-    enumerate_paths,
 )
 from wikicat.taxonomy_mapper import CategoryMapping
 
@@ -72,6 +71,38 @@ def path_counts(
             if depth[v] == du + 1:
                 counts[v] = counts.get(v, 0) + cu
     return counts
+
+
+def enumerate_paths(
+    graph: CategoryGraph,
+    root: RootSpec,
+    page: int,
+    cap: int,
+    blocked: frozenset[int] = frozenset(),
+) -> list[int]:
+    """Lengths of every simple root-to-page path of length <= cap.
+
+    Exhaustive depth-first search; intermediate nodes are categories only
+    and competitor nodes are excluded.
+    """
+    lengths: list[int] = []
+    split = graph.n_categories
+
+    def walk(u: int, dist: int, on_path: set[int]) -> None:
+        if dist >= cap:
+            return
+        for v in graph.children(u).tolist():
+            if v == page:
+                lengths.append(dist + 1)
+            elif v < split and v not in blocked and v not in on_path:
+                on_path.add(v)
+                walk(v, dist + 1, on_path)
+                on_path.remove(v)
+
+    for start in sorted(set(root.nodes)):
+        if start not in blocked:
+            walk(start, 0, {start})
+    return sorted(lengths)
 
 
 def coverage(graph: CategoryGraph, page: int, depth: np.ndarray) -> float:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from wikicat.classifiers import (
@@ -22,18 +23,17 @@ from wikicat.classifiers import (
 )
 from wikicat.cli import main
 from wikicat.labeler import (
-    CompetitionSet,
     LabelingConfig,
     RootSpec,
+    _bfs,
+    _coverage,
     coarse_scheme,
     label_corpus,
-    normalize_and_assign,
-    page_weight,
-    parent_coverage,
-    traverse,
 )
 from wikicat.synth import make_ablation_wiki, make_scale_graph, make_separable_corpus, split_corpus
 from wikicat.taxonomy_mapper import (
+    CategoryMapping,
+    MappedCategory,
     Taxonomy,
     TaxonomyLabel,
     jaro_winkler,
@@ -41,7 +41,7 @@ from wikicat.taxonomy_mapper import (
 )
 from wikicat.textproc import fit_tfidf, transform
 
-from conftest import write_graph_files
+from conftest import fan_in_case, write_graph_files
 from wikicat.graph_store import load_graph
 
 
@@ -100,39 +100,51 @@ def _cyclic_graph(rng):
     return cats, pages, edges
 
 
+def _raw_by_page(g, top, cfg):
+    """w_raw of every page the one label rooted at ``top`` reaches."""
+    mapping = CategoryMapping(
+        {"r": [MappedCategory(g.category_node(e), "exact", 1.0) for e in top]},
+        [],
+        {},
+        0.9,
+    )
+    return {
+        rec.page: rec.assignments[0].w_raw
+        for rec in label_corpus(g, mapping, [["r"]], cfg)
+    }
+
+
 def test_c1_dag_mode_matches_exact_enumeration(tmp_path):
     rng = random.Random(101)
     t0 = time.monotonic()
-    dag_cfg = LabelingConfig()
+    dag_cfg = LabelingConfig(mode="no_pruning")
+    exact_cfg = LabelingConfig(mode="no_pruning", path_mode="exact", exact_path_cap=12)
     max_err, n_pages = 0.0, 0
     for i in range(110):
         cats, pages, edges, top = _layered_dag(rng)
         assert len(cats) + len(pages) <= 50
         paths = write_graph_files(tmp_path / f"dag{i}", cats, pages, edges)
         g = load_graph(paths["categories"], paths["pages"], paths["edges"])
-        spec = RootSpec("r", tuple(g.category_node(e) for e in top))
-        reach = traverse(g, spec, CompetitionSet((spec,)), dag_cfg)
-        exact_cfg = LabelingConfig(path_mode="exact", exact_path_cap=12)
-        for page in reach.candidate_pages:
-            diff = abs(
-                page_weight(reach, page, dag_cfg)
-                - page_weight(reach, page, exact_cfg)
-            )
-            max_err = max(max_err, diff)
+        w_dag = _raw_by_page(g, top, dag_cfg)
+        w_exact = _raw_by_page(g, top, exact_cfg)
+        assert w_dag.keys() == w_exact.keys()
+        for page in w_dag:
+            max_err = max(max_err, abs(w_dag[page] - w_exact[page]))
             n_pages += 1
     cyc_ok, n_cyc = True, 0
-    cyc_dag = LabelingConfig(max_depth=7)
-    cyc_exact = LabelingConfig(max_depth=7, path_mode="exact", exact_path_cap=8)
+    cyc_dag = LabelingConfig(mode="no_pruning", max_depth=7)
+    cyc_exact = LabelingConfig(
+        mode="no_pruning", max_depth=7, path_mode="exact", exact_path_cap=8
+    )
     for i in range(30):
         cats, pages, edges = _cyclic_graph(rng)
         paths = write_graph_files(tmp_path / f"cyc{i}", cats, pages, edges)
         g = load_graph(paths["categories"], paths["pages"], paths["edges"])
-        spec = RootSpec("r", (g.category_node(100),))
-        reach = traverse(g, spec, CompetitionSet((spec,)), cyc_dag)
-        for page in reach.candidate_pages:
-            w_dag = page_weight(reach, page, cyc_dag)
-            w_exact = page_weight(reach, page, cyc_exact)
-            cyc_ok = cyc_ok and w_dag <= w_exact + 1e-9
+        w_dag = _raw_by_page(g, [100], cyc_dag)
+        w_exact = _raw_by_page(g, [100], cyc_exact)
+        assert w_dag.keys() == w_exact.keys()
+        for page in w_dag:
+            cyc_ok = cyc_ok and w_dag[page] <= w_exact[page] + 1e-9
             n_cyc += 1
     elapsed = time.monotonic() - t0
     ok = max_err <= 1e-9 and cyc_ok and elapsed < 60 and n_pages >= 110
@@ -150,18 +162,17 @@ def test_c1_dag_mode_matches_exact_enumeration(tmp_path):
 def test_c2_depth_coverage_and_pruning(trucks_graph, trucks_taxonomy):
     g = trucks_graph
     mapping = map_taxonomy(trucks_taxonomy, g)
-    spec = RootSpec("trucks", tuple(mc.node for mc in mapping.entries["trucks"]))
-    reach = traverse(g, spec, CompetitionSet((spec,)), LabelingConfig())
     ford = g.page_node(100)
     club = g.page_node(101)
-    depth_ok = int(reach.depth[ford]) == 2
-    cov_ford = parent_coverage(g, ford, reach)
-    cov_club = parent_coverage(g, club, reach)
     scheme = coarse_scheme(trucks_taxonomy)
-    full_pages = {
-        g.external_id(r.page)
-        for r in label_corpus(g, mapping, scheme, LabelingConfig())
-    }
+    full = label_corpus(g, mapping, scheme, LabelingConfig())
+    depths = {r.page: a.depth for r in full for a in r.assignments}
+    depth_ok = depths.get(ford) == 2
+    # Coverage is not in the labels file: read it from the BFS depths.
+    nodes = tuple(mc.node for mc in mapping.entries["trucks"])
+    depth, _ = _bfs(g, RootSpec("trucks", nodes), frozenset(), None)
+    cov_ford, cov_club = _coverage(g, np.array([ford, club]), depth).tolist()
+    full_pages = {g.external_id(r.page) for r in full}
     nop_pages = {
         g.external_id(r.page)
         for r in label_corpus(g, mapping, scheme, LabelingConfig(mode="no_pruning"))
@@ -176,7 +187,7 @@ def test_c2_depth_coverage_and_pruning(trucks_graph, trucks_taxonomy):
     _line(
         "C2",
         ok,
-        f"depth {int(reach.depth[ford])} (want 2), coverage {cov_ford}/{cov_club}"
+        f"depth {depths.get(ford)} (want 2), coverage {cov_ford}/{cov_club}"
         f" (want 0.75/0.25), full keeps {sorted(full_pages)},"
         f" no_pruning keeps {sorted(nop_pages)}",
     )
@@ -217,9 +228,16 @@ def test_c3_competition_reassigns_branch(suvs_graph, suvs_taxonomy):
 # --------------------------------------------------------------- criterion 4
 
 
-def test_c4_normalization_threshold_is_strict():
-    one = normalize_and_assign([("A", 0.5), ("B", 0.25), ("C", 0.25)])
-    none = normalize_and_assign([("A", 0.3), ("B", 0.3), ("C", 0.2), ("D", 0.2)])
+def test_c4_normalization_threshold_is_strict(make_graph):
+    def assigned(fan):
+        graph, mapping, scheme = fan_in_case(make_graph, fan)
+        cfg = LabelingConfig(coverage_threshold=0.0)
+        (rec,) = label_corpus(graph, mapping, scheme, cfg)
+        return [(a.label, a.w_norm) for a in rec.assignments]
+
+    # Raw weights 0.5, 0.25, 0.25 and 0.75, 0.75, 0.5, 0.5.
+    one = assigned({"A": 0, "B": 1, "C": 1})
+    none = assigned({"A": 3, "B": 3, "C": 2, "D": 2})
     ok = [lab for lab, _ in one] == ["A"] and none == []
     _line(
         "C4",

@@ -457,8 +457,10 @@ def test_map_threshold_outside_0_1_exits_2(wiki, tmp_path, capsys, threshold):
         ("train", "seed", [1]),
         ("train", "min_df", None),
         ("train", "n_per_class", "x"),
+        ("train", "n_per_class", 0),
         ("sample", "seed", "x"),
         ("sample", "n_per_class", "x"),
+        ("sample", "n_per_class", 0),
     ],
 )
 def test_bad_training_config_value_exits_2(
@@ -488,6 +490,20 @@ def test_ablate_bad_config_value_exits_2(wiki, tmp_path, capsys):
     }))
     assert main(["ablate", "--config", str(config)]) == 2
     assert "min_df" in capsys.readouterr().err
+
+
+def test_ablate_n_per_class_0_exits_2(wiki, tmp_path, capsys):
+    rc = main([
+        "ablate",
+        "--graph", str(wiki / "graph.bin"),
+        "--taxonomy", str(wiki / "taxonomy.json"),
+        "--corpus", str(wiki / "corpus.jsonl"),
+        "--eval", str(wiki / "eval.jsonl"),
+        "--n-per-class", "0",
+        "--out-dir", str(tmp_path / "ablate"),
+    ])
+    assert rc == 2
+    assert "n_per_class must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["label", "train"])

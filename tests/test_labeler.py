@@ -2,38 +2,36 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from conftest import fan_in_case
 from wikicat.exceptions import ConfigurationError, TaxonomyError
 from wikicat.labeler import (
     CompetitionSet,
     LabelingConfig,
     RootSpec,
+    _bfs,
+    _coverage,
     build_competition_sets,
     coarse_scheme,
-    enumerate_paths,
     fine_scheme,
     label_corpus,
-    normalize_and_assign,
-    page_weight,
-    parent_coverage,
     read_labels,
-    traverse,
     write_labels,
 )
-from wikicat.taxonomy_mapper import Taxonomy, TaxonomyLabel, map_taxonomy
+from wikicat.taxonomy_mapper import (
+    CategoryMapping,
+    MappedCategory,
+    Taxonomy,
+    TaxonomyLabel,
+    map_taxonomy,
+)
 
 DAG_CFG = LabelingConfig()
-EXACT_CFG = LabelingConfig(path_mode="exact", exact_path_cap=8)
-
-
-def _single(graph, ext_id, label="root"):
-    spec = RootSpec(label, (graph.category_node(ext_id),))
-    return spec, CompetitionSet((spec,))
 
 
 # ------------------------------------------------------------ config types
@@ -66,56 +64,78 @@ def test_competition_set_validation():
     cs = CompetitionSet((a, RootSpec("b", (2,))))
     assert cs.blocked_for("a") == frozenset({2})
     assert cs.blocked_for("b") == frozenset({0, 1})
-    with pytest.raises(ConfigurationError, match="not in competition set"):
-        cs.blocked_for("c")
 
 
 # --------------------------------------------------------------- traversal
 
 
+def _bfs_depth(graph, ext_ids, blocked=(), max_depth=None):
+    """Depth of every node from the categories ``ext_ids``, -1 if unreached."""
+    spec = RootSpec("r", tuple(graph.category_node(e) for e in ext_ids))
+    blocked = frozenset(graph.category_node(e) for e in blocked)
+    return _bfs(graph, spec, blocked, max_depth)[0]
+
+
+def _mapping(graph, roots):
+    """Each label mapped to the categories with the given external ids."""
+    return CategoryMapping(
+        {
+            label: [MappedCategory(graph.category_node(e), "exact", 1.0) for e in ext]
+            for label, ext in roots.items()
+        },
+        [],
+        {},
+        0.9,
+    )
+
+
+def _labeled(graph, roots, **cfg):
+    """{external page id: {label: assignment}} for one competition set."""
+    records = label_corpus(
+        graph, _mapping(graph, roots), [sorted(roots)], LabelingConfig(**cfg)
+    )
+    return {
+        graph.external_id(rec.page): {a.label: a for a in rec.assignments}
+        for rec in records
+    }
+
+
+def _page_depths(graph, ext_ids, **cfg):
+    """The depth label_corpus records for each page one root reaches."""
+    got = _labeled(graph, {"r": ext_ids}, mode="all_descendants", **cfg)
+    return {page: labels["r"].depth for page, labels in got.items()}
+
+
 def test_traverse_depths_on_trucks(trucks_graph):
     g = trucks_graph
-    spec, cs = _single(g, 1, "trucks")
-    reach = traverse(g, spec, cs, DAG_CFG)
-    assert reach.depth[g.category_node(1)] == 0
-    assert reach.depth[g.category_node(2)] == 1
-    assert reach.depth[g.category_node(4)] == 1
-    assert reach.depth[g.category_node(3)] == 2
-    assert reach.depth[g.page_node(100)] == 2  # shortest distance
-    assert reach.depth[g.page_node(101)] == 2
-    assert reach.depth[g.category_node(5)] == -1
-    assert g.category_node(5) not in reach.reachable_categories
-    assert reach.candidate_pages[g.page_node(100)] == 2
+    depth = _bfs_depth(g, [1])
+    assert depth[g.category_node(1)] == 0
+    assert depth[g.category_node(2)] == 1
+    assert depth[g.category_node(4)] == 1
+    assert depth[g.category_node(3)] == 2
+    assert depth[g.category_node(5)] == -1
+    assert _page_depths(g, [1]) == {100: 2, 101: 2}  # shortest distance
 
 
 def test_traverse_blocks_competitors(suvs_graph):
     g = suvs_graph
-    trucks = RootSpec("trucks", (g.category_node(1),))
-    suvs = RootSpec("suvs", (g.category_node(4),))
-    cs = CompetitionSet((trucks, suvs))
-    reach = traverse(g, trucks, cs, DAG_CFG)
-    assert reach.depth[g.category_node(4)] == -1
-    assert g.page_node(200) not in reach.candidate_pages
-    assert g.page_node(201) not in reach.candidate_pages
-    assert g.page_node(202) in reach.candidate_pages
-
-    alone = traverse(g, trucks, CompetitionSet((trucks,)), DAG_CFG)
-    assert alone.depth[g.page_node(200)] == 4
-
-
-def test_traverse_requires_membership(trucks_graph):
-    g = trucks_graph
-    outsider = RootSpec("ghost", (g.category_node(6),))
-    _, cs = _single(g, 1, "trucks")
-    with pytest.raises(ConfigurationError, match="not in competition set"):
-        traverse(g, outsider, cs, DAG_CFG)
+    assert _bfs_depth(g, [1], blocked=[4])[g.category_node(4)] == -1
+    both = _labeled(g, {"trucks": [1], "suvs": [4]}, mode="all_descendants")
+    assert {page: set(labels) for page, labels in both.items()} == {
+        200: {"suvs"},
+        201: {"suvs"},
+        202: {"trucks"},
+    }
+    assert _page_depths(g, [1])[200] == 4
 
 
 def test_traverse_rejects_page_roots(trucks_graph):
     g = trucks_graph
-    spec = RootSpec("bad", (g.page_node(100),))
+    mapping = CategoryMapping(
+        {"bad": [MappedCategory(g.page_node(100), "exact", 1.0)]}, [], {}, 0.9
+    )
     with pytest.raises(ConfigurationError, match="not a category"):
-        traverse(g, spec, CompetitionSet((spec,)), DAG_CFG)
+        label_corpus(g, mapping, [["bad"]], DAG_CFG)
 
 
 def test_traverse_terminates_on_cycles(make_graph):
@@ -124,23 +144,20 @@ def test_traverse_terminates_on_cycles(make_graph):
         [(10, "p")],
         [(1, 2, "subcat"), (2, 3, "subcat"), (3, 1, "subcat"), (3, 10, "member")],
     )
-    spec, cs = _single(g, 1)
-    reach = traverse(g, spec, cs, DAG_CFG)
-    assert reach.depth[g.category_node(1)] == 0
-    assert reach.depth[g.category_node(2)] == 1
-    assert reach.depth[g.category_node(3)] == 2
-    assert reach.candidate_pages == {g.page_node(10): 3}
+    depth = _bfs_depth(g, [1])
+    assert depth[g.category_node(1)] == 0
+    assert depth[g.category_node(2)] == 1
+    assert depth[g.category_node(3)] == 2
+    assert _page_depths(g, [1]) == {10: 3}
 
 
 def test_traverse_max_depth(trucks_graph):
     g = trucks_graph
-    spec, cs = _single(g, 1, "trucks")
-    capped = traverse(g, spec, cs, LabelingConfig(max_depth=1))
-    assert capped.depth[g.category_node(2)] == 1
-    assert capped.depth[g.category_node(3)] == -1
-    assert capped.candidate_pages == {}
-    two = traverse(g, spec, cs, LabelingConfig(max_depth=2))
-    assert two.depth[g.page_node(100)] == 2
+    capped = _bfs_depth(g, [1], max_depth=1)
+    assert capped[g.category_node(2)] == 1
+    assert capped[g.category_node(3)] == -1
+    assert _page_depths(g, [1], max_depth=1) == {}
+    assert _page_depths(g, [1], max_depth=2)[100] == 2
 
 
 def _random_graph_spec(rng, n_cats, n_pages, n_edges):
@@ -161,21 +178,17 @@ def test_multi_source_depth_is_min_of_single_sources(make_graph):
     for _ in range(15):
         cats, pages, edges = _random_graph_spec(rng, 10, 6, 35)
         g = make_graph(cats, pages, edges)
-        roots = rng.sample(range(10), rng.randint(2, 3))
-        nodes = tuple(g.category_node(100 + r) for r in roots)
-        multi = traverse(
-            g, RootSpec("m", nodes), CompetitionSet((RootSpec("m", nodes),)), DAG_CFG
-        )
-        singles = [
-            traverse(
-                g, RootSpec("s", (n,)), CompetitionSet((RootSpec("s", (n,)),)), DAG_CFG
-            )
-            for n in nodes
-        ]
-        for node in range(g.n_nodes):
-            per = [r.depth[node] for r in singles if r.depth[node] >= 0]
-            expected = min(per) if per else -1
-            assert multi.depth[node] == expected
+        roots = [100 + r for r in rng.sample(range(10), rng.randint(2, 3))]
+        multi = _bfs_depth(g, roots)
+        singles = [_bfs_depth(g, [r]) for r in roots]
+        for node in range(g.n_categories):
+            per = [d[node] for d in singles if d[node] >= 0]
+            assert multi[node] == (min(per) if per else -1)
+        page_singles = [_page_depths(g, [r]) for r in roots]
+        assert _page_depths(g, roots) == {
+            page: min(d[page] for d in page_singles if page in d)
+            for page in set().union(*page_singles)
+        }
 
 
 # ----------------------------------------------------------- coverage
@@ -183,30 +196,34 @@ def test_multi_source_depth_is_min_of_single_sources(make_graph):
 
 def test_parent_coverage_on_trucks(trucks_graph):
     g = trucks_graph
-    spec, cs = _single(g, 1, "trucks")
-    reach = traverse(g, spec, cs, DAG_CFG)
-    assert parent_coverage(g, g.page_node(100), reach) == 0.75
-    assert parent_coverage(g, g.page_node(101), reach) == 0.25
+    pages = np.array([g.page_node(100), g.page_node(101)])
+    assert _coverage(g, pages, _bfs_depth(g, [1])).tolist() == [0.75, 0.25]
+    # A page is kept when its coverage reaches the threshold.
+    assert set(_labeled(g, {"trucks": [1]}, coverage_threshold=0.75)) == {100}
+    assert set(_labeled(g, {"trucks": [1]}, coverage_threshold=0.76)) == set()
+    assert set(_labeled(g, {"trucks": [1]}, coverage_threshold=0.25)) == {100, 101}
 
 
 def test_parent_coverage_full(suvs_graph):
     g = suvs_graph
-    spec, cs = _single(g, 4, "suvs")
-    reach = traverse(g, spec, cs, DAG_CFG)
-    assert parent_coverage(g, g.page_node(200), reach) == 1.0
-
-
-def test_parent_coverage_requires_candidate(trucks_graph):
-    g = trucks_graph
-    spec, cs = _single(g, 6, "clubs")
-    reach = traverse(g, spec, cs, DAG_CFG)
-    with pytest.raises(ConfigurationError, match="not a candidate"):
-        parent_coverage(g, g.page_node(100), reach)  # unreached page
-    with pytest.raises(ConfigurationError, match="not a candidate"):
-        parent_coverage(g, g.category_node(1), reach)  # not a page
+    page = np.array([g.page_node(200)])
+    assert _coverage(g, page, _bfs_depth(g, [4])).tolist() == [1.0]
 
 
 # ------------------------------------------------------------ path lengths
+
+
+def _exact_raw(graph, ext_ids, cap, **cfg):
+    """Exact-mode raw weight of each page one root reaches."""
+    got = _labeled(
+        graph,
+        {"r": ext_ids},
+        mode="no_pruning",
+        path_mode="exact",
+        exact_path_cap=cap,
+        **cfg,
+    )
+    return {page: labels["r"].w_raw for page, labels in got.items()}
 
 
 def test_enumerate_paths_chain_and_diamond(make_graph):
@@ -215,8 +232,7 @@ def test_enumerate_paths_chain_and_diamond(make_graph):
         [(10, "p")],
         [(1, 2, "subcat"), (2, 10, "member")],
     )
-    spec = RootSpec("r", (chain.category_node(1),))
-    assert enumerate_paths(chain, spec, chain.page_node(10), 8) == [2]
+    assert _exact_raw(chain, [1], 8) == {10: 2.0**-2}
 
     diamond = make_graph(
         [(1, "r"), (2, "c1"), (3, "c2"), (4, "c3")],
@@ -229,18 +245,24 @@ def test_enumerate_paths_chain_and_diamond(make_graph):
             (4, 10, "member"),
         ],
     )
-    spec = RootSpec("r", (diamond.category_node(1),))
-    assert enumerate_paths(diamond, spec, diamond.page_node(10), 8) == [3, 3]
+    assert _exact_raw(diamond, [1], 8) == {10: 2 * 2.0**-3}
 
 
 def test_enumerate_paths_on_trucks(trucks_graph):
     g = trucks_graph
-    spec = RootSpec("trucks", (g.category_node(1),))
-    page = g.page_node(100)
-    assert enumerate_paths(g, spec, page, 8) == [2, 2, 3]
-    assert enumerate_paths(g, spec, page, 2) == [2, 2]
-    blocked = frozenset({g.category_node(2)})
-    assert enumerate_paths(g, spec, page, 8, blocked) == [2]
+    # Paths to page 100 have lengths 2, 2 and 3; every one of page 101's
+    # other parents is outside the root.
+    assert _exact_raw(g, [1], 8) == {100: 0.625, 101: 0.25}
+    assert _exact_raw(g, [1], 2) == {100: 0.5, 101: 0.25}
+    # A competitor's root is blocked: only 1 -> 4 -> 100 is left.
+    blocked = _labeled(
+        g,
+        {"trucks": [1], "types": [2]},
+        path_mode="exact",
+        coverage_threshold=0.0,
+        assignment_threshold=0.0,
+    )
+    assert blocked[100]["trucks"].w_raw == 0.25
 
 
 def test_enumerate_paths_matches_networkx(make_graph):
@@ -253,16 +275,29 @@ def test_enumerate_paths_matches_networkx(make_graph):
         for u in range(g.n_categories):
             for v in g.children(u).tolist():
                 nxg.add_edge(u, v)
-        root = g.category_node(100 + rng.randrange(8))
-        page = g.page_node(900 + rng.randrange(3))
+        ext = 100 + rng.randrange(8)
+        root = g.category_node(ext)
         cap = rng.randint(2, 6)
-        spec = RootSpec("r", (root,))
-        mine = enumerate_paths(g, spec, page, cap)
-        oracle = sorted(
-            len(path) - 1
-            for path in nx.all_simple_paths(nxg, root, page, cutoff=cap)
-        )
-        assert mine == oracle
+        lengths = {
+            g.external_id(page): sorted(
+                len(path) - 1
+                for path in nx.all_simple_paths(nxg, root, page, cutoff=cap)
+            )
+            for page in range(g.n_categories, g.n_nodes)
+            if nx.has_path(nxg, root, page)
+        }
+        beyond = [page for page, found in lengths.items() if not found]
+        if beyond:
+            first = min(beyond, key=g.page_node)
+            with pytest.raises(
+                ConfigurationError,
+                match=f"page {g.page_node(first)} has no path within the cap {cap}",
+            ):
+                _exact_raw(g, [ext], cap)
+        else:
+            assert _exact_raw(g, [ext], cap) == {
+                page: sum(2.0**-n for n in found) for page, found in lengths.items()
+            }
 
 
 # ------------------------------------------------------------ page weights
@@ -270,33 +305,34 @@ def test_enumerate_paths_matches_networkx(make_graph):
 
 def test_page_weight_single_path(make_graph):
     g = make_graph([(1, "r")], [(10, "p")], [(1, 10, "member")])
-    spec, cs = _single(g, 1)
-    reach = traverse(g, spec, cs, DAG_CFG)
-    assert page_weight(reach, g.page_node(10), DAG_CFG) == 0.5
-    assert page_weight(reach, g.page_node(10), EXACT_CFG) == 0.5
+    assert _labeled(g, {"r": [1]})[10]["r"].w_raw == 0.5
+    assert _exact_raw(g, [1], 8) == {10: 0.5}
 
 
 def test_page_weight_trucks_fixture(trucks_graph):
     g = trucks_graph
-    spec, cs = _single(g, 1, "trucks")
-    reach = traverse(g, spec, cs, DAG_CFG)
-    page = g.page_node(100)
     # exact: paths {2,2,3} -> 1/4 + 1/4 + 1/8
-    assert page_weight(reach, page, EXACT_CFG) == pytest.approx(0.625, abs=1e-12)
+    exact = _labeled(g, {"trucks": [1]}, path_mode="exact", exact_path_cap=8)
+    assert exact[100]["trucks"].w_raw == 0.625
     # dag: two depth-increasing paths at depth 2 -> 2/4
-    assert page_weight(reach, page, DAG_CFG) == pytest.approx(0.5, abs=1e-12)
+    assert _labeled(g, {"trucks": [1]})[100]["trucks"].w_raw == 0.5
 
 
-def test_page_weight_errors(trucks_graph):
-    g = trucks_graph
-    spec, cs = _single(g, 1, "trucks")
-    reach = traverse(g, spec, cs, DAG_CFG)
-    with pytest.raises(ConfigurationError, match="not a reachable page"):
-        page_weight(reach, g.category_node(2), DAG_CFG)
-    spec6, cs6 = _single(g, 6, "clubs")
-    reach6 = traverse(g, spec6, cs6, DAG_CFG)
-    with pytest.raises(ConfigurationError, match="not a reachable page"):
-        page_weight(reach6, g.page_node(100), DAG_CFG)
+def test_page_weight_errors(make_graph):
+    # The page lies three edges below the root: no path fits a cap of 2.
+    g = make_graph(
+        [(1, "r"), (2, "a"), (3, "b")],
+        [(10, "near"), (11, "far")],
+        [(1, 2, "subcat"), (2, 3, "subcat"), (2, 10, "member"), (3, 11, "member")],
+    )
+    assert _exact_raw(g, [1], 3) == {10: 0.25, 11: 0.125}
+    with pytest.raises(
+        ConfigurationError,
+        match=f"page {g.page_node(11)} has no path within the cap 2",
+    ):
+        _exact_raw(g, [1], 2)
+    # Within max_depth every candidate has its BFS path under the cap.
+    assert _exact_raw(g, [1], 2, max_depth=2) == {10: 0.25}
 
 
 def _layered_dag_spec(rng, n_layers, width, page_count):
@@ -331,14 +367,11 @@ def test_dag_equals_exact_on_level_monotone_fixtures(make_graph):
     for _ in range(10):
         cats, pages, edges, top = _layered_dag_spec(rng, rng.randint(2, 4), 4, 2)
         g = make_graph(cats, pages, edges)
-        nodes = tuple(g.category_node(e) for e in top)
-        spec = RootSpec("r", nodes)
-        reach = traverse(g, spec, CompetitionSet((spec,)), DAG_CFG)
-        exact_cfg = LabelingConfig(path_mode="exact", exact_path_cap=12)
-        for page in reach.candidate_pages:
-            w_dag = page_weight(reach, page, DAG_CFG)
-            w_exact = page_weight(reach, page, exact_cfg)
-            assert w_dag == pytest.approx(w_exact, abs=1e-9)
+        w_dag = _labeled(g, {"r": top}, mode="no_pruning")
+        w_exact = _exact_raw(g, top, 12)
+        assert set(w_dag) == set(w_exact)
+        for page, labels in w_dag.items():
+            assert labels["r"].w_raw == pytest.approx(w_exact[page], abs=1e-9)
 
 
 def test_dag_at_most_exact_on_cyclic_graphs(make_graph):
@@ -346,61 +379,84 @@ def test_dag_at_most_exact_on_cyclic_graphs(make_graph):
     for _ in range(10):
         cats, pages, edges = _random_graph_spec(rng, 8, 4, 30)
         g = make_graph(cats, pages, edges)
-        spec = RootSpec("r", (g.category_node(100),))
-        reach = traverse(g, spec, CompetitionSet((spec,)), DAG_CFG)
-        exact_cfg = LabelingConfig(path_mode="exact", exact_path_cap=10)
-        for page in reach.candidate_pages:
-            w_dag = page_weight(reach, page, DAG_CFG)
-            w_exact = page_weight(reach, page, exact_cfg)
-            assert w_dag <= w_exact + 1e-9
+        w_dag = _labeled(g, {"r": [100]}, mode="no_pruning")
+        w_exact = _exact_raw(g, [100], 10)
+        assert set(w_dag) == set(w_exact)
+        for page, labels in w_dag.items():
+            assert labels["r"].w_raw <= w_exact[page] + 1e-9
 
 
 def test_adding_competitor_never_raises_exact_weight(make_graph):
     rng = random.Random(13)
+    cfg = dict(
+        path_mode="exact",
+        exact_path_cap=7,
+        max_depth=7,
+        coverage_threshold=0.0,
+        assignment_threshold=0.0,
+    )
     for _ in range(15):
         cats, pages, edges = _random_graph_spec(rng, 9, 4, 30)
         g = make_graph(cats, pages, edges)
-        root, comp = rng.sample(range(9), 2)
-        spec = RootSpec("r", (g.category_node(100 + root),))
-        blocked = frozenset({g.category_node(100 + comp)})
-        for ext in (900, 901, 902, 903):
-            page = g.page_node(ext)
-            free = sum(2.0 ** -n for n in enumerate_paths(g, spec, page, 7))
-            cut = sum(2.0 ** -n for n in enumerate_paths(g, spec, page, 7, blocked))
-            assert cut <= free + 1e-12
+        root, comp = (100 + c for c in rng.sample(range(9), 2))
+        free = _labeled(g, {"r": [root]}, **cfg)
+        cut = _labeled(g, {"r": [root], "c": [comp]}, **cfg)
+        for page, labels in cut.items():
+            if "r" in labels:
+                assert labels["r"].w_raw <= free[page]["r"].w_raw + 1e-12
 
 
 # ------------------------------------------------------- normalize/assign
 
 
-def test_normalize_and_assign_examples():
-    assert normalize_and_assign([("A", 0.5), ("B", 0.25), ("C", 0.25)]) == [
-        ("A", 0.5)
-    ]
-    assert (
-        normalize_and_assign([("A", 0.3), ("B", 0.3), ("C", 0.2), ("D", 0.2)]) == []
+def _fan_in_shares(make_graph, fan, **cfg):
+    """(label, w_norm) of the one fan-in page, coverage pruning off."""
+    graph, mapping, scheme = fan_in_case(make_graph, fan)
+    cfg = LabelingConfig(**{"coverage_threshold": 0.0, **cfg})
+    (rec,) = label_corpus(graph, mapping, scheme, cfg)
+    return [(a.label, a.w_norm) for a in rec.assignments]
+
+
+def test_normalize_and_assign_examples(make_graph):
+    # Raw weights 0.5, 0.25, 0.25: only A's share passes 0.3.
+    assert _fan_in_shares(make_graph, {"A": 0, "B": 1, "C": 1}) == [("A", 0.5)]
+    # Raw weights 0.75, 0.75, 0.5, 0.5: no share is above 0.3.
+    assert _fan_in_shares(make_graph, {"A": 3, "B": 3, "C": 2, "D": 2}) == []
+    assert _fan_in_shares(make_graph, {"A": 1}) == [("A", 1.0)]
+
+
+def test_normalize_and_assign_ordering_and_sum(make_graph):
+    out = _fan_in_shares(
+        make_graph, {"b": 2, "a": 2, "c": 1}, assignment_threshold=0.0
     )
-    assert normalize_and_assign([("A", 0.125)]) == [("A", 1.0)]
-
-
-def test_normalize_and_assign_ordering_and_sum():
-    out = normalize_and_assign([("b", 2.0), ("a", 2.0), ("c", 1.0)], threshold=0.0)
     assert [label for label, _ in out] == ["a", "b", "c"]
     assert sum(w for _, w in out) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_normalize_and_assign_errors():
-    with pytest.raises(ConfigurationError, match="no candidate"):
-        normalize_and_assign([])
-    with pytest.raises(ConfigurationError, match="duplicate"):
-        normalize_and_assign([("A", 1.0), ("A", 2.0)])
-    with pytest.raises(ConfigurationError, match="positive"):
-        normalize_and_assign([("A", 0.0)])
+def test_normalize_and_assign_errors(make_graph):
+    g = make_graph([(1, "A")], [], [])
+    mapping = _mapping(g, {"a": [1]})
+    with pytest.raises(ConfigurationError, match="duplicate labels"):
+        label_corpus(g, mapping, [["a", "a"]], DAG_CFG)
+    # A page 1 100 edges down has the dag weight 2**-1100, which is 0.0.
+    n = 1100
+    chain = make_graph(
+        [(i, f"C{i}") for i in range(n)],
+        [(5000, "deep")],
+        [(i, i + 1, "subcat") for i in range(n - 1)] + [(n - 1, 5000, "member")],
+    )
+    with pytest.raises(ConfigurationError, match="raw weights must be positive"):
+        _labeled(chain, {"r": [0]})
 
 
-def test_normalize_handles_infinite_raw():
-    out = normalize_and_assign([("A", math.inf), ("B", 1.0)])
-    assert out == [("A", 1.0)]
+def test_assignment_threshold_is_strict(make_graph):
+    # Equal raw weights split the page exactly in half.
+    fan = {"a": 1, "b": 1}
+    assert _fan_in_shares(make_graph, fan, assignment_threshold=0.5) == []
+    assert _fan_in_shares(make_graph, fan, assignment_threshold=0.49) == [
+        ("a", 0.5),
+        ("b", 0.5),
+    ]
 
 
 # ------------------------------------------------------------ label_corpus

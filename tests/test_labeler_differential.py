@@ -8,6 +8,7 @@ a power of two.
 
 from __future__ import annotations
 
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -104,6 +105,8 @@ def labeling_cases(draw):
         max_depth=draw(st.sampled_from([None, None, 0, 1, 2, 3])),
         coverage_threshold=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
         assignment_threshold=draw(st.sampled_from([0.0, 0.3, 0.5])),
+        # Caps below a page's depth raise, and caps above it sum many paths.
+        exact_path_cap=draw(st.sampled_from([1, 2, 5, 8])),
     )
     return graph, mapping, scheme, settings_
 
@@ -122,9 +125,7 @@ def test_array_labeler_matches_loop_oracle(case):
     graph, mapping, scheme, settings_ = case
     for mode in MODES:
         for path_mode in ("dag", "exact"):
-            cfg = LabelingConfig(
-                mode=mode, path_mode=path_mode, exact_path_cap=5, **settings_
-            )
+            cfg = LabelingConfig(mode=mode, path_mode=path_mode, **settings_)
             args = (graph, mapping, scheme, cfg)
             assert _outcome(label_corpus, *args) == _outcome(
                 labeler_oracle.label_corpus, *args
@@ -168,3 +169,24 @@ def test_ladder_overflow_matches_oracle():
     assert bottom["deep"].w_raw == float("inf") and bottom["deep"].w_norm == 1.0
     middle = {a.label: a for a in got[1].assignments}
     assert middle["deep"].w_raw == 2.0**500
+
+
+def test_exact_weight_adds_short_paths_first():
+    """One path of length 1 and 65 of length 60: added shortest first, each
+    2**-60 rounds away against 0.5, as in the sorted per-page sum; longest
+    first, they would carry 0.5 up to its next float."""
+    chain = [(100 + i, f"C{i}") for i in range(58)]
+    fan = [(200 + i, f"D{i}") for i in range(65)]
+    edges = [(1, 900, "member"), (1, 100, "subcat")]
+    edges += [(100 + i, 101 + i, "subcat") for i in range(57)]
+    edges += [(157, d, "subcat") for d, _ in fan]
+    edges += [(d, 900, "member") for d, _ in fan]
+    graph = _load([(1, "root")] + chain + fan, [(900, "page")], edges)
+    mapping = CategoryMapping(
+        {"r": [MappedCategory(graph.category_node(1), "exact", 1.0)]}, [], {}, 0.9
+    )
+    cfg = LabelingConfig(mode="no_pruning", path_mode="exact", exact_path_cap=60)
+    got = label_corpus(graph, mapping, [["r"]], cfg)
+    assert got == labeler_oracle.label_corpus(graph, mapping, [["r"]], cfg)
+    assert got[0].assignments[0].w_raw == 0.5
+    assert math.fsum([0.5] + [2.0**-60] * 65) > 0.5
