@@ -368,21 +368,28 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 
 def _n_per_class(args: argparse.Namespace, cfg: dict, default: int) -> int:
-    """The ``n_per_class`` setting; only an absent one takes the default."""
+    """The ``n_per_class`` setting; only an absent one takes the default.
+
+    Read before a subcommand does any work, so a bad value writes nothing.
+    """
     n = _get_as(args, cfg, "n_per_class", None, int)
-    return default if n is None else n
+    if n is None:
+        return default
+    if n < 1:
+        raise ConfigurationError("n_per_class must be >= 1")
+    return n
 
 
-def _default_n_per_class(scheme: str) -> int:
+def _default_n_per_class(args: argparse.Namespace, cfg: dict) -> int:
     # Coarse sets span the whole corpus; fine sets are per parent.
-    return 20_000 if scheme == "coarse" else 1_000
+    return 20_000 if _get(args, cfg, "scheme", "coarse") == "coarse" else 1_000
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
+    n_per_class = _n_per_class(args, cfg, _default_n_per_class(args, cfg))
     scheme_name, named, rows = _labeled_rows(args, cfg)
     seed = _get_as(args, cfg, "seed", 0, int)
-    n_per_class = _n_per_class(args, cfg, _default_n_per_class(scheme_name))
     out = _require(args, cfg, "out")
     balanced = {}
     for name in sorted(rows):
@@ -412,11 +419,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
+    n_per_class = _n_per_class(args, cfg, _default_n_per_class(args, cfg))
     scheme_name, named, rows = _labeled_rows(args, cfg)
     kind = _one_of("kind", _get(args, cfg, "kind", "svm"), KINDS)
     seed = _get_as(args, cfg, "seed", 0, int)
     min_df = _get_as(args, cfg, "min_df", 3, int)
-    n_per_class = _n_per_class(args, cfg, _default_n_per_class(scheme_name))
     train_cfg = TrainConfig(
         lam=_get_as(args, cfg, "lam", 1e-4, float),
         epochs=_get_as(args, cfg, "epochs", 5, int),
@@ -508,13 +515,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
+    n_per_class = _n_per_class(args, cfg, 200)
     graph = _load_graph_arg(_require(args, cfg, "graph"))
     taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
     corpus = _load_corpus(_require(args, cfg, "corpus"))
     scheme_name = _get(args, cfg, "scheme", "coarse")
     seed = _get_as(args, cfg, "seed", 0, int)
     min_df = _get_as(args, cfg, "min_df", 3, int)
-    n_per_class = _n_per_class(args, cfg, 200)
     workers = _get_as(args, cfg, "workers", 1, int)
     out_dir = Path(_require(args, cfg, "out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)

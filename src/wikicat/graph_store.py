@@ -9,16 +9,29 @@ File formats (tab separated, UTF-8, one record per line):
 * ``redirects.tsv`` (optional): ``alias_name<TAB>category_id``
 
 Category and page id namespaces are independent; the edge kind says which
-table a child id refers to.  Internally categories get dense node ids
-``0..C-1`` in file order and pages ``C..C+P-1``, so a node id alone tells
-the node type.  Adjacency is CSR over numpy arrays with child lists sorted
-ascending, which places subcategory children ahead of member pages.
+table a child id refers to.  Ids are integers in the int64 range.
+Internally categories get dense node ids ``0..C-1`` in file order and pages
+``C..C+P-1``, so a node id alone tells the node type.  Adjacency is CSR
+over numpy arrays with child lists sorted ascending, which places
+subcategory children ahead of member pages.
+
+The input alone chooses between two loaders that build the same graph.
+The columnar one reads the three main files whole and parses them with
+numpy, about a mebibyte of lines at a time.  It takes only a narrow byte
+grammar: every line ends in ``\n`` and has exactly the expected tabs, no
+``\r`` appears anywhere, every id is ASCII ``-?[0-9]{1,18}``, every kind is
+exactly ``subcat`` or ``member``, and the files hold nothing the line
+parser would reject.  Any other input, CRLF files among them, goes through
+the line parser from the top, which accepts what ``int()`` accepts and
+names the first bad line as ``file:line``.  Redirects always go through
+the line parser.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -33,6 +46,13 @@ MEMBER = "member"
 
 _MAGIC = b"WCG1"
 _VERSION = 1
+
+_INT64 = np.iinfo(np.int64)
+# The columnar loader's per-byte temporaries are sized by this block.
+_BLOCK_BYTES = 1 << 20
+_MAX_DIGITS = 18  # every -?[0-9]{1,18} fits int64
+_SUBCAT_BYTES = np.frombuffer(SUBCAT.encode(), np.uint8)
+_MEMBER_BYTES = np.frombuffer(MEMBER.encode(), np.uint8)
 
 
 class CategoryGraph:
@@ -63,22 +83,39 @@ class CategoryGraph:
         self.dropped_aliases = dropped_aliases
 
         self.cat_by_external = {int(e): i for i, e in enumerate(cat_external)}
-        self.page_by_external = {
-            int(e): self.n_categories + i for i, e in enumerate(page_external)
-        }
         self.cat_by_name = {name: i for i, name in enumerate(cat_names)}
 
-        # Reverse adjacency is always derived from the forward CSR, never
-        # stored, so TSV and snapshot loads go through identical code.
-        child_ids = indices.astype(np.int64)
+    @cached_property
+    def page_by_external(self) -> dict[int, int]:
+        return {
+            e: self.n_categories + i for i, e in enumerate(self.page_external.tolist())
+        }
+
+    @cached_property
+    def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rindptr, rindices): parents sorted ascending per node.
+
+        Derived from the forward CSR, never stored, so TSV and snapshot
+        loads go through identical code.  Forward rows come in parent order,
+        so a stable sort by child keeps each child's parents ascending.
+        """
         parent_ids = np.repeat(
-            np.arange(self.n_nodes, dtype=np.int64), np.diff(indptr)
+            np.arange(self.n_nodes, dtype=np.int32), np.diff(self.indptr)
         )
-        order = np.lexsort((parent_ids, child_ids))
-        self.rindices = parent_ids[order].astype(np.int32)
-        counts = np.bincount(child_ids, minlength=self.n_nodes)
-        self.rindptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.rindptr[1:])
+        rindices = parent_ids[np.argsort(self.indices, kind="stable")]
+        rindptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(self.indices, minlength=self.n_nodes), out=rindptr[1:]
+        )
+        return rindptr, rindices
+
+    @property
+    def rindptr(self) -> np.ndarray:
+        return self._reverse[0]
+
+    @property
+    def rindices(self) -> np.ndarray:
+        return self._reverse[1]
 
     @property
     def n_nodes(self) -> int:
@@ -155,6 +192,69 @@ class CategoryGraph:
         }
 
 
+def load_graph(
+    categories: str | Path,
+    pages: str | Path,
+    edges: str | Path,
+    redirects: str | Path | None = None,
+    *,
+    strict: bool = True,
+) -> CategoryGraph:
+    """Load a graph from TSV files.
+
+    In strict mode (the default) edges whose endpoints are missing or whose
+    kind disagrees with the child's table are errors; in lenient mode they
+    are dropped and counted.  Malformed lines are errors in both modes.
+    """
+    files = Path(categories), Path(pages), Path(edges)
+    try:
+        tables = _columnar_tables(*files, strict)
+    except _NotColumnar:
+        tables = _line_tables(*files, strict)
+    cat_external, cat_names, page_external, page_titles, keys, dropped_edges = tables
+    indptr, indices = _csr(keys, len(cat_names) + len(page_titles))
+
+    aliases: dict[str, int] = {}
+    dropped_aliases = 0
+    if redirects is not None:
+        aliases, dropped_aliases = _load_redirects(
+            Path(redirects), cat_external, strict
+        )
+
+    if dropped_edges or dropped_aliases:
+        logger.warning(
+            "lenient load dropped %d edges and %d aliases",
+            dropped_edges,
+            dropped_aliases,
+        )
+
+    return CategoryGraph(
+        cat_external,
+        cat_names,
+        page_external,
+        page_titles,
+        indptr,
+        indices,
+        aliases,
+        dropped_edges,
+        dropped_aliases,
+    )
+
+
+def _csr(keys: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Forward CSR of the distinct edges among ``parent * n_nodes + child``."""
+    keys = np.sort(keys)
+    if len(keys):
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    parents, children = np.divmod(keys, n_nodes)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(parents, minlength=n_nodes), out=indptr[1:])
+    return indptr, children.astype(np.int32)
+
+
+# ------------------------------------------------------------ line parser
+
+
 def _iter_tsv(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -185,6 +285,10 @@ def _load_id_name(
     seen_names: set[str] = set()
     for lineno, (raw_id, name) in _iter_tsv(path, 2):
         ext = _parse_int(path, lineno, raw_id, f"{what} id")
+        if not _INT64.min <= ext <= _INT64.max:
+            raise GraphFormatError(
+                f"{path}:{lineno}: {what} id out of range: {raw_id!r}"
+            )
         if not name:
             raise GraphFormatError(f"{path}:{lineno}: empty {what} name")
         if ext in seen_ids:
@@ -201,33 +305,16 @@ def _load_id_name(
     return np.asarray(externals, dtype=np.int64), names
 
 
-def load_graph(
-    categories: str | Path,
-    pages: str | Path,
-    edges: str | Path,
-    redirects: str | Path | None = None,
-    *,
-    strict: bool = True,
-) -> CategoryGraph:
-    """Load a graph from TSV files.
-
-    In strict mode (the default) edges whose endpoints are missing or whose
-    kind disagrees with the child's table are errors; in lenient mode they
-    are dropped and counted.  Malformed lines are errors in both modes.
-    """
-    categories = Path(categories)
-    pages = Path(pages)
-    edges = Path(edges)
-
+def _line_tables(categories: Path, pages: Path, edges: Path, strict: bool) -> tuple:
+    """The loader's tables, one line at a time; see :func:`_columnar_tables`."""
     cat_external, cat_names = _load_id_name(categories, "category", True)
     page_external, page_titles = _load_id_name(pages, "page", False)
     n_cats = len(cat_names)
     cat_by_ext = {int(e): i for i, e in enumerate(cat_external)}
     page_by_ext = {int(e): n_cats + i for i, e in enumerate(page_external)}
-    n_nodes = n_cats + len(page_titles)
 
-    parents_raw: list[int] = []
-    children_raw: list[int] = []
+    parents: list[int] = []
+    children: list[int] = []
     dropped_edges = 0
     for lineno, (raw_p, raw_c, kind) in _iter_tsv(edges, 3):
         p_ext = _parse_int(edges, lineno, raw_p, "parent id")
@@ -256,68 +343,218 @@ def load_graph(
                 )
             dropped_edges += 1
             continue
-        parents_raw.append(parent)
-        children_raw.append(child)
+        parents.append(parent)
+        children.append(child)
 
-    if parents_raw:
-        keys = np.asarray(parents_raw, dtype=np.int64) * n_nodes + np.asarray(
-            children_raw, dtype=np.int64
-        )
-        keys = np.unique(keys)
-        parent_arr = keys // n_nodes
-        child_arr = (keys % n_nodes).astype(np.int32)
-    else:
-        parent_arr = np.empty(0, dtype=np.int64)
-        child_arr = np.empty(0, dtype=np.int32)
-    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(parent_arr, minlength=n_nodes), out=indptr[1:])
+    n_nodes = n_cats + len(page_titles)
+    keys = np.asarray(parents, dtype=np.int64) * n_nodes + np.asarray(
+        children, dtype=np.int64
+    )
+    return (
+        cat_external, cat_names, page_external, page_titles, keys, dropped_edges
+    )
 
+
+def _load_redirects(
+    path: Path, cat_external: np.ndarray, strict: bool
+) -> tuple[dict[str, int], int]:
+    cat_by_ext = {e: i for i, e in enumerate(cat_external.tolist())}
     aliases: dict[str, int] = {}
-    dropped_aliases = 0
-    if redirects is not None:
-        redirects = Path(redirects)
-        for lineno, (alias, raw_id) in _iter_tsv(redirects, 2):
-            if not alias:
-                raise GraphFormatError(f"{redirects}:{lineno}: empty alias name")
-            c_ext = _parse_int(redirects, lineno, raw_id, "category id")
-            node = cat_by_ext.get(c_ext)
-            if node is None:
-                if strict:
-                    raise GraphFormatError(
-                        f"{redirects}:{lineno}: alias {alias!r} points to "
-                        f"unknown category {c_ext}"
-                    )
-                dropped_aliases += 1
-                continue
-            prev = aliases.get(alias)
-            if prev is not None and prev != node:
-                if strict:
-                    raise GraphFormatError(
-                        f"{redirects}:{lineno}: alias {alias!r} maps to more "
-                        f"than one category"
-                    )
-                dropped_aliases += 1
-                continue
-            aliases[alias] = node
+    dropped = 0
+    for lineno, (alias, raw_id) in _iter_tsv(path, 2):
+        if not alias:
+            raise GraphFormatError(f"{path}:{lineno}: empty alias name")
+        c_ext = _parse_int(path, lineno, raw_id, "category id")
+        node = cat_by_ext.get(c_ext)
+        if node is None:
+            if strict:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: alias {alias!r} points to "
+                    f"unknown category {c_ext}"
+                )
+            dropped += 1
+            continue
+        prev = aliases.get(alias)
+        if prev is not None and prev != node:
+            if strict:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: alias {alias!r} maps to more "
+                    f"than one category"
+                )
+            dropped += 1
+            continue
+        aliases[alias] = node
+    return aliases, dropped
 
-    if dropped_edges or dropped_aliases:
-        logger.warning(
-            "lenient load dropped %d edges and %d aliases",
-            dropped_edges,
-            dropped_aliases,
-        )
 
-    return CategoryGraph(
+# -------------------------------------------------------- columnar loader
+
+
+class _NotColumnar(Exception):
+    """The input lies outside the columnar loader's grammar."""
+
+
+def _columnar_tables(
+    categories: Path, pages: Path, edges: Path, strict: bool
+) -> tuple:
+    """(category ids, names, page ids, titles, edge keys, dropped edges).
+
+    An edge key is ``parent * n_nodes + child`` in node ids, in file order
+    with duplicates kept.  Raises :class:`_NotColumnar` wherever the input
+    leaves the grammar in the module docstring or the line parser would
+    raise, so that every error comes from the line parser.
+    """
+    cat_external, cat_names, cat_index = _columnar_id_names(categories, True)
+    page_external, page_titles, page_index = _columnar_id_names(pages, False)
+    n_cats = len(cat_names)
+    n_nodes = n_cats + len(page_titles)
+
+    keys: list[np.ndarray] = []
+    dropped_edges = 0
+    for block, bounds in _line_blocks(edges, 3):
+        parent, ok = cat_index.lookup(_ids(block, bounds[:, 0] + 1, bounds[:, 1]))
+        child_ext = _ids(block, bounds[:, 1] + 1, bounds[:, 2])
+        member = _is_member(block, bounds[:, 2] + 1, bounds[:, 3])
+        as_cat, in_cats = cat_index.lookup(child_ext)
+        as_page, in_pages = page_index.lookup(child_ext)
+        child = np.where(member, as_page + n_cats, as_cat)
+        ok &= np.where(member, in_pages, in_cats)
+        if not ok.all():
+            if strict:
+                raise _NotColumnar
+            dropped_edges += int(len(ok) - ok.sum())
+            parent, child = parent[ok], child[ok]
+        keys.append(parent * n_nodes + child)
+    return (
         cat_external,
         cat_names,
         page_external,
         page_titles,
-        indptr,
-        child_arr,
-        aliases,
+        _concat(keys),
         dropped_edges,
-        dropped_aliases,
     )
+
+
+def _columnar_id_names(
+    path: Path, unique_names: bool
+) -> tuple[np.ndarray, list[str], _IdIndex]:
+    """Ids, names and id index of a whole ``id<TAB>name`` file, checked
+    before the next file is opened, as the line parser does."""
+    ids: list[np.ndarray] = []
+    names: list[str] = []
+    for block, bounds in _line_blocks(path, 2):
+        ids.append(_ids(block, bounds[:, 0] + 1, bounds[:, 1]))
+        names += _names(block, bounds)
+    if unique_names and len(set(names)) < len(names):
+        raise _NotColumnar
+    external = _concat(ids)
+    return external, names, _IdIndex(external)
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+class _IdIndex:
+    """External ids to node ids by binary search; duplicates leave the grammar."""
+
+    def __init__(self, external: np.ndarray) -> None:
+        self.order = np.argsort(external, kind="stable")
+        self.sorted = external[self.order]
+        if (self.sorted[1:] == self.sorted[:-1]).any():
+            raise _NotColumnar
+
+    def lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(node id, found) per id; the node id is meaningless where not found."""
+        if not len(self.sorted):
+            return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
+        at = np.minimum(np.searchsorted(self.sorted, ids), len(self.sorted) - 1)
+        return self.order[at], self.sorted[at] == ids
+
+
+def _line_blocks(path: Path, n_fields: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The file's bytes in runs of whole lines of about ``_BLOCK_BYTES``.
+
+    Yields (block, bounds): field ``k`` of line ``i`` is
+    ``block[bounds[i, k] + 1 : bounds[i, k + 1]]``.  Every line must end in
+    ``\\n`` and hold exactly ``n_fields - 1`` tabs, and no ``\\r`` may appear,
+    since text mode reads a lone ``\\r`` as a line break.
+    """
+    data = path.read_bytes()
+    if b"\r" in data or data[-1:] not in (b"", b"\n"):
+        raise _NotColumnar
+    whole = np.frombuffer(data, dtype=np.uint8)
+    start = 0
+    while start < len(data):
+        stop = data.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
+        if stop <= start:  # one line longer than a block
+            stop = data.index(b"\n", start + _BLOCK_BYTES) + 1
+        block = whole[start:stop]
+        ends = np.flatnonzero(block == 10)
+        tabs = np.flatnonzero(block == 9)
+        if len(tabs) != (n_fields - 1) * len(ends):
+            raise _NotColumnar
+        bounds = np.empty((len(ends), n_fields + 1), dtype=np.int64)
+        bounds[0, 0] = -1
+        bounds[1:, 0] = ends[:-1]
+        bounds[:, 1:-1] = tabs.reshape(len(ends), n_fields - 1)
+        bounds[:, -1] = ends
+        # With the count right, every line holds its share of the tabs when
+        # its first tab follows the line's start and its last precedes its end.
+        first_tab, last_tab = bounds[:, 1], bounds[:, -2]
+        if (first_tab < bounds[:, 0]).any() or (last_tab > ends).any():
+            raise _NotColumnar
+        yield block, bounds
+        start = stop
+
+
+def _ids(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The int64 value of each field ``block[lo:hi]``, which must be ASCII
+    ``-?[0-9]{1,18}``."""
+    negative = block[lo] == ord("-")
+    lo = lo + negative
+    width = hi - lo
+    if width.min() < 1 or width.max() > _MAX_DIGITS:
+        raise _NotColumnar
+    value = np.zeros(len(width), dtype=np.int64)
+    for k in range(int(width.max())):
+        live = width > k
+        digit = block[np.where(live, hi - 1 - k, hi)] - np.uint8(ord("0"))
+        digit[~live] = 0
+        if (digit > 9).any():
+            raise _NotColumnar
+        value += digit.astype(np.int64) * 10**k
+    return np.where(negative, -value, value)
+
+
+def _is_member(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each kind field is ``member``; each must be exactly
+    ``subcat`` or ``member``."""
+    if (hi - lo != len(_MEMBER_BYTES)).any():
+        raise _NotColumnar
+    kinds = block[lo[:, None] + np.arange(len(_MEMBER_BYTES))]
+    member = (kinds == _MEMBER_BYTES).all(axis=1)
+    if not (member | (kinds == _SUBCAT_BYTES).all(axis=1)).all():
+        raise _NotColumnar
+    return member
+
+
+def _names(block: np.ndarray, bounds: np.ndarray) -> list[str]:
+    """The last field of each line, decoded; each must be non-empty UTF-8."""
+    lo, hi = bounds[:, -2] + 1, bounds[:, -1]
+    if (lo == hi).any():
+        raise _NotColumnar
+    # Keep each name with its newline: the kept bytes split into the names.
+    drop = np.zeros(len(block), dtype=np.int8)
+    drop[bounds[:, 0] + 1] = 1
+    drop[lo] -= 1
+    kept = block[np.cumsum(drop, dtype=np.int8) == 0]
+    try:
+        names = kept.tobytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise _NotColumnar from None
+    names.pop()
+    return names
 
 
 def save_snapshot(graph: CategoryGraph, path: str | Path) -> None:

@@ -140,7 +140,8 @@ def _bfs(
     for node in root.nodes:
         if not 0 <= node < graph.n_categories:
             raise ConfigurationError(
-                f"root node {node} of {root.label!r} is not a category"
+                f"root page {graph.external_id(node)} of {root.label!r} "
+                "is not a category"
             )
     allowed = np.ones(n, dtype=bool)
     allowed[[v for v in blocked if 0 <= v < n]] = False
@@ -342,7 +343,9 @@ def _exact_weights(
     raw = np.empty(len(pages))
     for i, p in enumerate(pages.tolist()):
         if p not in terms:
-            raise ConfigurationError(f"page {p} has no path within the cap {cap}")
+            raise ConfigurationError(
+                f"page {graph.external_id(p)} has no path within the cap {cap}"
+            )
         raw[i] = sum(chain.from_iterable(terms[p]))
     return raw
 

@@ -38,7 +38,8 @@ def bfs(
     for node in root.nodes:
         if not 0 <= node < graph.n_categories:
             raise ConfigurationError(
-                f"root node {node} of {root.label!r} is not a category"
+                f"root page {graph.external_id(node)} of {root.label!r} "
+                "is not a category"
             )
         depth[node] = 0
     queue = deque(sorted(set(root.nodes)))
@@ -130,7 +131,8 @@ def weight(
     lengths = enumerate_paths(graph, root, page, cfg.exact_path_cap, blocked)
     if not lengths:
         raise ConfigurationError(
-            f"page {page} has no path within the cap {cfg.exact_path_cap}"
+            f"page {graph.external_id(page)} has no path within the cap "
+            f"{cfg.exact_path_cap}"
         )
     return float(sum(2.0 ** -n for n in lengths))
 

@@ -103,6 +103,26 @@ def test_build_graph_corrupt_line_names_file_and_line(tmp_path, capsys):
     assert "edges.tsv:1" in err
 
 
+@pytest.mark.parametrize(
+    "table, what", [("categories", "category"), ("pages", "page")]
+)
+@pytest.mark.parametrize("raw", ["99999999999999999999", "-9223372036854775809"])
+def test_build_graph_id_beyond_int64_exits_2(tmp_path, capsys, table, what, raw):
+    paths = write_graph_files(tmp_path, [(1, "Top")], [(10, "P")], [])
+    paths[table].write_text(f"{raw}\tHuge\n", encoding="utf-8")
+    rc = main([
+        "build-graph",
+        "--categories", str(paths["categories"]),
+        "--pages", str(paths["pages"]),
+        "--edges", str(paths["edges"]),
+        "--out", str(tmp_path / "g.bin"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{table}.tsv:1: {what} id out of range: '{raw}'" in err
+    assert not (tmp_path / "g.bin").exists()
+
+
 def test_map_reports_unmapped_and_applies_override(wiki, tmp_path, capsys):
     taxonomy = json.loads((wiki / "taxonomy.json").read_text())
     taxonomy["labels"].append({"id": "zeta", "name": "Zetaqq", "parent": None})
@@ -504,6 +524,7 @@ def test_ablate_n_per_class_0_exits_2(wiki, tmp_path, capsys):
     ])
     assert rc == 2
     assert "n_per_class must be >= 1" in capsys.readouterr().err
+    assert list((tmp_path / "ablate").glob("labels.*.jsonl")) == []
 
 
 @pytest.mark.parametrize("command", ["label", "train"])

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from wikicat import graph_store
 from wikicat.exceptions import ConfigurationError, GraphFormatError
 from wikicat.graph_store import load_graph, load_snapshot, save_snapshot
+from wikicat.synth import make_ablation_wiki, make_scale_graph
 
 CATS = [(10, "Vehicles"), (11, "Trucks"), (12, "Cars")]
 PAGES = [(200, "Ford F-150"), (201, "Honda Civic")]
@@ -285,3 +292,215 @@ def test_random_graphs_adjacency_consistent(make_graph):
                 assert u in g.parents(v).tolist()
         assert seen == expected
         assert sum(len(g.parents(v)) for v in range(g.n_nodes)) == len(expected)
+
+
+# ------------------------------------------- columnar loader vs line parser
+
+# Odd id renderings: all but the first two leave the columnar grammar, and
+# int() still takes some of those.
+_ODD_IDS = [
+    "zeros", "neg_zero", "plus", "space", "underscore", "arabic", "19_digits",
+    "int64_max", "beyond_int64", "empty", "junk",
+]
+
+
+def _render_id(value: int, form: str) -> str:
+    text = str(value)
+    return {
+        "plus": f"+{abs(value)}",
+        "space": f" {text}",
+        "underscore": f"{text}_0",
+        "arabic": text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+        "zeros": f"{'-' if value < 0 else ''}00{abs(value)}",
+        "neg_zero": "-0",
+        "19_digits": str(abs(value)).zfill(19),
+        "int64_max": str(2**63 - 1),
+        "beyond_int64": str(2**63),
+        "empty": "",
+        "junk": f"{text}x",
+    }[form]
+
+
+@st.composite
+def _graph_tsvs(draw):
+    """(categories, pages, edges) texts.  In a quarter of the examples
+    every field is well formed, though names may repeat and edges may
+    dangle or disagree with their kind.  In the rest one kind of field is
+    now and then rendered oddly."""
+    defect = draw(st.sampled_from(["id", "name", "kind", "tabs", "ending", "final"]))
+    rate = draw(st.sampled_from([0, 5, 20, 50]))  # percent of those fields
+
+    def odd(kind: str) -> bool:
+        return kind == defect and draw(st.integers(0, 99)) < rate
+
+    def rare() -> bool:
+        return draw(st.integers(0, 19)) == 0
+
+    def id_text(value: int, taken: list[int]) -> str:
+        if not odd("id"):
+            return str(value)
+        form = draw(st.sampled_from(_ODD_IDS + ["duplicate"]))
+        if form == "duplicate":
+            return str(draw(st.sampled_from(taken))) if taken else str(value)
+        return _render_id(value, form)
+
+    def line(fields: list[str]) -> str:
+        if odd("tabs"):
+            fields = fields + ["extra"] if draw(st.booleans()) else fields[:-1]
+        ending = draw(st.sampled_from(["\r\n", "\r"])) if odd("ending") else "\n"
+        return "\t".join(fields) + ending
+
+    def text(lines: list[str]) -> str:
+        out = "".join(lines)
+        return out.rstrip("\r\n") if odd("final") else out
+
+    ids = st.lists(st.integers(-3, 40), unique=True, max_size=8)
+    names = st.text(alphabet="aBé \x0b\x85\u2028", min_size=1, max_size=3)
+    tables = []
+    for table_ids in (draw(ids), draw(ids)):
+        lines, table_names = [], []
+        for i, value in enumerate(table_ids):
+            name = draw(names)
+            if odd("name"):
+                name = draw(st.sampled_from(["", "t\tab", "c\rr"] + table_names))
+            table_names.append(name)
+            lines.append(line([id_text(value, table_ids[:i]), name]))
+        tables.append((table_ids, text(lines)))
+    (cat_ids, categories), (page_ids, pages) = tables
+
+    lines = []
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["subcat", "member"]))
+        own, other = (cat_ids, page_ids) if kind == "subcat" else (page_ids, cat_ids)
+        parent = draw(st.sampled_from(cat_ids)) if cat_ids and not rare() else 99
+        if own and not rare():
+            child = draw(st.sampled_from(own))
+        elif other and draw(st.booleans()):
+            child = draw(st.sampled_from(other))  # the wrong kind
+        else:
+            child = 98  # dangling
+        if odd("kind"):
+            kind = draw(st.sampled_from(["link", "Subcat", "member ", "subcat\t"]))
+        lines.append(line([id_text(parent, []), id_text(child, []), kind]))
+    return categories, pages, text(lines)
+
+
+def _outcome(files, strict, snap):
+    try:
+        graph = load_graph(*files, strict=strict)
+    except GraphFormatError as exc:
+        return f"GraphFormatError: {exc}"
+    save_snapshot(graph, snap)
+    return snap.read_bytes(), graph.stats()
+
+
+def _columnar_and_line(files, strict, snap):
+    """The loader's outcome as the input selects, and by the line parser."""
+    got = _outcome(files, strict, snap)
+    with mock.patch.object(
+        graph_store, "_columnar_tables", side_effect=graph_store._NotColumnar
+    ):
+        return got, _outcome(files, strict, snap)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    texts=_graph_tsvs(),
+    strict=st.booleans(),
+    block_bytes=st.sampled_from([1, 7, 32, 1 << 20]),
+)
+def test_columnar_loader_matches_line_parser(texts, strict, block_bytes):
+    with tempfile.TemporaryDirectory() as d:
+        files = [Path(d, name) for name in ("c.tsv", "p.tsv", "e.tsv")]
+        for path, text in zip(files, texts):
+            path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(graph_store, "_BLOCK_BYTES", block_bytes):
+            got, want = _columnar_and_line(files, strict, Path(d, "g.bin"))
+    assert got == want
+
+
+_GOOD_ROWS = {
+    "categories": [["1", "A"], ["2", "B"]],
+    "pages": [["10", "P"], ["11", "Q"]],
+    "edges": [["1", "2", "subcat"], ["2", "10", "member"], ["1", "11", "member"]],
+}
+_ODD_FIELDS = {
+    "id": [
+        "+1", " 1", "1 ", "1_0", "١", "-0", "007", "-", "1x", "", "2", "99",
+        "0000000000000000001", str(2**63 - 1), str(2**63), str(-(2**63) - 1),
+    ],
+    "name": ["", "B", "Q", "a\rb", "a\x0bb", "a\x85b", "a\u2028b", "a\tb"],
+    "kind": ["link", "Subcat", "member ", " member", "membe", "subcats", "subcat\t"],
+}
+
+
+def _one_odd_spot():
+    """Each table's rows as text, with one field or line ending made odd."""
+    def render(rows, endings):
+        return "".join("\t".join(row) + end for row, end in zip(rows, endings))
+
+    for table, rows in _GOOD_ROWS.items():
+        plain = ["\n"] * len(rows)
+        for i, row in enumerate(rows):
+            for j in range(len(row)):
+                kind = "id" if j < len(row) - 1 else "name"
+                kind = "kind" if table == "edges" and kind == "name" else kind
+                for token in _ODD_FIELDS[kind]:
+                    odd = [list(r) for r in rows]
+                    odd[i][j] = token
+                    yield table, render(odd, plain)
+            for end in ("\r\n", "\r", ""):
+                yield table, render(rows, plain[:i] + [end] + plain[i + 1 :])
+            if i:  # one tab moved from a line to the one above
+                odd = [list(r) for r in rows]
+                odd[i - 1].append(odd[i].pop())
+                yield table, render(odd, plain)
+
+
+def test_columnar_loader_matches_line_parser_at_each_odd_spot(tmp_path):
+    files = [tmp_path / f"{table}.tsv" for table in _GOOD_ROWS]
+    good = {
+        table: "".join("\t".join(row) + "\n" for row in rows)
+        for table, rows in _GOOD_ROWS.items()
+    }
+    for table, text in _one_odd_spot():
+        for path, name in zip(files, _GOOD_ROWS):
+            path.write_text(text if name == table else good[name], encoding="utf-8")
+        for strict in (True, False):
+            got, want = _columnar_and_line(files, strict, tmp_path / "g.bin")
+            assert got == want, (table, text, strict)
+
+
+def _line_parser_off(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the line parser ran")
+
+    monkeypatch.setattr(graph_store, "_line_tables", refuse)
+
+
+def test_columnar_loader_takes_the_generated_graphs(tmp_path, monkeypatch):
+    """A grammar check too narrow for the synthetic graphs would silently
+    send them, and the benchmark, through the slow line parser."""
+    make_scale_graph(
+        tmp_path / "scale", n_categories=2_400, n_pages=2_000, n_edges=20_000
+    )
+    make_ablation_wiki(tmp_path / "ablation", seed=0)
+    _line_parser_off(monkeypatch)
+    for name in ("scale", "ablation"):
+        files = [tmp_path / name / f"{t}.tsv" for t in ("categories", "pages", "edges")]
+        assert load_graph(*files).stats()["n_member_edges"] > 0
+
+
+def test_crlf_input_loads_through_the_line_parser(graph_files, monkeypatch):
+    paths = graph_files(CATS, PAGES, EDGES)
+    want = load_graph(paths["categories"], paths["pages"], paths["edges"])
+    for key in ("categories", "pages", "edges"):
+        text = paths[key].read_text(encoding="utf-8")
+        paths[key].write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    got = load_graph(paths["categories"], paths["pages"], paths["edges"])
+    assert got.stats() == want.stats()
+    assert np.array_equal(got.indices, want.indices)
+    _line_parser_off(monkeypatch)
+    with pytest.raises(AssertionError, match="line parser ran"):
+        load_graph(paths["categories"], paths["pages"], paths["edges"])
