@@ -38,6 +38,7 @@ from .exceptions import (
 )
 from .graph_store import CategoryGraph, load_graph, load_snapshot, save_snapshot
 from .labeler import (
+    CorpusLabels,
     LabelingConfig,
     PageLabels,
     coarse_scheme,
@@ -65,6 +66,7 @@ __all__ = [
     "CategoryMapping",
     "CentroidModel",
     "ConfigurationError",
+    "CorpusLabels",
     "DocMatrix",
     "EvalInstance",
     "EvalReport",

@@ -192,15 +192,11 @@ def _labeled_rows(args: argparse.Namespace, cfg: dict) -> tuple:
     """The scheme name, its competition sets by name, and the labels file's
     (page id, top label, text) rows per set."""
     taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
-    records = read_labels(_require(args, cfg, "labels"))
+    pages, tops = read_labels(_require(args, cfg, "labels"))
     corpus = _load_corpus(_require(args, cfg, "corpus"))
     scheme_name = _get(args, cfg, "scheme", "coarse")
     named = _named_scheme(taxonomy, scheme_name)
-    tops = (
-        (rec["page"], rec["assignments"][0]["label"] if rec["assignments"] else None)
-        for rec in records
-    )
-    return scheme_name, named, _collect_training_rows(tops, corpus, named)
+    return scheme_name, named, _collect_training_rows(zip(pages, tops), corpus, named)
 
 
 def _train_sets(
@@ -353,15 +349,14 @@ def _cmd_label(args: argparse.Namespace) -> int:
     out = _require(args, cfg, "out")
     named = _named_scheme(taxonomy, scheme_name)
     scheme = [named[name] for name in sorted(named)]
-    records = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
-    write_labels(records, graph, out)
-    per_label = Counter(a.label for rec in records for a in rec.assignments)
+    labeled = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
+    write_labels(labeled, graph, out)
     summary = {
         "config": {**asdict(lab_cfg), "scheme": scheme_name, "workers": workers},
         "out": str(out),
-        "pages_seen": len(records),
-        "unassigned": sum(1 for rec in records if not rec.assignments),
-        "per_label": dict(sorted(per_label.items())),
+        "pages_seen": len(labeled),
+        "unassigned": labeled.unassigned(),
+        "per_label": labeled.per_label(),
     }
     _emit(summary, _get(args, cfg, "summary_out", None))
     return 0
@@ -541,10 +536,10 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     rows_out = []
     for mode in modes:
         lab_cfg = replace(base_cfg, mode=mode)
-        records = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
-        write_labels(records, graph, out_dir / f"labels.{mode}.jsonl")
-        pages = graph.external_ids([rec.page for rec in records]).tolist()
-        tops = [rec.assignments[0].label if rec.assignments else None for rec in records]
+        labeled = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
+        write_labels(labeled, graph, out_dir / f"labels.{mode}.jsonl")
+        pages = graph.external_ids(labeled.page).tolist()
+        tops = labeled.tops()
         trained = _train_sets(
             _collect_training_rows(zip(pages, tops), corpus, named),
             named, "svm", n_per_class, min_df, train_cfg, out_dir, f"{mode}.",
@@ -554,7 +549,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         _, pooled = evaluate_grouped(instances, models)
         row = {
             "mode": mode,
-            "labeled_pages": sum(1 for r in records if r.assignments),
+            "labeled_pages": len(labeled) - labeled.unassigned(),
             "n_train_docs": n_train,
             "accuracy": pooled.accuracy,
             "macro_f1": pooled.macro_f1,

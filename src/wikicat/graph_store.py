@@ -256,15 +256,18 @@ def _csr(keys: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _iter_tsv(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            parts = raw.rstrip("\r\n").split("\t")
-            if len(parts) != n_fields:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected {n_fields} tab-separated "
-                    f"fields, got {len(parts)}"
-                )
-            yield lineno, parts
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                parts = raw.rstrip("\r\n").split("\t")
+                if len(parts) != n_fields:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: expected {n_fields} tab-separated "
+                        f"fields, got {len(parts)}"
+                    )
+                yield lineno, parts
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8: {exc}") from None
 
 
 def _parse_int(path: Path, lineno: int, text: str, what: str) -> int:

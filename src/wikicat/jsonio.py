@@ -18,6 +18,9 @@ from .exceptions import ConfigurationError
 # RecursionError comes from values nested too deeply.
 _PARSE_ERRORS = (ValueError, RecursionError)
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
 
 def read_json(path: str | Path) -> Any:
     """The value of a JSON document."""
@@ -33,8 +36,13 @@ def read_json(path: str | Path) -> Any:
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[str, Any]]:
     """Yield ``("path:line", value)`` for each non-blank line of a JSON Lines
-    file."""
-    loads = json.loads
+    file.
+
+    Each stripped line goes straight to the C scanner, which must consume
+    all of it.  Anything else (a BOM, extra data, a bad value) falls back to
+    ``json.loads``, whose error is the one reported.
+    """
+    scan = json.JSONDecoder().scan_once
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -43,9 +51,16 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[str, Any]]:
                     continue
                 where = f"{path}:{lineno}"
                 try:
-                    value = loads(line)
-                except _PARSE_ERRORS as exc:
-                    raise ConfigurationError(f"{where}: invalid JSON: {exc}") from None
+                    value, end = scan(line, 0)
+                    if end != len(line):
+                        raise ValueError
+                except (StopIteration, *_PARSE_ERRORS):
+                    try:
+                        value = json.loads(line)
+                    except _PARSE_ERRORS as exc:
+                        raise ConfigurationError(
+                            f"{where}: invalid JSON: {exc}"
+                        ) from None
                 yield where, value
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8: {exc}") from None
@@ -61,6 +76,26 @@ def write_json(doc: Any, path: str | Path) -> None:
 
 def write_jsonl(rows: Iterable[Any], path: str | Path) -> None:
     """Write each row as one compact, key-sorted JSON line."""
-    encode = json.JSONEncoder(sort_keys=True).encode
+    write_lines((_encode(row) + "\n" for row in rows), path)
+
+
+def write_lines(lines: Iterable[str], path: str | Path) -> None:
+    """Write JSON Lines that are already encoded, each ending in a newline.
+
+    A caller that formats its own lines must give the bytes ``write_jsonl``
+    would, as ``json_text`` and ``float_texts`` do for single values.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(encode(row) + "\n" for row in rows)
+        fh.writelines(lines)
+
+
+def json_text(value: Any) -> str:
+    """``value`` as ``write_jsonl`` writes it inside a line."""
+    return _encode(value)
+
+
+def float_texts(values: Iterable[float]) -> list[str]:
+    """Each float as ``write_jsonl`` writes it: its repr, or ``Infinity``,
+    ``-Infinity`` or ``NaN``."""
+    get = _NON_FINITE.get
+    return [get(text, text) for text in map(float.__repr__, values)]

@@ -26,6 +26,12 @@ its simple paths of length at most ``exact_path_cap``.  A root with
 candidates takes one depth-first walk that counts its simple paths to each
 (category, length); the walk, and so its cost, grows exponentially with
 the cap.
+
+The labels stay columns from the labeler to the trainer.  ``label_corpus``
+returns a ``CorpusLabels``: per record a page and an offset into per-row
+label, raw weight, normalized weight and depth columns.  ``write_labels``
+formats each JSON line from those columns, and ``read_labels`` returns only
+what training uses, each record's (external page id, top label or None).
 """
 
 from __future__ import annotations
@@ -34,13 +40,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .exceptions import ConfigurationError, TaxonomyError
 from .graph_store import CategoryGraph
-from .jsonio import read_jsonl, write_jsonl
+from .jsonio import float_texts, json_text, read_jsonl, write_lines
 from .taxonomy_mapper import CategoryMapping, Taxonomy
 
 MODES = ("full", "child_only", "all_descendants", "min_dist", "no_pruning")
@@ -207,6 +213,66 @@ class PageLabels:
     mode: str
 
 
+@dataclass(frozen=True, eq=False)
+class CorpusLabels:
+    """The labels of a corpus as columns, one record per (set, page).
+
+    Record ``i`` is page ``page[i]`` (an internal node id) with the kept
+    assignments in rows ``start[i]:start[i + 1]`` of the row columns, best
+    first.  A record with no rows is a page whose assignments were all
+    dropped.  ``label`` indexes ``labels``, which are sorted.
+
+    ``len()`` counts records, and iterating yields each record as a
+    ``PageLabels``, built only then.
+    """
+
+    mode: str
+    labels: tuple[str, ...]
+    page: np.ndarray  # per record
+    start: np.ndarray  # per record, then the end of the last one
+    label: np.ndarray  # per row
+    w_raw: np.ndarray
+    w_norm: np.ndarray
+    depth: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.page)
+
+    def __iter__(self) -> Iterator[PageLabels]:
+        labels, bounds = self.labels, self.start.tolist()
+        rows = list(
+            zip(
+                self.label.tolist(),
+                self.w_raw.tolist(),
+                self.w_norm.tolist(),
+                self.depth.tolist(),
+            )
+        )
+        for page, lo, hi in zip(self.page.tolist(), bounds, bounds[1:]):
+            assignments = tuple(
+                Assignment(labels[lab], w_raw, w_norm, depth)
+                for lab, w_raw, w_norm, depth in rows[lo:hi]
+            )
+            yield PageLabels(page, assignments, self.mode)
+
+    def tops(self) -> list[str | None]:
+        """Each record's best label, or None where it has no assignment."""
+        labels, label, bounds = self.labels, self.label.tolist(), self.start.tolist()
+        return [
+            labels[label[lo]] if lo < hi else None
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+
+    def unassigned(self) -> int:
+        """The number of records with no assignment."""
+        return int(np.count_nonzero(np.diff(self.start) == 0))
+
+    def per_label(self) -> dict[str, int]:
+        """Assignments per label, for the labels that have any, sorted."""
+        counts = np.bincount(self.label, minlength=len(self.labels)).tolist()
+        return {name: n for name, n in zip(self.labels, counts) if n}
+
+
 def build_competition_sets(
     mapping: CategoryMapping, scheme: Sequence[Sequence[str]]
 ) -> list[CompetitionSet]:
@@ -244,7 +310,7 @@ def label_corpus(
     scheme: Sequence[Sequence[str]],
     cfg: LabelingConfig,
     workers: int = 1,
-) -> list[PageLabels]:
+) -> CorpusLabels:
     """Label pages for every competition set in the scheme.
 
     Records are ordered by competition set, then external page id; a page
@@ -254,10 +320,15 @@ def label_corpus(
     """
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
-    records: list[PageLabels] = []
-    for cs in build_competition_sets(mapping, scheme):
-        records.extend(_label_competition_set(graph, cs, cfg))
-    return records
+    sets = build_competition_sets(mapping, scheme)
+    labels = sorted({spec.label for cs in sets for spec in cs.roots})
+    parts = [_NO_RECORDS] + [
+        _label_competition_set(graph, cs, cfg, labels) for cs in sets if cs.roots
+    ]
+    page, n_rows, *rows = (np.concatenate(cols) for cols in zip(*parts))
+    start = np.zeros(len(page) + 1, dtype=np.int64)
+    np.cumsum(n_rows, out=start[1:])
+    return CorpusLabels(cfg.mode, tuple(labels), page, start, *rows)
 
 
 def _collect_root(
@@ -350,11 +421,19 @@ def _exact_weights(
     return raw
 
 
+# What _label_competition_set returns for a set without records.
+_NO_RECORDS = tuple(
+    np.zeros(0, dtype)
+    for dtype in (np.int64, np.int64, np.int64, np.float64, np.float64, np.int64)
+)
+
+
 def _label_competition_set(
-    graph: CategoryGraph, cs: CompetitionSet, cfg: LabelingConfig
-) -> list[PageLabels]:
-    if not cs.roots:
-        return []
+    graph: CategoryGraph, cs: CompetitionSet, cfg: LabelingConfig, labels: list[str]
+) -> tuple[np.ndarray, ...]:
+    """One set's record pages and the number of kept rows of each record,
+    then the kept rows' label (an index into ``labels``), raw weight,
+    normalized weight and depth, in record order."""
     per_root = [
         _collect_root(
             graph,
@@ -364,9 +443,7 @@ def _label_competition_set(
         )
         for spec in cs.roots
     ]
-    # One row per (page, root) candidate, rows grouped by root in set order;
-    # ``label`` indexes the sorted label ids.
-    labels = sorted(spec.label for spec in cs.roots)
+    # One row per (page, root) candidate, rows grouped by root in set order.
     page, raw, depth = (np.concatenate(cols) for cols in zip(*per_root))
     label = np.repeat(
         [labels.index(spec.label) for spec in cs.roots],
@@ -385,39 +462,48 @@ def _label_competition_set(
             keep = np.ones(len(page), dtype=bool)
         w_norm = 1.0 / np.bincount(page, weights=keep)[page]
 
+    # Rows by external page id, then best first; a page's rows are one run.
     external = graph.page_external[page - graph.n_categories]
     order = np.lexsort((label, -w_norm, external))
+    page, keep = page[order], keep[order]
+    first = np.ones(len(page), dtype=bool)
+    first[1:] = page[1:] != page[:-1]
+    record = np.cumsum(first) - 1
+    n_kept = np.bincount(record[keep], minlength=int(first.sum()))
+    kept = order[keep]
+    return page[first], n_kept, label[kept], raw[kept], w_norm[kept], depth[kept]
 
-    by_page: dict[int, list[Assignment]] = {}
-    columns = (page, label, raw, w_norm, depth, keep)
-    for p, lab, w_raw, w, d, k in zip(*(col[order].tolist() for col in columns)):
-        kept = by_page.setdefault(p, [])
-        if k:
-            kept.append(Assignment(labels[lab], w_raw, w, d))
-    return [PageLabels(p, tuple(a), cfg.mode) for p, a in by_page.items()]
+
+def _float_texts(column: np.ndarray) -> list[str]:
+    """The JSON text of each float in a column, formatted once per distinct
+    bit pattern (a column holds few: ``w_norm`` is mostly 1.0)."""
+    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+    distinct, at = np.unique(bits, return_inverse=True)
+    texts = float_texts(distinct.view(np.float64).tolist())
+    return list(map(texts.__getitem__, at.tolist()))
 
 
-def write_labels(
-    records: Iterable[PageLabels], graph: CategoryGraph, path: str | Path
-) -> None:
-    records = list(records)
-    pages = graph.external_ids([rec.page for rec in records]).tolist()
-    write_jsonl(
+def write_labels(labeled: CorpusLabels, graph: CategoryGraph, path: str | Path) -> None:
+    """One JSON line per record, formatted from the columns: the bytes that
+    ``write_jsonl`` gives each record as a dict with external page ids."""
+    label_texts = [json_text(name) for name in labeled.labels]
+    rows = [
+        f'{{"depth": {depth}, "label": {label_texts[lab]}, '
+        f'"w_norm": {w_norm}, "w_raw": {w_raw}}}'
+        for depth, lab, w_norm, w_raw in zip(
+            labeled.depth.tolist(),
+            labeled.label.tolist(),
+            _float_texts(labeled.w_norm),
+            _float_texts(labeled.w_raw),
+        )
+    ]
+    tail = f'], "mode": {json_text(labeled.mode)}, "page": '
+    bounds = labeled.start.tolist()
+    pages = graph.external_ids(labeled.page).tolist()
+    write_lines(
         (
-            {
-                "page": page,
-                "assignments": [
-                    {
-                        "label": a.label,
-                        "w_raw": a.w_raw,
-                        "w_norm": a.w_norm,
-                        "depth": a.depth,
-                    }
-                    for a in rec.assignments
-                ],
-                "mode": rec.mode,
-            }
-            for page, rec in zip(pages, records)
+            f'{{"assignments": [{", ".join(rows[lo:hi])}{tail}{page}}}\n'
+            for page, lo, hi in zip(pages, bounds, bounds[1:])
         ),
         path,
     )
@@ -433,15 +519,22 @@ def _is_labels_row(rec) -> bool:
     return True
 
 
-def read_labels(path: str | Path) -> list[dict]:
-    """Parse a labels file back into plain dicts (external page ids), checked
-    to hold an int ``page`` and ``assignments`` with a str ``label`` each."""
-    out = []
+def read_labels(path: str | Path) -> tuple[list[int], list[str | None]]:
+    """Each record's external page id and top label (None where it has no
+    assignment), in file order, read in full.
+
+    Every line is checked to hold an int ``page`` and ``assignments`` with a
+    str ``label`` each.
+    """
+    pages: list[int] = []
+    tops: list[str | None] = []
     for where, rec in read_jsonl(path):
         if not _is_labels_row(rec):
             raise ConfigurationError(
                 f"{where}: expected an object with int 'page' and a list of "
                 "'assignments', each with a str 'label'"
             )
-        out.append(rec)
-    return out
+        assignments = rec["assignments"]
+        pages.append(rec["page"])
+        tops.append(assignments[0]["label"] if assignments else None)
+    return pages, tops

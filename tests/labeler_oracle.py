@@ -1,21 +1,25 @@
-"""Loop reference for ``wikicat.labeler.label_corpus``.
+"""Loop references for ``wikicat.labeler.label_corpus`` and ``write_labels``.
 
 One node and one page at a time: a ``deque`` BFS, path counts as Python
 ints (which never overflow), parent coverage page by page, one path
 enumeration per page in ``exact`` mode, and a per-page normalization.  Slow, but each step reads like the method's description,
-so the array labeler is tested against it.
+so the array labeler is tested against it.  The writer turns each record
+into a dict and lets ``write_jsonl`` encode it, which the columnar writer
+must match byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from wikicat.exceptions import ConfigurationError
 from wikicat.graph_store import CategoryGraph
+from wikicat.jsonio import write_jsonl
 from wikicat.labeler import (
     Assignment,
     CompetitionSet,
@@ -239,3 +243,29 @@ def label_corpus(
     for cs in build_competition_sets(mapping, scheme):
         records.extend(label_competition_set(graph, cs, cfg))
     return records
+
+
+def write_labels(
+    records: Iterable[PageLabels], graph: CategoryGraph, path: str | Path
+) -> None:
+    records = list(records)
+    pages = graph.external_ids([rec.page for rec in records]).tolist()
+    write_jsonl(
+        (
+            {
+                "page": page,
+                "assignments": [
+                    {
+                        "label": a.label,
+                        "w_raw": a.w_raw,
+                        "w_norm": a.w_norm,
+                        "depth": a.depth,
+                    }
+                    for a in rec.assignments
+                ],
+                "mode": rec.mode,
+            }
+            for page, rec in zip(pages, records)
+        ),
+        path,
+    )

@@ -8,6 +8,7 @@ import pytest
 from wikicat.classifiers import save_model, train_centroid
 from wikicat.cli import main
 from wikicat.graph_store import load_snapshot
+from wikicat.labeler import MODES, Assignment, PageLabels
 from wikicat.synth import make_ablation_wiki
 from wikicat.textproc import fit_tfidf, transform
 
@@ -120,6 +121,28 @@ def test_build_graph_id_beyond_int64_exits_2(tmp_path, capsys, table, what, raw)
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{table}.tsv:1: {what} id out of range: '{raw}'" in err
+    assert not (tmp_path / "g.bin").exists()
+
+
+@pytest.mark.parametrize("table, line", [
+    pytest.param("categories", b"1\tA\xff\n", id="categories"),
+    pytest.param("pages", b"10\tP\xff\n", id="pages"),
+    pytest.param("edges", b"1\t10\tmember\xff\n", id="edges"),
+])
+def test_build_graph_non_utf8_tsv_exits_2(tmp_path, capsys, table, line):
+    paths = write_graph_files(tmp_path, [(1, "Top")], [(10, "P")], [])
+    paths[table].write_bytes(line)
+    rc = main([
+        "build-graph",
+        "--categories", str(paths["categories"]),
+        "--pages", str(paths["pages"]),
+        "--edges", str(paths["edges"]),
+        "--out", str(tmp_path / "g.bin"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[table]}: not UTF-8: ")
+    assert "Traceback" not in err
     assert not (tmp_path / "g.bin").exists()
 
 
@@ -759,3 +782,106 @@ def test_build_graph_lenient_must_be_a_json_bool(
     assert main(["build-graph", "--config", str(config)]) == code
     if code == 2:
         assert "lenient: expected true or false" in capsys.readouterr().err
+
+
+# Two faults in one input: the first one the parent commit reported still
+# comes first, since taxonomy, labels, corpus, scheme and rows are checked in
+# that order, and rows in file order.
+
+
+def _label_line(page: int, label: str) -> str:
+    return json.dumps({"assignments": [{"label": label}], "mode": "full", "page": page})
+
+
+_GOOD = _label_line(1000, "alpha")
+_GHOST = _label_line(1001, "ghost")  # a label outside the scheme
+_MISSING = _label_line(999_999, "alpha")  # a page outside the corpus
+_BOTH = _label_line(999_999, "ghost")
+
+
+@pytest.mark.parametrize("command", ["train", "sample"])
+@pytest.mark.parametrize("labels, corpus_ok, scheme, first", [
+    pytest.param(
+        [_GOOD, "{oops"], False, "coarse", "labels.jsonl:2: invalid JSON",
+        id="bad-labels-line-and-bad-corpus-line",
+    ),
+    pytest.param(
+        [_GOOD, _GHOST, _MISSING], True, "coarse",
+        "label 'ghost' in labels file is not in the chosen scheme",
+        id="ghost-label-then-missing-page",
+    ),
+    pytest.param(
+        [_GOOD, _MISSING, _GHOST], True, "coarse", "page 999999 missing from corpus",
+        id="missing-page-then-ghost-label",
+    ),
+    pytest.param(
+        [_BOTH], True, "coarse",
+        "label 'ghost' in labels file is not in the chosen scheme",
+        id="ghost-label-of-a-missing-page",
+    ),
+    pytest.param(
+        [_GOOD], False, "bogus", "corpus.jsonl:3: invalid JSON",
+        id="unknown-scheme-and-bad-corpus-line",
+    ),
+])
+def test_two_faults_report_the_first(
+    wiki, tmp_path, capsys, command, labels, corpus_ok, scheme, first
+):
+    labels_path = tmp_path / "labels.jsonl"
+    labels_path.write_text("".join(line + "\n" for line in labels), encoding="utf-8")
+    corpus = wiki / "corpus.jsonl"
+    if not corpus_ok:
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "{oops\n"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(lines), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "taxonomy": str(wiki / "taxonomy.json"),
+        "labels": str(labels_path),
+        "corpus": str(corpus),
+        "scheme": scheme,
+        "out": str(tmp_path / "sampled.jsonl"),
+        "out_dir": str(tmp_path / "models"),
+    }))
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert first in err[0]
+    if first.endswith("invalid JSON"):
+        assert err[0].startswith(f"error: {tmp_path / first}")
+
+
+@pytest.fixture
+def no_page_objects(monkeypatch):
+    """Building a PageLabels or an Assignment fails."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in (PageLabels, Assignment):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a PageLabels"):
+        PageLabels(0, (), "full")
+
+
+def test_cli_never_builds_per_page_objects(wiki, tmp_path, capsys, no_page_objects):
+    common = ["--taxonomy", str(wiki / "taxonomy.json")]
+    labels = tmp_path / "labels.jsonl"
+    assert main([
+        "label", *common, "--graph", str(wiki / "graph.bin"),
+        "--mapping", str(wiki / "mapping.json"), "--out", str(labels),
+    ]) == 0
+    assert _last_json(capsys)["per_label"] == {"alpha": 53, "bravo": 53, "charlie": 53}
+    reads = [*common, "--labels", str(labels), "--corpus", str(wiki / "corpus.jsonl")]
+    assert main(["sample", *reads, "--out", str(tmp_path / "sampled.jsonl")]) == 0
+    assert main([
+        "train", *reads, "--n-per-class", "20", "--out-dir", str(tmp_path / "models"),
+    ]) == 0
+    assert main([
+        "ablate", *common, "--graph", str(wiki / "graph.bin"),
+        "--corpus", str(wiki / "corpus.jsonl"), "--eval", str(wiki / "eval.jsonl"),
+        "--n-per-class", "20", "--out-dir", str(tmp_path / "ablate"),
+    ]) == 0
+    rows = _last_json(capsys)["rows"]
+    assert [row["mode"] for row in rows] == list(MODES)
+    assert all(row["labeled_pages"] > 0 for row in rows)

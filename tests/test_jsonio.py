@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import ast
+import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import wikicat
 from wikicat.exceptions import ConfigurationError
@@ -101,3 +105,89 @@ def test_bad_files_raise_configuration_errors_naming_them(tmp_path, data, messag
     where = lines if message == "not UTF-8" else f"{lines}:2"
     with pytest.raises(ConfigurationError, match=f"^{re.escape(str(where))}: {message}"):
         list(read_jsonl(lines))
+
+
+def _per_line_loads(path: Path) -> tuple[list, str | None]:
+    """What read_jsonl gave when it ran ``json.loads`` on every stripped line:
+    the values before the first bad line, then that line's error."""
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                values.append((where, json.loads(line)))
+            except (ValueError, RecursionError) as exc:
+                return values, f"{where}: invalid JSON: {exc}"
+    return values, None
+
+
+def _scanned(path: Path) -> tuple[list, str | None]:
+    values = []
+    try:
+        for item in read_jsonl(path):
+            values.append(item)
+    except ConfigurationError as exc:
+        return values, str(exc)
+    return values, None
+
+
+def _same_reads(path: Path) -> None:
+    # repr compares NaN with NaN and keeps lone surrogates apart
+    got, want = _scanned(path), _per_line_loads(path)
+    assert repr(got) == repr(want)
+
+
+_DEEP = 100_000  # past the recursion limit for the scanner and json.loads alike
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param('\ufeff{"a": 1}', id="bom"),
+    pytest.param('{"a": 1} {"b": 2}', id="extra-object"),
+    pytest.param("1 2", id="extra-number"),
+    pytest.param("[1]]", id="extra-bracket"),
+    pytest.param("NaN", id="nan"),
+    pytest.param("[Infinity, -Infinity, NaN]", id="infinities"),
+    pytest.param("1" * 5_000, id="digits"),
+    pytest.param('{"n": ' + "9" * 4_301 + "}", id="digits-nested"),
+    pytest.param("[" * _DEEP, id="deep-open"),
+    pytest.param("[" * _DEEP + "]" * _DEEP, id="deep-closed"),
+    pytest.param('{"a": ' * _DEEP + "1" + "}" * _DEEP, id="deep-objects"),
+    pytest.param('\x0b{"a": 1}\x0b', id="vt-padding"),
+    pytest.param("\x85[1]\x85", id="nel-padding"),
+    pytest.param('\u2028"x"\u2028', id="ls-padding"),
+    pytest.param("\xa0 1 \xa0", id="nbsp-padding"),
+    pytest.param("[1,\xa02]", id="nbsp-inside"),
+    pytest.param("1\x0b2", id="vt-inside"),
+    pytest.param('"\\ud800"', id="lone-high-surrogate"),
+    pytest.param('["\\udc00\\ud800", "\\ud83d\\ude00"]', id="surrogates"),
+    pytest.param("   ", id="blank"),
+    pytest.param("", id="empty"),
+    pytest.param("tru", id="cut-literal"),
+    pytest.param('{"a":}', id="missing-value"),
+    pytest.param('"open', id="open-string"),
+    pytest.param('"tab\tinside"', id="control-in-string"),
+])
+def test_scanner_reads_like_per_line_loads(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"first": 1}\n' + line + '\n[2]\n', encoding="utf-8")
+    _same_reads(path)
+
+
+_FRAGMENTS = [
+    "{", "}", "[", "]", ":", ",", " ", '"a"', '"é"', '"\\ud800"', '"\\\\"',
+    "1", "-0", "1.5e3", "1e400", "NaN", "Infinity", "-Infinity", "true", "null",
+    "\x0b", "\xa0", "\u2028", "\x85", "\ufeff", "\t", '"', "x",
+]
+
+
+@seed(20210212)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.lists(st.sampled_from(_FRAGMENTS), max_size=8), max_size=5))
+def test_scanner_reads_drawn_lines_like_per_line_loads(lines):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "rows.jsonl"
+        path.write_text("".join("".join(line) + "\n" for line in lines), encoding="utf-8")
+        _same_reads(path)

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import fan_in_case
 from wikicat.exceptions import ConfigurationError, TaxonomyError
+from wikicat.jsonio import read_jsonl
 from wikicat.labeler import (
     CompetitionSet,
     LabelingConfig,
@@ -495,7 +496,7 @@ def test_full_mode_coverage_pruning(trucks_graph, trucks_taxonomy):
     mapping = map_taxonomy(trucks_taxonomy, g)
     full = label_corpus(g, mapping, [["trucks"]], DAG_CFG)
     assert [rec.page for rec in full] == [g.page_node(100)]
-    (assignment,) = full[0].assignments
+    ((assignment,),) = [rec.assignments for rec in full]
     assert assignment.label == "trucks"
     assert assignment.w_raw == pytest.approx(0.5)
     assert assignment.w_norm == 1.0
@@ -576,7 +577,7 @@ def test_min_dist_ignores_assignment_threshold(suvs_graph, suvs_taxonomy):
         [["trucks", "suvs"]],
         LabelingConfig(mode="min_dist", assignment_threshold=0.9),
     )
-    assert lo == hi
+    assert list(lo) == list(hi)
 
 
 def test_label_corpus_empty_assignments_kept(make_graph):
@@ -609,7 +610,7 @@ def test_label_corpus_workers_equivalent(suvs_graph, suvs_taxonomy):
     mapping = _suvs_setup(g, suvs_taxonomy)
     one = label_corpus(g, mapping, [["trucks", "suvs"]], DAG_CFG, workers=1)
     four = label_corpus(g, mapping, [["trucks", "suvs"]], DAG_CFG, workers=4)
-    assert one == four
+    assert list(one) == list(four)
 
 
 def test_schemes_from_taxonomy():
@@ -639,11 +640,15 @@ def test_build_competition_sets_checks_overlap(make_graph):
 def test_labels_round_trip(suvs_graph, suvs_taxonomy, tmp_path):
     g = suvs_graph
     mapping = _suvs_setup(g, suvs_taxonomy)
-    records = label_corpus(g, mapping, [["trucks", "suvs"]], DAG_CFG)
+    labeled = label_corpus(g, mapping, [["trucks", "suvs"]], DAG_CFG)
     path = tmp_path / "labels.jsonl"
-    write_labels(records, g, path)
-    rows = read_labels(path)
-    assert [row["page"] for row in rows] == [g.external_id(r.page) for r in records]
+    write_labels(labeled, g, path)
+    pages, tops = read_labels(path)
+    records = list(labeled)
+    assert pages == [g.external_id(r.page) for r in records]
+    assert tops == [r.assignments[0].label if r.assignments else None for r in records]
+    assert tops == labeled.tops()
+    rows = [row for _, row in read_jsonl(path)]
     assert all(row["mode"] == "full" for row in rows)
     first = rows[0]["assignments"][0]
     assert set(first) == {"label", "w_raw", "w_norm", "depth"}

@@ -1,9 +1,10 @@
-"""The array labeler against the loop oracle in ``labeler_oracle``.
+"""The array labeler and the columnar writer against the loop oracles in
+``labeler_oracle``.
 
 Records must be equal, floats included: the array code sums the same
 values in the same order as the loops, and the float path weights are
 exact here, because every path count is below 2**53 or, on the ladder,
-a power of two.
+a power of two.  Written labels files must be equal byte for byte.
 """
 
 from __future__ import annotations
@@ -11,8 +12,11 @@ from __future__ import annotations
 import math
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -20,8 +24,23 @@ import labeler_oracle
 from conftest import write_graph_files
 from wikicat.exceptions import ConfigurationError
 from wikicat.graph_store import load_graph
-from wikicat.labeler import MODES, LabelingConfig, label_corpus
-from wikicat.taxonomy_mapper import CategoryMapping, MappedCategory
+from wikicat.labeler import (
+    MODES,
+    PATH_MODES,
+    CorpusLabels,
+    LabelingConfig,
+    coarse_scheme,
+    label_corpus,
+    read_labels,
+    write_labels,
+)
+from wikicat.synth import make_ablation_wiki
+from wikicat.taxonomy_mapper import (
+    CategoryMapping,
+    MappedCategory,
+    load_taxonomy,
+    map_taxonomy,
+)
 
 
 def _load(cats, pages, edges):
@@ -111,6 +130,11 @@ def labeling_cases(draw):
     return graph, mapping, scheme, settings_
 
 
+def _records(*args):
+    """``label_corpus``'s records as a list of ``PageLabels``."""
+    return list(label_corpus(*args))
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -127,7 +151,7 @@ def test_array_labeler_matches_loop_oracle(case):
         for path_mode in ("dag", "exact"):
             cfg = LabelingConfig(mode=mode, path_mode=path_mode, **settings_)
             args = (graph, mapping, scheme, cfg)
-            assert _outcome(label_corpus, *args) == _outcome(
+            assert _outcome(_records, *args) == _outcome(
                 labeler_oracle.label_corpus, *args
             )
 
@@ -162,9 +186,9 @@ def test_ladder_overflow_matches_oracle():
     scheme = [["deep", "near"]]
     for mode in MODES:
         cfg = LabelingConfig(mode=mode)
-        got = label_corpus(graph, mapping, scheme, cfg)
+        got = _records(graph, mapping, scheme, cfg)
         assert got == labeler_oracle.label_corpus(graph, mapping, scheme, cfg)
-    got = label_corpus(graph, mapping, scheme, LabelingConfig(mode="no_pruning"))
+    got = _records(graph, mapping, scheme, LabelingConfig(mode="no_pruning"))
     bottom = {a.label: a for a in got[0].assignments}
     assert bottom["deep"].w_raw == float("inf") and bottom["deep"].w_norm == 1.0
     middle = {a.label: a for a in got[1].assignments}
@@ -186,7 +210,97 @@ def test_exact_weight_adds_short_paths_first():
         {"r": [MappedCategory(graph.category_node(1), "exact", 1.0)]}, [], {}, 0.9
     )
     cfg = LabelingConfig(mode="no_pruning", path_mode="exact", exact_path_cap=60)
-    got = label_corpus(graph, mapping, [["r"]], cfg)
+    got = _records(graph, mapping, [["r"]], cfg)
     assert got == labeler_oracle.label_corpus(graph, mapping, [["r"]], cfg)
     assert got[0].assignments[0].w_raw == 0.5
     assert math.fsum([0.5] + [2.0**-60] * 65) > 0.5
+
+
+# ------------------------------------------------------------ write_labels
+
+# Pages at the extremes of int64 and around zero; node 0 is a category.
+_PAGE_IDS = [-(2**63), -5, 0, 7, 10**15, 2**63 - 1]
+_WRITE_GRAPH = _load(
+    [(1, "c")], [(ext, f"P{i}") for i, ext in enumerate(_PAGE_IDS)], []
+)
+_ODD_TEXT = ['"', "\\", "\x00", "\x1f", "\x7f", "é", " ", "\ud800", "😀", ""]
+_ODD_FLOATS = [
+    float("inf"), float("-inf"), float("nan"), 5e-324, 2.2250738585072014e-308 / 3,
+    -0.0, 1e16, 0.1, 1 / 3,
+]
+
+
+@st.composite
+def labelings(draw):
+    """A CorpusLabels drawn column by column: odd labels and floats, pages
+    with no rows, and a page repeated as it is in several sets."""
+    text = st.one_of(st.sampled_from(_ODD_TEXT), st.text(max_size=4))
+    labels = sorted(draw(st.sets(text, min_size=1, max_size=4)))
+    weight = st.one_of(st.sampled_from(_ODD_FLOATS), st.floats())
+    row = st.tuples(
+        st.integers(0, len(labels) - 1), weight, weight, st.integers(0, 2**40)
+    )
+    records = draw(st.lists(
+        st.tuples(st.integers(1, len(_PAGE_IDS)), st.lists(row, max_size=3)),
+        max_size=8,
+    ))
+    rows = [r for _, page_rows in records for r in page_rows]
+    columns = [np.array(col, dtype=dtype) for col, dtype in zip(
+        list(zip(*rows)) or [[]] * 4, (np.int64, float, float, np.int64)
+    )]
+    start = np.cumsum([0] + [len(page_rows) for _, page_rows in records])
+    return CorpusLabels(
+        draw(st.sampled_from(MODES)),
+        tuple(labels),
+        np.array([page for page, _ in records], dtype=np.int64),
+        start.astype(np.int64),
+        *columns,
+    )
+
+
+def _written(write, records, path):
+    write(records, _WRITE_GRAPH, path)
+    return path.read_bytes()
+
+
+@seed(20210212)
+@settings(max_examples=300, deadline=None, database=None)
+@given(labelings())
+def test_columnar_writer_matches_dict_writer(labeled):
+    with tempfile.TemporaryDirectory() as d:
+        got = _written(write_labels, labeled, Path(d) / "got.jsonl")
+        want = _written(labeler_oracle.write_labels, list(labeled), Path(d) / "want.jsonl")
+        assert got == want
+        pages, tops = read_labels(Path(d) / "got.jsonl")
+    assert pages == _WRITE_GRAPH.external_ids(labeled.page).tolist()
+    assert tops == labeled.tops()
+    # the label summary's counts, as they were taken from the records
+    records = list(labeled)
+    assert labeled.unassigned() == sum(1 for rec in records if not rec.assignments)
+    per_label = Counter(a.label for rec in records for a in rec.assignments)
+    assert labeled.per_label() == dict(sorted(per_label.items()))
+    assert list(labeled.per_label()) == sorted(per_label)
+
+
+@pytest.mark.parametrize("path_mode", PATH_MODES)
+@pytest.mark.parametrize("scheme", ["coarse", "pairs"])
+def test_columnar_writer_matches_dict_writer_on_the_ablation_wiki(
+    tmp_path, scheme, path_mode
+):
+    """Every mode, with one set or with each page in two of three sets."""
+    make_ablation_wiki(tmp_path, seed=0)
+    files = [tmp_path / f"{name}.tsv" for name in ("categories", "pages", "edges")]
+    graph = load_graph(*files)
+    taxonomy = load_taxonomy(tmp_path / "taxonomy.json")
+    (top,) = coarse_scheme(taxonomy)
+    groups = [top] if scheme == "coarse" else [top[:2], top[1:], top[::2]]
+    mapping = map_taxonomy(taxonomy, graph)
+    for mode in MODES:
+        cfg = LabelingConfig(mode=mode, path_mode=path_mode)
+        labeled = label_corpus(graph, mapping, groups, cfg)
+        assert list(labeled) == labeler_oracle.label_corpus(graph, mapping, groups, cfg)
+        write_labels(labeled, graph, tmp_path / "got.jsonl")
+        labeler_oracle.write_labels(labeled, graph, tmp_path / "want.jsonl")
+        got = (tmp_path / "got.jsonl").read_bytes()
+        assert got == (tmp_path / "want.jsonl").read_bytes()
+        assert got.count(b"\n") == len(labeled) > 0

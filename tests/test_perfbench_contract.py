@@ -13,6 +13,7 @@ import importlib.util
 import inspect
 import json
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -134,3 +135,21 @@ def test_mapper_counters_see_the_calls_they_wrap(shim, tmp_path, monkeypatch):
     map_taxonomy(taxonomy, cli.load_graph(*files, None))
     parts = sum(len(real(lab.name)) for lab in taxonomy.labels)
     assert tracer.counts["query_parts"] == parts > 0
+
+
+def test_read_labels_returns_what_it_read(calls, tmp_path):
+    """The ``labeler.read_labels`` span times the whole read only if the call
+    returns every value, not an iterator that reads later."""
+    args, kwargs = calls["label_corpus"]
+    graph = args[0]
+    labeled = cli.label_corpus(*args, **kwargs)
+    path = tmp_path / "labels.jsonl"
+    cli.write_labels(labeled, graph, path)
+    result = cli.read_labels(path)
+    path.unlink()
+    assert not isinstance(result, Iterator)
+    pages, tops = result
+    assert isinstance(pages, list) and isinstance(tops, list)
+    assert pages == graph.external_ids(labeled.page).tolist()
+    assert tops == labeled.tops()
+    assert len(pages) == len(labeled) > 0
