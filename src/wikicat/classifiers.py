@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, TypeVar
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .jsonio import read_json, write_json
+from .jsonio import Rows, read_json, write_json
 from .taxonomy_mapper import strip_plural
 from .textproc import (
     DocMatrix,
@@ -402,17 +402,32 @@ def keyword_vote(text: str, label_names: dict[str, str], seed: int) -> str:
 # ------------------------------------------------------------ serialization
 
 
-def _weights_rows(row: np.ndarray) -> list[list]:
+def _weights_rows(row: np.ndarray) -> Rows:
+    """A weight row as its ``[index, weight]`` pairs, nonzero weights only."""
     nz = np.flatnonzero(row)
-    return [[ix, w] for ix, w in zip(nz.tolist(), row[nz].tolist())]
+    return Rows(nz, row[nz])
 
 
-def _weights_matrix(rows_per_class: list[list], n_features: int) -> np.ndarray:
-    """The weight matrix whose row c holds the ``[ix, w]`` rows of class c."""
-    weights = np.zeros((len(rows_per_class), n_features))
-    for row, rows in zip(weights, rows_per_class):
-        cols = _feature_indices([int(ix) for ix, _ in rows], n_features)
-        row[cols] = [float(w) for _, w in rows]
+def _weights_matrix(
+    classes: Sequence[str], pairs_per_class: list, n_features: int
+) -> np.ndarray:
+    """The weight matrix whose row c holds the ``[index, weight]`` pairs of
+    ``classes[c]``, as ``save_model`` writes them: a JSON integer and a JSON
+    number each, with the indices strictly ascending."""
+    weights = np.zeros((len(classes), n_features))
+    for label, row, pairs in zip(classes, weights, pairs_per_class):
+        ixs = [ix for ix, _ in pairs]
+        ws = [w for _, w in pairs]
+        if set(map(type, ixs)) - {int}:  # bool is not int here
+            bad = next(ix for ix in ixs if type(ix) is not int)
+            raise ValueError(f"class {label!r}: feature index {bad!r} is not an int")
+        if set(map(type, ws)) - {int, float}:
+            bad = next(w for w in ws if type(w) not in (int, float))
+            raise ValueError(f"class {label!r}: weight {bad!r} is not a number")
+        cols = _feature_indices(ixs, n_features)
+        if (cols[1:] <= cols[:-1]).any():
+            raise ValueError(f"class {label!r}: feature indices are not ascending")
+        row[cols] = ws
     return weights
 
 
@@ -459,7 +474,7 @@ def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
             classes = tuple(sorted(doc["centroids"]))
             rows = [doc["centroids"][label] for label in classes]
             return CentroidModel(
-                classes, _weights_matrix(rows, tfidf.vocab_size), tfidf
+                classes, _weights_matrix(classes, rows, tfidf.vocab_size), tfidf
             )
         if fmt == SVM_FORMAT:
             cfg = TrainConfig(**doc["config"])
@@ -474,7 +489,9 @@ def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
             rows = [doc["classes"][label] for label in classes]
             return LinearSvmModel(
                 classes,
-                _weights_matrix([row["weights"] for row in rows], n_features),
+                _weights_matrix(
+                    classes, [row["weights"] for row in rows], n_features
+                ),
                 np.array([float(row["bias"]) for row in rows]),
                 cfg,
                 {k: list(map(float, v)) for k, v in doc["loss_history"].items()},
@@ -482,6 +499,8 @@ def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
             )
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+    except (
+        AttributeError, KeyError, IndexError, OverflowError, TypeError, ValueError
+    ) as exc:
         raise ConfigurationError(f"{path}: malformed model file: {exc}") from None
     raise ConfigurationError(f"{path}: unknown model format {fmt!r}")

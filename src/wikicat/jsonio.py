@@ -1,7 +1,8 @@
 """JSON files: every artifact wikicat reads or writes goes through here.
 
 Files are UTF-8.  A JSON document has sorted keys, an indent of two and a
-final newline; a JSON Lines file holds one compact, key-sorted value a line.
+final newline, in the bytes of ``json.JSONEncoder(indent=2, sort_keys=True)``;
+a JSON Lines file holds one compact, key-sorted value a line.
 A file that cannot be decoded or parsed raises a ``ConfigurationError``
 naming it (and the line), so the CLI exits 2.  Callers check the shape.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .exceptions import ConfigurationError
 
@@ -20,6 +21,24 @@ _PARSE_ERRORS = (ValueError, RecursionError)
 
 _encode = json.JSONEncoder(sort_keys=True).encode
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+_ROWS_PER_CHUNK = 2048  # rows of a Rows value formatted per written chunk
+
+
+class Rows:
+    """A list of equal-length lists of scalars, held as its columns:
+    ``write_json`` writes ``Rows(a, b)`` as ``[[a[0], b[0]], [a[1], b[1]], ...]``.
+
+    A column is a sequence of str, int, float, bool or None: a list, or an
+    array with ``tolist()``.  It is read, never consumed, so a document can
+    be written twice.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns: Sequence) -> None:
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("Rows columns differ in length")
+        self.columns = columns
 
 
 def read_json(path: str | Path) -> Any:
@@ -67,11 +86,91 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[str, Any]]:
 
 
 def write_json(doc: Any, path: str | Path) -> None:
-    """Write ``doc`` as an indented, key-sorted JSON document."""
+    """Write ``doc`` as an indented, key-sorted JSON document.
+
+    The bytes are those of ``json.JSONEncoder(indent=2, sort_keys=True)``
+    on ``doc`` with every ``Rows`` expanded to its list of rows, and so are
+    the ``TypeError``s for keys and values it cannot encode.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        # chunk by chunk: json.dumps would hold every chunk and the whole text
-        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc))
+        # chunk by chunk, never the whole text
+        fh.writelines(_chunks(doc, "\n"))
         fh.write("\n")
+
+
+def _chunks(value: Any, newline: str) -> Iterator[str]:
+    """The text of ``value``, whose closing bracket follows ``newline``."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for item in value:
+            yield head
+            yield from _chunks(item, inner)
+            head = "," + inner
+        yield newline + "]"
+    elif isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key, item in sorted(value.items()):
+            yield head + _key_text(key) + ": "
+            yield from _chunks(item, inner)
+            head = "," + inner
+        yield newline + "}"
+    elif isinstance(value, Rows):
+        yield from _row_chunks(value.columns, newline)
+    else:
+        yield json_text(value)
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as the encoder writes it: a str, or the quoted text of an
+    int, float, bool or None."""
+    if not (key is None or isinstance(key, (str, int, float))):
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+        )
+    return json_text(key if isinstance(key, str) else json_text(key))
+
+
+def _row_chunks(columns: tuple[Sequence, ...], newline: str) -> Iterator[str]:
+    """The text of ``Rows(*columns)``, ``_ROWS_PER_CHUNK`` rows at a time:
+    each chunk is one ``%`` template filled with the columns' texts."""
+    n_rows = len(columns[0]) if columns else 0
+    if not n_rows:
+        yield "[]"
+        return
+    width = len(columns)
+    outer, inner = newline + "  ", newline + "    "
+    row = "[" + inner + ("," + inner).join(["%s"] * width) + outer + "]"
+    head, sep = "[" + outer, "," + outer
+    for lo in range(0, n_rows, _ROWS_PER_CHUNK):
+        cells: list = [None] * (width * min(_ROWS_PER_CHUNK, n_rows - lo))
+        for j, col in enumerate(columns):
+            cells[j::width] = _texts(col[lo : lo + _ROWS_PER_CHUNK])
+        yield head + sep.join([row] * (len(cells) // width)) % tuple(cells)
+        head = sep
+    yield newline + "]"
+
+
+def _texts(values: Sequence) -> list[str]:
+    """Each scalar of a column as the encoder writes it."""
+    if hasattr(values, "tolist"):
+        values = values.tolist()
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return float_texts(values)
+    if kinds <= {int}:
+        return list(map(int.__repr__, values))
+    for kind in kinds:
+        if issubclass(kind, (list, tuple, dict, Rows)):
+            raise TypeError(f"Rows holds scalars, not {kind.__name__}")
+    return list(map(json_text, values))
 
 
 def write_jsonl(rows: Iterable[Any], path: str | Path) -> None:

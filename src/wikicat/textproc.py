@@ -13,10 +13,11 @@ from typing import Iterable
 import numpy as np
 
 from .exceptions import ConfigurationError
+from .jsonio import Rows
 
 logger = logging.getLogger(__name__)
 
-_TOKEN = re.compile(r"[^\W_]+")
+_TOKEN = re.compile(r"[^\W_]{2,}")
 _RUN_TOKENS = 1 << 14  # known tokens per numpy pass of transform
 
 
@@ -36,7 +37,7 @@ class DocMatrix:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase tokens split on non-alphanumerics; tokens under 2 chars drop."""
-    return [t for t in _TOKEN.findall(text.lower()) if len(t) >= 2]
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass
@@ -138,8 +139,10 @@ def tfidf_from_dict(doc: dict) -> TfIdfModel:
 
 
 def tfidf_to_dict(model: TfIdfModel) -> dict:
+    """The dict form of a model, for ``jsonio.write_json``: its ``terms`` are
+    the rows ``[term, df, idf]``."""
     return {
         "n_docs": model.n_docs,
         "min_df": model.min_df,
-        "terms": [[t, d, i] for t, d, i in zip(model.terms, model.df, model.idf)],
+        "terms": Rows(model.terms, model.df, model.idf),
     }

@@ -1,8 +1,11 @@
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
+
+import model_file_oracle
 
 from wikicat.classifiers import (
     CentroidModel,
@@ -19,7 +22,7 @@ from wikicat.classifiers import (
     train_svm,
 )
 from wikicat.exceptions import ConfigurationError
-from wikicat.textproc import fit_tfidf
+from wikicat.textproc import TfIdfModel, fit_tfidf
 
 from docmatrix import docs
 
@@ -309,6 +312,55 @@ def test_svm_round_trip(tmp_path, small_tfidf):
     assert np.array_equal(loaded.bias, model.bias)
     vec = docs([{0: 0.4, 1: 0.2}])
     assert predict_svm(loaded, vec) == predict_svm(model, vec)
+
+
+def _odd_tfidf() -> TfIdfModel:
+    terms = sorted(['a"b', "back\\slash", "café", "tab\there", "x\u2028y", "z\ud800"])
+    idf = [1.5, 5e-324, math.inf, 2.0, 1.0 / 3.0, 1e300]
+    return TfIdfModel(9, 2, terms, [2, 3, 4, 5, 6, 9], idf)
+
+
+def _odd_weights(n_classes: int, n_features: int) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    weights = rng.standard_normal((n_classes, n_features))
+    weights[rng.random(weights.shape) < 0.3] = 0.0
+    weights[0, :4] = [math.nan, math.inf, -math.inf, -0.0]
+    weights[0, 4:6] = [5e-324, -1e-300]
+    return weights
+
+
+@pytest.mark.parametrize("n_features", [6, 5_000])  # several writer chunks
+def test_centroid_file_matches_list_building_writer(tmp_path, n_features):
+    classes = ('a"quote', "back\\slash", "naïve", "ß\u2028")
+    model = CentroidModel(classes, _odd_weights(4, n_features), _odd_tfidf())
+    save_model(model, tmp_path / "got.json")
+    model_file_oracle.save_model(model, tmp_path / "want.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("n_features", [6, 5_000])
+def test_svm_file_matches_list_building_writer(tmp_path, n_features):
+    classes = ('a"quote', "empty", "naïve", "ß\u2028")
+    weights = _odd_weights(4, n_features)
+    weights[1] = 0.0  # written as []
+    model = LinearSvmModel(
+        classes,
+        weights,
+        np.array([-0.0, 0.25, math.nan, -math.inf]),
+        TrainConfig(lam=1e-3, epochs=2, eta0=0.5, seed=4),
+        {
+            'a"quote': [math.nan, 1.5],
+            "empty": [math.inf, -math.inf],
+            "naïve": [0.1, -0.0],
+            "ß\u2028": [5e-324, 2.0],
+        },
+        _odd_tfidf(),
+    )
+    save_model(model, tmp_path / "got.json")
+    model_file_oracle.save_model(model, tmp_path / "want.json")
+    got = (tmp_path / "got.json").read_bytes()
+    assert got == (tmp_path / "want.json").read_bytes()
+    assert b'"bias": -0.0' in got and b'"weights": []' in got
 
 
 def test_save_requires_tfidf(tmp_path):

@@ -1,11 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from wikicat.classifiers import save_model, train_centroid
+from wikicat.classifiers import TrainConfig, save_model, train_centroid, train_svm
 from wikicat.cli import main
 from wikicat.graph_store import load_snapshot
 from wikicat.labeler import MODES, Assignment, PageLabels
@@ -437,6 +438,51 @@ def test_predict_model_with_unsorted_terms_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "model.json: model terms are not sorted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pairs, message", [
+    pytest.param([[0.9, 1.0]], "feature index 0.9 is not an int", id="float-index"),
+    pytest.param([["1", "0.5"]], "feature index '1' is not an int", id="str-index"),
+    pytest.param([[True, 1.0], [1, 2.0]], "feature index True is not", id="bool-index"),
+    pytest.param([[1, 1.0], [1, 2.0]], "indices are not ascending", id="duplicate"),
+    pytest.param([[1, 1.0], [0, 2.0]], "indices are not ascending", id="descending"),
+    pytest.param([[0, "0.5"]], "weight '0.5' is not a number", id="str-weight"),
+    pytest.param([[0, True]], "weight True is not a number", id="bool-weight"),
+    pytest.param([[0, None]], "weight None is not a number", id="null-weight"),
+    pytest.param([[0, 10**400]], "int too large to convert to float", id="huge-weight"),
+    pytest.param([[0, 1.0, 2.0]], "too many values to unpack", id="triple"),
+])
+@pytest.mark.parametrize("kind", ["centroid", "svm"])
+def test_predict_model_with_malformed_weight_pairs_exits_2(
+    tmp_path, capsys, kind, pairs, message
+):
+    texts, labels = ["aa bb", "bb cc", "aa cc"], ["x", "y", "x"]
+    tfidf = fit_tfidf(texts, min_df=1)
+    vectors = transform(tfidf, texts)
+    model_path = tmp_path / "model.json"
+    if kind == "centroid":
+        save_model(train_centroid(vectors, labels, tfidf=tfidf), model_path)
+    else:
+        model = train_svm(vectors, labels, TrainConfig(), tfidf.vocab_size, tfidf)
+        save_model(model, model_path)
+    doc = json.loads(model_path.read_text())
+    if kind == "centroid":
+        doc["centroids"]["y"] = pairs
+    else:
+        doc["classes"]["y"]["weights"] = pairs
+    model_path.write_text(json.dumps(doc))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": 1, "text": "aa cc"}\n')
+    rc = main([
+        "predict",
+        "--model", str(model_path),
+        "--corpus", str(corpus),
+        "--out", str(tmp_path / "preds.jsonl"),
+    ])
+    assert rc == 2
+    assert re.search(
+        f"model.json: malformed model file: .*{message}", capsys.readouterr().err
+    )
 
 
 def test_package_entry_point():

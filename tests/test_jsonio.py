@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import wikicat
+import wikicat.jsonio as jsonio
 from wikicat.exceptions import ConfigurationError
-from wikicat.jsonio import read_json, read_jsonl, write_json, write_jsonl
+from wikicat.jsonio import Rows, read_json, read_jsonl, write_json, write_jsonl
 
 # Parsing or encoding a file.  json.dumps stays allowed as the argument of
 # print, for one-line stdout summaries.
@@ -72,6 +75,138 @@ def test_write_json_is_indented_sorted_and_ends_in_a_newline(tmp_path):
         b'{\n  "a": [\n    1,\n    "\\u00e9"\n  ],\n  "b": 1\n}\n'
     )
     assert read_json(path) == {"a": [1, "é"], "b": 1}
+
+
+def _expanded(value):
+    """``value`` with every ``Rows`` written out as its list of row lists."""
+    if isinstance(value, Rows):
+        columns = [
+            col.tolist() if isinstance(col, np.ndarray) else col for col in value.columns
+        ]
+        return [list(row) for row in zip(*columns)]
+    if isinstance(value, dict):
+        return {key: _expanded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_expanded, value))
+    return value
+
+
+def _encoder_text(doc) -> str:
+    """What ``json.JSONEncoder(indent=2, sort_keys=True)`` writes, or its error."""
+    try:
+        return json.JSONEncoder(indent=2, sort_keys=True).encode(_expanded(doc)) + "\n"
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+def _written_text(doc, path: Path) -> str:
+    try:
+        write_json(doc, path)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+    return path.read_bytes().decode("utf-8")
+
+
+_INT64 = [-(2**63), 2**63 - 1, -(2**63) - 1, 2**63, 2**64, -(10**30)]
+_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+           math.inf, -math.inf, math.nan, 0.1]
+_CHARS = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\ud800",
+          "\udfff", "é", "\u2028", "\U0001f600", "a"]
+
+_ints = st.one_of(st.integers(), st.sampled_from(_INT64))
+_floats = st.one_of(st.floats(), st.sampled_from(_FLOATS))
+_strs = st.text(st.one_of(st.sampled_from(_CHARS), st.characters()), max_size=6)
+_scalars = st.one_of(st.none(), st.booleans(), _ints, _floats, _strs)
+
+
+@st.composite
+def _rows(draw):
+    """Rows of 0 to 3 columns, each all ints, all floats, all strs, mixed
+    scalars, or an int64 or float64 array."""
+    n_rows = draw(st.integers(0, 4))
+    columns = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["int", "float", "str", "mixed", "i8", "f8"]))
+        cells = {"int": _ints, "float": _floats, "str": _strs, "mixed": _scalars,
+                 "i8": st.integers(-(2**63), 2**63 - 1), "f8": _floats}[kind]
+        column = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        if kind in ("i8", "f8"):
+            column = np.array(column, dtype=np.int64 if kind == "i8" else np.float64)
+        columns.append(column)
+    return Rows(*columns)
+
+
+# Keys of one kind per dict, or int, float and bool together, which sort;
+# str with int does not sort, and both writers must raise the same error.
+_KEY_KINDS = [
+    _strs,
+    st.one_of(_ints, _floats, st.booleans()),
+    st.none(),
+    st.one_of(_strs, st.integers()),
+]
+
+
+def _dicts(children):
+    return st.sampled_from(_KEY_KINDS).flatmap(
+        lambda keys: st.dictionaries(keys, children, max_size=4)
+    )
+
+
+_documents = st.recursive(
+    st.one_of(_scalars, _rows()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        _dicts(children),
+    ),
+    max_leaves=12,
+)
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(_documents)
+def test_write_json_writes_the_indented_encoders_bytes(doc):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "doc.json"
+        want = _encoder_text(doc)
+        assert _written_text(doc, path) == want
+        assert _written_text(doc, path) == want  # Rows are not used up
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 2048])
+def test_rows_chunks_join_without_seams(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(jsonio, "_ROWS_PER_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    ix = np.flatnonzero(rng.random(50) < 0.7)
+    doc = {
+        "weights": Rows(ix, rng.standard_normal(len(ix))),
+        "terms": Rows(["a", 'q"', "é"] * 7, list(range(21)), [0.5] * 21),
+        "one": Rows([1.5]),
+        "mixed": Rows([1, True, 0, False], [None, 2.5, "x", 2**64]),
+    }
+    assert _written_text(doc, tmp_path / "doc.json") == _encoder_text(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({(1, 2): 0}, id="tuple-key"),
+    pytest.param({"a": [1, {b"x": 0}]}, id="bytes-key"),
+    pytest.param({"a": {1, 2}}, id="set-value"),
+    pytest.param([1, object()], id="object-value"),
+    pytest.param({1: 0, "a": 1}, id="unsortable-keys"),
+    pytest.param({"a": Rows([1], [np.int64(2)])}, id="numpy-int-in-rows"),
+])
+def test_write_json_raises_the_encoders_type_error(tmp_path, doc):
+    want = _encoder_text(doc)
+    assert want.startswith("TypeError: ")
+    assert _written_text(doc, tmp_path / "doc.json") == want
+
+
+def test_rows_hold_equal_length_columns_of_scalars(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        Rows([1, 2], [1.0])
+    with pytest.raises(TypeError, match="Rows holds scalars, not list"):
+        write_json(Rows([1, [2]]), tmp_path / "doc.json")
 
 
 def test_jsonl_round_trip_names_each_line(tmp_path):

@@ -33,6 +33,23 @@ def test_tokenize():
     assert tokenize("xx_yy") == ["xx", "yy"]  # underscore is a separator
 
 
+# Runs of one, two and more letters or digits from several scripts, with
+# separators, and characters that lower() turns into two.
+_TOKEN_CHARS = st.one_of(
+    st.characters(),
+    st.sampled_from(
+        list("aZ9_ -\t\n.'") + ["é", "ß", "İ", "ǅ", "٣", "²", "中", "\u0301", "\ud800"]
+    ),
+)
+
+
+@seed(20261018)
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.text(_TOKEN_CHARS, max_size=40))
+def test_tokenize_matches_filtered_runs(text):
+    assert tokenize(text) == textproc_oracle.tokenize_runs(text)
+
+
 def test_fit_assigns_lexicographic_indices():
     corpus = ["zebra apple", "zebra apple", "zebra apple mango"]
     model = fit_tfidf(corpus, min_df=2)

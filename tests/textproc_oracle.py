@@ -1,16 +1,25 @@
-"""Loop reference for ``wikicat.textproc.transform``: one dict per text.
+"""Loop references for ``wikicat.textproc``.
 
-Counts the known terms of a text in a dict, in the order they first occur,
-then adds the squared weights in that order with a plain ``s += w * w``
-loop (not ``sum()``, which adds floats with compensated summation from
-Python 3.12 on) and returns the normalized weights sorted by feature id.
+``tokenize_runs`` finds every run of letters and digits, then drops the
+runs under two characters.  ``transform`` uses one dict per text: it counts
+the known terms of a text in a dict, in the order they first occur, then
+adds the squared weights in that order with a plain ``s += w * w`` loop
+(not ``sum()``, which adds floats with compensated summation from Python
+3.12 on) and returns the normalized weights sorted by feature id.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 from wikicat.textproc import TfIdfModel, tokenize
+
+_RUN = re.compile(r"[^\W_]+")
+
+
+def tokenize_runs(text: str) -> list[str]:
+    return [t for t in _RUN.findall(text.lower()) if len(t) >= 2]
 
 
 def transform(model: TfIdfModel, text: str) -> dict[int, float]:
