@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, TypeVar
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .jsonio import Rows, read_json, write_json
+from .jsonio import INTEGER, NUMBER, Rows, read_json, write_json
 from .taxonomy_mapper import strip_plural
 from .textproc import (
     DocMatrix,
@@ -418,12 +418,8 @@ def _weights_matrix(
     for label, row, pairs in zip(classes, weights, pairs_per_class):
         ixs = [ix for ix, _ in pairs]
         ws = [w for _, w in pairs]
-        if set(map(type, ixs)) - {int}:  # bool is not int here
-            bad = next(ix for ix in ixs if type(ix) is not int)
-            raise ValueError(f"class {label!r}: feature index {bad!r} is not an int")
-        if set(map(type, ws)) - {int, float}:
-            bad = next(w for w in ws if type(w) not in (int, float))
-            raise ValueError(f"class {label!r}: weight {bad!r} is not a number")
+        INTEGER.check(ixs, f"class {label!r}: feature index")
+        NUMBER.check(ws, f"class {label!r}: weight")
         cols = _feature_indices(ixs, n_features)
         if (cols[1:] <= cols[:-1]).any():
             raise ValueError(f"class {label!r}: feature indices are not ascending")
@@ -465,6 +461,9 @@ def save_model(model: CentroidModel | LinearSvmModel, path: str | Path) -> None:
     write_json(doc, path)
 
 
+_CONFIG_TYPES = {"lam": NUMBER, "epochs": INTEGER, "eta0": NUMBER, "seed": INTEGER}
+
+
 def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
     doc = read_json(path)
     fmt = doc.get("format") if isinstance(doc, dict) else None
@@ -477,9 +476,14 @@ def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
                 classes, _weights_matrix(classes, rows, tfidf.vocab_size), tfidf
             )
         if fmt == SVM_FORMAT:
-            cfg = TrainConfig(**doc["config"])
+            config = doc["config"]
+            for key, value in config.items():
+                if key in _CONFIG_TYPES:
+                    _CONFIG_TYPES[key].check([value], key)
+            cfg = TrainConfig(**config)
             tfidf = tfidf_from_dict(doc["tfidf"])
-            n_features = int(doc["n_features"])
+            n_features = doc["n_features"]
+            INTEGER.check([n_features], "n_features")
             if n_features != tfidf.vocab_size:
                 raise ConfigurationError(
                     f"n_features {n_features} differs from the tf-idf "
@@ -487,14 +491,19 @@ def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
                 )
             classes = tuple(sorted(doc["classes"]))
             rows = [doc["classes"][label] for label in classes]
+            bias = [row["bias"] for row in rows]
+            NUMBER.check(bias, "bias")
+            history = doc["loss_history"]
+            for label, losses in history.items():
+                NUMBER.check(losses, f"class {label!r}: loss")
             return LinearSvmModel(
                 classes,
                 _weights_matrix(
                     classes, [row["weights"] for row in rows], n_features
                 ),
-                np.array([float(row["bias"]) for row in rows]),
+                np.array(bias, dtype=float),
                 cfg,
-                {k: list(map(float, v)) for k, v in doc["loss_history"].items()},
+                {k: list(map(float, v)) for k, v in history.items()},
                 tfidf,
             )
     except ConfigurationError as exc:

@@ -1,10 +1,13 @@
 """Command line pipeline around the library modules.
 
 Subcommands cover the whole flow: build-graph, map, label, sample, train,
-predict, evaluate, and ablate.  Every value can come from a JSON config
-file (--config); explicit flags win over the config, which wins over the
-built-in defaults.  Outputs embed the resolved settings, never timestamps,
-so identical inputs and seeds reproduce identical bytes.
+predict, evaluate, and ablate.  Each setting is declared once, in
+``SETTINGS``, and each subcommand names its settings in ``COMMANDS``; the
+flags are built from them.  Every value can also come from a JSON config
+file (--config), where it must have the setting's JSON type; explicit flags
+win over the config, which wins over the built-in defaults.  Outputs embed
+the resolved settings, never timestamps, so identical inputs and seeds
+reproduce identical bytes.
 
 Exit codes: 0 success, 2 input or validation problem, 3 internal error.
 """
@@ -17,9 +20,9 @@ import logging
 import sys
 import traceback
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import __version__
 from .classifiers import (
@@ -37,7 +40,9 @@ from .classifiers import (
 from .evaluation import EvalInstance, evaluate_grouped, load_eval
 from .exceptions import ConfigurationError, TaxonomyError, WikicatError
 from .graph_store import load_graph, load_snapshot, save_snapshot
-from .jsonio import read_json, read_jsonl, write_json, write_jsonl
+from .jsonio import (
+    BOOLEAN, INTEGER, NUMBER, STRING, read_json, read_jsonl, write_json, write_jsonl,
+)
 from .labeler import (
     MODES,
     PATH_MODES,
@@ -63,10 +68,101 @@ logger = logging.getLogger(__name__)
 COARSE_SET = "coarse"
 SCHEMES = ("coarse", "fine")
 KINDS = ("centroid", "svm")
-WORKERS_HELP = "must be >= 1 (default: 1); labeling runs in one thread"
 
 
-# ------------------------------------------------------------ shared bits
+# --------------------------------------------------------------- settings
+
+_REQUIRED = object()  # the default of a setting that has none
+_JSON_TYPES = {"str": STRING, "int": INTEGER, "float": NUMBER, "bool": BOOLEAN}
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One option of the subcommands: its config key (the flag is ``--``
+    and the key with dashes), its JSON type, default and help.  The type is
+    "str", "int", "float", "bool", "choice" (a string of ``choices``) or
+    "choices" (a list of them).  A config value of null is taken only where
+    the default is None."""
+
+    key: str
+    type: str
+    default: Any = _REQUIRED
+    help: str = ""
+    choices: tuple[str, ...] = ()
+
+
+SETTINGS = {s.key: s for s in (
+    Setting("categories", "str", help="categories TSV: id, name"),
+    Setting("pages", "str", help="pages TSV: id, name"),
+    Setting("edges", "str", help="edges TSV: parent, child, subcat|member"),
+    Setting("redirects", "str", None, "redirects TSV: alias, target"),
+    Setting("lenient", "bool", False, "drop bad edges instead of failing"),
+    Setting("graph", "str", help="snapshot file or TSV directory"),
+    Setting("taxonomy", "str", help="taxonomy JSON"),
+    Setting("overrides", "str", None, "JSON {label id: [category names]}"),
+    Setting("threshold", "float", 0.9, "fuzzy match threshold"),
+    Setting("mapping", "str", help="mapping JSON written by map"),
+    Setting("scheme", "choice", "coarse", "competition sets", SCHEMES),
+    Setting("mode", "choice", "full", "labeling mode", MODES),
+    Setting("modes", "choices", MODES, "labeling modes to compare", MODES),
+    Setting("coverage_threshold", "float", 0.3, "coverage pruning threshold"),
+    Setting("assignment_threshold", "float", 0.3, "assignment threshold"),
+    Setting("max_depth", "int", None, "deepest category level to walk"),
+    Setting("path_mode", "choice", "dag", "path weighting", PATH_MODES),
+    Setting("exact_path_cap", "int", 8, "depth cap of exact path mode"),
+    Setting("workers", "int", 1, "must be >= 1; labeling runs in one thread"),
+    Setting("labels", "str", help="labels JSONL written by label"),
+    Setting("corpus", "str", help="corpus JSONL: id, text"),
+    Setting("n_per_class", "int", None, "documents sampled per class"),
+    Setting("seed", "int", 0, "random seed"),
+    Setting("kind", "choice", "svm", "model kind", KINDS),
+    Setting("min_df", "int", 3, "minimum document frequency of a term"),
+    Setting("lam", "float", 1e-4, "SVM L2 penalty"),
+    Setting("epochs", "int", 5, "SVM epochs"),
+    Setting("eta0", "float", 0.1, "SVM initial learning rate"),
+    Setting("model", "str", help="model JSON written by train"),
+    Setting("eval", "str", help="gold instances JSONL"),
+    Setting("models_dir", "str", help="directory of train's models"),
+    Setting("out", "str", help="output file"),
+    Setting("out_dir", "str", help="output directory"),
+    Setting("stats_out", "str", None, "also write the summary here"),
+    Setting("summary_out", "str", None, "also write the summary here"),
+)}
+# The labeling settings of label and ablate, each a LabelingConfig field.
+_LABELING = (
+    "coverage_threshold", "assignment_threshold", "max_depth", "path_mode",
+    "exact_path_cap",
+)
+
+
+def _checked(s: Setting, val: Any) -> Any:
+    """A config value of ``s``, or a ConfigurationError that names its key."""
+    if val is None and s.default is None:
+        return None
+    if s.type == "choices":
+        if type(val) is not list or not STRING.types.issuperset(map(type, val)):
+            raise ConfigurationError(
+                f"{s.key}: expected a list of strings, got {val!r}"
+            )
+        items = val
+    elif s.type == "choice":
+        items = [val]
+    else:
+        jtype = _JSON_TYPES[s.type]
+        if type(val) not in jtype.types:
+            raise ConfigurationError(f"{s.key}: expected {jtype.name}, got {val!r}")
+        if s.type != "float":
+            return val
+        try:
+            return float(val)
+        except OverflowError:
+            raise ConfigurationError(f"{s.key}: number beyond float range") from None
+    for item in items:
+        if item not in s.choices:
+            raise ConfigurationError(
+                f"unknown {s.key} {item!r}; expected one of {', '.join(s.choices)}"
+            )
+    return val
 
 
 def _load_config(path: str | None) -> dict:
@@ -79,40 +175,30 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _get(args: argparse.Namespace, cfg: dict, key: str, default):
-    """Flag value if given, else config value, else default."""
-    val = getattr(args, key, None)
-    if val is None:
-        val = cfg.get(key, default)
-    return val
+def _settings(args: argparse.Namespace) -> Callable[[str], Any]:
+    """Load the command's config and return ``get``: ``get(key)`` is the
+    flag's value if given, else the config's value checked against the
+    key's setting, else the setting's default.  Keys of other commands are
+    ignored, so one config file serves them all."""
+    cfg = _load_config(args.config)
+
+    def get(key: str) -> Any:
+        val = getattr(args, key)
+        if val is not None:
+            return val
+        s = args.settings[key]
+        if key in cfg:
+            return _checked(s, cfg[key])
+        if s.default is _REQUIRED:
+            raise ConfigurationError(
+                f"missing required setting: {key.replace('_', '-')}"
+            )
+        return s.default
+
+    return get
 
 
-def _get_as(args: argparse.Namespace, cfg: dict, key: str, default, kind):
-    """``_get`` converted by ``kind``; None passes through when it is the default."""
-    val = _get(args, cfg, key, default)
-    if val is None and default is None:
-        return None
-    try:
-        return kind(val)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"{key}: expected {kind.__name__}, got {val!r}"
-        ) from None
-
-
-def _one_of(key: str, val, choices: Sequence[str]):
-    if val not in choices:
-        raise ConfigurationError(
-            f"unknown {key} {val!r}; expected one of {', '.join(choices)}"
-        )
-    return val
-
-
-def _require(args: argparse.Namespace, cfg: dict, key: str):
-    val = _get(args, cfg, key, None)
-    if val is None:
-        raise ConfigurationError(f"missing required setting: {key.replace('_', '-')}")
-    return val
+# ------------------------------------------------------------ shared bits
 
 
 def _load_graph_arg(path: str):
@@ -150,7 +236,7 @@ def _load_corpus(path: str | Path) -> dict[int, str]:
 
 def _named_scheme(taxonomy: Taxonomy, scheme: str) -> dict[str, list[str]]:
     """Competition sets keyed by name: 'coarse', or one set per parent."""
-    if _one_of("scheme", scheme, SCHEMES) == "coarse":
+    if scheme == COARSE_SET:
         return {COARSE_SET: coarse_scheme(taxonomy)[0]}
     out = {taxonomy.by_id[group[0]].parent: group for group in fine_scheme(taxonomy)}
     if not out:
@@ -188,15 +274,23 @@ def _collect_training_rows(
     return rows
 
 
-def _labeled_rows(args: argparse.Namespace, cfg: dict) -> tuple:
-    """The scheme name, its competition sets by name, and the labels file's
-    (page id, top label, text) rows per set."""
-    taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
-    pages, tops = read_labels(_require(args, cfg, "labels"))
-    corpus = _load_corpus(_require(args, cfg, "corpus"))
-    scheme_name = _get(args, cfg, "scheme", "coarse")
+def _labeled_rows(get: Callable[[str], Any]) -> tuple:
+    """The scheme name, its competition sets by name, the labels file's
+    (page id, top label, text) rows per set, and ``n_per_class``, which is
+    checked before any file is read."""
+    n_per_class = get("n_per_class")
+    if n_per_class is not None and n_per_class < 1:
+        raise ConfigurationError("n_per_class must be >= 1")
+    taxonomy = load_taxonomy(get("taxonomy"))
+    pages, tops = read_labels(get("labels"))
+    corpus = _load_corpus(get("corpus"))
+    scheme_name = get("scheme")
     named = _named_scheme(taxonomy, scheme_name)
-    return scheme_name, named, _collect_training_rows(zip(pages, tops), corpus, named)
+    rows = _collect_training_rows(zip(pages, tops), corpus, named)
+    if n_per_class is None:
+        # Coarse sets span the whole corpus; fine sets are per parent.
+        n_per_class = 20_000 if scheme_name == COARSE_SET else 1_000
+    return scheme_name, named, rows, n_per_class
 
 
 def _train_sets(
@@ -266,126 +360,78 @@ def _emit(summary: dict, out: str | None) -> None:
 
 
 def _cmd_build_graph(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    lenient = cfg.get("lenient", False)
-    if not isinstance(lenient, bool):
-        raise ConfigurationError(f"lenient: expected true or false, got {lenient!r}")
-    strict = not (args.lenient or lenient)
-    categories = _require(args, cfg, "categories")
-    pages = _require(args, cfg, "pages")
-    edges = _require(args, cfg, "edges")
-    redirects = _get(args, cfg, "redirects", None)
-    out = _require(args, cfg, "out")
-    graph = load_graph(categories, pages, edges, redirects, strict=strict)
-    save_snapshot(graph, out)
-    summary = {
-        "config": {
-            "categories": str(categories),
-            "pages": str(pages),
-            "edges": str(edges),
-            "redirects": None if redirects is None else str(redirects),
-            "lenient": not strict,
-            "out": str(out),
-        },
-        "stats": graph.stats(),
+    get = _settings(args)
+    config = {
+        key: get(key)
+        for key in ("lenient", "categories", "pages", "edges", "redirects", "out")
     }
-    _emit(summary, _get(args, cfg, "stats_out", None))
+    stats_out = get("stats_out")
+    graph = load_graph(
+        config["categories"], config["pages"], config["edges"], config["redirects"],
+        strict=not config["lenient"],
+    )
+    save_snapshot(graph, config["out"])
+    _emit({"config": config, "stats": graph.stats()}, stats_out)
     return 0
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    graph = _load_graph_arg(_require(args, cfg, "graph"))
-    taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
-    threshold = _get_as(args, cfg, "threshold", 0.9, float)
-    overrides_path = _get(args, cfg, "overrides", None)
-    out = _require(args, cfg, "out")
+    get = _settings(args)
+    config = {
+        key: get(key) for key in ("graph", "taxonomy", "threshold", "overrides", "out")
+    }
+    summary_out = get("summary_out")
+    graph = _load_graph_arg(config["graph"])
+    taxonomy = load_taxonomy(config["taxonomy"])
+    overrides_path = config["overrides"]
     raw = None if overrides_path is None else _load_config(overrides_path)
     try:
         overrides = None if raw is None else resolve_override_names(graph, raw)
         mapping = map_taxonomy(
-            taxonomy, graph, overrides=overrides, threshold=threshold
+            taxonomy, graph, overrides=overrides, threshold=config["threshold"]
         )
     except TaxonomyError as exc:  # only an override row can raise it here
         raise TaxonomyError(f"{overrides_path}: {exc}") from None
-    save_mapping(mapping, graph, out)
+    save_mapping(mapping, graph, config["out"])
     summary = {
-        "config": {
-            "graph": str(_require(args, cfg, "graph")),
-            "taxonomy": str(_require(args, cfg, "taxonomy")),
-            "overrides": None if overrides_path is None else str(overrides_path),
-            "threshold": threshold,
-            "out": str(out),
-        },
+        "config": config,
         "mapped": sorted(mapping.entries),
         "unmapped": mapping.unmapped,
         "near_misses": {
             lid: len(rows) for lid, rows in mapping.near_misses.items()
         },
     }
-    _emit(summary, _get(args, cfg, "summary_out", None))
+    _emit(summary, summary_out)
     return 0
 
 
-def _label_config(args: argparse.Namespace, cfg: dict) -> LabelingConfig:
-    return LabelingConfig(
-        mode=_get(args, cfg, "mode", "full"),
-        coverage_threshold=_get_as(args, cfg, "coverage_threshold", 0.3, float),
-        assignment_threshold=_get_as(args, cfg, "assignment_threshold", 0.3, float),
-        max_depth=_get_as(args, cfg, "max_depth", None, int),
-        path_mode=_get(args, cfg, "path_mode", "dag"),
-        exact_path_cap=_get_as(args, cfg, "exact_path_cap", 8, int),
-    )
-
-
 def _cmd_label(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    graph = _load_graph_arg(_require(args, cfg, "graph"))
-    taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
-    mapping = load_mapping(_require(args, cfg, "mapping"), graph)
-    scheme_name = _get(args, cfg, "scheme", "coarse")
-    lab_cfg = _label_config(args, cfg)
-    workers = _get_as(args, cfg, "workers", 1, int)
-    out = _require(args, cfg, "out")
+    get = _settings(args)
+    scheme_name, workers = get("scheme"), get("workers")
+    lab_cfg = LabelingConfig(mode=get("mode"), **{key: get(key) for key in _LABELING})
+    out, summary_out = get("out"), get("summary_out")
+    graph = _load_graph_arg(get("graph"))
+    taxonomy = load_taxonomy(get("taxonomy"))
+    mapping = load_mapping(get("mapping"), graph)
     named = _named_scheme(taxonomy, scheme_name)
     scheme = [named[name] for name in sorted(named)]
     labeled = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
     write_labels(labeled, graph, out)
     summary = {
         "config": {**asdict(lab_cfg), "scheme": scheme_name, "workers": workers},
-        "out": str(out),
+        "out": out,
         "pages_seen": len(labeled),
         "unassigned": labeled.unassigned(),
         "per_label": labeled.per_label(),
     }
-    _emit(summary, _get(args, cfg, "summary_out", None))
+    _emit(summary, summary_out)
     return 0
 
 
-def _n_per_class(args: argparse.Namespace, cfg: dict, default: int) -> int:
-    """The ``n_per_class`` setting; only an absent one takes the default.
-
-    Read before a subcommand does any work, so a bad value writes nothing.
-    """
-    n = _get_as(args, cfg, "n_per_class", None, int)
-    if n is None:
-        return default
-    if n < 1:
-        raise ConfigurationError("n_per_class must be >= 1")
-    return n
-
-
-def _default_n_per_class(args: argparse.Namespace, cfg: dict) -> int:
-    # Coarse sets span the whole corpus; fine sets are per parent.
-    return 20_000 if _get(args, cfg, "scheme", "coarse") == "coarse" else 1_000
-
-
 def _cmd_sample(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    n_per_class = _n_per_class(args, cfg, _default_n_per_class(args, cfg))
-    scheme_name, named, rows = _labeled_rows(args, cfg)
-    seed = _get_as(args, cfg, "seed", 0, int)
-    out = _require(args, cfg, "out")
+    get = _settings(args)
+    scheme_name, named, rows, n_per_class = _labeled_rows(get)
+    seed, out, summary_out = get("seed"), get("out"), get("summary_out")
     balanced = {}
     for name in sorted(rows):
         if not rows[name]:
@@ -405,27 +451,21 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "n_per_class": n_per_class,
             "seed": seed,
         },
-        "out": str(out),
+        "out": out,
         "rows": sum(map(len, balanced.values())),
     }
-    _emit(summary, _get(args, cfg, "summary_out", None))
+    _emit(summary, summary_out)
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    n_per_class = _n_per_class(args, cfg, _default_n_per_class(args, cfg))
-    scheme_name, named, rows = _labeled_rows(args, cfg)
-    kind = _one_of("kind", _get(args, cfg, "kind", "svm"), KINDS)
-    seed = _get_as(args, cfg, "seed", 0, int)
-    min_df = _get_as(args, cfg, "min_df", 3, int)
+    get = _settings(args)
+    scheme_name, named, rows, n_per_class = _labeled_rows(get)
+    kind, min_df = get("kind"), get("min_df")
     train_cfg = TrainConfig(
-        lam=_get_as(args, cfg, "lam", 1e-4, float),
-        epochs=_get_as(args, cfg, "epochs", 5, int),
-        eta0=_get_as(args, cfg, "eta0", 0.1, float),
-        seed=seed,
+        lam=get("lam"), epochs=get("epochs"), eta0=get("eta0"), seed=get("seed")
     )
-    out_dir = Path(_require(args, cfg, "out_dir"))
+    out_dir = Path(get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     trained = _train_sets(
         rows, named, kind, n_per_class, min_df, train_cfg, out_dir
@@ -447,7 +487,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "lam": train_cfg.lam,
             "epochs": train_cfg.epochs,
             "eta0": train_cfg.eta0,
-            "seed": seed,
+            "seed": train_cfg.seed,
         },
         "out_dir": str(out_dir),
         "sets": sets_summary,
@@ -457,26 +497,25 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    model = load_model(_require(args, cfg, "model"))
-    corpus = _load_corpus(_require(args, cfg, "corpus"))
-    out = _require(args, cfg, "out")
+    get = _settings(args)
+    out = get("out")
+    model = load_model(get("model"))
+    corpus = _load_corpus(get("corpus"))
     pages = sorted(corpus)
     labels = _predictor(model)([corpus[page] for page in pages])
     write_jsonl(
         ({"id": page, "label": label} for page, label in zip(pages, labels)), out
     )
-    print(json.dumps({"n": len(corpus), "out": str(out)}, sort_keys=True))
+    print(json.dumps({"n": len(corpus), "out": out}, sort_keys=True))
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
-    kind = _one_of("kind", _get(args, cfg, "kind", "svm"), KINDS)
-    models_dir = Path(_require(args, cfg, "models_dir"))
-    out = _require(args, cfg, "out")
-    instances = _load_eval_sets(_require(args, cfg, "eval"), taxonomy)
+    get = _settings(args)
+    kind, out, models_dir = get("kind"), get("out"), Path(get("models_dir"))
+    taxonomy = load_taxonomy(get("taxonomy"))
+    eval_path = get("eval")
+    instances = _load_eval_sets(eval_path, taxonomy)
     models = {}
     for parent in sorted({inst.parent for inst in instances}):
         path = models_dir / f"{parent}.{kind}.json"
@@ -485,54 +524,40 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         models[parent] = _predictor(load_model(path))
     reports, pooled = evaluate_grouped(instances, models)
     doc = {
-        "config": {
-            "eval": str(_require(args, cfg, "eval")),
-            "models_dir": str(models_dir),
-            "kind": kind,
-        },
+        "config": {"eval": eval_path, "models_dir": str(models_dir), "kind": kind},
         "pooled": pooled.to_dict(),
         "per_parent": {name: rep.to_dict() for name, rep in reports.items()},
     }
     write_json(doc, out)
-    print(
-        json.dumps(
-            {
-                "accuracy": pooled.accuracy,
-                "macro_f1": pooled.macro_f1,
-                "n": pooled.n,
-                "out": str(out),
-            },
-            sort_keys=True,
-        )
-    )
+    scores = {"accuracy": pooled.accuracy, "macro_f1": pooled.macro_f1, "n": pooled.n}
+    print(json.dumps({**scores, "out": out}, sort_keys=True))
     return 0
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    n_per_class = _n_per_class(args, cfg, 200)
-    graph = _load_graph_arg(_require(args, cfg, "graph"))
-    taxonomy = load_taxonomy(_require(args, cfg, "taxonomy"))
-    corpus = _load_corpus(_require(args, cfg, "corpus"))
-    scheme_name = _get(args, cfg, "scheme", "coarse")
-    seed = _get_as(args, cfg, "seed", 0, int)
-    min_df = _get_as(args, cfg, "min_df", 3, int)
-    workers = _get_as(args, cfg, "workers", 1, int)
-    out_dir = Path(_require(args, cfg, "out_dir"))
+    get = _settings(args)
+    n_per_class = get("n_per_class")
+    if n_per_class is None:
+        n_per_class = 200
+    elif n_per_class < 1:
+        raise ConfigurationError("n_per_class must be >= 1")
+    scheme_name, seed, min_df = get("scheme"), get("seed"), get("min_df")
+    workers, modes = get("workers"), list(get("modes") or MODES)
+    base_cfg = LabelingConfig(**{key: get(key) for key in _LABELING})
+    out_dir = Path(get("out_dir"))
+    graph = _load_graph_arg(get("graph"))
+    taxonomy = load_taxonomy(get("taxonomy"))
+    corpus = _load_corpus(get("corpus"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    mapping_path = _get(args, cfg, "mapping", None)
+    mapping_path = get("mapping")
     if mapping_path is not None:
         mapping = load_mapping(mapping_path, graph)
     else:
         mapping = map_taxonomy(taxonomy, graph)
-    instances = _load_eval_sets(_require(args, cfg, "eval"), taxonomy)
+    instances = _load_eval_sets(get("eval"), taxonomy)
     named = _named_scheme(taxonomy, scheme_name)
     scheme = [named[name] for name in sorted(named)]
     train_cfg = TrainConfig(seed=seed)
-    modes = _get(args, cfg, "modes", None) or list(MODES)
-    if not (isinstance(modes, list) and all(isinstance(m, str) for m in modes)):
-        raise ConfigurationError(f"modes: expected a list of strings, got {modes!r}")
-    base_cfg = _label_config(args, cfg)
     rows_out = []
     for mode in modes:
         lab_cfg = replace(base_cfg, mode=mode)
@@ -564,7 +589,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             "seed": seed,
             "min_df": min_df,
             "n_per_class": n_per_class,
-            "modes": list(modes),
+            "modes": modes,
             "path_mode": base_cfg.path_mode,
         },
         "rows": rows_out,
@@ -577,6 +602,49 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- parser
 
 
+# Each subcommand: its function, its help, and the settings it takes.
+_LABEL_FLAGS = ("scheme", *_LABELING, "workers")
+COMMANDS = {
+    "build-graph": (_cmd_build_graph, "load TSV graph files, write a snapshot", (
+        "categories", "pages", "edges", "redirects", "stats_out", "lenient", "out")),
+    "map": (_cmd_map, "map taxonomy labels onto category nodes", (
+        "taxonomy", "summary_out", "graph", "overrides", "threshold", "out")),
+    "label": (_cmd_label, "propagate labels to pages over the graph", (
+        "graph", "taxonomy", "mapping", "summary_out", *_LABEL_FLAGS, "mode", "out")),
+    "sample": (_cmd_sample, "balance labeled pages per class", (
+        "labels", "corpus", "taxonomy", "out", "summary_out", "scheme",
+        "n_per_class", "seed")),
+    "train": (_cmd_train, "train one model per competition set", (
+        "labels", "corpus", "taxonomy", "out_dir", "scheme", "kind", "n_per_class",
+        "min_df", "lam", "epochs", "eta0", "seed")),
+    "predict": (_cmd_predict, "classify a corpus with a saved model", (
+        "model", "corpus", "out")),
+    "evaluate": (_cmd_evaluate, "score saved models on gold instances", (
+        "eval", "models_dir", "taxonomy", "kind", "out")),
+    "ablate": (_cmd_ablate, "compare labeling modes end to end", (
+        "graph", "taxonomy",
+        replace(SETTINGS["mapping"], default=None, help="mapping JSON; without "
+                "it the taxonomy is mapped at the default threshold"),
+        "corpus", "eval", "out_dir", *_LABEL_FLAGS, "modes", "n_per_class",
+        "min_df", "seed")),
+}
+
+
+def _add_flag(parser: argparse.ArgumentParser, s: Setting) -> None:
+    flag = "--" + s.key.replace("_", "-")
+    if s.type == "bool":
+        parser.add_argument(flag, action="store_true", default=None, help=s.help)
+        return
+    help_text = s.help
+    if s.default is not _REQUIRED and s.default is not None:
+        default = " ".join(s.default) if s.type == "choices" else s.default
+        help_text += f" (default: {default})"
+    parser.add_argument(
+        flag, type={"int": int, "float": float}.get(s.type), help=help_text,
+        choices=s.choices or None, nargs="+" if s.type == "choices" else None,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wikicat",
@@ -587,92 +655,13 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="store_true", help="log progress to stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_text: str, *paths: str) -> argparse.ArgumentParser:
-        """A subcommand with --config and a plain string option per path flag."""
+    for name, (func, help_text, keys) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        for flag in paths:
-            p.add_argument(flag)
-        p.set_defaults(func=func)
-        return p
-
-    def add_labeling(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scheme", choices=SCHEMES)
-        p.add_argument("--coverage-threshold", type=float)
-        p.add_argument("--assignment-threshold", type=float)
-        p.add_argument("--max-depth", type=int)
-        p.add_argument("--path-mode", choices=PATH_MODES)
-        p.add_argument("--exact-path-cap", type=int)
-        p.add_argument("--workers", type=int, help=WORKERS_HELP)
-
-    p = add(
-        "build-graph", _cmd_build_graph, "load TSV graph files, write a snapshot",
-        "--categories", "--pages", "--edges", "--redirects", "--stats-out",
-    )
-    p.add_argument("--lenient", action="store_true", help="drop bad edges instead of failing")
-    p.add_argument("--out", help="snapshot output path")
-
-    p = add(
-        "map", _cmd_map, "map taxonomy labels onto category nodes",
-        "--taxonomy", "--summary-out",
-    )
-    p.add_argument("--graph", help="snapshot file or TSV directory")
-    p.add_argument("--overrides", help="JSON {label id: [category names]}")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--out", help="mapping output path")
-
-    p = add(
-        "label", _cmd_label, "propagate labels to pages over the graph",
-        "--graph", "--taxonomy", "--mapping", "--summary-out",
-    )
-    add_labeling(p)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--out", help="labels JSONL output path")
-
-    p = add(
-        "sample", _cmd_sample, "balance labeled pages per class",
-        "--labels", "--corpus", "--taxonomy", "--out", "--summary-out",
-    )
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--n-per-class", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add(
-        "train", _cmd_train, "train one model per competition set",
-        "--labels", "--corpus", "--taxonomy", "--out-dir",
-    )
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--kind", choices=KINDS)
-    p.add_argument("--n-per-class", type=int)
-    p.add_argument("--min-df", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--seed", type=int)
-
-    add(
-        "predict", _cmd_predict, "classify a corpus with a saved model",
-        "--model", "--corpus", "--out",
-    )
-
-    p = add(
-        "evaluate", _cmd_evaluate, "score saved models on gold instances",
-        "--eval", "--models-dir", "--taxonomy",
-    )
-    p.add_argument("--kind", choices=KINDS)
-    p.add_argument("--out", help="report output path")
-
-    p = add(
-        "ablate", _cmd_ablate, "compare labeling modes end to end",
-        "--graph", "--taxonomy", "--mapping", "--corpus", "--eval", "--out-dir",
-    )
-    add_labeling(p)
-    p.add_argument("--modes", nargs="+", choices=MODES)
-    p.add_argument("--n-per-class", type=int)
-    p.add_argument("--min-df", type=int)
-    p.add_argument("--seed", type=int)
-
+        settings = [key if isinstance(key, Setting) else SETTINGS[key] for key in keys]
+        for s in settings:
+            _add_flag(p, s)
+        p.set_defaults(func=func, settings={s.key: s for s in settings})
     return parser
 
 

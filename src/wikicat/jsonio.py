@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .exceptions import ConfigurationError
 
@@ -39,6 +39,30 @@ class Rows:
         if len(set(map(len, columns))) > 1:
             raise ValueError("Rows columns differ in length")
         self.columns = columns
+
+
+class JsonType(NamedTuple):
+    """A JSON type, by the exact Python types ``json.loads`` gives it.
+
+    Python counts a bool as an int, but a JSON ``true`` is no integer or
+    number here.
+    """
+
+    name: str
+    types: frozenset
+
+    def check(self, values: Sequence, what: str) -> None:
+        """Raise a ``ValueError`` naming the first of ``values`` that is not
+        of this type."""
+        if not self.types.issuperset(map(type, values)):
+            bad = next(v for v in values if type(v) not in self.types)
+            raise ValueError(f"{what} {bad!r} is not {self.name}")
+
+
+STRING = JsonType("a string", frozenset({str}))
+INTEGER = JsonType("an int", frozenset({int}))
+NUMBER = JsonType("a number", frozenset({int, float}))
+BOOLEAN = JsonType("true or false", frozenset({bool}))
 
 
 def read_json(path: str | Path) -> Any:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, TaxonomyError
 from .graph_store import CategoryGraph
-from .jsonio import read_json, write_json
+from .jsonio import INTEGER, NUMBER, STRING, read_json, write_json
 
 DEFAULT_THRESHOLD = 0.9
 
@@ -220,10 +220,13 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
         raise TaxonomyError(f"{path}: {exc}") from None
 
 
+MAPPED_KINDS = ("exact", "fuzzy", "override")
+
+
 @dataclass(frozen=True)
 class MappedCategory:
     node: int
-    kind: str  # "exact", "fuzzy", or "override"
+    kind: str  # one of MAPPED_KINDS
     score: float
 
 
@@ -483,28 +486,44 @@ def load_mapping(path: str | Path, graph: CategoryGraph) -> CategoryMapping:
     try:
         entries: dict[str, list[MappedCategory]] = {}
         for lid, rows in doc["labels"].items():
-            cats = []
-            for row in rows:
-                node = graph.category_node(int(row["category_id"]))
-                cats.append(MappedCategory(node, str(row["kind"]), float(row["score"])))
+            ids, kinds, scores = _columns(rows, "category_id", "kind", "score")
+            INTEGER.check(ids, "category_id")
+            NUMBER.check(scores, "score")
+            for kind in kinds:
+                if kind not in MAPPED_KINDS:
+                    raise ValueError(
+                        f"kind {kind!r} is not one of {', '.join(MAPPED_KINDS)}"
+                    )
+            cats = [
+                MappedCategory(graph.category_node(cid), kind, float(score))
+                for cid, kind, score in zip(ids, kinds, scores)
+            ]
             entries[lid] = sorted(cats, key=lambda mc: mc.node)
         near: dict[str, list[NearMiss]] = {}
         for lid, rows in doc.get("near_misses", {}).items():
+            parts, ids, scores = _columns(rows, "part", "category_id", "score")
+            STRING.check(parts, "part")
+            INTEGER.check(ids, "category_id")
+            NUMBER.check(scores, "score")
             near[lid] = [
-                NearMiss(
-                    str(row["part"]),
-                    graph.category_node(int(row["category_id"])),
-                    float(row["score"]),
-                )
-                for row in rows
+                NearMiss(part, graph.category_node(cid), float(score))
+                for part, cid, score in zip(parts, ids, scores)
             ]
-        return CategoryMapping(
-            entries,
-            list(doc.get("unmapped", [])),
-            near,
-            float(doc.get("threshold", DEFAULT_THRESHOLD)),
-        )
+        unmapped = doc.get("unmapped", [])
+        if type(unmapped) is not list:
+            raise ValueError(f"unmapped {unmapped!r} is not a list")
+        STRING.check(unmapped, "unmapped label")
+        threshold = doc.get("threshold", DEFAULT_THRESHOLD)
+        NUMBER.check([threshold], "threshold")
+        return CategoryMapping(entries, unmapped, near, float(threshold))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+    except (
+        AttributeError, KeyError, IndexError, OverflowError, TypeError, ValueError
+    ) as exc:
         raise ConfigurationError(f"{path}: malformed mapping file: {exc}") from None
+
+
+def _columns(rows: list, *keys: str) -> list[list]:
+    """Each key's values over a list of JSON objects."""
+    return [[row[key] for row in rows] for key in keys]

@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .jsonio import Rows
+from .jsonio import INTEGER, NUMBER, STRING, Rows
 
 logger = logging.getLogger(__name__)
 
@@ -127,11 +127,19 @@ def _weigh(idf: np.ndarray, ids: array, ends: array):
 def tfidf_from_dict(doc: dict) -> TfIdfModel:
     """Rebuild a model from its dict form, as in tf-idf and classifier files."""
     try:
-        terms = [str(row[0]) for row in doc["terms"]]
-        df = [int(row[1]) for row in doc["terms"]]
-        idf = [float(row[2]) for row in doc["terms"]]
-        model = TfIdfModel(int(doc["n_docs"]), int(doc["min_df"]), terms, df, idf)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        rows = doc["terms"]
+        if set(map(len, rows)) - {3}:
+            raise ValueError("a term row is not [term, df, idf]")
+        terms = [row[0] for row in rows]
+        df = [row[1] for row in rows]
+        idf = [row[2] for row in rows]
+        counts = [doc["n_docs"], doc["min_df"]]
+        STRING.check(terms, "term")
+        INTEGER.check(df, "df")
+        NUMBER.check(idf, "idf")
+        INTEGER.check(counts, "n_docs or min_df")
+        model = TfIdfModel(*counts, terms, df, list(map(float, idf)))
+    except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed tf-idf model: {exc}") from None
     if terms != sorted(terms):
         raise ConfigurationError("model terms are not sorted")

@@ -432,3 +432,73 @@ def test_load_rejects_svm_loss_history_that_is_not_a_table(tmp_path, small_tfidf
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigurationError, match="svm.json: malformed model file"):
         load_model(path)
+
+
+def _set_term_cell(column: int, value):
+    def edit(doc):
+        doc["tfidf"]["terms"][0][column] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: d["classes"]["bee"].update(bias="0.5"),
+                 "bias '0.5' is not a number", id="str-bias"),
+    pytest.param(lambda d: d["classes"]["bee"].update(bias=True),
+                 "bias True is not a number", id="bool-bias"),
+    pytest.param(lambda d: d["classes"]["bee"].update(bias=10**400),
+                 "int too large to convert to float", id="huge-bias"),
+    pytest.param(lambda d: d["loss_history"].update(bee=["1", "2"]),
+                 "class 'bee': loss '1' is not a number", id="str-loss"),
+    pytest.param(lambda d: d.update(n_features="3"),
+                 "n_features '3' is not an int", id="str-n-features"),
+    pytest.param(lambda d: d["config"].update(lam=True),
+                 "lam True is not a number", id="bool-lam"),
+    pytest.param(lambda d: d["config"].update(epochs="5"),
+                 "epochs '5' is not an int", id="str-epochs"),
+    pytest.param(lambda d: d["config"].update(seed=1.5),
+                 "seed 1.5 is not an int", id="float-seed"),
+    pytest.param(_set_term_cell(2, "9.5"), "idf '9.5' is not a number", id="str-idf"),
+    pytest.param(_set_term_cell(2, False), "idf False is not a number", id="bool-idf"),
+    pytest.param(_set_term_cell(2, 10**400), "int too large", id="huge-idf"),
+    pytest.param(_set_term_cell(1, 2.7), "df 2.7 is not an int", id="float-df"),
+    pytest.param(_set_term_cell(0, 5), "term 5 is not a string", id="int-term"),
+    pytest.param(lambda d: d["tfidf"]["terms"][0].append(1.0),
+                 r"a term row is not \[term, df, idf\]", id="four-cell-term-row"),
+    pytest.param(lambda d: d["tfidf"]["terms"][0].pop(),
+                 r"a term row is not \[term, df, idf\]", id="two-cell-term-row"),
+    pytest.param(lambda d: d["tfidf"].update(n_docs="3"),
+                 "n_docs or min_df '3' is not an int", id="str-n-docs"),
+    pytest.param(lambda d: d["tfidf"].update(min_df=True),
+                 "n_docs or min_df True is not an int", id="bool-min-df"),
+])
+def test_load_rejects_model_values_of_the_wrong_json_type(
+    tmp_path, small_tfidf, edit, message
+):
+    vecs, labs = _toy_corpus()
+    path = tmp_path / "svm.json"
+    save_model(train_svm(docs(vecs), labs, TrainConfig(), 3, tfidf=small_tfidf), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(
+        ConfigurationError,
+        match=f"svm.json: malformed (model file|tf-idf model): {message}",
+    ):
+        load_model(path)
+
+
+def test_load_takes_ints_for_numbers_as_floats(tmp_path, small_tfidf):
+    vecs, labs = _toy_corpus()
+    path = tmp_path / "svm.json"
+    save_model(train_svm(docs(vecs), labs, TrainConfig(), 3, tfidf=small_tfidf), path)
+    doc = json.loads(path.read_text())
+    doc["classes"]["bee"]["bias"] = 2
+    doc["loss_history"]["bee"] = [1, 2.5]
+    doc["tfidf"]["terms"][0][2] = 3
+    path.write_text(json.dumps(doc))
+    model = load_model(path)
+    assert model.bias.dtype == np.float64
+    assert model.bias[list(model.classes).index("bee")] == 2.0
+    assert model.loss_history["bee"] == [1.0, 2.5]
+    assert type(model.loss_history["bee"][0]) is float
+    assert model.tfidf.idf[0] == 3.0 and type(model.tfidf.idf[0]) is float
