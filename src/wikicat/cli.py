@@ -140,7 +140,9 @@ def _checked(s: Setting, val: Any) -> Any:
     if val is None and s.default is None:
         return None
     if s.type == "choices":
-        if type(val) is not list or not STRING.types.issuperset(map(type, val)):
+        # Like the flag, which takes one or more, an empty list is refused.
+        strings = type(val) is list and STRING.types.issuperset(map(type, val))
+        if not strings or not val:
             raise ConfigurationError(
                 f"{s.key}: expected a list of strings, got {val!r}"
             )
@@ -412,7 +414,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     out, summary_out = get("out"), get("summary_out")
     graph = _load_graph_arg(get("graph"))
     taxonomy = load_taxonomy(get("taxonomy"))
-    mapping = load_mapping(get("mapping"), graph)
+    mapping = load_mapping(get("mapping"), graph, taxonomy)
     named = _named_scheme(taxonomy, scheme_name)
     scheme = [named[name] for name in sorted(named)]
     labeled = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
@@ -542,7 +544,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     elif n_per_class < 1:
         raise ConfigurationError("n_per_class must be >= 1")
     scheme_name, seed, min_df = get("scheme"), get("seed"), get("min_df")
-    workers, modes = get("workers"), list(get("modes") or MODES)
+    workers, modes = get("workers"), list(get("modes"))
     base_cfg = LabelingConfig(**{key: get(key) for key in _LABELING})
     out_dir = Path(get("out_dir"))
     graph = _load_graph_arg(get("graph"))
@@ -551,7 +553,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     mapping_path = get("mapping")
     if mapping_path is not None:
-        mapping = load_mapping(mapping_path, graph)
+        mapping = load_mapping(mapping_path, graph, taxonomy)
     else:
         mapping = map_taxonomy(taxonomy, graph)
     instances = _load_eval_sets(get("eval"), taxonomy)

@@ -15,25 +15,26 @@ Internally categories get dense node ids ``0..C-1`` in file order and pages
 over numpy arrays with child lists sorted ascending, which places
 subcategory children ahead of member pages.
 
-The input alone chooses between two loaders that build the same graph.
-The columnar one reads the three main files whole and parses them with
-numpy, about a mebibyte of lines at a time.  It takes only a narrow byte
-grammar: every line ends in ``\n`` and has exactly the expected tabs, no
-``\r`` appears anywhere, every id is ASCII ``-?[0-9]{1,18}``, every kind is
-exactly ``subcat`` or ``member``, and the files hold nothing the line
-parser would reject.  Any other input, CRLF files among them, goes through
-the line parser from the top, which accepts what ``int()`` accepts and
-names the first bad line as ``file:line``.  Redirects always go through
-the line parser.
+One reader parses all four files with numpy, about a mebibyte of lines at
+a time, and checks each file whole before it opens the next.  Lines are
+the ones text mode gives: ``\\n``, ``\\r\\n`` and a lone ``\\r`` end a line,
+and so does the end of the file.  Ids of ASCII ``-?[0-9]{1,18}`` are
+parsed as arrays, and any other id by ``int()``, so ``+5``, `` 5`` and
+``1_0`` are ids too.  Every check is a boolean column over the lines.  The
+first line that fails one is named as ``file:line``, with the message of
+the first check it fails in the order each loader lists them.  A file
+that is not UTF-8 is reported as such before any other fault in it.
 """
 
 from __future__ import annotations
 
+import codecs
 import logging
 import struct
 from functools import cached_property
+from itertools import chain, compress
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,7 +49,7 @@ _MAGIC = b"WCG1"
 _VERSION = 1
 
 _INT64 = np.iinfo(np.int64)
-# The columnar loader's per-byte temporaries are sized by this block.
+# The reader's per-byte temporaries are sized by this block.
 _BLOCK_BYTES = 1 << 20
 _MAX_DIGITS = 18  # every -?[0-9]{1,18} fits int64
 _SUBCAT_BYTES = np.frombuffer(SUBCAT.encode(), np.uint8)
@@ -82,14 +83,15 @@ class CategoryGraph:
         self.dropped_edges = dropped_edges
         self.dropped_aliases = dropped_aliases
 
-        self.cat_by_external = {int(e): i for i, e in enumerate(cat_external)}
         self.cat_by_name = {name: i for i, name in enumerate(cat_names)}
 
     @cached_property
-    def page_by_external(self) -> dict[int, int]:
-        return {
-            e: self.n_categories + i for i, e in enumerate(self.page_external.tolist())
-        }
+    def _cat_index(self) -> _IdIndex:
+        return _IdIndex(self.cat_external)
+
+    @cached_property
+    def _page_index(self) -> _IdIndex:
+        return _IdIndex(self.page_external)
 
     @cached_property
     def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
@@ -144,16 +146,16 @@ class CategoryGraph:
         return self.rindices[self.rindptr[node] : self.rindptr[node + 1]]
 
     def category_node(self, external_id: int) -> int:
-        try:
-            return self.cat_by_external[external_id]
-        except KeyError:
-            raise ConfigurationError(f"unknown category id: {external_id}") from None
+        row = self._cat_index.row(external_id)
+        if row is None:
+            raise ConfigurationError(f"unknown category id: {external_id}")
+        return row
 
     def page_node(self, external_id: int) -> int:
-        try:
-            return self.page_by_external[external_id]
-        except KeyError:
-            raise ConfigurationError(f"unknown page id: {external_id}") from None
+        row = self._page_index.row(external_id)
+        if row is None:
+            raise ConfigurationError(f"unknown page id: {external_id}")
+        return self.n_categories + row
 
     def node_name(self, node: int) -> str:
         self._check_node(node)
@@ -206,20 +208,19 @@ def load_graph(
     kind disagrees with the child's table are errors; in lenient mode they
     are dropped and counted.  Malformed lines are errors in both modes.
     """
-    files = Path(categories), Path(pages), Path(edges)
-    try:
-        tables = _columnar_tables(*files, strict)
-    except _NotColumnar:
-        tables = _line_tables(*files, strict)
-    cat_external, cat_names, page_external, page_titles, keys, dropped_edges = tables
+    cat_external, cat_names, cat_index = _load_id_names(
+        Path(categories), "category", True
+    )
+    page_external, page_titles, page_index = _load_id_names(
+        Path(pages), "page", False
+    )
+    keys, dropped_edges = _load_edges(Path(edges), cat_index, page_index, strict)
     indptr, indices = _csr(keys, len(cat_names) + len(page_titles))
 
     aliases: dict[str, int] = {}
     dropped_aliases = 0
     if redirects is not None:
-        aliases, dropped_aliases = _load_redirects(
-            Path(redirects), cat_external, strict
-        )
+        aliases, dropped_aliases = _load_redirects(Path(redirects), cat_index, strict)
 
     if dropped_edges or dropped_aliases:
         logger.warning(
@@ -229,15 +230,8 @@ def load_graph(
         )
 
     return CategoryGraph(
-        cat_external,
-        cat_names,
-        page_external,
-        page_titles,
-        indptr,
-        indices,
-        aliases,
-        dropped_edges,
-        dropped_aliases,
+        cat_external, cat_names, page_external, page_titles, indptr, indices,
+        aliases, dropped_edges, dropped_aliases,
     )
 
 
@@ -252,312 +246,313 @@ def _csr(keys: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return indptr, children.astype(np.int32)
 
 
-# ------------------------------------------------------------ line parser
+_Check = tuple[np.ndarray, Callable[[int], str]]  # failing rows, row i's message
+_Fault = tuple[int, str]  # (row, message); row i is line i + 1
 
 
-def _iter_tsv(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                parts = raw.rstrip("\r\n").split("\t")
-                if len(parts) != n_fields:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: expected {n_fields} tab-separated "
-                        f"fields, got {len(parts)}"
-                    )
-                yield lineno, parts
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"{path}: not UTF-8: {exc}") from None
-
-
-def _parse_int(path: Path, lineno: int, text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise GraphFormatError(
-            f"{path}:{lineno}: {what} is not an integer: {text!r}"
-        ) from None
-
-
-def _load_id_name(
+def _load_id_names(
     path: Path, what: str, unique_names: bool
-) -> tuple[np.ndarray, list[str]]:
-    externals: list[int] = []
-    names: list[str] = []
-    seen_ids: set[int] = set()
-    seen_names: set[str] = set()
-    for lineno, (raw_id, name) in _iter_tsv(path, 2):
-        ext = _parse_int(path, lineno, raw_id, f"{what} id")
-        if not _INT64.min <= ext <= _INT64.max:
-            raise GraphFormatError(
-                f"{path}:{lineno}: {what} id out of range: {raw_id!r}"
+) -> tuple[np.ndarray, list[str], _IdIndex]:
+    """Ids, names and id index of an ``id<TAB>name`` file."""
+
+    def parse(lines: _Lines) -> tuple[tuple, list[_Check]]:
+        ids, not_int, huge = lines.ids(0)
+        return (ids, lines.texts(1)), [
+            (not_int, lambda i: f"{what} id is not an integer: {lines.text(i, 0)!r}"),
+            (huge, lambda i: f"{what} id out of range: {lines.text(i, 0)!r}"),
+            (lines.lo[:, 1] == lines.hi[:, 1], lambda i: f"empty {what} name"),
+        ]
+
+    (external, names), fault = _scan(path, 2, parse)
+    index = _IdIndex(external)
+    checks = [(index.repeats(), lambda i: f"duplicate {what} id {external[i]}")]
+    if unique_names:
+        checks.append((
+            _first_rows(names) != np.arange(len(names)),
+            lambda i: f"duplicate {what} name {names[i]!r}",
+        ))
+    _raise_first(path, fault, _first_fault(checks))
+    return external, names, index
+
+
+def _load_edges(
+    path: Path, cat_index: _IdIndex, page_index: _IdIndex, strict: bool
+) -> tuple[np.ndarray, int]:
+    """(edge keys, dropped edges) of an edges file.  An edge key is
+    ``parent * n_nodes + child`` in node ids, in file order with duplicates
+    kept."""
+    n_cats = len(cat_index.sorted)
+    n_nodes = n_cats + len(page_index.sorted)
+
+    def parse(lines: _Lines) -> tuple[tuple, list[_Check]]:
+        parent_ext, parent_bad, parent_huge = lines.ids(0)
+        child_ext, child_bad, child_huge = lines.ids(1)
+        member, subcat = lines.kinds(2)
+        text = lines.text
+        parent, has_parent = cat_index.lookup(parent_ext, parent_huge)
+        as_cat, in_cats = cat_index.lookup(child_ext, child_huge)
+        as_page, in_pages = page_index.lookup(child_ext, child_huge)
+        child = np.where(member, as_page + n_cats, as_cat)
+        has_child = np.where(member, in_pages, in_cats)
+
+        def no_child(i: int) -> str:
+            kind, other, known = (
+                (MEMBER, "category", in_cats) if member[i] else
+                (SUBCAT, "page", in_pages)
             )
-        if not name:
-            raise GraphFormatError(f"{path}:{lineno}: empty {what} name")
-        if ext in seen_ids:
-            raise GraphFormatError(f"{path}:{lineno}: duplicate {what} id {ext}")
-        seen_ids.add(ext)
-        if unique_names:
-            if name in seen_names:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: duplicate {what} name {name!r}"
-                )
-            seen_names.add(name)
-        externals.append(ext)
-        names.append(name)
-    return np.asarray(externals, dtype=np.int64), names
+            hint = f" (it exists as a {other}; wrong kind?)" if known[i] else ""
+            return f"{kind} child {int(text(i, 1))} not found{hint}"
 
+        checks: list[_Check] = [
+            (parent_bad, lambda i: f"parent id is not an integer: {text(i, 0)!r}"),
+            (child_bad, lambda i: f"child id is not an integer: {text(i, 1)!r}"),
+            (~(member | subcat), lambda i: f"unknown edge kind {text(i, 2)!r}"),
+        ]
+        if strict:
+            checks.append((~has_parent, lambda i: (
+                f"parent {int(text(i, 0))} is not a known category"
+            )))
+            checks.append((~has_child, no_child))
+        return (parent * n_nodes + child, has_parent & has_child), checks
 
-def _line_tables(categories: Path, pages: Path, edges: Path, strict: bool) -> tuple:
-    """The loader's tables, one line at a time; see :func:`_columnar_tables`."""
-    cat_external, cat_names = _load_id_name(categories, "category", True)
-    page_external, page_titles = _load_id_name(pages, "page", False)
-    n_cats = len(cat_names)
-    cat_by_ext = {int(e): i for i, e in enumerate(cat_external)}
-    page_by_ext = {int(e): n_cats + i for i, e in enumerate(page_external)}
-
-    parents: list[int] = []
-    children: list[int] = []
-    dropped_edges = 0
-    for lineno, (raw_p, raw_c, kind) in _iter_tsv(edges, 3):
-        p_ext = _parse_int(edges, lineno, raw_p, "parent id")
-        c_ext = _parse_int(edges, lineno, raw_c, "child id")
-        if kind not in (SUBCAT, MEMBER):
-            raise GraphFormatError(f"{edges}:{lineno}: unknown edge kind {kind!r}")
-        parent = cat_by_ext.get(p_ext)
-        if parent is None:
-            if strict:
-                raise GraphFormatError(
-                    f"{edges}:{lineno}: parent {p_ext} is not a known category"
-                )
-            dropped_edges += 1
-            continue
-        table = cat_by_ext if kind == SUBCAT else page_by_ext
-        child = table.get(c_ext)
-        if child is None:
-            if strict:
-                other = "page" if kind == SUBCAT else "category"
-                hint = ""
-                other_table = page_by_ext if kind == SUBCAT else cat_by_ext
-                if c_ext in other_table:
-                    hint = f" (it exists as a {other}; wrong kind?)"
-                raise GraphFormatError(
-                    f"{edges}:{lineno}: {kind} child {c_ext} not found{hint}"
-                )
-            dropped_edges += 1
-            continue
-        parents.append(parent)
-        children.append(child)
-
-    n_nodes = n_cats + len(page_titles)
-    keys = np.asarray(parents, dtype=np.int64) * n_nodes + np.asarray(
-        children, dtype=np.int64
-    )
-    return (
-        cat_external, cat_names, page_external, page_titles, keys, dropped_edges
-    )
+    (keys, keep), fault = _scan(path, 3, parse)
+    _raise_first(path, fault)
+    if keep.all():
+        return keys, 0
+    return keys[keep], int(len(keep) - keep.sum())
 
 
 def _load_redirects(
-    path: Path, cat_external: np.ndarray, strict: bool
+    path: Path, cat_index: _IdIndex, strict: bool
 ) -> tuple[dict[str, int], int]:
-    cat_by_ext = {e: i for i, e in enumerate(cat_external.tolist())}
-    aliases: dict[str, int] = {}
-    dropped = 0
-    for lineno, (alias, raw_id) in _iter_tsv(path, 2):
-        if not alias:
-            raise GraphFormatError(f"{path}:{lineno}: empty alias name")
-        c_ext = _parse_int(path, lineno, raw_id, "category id")
-        node = cat_by_ext.get(c_ext)
-        if node is None:
-            if strict:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: alias {alias!r} points to "
-                    f"unknown category {c_ext}"
-                )
-            dropped += 1
-            continue
-        prev = aliases.get(alias)
-        if prev is not None and prev != node:
-            if strict:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: alias {alias!r} maps to more "
-                    f"than one category"
-                )
-            dropped += 1
-            continue
-        aliases[alias] = node
-    return aliases, dropped
+    """(alias to category node, dropped aliases) of a redirects file.  The
+    first kept row of an alias wins, and aliases keep its order."""
+
+    def parse(lines: _Lines) -> tuple[tuple, list[_Check]]:
+        aliases = lines.texts(0)
+        ext, bad, huge = lines.ids(1)
+        node, known = cat_index.lookup(ext, huge)
+        checks: list[_Check] = [
+            (lines.lo[:, 0] == lines.hi[:, 0], lambda i: "empty alias name"),
+            (bad, lambda i: f"category id is not an integer: {lines.text(i, 1)!r}"),
+        ]
+        if strict:
+            checks.append((~known, lambda i: (
+                f"alias {aliases[i]!r} points to unknown category "
+                f"{int(lines.text(i, 1))}"
+            )))
+        return (aliases, node, known), checks
+
+    (aliases, nodes, known), fault = _scan(path, 2, parse)
+    rows = np.flatnonzero(known)
+    kept = list(compress(aliases, known))
+    clash = nodes[rows] != nodes[rows[_first_rows(kept)]]
+    faults = [fault]
+    if strict and clash.any():
+        row = int(rows[clash.argmax()])
+        faults.append((row, f"alias {aliases[row]!r} maps to more than one category"))
+    _raise_first(path, *faults)
+    table = dict(compress(zip(kept, nodes[rows].tolist()), ~clash))
+    return table, int(len(aliases) - len(kept) + clash.sum())
 
 
-# -------------------------------------------------------- columnar loader
+def _first_rows(keys: list[str]) -> np.ndarray:
+    """The row where each row's key first occurs."""
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return np.fromiter(map(first.get, keys), np.int64, len(keys))
 
 
-class _NotColumnar(Exception):
-    """The input lies outside the columnar loader's grammar."""
+def _raise_first(path: Path, *faults: _Fault | None) -> None:
+    """Raise the fault on the lowest row; on a tie, the one listed first."""
+    found = [fault for fault in faults if fault is not None]
+    if found:
+        row, message = min(found, key=lambda fault: fault[0])
+        raise GraphFormatError(f"{path}:{row + 1}: {message}")
 
 
-def _columnar_tables(
-    categories: Path, pages: Path, edges: Path, strict: bool
-) -> tuple:
-    """(category ids, names, page ids, titles, edge keys, dropped edges).
+def _first_fault(checks: list[_Check]) -> _Fault | None:
+    """The first row that fails a check, with the message of the first
+    check it fails; None if every row passes."""
+    hits = [(int(bad.argmax()), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    if not hits:
+        return None
+    row, k = min(hits)
+    return row, checks[k][1](row)
 
-    An edge key is ``parent * n_nodes + child`` in node ids, in file order
-    with duplicates kept.  Raises :class:`_NotColumnar` wherever the input
-    leaves the grammar in the module docstring or the line parser would
-    raise, so that every error comes from the line parser.
+
+def _scan(
+    path: Path, n_fields: int, parse: Callable[[_Lines], tuple[tuple, list[_Check]]]
+) -> tuple[list, _Fault | None]:
+    """Parse a TSV file block by block, up to the block of its first fault.
+
+    ``parse(lines)`` gives a block's columns, one value a line each, and
+    its checks in the order they apply.  Returns each column joined over the
+    blocks read, so that row ``i`` is line ``i + 1``, and the fault or None.
     """
-    cat_external, cat_names, cat_index = _columnar_id_names(categories, True)
-    page_external, page_titles, page_index = _columnar_id_names(pages, False)
-    n_cats = len(cat_names)
-    n_nodes = n_cats + len(page_titles)
-
-    keys: list[np.ndarray] = []
-    dropped_edges = 0
-    for block, bounds in _line_blocks(edges, 3):
-        parent, ok = cat_index.lookup(_ids(block, bounds[:, 0] + 1, bounds[:, 1]))
-        child_ext = _ids(block, bounds[:, 1] + 1, bounds[:, 2])
-        member = _is_member(block, bounds[:, 2] + 1, bounds[:, 3])
-        as_cat, in_cats = cat_index.lookup(child_ext)
-        as_page, in_pages = page_index.lookup(child_ext)
-        child = np.where(member, as_page + n_cats, as_cat)
-        ok &= np.where(member, in_pages, in_cats)
-        if not ok.all():
-            if strict:
-                raise _NotColumnar
-            dropped_edges += int(len(ok) - ok.sum())
-            parent, child = parent[ok], child[ok]
-        keys.append(parent * n_nodes + child)
-    return (
-        cat_external,
-        cat_names,
-        page_external,
-        page_titles,
-        _concat(keys),
-        dropped_edges,
-    )
+    parts, fault = [], None
+    for lines, offset, short in _line_blocks(path, n_fields):
+        columns, checks = parse(lines)
+        parts.append(columns)
+        fault = _first_fault(checks)
+        if fault is None and short is not None:
+            fault = (len(lines.lo), short)
+        if fault is not None:
+            fault = (offset + fault[0], fault[1])
+            break
+    del lines, checks  # views of the whole file, which the columns outlive
+    return [
+        np.concatenate(column) if isinstance(column[0], np.ndarray)
+        else list(chain.from_iterable(column))
+        for column in zip(*parts)
+    ], fault
 
 
-def _columnar_id_names(
-    path: Path, unique_names: bool
-) -> tuple[np.ndarray, list[str], _IdIndex]:
-    """Ids, names and id index of a whole ``id<TAB>name`` file, checked
-    before the next file is opened, as the line parser does."""
-    ids: list[np.ndarray] = []
-    names: list[str] = []
-    for block, bounds in _line_blocks(path, 2):
-        ids.append(_ids(block, bounds[:, 0] + 1, bounds[:, 1]))
-        names += _names(block, bounds)
-    if unique_names and len(set(names)) < len(names):
-        raise _NotColumnar
-    external = _concat(ids)
-    return external, names, _IdIndex(external)
+def _line_blocks(path: Path, n_fields: int) -> Iterator[tuple[_Lines, int, str | None]]:
+    """(lines, row, short) for blocks of about ``_BLOCK_BYTES`` of the file's
+    lines: ``row`` is the row of the block's first line, and ``short`` is
+    None or the fault of the first line without ``n_fields`` fields, which
+    the block, the last, stops before.  An empty file is one empty block."""
+    data = path.read_bytes()
+    bad = _utf8_fault(data)
+    if bad is not None:
+        raise GraphFormatError(f"{path}: not UTF-8: {bad}")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if data[-1:] not in (b"", b"\n"):
+        data += b"\n"
+    whole = np.frombuffer(data, dtype=np.uint8)
+    start, row = 0, 0
+    while True:
+        stop = data.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
+        if stop <= start < len(data):  # one line longer than a block
+            stop = data.index(b"\n", start + _BLOCK_BYTES) + 1
+        block = whole[start:stop]
+        seps = np.flatnonzero((block == 9) | (block == 10))
+        ends = np.flatnonzero(block[seps] == 10)
+        tabs = np.diff(ends, prepend=-1) - 1
+        short = None
+        if (tabs != n_fields - 1).any():
+            n = int((tabs != n_fields - 1).argmax())
+            short = f"expected {n_fields} tab-separated fields, got {tabs[n] + 1}"
+            seps = seps[: n * n_fields]
+        yield _Lines(block, seps.reshape(-1, n_fields)), row, short
+        if short is not None or stop == len(data):
+            return
+        start, row = stop, row + len(ends)
 
 
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+def _utf8_fault(data: bytes) -> UnicodeDecodeError | None:
+    """The first bytes of ``data`` that are not UTF-8, placed in the whole
+    of it, or None; decoded a block at a time."""
+    view, start = memoryview(data), 0
+    while start < len(data):
+        stop = start + max(_BLOCK_BYTES, 4)  # at least one whole character
+        try:
+            start += codecs.utf_8_decode(view[start:stop], None, stop >= len(data))[1]
+        except UnicodeDecodeError as exc:
+            return UnicodeDecodeError(
+                "utf-8", data, start + exc.start, start + exc.end, exc.reason
+            )
+    return None
+
+
+class _Lines:
+    """A block of whole lines and the tab or ``\\n`` after each of their
+    fields: field ``k`` of line ``i`` is ``block[lo[i, k]:hi[i, k]]``."""
+
+    def __init__(self, block: np.ndarray, seps: np.ndarray) -> None:
+        self.block, self.hi = block, seps
+        self.lo = np.roll(seps, 1) + 1  # each field starts after the separator before
+        self.lo.flat[:1] = 0
+
+    def text(self, i: int, k: int) -> str:
+        """One field decoded: for a message, or an id the arrays do not take."""
+        return self.block[self.lo[i, k] : self.hi[i, k]].tobytes().decode("utf-8")
+
+    def ids(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(value, bad, huge) of each id in column ``k``: its int64 value,
+        meaningless where the id is bad or huge, whether ``int()`` refuses
+        it, and whether it lies beyond int64."""
+        lo, hi, block = self.lo[:, k], self.hi[:, k], self.block
+        negative = block[lo] == ord("-")
+        width = hi - lo - negative
+        odd = (width < 1) | (width > _MAX_DIGITS)
+        value = np.zeros(len(width), dtype=np.int64)
+        for place in range(min(int(width.max(initial=0)), _MAX_DIGITS)):
+            live = width > place
+            digit = block[np.where(live, hi - 1 - place, hi)] - np.uint8(ord("0"))
+            digit[~live] = 0
+            odd |= digit > 9
+            value += digit.astype(np.int64) * 10**place
+        value = np.where(negative, -value, value)
+        bad = np.zeros(len(width), dtype=bool)
+        huge = np.zeros(len(width), dtype=bool)
+        for i in np.flatnonzero(odd).tolist():
+            try:
+                number = int(self.text(i, k))
+            except ValueError:
+                bad[i] = True
+                continue
+            if _INT64.min <= number <= _INT64.max:
+                value[i] = number
+            else:
+                huge[i] = True
+        return value, bad, huge
+
+    def kinds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(member, subcat): whether each field of column ``k`` is exactly
+        ``member``, and whether it is exactly ``subcat``."""
+        lo, size = self.lo[:, k], len(_MEMBER_BYTES)
+        kinds = np.take(self.block, lo[:, None] + np.arange(size), mode="clip")
+        sized = self.hi[:, k] - lo == size
+        return (
+            sized & (kinds == _MEMBER_BYTES).all(axis=1),
+            sized & (kinds == _SUBCAT_BYTES).all(axis=1),
+        )
+
+    def texts(self, k: int) -> list[str]:
+        """Column ``k`` decoded in one pass: each field is kept with the tab
+        or ``\\n`` after it, as ``\\n``, and the kept bytes split into the
+        fields, which hold neither."""
+        edge = np.zeros(len(self.block) + 1, dtype=np.int8)
+        edge[self.lo[:, k]] += 1
+        edge[self.hi[:, k] + 1] -= 1
+        kept = self.block[np.cumsum(edge[:-1], dtype=np.int8) > 0]
+        kept[kept == 9] = 10
+        texts = kept.tobytes().decode("utf-8").split("\n")
+        texts.pop()
+        return texts
 
 
 class _IdIndex:
-    """External ids to node ids by binary search; duplicates leave the grammar."""
+    """External ids to table rows by binary search."""
 
     def __init__(self, external: np.ndarray) -> None:
         self.order = np.argsort(external, kind="stable")
         self.sorted = external[self.order]
-        if (self.sorted[1:] == self.sorted[:-1]).any():
-            raise _NotColumnar
 
-    def lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(node id, found) per id; the node id is meaningless where not found."""
+    def repeats(self) -> np.ndarray:
+        """Whether each row's id is an earlier row's too."""
+        again = np.zeros(len(self.order), dtype=bool)
+        again[self.order[1:][self.sorted[1:] == self.sorted[:-1]]] = True
+        return again
+
+    def lookup(
+        self, ids: np.ndarray, beyond: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(row, found) per id, where ``beyond`` marks ids past int64, which
+        are never found; the row is meaningless where not found."""
         if not len(self.sorted):
             return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
         at = np.minimum(np.searchsorted(self.sorted, ids), len(self.sorted) - 1)
-        return self.order[at], self.sorted[at] == ids
+        return self.order[at], (self.sorted[at] == ids) & ~beyond
 
-
-def _line_blocks(path: Path, n_fields: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The file's bytes in runs of whole lines of about ``_BLOCK_BYTES``.
-
-    Yields (block, bounds): field ``k`` of line ``i`` is
-    ``block[bounds[i, k] + 1 : bounds[i, k + 1]]``.  Every line must end in
-    ``\\n`` and hold exactly ``n_fields - 1`` tabs, and no ``\\r`` may appear,
-    since text mode reads a lone ``\\r`` as a line break.
-    """
-    data = path.read_bytes()
-    if b"\r" in data or data[-1:] not in (b"", b"\n"):
-        raise _NotColumnar
-    whole = np.frombuffer(data, dtype=np.uint8)
-    start = 0
-    while start < len(data):
-        stop = data.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
-        if stop <= start:  # one line longer than a block
-            stop = data.index(b"\n", start + _BLOCK_BYTES) + 1
-        block = whole[start:stop]
-        ends = np.flatnonzero(block == 10)
-        tabs = np.flatnonzero(block == 9)
-        if len(tabs) != (n_fields - 1) * len(ends):
-            raise _NotColumnar
-        bounds = np.empty((len(ends), n_fields + 1), dtype=np.int64)
-        bounds[0, 0] = -1
-        bounds[1:, 0] = ends[:-1]
-        bounds[:, 1:-1] = tabs.reshape(len(ends), n_fields - 1)
-        bounds[:, -1] = ends
-        # With the count right, every line holds its share of the tabs when
-        # its first tab follows the line's start and its last precedes its end.
-        first_tab, last_tab = bounds[:, 1], bounds[:, -2]
-        if (first_tab < bounds[:, 0]).any() or (last_tab > ends).any():
-            raise _NotColumnar
-        yield block, bounds
-        start = stop
-
-
-def _ids(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The int64 value of each field ``block[lo:hi]``, which must be ASCII
-    ``-?[0-9]{1,18}``."""
-    negative = block[lo] == ord("-")
-    lo = lo + negative
-    width = hi - lo
-    if width.min() < 1 or width.max() > _MAX_DIGITS:
-        raise _NotColumnar
-    value = np.zeros(len(width), dtype=np.int64)
-    for k in range(int(width.max())):
-        live = width > k
-        digit = block[np.where(live, hi - 1 - k, hi)] - np.uint8(ord("0"))
-        digit[~live] = 0
-        if (digit > 9).any():
-            raise _NotColumnar
-        value += digit.astype(np.int64) * 10**k
-    return np.where(negative, -value, value)
-
-
-def _is_member(block: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Whether each kind field is ``member``; each must be exactly
-    ``subcat`` or ``member``."""
-    if (hi - lo != len(_MEMBER_BYTES)).any():
-        raise _NotColumnar
-    kinds = block[lo[:, None] + np.arange(len(_MEMBER_BYTES))]
-    member = (kinds == _MEMBER_BYTES).all(axis=1)
-    if not (member | (kinds == _SUBCAT_BYTES).all(axis=1)).all():
-        raise _NotColumnar
-    return member
-
-
-def _names(block: np.ndarray, bounds: np.ndarray) -> list[str]:
-    """The last field of each line, decoded; each must be non-empty UTF-8."""
-    lo, hi = bounds[:, -2] + 1, bounds[:, -1]
-    if (lo == hi).any():
-        raise _NotColumnar
-    # Keep each name with its newline: the kept bytes split into the names.
-    drop = np.zeros(len(block), dtype=np.int8)
-    drop[bounds[:, 0] + 1] = 1
-    drop[lo] -= 1
-    kept = block[np.cumsum(drop, dtype=np.int8) == 0]
-    try:
-        names = kept.tobytes().decode("utf-8").split("\n")
-    except UnicodeDecodeError:
-        raise _NotColumnar from None
-    names.pop()
-    return names
+    def row(self, external_id: int) -> int | None:
+        """The row of one id, which may lie beyond int64, or None."""
+        if not _INT64.min <= external_id <= _INT64.max:
+            return None
+        rows, found = self.lookup(np.array([external_id]), np.zeros(1, dtype=bool))
+        return int(rows[0]) if found[0] else None
 
 
 def save_snapshot(graph: CategoryGraph, path: str | Path) -> None:

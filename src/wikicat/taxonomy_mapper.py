@@ -479,7 +479,11 @@ def save_mapping(
     write_json(doc, path)
 
 
-def load_mapping(path: str | Path, graph: CategoryGraph) -> CategoryMapping:
+def load_mapping(
+    path: str | Path, graph: CategoryGraph, taxonomy: Taxonomy
+) -> CategoryMapping:
+    """Read a mapping written by :func:`save_mapping`; every label it names
+    must be one of ``taxonomy``'s."""
     doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("labels"), dict):
         raise TaxonomyError(f"{path}: expected an object with a 'labels' table")
@@ -515,6 +519,9 @@ def load_mapping(path: str | Path, graph: CategoryGraph) -> CategoryMapping:
         STRING.check(unmapped, "unmapped label")
         threshold = doc.get("threshold", DEFAULT_THRESHOLD)
         NUMBER.check([threshold], "threshold")
+        for lid in itertools.chain(entries, near, unmapped):
+            if lid not in taxonomy.by_id:
+                raise ConfigurationError(f"label {lid!r} is not in the taxonomy")
         return CategoryMapping(entries, unmapped, near, float(threshold))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None

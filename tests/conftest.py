@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,11 @@ from wikicat.graph_store import load_graph
 from wikicat.taxonomy_mapper import CategoryMapping, MappedCategory, load_taxonomy
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# pyproject.toml puts src/ on this process's path; the Python processes
+# that tests start find wikicat there too.
+SRC = str(Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.getenv("PYTHONPATH")]))
 
 
 def load_fixture_graph(name: str):

@@ -596,6 +596,52 @@ def test_ablate_n_per_class_0_exits_2(wiki, tmp_path, capsys):
     assert list((tmp_path / "ablate").glob("labels.*.jsonl")) == []
 
 
+def _mapping_with_zulu(wiki, path, table):
+    """The wiki's mapping, with label ``zulu`` added to one of its tables."""
+    doc = json.loads((wiki / "mapping.json").read_text(encoding="utf-8"))
+    if table == "unmapped":
+        doc["unmapped"].append("zulu")
+    else:
+        doc[table]["zulu"] = doc["labels"]["alpha"] if table == "labels" else []
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("table", ["labels", "near_misses", "unmapped"])
+def test_label_refuses_a_mapping_label_the_taxonomy_lacks(
+    wiki, tmp_path, capsys, table
+):
+    mapping = _mapping_with_zulu(wiki, tmp_path / "mapping.json", table)
+    rc = main([
+        "label",
+        "--graph", str(wiki / "graph.bin"),
+        "--taxonomy", str(wiki / "taxonomy.json"),
+        "--mapping", str(mapping),
+        "--out", str(tmp_path / "labels.jsonl"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {mapping}: label 'zulu' is not in the taxonomy" in err
+    assert not (tmp_path / "labels.jsonl").exists()
+
+
+def test_ablate_refuses_a_mapping_label_the_taxonomy_lacks(wiki, tmp_path, capsys):
+    mapping = _mapping_with_zulu(wiki, tmp_path / "mapping.json", "labels")
+    rc = main([
+        "ablate",
+        "--graph", str(wiki / "graph.bin"),
+        "--taxonomy", str(wiki / "taxonomy.json"),
+        "--mapping", str(mapping),
+        "--corpus", str(wiki / "corpus.jsonl"),
+        "--eval", str(wiki / "eval.jsonl"),
+        "--out-dir", str(tmp_path / "ablate"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {mapping}: label 'zulu' is not in the taxonomy" in err
+    assert list((tmp_path / "ablate").glob("labels.*.jsonl")) == []
+
+
 @pytest.mark.parametrize("command", ["label", "train"])
 def test_unknown_scheme_in_config_exits_2(
     wiki, labels_path, tmp_path, capsys, command
@@ -798,7 +844,7 @@ def test_non_utf8_input_exits_2_naming_the_file(
     assert str(tmp_path / bad) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("modes", [5, "full", ["full", 3]])
+@pytest.mark.parametrize("modes", [5, "full", ["full", 3], []])
 def test_ablate_modes_must_be_a_list_of_strings(wiki, tmp_path, capsys, modes):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

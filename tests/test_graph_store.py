@@ -17,6 +17,9 @@ from wikicat.exceptions import ConfigurationError, GraphFormatError
 from wikicat.graph_store import load_graph, load_snapshot, save_snapshot
 from wikicat.synth import make_ablation_wiki, make_scale_graph
 
+from conftest import write_graph_files
+from graph_loader_oracle import load_graph_lines
+
 CATS = [(10, "Vehicles"), (11, "Trucks"), (12, "Cars")]
 PAGES = [(200, "Ford F-150"), (201, "Honda Civic")]
 EDGES = [
@@ -96,6 +99,12 @@ def test_unknown_external_ids(make_graph):
         g.category_node(999)
     with pytest.raises(ConfigurationError):
         g.page_node(10)  # category id, not a page id
+    # A JSON integer in a mapping file may lie beyond int64.
+    for big in (2**63, -(2**63) - 1, 10**30):
+        with pytest.raises(ConfigurationError, match=f"unknown category id: {big}$"):
+            g.category_node(big)
+        with pytest.raises(ConfigurationError, match=f"unknown page id: {big}$"):
+            g.page_node(big)
 
 
 def test_duplicate_category_id_rejected(make_graph):
@@ -294,9 +303,9 @@ def test_random_graphs_adjacency_consistent(make_graph):
         assert sum(len(g.parents(v)) for v in range(g.n_nodes)) == len(expected)
 
 
-# ------------------------------------------- columnar loader vs line parser
+# ------------------------------------------------ loader vs the line parser
 
-# Odd id renderings: all but the first two leave the columnar grammar, and
+# Odd id renderings: all but the first two leave the array grammar, and
 # int() still takes some of those.
 _ODD_IDS = [
     "zeros", "neg_zero", "plus", "space", "underscore", "arabic", "19_digits",
@@ -323,10 +332,11 @@ def _render_id(value: int, form: str) -> str:
 
 @st.composite
 def _graph_tsvs(draw):
-    """(categories, pages, edges) texts.  In a quarter of the examples
-    every field is well formed, though names may repeat and edges may
-    dangle or disagree with their kind.  In the rest one kind of field is
-    now and then rendered oddly."""
+    """(categories, pages, edges, redirects) texts.  In a quarter of the
+    examples every field is well formed, though page titles may repeat,
+    edges may dangle or disagree with their kind, and aliases may point
+    nowhere or to a second category.  In the rest one kind of field is now
+    and then rendered oddly."""
     defect = draw(st.sampled_from(["id", "name", "kind", "tabs", "ending", "final"]))
     rate = draw(st.sampled_from([0, 5, 20, 50]))  # percent of those fields
 
@@ -357,10 +367,12 @@ def _graph_tsvs(draw):
     ids = st.lists(st.integers(-3, 40), unique=True, max_size=8)
     names = st.text(alphabet="aBé \x0b\x85\u2028", min_size=1, max_size=3)
     tables = []
-    for table_ids in (draw(ids), draw(ids)):
+    for table_ids, unique in ((draw(ids), True), (draw(ids), False)):
         lines, table_names = [], []
         for i, value in enumerate(table_ids):
-            name = draw(names)
+            # Repeated category names are drawn as defects, so that most
+            # examples get as far as the edges and the redirects.
+            name = draw(names.filter(lambda n: not unique or n not in table_names))
             if odd("name"):
                 name = draw(st.sampled_from(["", "t\tab", "c\rr"] + table_names))
             table_names.append(name)
@@ -382,25 +394,39 @@ def _graph_tsvs(draw):
         if odd("kind"):
             kind = draw(st.sampled_from(["link", "Subcat", "member ", "subcat\t"]))
         lines.append(line([id_text(parent, []), id_text(child, []), kind]))
-    return categories, pages, text(lines)
+    edges = text(lines)
+
+    lines, rows = [], []
+    for _ in range(draw(st.integers(0, 10))):
+        if rows and draw(st.booleans()):  # an alias again, maybe elsewhere
+            alias, target = draw(st.sampled_from(rows))
+            if draw(st.booleans()):
+                target = draw(st.sampled_from(cat_ids)) if cat_ids else 97
+        else:
+            alias = "" if draw(st.integers(0, 49)) == 0 else draw(names)
+            target = draw(st.sampled_from(cat_ids)) if cat_ids and not rare() else 97
+        if odd("name"):
+            alias = draw(st.sampled_from(["", "t\tab", "c\rr", "é\x85"]))
+        rows.append((alias, target))
+        lines.append(line([alias, id_text(target, [])]))
+    return categories, pages, edges, text(lines)
 
 
-def _outcome(files, strict, snap):
+def _outcome(load, files, strict, snap):
     try:
-        graph = load_graph(*files, strict=strict)
+        graph = load(*files, strict=strict)
     except GraphFormatError as exc:
         return f"GraphFormatError: {exc}"
     save_snapshot(graph, snap)
     return snap.read_bytes(), graph.stats()
 
 
-def _columnar_and_line(files, strict, snap):
-    """The loader's outcome as the input selects, and by the line parser."""
-    got = _outcome(files, strict, snap)
-    with mock.patch.object(
-        graph_store, "_columnar_tables", side_effect=graph_store._NotColumnar
-    ):
-        return got, _outcome(files, strict, snap)
+def _loader_and_oracle(files, strict, snap):
+    """The outcome of ``load_graph`` and of the line parser."""
+    return (
+        _outcome(load_graph, files, strict, snap),
+        _outcome(load_graph_lines, files, strict, snap),
+    )
 
 
 @seed(20261018)
@@ -412,11 +438,37 @@ def _columnar_and_line(files, strict, snap):
 )
 def test_columnar_loader_matches_line_parser(texts, strict, block_bytes):
     with tempfile.TemporaryDirectory() as d:
-        files = [Path(d, name) for name in ("c.tsv", "p.tsv", "e.tsv")]
+        files = [Path(d, name) for name in ("c.tsv", "p.tsv", "e.tsv", "r.tsv")]
         for path, text in zip(files, texts):
             path.write_bytes(text.encode("utf-8"))
         with mock.patch.object(graph_store, "_BLOCK_BYTES", block_bytes):
-            got, want = _columnar_and_line(files, strict, Path(d, "g.bin"))
+            got, want = _loader_and_oracle(files, strict, Path(d, "g.bin"))
+    assert got == want
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["Lorries", "Autos", "é", "a\x85b", "b\u2028", ""]),
+            st.sampled_from(["10", "11", "12", "404", "+11", " 12", "x", str(2**63)]),
+        ),
+        max_size=12,
+    ),
+    strict=st.booleans(),
+    block_bytes=st.sampled_from([1, 7, 1 << 20]),
+)
+def test_redirects_match_line_parser(rows, strict, block_bytes):
+    """Aliases repeated onto the same and another category, unknown
+    targets and odd ids, over one good graph."""
+    with tempfile.TemporaryDirectory() as d:
+        paths = write_graph_files(Path(d), CATS, PAGES, EDGES)
+        files = [paths[key] for key in ("categories", "pages", "edges")]
+        files.append(Path(d, "redirects.tsv"))
+        files[-1].write_text("".join(f"{a}\t{c}\n" for a, c in rows), encoding="utf-8")
+        with mock.patch.object(graph_store, "_BLOCK_BYTES", block_bytes):
+            got, want = _loader_and_oracle(files, strict, Path(d, "g.bin"))
     assert got == want
 
 
@@ -424,13 +476,24 @@ _GOOD_ROWS = {
     "categories": [["1", "A"], ["2", "B"]],
     "pages": [["10", "P"], ["11", "Q"]],
     "edges": [["1", "2", "subcat"], ["2", "10", "member"], ["1", "11", "member"]],
+    "redirects": [["Alias", "1"], ["Other", "2"]],
+}
+# The kind of each table's fields.
+_FIELD_KINDS = {
+    "categories": ("id", "name"),
+    "pages": ("id", "name"),
+    "edges": ("id", "id", "kind"),
+    "redirects": ("name", "id"),
 }
 _ODD_FIELDS = {
     "id": [
         "+1", " 1", "1 ", "1_0", "١", "-0", "007", "-", "1x", "", "2", "99",
         "0000000000000000001", str(2**63 - 1), str(2**63), str(-(2**63) - 1),
+        str(10**20 + 2),  # beyond int64, though its last 18 digits read 2
     ],
-    "name": ["", "B", "Q", "a\rb", "a\x0bb", "a\x85b", "a\u2028b", "a\tb"],
+    "name": [
+        "", "B", "Q", "Alias", "a\rb", "a\x0bb", "a\x85b", "a\u2028b", "a\tb",
+    ],
     "kind": ["link", "Subcat", "member ", " member", "membe", "subcats", "subcat\t"],
 }
 
@@ -443,9 +506,7 @@ def _one_odd_spot():
     for table, rows in _GOOD_ROWS.items():
         plain = ["\n"] * len(rows)
         for i, row in enumerate(rows):
-            for j in range(len(row)):
-                kind = "id" if j < len(row) - 1 else "name"
-                kind = "kind" if table == "edges" and kind == "name" else kind
+            for j, kind in enumerate(_FIELD_KINDS[table]):
                 for token in _ODD_FIELDS[kind]:
                     odd = [list(r) for r in rows]
                     odd[i][j] = token
@@ -468,39 +529,53 @@ def test_columnar_loader_matches_line_parser_at_each_odd_spot(tmp_path):
         for path, name in zip(files, _GOOD_ROWS):
             path.write_text(text if name == table else good[name], encoding="utf-8")
         for strict in (True, False):
-            got, want = _columnar_and_line(files, strict, tmp_path / "g.bin")
+            got, want = _loader_and_oracle(files, strict, tmp_path / "g.bin")
             assert got == want, (table, text, strict)
 
 
-def _line_parser_off(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the line parser ran")
-
-    monkeypatch.setattr(graph_store, "_line_tables", refuse)
-
-
 def test_columnar_loader_takes_the_generated_graphs(tmp_path, monkeypatch):
-    """A grammar check too narrow for the synthetic graphs would silently
-    send them, and the benchmark, through the slow line parser."""
+    """An array grammar too narrow for the synthetic graphs would send
+    their ids, and the benchmark's, through int() one field at a time."""
     make_scale_graph(
         tmp_path / "scale", n_categories=2_400, n_pages=2_000, n_edges=20_000
     )
     make_ablation_wiki(tmp_path / "ablation", seed=0)
-    _line_parser_off(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("a field was decoded on its own")
+
+    monkeypatch.setattr(graph_store._Lines, "text", refuse)
     for name in ("scale", "ablation"):
         files = [tmp_path / name / f"{t}.tsv" for t in ("categories", "pages", "edges")]
         assert load_graph(*files).stats()["n_member_edges"] > 0
 
 
-def test_crlf_input_loads_through_the_line_parser(graph_files, monkeypatch):
+def test_crlf_and_lone_cr_input_give_the_lf_graph(graph_files, tmp_path):
+    paths = graph_files(CATS, PAGES, EDGES, redirects=[("Lorries", 11)])
+    keys = ("categories", "pages", "edges", "redirects")
+    save_snapshot(load_graph(*(paths[key] for key in keys)), tmp_path / "lf.bin")
+    for ending in ("\r\n", "\r"):
+        for key in keys:
+            text = paths[key].read_text(encoding="utf-8").replace("\r", "")
+            paths[key].write_bytes(text.replace("\n", ending).encode("utf-8"))
+        save_snapshot(load_graph(*(paths[key] for key in keys)), tmp_path / "cr.bin")
+        assert (tmp_path / "cr.bin").read_bytes() == (tmp_path / "lf.bin").read_bytes()
+
+
+def test_non_utf8_file_is_reported_before_its_other_faults(graph_files):
+    """The reader checks a whole file's UTF-8 before its lines, so a bad
+    byte far down the file wins over a bad id on line 2.  The line parser
+    named line 2 here, as text mode decodes 8 KB at a time."""
     paths = graph_files(CATS, PAGES, EDGES)
-    want = load_graph(paths["categories"], paths["pages"], paths["edges"])
-    for key in ("categories", "pages", "edges"):
-        text = paths[key].read_text(encoding="utf-8")
-        paths[key].write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
-    got = load_graph(paths["categories"], paths["pages"], paths["edges"])
-    assert got.stats() == want.stats()
-    assert np.array_equal(got.indices, want.indices)
-    _line_parser_off(monkeypatch)
-    with pytest.raises(AssertionError, match="line parser ran"):
-        load_graph(paths["categories"], paths["pages"], paths["edges"])
+    rows = "".join(f"{i}\tCategory {i}\n" for i in range(3, 2000))
+    data = f"1\tA\nx\tB\n{rows}".encode("utf-8")
+    paths["categories"].write_bytes(data[:15_000] + b"\xff" + data[15_000:])
+    files = (paths["categories"], paths["pages"], paths["edges"])
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(*files)
+    assert str(exc.value) == (
+        f"{paths['categories']}: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+        "in position 15000: invalid start byte"
+    )
+    with pytest.raises(GraphFormatError, match=r"categories\.tsv:2: category id is"):
+        load_graph_lines(*files)

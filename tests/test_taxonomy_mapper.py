@@ -265,7 +265,7 @@ def test_mapping_round_trip(make_graph, tmp_path):
     mapping = map_taxonomy(tax, g)
     path = tmp_path / "mapping.json"
     save_mapping(mapping, g, path)
-    loaded = load_mapping(path, g)
+    loaded = load_mapping(path, g, tax)
     assert isinstance(loaded, CategoryMapping)
     assert loaded.entries == mapping.entries
     assert loaded.unmapped == mapping.unmapped
