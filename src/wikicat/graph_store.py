@@ -10,10 +10,13 @@ File formats (tab separated, UTF-8, one record per line):
 
 Category and page id namespaces are independent; the edge kind says which
 table a child id refers to.  Ids are integers in the int64 range.
-Internally categories get dense node ids ``0..C-1`` in file order and pages
-``C..C+P-1``, so a node id alone tells the node type.  Adjacency is CSR
-over numpy arrays with child lists sorted ascending, which places
-subcategory children ahead of member pages.
+In memory the graph is one node table and one adjacency.  Categories get
+dense node ids ``0..C-1`` in file order and pages ``C..C+P-1``, so a node
+id alone tells the node type, and the table holds each node's external id
+and name.  The adjacency is a forward CSR over numpy arrays: each
+category's children, strictly ascending, which places subcategory children
+ahead of member pages.  Pages are leaves.  No reverse CSR is kept: a node's
+number of parents is its in-degree, counted once per graph.
 
 One reader parses all four files with numpy, about a mebibyte of lines at
 a time, and checks each file whole before it opens the next.  Lines are
@@ -57,75 +60,49 @@ _MEMBER_BYTES = np.frombuffer(MEMBER.encode(), np.uint8)
 
 
 class CategoryGraph:
-    """In-memory category graph with dense node ids and CSR adjacency."""
+    """In-memory category graph: one node table and a forward CSR.
+
+    Node ``v`` has external id ``external[v]`` and name ``names[v]``;
+    nodes below ``n_categories`` are categories and the rest pages.
+    """
 
     def __init__(
         self,
-        cat_external: np.ndarray,
-        cat_names: list[str],
-        page_external: np.ndarray,
-        page_titles: list[str],
+        n_categories: int,
+        external: np.ndarray,
+        names: list[str],
         indptr: np.ndarray,
         indices: np.ndarray,
         aliases: dict[str, int],
         dropped_edges: int = 0,
         dropped_aliases: int = 0,
     ) -> None:
-        self.n_categories = len(cat_names)
-        self.n_pages = len(page_titles)
-        self.cat_external = cat_external
-        self.cat_names = cat_names
-        self.page_external = page_external
-        self.page_titles = page_titles
+        self.n_categories = n_categories
+        self.n_pages = len(names) - n_categories
+        self.external = external
+        self.names = names
         self.indptr = indptr
         self.indices = indices
         self.aliases = aliases
         self.dropped_edges = dropped_edges
         self.dropped_aliases = dropped_aliases
 
-        self.cat_by_name = {name: i for i, name in enumerate(cat_names)}
-
     @cached_property
     def _cat_index(self) -> _IdIndex:
-        return _IdIndex(self.cat_external)
+        return _IdIndex(self.external[: self.n_categories])
 
     @cached_property
     def _page_index(self) -> _IdIndex:
-        return _IdIndex(self.page_external)
+        return _IdIndex(self.external[self.n_categories :])
 
     @cached_property
-    def _reverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rindptr, rindices): parents sorted ascending per node.
-
-        Derived from the forward CSR, never stored, so TSV and snapshot
-        loads go through identical code.  Forward rows come in parent order,
-        so a stable sort by child keeps each child's parents ascending.
-        """
-        parent_ids = np.repeat(
-            np.arange(self.n_nodes, dtype=np.int32), np.diff(self.indptr)
-        )
-        rindices = parent_ids[np.argsort(self.indices, kind="stable")]
-        rindptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self.indices, minlength=self.n_nodes), out=rindptr[1:]
-        )
-        return rindptr, rindices
-
-    @property
-    def rindptr(self) -> np.ndarray:
-        return self._reverse[0]
-
-    @property
-    def rindices(self) -> np.ndarray:
-        return self._reverse[1]
+    def in_degree(self) -> np.ndarray:
+        """The number of parent categories of each node."""
+        return np.bincount(self.indices, minlength=self.n_nodes)
 
     @property
     def n_nodes(self) -> int:
-        return self.n_categories + self.n_pages
-
-    def is_page(self, node: int) -> bool:
-        self._check_node(node)
-        return node >= self.n_categories
+        return len(self.names)
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:
@@ -139,11 +116,6 @@ class CategoryGraph:
                 f"children() called on page node {node}; pages are leaves"
             )
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
-
-    def parents(self, node: int) -> np.ndarray:
-        """Sorted parent categories of any node."""
-        self._check_node(node)
-        return self.rindices[self.rindptr[node] : self.rindptr[node + 1]]
 
     def category_node(self, external_id: int) -> int:
         row = self._cat_index.row(external_id)
@@ -159,15 +131,11 @@ class CategoryGraph:
 
     def node_name(self, node: int) -> str:
         self._check_node(node)
-        if node < self.n_categories:
-            return self.cat_names[node]
-        return self.page_titles[node - self.n_categories]
+        return self.names[node]
 
     def external_id(self, node: int) -> int:
         self._check_node(node)
-        if node < self.n_categories:
-            return int(self.cat_external[node])
-        return int(self.page_external[node - self.n_categories])
+        return int(self.external[node])
 
     def external_ids(self, nodes: np.ndarray) -> np.ndarray:
         """``external_id`` of every node in an array, with one bounds check."""
@@ -175,11 +143,7 @@ class CategoryGraph:
         bad = (nodes < 0) | (nodes >= self.n_nodes)
         if bad.any():
             raise ConfigurationError(f"node id out of range: {nodes[bad.argmax()]}")
-        pages = nodes >= self.n_categories
-        out = np.empty(len(nodes), dtype=np.int64)
-        out[~pages] = self.cat_external[nodes[~pages]]
-        out[pages] = self.page_external[nodes[pages] - self.n_categories]
-        return out
+        return self.external[nodes]
 
     def stats(self) -> dict[str, int]:
         n_subcat = int((self.indices < self.n_categories).sum())
@@ -208,14 +172,10 @@ def load_graph(
     kind disagrees with the child's table are errors; in lenient mode they
     are dropped and counted.  Malformed lines are errors in both modes.
     """
-    cat_external, cat_names, cat_index = _load_id_names(
-        Path(categories), "category", True
-    )
-    page_external, page_titles, page_index = _load_id_names(
-        Path(pages), "page", False
-    )
+    cat_ids, names, cat_index = _load_id_names(Path(categories), "category", True)
+    page_ids, titles, page_index = _load_id_names(Path(pages), "page", False)
     keys, dropped_edges = _load_edges(Path(edges), cat_index, page_index, strict)
-    indptr, indices = _csr(keys, len(cat_names) + len(page_titles))
+    indptr, indices = _csr(keys, len(names) + len(titles))
 
     aliases: dict[str, int] = {}
     dropped_aliases = 0
@@ -230,8 +190,8 @@ def load_graph(
         )
 
     return CategoryGraph(
-        cat_external, cat_names, page_external, page_titles, indptr, indices,
-        aliases, dropped_edges, dropped_aliases,
+        len(names), np.concatenate((cat_ids, page_ids)), names + titles, indptr,
+        indices, aliases, dropped_edges, dropped_aliases,
     )
 
 
@@ -569,12 +529,9 @@ def save_snapshot(graph: CategoryGraph, path: str | Path) -> None:
                 len(graph.aliases),
             )
         )
-        fh.write(graph.cat_external.astype("<i8").tobytes())
-        fh.write(graph.page_external.astype("<i8").tobytes())
-        for name in graph.cat_names:
+        fh.write(graph.external.astype("<i8").tobytes())
+        for name in graph.names:
             _write_str(fh, name)
-        for title in graph.page_titles:
-            _write_str(fh, title)
         fh.write(graph.indptr.astype("<i8").tobytes())
         fh.write(graph.indices.astype("<i4").tobytes())
         for alias, node in graph.aliases.items():
@@ -612,11 +569,18 @@ def _decode_snapshot(data: bytes) -> CategoryGraph:
     if version != _VERSION:
         raise GraphFormatError(f"unsupported snapshot version {version}")
     off = 4 + struct.calcsize("<IQQQQ")
+    n_nodes = n_cats + n_pages
+    # The fewest bytes the counts need, in Python ints: a name or an alias
+    # takes at least its 4-byte length.
+    least = off + 20 * n_nodes + 8 + 4 * n_edges + 8 * n_aliases
+    if least > len(data):
+        raise GraphFormatError(
+            f"corrupt snapshot: its counts need {least} bytes, the file has "
+            f"{len(data)}"
+        )
 
-    cat_external = np.frombuffer(data, "<i8", n_cats, off).astype(np.int64)
-    off += 8 * n_cats
-    page_external = np.frombuffer(data, "<i8", n_pages, off).astype(np.int64)
-    off += 8 * n_pages
+    external = np.frombuffer(data, "<i8", n_nodes, off).astype(np.int64)
+    off += 8 * n_nodes
 
     def read_str() -> str:
         nonlocal off
@@ -626,9 +590,7 @@ def _decode_snapshot(data: bytes) -> CategoryGraph:
         off += length
         return text
 
-    cat_names = [read_str() for _ in range(n_cats)]
-    page_titles = [read_str() for _ in range(n_pages)]
-    n_nodes = n_cats + n_pages
+    names = [read_str() for _ in range(n_nodes)]
     indptr = np.frombuffer(data, "<i8", n_nodes + 1, off).astype(np.int64)
     off += 8 * (n_nodes + 1)
     indices = np.frombuffer(data, "<i4", n_edges, off).astype(np.int32)
@@ -645,9 +607,13 @@ def _decode_snapshot(data: bytes) -> CategoryGraph:
         raise GraphFormatError("corrupt snapshot: bad adjacency offsets")
     if len(indices) and (indices.min() < 0 or indices.max() >= n_nodes):
         raise GraphFormatError("corrupt snapshot: edge to an unknown node")
+    if indptr[n_cats] != n_edges:
+        raise GraphFormatError("corrupt snapshot: a page has children")
+    row_start = np.zeros(n_edges, dtype=bool)
+    row_start[indptr[:-1][np.diff(indptr) > 0]] = True
+    if ((np.diff(indices) <= 0) & ~row_start[1:]).any():
+        raise GraphFormatError("corrupt snapshot: a child row does not strictly ascend")
     if any(not 0 <= node < n_cats for node in aliases.values()):
         raise GraphFormatError("corrupt snapshot: alias of an unknown category")
 
-    return CategoryGraph(
-        cat_external, cat_names, page_external, page_titles, indptr, indices, aliases
-    )
+    return CategoryGraph(n_cats, external, names, indptr, indices, aliases)

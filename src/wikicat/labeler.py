@@ -166,19 +166,22 @@ def _bfs(
         weight += np.bincount(kids, weights=weight[src] * 0.5, minlength=n)
         level += 1
         depth[kids] = level
-        reached = np.unique(kids)
-        frontier = reached[reached < graph.n_categories]
+        frontier = np.flatnonzero(depth[: graph.n_categories] == level)
     return depth, weight
 
 
 def _coverage(graph: CategoryGraph, pages: np.ndarray, depth: np.ndarray) -> np.ndarray:
     """Share of each page's parent categories that ``depth`` marks reached.
 
-    Every page passed here was reached over an edge, so it has a parent.
+    The forward rows of every reached category, those at the ``max_depth``
+    level included, name each of their children once; a page's count among
+    them is its reached parents, over its in-degree.  Every page passed
+    here was reached over an edge, so it has a parent.
     """
-    at, parents = _gather(graph.rindptr, graph.rindices, pages)
-    reached = np.bincount(at, weights=depth[parents] >= 0, minlength=len(pages))
-    return reached / (graph.rindptr[pages + 1] - graph.rindptr[pages])
+    reached = np.flatnonzero(depth[: graph.n_categories] >= 0)
+    _, kids = _gather(graph.indptr, graph.indices, reached)
+    hits = np.bincount(kids, minlength=graph.n_nodes)[pages]
+    return hits / graph.in_degree[pages]
 
 
 def _shares(group: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -463,7 +466,7 @@ def _label_competition_set(
         w_norm = 1.0 / np.bincount(page, weights=keep)[page]
 
     # Rows by external page id, then best first; a page's rows are one run.
-    external = graph.page_external[page - graph.n_categories]
+    external = graph.external[page]
     order = np.lexsort((label, -w_norm, external))
     page, keep = page[order], keep[order]
     first = np.ones(len(page), dtype=bool)

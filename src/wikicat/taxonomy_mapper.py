@@ -263,8 +263,9 @@ class _NameIndex:
         texts: dict[str, int] = {}
         form_text, form_node = array("q"), array("q")
         post_key, post_form = array("q"), array("q")
+        categories = graph.names[: graph.n_categories]
         sources = itertools.chain(
-            ((name, node) for node, name in enumerate(graph.cat_names)),
+            ((name, node) for node, name in enumerate(categories)),
             graph.aliases.items(),
         )
         for raw, node in sources:
@@ -423,6 +424,8 @@ def resolve_override_names(
     graph: CategoryGraph, raw: dict[str, list[str]]
 ) -> dict[str, list[int]]:
     """Turn override category names (or aliases) into category nodes."""
+    categories = graph.names[: graph.n_categories]
+    by_name = {name: node for node, name in enumerate(categories)}
     out: dict[str, list[int]] = {}
     for label_id, names in raw.items():
         if not isinstance(names, list) or not all(
@@ -433,7 +436,7 @@ def resolve_override_names(
             )
         nodes = []
         for name in names:
-            node = graph.cat_by_name.get(name)
+            node = by_name.get(name)
             if node is None:
                 node = graph.aliases.get(name)
             if node is None:

@@ -42,10 +42,9 @@ def load_graph_lines(
             Path(redirects), cat_external, strict
         )
     return CategoryGraph(
-        cat_external,
-        cat_names,
-        page_external,
-        page_titles,
+        len(cat_names),
+        np.concatenate((cat_external, page_external)),
+        cat_names + page_titles,
         indptr,
         indices,
         aliases,

@@ -111,7 +111,8 @@ def enumerate_paths(
 
 
 def coverage(graph: CategoryGraph, page: int, depth: np.ndarray) -> float:
-    parents = graph.parents(page)
+    """Reached share of the page's parents, found by scanning every row."""
+    parents = [u for u in range(graph.n_categories) if page in graph.children(u)]
     if len(parents) == 0:
         return 0.0
     return int((depth[parents] >= 0).sum()) / len(parents)

@@ -38,8 +38,9 @@ class NameIndex:
         self.exact: dict[str, set[int]] = {}
         self.by_token: dict[str, set[int]] = {}
         self.by_prefix: dict[str, set[int]] = {}
+        categories = graph.names[: graph.n_categories]
         sources = itertools.chain(
-            ((name, node) for node, name in enumerate(graph.cat_names)),
+            ((name, node) for node, name in enumerate(categories)),
             graph.aliases.items(),
         )
         for raw, node in sources:

@@ -673,7 +673,12 @@ def _index_flipped(data: bytes, n_edges: int) -> bytes:
     return bytes(out)
 
 
-@pytest.mark.parametrize("damage", [_truncated, _index_flipped])
+def _huge_count(data: bytes, n_edges: int) -> bytes:
+    # The category count, past the C size type that numpy takes.
+    return data[:8] + (2**63).to_bytes(8, "little") + data[16:]
+
+
+@pytest.mark.parametrize("damage", [_truncated, _index_flipped, _huge_count])
 def test_damaged_snapshot_exits_2_naming_it(wiki, tmp_path, damage):
     graph = load_snapshot(wiki / "graph.bin")
     assert not graph.aliases

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import struct
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -47,12 +50,11 @@ def test_load_basic(make_graph):
     assert g.node_name(root) == "Vehicles"
     assert g.node_name(page) == "Ford F-150"
     assert g.external_id(trucks) == 11
-    assert not g.is_page(trucks)
-    assert g.is_page(page)
+    assert g.external.tolist() == [10, 11, 12, 200, 201]
+    assert g.names == ["Vehicles", "Trucks", "Cars", "Ford F-150", "Honda Civic"]
     assert g.children(root).tolist() == sorted([trucks, g.category_node(12)])
     assert g.children(trucks).tolist() == [page]
-    assert g.parents(page).tolist() == [trucks]
-    assert g.parents(root).tolist() == []
+    assert g.in_degree.tolist() == [0, 1, 1, 1, 1]
 
 
 def test_children_sorted_and_subcats_first(make_graph):
@@ -189,15 +191,13 @@ def test_snapshot_round_trip(make_graph, tmp_path):
     save_snapshot(g, snap)
     h = load_snapshot(snap)
     assert h.stats() == g.stats()
-    assert h.cat_names == g.cat_names
-    assert h.page_titles == g.page_titles
+    assert h.n_categories == g.n_categories
+    assert h.names == g.names
     assert np.array_equal(h.indptr, g.indptr)
     assert np.array_equal(h.indices, g.indices)
-    assert np.array_equal(h.cat_external, g.cat_external)
-    assert np.array_equal(h.page_external, g.page_external)
+    assert np.array_equal(h.external, g.external)
     assert h.aliases == g.aliases
-    assert np.array_equal(h.rindptr, g.rindptr)
-    assert np.array_equal(h.rindices, g.rindices)
+    assert np.array_equal(h.in_degree, g.in_degree)
 
     snap2 = tmp_path / "graph2.bin"
     save_snapshot(h, snap2)
@@ -235,6 +235,19 @@ def _alias_of_a_page(g):
     g.aliases["Lorries"] = g.n_categories
 
 
+def _page_with_a_child(g):
+    g.indices = np.append(g.indices, 1).astype(np.int32)
+    g.indptr[-1] += 1
+
+
+def _row_descends(g):
+    g.indices[:2] = g.indices[1::-1]  # the root's row reads [2, 1]
+
+
+def _row_repeats(g):
+    g.indices[1] = g.indices[0]
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -244,6 +257,9 @@ def _alias_of_a_page(g):
         _edge_past_the_end,
         _negative_edge,
         _alias_of_a_page,
+        _page_with_a_child,
+        _row_descends,
+        _row_repeats,
     ],
 )
 def test_snapshot_rejects_inconsistent_adjacency(make_graph, tmp_path, damage):
@@ -253,6 +269,58 @@ def test_snapshot_rejects_inconsistent_adjacency(make_graph, tmp_path, damage):
     save_snapshot(g, snap)
     with pytest.raises(GraphFormatError, match="bad.bin: corrupt snapshot"):
         load_snapshot(snap)
+
+
+@pytest.mark.parametrize("field", range(4))  # n_cats, n_pages, n_edges, n_aliases
+@pytest.mark.parametrize("count", [2**63, 2**64 - 1, 1 << 40])
+def test_snapshot_rejects_counts_beyond_the_file(make_graph, tmp_path, field, count):
+    snap = tmp_path / "huge.bin"
+    save_snapshot(make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]), snap)
+    data = bytearray(snap.read_bytes())
+    struct.pack_into("<Q", data, 8 + 8 * field, count)
+    snap.write_bytes(bytes(data))
+    with pytest.raises(GraphFormatError, match="huge.bin: corrupt snapshot: its count"):
+        load_snapshot(snap)
+
+
+@pytest.mark.parametrize("field", range(4))  # n_cats, n_pages, n_edges, n_aliases
+def test_snapshot_of_the_least_size_loads(tmp_path, field):
+    """With every name and alias empty the file is exactly as long as its
+    counts need: it loads, and one more of any count is refused."""
+    g = graph_store.CategoryGraph(
+        2, np.array([1, 2, 30]), ["", "", ""], np.array([0, 2, 2, 2]),
+        np.array([1, 2], dtype=np.int32), {"": 0},
+    )
+    snap = tmp_path / "least.bin"
+    save_snapshot(g, snap)
+    assert load_snapshot(snap).stats() == g.stats()
+    data = bytearray(snap.read_bytes())
+    (count,) = struct.unpack_from("<Q", data, 8 + 8 * field)
+    struct.pack_into("<Q", data, 8 + 8 * field, count + 1)
+    snap.write_bytes(bytes(data))
+    with pytest.raises(GraphFormatError, match="corrupt snapshot: its counts need"):
+        load_snapshot(snap)
+
+
+# sha256 of two v1 snapshots: the file format must not drift.
+_PINNED_SNAPSHOTS = {
+    "ablation": "297d62db9064011dd8a44b6c50c54274ce9444c6a75db5617fb85e7a0133990a",
+    "small": "46aece4ee8259d36a45bf49f9e9ccb553e0efeb95895a2edc58f296236a78280",
+}
+
+
+def test_snapshot_bytes_are_pinned(make_graph, tmp_path):
+    make_ablation_wiki(tmp_path / "ablation", seed=0)
+    graphs = {
+        "ablation": load_graph(*(
+            tmp_path / "ablation" / f"{t}.tsv" for t in ("categories", "pages", "edges")
+        )),
+        "small": make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]),
+    }
+    for name, graph in graphs.items():
+        save_snapshot(graph, tmp_path / "g.bin")
+        digest = hashlib.sha256((tmp_path / "g.bin").read_bytes()).hexdigest()
+        assert digest == _PINNED_SNAPSHOTS[name], name
 
 
 def test_snapshot_rejects_truncation_anywhere(make_graph, tmp_path):
@@ -273,7 +341,7 @@ def test_empty_graph(make_graph):
 
 
 def test_random_graphs_adjacency_consistent(make_graph):
-    # Forward and reverse adjacency must describe the same edge set.
+    # The children and the in-degrees must describe the same edge set.
     rng = random.Random(20260822)
     for _ in range(10):
         n_cats = rng.randint(1, 12)
@@ -298,9 +366,9 @@ def test_random_graphs_adjacency_consistent(make_graph):
         for u in range(g.n_categories):
             for v in g.children(u).tolist():
                 seen.add((u, v))
-                assert u in g.parents(v).tolist()
         assert seen == expected
-        assert sum(len(g.parents(v)) for v in range(g.n_nodes)) == len(expected)
+        parents = Counter(v for _, v in expected)
+        assert g.in_degree.tolist() == [parents[v] for v in range(g.n_nodes)]
 
 
 # ------------------------------------------------ loader vs the line parser

@@ -211,6 +211,21 @@ def test_parent_coverage_full(suvs_graph):
     assert _coverage(g, page, _bfs_depth(g, [4])).tolist() == [1.0]
 
 
+def test_parent_coverage_counts_the_max_depth_level_not_blocked_roots(make_graph):
+    # Page 10 has three parents: the root, Edge at the max_depth level
+    # (reached, never expanded) and Rival, a blocked competitor's root.
+    g = make_graph(
+        [(1, "Root"), (2, "Edge"), (3, "Rival")],
+        [(10, "p")],
+        [(1, 2, "subcat"), (1, 10, "member"), (2, 10, "member"), (3, 10, "member")],
+    )
+    depth = _bfs_depth(g, [1], blocked=[3], max_depth=1)
+    assert _coverage(g, np.array([g.page_node(10)]), depth).tolist() == [2 / 3]
+    roots = {"r": [1], "rival": [3]}
+    assert set(_labeled(g, roots, max_depth=1, coverage_threshold=2 / 3)) == {10}
+    assert set(_labeled(g, roots, max_depth=1, coverage_threshold=0.67)) == set()
+
+
 # ------------------------------------------------------------ path lengths
 
 

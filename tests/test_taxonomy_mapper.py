@@ -218,9 +218,17 @@ def test_override_validation(make_graph):
 
 
 def test_resolve_override_names(make_graph):
-    g = make_graph([(1, "Trucks")], [], [], redirects=[("Lorries", 1)])
+    g = make_graph(
+        [(1, "Trucks"), (2, "Cars")],
+        [(10, "Ships")],
+        [],
+        redirects=[("Lorries", 1), ("Cars", 1)],
+    )
     assert resolve_override_names(g, {"x": ["Trucks"]}) == {"x": [0]}
     assert resolve_override_names(g, {"x": ["Lorries"]}) == {"x": [0]}
+    # A category name wins over an alias of the same text.
+    assert resolve_override_names(g, {"x": ["Cars"]}) == {"x": [1]}
+    # A page title names no category.
     with pytest.raises(TaxonomyError, match="not in graph"):
         resolve_override_names(g, {"x": ["Ships"]})
 
