@@ -615,5 +615,11 @@ def _decode_snapshot(data: bytes) -> CategoryGraph:
         raise GraphFormatError("corrupt snapshot: a child row does not strictly ascend")
     if any(not 0 <= node < n_cats for node in aliases.values()):
         raise GraphFormatError("corrupt snapshot: alias of an unknown category")
+    for what, ids in (("category", external[:n_cats]), ("page", external[n_cats:])):
+        again = _IdIndex(ids).repeats()
+        if again.any():
+            raise GraphFormatError(
+                f"corrupt snapshot: duplicate {what} id {ids[again.argmax()]}"
+            )
 
     return CategoryGraph(n_cats, external, names, indptr, indices, aliases)

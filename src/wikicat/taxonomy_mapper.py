@@ -1,11 +1,12 @@
 """Map taxonomy labels onto category nodes.
 
 Matching per label: manual overrides win outright; otherwise the label name
-and its conjunction parts are normalized and looked up in an inverted token
-index over normalized category names and redirect aliases.  All exact
-normalized matches are accepted, and each query part may additionally accept
-its best fuzzy candidate when its similarity clears the threshold.  The
-candidates of every label are scored in one batched Jaro-Winkler kernel.
+and its conjunction parts are normalized, and one pass over the category
+names and redirect aliases normalizes each form once and joins it to those
+parts by token key.  All exact normalized matches are accepted, and each
+query part may additionally accept its best fuzzy candidate when its
+similarity clears the threshold.  The candidates of every label are scored
+in one batched Jaro-Winkler kernel.
 For labels that stay unmapped, the best below-threshold candidates are
 reported so they can be curated into overrides.
 """
@@ -245,95 +246,61 @@ class CategoryMapping:
     threshold: float
 
 
-class _NameIndex:
-    """Inverted index over normalized category names and aliases.
+def _match(
+    graph: CategoryGraph, queries: list[str]
+) -> tuple[list[list[int]], list[int], list[float]]:
+    """Per query, its exact nodes, its best fuzzy node and that node's score.
 
-    Each form is posted under the first four characters of each of its
-    tokens (a shorter token is its own key).  A query token retrieves the
-    posting of its own key: every form sharing the token, widened by forms
-    whose tokens share its first four characters, so that close inflections
-    (singular against -ism, -ing, ... variants) stay reachable.  A distinct
-    normalized text is stored once; form ``f`` is text ``form_text[f]``
-    naming node ``form_node[f]``.
+    Each category name, then each alias, is normalized once.  A form equal
+    to a query names one of its exact nodes.  A form is a fuzzy candidate
+    of every query that shares a key with it, a key being the first four
+    characters of a token (a shorter token is its own key), so that close
+    inflections (singular against -ism, -ing, ... variants) stay reachable.
+    A node's score is the highest Jaro-Winkler similarity of its forms;
+    the best node has the highest score, the lowest node id among equal
+    ones.  A query's exact nodes are not its candidates, and a query
+    without candidates gets node -1 and score 0.0.  Every candidate pair
+    is scored in one kernel call.
     """
-
-    def __init__(self, graph: CategoryGraph) -> None:
-        self.exact: dict[str, set[int]] = {}
-        self.keys: dict[str, int] = {}
-        texts: dict[str, int] = {}
-        form_text, form_node = array("q"), array("q")
-        post_key, post_form = array("q"), array("q")
-        categories = graph.names[: graph.n_categories]
-        sources = itertools.chain(
-            ((name, node) for node, name in enumerate(categories)),
-            graph.aliases.items(),
-        )
-        for raw, node in sources:
-            norm = normalize_name(raw)
-            if not norm:
-                continue
-            fid = len(form_node)
-            form_text.append(texts.setdefault(norm, len(texts)))
+    by_norm: dict[str, list[int]] = {}
+    by_key: dict[str, list[int]] = {}
+    for qid, query in enumerate(queries):
+        by_norm.setdefault(query, []).append(qid)
+        for key in {tok[:_PREFIX_LEN] for tok in query.split()}:
+            by_key.setdefault(key, []).append(qid)
+    exact: list[set[int]] = [set() for _ in queries]
+    # per form that has candidates: its text, node and number of queries;
+    # then those queries, in form order
+    form_text: list[str] = []
+    form_node, form_pairs, pair_query = array("q"), array("q"), array("q")
+    categories = enumerate(graph.names[: graph.n_categories])
+    aliases = ((node, alias) for alias, node in graph.aliases.items())
+    for node, raw in itertools.chain(categories, aliases):
+        norm = normalize_name(raw)
+        for qid in by_norm.get(norm, ()):
+            exact[qid].add(node)
+        hits = {q for tok in norm.split() for q in by_key.get(tok[:_PREFIX_LEN], ())}
+        if hits:
+            form_text.append(norm)
             form_node.append(node)
-            self.exact.setdefault(norm, set()).add(node)
-            for key in {tok[:_PREFIX_LEN] for tok in norm.split()}:
-                post_key.append(self.keys.setdefault(key, len(self.keys)))
-                post_form.append(fid)
-        self.texts = _Strings.encode(list(texts))
-        self.form_text = np.array(form_text, np.int64)
-        self.form_node = np.array(form_node, np.int64)
-        keys = np.array(post_key, np.int64)
-        order = np.argsort(keys, kind="stable")  # keeps each posting ascending
-        self.postings = np.array(post_form, np.int64)[order]
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(keys, minlength=len(self.keys)))]
-        )
-
-    def exact_nodes(self, query: str) -> list[int]:
-        return sorted(self.exact.get(query, ()))
-
-    def best_fuzzy(self, queries: list[str]) -> tuple[list[int], list[float]]:
-        """Per query, its best candidate node and that node's score.
-
-        A node's score is the highest Jaro-Winkler similarity of its forms;
-        the best node has the highest score, the lowest node id among equal
-        ones.  Nodes that match the query exactly are not candidates.  A
-        query without candidates gets node -1 and score 0.0.  Every
-        candidate pair of every query is scored in one kernel call.
-        """
-        # the posting of each key of each query, and the query it serves;
-        # the empty first chunk keeps concatenate defined when none match
-        chunks: list[np.ndarray] = [np.empty(0, np.int64)]
-        owners: list[int] = [0]
-        exact_keys: list[int] = []
-        n_forms = len(self.form_node)
-        n_nodes = int(self.form_node.max(initial=-1)) + 1
-        for qid, query in enumerate(queries):
-            for key in {tok[:_PREFIX_LEN] for tok in query.split()}:
-                row = self.keys.get(key)
-                if row is not None:
-                    start, end = self.indptr[row], self.indptr[row + 1]
-                    chunks.append(self.postings[start:end])
-                    owners.append(qid)
-            exact_keys += [qid * n_nodes + n for n in self.exact.get(query, ())]
-        pairs = np.repeat(owners, [len(c) for c in chunks]) * n_forms
-        pairs = np.sort(pairs + np.concatenate(chunks))
-        qid, fid = np.divmod(pairs[_run_starts(pairs)], n_forms)
-        node = self.form_node[fid]
-        # a form equal to the query names one of its exact nodes, so this
-        # also drops the pairs that would score 1.0
-        keep = ~np.isin(qid * n_nodes + node, exact_keys)
-        qid, fid, node = qid[keep], fid[keep], node[keep]
-        score = _score_pairs(
-            _Strings.encode(queries), qid, self.texts, self.form_text[fid]
-        )
-        order = np.lexsort((node, -score, qid))
-        best = order[_run_starts(qid[order])]
-        best_node = np.full(len(queries), -1)
-        best_score = np.zeros(len(queries))
-        best_node[qid[best]] = node[best]
-        best_score[qid[best]] = score[best]
-        return best_node.tolist(), best_score.tolist()
+            form_pairs.append(len(hits))
+            pair_query.extend(hits)
+    fid = np.repeat(np.arange(len(form_text)), form_pairs)
+    qid, node = np.array(pair_query, np.int64), np.array(form_node, np.int64)[fid]
+    # a form equal to the query names one of its exact nodes, so this also
+    # drops the pairs that would score 1.0
+    n_nodes = graph.n_nodes
+    exact_keys = [q * n_nodes + n for q, nodes in enumerate(exact) for n in nodes]
+    keep = ~np.isin(qid * n_nodes + node, exact_keys)
+    qid, fid, node = qid[keep], fid[keep], node[keep]
+    score = _score_pairs(_Strings.encode(queries), qid, _Strings.encode(form_text), fid)
+    order = np.lexsort((node, -score, qid))
+    best = order[_run_starts(qid[order])]
+    best_node = np.full(len(queries), -1)
+    best_score = np.zeros(len(queries))
+    best_node[qid[best]] = node[best]
+    best_score[qid[best]] = score[best]
+    return [sorted(nodes) for nodes in exact], best_node.tolist(), best_score.tolist()
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -379,8 +346,7 @@ def map_taxonomy(
             if norm and norm not in (q for _, q in queries[start:]):
                 queries.append((part, norm))
         label_queries[lab.id] = range(start, len(queries))
-    index = _NameIndex(graph)
-    best_node, best_score = index.best_fuzzy([q for _, q in queries])
+    exact, best_node, best_score = _match(graph, [q for _, q in queries])
 
     entries: dict[str, list[MappedCategory]] = {}
     unmapped: list[str] = []
@@ -397,8 +363,7 @@ def map_taxonomy(
         accepted: dict[int, MappedCategory] = {}
         label_near: list[NearMiss] = []
         for k in label_queries[lab.id]:
-            part, query = queries[k]
-            for node in index.exact_nodes(query):
+            for node in exact[k]:
                 accepted[node] = MappedCategory(node, "exact", 1.0)
             node, score = best_node[k], best_score[k]
             if node < 0:
@@ -408,7 +373,7 @@ def map_taxonomy(
                 if prev is None or (prev.kind == "fuzzy" and score > prev.score):
                     accepted[node] = MappedCategory(node, "fuzzy", score)
             else:
-                label_near.append(NearMiss(part, node, score))
+                label_near.append(NearMiss(queries[k][0], node, score))
 
         if accepted:
             entries[lab.id] = [accepted[n] for n in sorted(accepted)]
@@ -506,6 +471,12 @@ def load_mapping(
                 for cid, kind, score in zip(ids, kinds, scores)
             ]
             entries[lid] = sorted(cats, key=lambda mc: mc.node)
+            for a, b in zip(entries[lid], entries[lid][1:]):
+                if a.node == b.node:
+                    raise ConfigurationError(
+                        f"label {lid!r} lists category {graph.external_id(a.node)} "
+                        "twice"
+                    )
         near: dict[str, list[NearMiss]] = {}
         for lid, rows in doc.get("near_misses", {}).items():
             parts, ids, scores = _columns(rows, "part", "category_id", "score")

@@ -642,6 +642,28 @@ def test_ablate_refuses_a_mapping_label_the_taxonomy_lacks(wiki, tmp_path, capsy
     assert list((tmp_path / "ablate").glob("labels.*.jsonl")) == []
 
 
+def test_label_refuses_a_mapping_that_lists_a_category_twice(wiki, tmp_path, capsys):
+    """A hand-edited mapping is named with the category's id, not left to
+    the labeler to report as an internal node mapped twice."""
+    doc = json.loads((wiki / "mapping.json").read_text(encoding="utf-8"))
+    row = doc["labels"]["alpha"][0]
+    doc["labels"]["alpha"].append(dict(row, kind="override"))
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main([
+        "label",
+        "--graph", str(wiki / "graph.bin"),
+        "--taxonomy", str(wiki / "taxonomy.json"),
+        "--mapping", str(mapping),
+        "--out", str(tmp_path / "labels.jsonl"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    cid = row["category_id"]
+    assert f"error: {mapping}: label 'alpha' lists category {cid} twice" in err
+    assert not (tmp_path / "labels.jsonl").exists()
+
+
 @pytest.mark.parametrize("command", ["label", "train"])
 def test_unknown_scheme_in_config_exits_2(
     wiki, labels_path, tmp_path, capsys, command

@@ -248,6 +248,14 @@ def _row_repeats(g):
     g.indices[1] = g.indices[0]
 
 
+def _category_id_repeats(g):
+    g.external[1] = g.external[0]  # categories 10, 10, 12
+
+
+def _page_id_repeats(g):
+    g.external[-1] = g.external[-2]  # pages 200, 200
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -260,6 +268,8 @@ def _row_repeats(g):
         _page_with_a_child,
         _row_descends,
         _row_repeats,
+        _category_id_repeats,
+        _page_id_repeats,
     ],
 )
 def test_snapshot_rejects_inconsistent_adjacency(make_graph, tmp_path, damage):
@@ -269,6 +279,23 @@ def test_snapshot_rejects_inconsistent_adjacency(make_graph, tmp_path, damage):
     save_snapshot(g, snap)
     with pytest.raises(GraphFormatError, match="bad.bin: corrupt snapshot"):
         load_snapshot(snap)
+
+
+@pytest.mark.parametrize(
+    ("damage", "message"),
+    [
+        (_category_id_repeats, "duplicate category id 10"),
+        (_page_id_repeats, "duplicate page id 200"),
+    ],
+)
+def test_snapshot_names_a_repeated_id(make_graph, tmp_path, damage, message):
+    """``load_graph`` refuses a repeated id, and so does the snapshot reader:
+    ``category_node`` could never return the second node of one."""
+    g = make_graph(CATS, PAGES, EDGES)
+    damage(g)
+    save_snapshot(g, tmp_path / "bad.bin")
+    with pytest.raises(GraphFormatError, match=f"corrupt snapshot: {message}$"):
+        load_snapshot(tmp_path / "bad.bin")
 
 
 @pytest.mark.parametrize("field", range(4))  # n_cats, n_pages, n_edges, n_aliases

@@ -21,6 +21,7 @@ import mapper_oracle
 import wikicat.taxonomy_mapper as taxonomy_mapper
 from conftest import write_graph_files
 from wikicat.graph_store import load_graph
+from wikicat.synth import make_scale_graph
 from wikicat.taxonomy_mapper import (
     DEFAULT_THRESHOLD,
     Taxonomy,
@@ -28,6 +29,7 @@ from wikicat.taxonomy_mapper import (
     _score_pairs,
     _Strings,
     jaro_winkler,
+    load_taxonomy,
     map_taxonomy,
     save_mapping,
 )
@@ -223,3 +225,18 @@ def test_mapper_edge_cases_match_the_loop_oracle():
     assert (fuzzy.node, fuzzy.kind, fuzzy.score) == (3, "fuzzy", tie)
     above = map_taxonomy(taxonomy, graph, threshold=float(np.nextafter(tie, 1.0)))
     assert above.near_misses["b"][0].node == 3
+
+
+def test_mapper_on_the_scale_graph_matches_the_loop_oracle(tmp_path):
+    """The benchmark's shape: labels "Branch r topics" against names
+    "Branch t area k", so every form shares the key "bran" with every query,
+    and the digit tokens are keys of their own."""
+    make_scale_graph(tmp_path, n_categories=2_400, n_pages=2_000, n_edges=20_000)
+    files = [tmp_path / f"{t}.tsv" for t in ("categories", "pages", "edges")]
+    graph = load_graph(*files)
+    taxonomy = load_taxonomy(tmp_path / "taxonomy.json")
+    for threshold in (0.9, 0.0):
+        got = map_taxonomy(taxonomy, graph, threshold=threshold)
+        want = mapper_oracle.map_taxonomy(taxonomy, graph, threshold=threshold)
+        assert got == want
+        assert _mapping_bytes(got, graph) == _mapping_bytes(want, graph)

@@ -66,7 +66,8 @@ def calls(tmp_path_factory):
     graph = cli.load_graph(*files, None)
     taxonomy = load_taxonomy(d / "taxonomy.json")
     mapping = map_taxonomy(taxonomy, graph)
-    rows = [json.loads(line) for line in open(d / "corpus.jsonl", encoding="utf-8")]
+    lines = (d / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
     texts = [row["text"] for row in rows]
     labels = ["alpha", "bravo", "charlie"] * (len(texts) // 3)
     texts = texts[: len(labels)]
@@ -135,6 +136,29 @@ def test_mapper_counters_see_the_calls_they_wrap(shim, tmp_path, monkeypatch):
     map_taxonomy(taxonomy, cli.load_graph(*files, None))
     parts = sum(len(real(lab.name)) for lab in taxonomy.labels)
     assert tracer.counts["query_parts"] == parts > 0
+
+
+def test_the_mapper_splits_each_label_without_an_override_once(
+    tmp_path, monkeypatch
+):
+    """``query_parts`` adds up the parts of every ``split_conjunctions``
+    call, so the mapper must split each automatic label exactly once, and
+    a label with an override not at all."""
+    real = taxonomy_mapper.split_conjunctions
+    split: list[str] = []
+
+    def counting(name: str) -> list[str]:
+        split.append(name)
+        return real(name)
+
+    monkeypatch.setattr(taxonomy_mapper, "split_conjunctions", counting)
+    make_ablation_wiki(tmp_path, seed=0)
+    files = [tmp_path / f"{name}.tsv" for name in ("categories", "pages", "edges")]
+    taxonomy = load_taxonomy(tmp_path / "taxonomy.json")
+    first, *rest = taxonomy.labels
+    map_taxonomy(taxonomy, cli.load_graph(*files, None), overrides={first.id: [0]})
+    assert sorted(split) == sorted(lab.name for lab in rest)
+    assert rest
 
 
 def test_read_labels_returns_what_it_read(calls, tmp_path):
