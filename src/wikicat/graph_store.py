@@ -27,17 +27,34 @@ parsed as arrays, and any other id by ``int()``, so ``+5``, `` 5`` and
 first line that fails one is named as ``file:line``, with the message of
 the first check it fails in the order each loader lists them.  A file
 that is not UTF-8 is reported as such before any other fault in it.
+
+Names are kept as one UTF-8 blob and int64 offsets (``Names``): name ``i``
+is ``blob[offsets[i]:offsets[i + 1]]``, decoded only when it is read.
+
+A snapshot is one little-endian file.  Its 64-byte header holds the magic
+``WCG2``, the version, the numbers of categories, pages, edges and aliases,
+the byte lengths of the name and alias blobs, and the CRC-32 (``zlib``) of
+the body.  The body holds the int64 sections (external ids, name offsets,
+``indptr``, alias offsets), then the int32 sections (``indices``, alias
+nodes), then the name blob and the alias blob, so every array lies aligned
+and is read whole with ``np.frombuffer``.  The reader checks that the file
+is as long as the header's counts say before it reads the body, then the
+CRC, then the structure: offsets, edges, rows, aliases, ids and names.
+Version 1 snapshots (magic ``WCG1``, length-prefixed strings) still load.
 """
 
 from __future__ import annotations
 
 import codecs
 import logging
+import os
 import struct
+import zlib
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -48,8 +65,11 @@ logger = logging.getLogger(__name__)
 SUBCAT = "subcat"
 MEMBER = "member"
 
-_MAGIC = b"WCG1"
-_VERSION = 1
+_V1_MAGIC = b"WCG1"
+_V1_HEADER = struct.Struct("<4sIQQQQ")  # magic, version, the four counts
+_V2_MAGIC = b"WCG2"
+# magic, version, the four counts, the two blobs' lengths, the body's CRC-32
+_V2_HEADER = struct.Struct("<4sI7Q")
 
 _INT64 = np.iinfo(np.int64)
 # The reader's per-byte temporaries are sized by this block.
@@ -59,28 +79,70 @@ _SUBCAT_BYTES = np.frombuffer(SUBCAT.encode(), np.uint8)
 _MEMBER_BYTES = np.frombuffer(MEMBER.encode(), np.uint8)
 
 
+class Names(Sequence[str]):
+    """Read-only strings kept as one UTF-8 blob (uint8) and int64 offsets:
+    string ``i`` is ``blob[offsets[i]:offsets[i + 1]]``, decoded when read.
+    A slice is decoded in one piece."""
+
+    def __init__(self, blob: np.ndarray, offsets: np.ndarray) -> None:
+        self.blob, self.offsets = blob, offsets
+
+    @classmethod
+    def of(cls, strings: Iterable[str]) -> Names:
+        encoded = [text.encode("utf-8") for text in strings]
+        lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        return cls(np.frombuffer(b"".join(encoded), np.uint8), _offsets(lengths))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, key):
+        rows = range(len(self))[key]
+        if isinstance(rows, int):
+            return str(self.blob[self.offsets[rows] : self.offsets[rows + 1]], "utf-8")
+        if rows.step != 1 or not rows:
+            return [self[row] for row in rows]
+        lo, hi = int(self.offsets[rows.start]), int(self.offsets[rows.stop])
+        text = str(self.blob[lo:hi], "utf-8")
+        cuts = self.offsets[rows.start : rows.stop + 1] - lo
+        if len(text) < hi - lo:  # multi-byte characters: cut at character counts
+            lead = (self.blob[lo:hi] & 0xC0) != 0x80
+            cuts = np.concatenate(([0], np.cumsum(lead)))[cuts]
+        cuts = cuts.tolist()
+        return [text[i:j] for i, j in zip(cuts, cuts[1:])]
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """Offsets of strings of these byte lengths laid end to end."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
 class CategoryGraph:
     """In-memory category graph: one node table and a forward CSR.
 
     Node ``v`` has external id ``external[v]`` and name ``names[v]``;
-    nodes below ``n_categories`` are categories and the rest pages.
+    nodes below ``n_categories`` are categories and the rest pages.  A list
+    of names is converted to ``Names``.  Arrays read from a snapshot are
+    read-only.
     """
 
     def __init__(
         self,
         n_categories: int,
         external: np.ndarray,
-        names: list[str],
+        names: Sequence[str],
         indptr: np.ndarray,
         indices: np.ndarray,
         aliases: dict[str, int],
         dropped_edges: int = 0,
         dropped_aliases: int = 0,
     ) -> None:
+        self.names = names if isinstance(names, Names) else Names.of(names)
         self.n_categories = n_categories
-        self.n_pages = len(names) - n_categories
+        self.n_pages = len(self.names) - n_categories
         self.external = external
-        self.names = names
         self.indptr = indptr
         self.indices = indices
         self.aliases = aliases
@@ -172,10 +234,14 @@ def load_graph(
     kind disagrees with the child's table are errors; in lenient mode they
     are dropped and counted.  Malformed lines are errors in both modes.
     """
-    cat_ids, names, cat_index = _load_id_names(Path(categories), "category", True)
-    page_ids, titles, page_index = _load_id_names(Path(pages), "page", False)
+    cat_ids, cat_blob, cat_lengths, cat_index = _load_id_names(
+        Path(categories), "category", True
+    )
+    page_ids, page_blob, page_lengths, page_index = _load_id_names(
+        Path(pages), "page", False
+    )
     keys, dropped_edges = _load_edges(Path(edges), cat_index, page_index, strict)
-    indptr, indices = _csr(keys, len(names) + len(titles))
+    indptr, indices = _csr(keys, len(cat_ids) + len(page_ids))
 
     aliases: dict[str, int] = {}
     dropped_aliases = 0
@@ -189,8 +255,12 @@ def load_graph(
             dropped_aliases,
         )
 
+    names = Names(
+        np.concatenate((cat_blob, page_blob)),
+        _offsets(np.concatenate((cat_lengths, page_lengths))),
+    )
     return CategoryGraph(
-        len(names), np.concatenate((cat_ids, page_ids)), names + titles, indptr,
+        len(cat_ids), np.concatenate((cat_ids, page_ids)), names, indptr,
         indices, aliases, dropped_edges, dropped_aliases,
     )
 
@@ -212,27 +282,29 @@ _Fault = tuple[int, str]  # (row, message); row i is line i + 1
 
 def _load_id_names(
     path: Path, what: str, unique_names: bool
-) -> tuple[np.ndarray, list[str], _IdIndex]:
-    """Ids, names and id index of an ``id<TAB>name`` file."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, _IdIndex]:
+    """Ids, names (as ``_Lines.fields`` gives them) and id index of an
+    ``id<TAB>name`` file.  Only names that must be unique are decoded."""
 
     def parse(lines: _Lines) -> tuple[tuple, list[_Check]]:
         ids, not_int, huge = lines.ids(0)
-        return (ids, lines.texts(1)), [
+        return (ids, *lines.fields(1)), [
             (not_int, lambda i: f"{what} id is not an integer: {lines.text(i, 0)!r}"),
             (huge, lambda i: f"{what} id out of range: {lines.text(i, 0)!r}"),
             (lines.lo[:, 1] == lines.hi[:, 1], lambda i: f"empty {what} name"),
         ]
 
-    (external, names), fault = _scan(path, 2, parse)
+    (external, blob, lengths), fault = _scan(path, 2, parse)
     index = _IdIndex(external)
     checks = [(index.repeats(), lambda i: f"duplicate {what} id {external[i]}")]
     if unique_names:
+        names = Names(blob, _offsets(lengths))[:]
         checks.append((
             _first_rows(names) != np.arange(len(names)),
             lambda i: f"duplicate {what} name {names[i]!r}",
         ))
     _raise_first(path, fault, _first_fault(checks))
-    return external, names, index
+    return external, blob, lengths, index
 
 
 def _load_edges(
@@ -289,7 +361,6 @@ def _load_redirects(
     first kept row of an alias wins, and aliases keep its order."""
 
     def parse(lines: _Lines) -> tuple[tuple, list[_Check]]:
-        aliases = lines.texts(0)
         ext, bad, huge = lines.ids(1)
         node, known = cat_index.lookup(ext, huge)
         checks: list[_Check] = [
@@ -298,12 +369,13 @@ def _load_redirects(
         ]
         if strict:
             checks.append((~known, lambda i: (
-                f"alias {aliases[i]!r} points to unknown category "
+                f"alias {lines.text(i, 0)!r} points to unknown category "
                 f"{int(lines.text(i, 1))}"
             )))
-        return (aliases, node, known), checks
+        return (*lines.fields(0), node, known), checks
 
-    (aliases, nodes, known), fault = _scan(path, 2, parse)
+    (blob, lengths, nodes, known), fault = _scan(path, 2, parse)
+    aliases = Names(blob, _offsets(lengths))[:]
     rows = np.flatnonzero(known)
     kept = list(compress(aliases, known))
     clash = nodes[rows] != nodes[rows[_first_rows(kept)]]
@@ -360,11 +432,7 @@ def _scan(
             fault = (offset + fault[0], fault[1])
             break
     del lines, checks  # views of the whole file, which the columns outlive
-    return [
-        np.concatenate(column) if isinstance(column[0], np.ndarray)
-        else list(chain.from_iterable(column))
-        for column in zip(*parts)
-    ], fault
+    return [np.concatenate(column) for column in zip(*parts)], fault
 
 
 def _line_blocks(path: Path, n_fields: int) -> Iterator[tuple[_Lines, int, str | None]]:
@@ -470,18 +538,14 @@ class _Lines:
             sized & (kinds == _SUBCAT_BYTES).all(axis=1),
         )
 
-    def texts(self, k: int) -> list[str]:
-        """Column ``k`` decoded in one pass: each field is kept with the tab
-        or ``\\n`` after it, as ``\\n``, and the kept bytes split into the
-        fields, which hold neither."""
+    def fields(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(blob, lengths): the bytes of column ``k``'s fields laid end to
+        end, undecoded, and each field's length in bytes."""
+        lo, hi = self.lo[:, k], self.hi[:, k]
         edge = np.zeros(len(self.block) + 1, dtype=np.int8)
-        edge[self.lo[:, k]] += 1
-        edge[self.hi[:, k] + 1] -= 1
-        kept = self.block[np.cumsum(edge[:-1], dtype=np.int8) > 0]
-        kept[kept == 9] = 10
-        texts = kept.tobytes().decode("utf-8").split("\n")
-        texts.pop()
-        return texts
+        edge[lo] += 1
+        edge[hi] -= 1
+        return self.block[np.cumsum(edge[:-1], dtype=np.int8) > 0], hi - lo
 
 
 class _IdIndex:
@@ -516,68 +580,129 @@ class _IdIndex:
 
 
 def save_snapshot(graph: CategoryGraph, path: str | Path) -> None:
-    """Write a little-endian binary snapshot of the graph."""
+    """Write a version 2 snapshot of the graph (see the module docstring)."""
+    aliases = Names.of(graph.aliases)
+    counts = (
+        len(graph.indices), len(graph.aliases), len(graph.names.blob), len(aliases.blob)
+    )
+    arrays = [
+        graph.external, graph.names.offsets, graph.indptr, aliases.offsets,
+        graph.indices, np.fromiter(graph.aliases.values(), np.int64),
+        graph.names.blob, aliases.blob,
+    ]
+    sections = [
+        np.ascontiguousarray(array, dtype)
+        for array, (dtype, _) in zip(arrays, _v2_layout(graph.n_nodes, *counts))
+    ]
+    crc = 0
+    for section in sections:
+        crc = zlib.crc32(section, crc)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IQQQQ",
-                _VERSION,
-                graph.n_categories,
-                graph.n_pages,
-                len(graph.indices),
-                len(graph.aliases),
-            )
-        )
-        fh.write(graph.external.astype("<i8").tobytes())
-        for name in graph.names:
-            _write_str(fh, name)
-        fh.write(graph.indptr.astype("<i8").tobytes())
-        fh.write(graph.indices.astype("<i4").tobytes())
-        for alias, node in graph.aliases.items():
-            _write_str(fh, alias)
-            fh.write(struct.pack("<i", node))
+        fh.write(_V2_HEADER.pack(
+            _V2_MAGIC, 2, graph.n_categories, graph.n_pages, *counts, crc
+        ))
+        for section in sections:
+            fh.write(section)
 
 
-def _write_str(fh, text: str) -> None:
-    data = text.encode("utf-8")
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
+def _v2_layout(
+    n_nodes: int, n_edges: int, n_aliases: int, name_bytes: int, alias_bytes: int
+) -> list[tuple[str, int]]:
+    """(dtype, length) of each section of a version 2 body, in file order."""
+    return [
+        ("<i8", n_nodes),  # external ids
+        ("<i8", n_nodes + 1),  # name offsets
+        ("<i8", n_nodes + 1),  # indptr
+        ("<i8", n_aliases + 1),  # alias offsets
+        ("<i4", n_edges),  # indices
+        ("<i4", n_aliases),  # alias nodes
+        ("u1", name_bytes),
+        ("u1", alias_bytes),
+    ]
 
 
 def load_snapshot(path: str | Path) -> CategoryGraph:
-    """Read a snapshot written by :func:`save_snapshot`.
+    """Read a snapshot written by :func:`save_snapshot`, or a version 1 one.
 
-    A truncated or corrupt file raises :class:`GraphFormatError` naming it;
-    the adjacency is checked before any array is sized from its values.
+    A truncated or corrupt file raises :class:`GraphFormatError` naming it.
+    The header's counts are checked against the file's length before the
+    body is read, and the adjacency before any array is sized from its
+    values.
     """
-    data = Path(path).read_bytes()
-    if data[:4] != _MAGIC:
-        raise GraphFormatError(f"{path}: not a graph snapshot")
-    try:
-        return _decode_snapshot(data)
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
-    except (struct.error, ValueError) as exc:  # UnicodeDecodeError included
-        raise GraphFormatError(f"{path}: corrupt snapshot: {exc}") from None
+    with open(path, "rb") as fh:
+        head = fh.read(_V2_HEADER.size)
+        read = {_V1_MAGIC: _read_v1, _V2_MAGIC: _read_v2}.get(head[:4])
+        if read is None:
+            raise GraphFormatError(f"{path}: not a graph snapshot")
+        try:
+            return read(head, fh, os.fstat(fh.fileno()).st_size)
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"{path}: {exc}") from None
+        except (struct.error, ValueError) as exc:  # UnicodeDecodeError included
+            raise GraphFormatError(f"{path}: corrupt snapshot: {exc}") from None
 
 
-def _decode_snapshot(data: bytes) -> CategoryGraph:
-    (version, n_cats, n_pages, n_edges, n_aliases) = struct.unpack_from(
-        "<IQQQQ", data, 4
-    )
-    if version != _VERSION:
+def _read_v2(head: bytes, fh: BinaryIO, size: int) -> CategoryGraph:
+    """A version 2 snapshot; ``head`` is its header, which ``fh`` is past."""
+    (_, version, n_cats, n_pages, n_edges, n_aliases, name_bytes, alias_bytes,
+     crc) = _V2_HEADER.unpack(head)
+    if version != 2:
         raise GraphFormatError(f"unsupported snapshot version {version}")
-    off = 4 + struct.calcsize("<IQQQQ")
+    layout = _v2_layout(n_cats + n_pages, n_edges, n_aliases, name_bytes, alias_bytes)
+    sizes = [np.dtype(dtype).itemsize * length for dtype, length in layout]
+    need = _V2_HEADER.size + sum(sizes)  # in Python ints
+    if need != size:
+        raise GraphFormatError(
+            f"corrupt snapshot: its counts need {need} bytes, the file has {size}"
+        )
+    body = fh.read(sum(sizes))
+    if zlib.crc32(body) != crc:
+        raise GraphFormatError("corrupt snapshot: checksum mismatch")
+    starts = np.cumsum([0, *sizes]).tolist()
+    (external, name_offsets, indptr, alias_offsets, indices, alias_nodes,
+     name_blob, alias_blob) = (
+        np.frombuffer(body, dtype, length, start)
+        for (dtype, length), start in zip(layout, starts)
+    )
+    names = _checked_names(name_blob, name_offsets, "name")
+    aliases = _checked_names(alias_blob, alias_offsets, "alias")[:]
+    _check_graph(n_cats, external, indptr, indices, aliases, alias_nodes)
+    return CategoryGraph(
+        n_cats, external, names, indptr, indices,
+        dict(zip(aliases, alias_nodes.tolist())),
+    )
+
+
+def _checked_names(blob: np.ndarray, offsets: np.ndarray, what: str) -> Names:
+    """``Names(blob, offsets)`` once every name in it is known to decode."""
+    if offsets[0] != 0 or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any():
+        raise GraphFormatError(f"corrupt snapshot: bad {what} offsets")
+    try:
+        codecs.utf_8_decode(blob, None, True)
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"corrupt snapshot: the {what} blob is not UTF-8: {exc}")
+    starts = offsets[:-1][offsets[:-1] < len(blob)]
+    if ((blob[starts] & 0xC0) == 0x80).any():
+        raise GraphFormatError(f"corrupt snapshot: a {what} starts inside a character")
+    return Names(blob, offsets)
+
+
+def _read_v1(head: bytes, fh: BinaryIO, size: int) -> CategoryGraph:
+    """A version 1 snapshot: its strings are each a uint32 length and UTF-8,
+    and its aliases each a string and an int32 node."""
+    (_, version, n_cats, n_pages, n_edges, n_aliases) = _V1_HEADER.unpack_from(head)
+    if version != 1:
+        raise GraphFormatError(f"unsupported snapshot version {version}")
+    off = _V1_HEADER.size
     n_nodes = n_cats + n_pages
     # The fewest bytes the counts need, in Python ints: a name or an alias
     # takes at least its 4-byte length.
     least = off + 20 * n_nodes + 8 + 4 * n_edges + 8 * n_aliases
-    if least > len(data):
+    if least > size:
         raise GraphFormatError(
-            f"corrupt snapshot: its counts need {least} bytes, the file has "
-            f"{len(data)}"
+            f"corrupt snapshot: its counts need {least} bytes, the file has {size}"
         )
+    data = head + fh.read()
 
     external = np.frombuffer(data, "<i8", n_nodes, off).astype(np.int64)
     off += 8 * n_nodes
@@ -595,14 +720,31 @@ def _decode_snapshot(data: bytes) -> CategoryGraph:
     off += 8 * (n_nodes + 1)
     indices = np.frombuffer(data, "<i4", n_edges, off).astype(np.int32)
     off += 4 * n_edges
-    aliases: dict[str, int] = {}
+    aliases, alias_nodes = [], []
     for _ in range(n_aliases):
-        alias = read_str()
-        (node,) = struct.unpack_from("<i", data, off)
+        aliases.append(read_str())
+        alias_nodes.append(struct.unpack_from("<i", data, off)[0])
         off += 4
-        aliases[alias] = node
     if off != len(data):
         raise GraphFormatError("trailing bytes in snapshot")
+    alias_nodes = np.array(alias_nodes, dtype=np.int64)
+    _check_graph(n_cats, external, indptr, indices, aliases, alias_nodes)
+    return CategoryGraph(
+        n_cats, external, names, indptr, indices,
+        dict(zip(aliases, alias_nodes.tolist())),
+    )
+
+
+def _check_graph(
+    n_cats: int,
+    external: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    aliases: list[str],
+    alias_nodes: np.ndarray,
+) -> None:
+    """Raise if a snapshot's arrays are not a graph ``load_graph`` could give."""
+    n_nodes, n_edges = len(external), len(indices)
     if indptr[0] != 0 or indptr[-1] != n_edges or (np.diff(indptr) < 0).any():
         raise GraphFormatError("corrupt snapshot: bad adjacency offsets")
     if len(indices) and (indices.min() < 0 or indices.max() >= n_nodes):
@@ -613,13 +755,16 @@ def _decode_snapshot(data: bytes) -> CategoryGraph:
     row_start[indptr[:-1][np.diff(indptr) > 0]] = True
     if ((np.diff(indices) <= 0) & ~row_start[1:]).any():
         raise GraphFormatError("corrupt snapshot: a child row does not strictly ascend")
-    if any(not 0 <= node < n_cats for node in aliases.values()):
+    if ((alias_nodes < 0) | (alias_nodes >= n_cats)).any():
         raise GraphFormatError("corrupt snapshot: alias of an unknown category")
+    again = _first_rows(aliases) != np.arange(len(aliases))
+    if again.any():
+        raise GraphFormatError(
+            f"corrupt snapshot: duplicate alias {aliases[again.argmax()]!r}"
+        )
     for what, ids in (("category", external[:n_cats]), ("page", external[n_cats:])):
         again = _IdIndex(ids).repeats()
         if again.any():
             raise GraphFormatError(
                 f"corrupt snapshot: duplicate {what} id {ids[again.argmax()]}"
             )
-
-    return CategoryGraph(n_cats, external, names, indptr, indices, aliases)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from wikicat.synth import make_ablation_wiki
 from wikicat.textproc import fit_tfidf, transform
 
 from conftest import write_graph_files
+from snapshot_v1_oracle import save_snapshot_v1
 
 
 def _last_json(capsys):
@@ -704,28 +706,64 @@ def _huge_count(data: bytes, n_edges: int) -> bytes:
 def test_damaged_snapshot_exits_2_naming_it(wiki, tmp_path, damage):
     graph = load_snapshot(wiki / "graph.bin")
     assert not graph.aliases
+    v1 = tmp_path / "v1.bin"
+    save_snapshot_v1(graph, v1)
     bad = tmp_path / "damaged.bin"
-    bad.write_bytes(damage((wiki / "graph.bin").read_bytes(), len(graph.indices)))
-    # Under a 2 GiB address-space limit a multi-GiB allocation fails with
-    # exit 3 instead of being attempted on the machine.
+    bad.write_bytes(damage(v1.read_bytes(), len(graph.indices)))
+    proc = _map_under_2_gib(wiki, bad, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: {bad}: corrupt snapshot" in proc.stderr
+
+
+def _map_under_2_gib(wiki, graph, tmp_path):
+    """``map --graph graph`` in a child process under a 2 GiB address-space
+    limit, where a multi-GiB allocation fails with exit 3 instead of being
+    attempted on the machine."""
     limit = (
         "import resource, sys; "
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
         "from wikicat.cli import main; sys.exit(main(sys.argv[1:]))"
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [
             sys.executable, "-c", limit,
             "map",
-            "--graph", str(bad),
+            "--graph", str(graph),
             "--taxonomy", str(wiki / "taxonomy.json"),
             "--out", str(tmp_path / "mapping.json"),
         ],
         capture_output=True,
         text=True,
     )
+
+
+@pytest.mark.parametrize(("head", "message"), [
+    pytest.param(b"JUNK", "not a graph snapshot", id="junk"),
+    # one category with a one-byte name: a 113-byte file
+    pytest.param(
+        b"WCG2" + struct.pack("<I7Q", 2, 1, 0, 0, 0, 1, 0, 0),
+        "corrupt snapshot: its counts need 113 bytes, the file has 3221225472",
+        id="v2",
+    ),
+    # more categories than the file could hold
+    pytest.param(
+        b"WCG1" + struct.pack("<I4Q", 1, 2**62, 0, 0, 0),
+        "corrupt snapshot: its counts need", id="v1",
+    ),
+])
+def test_big_file_that_is_not_a_snapshot_exits_2_unread(wiki, tmp_path, head, message):
+    """A 3 GiB sparse file, past the child's 2 GiB limit, is refused from
+    its first bytes without being read."""
+    big = tmp_path / "big.bin"
+    try:
+        with open(big, "wb") as fh:
+            fh.write(head)
+            fh.truncate(3 << 30)
+        proc = _map_under_2_gib(wiki, big, tmp_path)
+    finally:
+        big.unlink()
     assert proc.returncode == 2, proc.stderr
-    assert f"error: {bad}: corrupt snapshot" in proc.stderr
+    assert f"error: {big}: {message}" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

@@ -6,13 +6,14 @@ import hashlib
 import random
 import struct
 import tempfile
+import zlib
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from wikicat import graph_store
@@ -22,6 +23,7 @@ from wikicat.synth import make_ablation_wiki, make_scale_graph
 
 from conftest import write_graph_files
 from graph_loader_oracle import load_graph_lines
+from snapshot_v1_oracle import save_snapshot_v1
 
 CATS = [(10, "Vehicles"), (11, "Trucks"), (12, "Cars")]
 PAGES = [(200, "Ford F-150"), (201, "Honda Civic")]
@@ -51,7 +53,7 @@ def test_load_basic(make_graph):
     assert g.node_name(page) == "Ford F-150"
     assert g.external_id(trucks) == 11
     assert g.external.tolist() == [10, 11, 12, 200, 201]
-    assert g.names == ["Vehicles", "Trucks", "Cars", "Ford F-150", "Honda Civic"]
+    assert list(g.names) == ["Vehicles", "Trucks", "Cars", "Ford F-150", "Honda Civic"]
     assert g.children(root).tolist() == sorted([trucks, g.category_node(12)])
     assert g.children(trucks).tolist() == [page]
     assert g.in_degree.tolist() == [0, 1, 1, 1, 1]
@@ -192,7 +194,7 @@ def test_snapshot_round_trip(make_graph, tmp_path):
     h = load_snapshot(snap)
     assert h.stats() == g.stats()
     assert h.n_categories == g.n_categories
-    assert h.names == g.names
+    assert list(h.names) == list(g.names)
     assert np.array_equal(h.indptr, g.indptr)
     assert np.array_equal(h.indices, g.indices)
     assert np.array_equal(h.external, g.external)
@@ -276,9 +278,10 @@ def test_snapshot_rejects_inconsistent_adjacency(make_graph, tmp_path, damage):
     g = make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)])
     damage(g)
     snap = tmp_path / "bad.bin"
-    save_snapshot(g, snap)
-    with pytest.raises(GraphFormatError, match="bad.bin: corrupt snapshot"):
-        load_snapshot(snap)
+    for save in (save_snapshot, save_snapshot_v1):
+        save(g, snap)
+        with pytest.raises(GraphFormatError, match="bad.bin: corrupt snapshot"):
+            load_snapshot(snap)
 
 
 @pytest.mark.parametrize(
@@ -293,16 +296,17 @@ def test_snapshot_names_a_repeated_id(make_graph, tmp_path, damage, message):
     ``category_node`` could never return the second node of one."""
     g = make_graph(CATS, PAGES, EDGES)
     damage(g)
-    save_snapshot(g, tmp_path / "bad.bin")
-    with pytest.raises(GraphFormatError, match=f"corrupt snapshot: {message}$"):
-        load_snapshot(tmp_path / "bad.bin")
+    for save in (save_snapshot, save_snapshot_v1):
+        save(g, tmp_path / "bad.bin")
+        with pytest.raises(GraphFormatError, match=f"corrupt snapshot: {message}$"):
+            load_snapshot(tmp_path / "bad.bin")
 
 
 @pytest.mark.parametrize("field", range(4))  # n_cats, n_pages, n_edges, n_aliases
 @pytest.mark.parametrize("count", [2**63, 2**64 - 1, 1 << 40])
 def test_snapshot_rejects_counts_beyond_the_file(make_graph, tmp_path, field, count):
     snap = tmp_path / "huge.bin"
-    save_snapshot(make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]), snap)
+    save_snapshot_v1(make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]), snap)
     data = bytearray(snap.read_bytes())
     struct.pack_into("<Q", data, 8 + 8 * field, count)
     snap.write_bytes(bytes(data))
@@ -312,14 +316,14 @@ def test_snapshot_rejects_counts_beyond_the_file(make_graph, tmp_path, field, co
 
 @pytest.mark.parametrize("field", range(4))  # n_cats, n_pages, n_edges, n_aliases
 def test_snapshot_of_the_least_size_loads(tmp_path, field):
-    """With every name and alias empty the file is exactly as long as its
-    counts need: it loads, and one more of any count is refused."""
+    """With every name and alias empty a version 1 file is exactly as long
+    as its counts need: it loads, and one more of any count is refused."""
     g = graph_store.CategoryGraph(
         2, np.array([1, 2, 30]), ["", "", ""], np.array([0, 2, 2, 2]),
         np.array([1, 2], dtype=np.int32), {"": 0},
     )
     snap = tmp_path / "least.bin"
-    save_snapshot(g, snap)
+    save_snapshot_v1(g, snap)
     assert load_snapshot(snap).stats() == g.stats()
     data = bytearray(snap.read_bytes())
     (count,) = struct.unpack_from("<Q", data, 8 + 8 * field)
@@ -329,10 +333,17 @@ def test_snapshot_of_the_least_size_loads(tmp_path, field):
         load_snapshot(snap)
 
 
-# sha256 of two v1 snapshots: the file format must not drift.
+# sha256 of two graphs' snapshots in each version: the formats must not
+# drift.
 _PINNED_SNAPSHOTS = {
-    "ablation": "297d62db9064011dd8a44b6c50c54274ce9444c6a75db5617fb85e7a0133990a",
-    "small": "46aece4ee8259d36a45bf49f9e9ccb553e0efeb95895a2edc58f296236a78280",
+    (save_snapshot_v1, "ablation"):
+        "297d62db9064011dd8a44b6c50c54274ce9444c6a75db5617fb85e7a0133990a",
+    (save_snapshot_v1, "small"):
+        "46aece4ee8259d36a45bf49f9e9ccb553e0efeb95895a2edc58f296236a78280",
+    (save_snapshot, "ablation"):
+        "cf16561f2700b049ecd01f07bc0953b8cd0b4cb108274ab95cf02131f3438ed8",
+    (save_snapshot, "small"):
+        "4de95eda5da83371eb70521638997bd49d8036bf58b6c8621dc8a228310e5475",
 }
 
 
@@ -344,21 +355,172 @@ def test_snapshot_bytes_are_pinned(make_graph, tmp_path):
         )),
         "small": make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]),
     }
-    for name, graph in graphs.items():
-        save_snapshot(graph, tmp_path / "g.bin")
+    for (save, name), pinned in _PINNED_SNAPSHOTS.items():
+        save(graphs[name], tmp_path / "g.bin")
         digest = hashlib.sha256((tmp_path / "g.bin").read_bytes()).hexdigest()
-        assert digest == _PINNED_SNAPSHOTS[name], name
+        assert digest == pinned, (save.__name__, name)
 
 
 def test_snapshot_rejects_truncation_anywhere(make_graph, tmp_path):
     snap = tmp_path / "graph.bin"
-    save_snapshot(make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]), snap)
+    save_snapshot_v1(make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]), snap)
     data = snap.read_bytes()
     cut = tmp_path / "cut.bin"
     for size in range(4, len(data)):
         cut.write_bytes(data[:size])
         with pytest.raises(GraphFormatError, match="cut.bin: "):
             load_snapshot(cut)
+
+
+def test_v2_snapshot_rejects_every_flipped_byte_and_truncation(make_graph, tmp_path):
+    snap = tmp_path / "graph.bin"
+    save_snapshot(make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]), snap)
+    data = snap.read_bytes()
+    flips = [
+        data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :] for at in range(len(data))
+    ]
+    bad = tmp_path / "bad.bin"
+    for damaged in [data[:size] for size in range(len(data))] + flips:
+        bad.write_bytes(damaged)
+        with pytest.raises(GraphFormatError, match="bad.bin: "):
+            load_snapshot(bad)
+
+
+def _v2_sections(data: bytes) -> list[slice]:
+    """Where each section of a version 2 file lies, in file order."""
+    counts = graph_store._V2_HEADER.unpack_from(data)[2:8]
+    at, spans = graph_store._V2_HEADER.size, []
+    for dtype, length in graph_store._v2_layout(counts[0] + counts[1], *counts[2:]):
+        spans.append(slice(at, at + np.dtype(dtype).itemsize * length))
+        at = spans[-1].stop
+    return spans
+
+
+def _v2_edit(data: bytes, section: int, at: int, value: bytes) -> bytes:
+    """``data`` with ``value`` at byte ``at`` of a section and the checksum
+    mended, so that only the reader's structural checks can find the fault."""
+    out = bytearray(data)
+    start = _v2_sections(data)[section].start + at
+    out[start : start + len(value)] = value
+    body = bytes(out[graph_store._V2_HEADER.size :])
+    struct.pack_into("<Q", out, graph_store._V2_HEADER.size - 8, zlib.crc32(body))
+    return bytes(out)
+
+
+_NAME_OFFSETS, _ALIAS_OFFSETS, _NAME_BLOB, _ALIAS_BLOB = 1, 3, 6, 7
+# The small graph's names are Vehicles, Trucks, Cars, Ford F-150 and Honda
+# Civic: their offsets are 0, 8, 14, 18, 28 and 39.
+_V2_NAME_FAULTS = {
+    "first name offset": (_NAME_OFFSETS, 0, struct.pack("<q", 1), "bad name offsets"),
+    "offsets descend": (_NAME_OFFSETS, 16, struct.pack("<q", 7), "bad name offsets"),
+    "last name offset": (_NAME_OFFSETS, 40, struct.pack("<q", 38), "bad name offsets"),
+    "negative offset": (_NAME_OFFSETS, 8, struct.pack("<q", -1), "bad name offsets"),
+    "alias offsets": (_ALIAS_OFFSETS, 8, struct.pack("<q", 6), "bad alias offsets"),
+    "name not UTF-8": (_NAME_BLOB, 3, b"\xff", "the name blob is not UTF-8"),
+    "alias not UTF-8": (_ALIAS_BLOB, 6, b"\xc3", "the alias blob is not UTF-8"),
+    # "s" + "T" across the first boundary become the two bytes of "é"
+    "name inside a character": (
+        _NAME_BLOB, 7, "é".encode(), "a name starts inside a character"
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", _V2_NAME_FAULTS)
+def test_v2_snapshot_rejects_names_that_do_not_decode(make_graph, tmp_path, fault):
+    section, at, value, message = _V2_NAME_FAULTS[fault]
+    snap = tmp_path / "bad.bin"
+    save_snapshot(make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]), snap)
+    snap.write_bytes(_v2_edit(snap.read_bytes(), section, at, value))
+    with pytest.raises(GraphFormatError, match=f"bad.bin: corrupt snapshot: {message}"):
+        load_snapshot(snap)
+
+
+def test_snapshot_rejects_a_repeated_alias(make_graph, tmp_path):
+    """``save_snapshot`` cannot write one, as the aliases are a dict, so
+    the alias ``Y`` is renamed ``X`` in the file's bytes."""
+    g = make_graph(CATS, PAGES, EDGES, redirects=[("X", 11), ("Y", 12)])
+    snap = tmp_path / "bad.bin"
+    save_snapshot_v1(g, snap)
+    data = snap.read_bytes()
+    assert data.count(b"\x01\x00\x00\x00Y") == 1
+    v1 = data.replace(b"\x01\x00\x00\x00Y", b"\x01\x00\x00\x00X")
+    save_snapshot(g, snap)
+    v2 = _v2_edit(snap.read_bytes(), _ALIAS_BLOB, 1, b"X")
+    for damaged in (v1, v2):
+        snap.write_bytes(damaged)
+        with pytest.raises(
+            GraphFormatError, match="bad.bin: corrupt snapshot: duplicate alias 'X'$"
+        ):
+            load_snapshot(snap)
+
+
+def _assert_snapshots_give(graph, d: Path) -> None:
+    """Both snapshot versions of ``graph`` load as ``graph``, and a version 2
+    file saved again from its load has the same bytes."""
+    save_snapshot_v1(graph, d / "v1.bin")
+    save_snapshot(graph, d / "v2.bin")
+    n = graph.n_nodes
+    names = [graph.names[node] for node in range(n)]
+    for loaded in (load_snapshot(d / "v1.bin"), load_snapshot(d / "v2.bin")):
+        assert loaded.n_categories == graph.n_categories
+        assert loaded.external.tolist() == graph.external.tolist()
+        assert loaded.indptr.tolist() == graph.indptr.tolist()
+        assert loaded.indices.tolist() == graph.indices.tolist()
+        assert list(loaded.aliases.items()) == list(graph.aliases.items())
+        assert loaded.stats() == graph.stats()
+        assert loaded.in_degree.tolist() == graph.in_degree.tolist()
+        assert [loaded.names[node] for node in range(n)] == names
+        for lo in range(n + 1):  # a slice is decoded in one piece
+            for hi in range(lo, n + 1):
+                assert loaded.names[lo:hi] == names[lo:hi]
+    save_snapshot(load_snapshot(d / "v2.bin"), d / "again.bin")
+    assert (d / "again.bin").read_bytes() == (d / "v2.bin").read_bytes()
+
+
+@st.composite
+def _graph_rows(draw):
+    """Categories, pages, edges and redirects of a valid graph whose names
+    mix characters of one to four UTF-8 bytes."""
+    names = st.text(alphabet="aé€𝄞", min_size=1, max_size=3)
+    cats = list(enumerate(draw(st.lists(names, unique=True, max_size=6)), 100))
+    pages = list(enumerate(draw(st.lists(names, max_size=6)), 500))
+    edges, redirects = [], []
+    if cats:
+        cat_ids = st.sampled_from([c for c, _ in cats])
+        for _ in range(draw(st.integers(0, 12))):
+            if pages and draw(st.booleans()):
+                child = (draw(st.sampled_from(pages))[0], "member")
+            else:
+                child = (draw(cat_ids), "subcat")
+            edges.append((draw(cat_ids), *child))
+        redirects = draw(st.lists(
+            st.tuples(names, cat_ids), unique_by=lambda row: row[0], max_size=4
+        ))
+    return cats, pages, edges, redirects
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None, database=None)
+@given(rows=_graph_rows())
+@example(rows=([(1, "Solo")], [], [], []))
+@example(rows=([], [], [], []))
+def test_snapshot_versions_and_the_loader_give_one_graph(rows):
+    with tempfile.TemporaryDirectory() as d:
+        paths = write_graph_files(Path(d), *rows)
+        graph = load_graph(
+            paths["categories"], paths["pages"], paths["edges"], paths["redirects"]
+        )
+        _assert_snapshots_give(graph, Path(d))
+
+
+def test_snapshot_versions_agree_on_empty_names(tmp_path):
+    """No TSV file holds an empty name or alias, but a graph built in
+    memory may."""
+    g = graph_store.CategoryGraph(
+        2, np.array([1, 2, 30]), ["", "é", ""], np.array([0, 2, 2, 2]),
+        np.array([1, 2], dtype=np.int32), {"": 0, "€": 1},
+    )
+    _assert_snapshots_give(g, tmp_path)
 
 
 def test_empty_graph(make_graph):
