@@ -1,7 +1,8 @@
 """Corpus balancing, centroid and linear-SVM classifiers, keyword baseline.
 
 Both trainable models consume a tf-idf ``DocMatrix`` and score its rows as
-w.x + b from one (classes x features) weight matrix.  The SVM is trained
+w.x + b.  Their weights are a ``DocMatrix`` too: row c holds the nonzero
+weights of class c, as the model file lists them.  The SVM is trained
 one-vs-rest by stochastic gradient descent on the hinge loss with an L2
 penalty; every class draws its own random generator from (seed, label), so
 class models are independent of training order.  All randomness anywhere
@@ -14,7 +15,7 @@ import hashlib
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence, TypeVar
 
@@ -38,6 +39,7 @@ SVM_FORMAT = "wikicat/svm/v1"
 
 _SCALE_FLOOR = 1e-9  # fold the scale factor back into the weights below this
 _CHUNK_SCORES = 1 << 15  # (docs x classes) floats per buffer of the scorer
+_MAX_TABLE_BYTES = 1 << 30  # bound on a loaded model's scoring table
 
 T = TypeVar("T")
 
@@ -135,18 +137,24 @@ def _pad_docs(
     return idx, val
 
 
-def _dot_chunks(weights: np.ndarray, first: np.ndarray, docs: DocMatrix):
+def _sparse(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int) -> DocMatrix:
+    """The n CSR rows of the nonzero ``data[k]`` at ``(rows[k], cols[k])``,
+    which come in row-major order."""
+    keep = data != 0.0
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))
+    return DocMatrix(indptr, cols[keep].astype(np.int32), data[keep])
+
+
+def _dot_chunks(table: np.ndarray, first: np.ndarray, docs: DocMatrix):
     """Yield ``(lo, hi, sums)`` per chunk of rows, with ``sums[r, c]`` equal to
-    ``first[c] + weights[c, i0] * v0 + weights[c, i1] * v1 + ...`` for row
-    ``lo + r``.
+    ``first[c] + table[i0, c] * v0 + table[i1, c] * v1 + ...`` for row
+    ``lo + r``.  The table holds a feature per row, then a sink row of zeros.
 
     The terms are added one at a time in item order, as a loop adds them,
     never in BLAS's blocks, so the sums do not depend on the chunk size.  A
     chunk's buffers hold ``_CHUNK_SCORES`` floats each, which stay in cache.
     """
-    n_cls, n_features = weights.shape
-    table = np.zeros((n_features + 1, n_cls))  # a feature per row, then the sink
-    table[:n_features] = weights.T
+    n_features, n_cls = len(table) - 1, table.shape[1]
     step = max(1, _CHUNK_SCORES // n_cls)
     for lo in range(0, len(docs), step):
         hi = min(lo + step, len(docs))
@@ -166,17 +174,19 @@ def _predict(
     """Per row, the class of the first strictly largest w.x + b, or None if
     no score is > -inf.
 
-    Both models score this way, from one (classes x features) float64 weight
-    matrix; centroids have b = 0.  A NaN score never wins.
+    Centroids have b = 0.  A NaN score never wins.
     """
     classes, weights = model.classes, model.weights
     if not classes:
         raise ConfigurationError("model has no classes")
-    _feature_indices(vectors.indices, weights.shape[1])
+    _feature_indices(vectors.indices, model.n_features)
     bias = getattr(model, "bias", np.zeros(len(classes)))
+    table = np.zeros((model.n_features + 1, len(classes)))  # the sink row last
+    rows = np.repeat(np.arange(len(classes)), np.diff(weights.indptr))
+    table[weights.indices, rows] = weights.data
     names = np.array([*classes, None], dtype=object)
     out: list[str | None] = []
-    for _, _, scores in _dot_chunks(weights, bias, vectors):
+    for _, _, scores in _dot_chunks(table, bias, vectors):
         best = np.fmax.reduce(scores, axis=1)  # NaN only if every score is NaN
         win = np.argmax(scores == best[:, None], axis=1)
         win[~(best > -math.inf)] = len(classes)
@@ -192,7 +202,8 @@ class CentroidModel:
     """Unit-length class means: row c of ``weights`` belongs to ``classes[c]``."""
 
     classes: tuple[str, ...]
-    weights: np.ndarray
+    weights: DocMatrix
+    n_features: int
     tfidf: TfIdfModel | None = None
 
 
@@ -222,27 +233,28 @@ def train_centroid(
         width = tfidf.vocab_size
     else:
         width = 1 + int(vectors.indices.max(initial=-1))
-    cols = _feature_indices(vectors.indices, width)
     code = {label: i for i, label in enumerate(classes)}
     doc_class = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
-    rows = np.repeat(doc_class, np.diff(vectors.indptr))
-    weights = np.zeros((len(classes), width))
-    np.add.at(weights, (rows, cols), vectors.data)  # in document order
-    weights /= np.bincount(doc_class, minlength=len(classes))[:, None]
+    key = np.repeat(doc_class * width, np.diff(vectors.indptr))  # row * width + col
+    key += _feature_indices(vectors.indices, width)
+    keys, first, at = np.unique(key, return_index=True, return_inverse=True)
+    sums = np.zeros(len(keys))
+    np.add.at(sums, at, vectors.data)  # in document order
+    rows, cols = np.divmod(keys, max(width, 1))
+    mean = sums / np.bincount(doc_class, minlength=len(classes))[rows]
     # each class's norm adds its features in first-seen order, as the
     # stored bytes depend on it
-    keys, first = np.unique(rows * width + cols, return_index=True)
-    seen = keys[np.argsort(first)]
+    seen = np.argsort(first)
     norms = np.zeros(len(classes))
-    np.add.at(norms, seen // max(width, 1), np.square(weights.ravel()[seen]))
+    np.add.at(norms, rows[seen], np.square(mean[seen]))
     norms = np.sqrt(norms)
     zero = np.flatnonzero(norms == 0.0)
     if len(zero):
         raise ConfigurationError(
             f"class {classes[zero[0]]!r} has an all-zero centroid"
         )
-    weights /= norms[:, None]
-    return CentroidModel(classes, weights, tfidf)
+    weights = _sparse(rows, cols, mean / norms[rows], len(classes))
+    return CentroidModel(classes, weights, width, tfidf)
 
 
 def predict_centroid(model: CentroidModel, vectors: DocMatrix) -> list[str | None]:
@@ -255,19 +267,16 @@ def predict_centroid(model: CentroidModel, vectors: DocMatrix) -> list[str | Non
 
 @dataclass
 class LinearSvmModel:
-    """One-vs-rest scorer w.x + b: row c of ``weights`` and ``bias[c]``
-    belong to ``classes[c]``."""
+    """One-vs-rest scorer w.x + b over ``n_features`` features: row c of
+    ``weights`` and ``bias[c]`` belong to ``classes[c]``."""
 
     classes: tuple[str, ...]
-    weights: np.ndarray
+    weights: DocMatrix
+    n_features: int
     bias: np.ndarray
     config: TrainConfig
     loss_history: dict[str, list[float]] = field(default_factory=dict)
     tfidf: TfIdfModel | None = None
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[1]
 
 
 def _sgd(
@@ -329,7 +338,8 @@ def _sgd(
                 u[:, n_features] = 0.0  # an inf step leaves inf * 0.0 = NaN there
         # the epoch objective: per class, the hinge losses summed in doc order
         totals = np.zeros((1, n_cls))
-        for lo, hi, dots in _dot_chunks(u, np.zeros(n_cls), vectors):
+        table = u.T.copy()  # rows gathered from a strided view take 3-7x longer
+        for lo, hi, dots in _dot_chunks(table, np.zeros(n_cls), vectors):
             hinge = 1.0 - targets[:, lo:hi].T * (scale * dots + bias)
             hinge = np.where(hinge > 0.0, hinge, 0.0)  # max(0.0, nan) is 0.0
             totals = np.cumsum(np.concatenate([totals, hinge]), axis=0)[-1:]
@@ -358,9 +368,11 @@ def train_svm(
     targets = np.where(
         codes == np.arange(len(classes))[:, None], np.int8(1), np.int8(-1)
     )
-    weights, bias, losses = _sgd(vectors, targets, classes, cfg, n_features)
+    dense, bias, losses = _sgd(vectors, targets, classes, cfg, n_features)
+    weights = _sparse(*np.nonzero(dense), dense[dense != 0.0], len(classes))
     return LinearSvmModel(
-        tuple(classes), weights, bias, cfg, dict(zip(classes, losses)), tfidf
+        tuple(classes), weights, n_features, bias, cfg,
+        dict(zip(classes, losses)), tfidf,
     )
 
 
@@ -402,20 +414,19 @@ def keyword_vote(text: str, label_names: dict[str, str], seed: int) -> str:
 # ------------------------------------------------------------ serialization
 
 
-def _weights_rows(row: np.ndarray) -> Rows:
-    """A weight row as its ``[index, weight]`` pairs, nonzero weights only."""
-    nz = np.flatnonzero(row)
-    return Rows(nz, row[nz])
-
-
-def _weights_matrix(
-    classes: Sequence[str], pairs_per_class: list, n_features: int
-) -> np.ndarray:
-    """The weight matrix whose row c holds the ``[index, weight]`` pairs of
-    ``classes[c]``, as ``save_model`` writes them: a JSON integer and a JSON
-    number each, with the indices strictly ascending."""
-    weights = np.zeros((len(classes), n_features))
-    for label, row, pairs in zip(classes, weights, pairs_per_class):
+def _weights_rows(classes: Sequence[str], lists: list, n_features: int) -> DocMatrix:
+    """Weight rows: row c holds the nonzero ``[index, weight]`` pairs of
+    ``classes[c]``, each a JSON integer and a JSON number, as ``save_model``
+    writes them, indices strictly ascending.  A model whose scoring table
+    would outgrow ``_MAX_TABLE_BYTES`` is refused first."""
+    table = len(classes) * (n_features + 1) * 8
+    if table > _MAX_TABLE_BYTES:
+        raise ConfigurationError(
+            f"{len(classes)} classes x {n_features} features need a "
+            f"{table}-byte scoring table, over the {_MAX_TABLE_BYTES}-byte limit"
+        )
+    indices, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]  # for no classes
+    for label, pairs in zip(classes, lists):
         ixs = [ix for ix, _ in pairs]
         ws = [w for _, w in pairs]
         INTEGER.check(ixs, f"class {label!r}: feature index")
@@ -423,41 +434,33 @@ def _weights_matrix(
         cols = _feature_indices(ixs, n_features)
         if (cols[1:] <= cols[:-1]).any():
             raise ValueError(f"class {label!r}: feature indices are not ascending")
-        row[cols] = ws
-    return weights
+        indices.append(cols)
+        weights.append(np.array(ws, dtype=float))
+    rows = np.repeat(np.arange(len(classes)), list(map(len, indices[1:])))
+    return _sparse(rows, np.concatenate(indices), np.concatenate(weights), len(classes))
 
 
 def save_model(model: CentroidModel | LinearSvmModel, path: str | Path) -> None:
     if model.tfidf is None:
         raise ConfigurationError("model has no tf-idf reference to serialize")
-    if isinstance(model, CentroidModel):
-        doc = {
-            "format": CENTROID_FORMAT,
-            "tfidf": tfidf_to_dict(model.tfidf),
-            "centroids": {
-                label: _weights_rows(row)
-                for label, row in zip(model.classes, model.weights)
-            },
-        }
-    elif isinstance(model, LinearSvmModel):
-        doc = {
-            "format": SVM_FORMAT,
-            "tfidf": tfidf_to_dict(model.tfidf),
-            "config": {
-                "lam": model.config.lam,
-                "epochs": model.config.epochs,
-                "eta0": model.config.eta0,
-                "seed": model.config.seed,
-            },
-            "n_features": model.n_features,
-            "classes": {
-                label: {"bias": float(b), "weights": _weights_rows(row)}
-                for label, row, b in zip(model.classes, model.weights, model.bias)
-            },
-            "loss_history": model.loss_history,
-        }
-    else:
+    if not isinstance(model, (CentroidModel, LinearSvmModel)):
         raise ConfigurationError(f"cannot serialize {type(model).__name__}")
+    w, ptr = model.weights, model.weights.indptr.tolist()
+    pairs = [Rows(w.indices[a:b], w.data[a:b]) for a, b in zip(ptr, ptr[1:])]
+    doc = {"tfidf": tfidf_to_dict(model.tfidf)}
+    if isinstance(model, CentroidModel):
+        doc.update(format=CENTROID_FORMAT, centroids=dict(zip(model.classes, pairs)))
+    else:
+        doc.update(
+            format=SVM_FORMAT,
+            config=asdict(model.config),
+            n_features=model.n_features,
+            classes={
+                label: {"bias": float(b), "weights": row}
+                for label, row, b in zip(model.classes, pairs, model.bias)
+            },
+            loss_history=model.loss_history,
+        )
     write_json(doc, path)
 
 
@@ -472,9 +475,8 @@ def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
             tfidf = tfidf_from_dict(doc["tfidf"])
             classes = tuple(sorted(doc["centroids"]))
             rows = [doc["centroids"][label] for label in classes]
-            return CentroidModel(
-                classes, _weights_matrix(classes, rows, tfidf.vocab_size), tfidf
-            )
+            n = tfidf.vocab_size
+            return CentroidModel(classes, _weights_rows(classes, rows, n), n, tfidf)
         if fmt == SVM_FORMAT:
             config = doc["config"]
             for key, value in config.items():
@@ -496,15 +498,11 @@ def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
             history = doc["loss_history"]
             for label, losses in history.items():
                 NUMBER.check(losses, f"class {label!r}: loss")
+            weights = [row["weights"] for row in rows]
             return LinearSvmModel(
-                classes,
-                _weights_matrix(
-                    classes, [row["weights"] for row in rows], n_features
-                ),
-                np.array(bias, dtype=float),
-                cfg,
-                {k: list(map(float, v)) for k, v in history.items()},
-                tfidf,
+                classes, _weights_rows(classes, weights, n_features), n_features,
+                np.array(bias, dtype=float), cfg,
+                {k: list(map(float, v)) for k, v in history.items()}, tfidf,
             )
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None

@@ -322,17 +322,19 @@ def _load_edges(
         member, subcat = lines.kinds(2)
         text = lines.text
         parent, has_parent = cat_index.lookup(parent_ext, parent_huge)
-        as_cat, in_cats = cat_index.lookup(child_ext, child_huge)
-        as_page, in_pages = page_index.lookup(child_ext, child_huge)
-        child = np.where(member, as_page + n_cats, as_cat)
-        has_child = np.where(member, in_pages, in_cats)
+        # each child only in the table its kind names; any other kind: categories
+        child, has_child = np.empty_like(child_ext), np.empty_like(member)
+        for at, index in ((member, page_index), (~member, cat_index)):
+            child[at], has_child[at] = index.lookup(child_ext[at], child_huge[at])
+        child[member] += n_cats
 
         def no_child(i: int) -> str:
-            kind, other, known = (
-                (MEMBER, "category", in_cats) if member[i] else
-                (SUBCAT, "page", in_pages)
+            kind, other, index = (
+                (MEMBER, "category", cat_index) if member[i] else
+                (SUBCAT, "page", page_index)
             )
-            hint = f" (it exists as a {other}; wrong kind?)" if known[i] else ""
+            known = index.row(int(text(i, 1))) is not None
+            hint = f" (it exists as a {other}; wrong kind?)" if known else ""
             return f"{kind} child {int(text(i, 1))} not found{hint}"
 
         checks: list[_Check] = [
@@ -689,7 +691,9 @@ def _checked_names(blob: np.ndarray, offsets: np.ndarray, what: str) -> Names:
 
 def _read_v1(head: bytes, fh: BinaryIO, size: int) -> CategoryGraph:
     """A version 1 snapshot: its strings are each a uint32 length and UTF-8,
-    and its aliases each a string and an int32 node."""
+    and its aliases each a string and an int32 node.  Its records are read
+    in order, each once the file is known to hold it, so trailing bytes are
+    refused unread."""
     (_, version, n_cats, n_pages, n_edges, n_aliases) = _V1_HEADER.unpack_from(head)
     if version != 1:
         raise GraphFormatError(f"unsupported snapshot version {version}")
@@ -702,30 +706,28 @@ def _read_v1(head: bytes, fh: BinaryIO, size: int) -> CategoryGraph:
         raise GraphFormatError(
             f"corrupt snapshot: its counts need {least} bytes, the file has {size}"
         )
-    data = head + fh.read()
+    fh.seek(off)
 
-    external = np.frombuffer(data, "<i8", n_nodes, off).astype(np.int64)
-    off += 8 * n_nodes
+    def read(n: int) -> bytes:
+        nonlocal off
+        if n > size - off:
+            raise GraphFormatError(f"corrupt snapshot: truncated at byte {off}")
+        off += n
+        return fh.read(n)
 
     def read_str() -> str:
-        nonlocal off
-        (length,) = struct.unpack_from("<I", data, off)
-        off += 4
-        text = data[off : off + length].decode("utf-8")
-        off += length
-        return text
+        (length,) = struct.unpack("<I", read(4))
+        return read(length).decode("utf-8")
 
+    external = np.frombuffer(read(8 * n_nodes), "<i8").astype(np.int64)
     names = [read_str() for _ in range(n_nodes)]
-    indptr = np.frombuffer(data, "<i8", n_nodes + 1, off).astype(np.int64)
-    off += 8 * (n_nodes + 1)
-    indices = np.frombuffer(data, "<i4", n_edges, off).astype(np.int32)
-    off += 4 * n_edges
+    indptr = np.frombuffer(read(8 * (n_nodes + 1)), "<i8").astype(np.int64)
+    indices = np.frombuffer(read(4 * n_edges), "<i4").astype(np.int32)
     aliases, alias_nodes = [], []
     for _ in range(n_aliases):
         aliases.append(read_str())
-        alias_nodes.append(struct.unpack_from("<i", data, off)[0])
-        off += 4
-    if off != len(data):
+        alias_nodes.append(struct.unpack("<i", read(4))[0])
+    if off != size:
         raise GraphFormatError("trailing bytes in snapshot")
     alias_nodes = np.array(alias_nodes, dtype=np.int64)
     _check_graph(n_cats, external, indptr, indices, aliases, alias_nodes)

@@ -23,9 +23,9 @@ _RUN_TOKENS = 1 << 14  # known tokens per numpy pass of transform
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
 class DocMatrix:
-    """Documents as CSR rows: row r holds ``data[indptr[r]:indptr[r + 1]]``
-    (float64) at the feature ids ``indices[indptr[r]:indptr[r + 1]]``, which
-    ``transform`` emits ascending; the models add a row's terms in that order."""
+    """CSR rows: row r holds ``data[indptr[r]:indptr[r + 1]]`` (float64) at the
+    feature ids ``indices[indptr[r]:indptr[r + 1]]``: a document's (ascending
+    from ``transform``, added in that order) or a class's weights in a model."""
 
     indptr: np.ndarray
     indices: np.ndarray

@@ -1,4 +1,4 @@
-"""Test-only conversion between per-document dicts and a ``DocMatrix``."""
+"""Test-only conversions between per-row dicts, dense arrays and a ``DocMatrix``."""
 
 from __future__ import annotations
 
@@ -26,3 +26,16 @@ def dicts(matrix: DocMatrix) -> list[dict[int, float]]:
         dict(zip(matrix.indices[a:b].tolist(), matrix.data[a:b].tolist()))
         for a, b in zip(ptr, ptr[1:])
     ]
+
+
+def sparse(dense: np.ndarray) -> DocMatrix:
+    """The nonzero entries of a 2-D array as rows, in ascending column order."""
+    return docs([{int(ix): row[ix] for ix in np.flatnonzero(row)} for row in dense])
+
+
+def dense(matrix: DocMatrix, width: int) -> np.ndarray:
+    """The rows of a matrix as a (rows x width) array, 0.0 where a row has no item."""
+    out = np.zeros((len(matrix), width))
+    rows = np.repeat(np.arange(len(matrix)), np.diff(matrix.indptr))
+    out[rows, matrix.indices] = matrix.data
+    return out

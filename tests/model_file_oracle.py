@@ -1,7 +1,7 @@
 """List-building reference for ``wikicat.classifiers.save_model``.
 
 Builds the whole document as plain dicts and lists, with one ``[ix, w]``
-list per nonzero weight and one ``[term, df, idf]`` list per tf-idf term,
+list per item of a weight row and one ``[term, df, idf]`` list per term,
 and writes it with ``json.JSONEncoder(indent=2, sort_keys=True)``.
 """
 
@@ -10,20 +10,19 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
+from docmatrix import dicts
 from wikicat.classifiers import (
     CENTROID_FORMAT,
     SVM_FORMAT,
     CentroidModel,
     LinearSvmModel,
 )
-from wikicat.textproc import TfIdfModel
+from wikicat.textproc import DocMatrix, TfIdfModel
 
 
-def _weights_rows(row: np.ndarray) -> list[list]:
-    nz = np.flatnonzero(row)
-    return [[ix, w] for ix, w in zip(nz.tolist(), row[nz].tolist())]
+def _weights_rows(weights: DocMatrix) -> list[list[list]]:
+    """Per weight row, one ``[ix, w]`` list per item."""
+    return [[[ix, w] for ix, w in row.items()] for row in dicts(weights)]
 
 
 def _tfidf(model: TfIdfModel) -> dict:
@@ -40,8 +39,8 @@ def save_model(model: CentroidModel | LinearSvmModel, path: str | Path) -> None:
             "format": CENTROID_FORMAT,
             "tfidf": _tfidf(model.tfidf),
             "centroids": {
-                label: _weights_rows(row)
-                for label, row in zip(model.classes, model.weights)
+                label: row
+                for label, row in zip(model.classes, _weights_rows(model.weights))
             },
         }
     else:
@@ -56,8 +55,10 @@ def save_model(model: CentroidModel | LinearSvmModel, path: str | Path) -> None:
             },
             "n_features": model.n_features,
             "classes": {
-                label: {"bias": float(b), "weights": _weights_rows(row)}
-                for label, row, b in zip(model.classes, model.weights, model.bias)
+                label: {"bias": float(b), "weights": row}
+                for label, row, b in zip(
+                    model.classes, _weights_rows(model.weights), model.bias
+                )
             },
             "loss_history": model.loss_history,
         }

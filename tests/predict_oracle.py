@@ -9,21 +9,20 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from docmatrix import dicts
 
 DocumentVector = dict[int, float]
 
 
 def centroid_dicts(classes, weights) -> dict[str, dict[int, float]]:
-    """Every column of every row, as the trainer's dicts held them."""
-    return {label: dict(enumerate(row.tolist())) for label, row in zip(classes, weights)}
+    """The weight rows of a model (a ``DocMatrix``) as per-class dicts."""
+    return dict(zip(classes, dicts(weights)))
 
 
 def svm_dicts(classes, weights, bias) -> dict[str, tuple[dict[int, float], float]]:
-    """Nonzero weights and the bias per class, as the trainer's dicts held them."""
+    """The weight rows (a ``DocMatrix``) and the bias per class."""
     return {
-        label: ({int(ix): float(row[ix]) for ix in np.flatnonzero(row)}, float(b))
-        for label, row, b in zip(classes, weights, bias)
+        label: (row, float(b)) for label, row, b in zip(classes, dicts(weights), bias)
     }
 
 

@@ -24,7 +24,7 @@ from wikicat.classifiers import (
 from wikicat.exceptions import ConfigurationError
 from wikicat.textproc import TfIdfModel, fit_tfidf
 
-from docmatrix import docs
+from docmatrix import dense, dicts, docs, sparse
 
 
 def _toy_corpus():
@@ -91,15 +91,15 @@ def test_centroid_of_orthogonal_docs():
     # normalized component is 1/sqrt(2).
     model = train_centroid(docs([{0: 1.0}, {1: 1.0}]), ["m", "m"])
     assert model.classes == ("m",)
-    [cen] = model.weights
+    [cen] = dicts(model.weights)
+    assert list(cen) == [0, 1]
     assert cen[0] == pytest.approx(0.70710678, abs=1e-8)
     assert cen[1] == pytest.approx(0.70710678, abs=1e-8)
-    assert np.flatnonzero(cen).tolist() == [0, 1]
 
 
 def test_centroid_predict_hand_fixture():
     model = CentroidModel(
-        ("a", "b", "c"), np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        ("a", "b", "c"), docs([{0: 1.0}, {1: 1.0}, {0: 0.6, 1: 0.8}]), 2
     )
     # a: 0.9, b: 0.1, c: 0.62
     assert predict_centroid(model, docs([{0: 0.9, 1: 0.1}])) == ["a"]
@@ -108,7 +108,7 @@ def test_centroid_predict_hand_fixture():
 
 
 def test_centroid_tie_and_empty_vector_pick_first_label():
-    model = CentroidModel(("a", "b"), np.array([[1.0], [1.0]]))
+    model = CentroidModel(("a", "b"), docs([{0: 1.0}, {0: 1.0}]), 1)
     assert predict_centroid(model, docs([{0: 1.0}, {}])) == ["a", "a"]
 
 
@@ -157,7 +157,7 @@ def test_svm_same_seed_reproduces_bitwise():
     m1 = train_svm(docs(vecs), labs, cfg, n_features=3)
     m2 = train_svm(docs(vecs), labs, cfg, n_features=3)
     assert m1.classes == m2.classes
-    assert np.array_equal(m1.weights, m2.weights)
+    assert np.array_equal(dense(m1.weights, 3), dense(m2.weights, 3))
     assert np.array_equal(m1.bias, m2.bias)
     assert m1.loss_history == m2.loss_history
 
@@ -167,7 +167,8 @@ def test_svm_seed_changes_model():
     m1 = train_svm(docs(vecs), labs, TrainConfig(seed=0), n_features=3)
     m2 = train_svm(docs(vecs), labs, TrainConfig(seed=1), n_features=3)
     assert not (
-        np.array_equal(m1.weights, m2.weights) and np.array_equal(m1.bias, m2.bias)
+        np.array_equal(dense(m1.weights, 3), dense(m2.weights, 3))
+        and np.array_equal(m1.bias, m2.bias)
     )
 
 
@@ -191,8 +192,8 @@ def test_svm_survives_huge_regularization():
     vecs, labs = _toy_corpus()
     model = train_svm(docs(vecs), labs, TrainConfig(lam=1e3, seed=0), n_features=3)
     assert np.isfinite(model.bias).all()
-    assert np.isfinite(model.weights).all()
-    assert (np.abs(model.weights) < 1.0).all()
+    assert np.isfinite(model.weights.data).all()
+    assert (np.abs(model.weights.data) < 1.0).all()
     for losses in model.loss_history.values():
         assert np.isfinite(losses).all()
 
@@ -205,7 +206,7 @@ def test_svm_classes_train_independently():
     renamed = ["ant" if lab == "ant" else "z" + lab for lab in labs]
     other = train_svm(docs(vecs), renamed, TrainConfig(seed=0), n_features=3)
     ant, other_ant = base.classes.index("ant"), other.classes.index("ant")
-    assert np.array_equal(base.weights[ant], other.weights[other_ant])
+    assert dicts(base.weights)[ant] == dicts(other.weights)[other_ant]
     assert base.bias[ant] == other.bias[other_ant]
     assert base.loss_history["ant"] == other.loss_history["ant"]
 
@@ -229,7 +230,7 @@ def test_svm_validation():
 
 
 def test_svm_predict_tie_picks_first_label():
-    model = LinearSvmModel(("a", "b"), np.zeros((2, 1)), np.zeros(2), TrainConfig())
+    model = LinearSvmModel(("a", "b"), docs([{}, {}]), 1, np.zeros(2), TrainConfig())
     assert predict_svm(model, docs([{0: 1.0}])) == ["a"]
 
 
@@ -290,7 +291,8 @@ def test_centroid_round_trip(tmp_path, small_tfidf):
     loaded = load_model(path)
     assert isinstance(loaded, CentroidModel)
     assert loaded.classes == model.classes
-    assert np.array_equal(loaded.weights, model.weights)
+    assert loaded.n_features == model.n_features == 3
+    assert dicts(loaded.weights) == dicts(model.weights)
     assert loaded.tfidf.terms == small_tfidf.terms
     assert loaded.tfidf.idf == small_tfidf.idf
 
@@ -308,7 +310,7 @@ def test_svm_round_trip(tmp_path, small_tfidf):
     assert loaded.n_features == model.n_features
     assert loaded.loss_history == model.loss_history
     assert loaded.classes == model.classes
-    assert np.array_equal(loaded.weights, model.weights)
+    assert dicts(loaded.weights) == dicts(model.weights)
     assert np.array_equal(loaded.bias, model.bias)
     vec = docs([{0: 0.4, 1: 0.2}])
     assert predict_svm(loaded, vec) == predict_svm(model, vec)
@@ -332,7 +334,9 @@ def _odd_weights(n_classes: int, n_features: int) -> np.ndarray:
 @pytest.mark.parametrize("n_features", [6, 5_000])  # several writer chunks
 def test_centroid_file_matches_list_building_writer(tmp_path, n_features):
     classes = ('a"quote', "back\\slash", "naïve", "ß\u2028")
-    model = CentroidModel(classes, _odd_weights(4, n_features), _odd_tfidf())
+    model = CentroidModel(
+        classes, sparse(_odd_weights(4, n_features)), n_features, _odd_tfidf()
+    )
     save_model(model, tmp_path / "got.json")
     model_file_oracle.save_model(model, tmp_path / "want.json")
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
@@ -345,7 +349,8 @@ def test_svm_file_matches_list_building_writer(tmp_path, n_features):
     weights[1] = 0.0  # written as []
     model = LinearSvmModel(
         classes,
-        weights,
+        sparse(weights),
+        n_features,
         np.array([-0.0, 0.25, math.nan, -math.inf]),
         TrainConfig(lam=1e-3, epochs=2, eta0=0.5, seed=4),
         {
@@ -485,6 +490,23 @@ def test_load_rejects_model_values_of_the_wrong_json_type(
         match=f"svm.json: malformed (model file|tf-idf model): {message}",
     ):
         load_model(path)
+
+
+def test_load_keeps_only_nonzero_weights(tmp_path, small_tfidf):
+    """A model's rows hold nonzero weights only, so zeros listed in a file
+    are not written back, as when its rows were dense."""
+    vecs, labs = _toy_corpus()
+    path = tmp_path / "cen.json"
+    save_model(train_centroid(docs(vecs), labs, tfidf=small_tfidf), path)
+    doc = json.loads(path.read_text())
+    doc["centroids"]["bee"] = [[0, 0.0], [1, 0.5], [2, -0.0]]
+    path.write_text(json.dumps(doc))
+    model = load_model(path)
+    assert dicts(model.weights)[model.classes.index("bee")] == {1: 0.5}
+    save_model(model, tmp_path / "again.json")
+    assert json.loads((tmp_path / "again.json").read_text())["centroids"]["bee"] == [
+        [1, 0.5]
+    ]
 
 
 def test_load_takes_ints_for_numbers_as_floats(tmp_path, small_tfidf):

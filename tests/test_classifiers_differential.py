@@ -11,6 +11,8 @@ prediction must name the label that the per-class dict loops of
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,17 +23,20 @@ import centroid_oracle
 import predict_oracle
 import svm_oracle
 import wikicat.classifiers as classifiers
-from docmatrix import docs
+from docmatrix import dicts, docs, sparse
 from wikicat.classifiers import (
     CentroidModel,
     LinearSvmModel,
     TrainConfig,
+    load_model,
     predict_centroid,
     predict_svm,
+    save_model,
     train_centroid,
     train_svm,
 )
 from wikicat.exceptions import ConfigurationError
+from wikicat.textproc import TfIdfModel
 
 _VALUES = st.one_of(
     st.floats(0.01, 1.0),
@@ -79,11 +84,10 @@ def _bits(xs):
 def _assert_same(model, oracle):
     classes, history = oracle
     assert model.classes == tuple(classes)
-    for name, row, bias in zip(model.classes, model.weights, model.bias):
+    for name, row, bias in zip(model.classes, dicts(model.weights), model.bias):
         want, want_bias = classes[name]
-        nz = np.flatnonzero(row)
-        assert nz.tolist() == list(want), name
-        assert _bits(row[nz]) == _bits(want.values()), name
+        assert list(row) == list(want), name
+        assert _bits(row.values()) == _bits(want.values()), name
         assert _bits([bias]) == _bits([want_bias]), name
         assert _bits(model.loss_history[name]) == _bits(history[name])
 
@@ -135,15 +139,20 @@ _DOC_VALUES = st.one_of(
 
 @st.composite
 def _scoring_cases(draw):
+    """A model's weight rows as CSR, each row's items ascending: explicit
+    zeros, -0.0, infinities and NaNs among them, and empty rows."""
     n_classes = draw(st.integers(1, 5))
     n_features = draw(st.integers(0, 6))
     classes = tuple(f"c{i}" for i in range(n_classes))
-    weights = np.array(
-        [[draw(_WEIGHTS) for _ in range(n_features)] for _ in range(n_classes)]
-    ).reshape(n_classes, n_features)
+    features = st.integers(0, max(n_features - 1, 0))
+    rows = [
+        {ix: draw(_WEIGHTS) for ix in draw(st.sets(features, max_size=n_features))}
+        for _ in range(n_classes)
+    ]
     bias = np.array([draw(_WEIGHTS) for _ in range(n_classes)])
     if n_classes > 1 and draw(st.booleans()):  # an exact tie with class 0
-        weights[-1], bias[-1] = weights[0], bias[0]
+        rows[-1], bias[-1] = rows[0], bias[0]
+    weights = docs([dict(sorted(row.items())) for row in rows])
     vectors = []
     for _ in range(draw(st.integers(0, 6))):
         # past-the-end and negative indices sometimes, in any order
@@ -151,7 +160,9 @@ def _scoring_cases(draw):
         if draw(st.integers(0, 4)):
             keys = [ix for ix in keys if 0 <= ix < n_features]
         vectors.append({ix: draw(_DOC_VALUES) for ix in keys})
-    return classes, weights, bias, vectors
+    if draw(st.booleans()):
+        vectors.insert(draw(st.integers(0, len(vectors))), {})
+    return classes, weights, n_features, bias, vectors
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -159,10 +170,10 @@ def _scoring_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(_scoring_cases())
 def test_scorer_matches_dict_loops(case):
-    classes, weights, bias, vectors = case
-    svm = LinearSvmModel(classes, weights, bias, TrainConfig())
-    centroid = CentroidModel(classes, weights)
-    if any(not 0 <= ix < weights.shape[1] for vec in vectors for ix in vec):
+    classes, weights, n_features, bias, vectors = case
+    svm = LinearSvmModel(classes, weights, n_features, bias, TrainConfig())
+    centroid = CentroidModel(classes, weights, n_features)
+    if any(not 0 <= ix < n_features for vec in vectors for ix in vec):
         for model, predict in ((svm, predict_svm), (centroid, predict_centroid)):
             with pytest.raises(ConfigurationError, match="out of range"):
                 predict(model, docs(vectors))
@@ -179,11 +190,11 @@ def test_scorer_matches_dict_loops(case):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_scorer_returns_none_when_no_score_beats_minus_inf():
-    weights = np.array([[1.0], [math.nan]])
+    weights = docs([{0: 1.0}, {0: math.nan}])
     for bias in ([math.nan, math.nan], [-math.inf, 0.0]):
-        svm = LinearSvmModel(("a", "b"), weights, np.array(bias), TrainConfig())
+        svm = LinearSvmModel(("a", "b"), weights, 1, np.array(bias), TrainConfig())
         assert predict_svm(svm, docs([{0: 1.0}])) == [None]
-    centroid = CentroidModel(("a", "b"), np.array([[-math.inf], [math.nan]]))
+    centroid = CentroidModel(("a", "b"), docs([{0: -math.inf}, {0: math.nan}]), 1)
     assert predict_centroid(centroid, docs([{0: 1.0}, {}])) == [None, "a"]
 
 
@@ -191,10 +202,10 @@ def test_scorer_adds_bias_then_terms_in_item_order():
     # In order, 1e16 + 1.0 rounds back to 1e16 twelve times, so "b" wins;
     # adding the ones first, or in pairs, would make "a" reach 1e16 + 12.
     n = 12
-    weights = np.array([[1.0] * n, [0.0] * n])
+    weights = docs([dict.fromkeys(range(n), 1.0), {}])
     bias = np.array([1e16, 1e16 + 2])
     vector = dict.fromkeys(range(n), 1.0)
-    svm = LinearSvmModel(("a", "b"), weights, bias, TrainConfig())
+    svm = LinearSvmModel(("a", "b"), weights, n, bias, TrainConfig())
     want = predict_oracle.predict_svm(
         predict_oracle.svm_dicts(svm.classes, weights, bias), vector
     )
@@ -214,7 +225,9 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
     labels = [f"c{i % 3}" for i in range(len(vectors))]
     weights = rng.uniform(-1, 1, (3, 8))
     weights[1, 4] = math.nan
-    svm = LinearSvmModel(("c0", "c1", "c2"), weights, np.zeros(3), TrainConfig())
+    svm = LinearSvmModel(
+        ("c0", "c1", "c2"), sparse(weights), 8, np.zeros(3), TrainConfig()
+    )
     cfg = TrainConfig(epochs=2, seed=1)
 
     def run():
@@ -225,8 +238,8 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
     for chunk in (3, 6, 9):
         monkeypatch.setattr(classifiers, "_CHUNK_SCORES", chunk)
         assert run() == want
-    dicts = predict_oracle.svm_dicts(svm.classes, weights, svm.bias)
-    assert want[0] == [predict_oracle.predict_svm(dicts, vec) for vec in vectors]
+    rows = predict_oracle.svm_dicts(svm.classes, svm.weights, svm.bias)
+    assert want[0] == [predict_oracle.predict_svm(rows, vec) for vec in vectors]
 
 
 @st.composite
@@ -252,9 +265,36 @@ def test_train_centroid_matches_loop_oracle(case):
     model = train_centroid(docs(vectors), labels)
     want = centroid_oracle.train_centroid(vectors, labels)
     assert model.classes == tuple(want)
-    width = 1 + max(ix for vec in vectors for ix in vec)
-    assert model.weights.shape == (len(want), width)
-    for row, label in zip(model.weights, model.classes):
+    assert model.n_features == 1 + max(ix for vec in vectors for ix in vec)
+    assert len(model.weights) == len(want)
+    for row, label in zip(dicts(model.weights), model.classes):
         cols = sorted(want[label])
-        assert np.flatnonzero(row).tolist() == cols, label
-        assert _bits(row[cols]) == _bits(want[label][ix] for ix in cols), label
+        assert list(row) == cols, label
+        assert _bits(row.values()) == _bits(want[label][ix] for ix in cols), label
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@seed(20261021)
+@settings(max_examples=100, deadline=None)
+@given(_cases())
+def test_models_trained_in_process_predict_as_their_saved_copies(case):
+    """``ablate`` scores with models that were never saved; they must give
+    the labels of their save -> load copies, from the same weight rows."""
+    vectors, labels, cfg, n_features = case
+    terms = [f"t{i:02d}" for i in range(n_features)]
+    tfidf = TfIdfModel(1, 1, terms, [1] * n_features, [1.0] * n_features)
+    matrix = docs(vectors)
+    models = [(train_svm(matrix, labels, cfg, n_features, tfidf), predict_svm)]
+    try:
+        models.append((train_centroid(matrix, labels, tfidf=tfidf), predict_centroid))
+    except ConfigurationError:  # a class whose docs cancel out
+        pass
+    with tempfile.TemporaryDirectory() as d:
+        for model, predict in models:
+            save_model(model, Path(d) / "model.json")
+            loaded = load_model(Path(d) / "model.json")
+            assert loaded.n_features == model.n_features == n_features
+            assert loaded.weights.indptr.tolist() == model.weights.indptr.tolist()
+            assert loaded.weights.indices.tolist() == model.weights.indices.tolist()
+            assert _bits(loaded.weights.data) == _bits(model.weights.data)
+            assert predict(loaded, matrix) == predict(model, matrix)

@@ -715,25 +715,28 @@ def test_damaged_snapshot_exits_2_naming_it(wiki, tmp_path, damage):
     assert f"error: {bad}: corrupt snapshot" in proc.stderr
 
 
-def _map_under_2_gib(wiki, graph, tmp_path):
-    """``map --graph graph`` in a child process under a 2 GiB address-space
-    limit, where a multi-GiB allocation fails with exit 3 instead of being
-    attempted on the machine."""
+def _under_gib(gib: int, *args: str) -> subprocess.CompletedProcess:
+    """The CLI run with ``args`` in a child process under an address-space
+    limit of ``gib`` GiB, where a larger allocation fails with exit 3
+    instead of being attempted on the machine."""
     limit = (
         "import resource, sys; "
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({gib} << 30, {gib} << 30)); "
         "from wikicat.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     return subprocess.run(
-        [
-            sys.executable, "-c", limit,
-            "map",
-            "--graph", str(graph),
-            "--taxonomy", str(wiki / "taxonomy.json"),
-            "--out", str(tmp_path / "mapping.json"),
-        ],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-c", limit, *args], capture_output=True, text=True
+    )
+
+
+def _map_under_2_gib(wiki, graph, tmp_path):
+    """``map --graph graph`` in a child process under a 2 GiB limit."""
+    return _under_gib(
+        2,
+        "map",
+        "--graph", str(graph),
+        "--taxonomy", str(wiki / "taxonomy.json"),
+        "--out", str(tmp_path / "mapping.json"),
     )
 
 
@@ -750,6 +753,16 @@ def _map_under_2_gib(wiki, graph, tmp_path):
         b"WCG1" + struct.pack("<I4Q", 1, 2**62, 0, 0, 0),
         "corrupt snapshot: its counts need", id="v1",
     ),
+    # an empty graph: 48 bytes of records, then trailing bytes
+    pytest.param(
+        b"WCG1" + struct.pack("<I4Q", 1, 0, 0, 0, 0),
+        "trailing bytes in snapshot", id="v1-empty",
+    ),
+    # one category whose name, its length at byte 48, claims 4 GiB
+    pytest.param(
+        b"WCG1" + struct.pack("<I4Q", 1, 1, 0, 0, 0) + bytes(8) + b"\xff" * 4,
+        "corrupt snapshot: truncated at byte 52", id="v1-long-name",
+    ),
 ])
 def test_big_file_that_is_not_a_snapshot_exits_2_unread(wiki, tmp_path, head, message):
     """A 3 GiB sparse file, past the child's 2 GiB limit, is refused from
@@ -764,6 +777,30 @@ def test_big_file_that_is_not_a_snapshot_exits_2_unread(wiki, tmp_path, head, me
         big.unlink()
     assert proc.returncode == 2, proc.stderr
     assert f"error: {big}: {message}" in proc.stderr
+
+
+def test_model_too_wide_to_score_exits_2(tmp_path):
+    """20 000 empty classes over 200 000 terms: a 4.5 MB centroid file
+    whose scoring table would take 32 GB, run by ``predict`` under a 3 GiB
+    limit."""
+    terms = [[f"t{i:06d}", 1, 1.0] for i in range(200_000)]
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps({
+        "format": "wikicat/centroid/v1",
+        "tfidf": {"n_docs": 1, "min_df": 1, "terms": terms},
+        "centroids": {f"c{i:05d}": [] for i in range(20_000)},
+    }))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": 1, "text": "t000001"}\n')
+    proc = _under_gib(
+        3, "predict", "--model", str(model), "--corpus", str(corpus),
+        "--out", str(tmp_path / "predictions.jsonl"),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert (
+        f"error: {model}: 20000 classes x 200000 features need a "
+        "32000160000-byte scoring table"
+    ) in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
