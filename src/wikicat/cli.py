@@ -22,7 +22,7 @@ import traceback
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .classifiers import (
@@ -222,8 +222,8 @@ def _load_corpus(path: str | Path) -> dict[int, str]:
     for where, row in read_jsonl(path):
         if (
             not isinstance(row, dict)
-            or not isinstance(row.get("id"), int)
-            or not isinstance(row.get("text"), str)
+            or type(row.get("id")) not in INTEGER.types
+            or type(row.get("text")) not in STRING.types
         ):
             raise ConfigurationError(
                 f"{where}: expected an object with int 'id' and str 'text'"
@@ -304,16 +304,16 @@ def _train_sets(
     train_cfg: TrainConfig,
     out_dir: Path,
     prefix: str = "",
-) -> dict[str, tuple[CentroidModel | LinearSvmModel, dict[str, int]]]:
-    """Fit tf-idf and one model per competition set, in name order, and save
-    each as ``out_dir/<prefix><set>.<kind>.json``; with each its class counts."""
-    out = {}
+) -> Iterator[tuple[str, CentroidModel | LinearSvmModel, Counter]]:
+    """Fit tf-idf and one model per competition set, in name order, save
+    each as ``out_dir/<prefix><set>.<kind>.json`` and yield it with its set
+    name and class counts, so a caller keeps only the models it needs."""
     for name in sorted(named):
         set_rows = rows[name]
         if not set_rows:
             raise ConfigurationError(f"no labeled documents for set {name!r}")
         if kind == "svm":
-            set_rows = sample_balance(set_rows, n_per_class, train_cfg.seed, named[name])
+            set_rows = sample_balance(set_rows, n_per_class, train_cfg.seed)
         labels = [label for _, label, _ in set_rows]
         counts = Counter(labels)
         missing = sorted(set(named[name]) - set(counts))
@@ -330,8 +330,7 @@ def _train_sets(
                 vectors, labels, train_cfg, n_features=tfidf.vocab_size, tfidf=tfidf
             )
         save_model(model, out_dir / f"{prefix}{name}.{kind}.json")
-        out[name] = model, counts
-    return out
+        yield name, model, counts
 
 
 def _load_eval_sets(path: str, taxonomy: Taxonomy) -> list[EvalInstance]:
@@ -469,16 +468,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     out_dir = Path(get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    trained = _train_sets(
-        rows, named, kind, n_per_class, min_df, train_cfg, out_dir
-    )
     sets_summary = {
         name: {
             "classes": dict(sorted(counts.items())),
             "n_train": sum(counts.values()),
             "vocab_size": model.tfidf.vocab_size,
         }
-        for name, (model, counts) in trained.items()
+        for name, model, counts in _train_sets(
+            rows, named, kind, n_per_class, min_df, train_cfg, out_dir
+        )
     }
     summary = {
         "config": {
@@ -567,12 +565,13 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         write_labels(labeled, graph, out_dir / f"labels.{mode}.jsonl")
         pages = graph.external_ids(labeled.page).tolist()
         tops = labeled.tops()
-        trained = _train_sets(
+        models, n_train = {}, 0
+        for name, model, counts in _train_sets(
             _collect_training_rows(zip(pages, tops), corpus, named),
             named, "svm", n_per_class, min_df, train_cfg, out_dir, f"{mode}.",
-        )
-        models = {name: _predictor(model) for name, (model, _) in trained.items()}
-        n_train = sum(sum(counts.values()) for _, counts in trained.values())
+        ):
+            models[name] = _predictor(model)
+            n_train += sum(counts.values())
         _, pooled = evaluate_grouped(instances, models)
         row = {
             "mode": mode,
@@ -592,7 +591,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             "min_df": min_df,
             "n_per_class": n_per_class,
             "modes": modes,
-            "path_mode": base_cfg.path_mode,
+            **{key: getattr(base_cfg, key) for key in _LABELING},
         },
         "rows": rows_out,
     }

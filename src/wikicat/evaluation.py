@@ -1,15 +1,17 @@
 """Accuracy and macro-F1 metrics over possibly multi-label gold sets.
 
 A prediction counts as correct when it lands anywhere in the instance's
-gold set.  For confusion counting, a multi-label gold resolves to the
-predicted label when the prediction is in the set, otherwise to its first
-gold label, and macro-F1 averages per-class F1 over the classes that
-appear in those resolved golds.
+gold set.  ``evaluate`` scores in one pass: each gold set resolves to the
+prediction when the prediction is in it, otherwise to its first gold label,
+and macro-F1 averages per-class F1 over the classes of those resolved golds,
+so a prediction in no gold set (None included) adds no class.  ``accuracy``
+and ``macro_f1`` read its report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -36,31 +38,12 @@ class EvalReport:
     n: int
     group: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "per_class": self.per_class,
-            "n": self.n,
-            "group": self.group,
-        }
-
-
-def _check_lengths(preds: Sequence[str], golds: Sequence) -> None:
-    if len(preds) != len(golds):
-        raise ConfigurationError("preds and golds differ in length")
-    if not preds:
-        raise ConfigurationError("nothing to evaluate")
-    for gold in golds:
-        if not gold:
-            raise ConfigurationError("empty gold set")
+    to_dict = asdict
 
 
 def accuracy(preds: Sequence[str], golds: Sequence[Iterable[str]]) -> float:
     """Fraction of instances whose prediction is in the gold set."""
-    _check_lengths(preds, golds)
-    hits = sum(1 for pred, gold in zip(preds, golds) if pred in set(gold))
-    return hits / len(preds)
+    return evaluate(preds, golds).accuracy
 
 
 def resolve_golds(
@@ -73,40 +56,9 @@ def resolve_golds(
     return out
 
 
-def per_class_scores(
-    preds: Sequence[str], resolved: Sequence[str]
-) -> dict[str, dict[str, float]]:
-    tp: dict[str, int] = {}
-    fp: dict[str, int] = {}
-    fn: dict[str, int] = {}
-    support: dict[str, int] = {}
-    for pred, gold in zip(preds, resolved):
-        support[gold] = support.get(gold, 0) + 1
-        if pred == gold:
-            tp[pred] = tp.get(pred, 0) + 1
-        else:
-            fp[pred] = fp.get(pred, 0) + 1
-            fn[gold] = fn.get(gold, 0) + 1
-    out: dict[str, dict[str, float]] = {}
-    for cls in sorted(support):
-        t, p, n = tp.get(cls, 0), fp.get(cls, 0), fn.get(cls, 0)
-        prec = t / (t + p) if t + p else 0.0
-        rec = t / (t + n) if t + n else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        out[cls] = {
-            "precision": prec,
-            "recall": rec,
-            "f1": f1,
-            "support": float(support[cls]),
-        }
-    return out
-
-
 def macro_f1(preds: Sequence[str], golds: Sequence[Sequence[str]]) -> float:
     """Mean per-class F1 over classes present in the resolved golds."""
-    _check_lengths(preds, golds)
-    scores = per_class_scores(preds, resolve_golds(preds, golds))
-    return sum(row["f1"] for row in scores.values()) / len(scores)
+    return evaluate(preds, golds).macro_f1
 
 
 def evaluate(
@@ -114,12 +66,31 @@ def evaluate(
     golds: Sequence[Sequence[str]],
     group: str | None = None,
 ) -> EvalReport:
-    _check_lengths(preds, golds)
-    scores = per_class_scores(preds, resolve_golds(preds, golds))
+    if len(preds) != len(golds):
+        raise ConfigurationError("preds and golds differ in length")
+    if not preds:
+        raise ConfigurationError("nothing to evaluate")
+    if not all(golds):
+        raise ConfigurationError("empty gold set")
+    resolved = resolve_golds(preds, golds)
+    support, predicted = Counter(resolved), Counter(preds)
+    hits = Counter(pred for pred, gold in zip(preds, resolved) if pred == gold)
+    per_class: dict[str, dict[str, float]] = {}
+    for cls in sorted(support):
+        t = hits[cls]
+        prec = t / predicted[cls] if predicted[cls] else 0.0
+        rec = t / support[cls]
+        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+        per_class[cls] = {
+            "precision": prec,
+            "recall": rec,
+            "f1": f1,
+            "support": float(support[cls]),
+        }
     return EvalReport(
-        accuracy=accuracy(preds, golds),
-        macro_f1=sum(row["f1"] for row in scores.values()) / len(scores),
-        per_class=scores,
+        accuracy=sum(hits.values()) / len(preds),
+        macro_f1=sum(row["f1"] for row in per_class.values()) / len(per_class),
+        per_class=per_class,
         n=len(preds),
         group=group,
     )

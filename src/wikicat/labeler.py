@@ -46,7 +46,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, TaxonomyError
 from .graph_store import CategoryGraph
-from .jsonio import float_texts, json_text, read_jsonl, write_lines
+from .jsonio import INTEGER, STRING, float_texts, json_text, read_jsonl, write_lines
 from .taxonomy_mapper import CategoryMapping, Taxonomy
 
 MODES = ("full", "child_only", "all_descendants", "min_dist", "no_pruning")
@@ -514,10 +514,12 @@ def write_labels(labeled: CorpusLabels, graph: CategoryGraph, path: str | Path) 
 
 def _is_labels_row(rec) -> bool:
     assignments = rec.get("assignments") if isinstance(rec, dict) else None
-    if not (isinstance(assignments, list) and isinstance(rec.get("page"), int)):
+    if not (
+        isinstance(assignments, list) and type(rec.get("page")) in INTEGER.types
+    ):
         return False
     for a in assignments:  # a loop, not all(): this runs once per page
-        if not (isinstance(a, dict) and isinstance(a.get("label"), str)):
+        if not (isinstance(a, dict) and type(a.get("label")) in STRING.types):
             return False
     return True
 

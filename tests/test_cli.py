@@ -1,16 +1,18 @@
 import json
+import logging
 import os
 import re
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from wikicat.classifiers import TrainConfig, save_model, train_centroid, train_svm
-from wikicat.cli import main
+from wikicat.cli import KINDS, main
 from wikicat.graph_store import load_snapshot
-from wikicat.labeler import MODES, Assignment, PageLabels
+from wikicat.labeler import MODES, Assignment, LabelingConfig, PageLabels
 from wikicat.synth import make_ablation_wiki
 from wikicat.textproc import fit_tfidf, transform
 
@@ -1079,3 +1081,63 @@ def test_cli_never_builds_per_page_objects(wiki, tmp_path, capsys, no_page_objec
     rows = _last_json(capsys)["rows"]
     assert [row["mode"] for row in rows] == list(MODES)
     assert all(row["labeled_pages"] > 0 for row in rows)
+
+
+def test_predict_corpus_id_true_exits_2(centroid_dir, tmp_path, capsys):
+    """A JSON true is no int id, though Python counts a bool as an int."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": true, "text": "alpha words"}\n', encoding="utf-8")
+    assert main([
+        "predict", "--model", str(centroid_dir / "coarse.centroid.json"),
+        "--corpus", str(corpus), "--out", str(tmp_path / "preds.jsonl"),
+    ]) == 2
+    assert f"{corpus}:1: expected an object with int 'id'" in capsys.readouterr().err
+    assert not (tmp_path / "preds.jsonl").exists()
+
+
+def test_train_labels_page_true_exits_2(wiki, tmp_path, capsys):
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(f"{_GOOD}\n{_label_line(True, 'alpha')}\n", encoding="utf-8")
+    assert main([
+        "train", "--labels", str(labels), "--corpus", str(wiki / "corpus.jsonl"),
+        "--taxonomy", str(wiki / "taxonomy.json"), "--out-dir", str(tmp_path / "m"),
+    ]) == 2
+    assert f"{labels}:2: expected an object with int 'page'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_train_warns_once_per_class_with_no_documents(
+    wiki, labels_path, tmp_path, capsys, caplog, kind
+):
+    labels = tmp_path / "labels.jsonl"
+    lines = labels_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    labels.write_text(
+        "".join(line for line in lines if '"charlie"' not in line), encoding="utf-8"
+    )
+    with caplog.at_level(logging.WARNING):
+        assert main([
+            "train", "--labels", str(labels), "--corpus", str(wiki / "corpus.jsonl"),
+            "--taxonomy", str(wiki / "taxonomy.json"), "--kind", kind,
+            "--n-per-class", "20", "--out-dir", str(tmp_path / "models"),
+        ]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warnings == ["classes with no training documents: charlie"]
+    assert set(_last_json(capsys)["sets"]["coarse"]["classes"]) == {"alpha", "bravo"}
+
+
+def test_ablation_json_echoes_the_labeling_settings(wiki, tmp_path, capsys):
+    configs = []
+    for coverage in ("0.3", "0.5"):
+        out_dir = tmp_path / coverage
+        assert main([
+            "ablate", "--graph", str(wiki / "graph.bin"),
+            "--taxonomy", str(wiki / "taxonomy.json"),
+            "--mapping", str(wiki / "mapping.json"),
+            "--corpus", str(wiki / "corpus.jsonl"), "--eval", str(wiki / "eval.jsonl"),
+            "--modes", "full", "--n-per-class", "20",
+            "--coverage-threshold", coverage, "--out-dir", str(out_dir),
+        ]) == 0
+        configs.append(json.loads((out_dir / "ablation.json").read_text())["config"])
+    assert {f.name for f in fields(LabelingConfig)} - {"mode"} <= set(configs[0])
+    assert configs[0]["coverage_threshold"] == 0.3
+    assert {**configs[0], "coverage_threshold": 0.5} == configs[1]

@@ -2,16 +2,22 @@
 checked against each setting's JSON type."""
 
 import argparse
+import inspect
 import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from wikicat.cli import build_parser, main
+from wikicat.classifiers import TrainConfig
+from wikicat.cli import SETTINGS, build_parser, main
+from wikicat.labeler import LabelingConfig, label_corpus
 from wikicat.synth import make_ablation_wiki
+from wikicat.taxonomy_mapper import map_taxonomy
+from wikicat.textproc import fit_tfidf
 
 
 @pytest.fixture(scope="module")
@@ -318,3 +324,14 @@ def test_mapping_with_int_scores_labels_as_with_floats(shared, tmp_path, capsys)
         assert _run(tmp_path, capsys, "label", config)[0] == 0
         runs.append(out.read_bytes())
     assert runs[0] == runs[1]
+
+
+def test_cli_defaults_equal_the_library_defaults():
+    """The defaults that SETTINGS restates from the library stay equal to it."""
+    library = {f.name: f.default for f in fields(LabelingConfig) + fields(TrainConfig)}
+    for func, key in (
+        (map_taxonomy, "threshold"), (fit_tfidf, "min_df"), (label_corpus, "workers"),
+    ):
+        library[key] = inspect.signature(func).parameters[key].default
+    assert len(library) == 13
+    assert {key: SETTINGS[key].default for key in library} == library

@@ -91,6 +91,23 @@ def test_evaluate_report_fields():
     assert 0.0 <= doc["accuracy"] <= 1.0 and 0.0 <= doc["macro_f1"] <= 1.0
 
 
+def test_evaluate_none_prediction_and_multi_label_miss():
+    # A None prediction is a miss and adds no class; the miss on {b, c}
+    # resolves to its first gold label b.
+    report = evaluate([None, "a", "a"], [["a"], ["b", "c"], ["a", "c"]])
+    assert report.accuracy == 1 / 3
+    assert set(report.per_class) == {"a", "b"}
+    assert report.per_class["a"] == {
+        "precision": 0.5, "recall": 0.5, "f1": 0.5, "support": 2.0,
+    }
+    assert report.per_class["b"] == {
+        "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 1.0,
+    }
+    assert report.macro_f1 == 0.25
+    assert accuracy([None], [["a"]]) == 0.0
+    assert macro_f1([None], [["a"]]) == 0.0
+
+
 def _grouped_fixture():
     # Three parents, four classes each, eight instances per parent.  The
     # model reads the label off the first token, and per parent the
