@@ -418,14 +418,17 @@ def _weights_rows(classes: Sequence[str], lists: list, n_features: int) -> DocMa
     """Weight rows: row c holds the nonzero ``[index, weight]`` pairs of
     ``classes[c]``, each a JSON integer and a JSON number, as ``save_model``
     writes them, indices strictly ascending.  A model whose scoring table
-    would outgrow ``_MAX_TABLE_BYTES`` is refused first."""
+    would outgrow ``_MAX_TABLE_BYTES``, or that has no classes, is refused
+    first."""
+    if not classes:
+        raise ConfigurationError("model has no classes")
     table = len(classes) * (n_features + 1) * 8
     if table > _MAX_TABLE_BYTES:
         raise ConfigurationError(
             f"{len(classes)} classes x {n_features} features need a "
             f"{table}-byte scoring table, over the {_MAX_TABLE_BYTES}-byte limit"
         )
-    indices, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]  # for no classes
+    indices, weights = [], []
     for label, pairs in zip(classes, lists):
         ixs = [ix for ix, _ in pairs]
         ws = [w for _, w in pairs]
@@ -436,7 +439,7 @@ def _weights_rows(classes: Sequence[str], lists: list, n_features: int) -> DocMa
             raise ValueError(f"class {label!r}: feature indices are not ascending")
         indices.append(cols)
         weights.append(np.array(ws, dtype=float))
-    rows = np.repeat(np.arange(len(classes)), list(map(len, indices[1:])))
+    rows = np.repeat(np.arange(len(classes)), list(map(len, indices)))
     return _sparse(rows, np.concatenate(indices), np.concatenate(weights), len(classes))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import traceback
 from collections import Counter
@@ -54,6 +55,7 @@ from .labeler import (
     write_labels,
 )
 from .taxonomy_mapper import (
+    CategoryMapping,
     Taxonomy,
     load_mapping,
     load_taxonomy,
@@ -236,23 +238,79 @@ def _load_corpus(path: str | Path) -> dict[int, str]:
     return texts
 
 
-def _named_scheme(taxonomy: Taxonomy, scheme: str) -> dict[str, list[str]]:
-    """Competition sets keyed by name: 'coarse', or one set per parent."""
-    if scheme == COARSE_SET:
+def _set_name(name: str, where: str) -> str:
+    """A competition set's name, which names its model files
+    ``<set>.<kind>.json``; one that is not a plain file name is refused."""
+    if name in ("", ".", "..") or {os.sep, os.altsep} & set(name):
+        raise ConfigurationError(
+            f"{where} {name!r} names a competition set but is not a file name"
+        )
+    return name
+
+
+def _named_scheme(
+    get: Callable[[str], Any], taxonomy: Taxonomy
+) -> dict[str, list[str]]:
+    """The scheme's competition sets keyed by name, in name order: 'coarse',
+    or one set per parent, named by the parent's id."""
+    if get("scheme") == COARSE_SET:
         return {COARSE_SET: coarse_scheme(taxonomy)[0]}
+    path = get("taxonomy")
     out = {taxonomy.by_id[group[0]].parent: group for group in fine_scheme(taxonomy)}
     if not out:
-        raise ConfigurationError("scheme 'fine': taxonomy has no child labels")
-    return out
+        raise ConfigurationError(f"{path}: scheme 'fine': taxonomy has no child labels")
+    return {_set_name(name, f"{path}: label"): out[name] for name in sorted(out)}
+
+
+def _mapped_scheme(
+    get: Callable[[str], Any], graph, taxonomy: Taxonomy
+) -> tuple[CategoryMapping, dict[str, list[str]]]:
+    """The mapping (the ``mapping`` file, or else the taxonomy mapped at the
+    default threshold) and the scheme's competition sets by name.  A label
+    with no category, or a category mapped for two labels of one set, is
+    refused naming the mapping's source, before any labeling."""
+    source = get("mapping")
+    if source is None:
+        mapping, source = map_taxonomy(taxonomy, graph), get("taxonomy")
+    else:
+        mapping = load_mapping(source, graph, taxonomy)
+    named = _named_scheme(get, taxonomy)
+    for group in named.values():
+        owner: dict[int, str] = {}
+        for label in group:
+            nodes = [mc.node for mc in mapping.entries.get(label, ())]
+            if not nodes:
+                raise TaxonomyError(
+                    f"{source}: label {label!r} is not mapped to any category"
+                )
+            for node in nodes:
+                if owner.setdefault(node, label) != label:
+                    raise ConfigurationError(
+                        f"{source}: category {graph.external_id(node)} is mapped "
+                        f"for both {owner[node]!r} and {label!r}"
+                    )
+    return mapping, named
+
+
+def _n_per_class(get: Callable[[str], Any]) -> int | None:
+    """``n_per_class``, or None for the command's default."""
+    n_per_class = get("n_per_class")
+    if n_per_class is not None and n_per_class < 1:
+        raise ConfigurationError("n_per_class must be >= 1")
+    return n_per_class
 
 
 def _collect_training_rows(
     tops: Iterable[tuple[int, str | None]],
     corpus: dict[int, str],
     named: dict[str, list[str]],
+    labels_path: str | Path,
+    corpus_path: str,
 ) -> dict[str, list[tuple[int, str, str]]]:
-    """Group (page id, top label or None) pairs into (page id, top label,
-    text) rows per set."""
+    """Group (page id, top label or None) pairs, read from ``labels_path``,
+    into (page id, top label, text) rows per set, in ``named``'s order.
+    Every set must have rows, and each warns once about its classes without
+    any."""
     label_to_set = {
         label: name for name, group in named.items() for label in group
     }
@@ -265,39 +323,48 @@ def _collect_training_rows(
         set_name = label_to_set.get(top)
         if set_name is None:
             raise ConfigurationError(
-                f"label {top!r} in labels file is not in the chosen scheme"
+                f"{labels_path}: label {top!r} in labels file is not in the "
+                "chosen scheme"
             )
         text = corpus.get(page)
         if text is None:
-            raise ConfigurationError(f"page {page} missing from corpus")
+            raise ConfigurationError(f"{corpus_path}: page {page} missing from corpus")
         rows[set_name].append((page, top, text))
     if skipped:
         logger.info("skipped %d pages with no assignment", skipped)
+    for name, set_rows in rows.items():
+        if not set_rows:
+            raise ConfigurationError(
+                f"{labels_path}: no labeled documents for set {name!r}"
+            )
+        missing = sorted(set(named[name]).difference(top for _, top, _ in set_rows))
+        if missing:
+            logger.warning(
+                "classes with no training documents: %s", ", ".join(missing)
+            )
     return rows
 
 
 def _labeled_rows(get: Callable[[str], Any]) -> tuple:
-    """The scheme name, its competition sets by name, the labels file's
-    (page id, top label, text) rows per set, and ``n_per_class``, which is
-    checked before any file is read."""
-    n_per_class = get("n_per_class")
-    if n_per_class is not None and n_per_class < 1:
-        raise ConfigurationError("n_per_class must be >= 1")
+    """The scheme name, the labels file's (page id, top label, text) rows
+    per competition set, and ``n_per_class``, which is checked before any
+    file is read."""
+    n_per_class = _n_per_class(get)
     taxonomy = load_taxonomy(get("taxonomy"))
     pages, tops = read_labels(get("labels"))
     corpus = _load_corpus(get("corpus"))
+    named = _named_scheme(get, taxonomy)
+    rows = _collect_training_rows(
+        zip(pages, tops), corpus, named, get("labels"), get("corpus")
+    )
     scheme_name = get("scheme")
-    named = _named_scheme(taxonomy, scheme_name)
-    rows = _collect_training_rows(zip(pages, tops), corpus, named)
-    if n_per_class is None:
-        # Coarse sets span the whole corpus; fine sets are per parent.
-        n_per_class = 20_000 if scheme_name == COARSE_SET else 1_000
-    return scheme_name, named, rows, n_per_class
+    # Coarse sets span the whole corpus; fine sets are per parent.
+    default = 20_000 if scheme_name == COARSE_SET else 1_000
+    return scheme_name, rows, n_per_class or default
 
 
 def _train_sets(
     rows: dict[str, list[tuple[int, str, str]]],
-    named: dict[str, list[str]],
     kind: str,
     n_per_class: int,
     min_df: int,
@@ -305,22 +372,14 @@ def _train_sets(
     out_dir: Path,
     prefix: str = "",
 ) -> Iterator[tuple[str, CentroidModel | LinearSvmModel, Counter]]:
-    """Fit tf-idf and one model per competition set, in name order, save
-    each as ``out_dir/<prefix><set>.<kind>.json`` and yield it with its set
-    name and class counts, so a caller keeps only the models it needs."""
-    for name in sorted(named):
-        set_rows = rows[name]
-        if not set_rows:
-            raise ConfigurationError(f"no labeled documents for set {name!r}")
+    """Fit tf-idf and one model per competition set, in ``rows``' order,
+    save each as ``out_dir/<prefix><set>.<kind>.json`` and yield it with its
+    set name and class counts, so a caller keeps only the models it needs."""
+    for name, set_rows in rows.items():
         if kind == "svm":
             set_rows = sample_balance(set_rows, n_per_class, train_cfg.seed)
         labels = [label for _, label, _ in set_rows]
         counts = Counter(labels)
-        missing = sorted(set(named[name]) - set(counts))
-        if missing:
-            logger.warning(
-                "classes with no training documents: %s", ", ".join(missing)
-            )
         tfidf = fit_tfidf((text for _, _, text in set_rows), min_df=min_df)
         vectors = transform(tfidf, [text for _, _, text in set_rows])
         if kind == "centroid":
@@ -335,10 +394,13 @@ def _train_sets(
 
 def _load_eval_sets(path: str, taxonomy: Taxonomy) -> list[EvalInstance]:
     """Gold instances, each with its competition set (``parent`` or coarse)."""
-    valid = [lab.id for lab in taxonomy.labels]
+    instances = load_eval(path, valid_labels=[lab.id for lab in taxonomy.labels])
+    for inst in instances:
+        if inst.parent is not None:
+            _set_name(inst.parent, f"{path}: parent")
     return [
         EvalInstance(inst.text, inst.gold, inst.parent or COARSE_SET)
-        for inst in load_eval(path, valid_labels=valid)
+        for inst in instances
     ]
 
 
@@ -413,9 +475,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
     out, summary_out = get("out"), get("summary_out")
     graph = _load_graph_arg(get("graph"))
     taxonomy = load_taxonomy(get("taxonomy"))
-    mapping = load_mapping(get("mapping"), graph, taxonomy)
-    named = _named_scheme(taxonomy, scheme_name)
-    scheme = [named[name] for name in sorted(named)]
+    mapping, named = _mapped_scheme(get, graph, taxonomy)
+    scheme = list(named.values())
     labeled = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
     write_labels(labeled, graph, out)
     summary = {
@@ -431,13 +492,12 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     get = _settings(args)
-    scheme_name, named, rows, n_per_class = _labeled_rows(get)
+    scheme_name, rows, n_per_class = _labeled_rows(get)
     seed, out, summary_out = get("seed"), get("out"), get("summary_out")
-    balanced = {}
-    for name in sorted(rows):
-        if not rows[name]:
-            raise ConfigurationError(f"no labeled documents for set {name!r}")
-        balanced[name] = sample_balance(rows[name], n_per_class, seed, named[name])
+    balanced = {
+        name: sample_balance(set_rows, n_per_class, seed)
+        for name, set_rows in rows.items()
+    }
     write_jsonl(
         (
             {"id": page, "label": label, "set": name, "text": text}
@@ -461,7 +521,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     get = _settings(args)
-    scheme_name, named, rows, n_per_class = _labeled_rows(get)
+    scheme_name, rows, n_per_class = _labeled_rows(get)
     kind, min_df = get("kind"), get("min_df")
     train_cfg = TrainConfig(
         lam=get("lam"), epochs=get("epochs"), eta0=get("eta0"), seed=get("seed")
@@ -475,7 +535,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "vocab_size": model.tfidf.vocab_size,
         }
         for name, model, counts in _train_sets(
-            rows, named, kind, n_per_class, min_df, train_cfg, out_dir
+            rows, kind, n_per_class, min_df, train_cfg, out_dir
         )
     }
     summary = {
@@ -484,10 +544,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "kind": kind,
             "n_per_class": n_per_class if kind == "svm" else None,
             "min_df": min_df,
-            "lam": train_cfg.lam,
-            "epochs": train_cfg.epochs,
-            "eta0": train_cfg.eta0,
-            "seed": train_cfg.seed,
+            **asdict(train_cfg),
         },
         "out_dir": str(out_dir),
         "sets": sets_summary,
@@ -536,11 +593,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     get = _settings(args)
-    n_per_class = get("n_per_class")
-    if n_per_class is None:
-        n_per_class = 200
-    elif n_per_class < 1:
-        raise ConfigurationError("n_per_class must be >= 1")
+    n_per_class = _n_per_class(get) or 200
     scheme_name, seed, min_df = get("scheme"), get("seed"), get("min_df")
     workers, modes = get("workers"), list(get("modes"))
     base_cfg = LabelingConfig(**{key: get(key) for key in _LABELING})
@@ -549,26 +602,23 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(get("taxonomy"))
     corpus = _load_corpus(get("corpus"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    mapping_path = get("mapping")
-    if mapping_path is not None:
-        mapping = load_mapping(mapping_path, graph, taxonomy)
-    else:
-        mapping = map_taxonomy(taxonomy, graph)
+    mapping, named = _mapped_scheme(get, graph, taxonomy)
+    scheme = list(named.values())
     instances = _load_eval_sets(get("eval"), taxonomy)
-    named = _named_scheme(taxonomy, scheme_name)
-    scheme = [named[name] for name in sorted(named)]
     train_cfg = TrainConfig(seed=seed)
     rows_out = []
     for mode in modes:
         lab_cfg = replace(base_cfg, mode=mode)
         labeled = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
-        write_labels(labeled, graph, out_dir / f"labels.{mode}.jsonl")
+        labels_path = out_dir / f"labels.{mode}.jsonl"
+        write_labels(labeled, graph, labels_path)
         pages = graph.external_ids(labeled.page).tolist()
-        tops = labeled.tops()
+        rows = _collect_training_rows(
+            zip(pages, labeled.tops()), corpus, named, labels_path, get("corpus")
+        )
         models, n_train = {}, 0
         for name, model, counts in _train_sets(
-            _collect_training_rows(zip(pages, tops), corpus, named),
-            named, "svm", n_per_class, min_df, train_cfg, out_dir, f"{mode}.",
+            rows, "svm", n_per_class, min_df, train_cfg, out_dir, f"{mode}."
         ):
             models[name] = _predictor(model)
             n_train += sum(counts.values())

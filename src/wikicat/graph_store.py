@@ -531,14 +531,19 @@ class _Lines:
 
     def kinds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(member, subcat): whether each field of column ``k`` is exactly
-        ``member``, and whether it is exactly ``subcat``."""
-        lo, size = self.lo[:, k], len(_MEMBER_BYTES)
-        kinds = np.take(self.block, lo[:, None] + np.arange(size), mode="clip")
-        sized = self.hi[:, k] - lo == size
-        return (
-            sized & (kinds == _MEMBER_BYTES).all(axis=1),
-            sized & (kinds == _SUBCAT_BYTES).all(axis=1),
-        )
+        ``member``, and whether it is exactly ``subcat``.  Only the fields of
+        the words' length are read, one byte position at a time."""
+        lo = self.lo[:, k]
+        sized = np.flatnonzero(self.hi[:, k] - lo == len(_MEMBER_BYTES))
+        start = lo[sized]
+        is_member, is_subcat = np.ones((2, len(sized)), dtype=bool)
+        for i, (m, s) in enumerate(zip(_MEMBER_BYTES, _SUBCAT_BYTES)):
+            byte = self.block[start + i]
+            is_member &= byte == m
+            is_subcat &= byte == s
+        member, subcat = np.zeros((2, len(lo)), dtype=bool)
+        member[sized], subcat[sized] = is_member, is_subcat
+        return member, subcat
 
     def fields(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(blob, lengths): the bytes of column ``k``'s fields laid end to

@@ -1141,3 +1141,169 @@ def test_ablation_json_echoes_the_labeling_settings(wiki, tmp_path, capsys):
     assert {f.name for f in fields(LabelingConfig)} - {"mode"} <= set(configs[0])
     assert configs[0]["coverage_threshold"] == 0.3
     assert {**configs[0], "coverage_threshold": 0.5} == configs[1]
+
+
+def _fine_taxonomy(path, groups):
+    """A two-tier taxonomy file: each parent id of ``groups`` over its
+    children, whose ids are label ids of the ablation wiki or new ones."""
+    labels = []
+    for parent, kids in groups.items():
+        labels.append({"id": parent, "name": f"Parent {parent}", "parent": None})
+        labels += [{"id": kid, "name": kid.title(), "parent": parent} for kid in kids]
+    path.write_text(json.dumps({"labels": labels}), encoding="utf-8")
+    return path
+
+
+def test_train_refuses_a_set_without_pages_before_writing_any_model(
+    wiki, labels_path, tmp_path, capsys
+):
+    """Set "b", the last by name, has no labeled page."""
+    taxonomy = _fine_taxonomy(
+        tmp_path / "taxonomy.json", {"a": ["alpha", "bravo", "charlie"], "b": ["delta"]}
+    )
+    out_dir = tmp_path / "models"
+    assert main([
+        "train", "--labels", str(labels_path), "--corpus", str(wiki / "corpus.jsonl"),
+        "--taxonomy", str(taxonomy), "--scheme", "fine", "--kind", "centroid",
+        "--out-dir", str(out_dir),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"{labels_path}: no labeled documents for set 'b'" in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_sample_warns_once_per_set_with_classes_without_rows(
+    wiki, labels_path, tmp_path, caplog
+):
+    """The sets come in name order, though the taxonomy lists "b" first."""
+    taxonomy = _fine_taxonomy(
+        tmp_path / "taxonomy.json",
+        {"b": ["charlie", "yankee", "zulu"], "a": ["alpha", "bravo", "xray"]},
+    )
+    sampled = tmp_path / "sampled.jsonl"
+    with caplog.at_level(logging.WARNING):
+        assert main([
+            "sample", "--labels", str(labels_path),
+            "--corpus", str(wiki / "corpus.jsonl"), "--taxonomy", str(taxonomy),
+            "--scheme", "fine", "--n-per-class", "5", "--out", str(sampled),
+        ]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warnings == [
+        "classes with no training documents: xray",
+        "classes with no training documents: yankee, zulu",
+    ]
+    rows = [json.loads(line) for line in sampled.read_text().splitlines()]
+    assert [row["set"] for row in rows] == ["a"] * 10 + ["b"] * 5
+
+
+@pytest.mark.parametrize("name", ["../escape", "..", ".", "", "sub/dir"])
+def test_train_refuses_a_set_name_that_is_no_file_name(
+    wiki, labels_path, tmp_path, capsys, name
+):
+    taxonomy = _fine_taxonomy(
+        tmp_path / "taxonomy.json", {name: ["alpha", "bravo", "charlie"]}
+    )
+    work = tmp_path / "work"
+    assert main([
+        "train", "--labels", str(labels_path), "--corpus", str(wiki / "corpus.jsonl"),
+        "--taxonomy", str(taxonomy), "--scheme", "fine", "--kind", "centroid",
+        "--out-dir", str(work / "out" / "models"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"{taxonomy}: label {name!r} names a competition set" in err
+    assert not [p for p in work.rglob("*") if p.is_file()]
+
+
+def test_evaluate_refuses_an_eval_parent_that_is_no_file_name(
+    wiki, centroid_dir, tmp_path, capsys
+):
+    models = tmp_path / "models"
+    models.mkdir()
+    model = (centroid_dir / "coarse.centroid.json").read_bytes()
+    (models / "coarse.centroid.json").write_bytes(model)
+    (tmp_path / "escape.centroid.json").write_bytes(model)  # beside --models-dir
+    lines = (wiki / "eval.jsonl").read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[0])
+    eval_path = tmp_path / "eval.jsonl"
+    eval_path.write_text(
+        json.dumps({**row, "parent": "../escape"}) + "\n" + "\n".join(lines[1:]) + "\n",
+        encoding="utf-8",
+    )
+    assert main([
+        "evaluate", "--eval", str(eval_path), "--models-dir", str(models),
+        "--taxonomy", str(wiki / "taxonomy.json"), "--kind", "centroid",
+        "--out", str(tmp_path / "report.json"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"{eval_path}: parent '../escape' names a competition set" in err
+
+
+@pytest.mark.parametrize("command", ["train", "sample"])
+@pytest.mark.parametrize("line, file, message", [
+    pytest.param(
+        _GHOST, "labels", "label 'ghost' in labels file is not in the chosen scheme",
+        id="ghost-label",
+    ),
+    pytest.param(
+        _MISSING, "corpus", "page 999999 missing from corpus", id="missing-page"
+    ),
+])
+def test_training_row_faults_name_their_file(
+    wiki, tmp_path, capsys, command, line, file, message
+):
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(f"{_GOOD}\n{line}\n", encoding="utf-8")
+    paths = {"labels": labels, "corpus": wiki / "corpus.jsonl"}
+    out = {"train": ["--out-dir", str(tmp_path / "m")],
+           "sample": ["--out", str(tmp_path / "sampled.jsonl")]}[command]
+    assert main([
+        command, "--labels", str(labels), "--corpus", str(paths["corpus"]),
+        "--taxonomy", str(wiki / "taxonomy.json"), *out,
+    ]) == 2
+    assert f"{paths[file]}: {message}" in capsys.readouterr().err
+
+
+def test_label_fine_scheme_on_flat_taxonomy_names_the_taxonomy(wiki, tmp_path, capsys):
+    taxonomy = wiki / "taxonomy.json"
+    assert main([
+        "label", "--graph", str(wiki / "graph.bin"), "--taxonomy", str(taxonomy),
+        "--mapping", str(wiki / "mapping.json"), "--scheme", "fine",
+        "--out", str(tmp_path / "labels.jsonl"),
+    ]) == 2
+    assert f"{taxonomy}: scheme 'fine'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(
+        lambda labels: {**labels, "charlie": []},
+        "label 'charlie' is not mapped to any category", id="unmapped-label",
+    ),
+    pytest.param(
+        lambda labels: {**labels, "bravo": labels["alpha"] + labels["bravo"]},
+        "category 1 is mapped for both 'alpha' and 'bravo'", id="shared-category",
+    ),
+])
+def test_label_mapping_faults_name_the_mapping(wiki, tmp_path, capsys, edit, message):
+    doc = json.loads((wiki / "mapping.json").read_text(encoding="utf-8"))
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps({**doc, "labels": edit(doc["labels"])}))
+    assert main([
+        "label", "--graph", str(wiki / "graph.bin"),
+        "--taxonomy", str(wiki / "taxonomy.json"), "--mapping", str(mapping),
+        "--out", str(tmp_path / "labels.jsonl"),
+    ]) == 2
+    assert f"{mapping}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "labels.jsonl").exists()
+
+
+def test_predict_model_without_classes_names_the_model(
+    wiki, centroid_dir, tmp_path, capsys
+):
+    doc = json.loads((centroid_dir / "coarse.centroid.json").read_text())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**doc, "centroids": {}}))
+    assert main([
+        "predict", "--model", str(model), "--corpus", str(wiki / "corpus.jsonl"),
+        "--out", str(tmp_path / "preds.jsonl"),
+    ]) == 2
+    assert f"{model}: model has no classes" in capsys.readouterr().err
