@@ -23,7 +23,7 @@ import traceback
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Container, Iterator, Sequence
 
 from . import __version__
 from .classifiers import (
@@ -219,8 +219,12 @@ def _load_graph_arg(path: str):
     return load_snapshot(p)
 
 
-def _load_corpus(path: str | Path) -> dict[int, str]:
-    texts: dict[int, str] = {}
+def _load_corpus(
+    path: str | Path, keep: Container[int] | None = None
+) -> dict[int, str | None]:
+    """Every page of a corpus file by id, with its text, or with None for a
+    page not in ``keep`` when that is given.  Every line is checked."""
+    texts: dict[int, str | None] = {}
     for where, row in read_jsonl(path):
         if (
             not isinstance(row, dict)
@@ -230,9 +234,10 @@ def _load_corpus(path: str | Path) -> dict[int, str]:
             raise ConfigurationError(
                 f"{where}: expected an object with int 'id' and str 'text'"
             )
-        if row["id"] in texts:
-            raise ConfigurationError(f"{where}: duplicate page id {row['id']}")
-        texts[row["id"]] = row["text"]
+        page = row["id"]
+        if page in texts:
+            raise ConfigurationError(f"{where}: duplicate page id {page}")
+        texts[page] = row["text"] if keep is None or page in keep else None
     if not texts:
         raise ConfigurationError(f"{path}: no documents")
     return texts
@@ -300,73 +305,126 @@ def _n_per_class(get: Callable[[str], Any]) -> int | None:
     return n_per_class
 
 
-def _collect_training_rows(
-    tops: Iterable[tuple[int, str | None]],
-    corpus: dict[int, str],
+def _check_rows(
+    pages: list[int],
+    tops: list[str | None],
+    corpus: Container[int],
     named: dict[str, list[str]],
     labels_path: str | Path,
     corpus_path: str,
-) -> dict[str, list[tuple[int, str, str]]]:
-    """Group (page id, top label or None) pairs, read from ``labels_path``,
-    into (page id, top label, text) rows per set, in ``named``'s order.
-    Every set must have rows, and each warns once about its classes without
-    any."""
-    label_to_set = {
-        label: name for name, group in named.items() for label in group
-    }
-    rows: dict[str, list[tuple[int, str, str]]] = {name: [] for name in named}
-    skipped = 0
-    for page, top in tops:
+) -> None:
+    """Check each page id and top label (or None), read from
+    ``labels_path``, in file order: the label must be in a set of ``named``
+    and the page in the corpus.  Every set must have labeled pages, and each
+    warns once about its classes without any."""
+    in_scheme = {label for group in named.values() for label in group}
+    for page, top in zip(pages, tops):
         if top is None:
-            skipped += 1
             continue
-        set_name = label_to_set.get(top)
-        if set_name is None:
+        if top not in in_scheme:
             raise ConfigurationError(
                 f"{labels_path}: label {top!r} in labels file is not in the "
                 "chosen scheme"
             )
-        text = corpus.get(page)
-        if text is None:
+        if page not in corpus:
             raise ConfigurationError(f"{corpus_path}: page {page} missing from corpus")
-        rows[set_name].append((page, top, text))
-    if skipped:
-        logger.info("skipped %d pages with no assignment", skipped)
-    for name, set_rows in rows.items():
-        if not set_rows:
+    counts = Counter(tops)
+    if counts[None]:
+        logger.info("skipped %d pages with no assignment", counts[None])
+    for name, group in named.items():
+        if not any(counts[label] for label in group):
             raise ConfigurationError(
                 f"{labels_path}: no labeled documents for set {name!r}"
             )
-        missing = sorted(set(named[name]).difference(top for _, top, _ in set_rows))
+        missing = sorted({label for label in group if not counts[label]})
         if missing:
             logger.warning(
                 "classes with no training documents: %s", ", ".join(missing)
             )
+
+
+def _set_rows(
+    pages: list[int], tops: list[str | None], named: dict[str, list[str]]
+) -> dict[str, list[tuple[int, str, None]]]:
+    """The (page id, top label, None) rows of each set, in ``named``'s order,
+    of the pages whose top label is in a set."""
+    label_to_set = {
+        label: name for name, group in named.items() for label in group
+    }
+    rows: dict[str, list[tuple[int, str, None]]] = {name: [] for name in named}
+    for page, top in zip(pages, tops):
+        name = label_to_set.get(top)
+        if name is not None:
+            rows[name].append((page, top, None))
     return rows
 
 
-def _labeled_rows(get: Callable[[str], Any]) -> tuple:
-    """The scheme name, the labels file's (page id, top label, text) rows
-    per competition set, and ``n_per_class``, which is checked before any
-    file is read."""
+def _sample_sets(
+    rows: dict[str, list[tuple[int, str, None]]], n_per_class: int, seed: int
+) -> dict[str, list[tuple[int, str, None]]]:
+    """Each set's rows, balanced to ``n_per_class`` per class."""
+    return {
+        name: sample_balance(set_rows, n_per_class, seed)
+        for name, set_rows in rows.items()
+    }
+
+
+def _with_texts(
+    rows: dict[str, list[tuple[int, str, None]]], corpus: dict[int, str | None]
+) -> dict[str, list[tuple[int, str, str]]]:
+    """Each set's (page id, top label, text) rows."""
+    return {
+        name: [(page, top, corpus[page]) for page, top, _ in set_rows]
+        for name, set_rows in rows.items()
+    }
+
+
+def _labeled_rows(
+    get: Callable[[str], Any], own: Callable[[], tuple[int | None, Any]]
+) -> tuple[str, dict[str, list[tuple[int, str, str]]], int, Any]:
+    """The scheme name, the (page id, top label, text) rows each competition
+    set trains on, ``n_per_class`` (checked before any file is read) and the
+    command's own settings, which ``own()`` resolves and returns with the
+    seed to sample each set with, or None to keep every row.
+
+    The sample is drawn before the corpus is read, so only its texts are
+    kept.  If a setting it needs does not resolve, every labeled text is
+    kept, and the error is raised where it always was: after the corpus and
+    the rows are checked, where the settings are resolved again.
+    """
     n_per_class = _n_per_class(get)
     taxonomy = load_taxonomy(get("taxonomy"))
     pages, tops = read_labels(get("labels"))
-    corpus = _load_corpus(get("corpus"))
+
+    def resolve() -> tuple[int, int | None, Any]:
+        # Coarse sets span the whole corpus; fine sets are per parent.
+        default = 20_000 if get("scheme") == COARSE_SET else 1_000
+        return (n_per_class or default, *own())
+
+    drawn = None
+    try:
+        named = _named_scheme(get, taxonomy)
+        n, seed, _ = resolve()
+        if seed is not None:
+            drawn = _sample_sets(_set_rows(pages, tops, named), n, seed)
+    except WikicatError:
+        pass  # raised again below, after the corpus and the rows are checked
+    if drawn is None:
+        keep = {page for page, top in zip(pages, tops) if top is not None}
+    else:
+        keep = {page for set_rows in drawn.values() for page, _, _ in set_rows}
+    corpus = _load_corpus(get("corpus"), keep)
     named = _named_scheme(get, taxonomy)
-    rows = _collect_training_rows(
-        zip(pages, tops), corpus, named, get("labels"), get("corpus")
-    )
-    scheme_name = get("scheme")
-    # Coarse sets span the whole corpus; fine sets are per parent.
-    default = 20_000 if scheme_name == COARSE_SET else 1_000
-    return scheme_name, rows, n_per_class or default
+    _check_rows(pages, tops, corpus, named, get("labels"), get("corpus"))
+    n, seed, settings = resolve()
+    # drawn is set when seed is: every setting the draw read resolved there too
+    rows = _set_rows(pages, tops, named) if seed is None else drawn
+    return get("scheme"), _with_texts(rows, corpus), n, settings
 
 
 def _train_sets(
     rows: dict[str, list[tuple[int, str, str]]],
     kind: str,
-    n_per_class: int,
     min_df: int,
     train_cfg: TrainConfig,
     out_dir: Path,
@@ -376,8 +434,6 @@ def _train_sets(
     save each as ``out_dir/<prefix><set>.<kind>.json`` and yield it with its
     set name and class counts, so a caller keeps only the models it needs."""
     for name, set_rows in rows.items():
-        if kind == "svm":
-            set_rows = sample_balance(set_rows, n_per_class, train_cfg.seed)
         labels = [label for _, label, _ in set_rows]
         counts = Counter(labels)
         tfidf = fit_tfidf((text for _, _, text in set_rows), min_df=min_df)
@@ -492,16 +548,16 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     get = _settings(args)
-    scheme_name, rows, n_per_class = _labeled_rows(get)
-    seed, out, summary_out = get("seed"), get("out"), get("summary_out")
-    balanced = {
-        name: sample_balance(set_rows, n_per_class, seed)
-        for name, set_rows in rows.items()
-    }
+
+    def own() -> tuple[int, tuple]:
+        seed = get("seed")
+        return seed, (seed, get("out"), get("summary_out"))
+
+    scheme_name, rows, n_per_class, (seed, out, summary_out) = _labeled_rows(get, own)
     write_jsonl(
         (
             {"id": page, "label": label, "set": name, "text": text}
-            for name, set_rows in balanced.items()
+            for name, set_rows in rows.items()
             for page, label, text in set_rows
         ),
         out,
@@ -513,7 +569,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "seed": seed,
         },
         "out": out,
-        "rows": sum(map(len, balanced.values())),
+        "rows": sum(map(len, rows.values())),
     }
     _emit(summary, summary_out)
     return 0
@@ -521,11 +577,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     get = _settings(args)
-    scheme_name, rows, n_per_class = _labeled_rows(get)
-    kind, min_df = get("kind"), get("min_df")
-    train_cfg = TrainConfig(
-        lam=get("lam"), epochs=get("epochs"), eta0=get("eta0"), seed=get("seed")
-    )
+
+    def own() -> tuple[int | None, tuple]:
+        kind, min_df = get("kind"), get("min_df")
+        train_cfg = TrainConfig(
+            lam=get("lam"), epochs=get("epochs"), eta0=get("eta0"), seed=get("seed")
+        )
+        return (train_cfg.seed if kind == "svm" else None), (kind, min_df, train_cfg)
+
+    scheme_name, rows, n_per_class, (kind, min_df, train_cfg) = _labeled_rows(get, own)
     out_dir = Path(get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     sets_summary = {
@@ -534,9 +594,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "n_train": sum(counts.values()),
             "vocab_size": model.tfidf.vocab_size,
         }
-        for name, model, counts in _train_sets(
-            rows, kind, n_per_class, min_df, train_cfg, out_dir
-        )
+        for name, model, counts in _train_sets(rows, kind, min_df, train_cfg, out_dir)
     }
     summary = {
         "config": {
@@ -612,13 +670,14 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         labeled = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
         labels_path = out_dir / f"labels.{mode}.jsonl"
         write_labels(labeled, graph, labels_path)
-        pages = graph.external_ids(labeled.page).tolist()
-        rows = _collect_training_rows(
-            zip(pages, labeled.tops()), corpus, named, labels_path, get("corpus")
+        pages, tops = graph.external_ids(labeled.page).tolist(), labeled.tops()
+        _check_rows(pages, tops, corpus, named, labels_path, get("corpus"))
+        rows = _with_texts(
+            _sample_sets(_set_rows(pages, tops, named), n_per_class, seed), corpus
         )
         models, n_train = {}, 0
         for name, model, counts in _train_sets(
-            rows, "svm", n_per_class, min_df, train_cfg, out_dir, f"{mode}."
+            rows, "svm", min_df, train_cfg, out_dir, f"{mode}."
         ):
             models[name] = _predictor(model)
             n_train += sum(counts.values())

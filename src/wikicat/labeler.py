@@ -529,10 +529,11 @@ def read_labels(path: str | Path) -> tuple[list[int], list[str | None]]:
     assignment), in file order, read in full.
 
     Every line is checked to hold an int ``page`` and ``assignments`` with a
-    str ``label`` each.
+    str ``label`` each.  Records with the same top label share one str.
     """
     pages: list[int] = []
     tops: list[str | None] = []
+    seen: dict[str, str] = {}
     for where, rec in read_jsonl(path):
         if not _is_labels_row(rec):
             raise ConfigurationError(
@@ -541,5 +542,9 @@ def read_labels(path: str | Path) -> tuple[list[int], list[str | None]]:
             )
         assignments = rec["assignments"]
         pages.append(rec["page"])
-        tops.append(assignments[0]["label"] if assignments else None)
+        if assignments:
+            top = assignments[0]["label"]
+            tops.append(seen.setdefault(top, top))
+        else:
+            tops.append(None)
     return pages, tops

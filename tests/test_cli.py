@@ -1,10 +1,12 @@
 import json
 import logging
 import os
+import random
 import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -1307,3 +1309,32 @@ def test_predict_model_without_classes_names_the_model(
         "--out", str(tmp_path / "preds.jsonl"),
     ]) == 2
     assert f"{model}: model has no classes" in capsys.readouterr().err
+
+
+def test_svm_train_keeps_only_the_sampled_texts(tmp_path, capsys):
+    """400 pages of 8 KB each; the sample trains on 2 per class, so the
+    traced peak stays far below the corpus' texts."""
+    rng = random.Random(0)
+    words = [f"{w}{i}" for w in ("alpha", "bravo", "delta") for i in range(40)]
+    texts = [" ".join(rng.choices(words, k=1300))[:8192] for _ in range(400)]
+    taxonomy = _fine_taxonomy(tmp_path / "taxonomy.json", {"alpha": [], "bravo": []})
+    corpus, labels = tmp_path / "corpus.jsonl", tmp_path / "labels.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": page, "text": text}) + "\n" for page, text in enumerate(texts)
+    ), encoding="utf-8")
+    labels.write_text("".join(
+        _label_line(page, ("alpha", "bravo")[page % 2]) + "\n" for page in range(400)
+    ), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert main([
+            "train", "--labels", str(labels), "--corpus", str(corpus),
+            "--taxonomy", str(taxonomy), "--kind", "svm", "--n-per-class", "2",
+            "--out-dir", str(tmp_path / "models"),
+        ]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text_bytes = sum(map(len, texts))
+    assert text_bytes > 3_000_000
+    assert peak < text_bytes / 4, (peak, text_bytes)

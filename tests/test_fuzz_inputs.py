@@ -1,11 +1,13 @@
 """A seeded structural fuzz of the JSON inputs of the subcommands.
 
 Each case replaces one value of one input (``taxonomy.json``,
-``mapping.json``, a model file, or the first line of ``labels.jsonl``,
-``corpus.jsonl`` or ``eval.jsonl``) with one of a fixed set of JSON values,
-then runs, in process, every subcommand among map, label, train, sample,
-predict and evaluate that reads the file.  A run must exit 0 or 2, never 3,
-and every exit-2 message must name a path given on the command line.
+``mapping.json``, a model file, the first or last line of ``labels.jsonl``
+or ``corpus.jsonl``, or the first line of ``eval.jsonl``) with one of a
+fixed set of JSON values, then runs, in process, every subcommand among
+map, label, train (centroid, and svm with a sample that skips most pages),
+sample, predict and evaluate that reads the file.  A run must exit 0 or 2,
+never 3, and every exit-2 message must name a path given on the command
+line.
 
 ``cases`` lists every case of an input; the test runs a fixed, seeded
 sample of them per input, which keeps it to a few seconds.
@@ -28,39 +30,47 @@ from wikicat.synth import make_ablation_wiki
 # wiki and a string that is not a file name.
 VALUES = (None, True, 0, 1, -1, 2**64, 0.5, "", "alpha", "../x", [], {})
 
-# Each fuzzed input: its file under the wiki, whether only its first line is
-# fuzzed, and the subcommands that read it.
+# Each fuzzed input: its file under the wiki, the lines fuzzed (None for the
+# whole document), and the runs that read it.
+TRAINING = ("train", "train-svm", "sample")
 INPUTS = {
-    "taxonomy": (
-        "taxonomy.json", False, ("map", "label", "train", "sample", "evaluate")
-    ),
-    "mapping": ("mapping.json", False, ("label",)),
-    "model": ("models/coarse.centroid.json", False, ("predict", "evaluate")),
-    "labels": ("labels.jsonl", True, ("train", "sample")),
-    "corpus": ("corpus.jsonl", True, ("train", "sample", "predict")),
-    "eval": ("eval.jsonl", True, ("evaluate",)),
+    "taxonomy": ("taxonomy.json", None, ("map", "label", *TRAINING, "evaluate")),
+    "mapping": ("mapping.json", None, ("label",)),
+    "model": ("models/coarse.centroid.json", None, ("predict", "evaluate")),
+    "labels": ("labels.jsonl", (0, -1), TRAINING),
+    "corpus": ("corpus.jsonl", (0, -1), (*TRAINING, "predict")),
+    "eval": ("eval.jsonl", (0,), ("evaluate",)),
 }
 
-# Each subcommand's flags: an input's name stands for its path, an "out"
+# Each run's command line: an input's name stands for its path, an "out"
 # name for a path in the case's own directory.
 COMMANDS = {
-    "map": ("--graph", "graph", "--taxonomy", "taxonomy", "--out", "out/mapping.json"),
+    "map": (
+        "map", "--graph", "graph", "--taxonomy", "taxonomy",
+        "--out", "out/mapping.json",
+    ),
     "label": (
-        "--graph", "graph", "--taxonomy", "taxonomy", "--mapping", "mapping",
+        "label", "--graph", "graph", "--taxonomy", "taxonomy", "--mapping", "mapping",
         "--out", "out/labels.jsonl",
     ),
     "train": (
-        "--labels", "labels", "--corpus", "corpus", "--taxonomy", "taxonomy",
+        "train", "--labels", "labels", "--corpus", "corpus", "--taxonomy", "taxonomy",
         "--kind", "centroid", "--out-dir", "out/models",
     ),
+    "train-svm": (
+        "train", "--labels", "labels", "--corpus", "corpus", "--taxonomy", "taxonomy",
+        "--kind", "svm", "--n-per-class", "2", "--out-dir", "out/models",
+    ),
     "sample": (
-        "--labels", "labels", "--corpus", "corpus", "--taxonomy", "taxonomy",
+        "sample", "--labels", "labels", "--corpus", "corpus", "--taxonomy", "taxonomy",
         "--n-per-class", "5", "--out", "out/sample.jsonl",
     ),
-    "predict": ("--model", "model", "--corpus", "corpus", "--out", "out/preds.jsonl"),
+    "predict": (
+        "predict", "--model", "model", "--corpus", "corpus", "--out", "out/preds.jsonl",
+    ),
     "evaluate": (
-        "--eval", "eval", "--models-dir", "models", "--taxonomy", "taxonomy",
-        "--kind", "centroid", "--out", "out/report.json",
+        "evaluate", "--eval", "eval", "--models-dir", "models", "--taxonomy",
+        "taxonomy", "--kind", "centroid", "--out", "out/report.json",
     ),
 }
 
@@ -118,26 +128,36 @@ def build_wiki(d: Path) -> dict[str, Path]:
     return paths
 
 
-def cases(paths: dict[str, Path], name: str) -> list[tuple[tuple, Any]]:
-    """Every (path in the document, value) substitution of the input ``name``."""
+def cases(paths: dict[str, Path], name: str) -> list[tuple[int | None, tuple, Any]]:
+    """Every (line, path in the document, value) substitution of the input
+    ``name``; the line is None for a whole document."""
     text = paths[name].read_text(encoding="utf-8")
-    doc = json.loads(text.splitlines()[0] if INPUTS[name][1] else text)
-    return [(path, value) for path in positions(doc) for value in VALUES]
+    lines = INPUTS[name][1]
+    if lines is None:
+        docs = [(None, json.loads(text))]
+    else:
+        docs = [(line, json.loads(text.splitlines()[line])) for line in lines]
+    return [
+        (line, path, value)
+        for line, doc in docs for path in positions(doc) for value in VALUES
+    ]
 
 
 def run_case(
-    paths: dict[str, Path], work: Path, name: str, path: tuple, value: Any, capsys
+    paths: dict[str, Path], work: Path, name: str, line: int | None, path: tuple,
+    value: Any, capsys,
 ) -> list[tuple[list[str], int, str]]:
-    """Write the input ``name`` with ``path`` replaced by ``value`` into
-    ``work``, run every subcommand that reads it, and return each one's
-    (command, exit code, stderr)."""
-    file, first_line, commands = INPUTS[name]
+    """Write the input ``name`` with ``path`` of its ``line`` replaced by
+    ``value`` into ``work``, run every subcommand that reads it, and return
+    each one's (command, exit code, stderr)."""
+    file, _, commands = INPUTS[name]
     text = paths[name].read_text(encoding="utf-8")
-    if first_line:
-        head, rest = text.split("\n", 1)
-        new = json.dumps(replaced(json.loads(head), path, value)) + "\n" + rest
-    else:
+    if line is None:
         new = json.dumps(replaced(json.loads(text), path, value))
+    else:
+        lines = text.splitlines()
+        lines[line] = json.dumps(replaced(json.loads(lines[line]), path, value))
+        new = "".join(item + "\n" for item in lines)
     models = work / "models"
     models.mkdir(parents=True, exist_ok=True)
     (work / "out").mkdir(exist_ok=True)
@@ -148,7 +168,7 @@ def run_case(
     fuzzed[name].write_text(new, encoding="utf-8")
     results = []
     for command in commands:
-        argv = [command] + [
+        argv = [
             str(fuzzed[arg]) if arg in fuzzed
             else str(work / arg) if arg.startswith("out/") else arg
             for arg in COMMANDS[command]
@@ -182,6 +202,6 @@ def test_fuzzed_input_exits_0_or_2_naming_a_file(wiki_inputs, tmp_path, capsys, 
         every, min(SAMPLE_PER_INPUT, len(every))
     )
     bad = []
-    for path, value in sample:
-        bad += faults(run_case(wiki_inputs, tmp_path, name, path, value, capsys))
+    for line, path, value in sample:
+        bad += faults(run_case(wiki_inputs, tmp_path, name, line, path, value, capsys))
     assert not bad, "\n".join(bad)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import networkx as nx
@@ -650,6 +651,18 @@ def test_build_competition_sets_checks_overlap(make_graph):
 
 
 # ------------------------------------------------------------ serialization
+
+
+def test_read_labels_shares_one_str_per_label(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    path.write_text("".join(
+        json.dumps({"assignments": [{"label": label}] if label else [], "page": page})
+        + "\n"
+        for page, label in enumerate(["trucks", "suvs", None, "trucks", "suvs"])
+    ), encoding="utf-8")
+    pages, tops = read_labels(path)
+    assert tops == ["trucks", "suvs", None, "trucks", "suvs"]
+    assert tops[0] is tops[3] and tops[1] is tops[4]
 
 
 def test_labels_round_trip(suvs_graph, suvs_taxonomy, tmp_path):
