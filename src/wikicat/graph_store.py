@@ -18,15 +18,17 @@ category's children, strictly ascending, which places subcategory children
 ahead of member pages.  Pages are leaves.  No reverse CSR is kept: a node's
 number of parents is its in-degree, counted once per graph.
 
-One reader parses all four files with numpy, about a mebibyte of lines at
-a time, and checks each file whole before it opens the next.  Lines are
-the ones text mode gives: ``\\n``, ``\\r\\n`` and a lone ``\\r`` end a line,
-and so does the end of the file.  Ids of ASCII ``-?[0-9]{1,18}`` are
-parsed as arrays, and any other id by ``int()``, so ``+5``, `` 5`` and
-``1_0`` are ids too.  Every check is a boolean column over the lines.  The
-first line that fails one is named as ``file:line``, with the message of
-the first check it fails in the order each loader lists them.  A file
-that is not UTF-8 is reported as such before any other fault in it.
+One reader parses all four files with numpy, about 256 KiB of lines at a
+time, and checks each file whole before it opens the next.  It holds one
+block of the file, never all of it, and the columns parsed so far, each one
+array grown in place.  Lines are the ones text mode gives: ``\\n``,
+``\\r\\n`` and a lone ``\\r`` end a line, and so does the end of the file.
+Ids of ASCII ``-?[0-9]{1,18}`` are parsed as arrays, and any other id by
+``int()``, so ``+5``, `` 5`` and ``1_0`` are ids too.  Every check is a
+boolean column over the lines.  The first line that fails one is named as
+``file:line``, with the message of the first check it fails in the order
+each loader lists them.  A file that is not UTF-8 is reported as such
+before any other fault in it.
 
 Names are kept as one UTF-8 blob and int64 offsets (``Names``): name ``i``
 is ``blob[offsets[i]:offsets[i + 1]]``, decoded only when it is read.
@@ -72,8 +74,10 @@ _V2_MAGIC = b"WCG2"
 _V2_HEADER = struct.Struct("<4sI7Q")
 
 _INT64 = np.iinfo(np.int64)
-# The reader's per-byte temporaries are sized by this block.
-_BLOCK_BYTES = 1 << 20
+# The reader holds one block of a file at a time, besides the growing
+# columns it parses into.  Its temporaries, about twelve times a block of
+# edges, are sized by it.
+_BLOCK_BYTES = 1 << 18
 _MAX_DIGITS = 18  # every -?[0-9]{1,18} fits int64
 _SUBCAT_BYTES = np.frombuffer(SUBCAT.encode(), np.uint8)
 _MEMBER_BYTES = np.frombuffer(MEMBER.encode(), np.uint8)
@@ -241,6 +245,7 @@ def load_graph(
         Path(pages), "page", False
     )
     keys, dropped_edges = _load_edges(Path(edges), cat_index, page_index, strict)
+    del page_index  # only the edges look pages up
     indptr, indices = _csr(keys, len(cat_ids) + len(page_ids))
 
     aliases: dict[str, int] = {}
@@ -266,14 +271,26 @@ def load_graph(
 
 
 def _csr(keys: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Forward CSR of the distinct edges among ``parent * n_nodes + child``."""
-    keys = np.sort(keys)
-    if len(keys):
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    parents, children = np.divmod(keys, n_nodes)
-    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(parents, minlength=n_nodes), out=indptr[1:])
-    return indptr, children.astype(np.int32)
+    """Forward CSR of the distinct edges among ``parent * n_nodes + child``.
+
+    ``keys`` must own its memory and have no views: it is sorted in place,
+    and its memory becomes ``indices``.  A block of keys at a time, the
+    distinct ones' children are written as int32 over keys already read, so
+    no second array of the edges is made.
+    """
+    keys.sort()
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    # row u starts at the first key of parent u or above, less the repeats
+    indptr = np.searchsorted(keys, np.arange(n_nodes + 1, dtype=np.int64) * n_nodes)
+    indptr -= np.searchsorted(np.flatnonzero(~new), indptr)
+    n, step = 0, max(1, _BLOCK_BYTES // keys.itemsize)
+    for lo in range(0, len(keys), step):
+        children = keys[lo : lo + step][new[lo : lo + step]] % n_nodes
+        keys.view(np.int32)[n : n + len(children)] = children
+        n += len(children)
+    keys.resize((n + 1) // 2, refcheck=False)
+    return indptr, keys.view(np.int32)[:n]
 
 
 _Check = tuple[np.ndarray, Callable[[int], str]]  # failing rows, row i's message
@@ -420,70 +437,101 @@ def _scan(
     """Parse a TSV file block by block, up to the block of its first fault.
 
     ``parse(lines)`` gives a block's columns, one value a line each, and
-    its checks in the order they apply.  Returns each column joined over the
+    its checks in the order they apply.  Returns each column over the
     blocks read, so that row ``i`` is line ``i + 1``, and the fault or None.
+    Each column is one array, grown in place by about a quarter when a
+    block does not fit; a name column's bytes fill at their own pace.
     """
-    parts, fault = [], None
+    columns: list[np.ndarray] = []
+    fills: list[int] = []
+    fault = None
     for lines, offset, short in _line_blocks(path, n_fields):
-        columns, checks = parse(lines)
-        parts.append(columns)
+        parts, checks = parse(lines)
+        if not columns:
+            columns = [np.empty(0, part.dtype) for part in parts]
+            fills = [0] * len(parts)
+        for k, (column, part) in enumerate(zip(columns, parts)):
+            fill = fills[k] + len(part)
+            if fill > len(column):
+                column.resize(max(fill, len(column) * 5 // 4), refcheck=False)
+            column[fills[k] : fill] = part
+            fills[k] = fill
         fault = _first_fault(checks)
         if fault is None and short is not None:
             fault = (len(lines.lo), short)
         if fault is not None:
             fault = (offset + fault[0], fault[1])
             break
-    del lines, checks  # views of the whole file, which the columns outlive
-    return [np.concatenate(column) for column in zip(*parts)], fault
+    for column, fill in zip(columns, fills):
+        column.resize(fill, refcheck=False)
+    return columns, fault
 
 
 def _line_blocks(path: Path, n_fields: int) -> Iterator[tuple[_Lines, int, str | None]]:
     """(lines, row, short) for blocks of about ``_BLOCK_BYTES`` of the file's
     lines: ``row`` is the row of the block's first line, and ``short`` is
     None or the fault of the first line without ``n_fields`` fields, which
-    the block, the last, stops before.  An empty file is one empty block."""
-    data = path.read_bytes()
-    bad = _utf8_fault(data)
+    the block, the last, stops before.
+
+    The file is read one block at a time.  The part of a line after a
+    block's last newline is carried into the next read, and so is a
+    ``\\r`` at the block's end, which may start a ``\\r\\n``.  A read takes at
+    least as many bytes as are carried, so a line longer than a block costs
+    time linear in its length.  A block may be empty, and the last one ends
+    at the end of the file."""
+    bad = _utf8_fault(path)
     if bad is not None:
         raise GraphFormatError(f"{path}: not UTF-8: {bad}")
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if data[-1:] not in (b"", b"\n"):
-        data += b"\n"
-    whole = np.frombuffer(data, dtype=np.uint8)
-    start, row = 0, 0
-    while True:
-        stop = data.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
-        if stop <= start < len(data):  # one line longer than a block
-            stop = data.index(b"\n", start + _BLOCK_BYTES) + 1
-        block = whole[start:stop]
-        seps = np.flatnonzero((block == 9) | (block == 10))
-        ends = np.flatnonzero(block[seps] == 10)
-        tabs = np.diff(ends, prepend=-1) - 1
-        short = None
-        if (tabs != n_fields - 1).any():
-            n = int((tabs != n_fields - 1).argmax())
-            short = f"expected {n_fields} tab-separated fields, got {tabs[n] + 1}"
-            seps = seps[: n * n_fields]
-        yield _Lines(block, seps.reshape(-1, n_fields)), row, short
-        if short is not None or stop == len(data):
-            return
-        start, row = stop, row + len(ends)
+    with open(path, "rb") as fh:
+        rest, row = b"", 0
+        while True:
+            read = fh.read(max(_BLOCK_BYTES, len(rest)))
+            data, rest = rest + read, b""
+            if read and data.endswith(b"\r"):
+                data, rest = data[:-1], b"\r"
+            if b"\r" in data:
+                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if not read and data[-1:] not in (b"", b"\n"):
+                data += b"\n"
+            stop = data.rfind(b"\n") + 1
+            rest = data[stop:] + rest
+            block = np.frombuffer(data, np.uint8, stop)
+            seps = np.flatnonzero((block == 9) | (block == 10))
+            ends = np.flatnonzero(block[seps] == 10)
+            tabs = np.diff(ends, prepend=-1) - 1
+            short = None
+            if (tabs != n_fields - 1).any():
+                n = int((tabs != n_fields - 1).argmax())
+                short = f"expected {n_fields} tab-separated fields, got {tabs[n] + 1}"
+                seps = seps[: n * n_fields]
+            yield _Lines(block, seps.reshape(-1, n_fields)), row, short
+            if short is not None or not read:
+                return
+            row += len(ends)
 
 
-def _utf8_fault(data: bytes) -> UnicodeDecodeError | None:
-    """The first bytes of ``data`` that are not UTF-8, placed in the whole
-    of it, or None; decoded a block at a time."""
-    view, start = memoryview(data), 0
-    while start < len(data):
-        stop = start + max(_BLOCK_BYTES, 4)  # at least one whole character
-        try:
-            start += codecs.utf_8_decode(view[start:stop], None, stop >= len(data))[1]
-        except UnicodeDecodeError as exc:
-            return UnicodeDecodeError(
-                "utf-8", data, start + exc.start, start + exc.end, exc.reason
-            )
-    return None
+def _utf8_fault(path: Path) -> str | None:
+    """The decoder's message for the first bytes of the file that are not
+    UTF-8, with their position in the whole file, or None.  The file is
+    decoded a block at a time, and a character cut by a block's end is
+    carried into the next."""
+    with open(path, "rb") as fh:
+        done, rest = 0, b""
+        while True:
+            read = fh.read(_BLOCK_BYTES)
+            data = rest + read
+            try:
+                used = codecs.utf_8_decode(data, None, not read)[1]
+            except UnicodeDecodeError as exc:  # str(exc), placed in the file
+                at, bad = done + exc.start, data[exc.start : exc.end]
+                where = (
+                    f"byte 0x{bad[0]:02x} in position {at}" if len(bad) == 1
+                    else f"bytes in position {at}-{at + len(bad) - 1}"
+                )
+                return f"'utf-8' codec can't decode {where}: {exc.reason}"
+            if not read:
+                return None
+            done, rest = done + used, data[used:]
 
 
 class _Lines:

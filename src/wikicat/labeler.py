@@ -30,8 +30,10 @@ the cap.
 The labels stay columns from the labeler to the trainer.  ``label_corpus``
 returns a ``CorpusLabels``: per record a page and an offset into per-row
 label, raw weight, normalized weight and depth columns.  ``write_labels``
-formats each JSON line from those columns, and ``read_labels`` returns only
-what training uses, each record's (external page id, top label or None).
+formats each JSON line from those columns, and writes a bounded run of
+records at a time, so it never holds the whole file's text.
+``read_labels`` returns only what training uses, each record's (external
+page id, top label or None).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .taxonomy_mapper import CategoryMapping, Taxonomy
 
 MODES = ("full", "child_only", "all_descendants", "min_dist", "no_pruning")
 PATH_MODES = ("dag", "exact")
+_RECORDS_PER_RUN = 4096  # records formatted per written run of labels.jsonl
 
 
 @dataclass(frozen=True)
@@ -488,28 +491,33 @@ def _float_texts(column: np.ndarray) -> list[str]:
 
 def write_labels(labeled: CorpusLabels, graph: CategoryGraph, path: str | Path) -> None:
     """One JSON line per record, formatted from the columns: the bytes that
-    ``write_jsonl`` gives each record as a dict with external page ids."""
+    ``write_jsonl`` gives each record as a dict with external page ids.
+    Records are formatted and written ``_RECORDS_PER_RUN`` at a time."""
     label_texts = [json_text(name) for name in labeled.labels]
-    rows = [
-        f'{{"depth": {depth}, "label": {label_texts[lab]}, '
-        f'"w_norm": {w_norm}, "w_raw": {w_raw}}}'
-        for depth, lab, w_norm, w_raw in zip(
-            labeled.depth.tolist(),
-            labeled.label.tolist(),
-            _float_texts(labeled.w_norm),
-            _float_texts(labeled.w_raw),
-        )
-    ]
     tail = f'], "mode": {json_text(labeled.mode)}, "page": '
-    bounds = labeled.start.tolist()
-    pages = graph.external_ids(labeled.page).tolist()
-    write_lines(
-        (
-            f'{{"assignments": [{", ".join(rows[lo:hi])}{tail}{page}}}\n'
-            for page, lo, hi in zip(pages, bounds, bounds[1:])
-        ),
-        path,
-    )
+
+    def runs() -> Iterator[str]:
+        for lo in range(0, len(labeled), _RECORDS_PER_RUN):
+            pages = graph.external_ids(labeled.page[lo : lo + _RECORDS_PER_RUN])
+            start = labeled.start[lo : lo + _RECORDS_PER_RUN + 1]
+            first, last = int(start[0]), int(start[-1])
+            rows = [
+                f'{{"depth": {depth}, "label": {label_texts[lab]}, '
+                f'"w_norm": {w_norm}, "w_raw": {w_raw}}}'
+                for depth, lab, w_norm, w_raw in zip(
+                    labeled.depth[first:last].tolist(),
+                    labeled.label[first:last].tolist(),
+                    _float_texts(labeled.w_norm[first:last]),
+                    _float_texts(labeled.w_raw[first:last]),
+                )
+            ]
+            bounds = (start - first).tolist()
+            yield "".join(
+                f'{{"assignments": [{", ".join(rows[i:j])}{tail}{page}}}\n'
+                for page, i, j in zip(pages.tolist(), bounds, bounds[1:])
+            )
+
+    write_lines(runs(), path)
 
 
 def _is_labels_row(rec) -> bool:

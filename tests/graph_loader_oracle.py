@@ -1,7 +1,9 @@
 """Reference TSV loader for ``graph_store.load_graph``: the line parser.
 
 It reads each file in text mode one line at a time, parses ids with
-``int()`` and names the first bad line as ``file:line``.  The differential
+``int()`` and names the first bad line as ``file:line``.  It builds the
+adjacency from a set of (parent, child) pairs, apart from ``load_graph``'s
+sort of edge keys.  The differential
 tests require ``load_graph`` to give the same graph and snapshot bytes, or
 the same error text.  The one allowed difference is where a file that is
 not UTF-8 fails: text mode finds a bad byte when its decoder reads the 8 KB
@@ -16,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from wikicat.exceptions import GraphFormatError
-from wikicat.graph_store import MEMBER, SUBCAT, CategoryGraph, _csr
+from wikicat.graph_store import MEMBER, SUBCAT, CategoryGraph
 
 _INT64 = np.iinfo(np.int64)
 
@@ -31,10 +33,10 @@ def load_graph_lines(
 ) -> CategoryGraph:
     cat_external, cat_names = _load_id_name(Path(categories), "category", True)
     page_external, page_titles = _load_id_name(Path(pages), "page", False)
-    keys, dropped_edges = _load_edges(
+    edge_set, dropped_edges = _load_edges(
         Path(edges), cat_external, page_external, strict
     )
-    indptr, indices = _csr(keys, len(cat_names) + len(page_titles))
+    indptr, indices = _csr(edge_set, len(cat_names) + len(page_titles))
     aliases: dict[str, int] = {}
     dropped_aliases = 0
     if redirects is not None:
@@ -51,6 +53,15 @@ def load_graph_lines(
         dropped_edges,
         dropped_aliases,
     )
+
+
+def _csr(edges: set[tuple[int, int]], n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Forward CSR of the (parent, child) node pairs."""
+    children: list[list[int]] = [[] for _ in range(n_nodes)]
+    for parent, child in sorted(edges):
+        children[parent].append(child)
+    indptr = np.cumsum([0] + [len(row) for row in children], dtype=np.int64)
+    return indptr, np.array([c for row in children for c in row], dtype=np.int32)
 
 
 def _iter_tsv(path: Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
@@ -108,12 +119,11 @@ def _load_id_name(
 
 def _load_edges(
     path: Path, cat_external: np.ndarray, page_external: np.ndarray, strict: bool
-) -> tuple[np.ndarray, int]:
+) -> tuple[set[tuple[int, int]], int]:
     n_cats = len(cat_external)
     cat_by_ext = {int(e): i for i, e in enumerate(cat_external)}
     page_by_ext = {int(e): n_cats + i for i, e in enumerate(page_external)}
-    parents: list[int] = []
-    children: list[int] = []
+    edges: set[tuple[int, int]] = set()
     dropped = 0
     for lineno, (raw_p, raw_c, kind) in _iter_tsv(path, 3):
         p_ext = _parse_int(path, lineno, raw_p, "parent id")
@@ -142,13 +152,8 @@ def _load_edges(
                 )
             dropped += 1
             continue
-        parents.append(parent)
-        children.append(child)
-    n_nodes = n_cats + len(page_external)
-    keys = np.asarray(parents, dtype=np.int64) * n_nodes + np.asarray(
-        children, dtype=np.int64
-    )
-    return keys, dropped
+        edges.add((parent, child))
+    return edges, dropped
 
 
 def _load_redirects(

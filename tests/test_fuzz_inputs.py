@@ -11,6 +11,12 @@ line.
 
 ``cases`` lists every case of an input; the test runs a fixed, seeded
 sample of them per input, which keeps it to a few seconds.
+
+The four TSV inputs of ``build-graph`` (categories, pages, edges and
+redirects) are fuzzed at the byte level instead: a case flips a bit,
+inserts a byte, deletes bytes or truncates the file, at a seeded place.
+``build-graph`` runs in process, strict and lenient, and must exit 0, or
+exit 2 naming a TSV as ``file:line`` or ``file: not UTF-8``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import re
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -204,4 +211,89 @@ def test_fuzzed_input_exits_0_or_2_naming_a_file(wiki_inputs, tmp_path, capsys, 
     bad = []
     for line, path, value in sample:
         bad += faults(run_case(wiki_inputs, tmp_path, name, line, path, value, capsys))
+    assert not bad, "\n".join(bad)
+
+
+# ------------------------------------------------------------ TSV bytes
+
+TSVS = ("categories", "pages", "edges", "redirects")
+MUTATIONS = ("flip", "insert", "delete", "truncate")
+CASES_PER_MUTATION = 250
+TSV_SAMPLE_PER_INPUT = 40
+# Inserted bytes: the separators, bytes that are never or only inside
+# UTF-8 characters, and the characters of ids and kinds.
+INSERTS = b"\t\n\r\x00\x80\xc3\xe2\xf0\xff -+_0579emsu"
+
+
+def build_tsvs(d: Path) -> dict[str, Path]:
+    """The ablation wiki's TSVs (seed 0) and a redirects file: an alias for
+    each of its first categories, one of them named twice for one target."""
+    make_ablation_wiki(d, seed=0)
+    text = (d / "categories.tsv").read_text(encoding="utf-8")
+    rows = [line.split("\t") for line in text.splitlines()[:6]]
+    lines = [f"{name} (alias)\t{category}\n" for category, name in rows]
+    (d / "redirects.tsv").write_text("".join(lines + lines[:1]), encoding="utf-8")
+    return {name: d / f"{name}.tsv" for name in TSVS}
+
+
+def tsv_cases(name: str) -> list[tuple[str, str, int]]:
+    """Every (input, mutation, seed) case of the TSV input ``name``."""
+    return [
+        (name, mutation, seed)
+        for mutation in MUTATIONS for seed in range(CASES_PER_MUTATION)
+    ]
+
+
+def mutated(data: bytes, mutation: str, seed: int) -> bytes:
+    """``data`` with one seeded byte-level mutation at a byte of it."""
+    rng = random.Random(f"{mutation}:{seed}")
+    at = rng.randrange(len(data))
+    if mutation == "flip":
+        return data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1 :]
+    if mutation == "insert":
+        return data[:at] + bytes([rng.choice(INSERTS)]) + data[at:]
+    if mutation == "delete":
+        return data[:at] + data[at + rng.randint(1, 4) :]
+    return data[:at]  # truncate
+
+
+def run_tsv_case(
+    tsvs: dict[str, Path], work: Path, case: tuple[str, str, int], capsys
+) -> list[str]:
+    """Run ``build-graph``, strict and lenient, on the TSVs with one of
+    them mutated; the runs that exit other than 0 or 2, or exit 2 without
+    naming a TSV as ``file:line`` or ``file: not UTF-8``."""
+    name, mutation, seed = case
+    files = {**tsvs, name: work / f"{name}.tsv"}
+    files[name].write_bytes(mutated(tsvs[name].read_bytes(), mutation, seed))
+    named = re.compile(
+        "error: (%s):(\\d+| not UTF-8): " % "|".join(
+            re.escape(str(path)) for path in files.values()
+        )
+    )
+    argv = ["build-graph", "--out", str(work / "graph.bin")]
+    for key, path in files.items():
+        argv += [f"--{key}", str(path)]
+    bad = []
+    for lenient in ([], ["--lenient"]):
+        capsys.readouterr()
+        code = main(argv + lenient)
+        err = capsys.readouterr().err
+        if code not in (0, 2) or (code == 2 and not named.match(err)):
+            bad.append(f"{case} {lenient}: exit {code}: {err.strip()}")
+    return bad
+
+
+@pytest.fixture(scope="module")
+def wiki_tsvs(tmp_path_factory):
+    return build_tsvs(tmp_path_factory.mktemp("fuzz_tsvs"))
+
+
+@pytest.mark.parametrize("name", TSVS)
+def test_fuzzed_tsv_exits_0_or_2_naming_a_line(wiki_tsvs, tmp_path, capsys, name):
+    every = tsv_cases(name)
+    sample = random.Random(f"{SEED}:{name}").sample(every, TSV_SAMPLE_PER_INPUT)
+    bad = []
+    for case in sample:
+        bad += run_tsv_case(wiki_tsvs, tmp_path, case, capsys)
     assert not bad, "\n".join(bad)

@@ -6,6 +6,7 @@ import hashlib
 import random
 import struct
 import tempfile
+import tracemalloc
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -821,18 +822,102 @@ def test_crlf_and_lone_cr_input_give_the_lf_graph(graph_files, tmp_path):
 
 def test_non_utf8_file_is_reported_before_its_other_faults(graph_files):
     """The reader checks a whole file's UTF-8 before its lines, so a bad
-    byte far down the file wins over a bad id on line 2.  The line parser
-    named line 2 here, as text mode decodes 8 KB at a time."""
+    byte far down the file wins over a bad id on line 2, in the first block
+    read or in the fourth.  The line parser named line 2 here, as text mode
+    decodes 8 KB at a time."""
     paths = graph_files(CATS, PAGES, EDGES)
     rows = "".join(f"{i}\tCategory {i}\n" for i in range(3, 2000))
     data = f"1\tA\nx\tB\n{rows}".encode("utf-8")
     paths["categories"].write_bytes(data[:15_000] + b"\xff" + data[15_000:])
     files = (paths["categories"], paths["pages"], paths["edges"])
-    with pytest.raises(GraphFormatError) as exc:
-        load_graph(*files)
-    assert str(exc.value) == (
-        f"{paths['categories']}: not UTF-8: 'utf-8' codec can't decode byte 0xff "
-        "in position 15000: invalid start byte"
-    )
+    for block_bytes in (graph_store._BLOCK_BYTES, 4096):
+        with mock.patch.object(graph_store, "_BLOCK_BYTES", block_bytes):
+            with pytest.raises(GraphFormatError) as exc:
+                load_graph(*files)
+        assert str(exc.value) == (
+            f"{paths['categories']}: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 15000: invalid start byte"
+        )
     with pytest.raises(GraphFormatError, match=r"categories\.tsv:2: category id is"):
         load_graph_lines(*files)
+
+
+# ------------------------------------------------------ read edges
+
+# (table, bytes before the spot, the spot, bytes after it).  The block
+# sizes from len(before) to len(before + spot) put a read edge before,
+# inside and after the spot.
+_EDGE_SPOTS = {
+    "2-byte character": ("categories", b"1\tA", "é".encode(), b"\n2\tB\n"),
+    "3-byte character": ("pages", b"10\tP", "€".encode(), b"\n11\tQ\n"),
+    "4-byte character": ("redirects", b"Alias", "😀".encode(), b"\t1\nOther\t2\n"),
+    "crlf": ("edges", b"1\t2\tsubcat", b"\r\n", b"2\t10\tmember\n1\t11\tmember\n"),
+    "lone cr": ("categories", b"1\tA", b"\r", b"2\tB\n"),
+    "bad byte": ("pages", b"10\tP", b"\xff", b"\n11\tQ\n"),
+    "cut character": ("categories", b"1\tA", b"\xe2\x82", b"\n2\tB\n"),
+    "no final newline": (
+        "edges", b"1\t2\tsubcat\n2\t10\tmember\n1\t11\tmemb", b"er", b""
+    ),
+    "line longer than a block": (
+        "categories", b"1\tA\n", b"2\t" + b"B" * 40 + b"\n", b""
+    ),
+}
+
+
+@pytest.mark.parametrize("spot", sorted(_EDGE_SPOTS))
+def test_columnar_loader_matches_line_parser_with_a_spot_on_a_read_edge(
+    tmp_path, spot
+):
+    table, before, middle, after = _EDGE_SPOTS[spot]
+    files = [tmp_path / f"{name}.tsv" for name in _GOOD_ROWS]
+    for path, rows in zip(files, _GOOD_ROWS.values()):
+        path.write_bytes(b"".join("\t".join(row).encode() + b"\n" for row in rows))
+    files[list(_GOOD_ROWS).index(table)].write_bytes(before + middle + after)
+    for block_bytes in range(len(before), len(before + middle) + 1):
+        for strict in (True, False):
+            with mock.patch.object(graph_store, "_BLOCK_BYTES", block_bytes):
+                got, want = _loader_and_oracle(files, strict, tmp_path / "g.bin")
+            assert got == want, (block_bytes, strict)
+
+
+# A bad lead byte, characters cut after each of their bytes, a surrogate,
+# and a character cut by the end of the file where it is put last.
+_BAD_UTF8 = [
+    b"\xff", b"\xc3(", b"\xe2\x82(", b"\xf0\x9f\x98(", b"\xed\xa0\x80", b"\xe2\x82"
+]
+
+
+@pytest.mark.parametrize("bad", _BAD_UTF8)
+def test_not_utf8_message_places_the_bytes_in_the_whole_file(graph_files, bad):
+    """Past the first block, at every offset in a block and at the end of
+    the file, the message is the one of decoding the whole file."""
+    paths = graph_files(CATS, PAGES, EDGES)
+    files = (paths["categories"], paths["pages"], paths["edges"])
+    rows = "".join(f"{i}\tCatégorie {i}\n" for i in range(20, 300)).encode("utf-8")
+    for at in [*range(4096, 4096 + 64), len(rows)]:
+        data = rows[:at] + bad + rows[at:]
+        paths["categories"].write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        with mock.patch.object(graph_store, "_BLOCK_BYTES", 64):
+            with pytest.raises(GraphFormatError) as exc:
+                load_graph(*files)
+        assert str(exc.value) == f"{paths['categories']}: not UTF-8: {whole.value}"
+
+
+def test_load_graph_holds_less_than_the_edges_file(tmp_path, monkeypatch):
+    """The reader holds a block of a file, not the file: where the edges
+    outweigh the node tables, as in a category graph, the traced peak stays
+    below the size of edges.tsv."""
+    make_scale_graph(tmp_path, n_categories=2_400, n_pages=3_000, n_edges=120_000)
+    files = [tmp_path / f"{t}.tsv" for t in ("categories", "pages", "edges")]
+    monkeypatch.setattr(graph_store, "_BLOCK_BYTES", 4096)
+    tracemalloc.start()
+    try:
+        graph = load_graph(*files)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.indices) == 120_000
+    size = files[2].stat().st_size
+    assert peak < size, (peak, size)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -11,9 +12,11 @@ import pytest
 
 from conftest import fan_in_case
 from wikicat.exceptions import ConfigurationError, TaxonomyError
+from wikicat.graph_store import CategoryGraph
 from wikicat.jsonio import read_jsonl
 from wikicat.labeler import (
     CompetitionSet,
+    CorpusLabels,
     LabelingConfig,
     RootSpec,
     _bfs,
@@ -663,6 +666,35 @@ def test_read_labels_shares_one_str_per_label(tmp_path):
     pages, tops = read_labels(path)
     assert tops == ["trucks", "suvs", None, "trucks", "suvs"]
     assert tops[0] is tops[3] and tops[1] is tops[4]
+
+
+def _write_labels_peak(path, n_records: int) -> int:
+    """The traced peak of writing ``n_records`` records of two rows each."""
+    rng = np.random.default_rng(0)
+    graph = CategoryGraph(
+        1, np.arange(n_records + 1, dtype=np.int64),
+        ["c"] + [f"p{i}" for i in range(n_records)],
+        np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int32), {},
+    )
+    labeled = CorpusLabels(
+        "full", ("alpha", "bravo"), np.arange(1, n_records + 1),
+        np.arange(0, 2 * n_records + 1, 2), np.tile([0, 1], n_records),
+        rng.random(2 * n_records), rng.random(2 * n_records),
+        rng.integers(1, 5, 2 * n_records),
+    )
+    tracemalloc.start()
+    try:
+        write_labels(labeled, graph, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_labels_holds_a_run_of_records_not_the_file(tmp_path):
+    small = _write_labels_peak(tmp_path / "small.jsonl", 5_000)
+    large = _write_labels_peak(tmp_path / "large.jsonl", 50_000)
+    assert (tmp_path / "large.jsonl").stat().st_size > 5_000_000
+    assert large < 2 * small, (small, large)
 
 
 def test_labels_round_trip(suvs_graph, suvs_taxonomy, tmp_path):

@@ -14,6 +14,7 @@ import random
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import labeler_oracle
 from conftest import write_graph_files
+from wikicat import labeler
 from wikicat.exceptions import ConfigurationError
 from wikicat.graph_store import load_graph
 from wikicat.labeler import (
@@ -265,10 +267,13 @@ def _written(write, records, path):
 
 @seed(20210212)
 @settings(max_examples=300, deadline=None, database=None)
-@given(labelings())
-def test_columnar_writer_matches_dict_writer(labeled):
+@given(labelings(), st.sampled_from([1, 3, 4096]))
+def test_columnar_writer_matches_dict_writer(labeled, run):
+    """Up to 8 records, written in runs of 1 and 3 as well, so that records
+    fall on every run edge."""
     with tempfile.TemporaryDirectory() as d:
-        got = _written(write_labels, labeled, Path(d) / "got.jsonl")
+        with mock.patch.object(labeler, "_RECORDS_PER_RUN", run):
+            got = _written(write_labels, labeled, Path(d) / "got.jsonl")
         want = _written(labeler_oracle.write_labels, list(labeled), Path(d) / "want.jsonl")
         assert got == want
         pages, tops = read_labels(Path(d) / "got.jsonl")
