@@ -137,6 +137,15 @@ def _pad_docs(
     return idx, val
 
 
+def _items(docs: DocMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The feature indices and values of CSR rows ``rows``, one row after
+    another."""
+    starts = docs.indptr[rows]
+    lens = docs.indptr[rows + 1] - starts
+    at = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    return docs.indices[at], docs.data[at]
+
+
 def _sparse(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int) -> DocMatrix:
     """The n CSR rows of the nonzero ``data[k]`` at ``(rows[k], cols[k])``,
     which come in row-major order."""
@@ -217,6 +226,12 @@ def train_centroid(
 
     The model is as wide as the tf-idf vocabulary, or one past the largest
     feature index when no tf-idf model is given.
+
+    One class at a time: its documents' items, in document order, are summed
+    per feature, and the squares of its means are added up in the order the
+    class first saw its features, as the stored bytes depend on it.  Past
+    the check of every feature index, no temporary spans more than one
+    class's items.
     """
     if len(vectors) != len(labels):
         raise ConfigurationError("vectors and labels differ in length")
@@ -233,27 +248,30 @@ def train_centroid(
         width = tfidf.vocab_size
     else:
         width = 1 + int(vectors.indices.max(initial=-1))
+    _feature_indices(vectors.indices, width)
     code = {label: i for i, label in enumerate(classes)}
     doc_class = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
-    key = np.repeat(doc_class * width, np.diff(vectors.indptr))  # row * width + col
-    key += _feature_indices(vectors.indices, width)
-    keys, first, at = np.unique(key, return_index=True, return_inverse=True)
-    sums = np.zeros(len(keys))
-    np.add.at(sums, at, vectors.data)  # in document order
-    rows, cols = np.divmod(keys, max(width, 1))
-    mean = sums / np.bincount(doc_class, minlength=len(classes))[rows]
-    # each class's norm adds its features in first-seen order, as the
-    # stored bytes depend on it
-    seen = np.argsort(first)
+    n_docs = np.bincount(doc_class, minlength=len(classes))
+    by_class = np.argsort(doc_class, kind="stable")  # document order within a class
+    cols, means = [], []
     norms = np.zeros(len(classes))
-    np.add.at(norms, rows[seen], np.square(mean[seen]))
+    for c, hi in enumerate(np.cumsum(n_docs).tolist()):
+        features, values = _items(vectors, by_class[hi - n_docs[c] : hi])
+        keys, first, at = np.unique(features, return_index=True, return_inverse=True)
+        sums = np.zeros(len(keys))
+        np.add.at(sums, at, values)  # in document order
+        cols.append(keys)
+        means.append(sums / n_docs[c])
+        np.add.at(norms, np.full(len(keys), c), np.square(means[-1][np.argsort(first)]))
     norms = np.sqrt(norms)
     zero = np.flatnonzero(norms == 0.0)
     if len(zero):
         raise ConfigurationError(
             f"class {classes[zero[0]]!r} has an all-zero centroid"
         )
-    weights = _sparse(rows, cols, mean / norms[rows], len(classes))
+    rows = np.repeat(np.arange(len(classes)), [len(keys) for keys in cols])
+    mean = np.concatenate(means)
+    weights = _sparse(rows, np.concatenate(cols), mean / norms[rows], len(classes))
     return CentroidModel(classes, weights, width, tfidf)
 
 

@@ -78,6 +78,7 @@ _INT64 = np.iinfo(np.int64)
 # columns it parses into.  Its temporaries, about twelve times a block of
 # edges, are sized by it.
 _BLOCK_BYTES = 1 << 18
+_EDGES_PER_COUNT = 1 << 18  # edges per bincount in CategoryGraph.in_degree
 _MAX_DIGITS = 18  # every -?[0-9]{1,18} fits int64
 _SUBCAT_BYTES = np.frombuffer(SUBCAT.encode(), np.uint8)
 _MEMBER_BYTES = np.frombuffer(MEMBER.encode(), np.uint8)
@@ -163,8 +164,18 @@ class CategoryGraph:
 
     @cached_property
     def in_degree(self) -> np.ndarray:
-        """The number of parent categories of each node."""
-        return np.bincount(self.indices, minlength=self.n_nodes)
+        """The number of parent categories of each node.
+
+        ``bincount`` copies its ``int32`` input to ``intp``, so the edges are
+        counted a chunk at a time rather than through a copy twice the size
+        of ``indices``.  A chunk holds at least as many edges as there are
+        nodes, so each chunk's counts cost no more than its edges.
+        """
+        count = np.zeros(self.n_nodes, dtype=np.intp)
+        step = max(_EDGES_PER_COUNT, self.n_nodes)
+        for lo in range(0, len(self.indices), step):
+            count += np.bincount(self.indices[lo : lo + step], minlength=self.n_nodes)
+        return count
 
     @property
     def n_nodes(self) -> int:

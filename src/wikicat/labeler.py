@@ -34,6 +34,18 @@ formats each JSON line from those columns, and writes a bounded run of
 records at a time, so it never holds the whole file's text.
 ``read_labels`` returns only what training uses, each record's (external
 page id, top label or None).
+
+``label_corpus`` holds few arrays at once.  A root's pass keeps an int32
+depth and a float weight per node.  A BFS level gathers its children, then
+keeps an ``intp`` child and a half weight for its new edges only, for the
+level's one ``bincount``.  The in-degrees that coverage divides by are
+counted a chunk of edges at a time.  Each root leaves only its candidates;
+a set joins them once, sorts them once, and drops each candidate column as
+its kept rows are taken.  So at its peak ``label_corpus`` holds the graph,
+the in-degrees and the roots' candidates, and on top of them either one
+root's deepest BFS level or a set's candidate columns with their sort
+order.  Traced on the 1M-edge ``scale-coarse`` benchmark graph, that is
+about 9 MB, two thirds of it the returned columns and the in-degrees.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ from .taxonomy_mapper import CategoryMapping, Taxonomy
 
 MODES = ("full", "child_only", "all_descendants", "min_dist", "no_pruning")
 PATH_MODES = ("dag", "exact")
-_RECORDS_PER_RUN = 4096  # records formatted per written run of labels.jsonl
+_RECORDS_PER_RUN = 1024  # records formatted per written run of labels.jsonl
 
 
 @dataclass(frozen=True)
@@ -127,12 +139,14 @@ class LabelingConfig:
 def _gather(
     indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR rows ``rows`` concatenated, and each entry's position in ``rows``."""
+    """The end of each of the CSR rows ``rows`` in their concatenation, and
+    the concatenation."""
     starts = indptr[rows]
     lens = indptr[rows + 1] - starts
-    offsets = np.cumsum(lens) - lens
-    at = np.repeat(starts - offsets, lens) + np.arange(int(lens.sum()))
-    return np.repeat(np.arange(len(rows)), lens), indices[at]
+    ends = lens.cumsum()
+    at = np.repeat(starts - ends + lens, lens)  # a run's start, less its offset
+    at += np.arange(len(at))
+    return ends, indices[at]
 
 
 def _bfs(
@@ -144,6 +158,7 @@ def _bfs(
     """(depth, dag weight) of every node, -1 and 0 where unreached.
 
     One level per step: gather the frontier's children, keep the new ones.
+    Only the new ones' edges get a weight.
     """
     n = graph.n_nodes
     for node in root.nodes:
@@ -152,23 +167,33 @@ def _bfs(
                 f"root page {graph.external_id(node)} of {root.label!r} "
                 "is not a category"
             )
-    allowed = np.ones(n, dtype=bool)
-    allowed[[v for v in blocked if 0 <= v < n]] = False
-    depth = np.full(n, -1, dtype=np.int64)
+    fresh = np.ones(n, dtype=bool)  # neither reached nor blocked
+    fresh[[v for v in blocked if 0 <= v < n]] = False
+    depth = np.full(n, -1, dtype=np.int32)  # node ids are int32 too
     weight = np.zeros(n)
     frontier = np.unique(np.asarray(root.nodes, dtype=np.int64))
     depth[frontier] = 0
     weight[frontier] = 1.0
+    fresh[frontier] = False
     level = 0
     while frontier.size and (max_depth is None or level < max_depth):
-        src, kids = _gather(graph.indptr, graph.indices, frontier)
-        new = (depth[kids] == -1) & allowed[kids]
-        src, kids = frontier[src[new]], kids[new]
+        # Each per-edge array is dropped before the next one is made.
+        ends, kids = _gather(graph.indptr, graph.indices, frontier)
+        new = fresh[kids].nonzero()[0]
+        # The new edges before each row's end, then in each row.
+        n_new = new.searchsorted(ends)
+        n_new[1:] -= n_new[:-1]
+        kids = kids[new]
+        del new
+        kids = kids.astype(np.intp)  # what bincount would copy it to
         # Every edge into a node first reached at this level comes from the
         # level above, so its weight is complete once the level is summed.
-        weight += np.bincount(kids, weights=weight[src] * 0.5, minlength=n)
+        half = np.repeat(weight[frontier] * 0.5, n_new)
+        weight += np.bincount(kids, weights=half, minlength=n)
+        del half
         level += 1
         depth[kids] = level
+        fresh[kids] = False
         frontier = np.flatnonzero(depth[: graph.n_categories] == level)
     return depth, weight
 
@@ -182,9 +207,10 @@ def _coverage(graph: CategoryGraph, pages: np.ndarray, depth: np.ndarray) -> np.
     here was reached over an edge, so it has a parent.
     """
     reached = np.flatnonzero(depth[: graph.n_categories] >= 0)
-    _, kids = _gather(graph.indptr, graph.indices, reached)
-    hits = np.bincount(kids, minlength=graph.n_nodes)[pages]
-    return hits / graph.in_degree[pages]
+    hits = np.bincount(
+        _gather(graph.indptr, graph.indices, reached)[1], minlength=graph.n_nodes
+    )
+    return hits[pages] / graph.in_degree[pages]
 
 
 def _shares(group: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -328,10 +354,14 @@ def label_corpus(
         raise ConfigurationError("workers must be >= 1")
     sets = build_competition_sets(mapping, scheme)
     labels = sorted({spec.label for cs in sets for spec in cs.roots})
-    parts = [_NO_RECORDS] + [
+    parts = [
         _label_competition_set(graph, cs, cfg, labels) for cs in sets if cs.roots
     ]
-    page, n_rows, *rows = (np.concatenate(cols) for cols in zip(*parts))
+    # Column by column, each set's copy dropped once it is joined.
+    page, n_rows, *rows = (
+        np.concatenate([empty, *(part.pop(0) for part in parts)])
+        for empty in _NO_RECORDS
+    )
     start = np.zeros(len(page) + 1, dtype=np.int64)
     np.cumsum(n_rows, out=start[1:])
     return CorpusLabels(cfg.mode, tuple(labels), page, start, *rows)
@@ -408,7 +438,8 @@ def _exact_weights(
 
     cats, lengths = (np.array(col, dtype=np.int64) for col in zip(*paths))
     counts = np.fromiter(paths.values(), dtype=np.int64, count=len(paths))
-    at, kid = _gather(indptr, indices, cats)
+    ends, kid = _gather(indptr, indices, cats)
+    at = np.repeat(np.arange(len(cats)), np.diff(ends, prepend=0))
     candidate = np.zeros(graph.n_nodes, dtype=bool)
     candidate[pages] = True
     at, page = at[candidate[kid]], kid[candidate[kid]]
@@ -427,7 +458,9 @@ def _exact_weights(
     return raw
 
 
-# What _label_competition_set returns for a set without records.
+# What _label_competition_set returns for a set without records, in the
+# dtypes of CorpusLabels' columns.  Each column is joined to these, so a
+# set's narrower label and depth columns come out as int64.
 _NO_RECORDS = tuple(
     np.zeros(0, dtype)
     for dtype in (np.int64, np.int64, np.int64, np.float64, np.float64, np.int64)
@@ -436,7 +469,7 @@ _NO_RECORDS = tuple(
 
 def _label_competition_set(
     graph: CategoryGraph, cs: CompetitionSet, cfg: LabelingConfig, labels: list[str]
-) -> tuple[np.ndarray, ...]:
+) -> list[np.ndarray]:
     """One set's record pages and the number of kept rows of each record,
     then the kept rows' label (an index into ``labels``), raw weight,
     normalized weight and depth, in record order."""
@@ -449,12 +482,17 @@ def _label_competition_set(
         )
         for spec in cs.roots
     ]
-    # One row per (page, root) candidate, rows grouped by root in set order.
-    page, raw, depth = (np.concatenate(cols) for cols in zip(*per_root))
+    # One row per (page, root) candidate, rows grouped by root in set order;
+    # ``label`` is as narrow as the number of labels allows.
     label = np.repeat(
-        [labels.index(spec.label) for spec in cs.roots],
+        np.array(
+            [labels.index(spec.label) for spec in cs.roots],
+            np.min_scalar_type(len(labels)),
+        ),
         [len(p) for p, _, _ in per_root],
     )
+    page, raw, depth = (np.concatenate(cols) for cols in zip(*per_root))
+    del per_root
 
     if cfg.mode in ("full", "no_pruning"):
         w_norm = _shares(page, raw)
@@ -464,20 +502,29 @@ def _label_competition_set(
             best = np.full(graph.n_nodes, np.iinfo(np.int64).max)
             np.minimum.at(best, page, depth)
             keep = depth == best[page]
+            del best
         else:  # child_only, all_descendants
             keep = np.ones(len(page), dtype=bool)
         w_norm = 1.0 / np.bincount(page, weights=keep)[page]
 
     # Rows by external page id, then best first; a page's rows are one run.
-    external = graph.external[page]
-    order = np.lexsort((label, -w_norm, external))
-    page, keep = page[order], keep[order]
+    order = np.lexsort((label, -w_norm, graph.external[page]))
+    page = page[order]
+    kept = np.flatnonzero(keep[order])  # positions in that order
     first = np.ones(len(page), dtype=bool)
     first[1:] = page[1:] != page[:-1]
-    record = np.cumsum(first) - 1
-    n_kept = np.bincount(record[keep], minlength=int(first.sum()))
-    kept = order[keep]
-    return page[first], n_kept, label[kept], raw[kept], w_norm[kept], depth[kept]
+    # A record's kept rows lie between the kept rows before it and before
+    # the next record.
+    n_kept = np.diff(np.searchsorted(kept, np.flatnonzero(first)), append=len(kept))
+    out = [page[first], n_kept]
+    del keep, page, first
+    kept = order[kept]
+    del order
+    columns = [label, raw, w_norm, depth]
+    del label, raw, w_norm, depth
+    while columns:  # each candidate column dropped as its kept rows are taken
+        out.append(columns.pop(0)[kept])
+    return out
 
 
 def _float_texts(column: np.ndarray) -> list[str]:

@@ -36,7 +36,7 @@ from wikicat.classifiers import (
     train_svm,
 )
 from wikicat.exceptions import ConfigurationError
-from wikicat.textproc import TfIdfModel
+from wikicat.textproc import DocMatrix, TfIdfModel
 
 _VALUES = st.one_of(
     st.floats(0.01, 1.0),
@@ -269,6 +269,51 @@ def test_train_centroid_matches_loop_oracle(case):
     assert len(model.weights) == len(want)
     for row, label in zip(dicts(model.weights), model.classes):
         cols = sorted(want[label])
+        assert list(row) == cols, label
+        assert _bits(row.values()) == _bits(want[label][ix] for ix in cols), label
+
+
+@st.composite
+def _centroid_item_cases(draw):
+    """Documents as (feature, value) items that may repeat a feature, within
+    a document and across documents, with the classes' documents
+    interleaved in document order."""
+    n_features = draw(st.integers(1, 6))
+    names = [f"c{i}" for i in range(draw(st.integers(1, 5)))]
+    item = st.tuples(st.integers(0, n_features - 1), _VALUES)
+    items, labels = [], []
+    for _ in range(draw(st.integers(1, 40))):
+        items.append(draw(st.lists(item, max_size=10)))
+        labels.append(draw(st.sampled_from(names)))
+    return items, labels
+
+
+def _item_rows(items) -> DocMatrix:
+    """One row per document, holding its items in order, repeats included."""
+    lengths = [len(doc) for doc in items]
+    return DocMatrix(
+        np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+        np.array([ix for doc in items for ix, _ in doc], dtype=np.int32),
+        np.array([w for doc in items for _, w in doc], dtype=np.float64),
+    )
+
+
+@seed(20261022)
+@settings(max_examples=100, deadline=None)
+@given(_centroid_item_cases())
+def test_train_centroid_per_class_matches_loop_oracle_on_repeated_items(case):
+    items, labels = case
+    try:
+        want = centroid_oracle.train_centroid(items, labels)
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError) as got:
+            train_centroid(_item_rows(items), labels)
+        assert str(got.value) == str(exc)
+        return
+    model = train_centroid(_item_rows(items), labels)
+    assert model.classes == tuple(want)
+    for row, label in zip(dicts(model.weights), model.classes):
+        cols = sorted(ix for ix, w in want[label].items() if w != 0.0)
         assert list(row) == cols, label
         assert _bits(row.values()) == _bits(want[label][ix] for ix in cols), label
 

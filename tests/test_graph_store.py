@@ -561,6 +561,62 @@ def test_random_graphs_adjacency_consistent(make_graph):
         assert g.in_degree.tolist() == [parents[v] for v in range(g.n_nodes)]
 
 
+@pytest.mark.parametrize("n_edges", [0, 5, 16, 32, 37])
+def test_in_degree_counted_in_chunks_equals_one_bincount(monkeypatch, n_edges):
+    """Chunks of 16 edges, as many as the graph has nodes: none, part of
+    one, exactly one and two, and two and a part.  The last four pages have
+    no parent."""
+    monkeypatch.setattr(graph_store, "_EDGES_PER_COUNT", 16)
+    rng = random.Random(n_edges)
+    n_cats, n_pages = 8, 8
+    pairs = sorted(rng.sample(
+        [(u, v) for u in range(n_cats) for v in range(n_cats + 4) if u != v], n_edges
+    ))
+    indptr = np.zeros(n_cats + n_pages + 1, dtype=np.int64)
+    np.cumsum(np.bincount([u for u, _ in pairs], minlength=n_cats + n_pages),
+              out=indptr[1:])
+    indices = np.array([v for _, v in pairs], dtype=np.int32)
+    g = graph_store.CategoryGraph(
+        n_cats, np.arange(n_cats + n_pages, dtype=np.int64),
+        [f"n{v}" for v in range(n_cats + n_pages)], indptr, indices, {},
+    )
+    want = np.bincount(indices, minlength=g.n_nodes)
+    assert g.in_degree.dtype == want.dtype
+    assert g.in_degree.tolist() == want.tolist()
+    assert g.in_degree[-4:].tolist() == [0, 0, 0, 0]
+
+
+def test_in_degree_chunks_hold_as_many_edges_as_nodes(monkeypatch):
+    """With more nodes than the chunk size, a chunk grows to the node count:
+    a count per chunk never costs more than the chunk's edges."""
+    monkeypatch.setattr(graph_store, "_EDGES_PER_COUNT", 2)
+    chunks = []
+    real = np.bincount
+
+    def bincount(x, *args, **kwargs):
+        chunks.append(len(x))
+        return real(x, *args, **kwargs)
+
+    g = graph_store.CategoryGraph(
+        2, np.arange(5, dtype=np.int64), ["a", "b", "p", "q", "r"],
+        np.array([0, 4, 7, 7, 7, 7]), np.array([1, 2, 3, 4, 2, 3, 4], dtype=np.int32),
+        {},
+    )
+    monkeypatch.setattr(graph_store.np, "bincount", bincount)
+    assert g.in_degree.tolist() == [0, 1, 2, 2, 2]
+    assert chunks == [5, 2]
+
+
+def test_in_degree_of_an_empty_graph(monkeypatch):
+    monkeypatch.setattr(graph_store, "_EDGES_PER_COUNT", 8)
+    g = graph_store.CategoryGraph(
+        0, np.zeros(0, dtype=np.int64), [], np.zeros(1, dtype=np.int64),
+        np.zeros(0, dtype=np.int32), {},
+    )
+    want = np.bincount(g.indices, minlength=0)
+    assert g.in_degree.dtype == want.dtype and len(g.in_degree) == 0
+
+
 # ------------------------------------------------ loader vs the line parser
 
 # Odd id renderings: all but the first two leave the array grammar, and

@@ -12,9 +12,11 @@ import pytest
 
 from conftest import fan_in_case
 from wikicat.exceptions import ConfigurationError, TaxonomyError
-from wikicat.graph_store import CategoryGraph
+from wikicat import graph_store
+from wikicat.graph_store import CategoryGraph, load_graph
 from wikicat.jsonio import read_jsonl
 from wikicat.labeler import (
+    MODES,
     CompetitionSet,
     CorpusLabels,
     LabelingConfig,
@@ -28,6 +30,7 @@ from wikicat.labeler import (
     read_labels,
     write_labels,
 )
+from wikicat.synth import make_scale_graph
 from wikicat.taxonomy_mapper import (
     CategoryMapping,
     MappedCategory,
@@ -695,6 +698,61 @@ def test_write_labels_holds_a_run_of_records_not_the_file(tmp_path):
     large = _write_labels_peak(tmp_path / "large.jsonl", 50_000)
     assert (tmp_path / "large.jsonl").stat().st_size > 5_000_000
     assert large < 2 * small, (small, large)
+
+
+def test_label_corpus_holds_little_beyond_its_result(tmp_path, monkeypatch):
+    """Five trees over 20 000 pages and 120 000 edges.  Beyond the columns it
+    returns, labeling holds less than twice the edge array:
+    the in-degrees are counted a chunk of edges at a time, a BFS level
+    keeps a source weight for its new edges only, and a set's candidate
+    rows are not copied whole while its records are assembled."""
+    stats = make_scale_graph(
+        tmp_path, n_categories=2_400, n_pages=20_000, n_edges=120_000
+    )
+    loaded = load_graph(
+        *(tmp_path / f"{t}.tsv" for t in ("categories", "pages", "edges"))
+    )
+    monkeypatch.setattr(graph_store, "_EDGES_PER_COUNT", 4096)
+    scheme = [stats["labels"]]
+    mapping = CategoryMapping(
+        {
+            label: [MappedCategory(loaded.category_node(root + 1), "exact", 1.0)]
+            for root, label in enumerate(stats["labels"])
+        },
+        [], {}, 0.9,
+    )
+    label_corpus(loaded, mapping, scheme, DAG_CFG)  # numpy's lazy imports
+    graph = CategoryGraph(  # its in-degrees are counted under the trace
+        loaded.n_categories, loaded.external, loaded.names, loaded.indptr,
+        loaded.indices, loaded.aliases,
+    )
+    tracemalloc.start()
+    try:
+        labeled = label_corpus(graph, mapping, scheme, DAG_CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(labeled) == 20_000
+    result = sum(
+        column.nbytes
+        for column in (labeled.page, labeled.start, labeled.label, labeled.w_raw,
+                       labeled.w_norm, labeled.depth)
+    )
+    assert peak - result < 2 * graph.indices.nbytes, (peak, result)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_corpus_labels_columns_are_int64_and_float64(suvs_graph, suvs_taxonomy, mode):
+    """A set's label and depth columns are narrower; the joined ones are not."""
+    mapping = _suvs_setup(suvs_graph, suvs_taxonomy)
+    labeled = label_corpus(
+        suvs_graph, mapping, [["trucks", "suvs"]], LabelingConfig(mode=mode)
+    )
+    assert len(labeled.label)
+    for name in ("page", "start", "label", "depth"):
+        assert getattr(labeled, name).dtype == np.int64, name
+    for name in ("w_raw", "w_norm"):
+        assert getattr(labeled, name).dtype == np.float64, name
 
 
 def test_labels_round_trip(suvs_graph, suvs_taxonomy, tmp_path):
