@@ -106,16 +106,12 @@ def sample_balance(
 # ------------------------------------------------------------ linear models
 
 
-def _feature_indices(keys, n_features: int) -> np.ndarray:
-    """Feature indices as an int64 array, each checked to lie in [0, n_features)."""
-    try:
-        ix = np.asarray(keys, dtype=np.int64)
-    except OverflowError:
-        raise ConfigurationError("feature index out of range") from None
-    bad = (ix < 0) | (ix >= n_features)
-    if bad.any():
+def _check_features(ix: np.ndarray, n_features: int) -> None:
+    """Refuse the first feature index outside [0, n_features), reading the
+    array in place."""
+    if len(ix) and (int(ix.min()) < 0 or int(ix.max()) >= n_features):
+        bad = (ix < 0) | (ix >= n_features)
         raise ConfigurationError(f"feature index {ix[bad.argmax()]} out of range")
-    return ix
 
 
 def _pad_docs(
@@ -188,7 +184,7 @@ def _predict(
     classes, weights = model.classes, model.weights
     if not classes:
         raise ConfigurationError("model has no classes")
-    _feature_indices(vectors.indices, model.n_features)
+    _check_features(vectors.indices, model.n_features)
     bias = getattr(model, "bias", np.zeros(len(classes)))
     table = np.zeros((model.n_features + 1, len(classes)))  # the sink row last
     rows = np.repeat(np.arange(len(classes)), np.diff(weights.indptr))
@@ -248,7 +244,7 @@ def train_centroid(
         width = tfidf.vocab_size
     else:
         width = 1 + int(vectors.indices.max(initial=-1))
-    _feature_indices(vectors.indices, width)
+    _check_features(vectors.indices, width)
     code = {label: i for i, label in enumerate(classes)}
     doc_class = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
     n_docs = np.bincount(doc_class, minlength=len(classes))
@@ -314,7 +310,7 @@ def _sgd(
     Dot products are sequential sums in feature order (``cumsum``), as a
     loop adds them, never ``np.dot``'s blocked sums.
     """
-    _feature_indices(vectors.indices, n_features)
+    _check_features(vectors.indices, n_features)
     idx, val = _pad_docs(vectors, n_features)  # u keeps its sink column at 0.0
     n_cls, n_docs = targets.shape
     u = np.zeros((n_cls, n_features + 1))
@@ -452,7 +448,11 @@ def _weights_rows(classes: Sequence[str], lists: list, n_features: int) -> DocMa
         ws = [w for _, w in pairs]
         INTEGER.check(ixs, f"class {label!r}: feature index")
         NUMBER.check(ws, f"class {label!r}: weight")
-        cols = _feature_indices(ixs, n_features)
+        try:
+            cols = np.array(ixs, dtype=np.int64)
+        except OverflowError:
+            raise ConfigurationError("feature index out of range") from None
+        _check_features(cols, n_features)
         if (cols[1:] <= cols[:-1]).any():
             raise ValueError(f"class {label!r}: feature indices are not ascending")
         indices.append(cols)

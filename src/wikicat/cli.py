@@ -48,6 +48,7 @@ from .labeler import (
     MODES,
     PATH_MODES,
     LabelingConfig,
+    build_competition_sets,
     coarse_scheme,
     fine_scheme,
     label_corpus,
@@ -271,29 +272,19 @@ def _mapped_scheme(
     get: Callable[[str], Any], graph, taxonomy: Taxonomy
 ) -> tuple[CategoryMapping, dict[str, list[str]]]:
     """The mapping (the ``mapping`` file, or else the taxonomy mapped at the
-    default threshold) and the scheme's competition sets by name.  A label
-    with no category, or a category mapped for two labels of one set, is
-    refused naming the mapping's source, before any labeling."""
+    default threshold) and the scheme's competition sets by name.  The
+    mapping is checked against the sets before any labeling, and a fault is
+    refused naming the mapping's source."""
     source = get("mapping")
     if source is None:
         mapping, source = map_taxonomy(taxonomy, graph), get("taxonomy")
     else:
         mapping = load_mapping(source, graph, taxonomy)
     named = _named_scheme(get, taxonomy)
-    for group in named.values():
-        owner: dict[int, str] = {}
-        for label in group:
-            nodes = [mc.node for mc in mapping.entries.get(label, ())]
-            if not nodes:
-                raise TaxonomyError(
-                    f"{source}: label {label!r} is not mapped to any category"
-                )
-            for node in nodes:
-                if owner.setdefault(node, label) != label:
-                    raise ConfigurationError(
-                        f"{source}: category {graph.external_id(node)} is mapped "
-                        f"for both {owner[node]!r} and {label!r}"
-                    )
+    try:
+        build_competition_sets(graph, mapping, list(named.values()))
+    except WikicatError as exc:
+        raise type(exc)(f"{source}: {exc}") from None
     return mapping, named
 
 
@@ -380,46 +371,42 @@ def _with_texts(
 
 
 def _labeled_rows(
-    get: Callable[[str], Any], own: Callable[[], tuple[int | None, Any]]
-) -> tuple[str, dict[str, list[tuple[int, str, str]]], int, Any]:
+    get: Callable[[str], Any], draw_seed: Callable[[], int | None]
+) -> tuple[str, dict[str, list[tuple[int, str, str]]], int]:
     """The scheme name, the (page id, top label, text) rows each competition
-    set trains on, ``n_per_class`` (checked before any file is read) and the
-    command's own settings, which ``own()`` resolves and returns with the
-    seed to sample each set with, or None to keep every row.
+    set trains on, and ``n_per_class`` (checked before any file is read).
+    ``draw_seed()`` gives the seed to balance each set with, or None to keep
+    every row.
 
     The sample is drawn before the corpus is read, so only its texts are
-    kept.  If a setting it needs does not resolve, every labeled text is
-    kept, and the error is raised where it always was: after the corpus and
-    the rows are checked, where the settings are resolved again.
+    kept.  ``draw_seed`` must read only settings that its command resolves
+    again after this returns.  Then a draw that fails keeps every labeled
+    text, and its error is raised where it always was: here, after the
+    corpus and the rows are checked, or by the command.
     """
     n_per_class = _n_per_class(get)
     taxonomy = load_taxonomy(get("taxonomy"))
     pages, tops = read_labels(get("labels"))
 
-    def resolve() -> tuple[int, int | None, Any]:
+    def per_class() -> int:
         # Coarse sets span the whole corpus; fine sets are per parent.
-        default = 20_000 if get("scheme") == COARSE_SET else 1_000
-        return (n_per_class or default, *own())
+        return n_per_class or (20_000 if get("scheme") == COARSE_SET else 1_000)
 
-    drawn = None
     try:
-        named = _named_scheme(get, taxonomy)
-        n, seed, _ = resolve()
-        if seed is not None:
-            drawn = _sample_sets(_set_rows(pages, tops, named), n, seed)
+        named, seed = _named_scheme(get, taxonomy), draw_seed()
     except WikicatError:
-        pass  # raised again below, after the corpus and the rows are checked
-    if drawn is None:
+        seed = None  # raised again below or by the command, as draw_seed asks
+    if seed is None:
+        drawn = None
         keep = {page for page, top in zip(pages, tops) if top is not None}
     else:
+        drawn = _sample_sets(_set_rows(pages, tops, named), per_class(), seed)
         keep = {page for set_rows in drawn.values() for page, _, _ in set_rows}
     corpus = _load_corpus(get("corpus"), keep)
     named = _named_scheme(get, taxonomy)
     _check_rows(pages, tops, corpus, named, get("labels"), get("corpus"))
-    n, seed, settings = resolve()
-    # drawn is set when seed is: every setting the draw read resolved there too
-    rows = _set_rows(pages, tops, named) if seed is None else drawn
-    return get("scheme"), _with_texts(rows, corpus), n, settings
+    rows = _set_rows(pages, tops, named) if drawn is None else drawn
+    return get("scheme"), _with_texts(rows, corpus), per_class()
 
 
 def _train_sets(
@@ -548,12 +535,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     get = _settings(args)
-
-    def own() -> tuple[int, tuple]:
-        seed = get("seed")
-        return seed, (seed, get("out"), get("summary_out"))
-
-    scheme_name, rows, n_per_class, (seed, out, summary_out) = _labeled_rows(get, own)
+    scheme_name, rows, n_per_class = _labeled_rows(get, lambda: get("seed"))
+    seed, out, summary_out = get("seed"), get("out"), get("summary_out")
     write_jsonl(
         (
             {"id": page, "label": label, "set": name, "text": text}
@@ -577,15 +560,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     get = _settings(args)
-
-    def own() -> tuple[int | None, tuple]:
-        kind, min_df = get("kind"), get("min_df")
-        train_cfg = TrainConfig(
-            lam=get("lam"), epochs=get("epochs"), eta0=get("eta0"), seed=get("seed")
-        )
-        return (train_cfg.seed if kind == "svm" else None), (kind, min_df, train_cfg)
-
-    scheme_name, rows, n_per_class, (kind, min_df, train_cfg) = _labeled_rows(get, own)
+    scheme_name, rows, n_per_class = _labeled_rows(
+        get, lambda: get("seed") if get("kind") == "svm" else None
+    )
+    kind, min_df = get("kind"), get("min_df")
+    train_cfg = TrainConfig(
+        lam=get("lam"), epochs=get("epochs"), eta0=get("eta0"), seed=get("seed")
+    )
     out_dir = Path(get("out_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     sets_summary = {

@@ -7,6 +7,12 @@ threshold are pruned, surviving pages get a path weight (many short paths
 beat few long ones), and per-page weights are normalized across the
 competing labels so a label is assigned only when it clearly wins.
 
+``build_competition_sets`` is the one check of a mapping against a scheme:
+each label of a set appears once and has roots, each root is a category,
+and no category is mapped for two labels of one set.  Its errors name
+external ids; ``label_corpus`` runs it before any traversal, and the CLI
+before it labels, adding the mapping's file.
+
 Besides the ``full`` pipeline there are four reduced modes used for
 comparison runs: ``child_only``, ``all_descendants``, ``min_dist``, and
 ``no_pruning``.
@@ -75,30 +81,12 @@ class RootSpec:
     label: str
     nodes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.nodes:
-            raise ConfigurationError(f"label {self.label!r} has no root nodes")
-
 
 @dataclass(frozen=True)
 class CompetitionSet:
     """The labels that compete for pages in one classification task."""
 
     roots: tuple[RootSpec, ...]
-
-    def __post_init__(self) -> None:
-        labels = [r.label for r in self.roots]
-        if len(set(labels)) != len(labels):
-            raise ConfigurationError("duplicate labels in competition set")
-        owner: dict[int, str] = {}
-        for spec in self.roots:
-            for node in spec.nodes:
-                if node in owner:
-                    raise ConfigurationError(
-                        f"category node {node} is mapped for both "
-                        f"{owner[node]!r} and {spec.label!r}"
-                    )
-                owner[node] = spec.label
 
     def blocked_for(self, label: str) -> frozenset[int]:
         """The root nodes of every other label in the set."""
@@ -161,14 +149,8 @@ def _bfs(
     Only the new ones' edges get a weight.
     """
     n = graph.n_nodes
-    for node in root.nodes:
-        if not 0 <= node < graph.n_categories:
-            raise ConfigurationError(
-                f"root page {graph.external_id(node)} of {root.label!r} "
-                "is not a category"
-            )
     fresh = np.ones(n, dtype=bool)  # neither reached nor blocked
-    fresh[[v for v in blocked if 0 <= v < n]] = False
+    fresh[list(blocked)] = False
     depth = np.full(n, -1, dtype=np.int32)  # node ids are int32 too
     weight = np.zeros(n)
     frontier = np.unique(np.asarray(root.nodes, dtype=np.int64))
@@ -306,17 +288,38 @@ class CorpusLabels:
 
 
 def build_competition_sets(
-    mapping: CategoryMapping, scheme: Sequence[Sequence[str]]
+    graph: CategoryGraph, mapping: CategoryMapping, scheme: Sequence[Sequence[str]]
 ) -> list[CompetitionSet]:
-    """Resolve a scheme of label-id groups against a mapping."""
+    """Resolve a scheme of label-id groups against a mapping.
+
+    Within a group, label by label, a repeated label, a label with no
+    category, a root that is not a category and a category already mapped
+    for another label of the group are refused, naming external ids.
+    """
     sets = []
     for group in scheme:
-        roots = []
+        roots: list[RootSpec] = []
+        owner: dict[int, str] = {}
         for label in group:
-            cats = mapping.entries.get(label)
-            if not cats:
+            if any(spec.label == label for spec in roots):
+                raise ConfigurationError(
+                    f"duplicate labels in competition set: {label!r}"
+                )
+            nodes = tuple(mc.node for mc in mapping.entries.get(label, ()))
+            if not nodes:
                 raise TaxonomyError(f"label {label!r} is not mapped to any category")
-            roots.append(RootSpec(label, tuple(mc.node for mc in cats)))
+            for node in nodes:
+                if not 0 <= node < graph.n_categories:
+                    raise ConfigurationError(
+                        f"root page {graph.external_id(node)} of {label!r} "
+                        "is not a category"
+                    )
+                if owner.setdefault(node, label) != label:
+                    raise ConfigurationError(
+                        f"category {graph.external_id(node)} is mapped for both "
+                        f"{owner[node]!r} and {label!r}"
+                    )
+            roots.append(RootSpec(label, nodes))
         sets.append(CompetitionSet(tuple(roots)))
     return sets
 
@@ -352,7 +355,7 @@ def label_corpus(
     """
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
-    sets = build_competition_sets(mapping, scheme)
+    sets = build_competition_sets(graph, mapping, scheme)
     labels = sorted({spec.label for cs in sets for spec in cs.roots})
     parts = [
         _label_competition_set(graph, cs, cfg, labels) for cs in sets if cs.roots

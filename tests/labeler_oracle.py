@@ -241,7 +241,7 @@ def label_corpus(
     cfg: LabelingConfig,
 ) -> list[PageLabels]:
     records: list[PageLabels] = []
-    for cs in build_competition_sets(mapping, scheme):
+    for cs in build_competition_sets(graph, mapping, scheme):
         records.extend(label_competition_set(graph, cs, cfg))
     return records
 

@@ -139,10 +139,9 @@ def test_centroid_all_zero_error_names_the_first_such_class_in_sorted_order():
     assert str(exc.value) == "class 'c' has an all-zero centroid"
 
 
-def test_train_centroid_holds_one_class_at_a_time():
-    """200 000 items over 100 features and 20 interleaved classes: the traced
-    peak stays below twice the items' own bytes, as no temporary spans
-    every (class, feature) key of the corpus."""
+def _traced_train_centroid():
+    """200 000 items over 100 features and 20 interleaved classes, and the
+    traced peak of ``train_centroid`` on them."""
     rng = np.random.default_rng(0)
     n_docs, per_doc = 4_000, 50
     vectors = DocMatrix(
@@ -159,8 +158,35 @@ def test_train_centroid_holds_one_class_at_a_time():
     finally:
         tracemalloc.stop()
     assert len(model.classes) == 20
+    return vectors, peak
+
+
+def test_train_centroid_holds_one_class_at_a_time():
+    """The traced peak stays below twice the items' own bytes, as no
+    temporary spans every (class, feature) key of the corpus."""
+    vectors, peak = _traced_train_centroid()
     items = vectors.indices.nbytes + vectors.data.nbytes
     assert peak < 2 * items, (peak, items)
+
+
+def test_train_centroid_checks_feature_indices_in_place():
+    """The bounds check reads the int32 indices as they are: an int64 copy
+    of them alone would take twice their bytes."""
+    vectors, peak = _traced_train_centroid()
+    assert peak < 1.5 * vectors.indices.nbytes, (peak, vectors.indices.nbytes)
+
+
+@pytest.mark.parametrize("ix", [-1, 3])
+def test_out_of_range_features_are_refused_naming_the_first(ix):
+    vectors = DocMatrix(
+        np.array([0, 1, 3]), np.array([0, ix, 9], np.int32), np.ones(3)
+    )
+    model = train_centroid(docs([{0: 1.0}, {2: 1.0}]), ["a", "b"])
+    first = rf"^feature index {ix} out of range"
+    with pytest.raises(ConfigurationError, match=first):
+        predict_centroid(model, vectors)
+    with pytest.raises(ConfigurationError, match=first):
+        train_svm(vectors, ["a", "b"], TrainConfig(), n_features=3)
 
 
 # ---------------------------------------------------------------------- svm

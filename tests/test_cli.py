@@ -1275,27 +1275,46 @@ def test_label_fine_scheme_on_flat_taxonomy_names_the_taxonomy(wiki, tmp_path, c
     assert f"{taxonomy}: scheme 'fine'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit, message", [
-    pytest.param(
+_MAPPING_FAULTS = {
+    "unmapped-label": (
         lambda labels: {**labels, "charlie": []},
-        "label 'charlie' is not mapped to any category", id="unmapped-label",
+        "label 'charlie' is not mapped to any category",
     ),
-    pytest.param(
+    "shared-category": (
         lambda labels: {**labels, "bravo": labels["alpha"] + labels["bravo"]},
-        "category 1 is mapped for both 'alpha' and 'bravo'", id="shared-category",
+        "category 1 is mapped for both 'alpha' and 'bravo'",
     ),
+}
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    pytest.param(command, *fault, id=name if command == "label" else f"ablate-{name}")
+    for command in ("label", "ablate")
+    for name, fault in _MAPPING_FAULTS.items()
 ])
-def test_label_mapping_faults_name_the_mapping(wiki, tmp_path, capsys, edit, message):
+def test_label_mapping_faults_name_the_mapping(
+    wiki, tmp_path, capsys, command, edit, message
+):
+    """``ablate`` checks the mapping before it reads the gold instances, so
+    a malformed eval file is not what it reports."""
     doc = json.loads((wiki / "mapping.json").read_text(encoding="utf-8"))
     mapping = tmp_path / "mapping.json"
     mapping.write_text(json.dumps({**doc, "labels": edit(doc["labels"])}))
+    if command == "label":
+        outputs = ["--out", str(tmp_path / "labels.jsonl")]
+    else:
+        (tmp_path / "eval.jsonl").write_text("{not json\n", encoding="utf-8")
+        outputs = [
+            "--corpus", str(wiki / "corpus.jsonl"),
+            "--eval", str(tmp_path / "eval.jsonl"), "--out-dir", str(tmp_path),
+        ]
     assert main([
-        "label", "--graph", str(wiki / "graph.bin"),
+        command, "--graph", str(wiki / "graph.bin"),
         "--taxonomy", str(wiki / "taxonomy.json"), "--mapping", str(mapping),
-        "--out", str(tmp_path / "labels.jsonl"),
+        *outputs,
     ]) == 2
     assert f"{mapping}: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "labels.jsonl").exists()
+    assert list(tmp_path.glob("labels*.jsonl")) == []
 
 
 def test_predict_model_without_classes_names_the_model(

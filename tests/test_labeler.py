@@ -17,7 +17,6 @@ from wikicat.graph_store import CategoryGraph, load_graph
 from wikicat.jsonio import read_jsonl
 from wikicat.labeler import (
     MODES,
-    CompetitionSet,
     CorpusLabels,
     LabelingConfig,
     RootSpec,
@@ -61,17 +60,19 @@ def test_config_validation():
         LabelingConfig(path_mode="exact", exact_path_cap=None)
 
 
-def test_competition_set_validation():
-    a = RootSpec("a", (0, 1))
-    with pytest.raises(ConfigurationError, match="no root nodes"):
-        RootSpec("x", ())
-    with pytest.raises(ConfigurationError, match="duplicate labels"):
-        CompetitionSet((a, RootSpec("a", (2,))))
-    with pytest.raises(ConfigurationError, match="mapped for both"):
-        CompetitionSet((a, RootSpec("b", (1,))))
-    cs = CompetitionSet((a, RootSpec("b", (2,))))
-    assert cs.blocked_for("a") == frozenset({2})
-    assert cs.blocked_for("b") == frozenset({0, 1})
+def test_competition_set_validation(make_graph):
+    g = make_graph([(1, "A"), (2, "B"), (3, "C")], [], [])
+    mapping = _mapping(g, {"a": [1, 2], "b": [3], "x": []})
+    with pytest.raises(ConfigurationError, match="in competition set: 'a'"):
+        build_competition_sets(g, mapping, [["a", "b", "a"]])
+    for scheme in ([["a", "b"], ["x"]], [["a", "ghost"]]):
+        with pytest.raises(TaxonomyError, match="label '.*' is not mapped to any"):
+            build_competition_sets(g, mapping, scheme)
+        with pytest.raises(TaxonomyError, match="label '.*' is not mapped to any"):
+            label_corpus(g, mapping, scheme, DAG_CFG)
+    [cs] = build_competition_sets(g, mapping, [["a", "b"]])
+    assert cs.blocked_for("a") == frozenset({g.category_node(3)})
+    assert cs.blocked_for("b") == frozenset({g.category_node(1), g.category_node(2)})
 
 
 # --------------------------------------------------------------- traversal
@@ -650,10 +651,21 @@ def test_schemes_from_taxonomy():
 
 def test_build_competition_sets_checks_overlap(make_graph):
     g = make_graph([(1, "A"), (2, "A2")], [], [])
+    assert g.category_node(1) == 0  # the message names the external id
     tax = Taxonomy([TaxonomyLabel("a", "A"), TaxonomyLabel("b", "A2")])
     mapping = map_taxonomy(tax, g, overrides={"b": [g.category_node(1)]})
-    with pytest.raises(ConfigurationError, match="mapped for both"):
-        build_competition_sets(mapping, [["a", "b"]])
+    shared = "^category 1 is mapped for both 'a' and 'b'$"
+    with pytest.raises(ConfigurationError, match=shared):
+        build_competition_sets(g, mapping, [["a", "b"]])
+    with pytest.raises(ConfigurationError, match=shared):
+        label_corpus(g, mapping, [["a", "b"]], DAG_CFG)
+    # Label by label: the first faulty label of the set is named.
+    with pytest.raises(TaxonomyError, match="'ghost' is not mapped"):
+        build_competition_sets(g, mapping, [["a", "ghost", "b"]])
+    with pytest.raises(ConfigurationError, match=shared):
+        build_competition_sets(g, mapping, [["a", "b", "ghost"]])
+    # Labels of different sets may share a category.
+    assert len(build_competition_sets(g, mapping, [["a"], ["b"]])) == 2
 
 
 # ------------------------------------------------------------ serialization
