@@ -12,7 +12,6 @@ in this module flows from explicit seeds.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import random
 from dataclasses import asdict, dataclass, field
@@ -31,8 +30,6 @@ from .textproc import (
     tfidf_to_dict,
     tokenize,
 )
-
-logger = logging.getLogger(__name__)
 
 CENTROID_FORMAT = "wikicat/centroid/v1"
 SVM_FORMAT = "wikicat/svm/v1"
@@ -69,26 +66,18 @@ def sample_balance(
     corpus: Iterable[tuple[int, str, T]],
     n_per_class: int,
     seed: int,
-    expected_classes: Iterable[str] | None = None,
 ) -> list[tuple[int, str, T]]:
     """Balance (doc id, label, payload) rows to n_per_class per label.
 
     Larger classes are uniformly downsampled without replacement, smaller
     classes keep every document and then draw duplicates with replacement.
-    Classes expected but absent are dropped with a warning.  Output order
-    is sorted labels, each followed by its sampled rows.
+    Output order is sorted labels, each followed by its sampled rows.
     """
     if n_per_class < 1:
         raise ConfigurationError("n_per_class must be >= 1")
     by_label: dict[str, list[tuple[int, str, T]]] = {}
     for row in corpus:
         by_label.setdefault(row[1], []).append(row)
-    if expected_classes is not None:
-        missing = sorted(set(expected_classes) - set(by_label))
-        if missing:
-            logger.warning(
-                "dropping classes with no documents: %s", ", ".join(missing)
-            )
     out: list[tuple[int, str, T]] = []
     for label in sorted(by_label):
         docs = sorted(by_label[label], key=lambda row: row[0])
@@ -142,12 +131,18 @@ def _items(docs: DocMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return docs.indices[at], docs.data[at]
 
 
-def _sparse(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int) -> DocMatrix:
-    """The n CSR rows of the nonzero ``data[k]`` at ``(rows[k], cols[k])``,
-    which come in row-major order."""
-    keep = data != 0.0
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n))))
-    return DocMatrix(indptr, cols[keep].astype(np.int32), data[keep])
+def _weight_matrix(
+    cols: Sequence[np.ndarray], weights: Sequence[np.ndarray]
+) -> DocMatrix:
+    """A model's CSR weight rows: row c holds the nonzero ``weights[c]`` at
+    the feature indices ``cols[c]``.  Beside the per-class arrays, only the
+    joined rows are allocated whole."""
+    indptr = np.cumsum([0, *map(np.count_nonzero, weights)])
+    indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+    for lo, hi, ix, w in zip(indptr.tolist(), indptr[1:].tolist(), cols, weights):
+        keep = w != 0.0
+        indices[lo:hi], data[lo:hi] = ix[keep], w[keep]
+    return DocMatrix(indptr, indices, data)
 
 
 def _dot_chunks(table: np.ndarray, first: np.ndarray, docs: DocMatrix):
@@ -215,7 +210,6 @@ class CentroidModel:
 def train_centroid(
     vectors: DocMatrix,
     labels: Sequence[str],
-    expected_classes: Iterable[str] | None = None,
     tfidf: TfIdfModel | None = None,
 ) -> CentroidModel:
     """Per class: mean of the class rows, L2-normalized.
@@ -225,21 +219,16 @@ def train_centroid(
 
     One class at a time: its documents' items, in document order, are summed
     per feature, and the squares of its means are added up in the order the
-    class first saw its features, as the stored bytes depend on it.  Past
-    the check of every feature index, no temporary spans more than one
-    class's items.
+    class first saw its features, as the stored bytes depend on it; the
+    class's weights are its means over that norm.  Past the check of every
+    feature index, no temporary spans more than one class's items, and the
+    classes' weights are joined into the model's rows once.
     """
     if len(vectors) != len(labels):
         raise ConfigurationError("vectors and labels differ in length")
     if not len(vectors):
         raise ConfigurationError("no training documents")
     classes = tuple(sorted(set(labels)))
-    if expected_classes is not None:
-        missing = sorted(set(expected_classes) - set(classes))
-        if missing:
-            raise ConfigurationError(
-                f"classes without documents: {', '.join(missing)}"
-            )
     if tfidf is not None:
         width = tfidf.vocab_size
     else:
@@ -249,26 +238,20 @@ def train_centroid(
     doc_class = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
     n_docs = np.bincount(doc_class, minlength=len(classes))
     by_class = np.argsort(doc_class, kind="stable")  # document order within a class
-    cols, means = [], []
-    norms = np.zeros(len(classes))
+    cols, weights = [], []
     for c, hi in enumerate(np.cumsum(n_docs).tolist()):
         features, values = _items(vectors, by_class[hi - n_docs[c] : hi])
         keys, first, at = np.unique(features, return_index=True, return_inverse=True)
-        sums = np.zeros(len(keys))
-        np.add.at(sums, at, values)  # in document order
+        mean = np.zeros(len(keys))
+        np.add.at(mean, at, values)  # in document order
+        mean /= n_docs[c]
+        norm = np.zeros(1)
+        np.add.at(norm, np.zeros_like(keys), np.square(mean[np.argsort(first)]))
+        if norm[0] == 0.0:
+            raise ConfigurationError(f"class {classes[c]!r} has an all-zero centroid")
         cols.append(keys)
-        means.append(sums / n_docs[c])
-        np.add.at(norms, np.full(len(keys), c), np.square(means[-1][np.argsort(first)]))
-    norms = np.sqrt(norms)
-    zero = np.flatnonzero(norms == 0.0)
-    if len(zero):
-        raise ConfigurationError(
-            f"class {classes[zero[0]]!r} has an all-zero centroid"
-        )
-    rows = np.repeat(np.arange(len(classes)), [len(keys) for keys in cols])
-    mean = np.concatenate(means)
-    weights = _sparse(rows, np.concatenate(cols), mean / norms[rows], len(classes))
-    return CentroidModel(classes, weights, width, tfidf)
+        weights.append(mean / np.sqrt(norm[0]))
+    return CentroidModel(classes, _weight_matrix(cols, weights), width, tfidf)
 
 
 def predict_centroid(model: CentroidModel, vectors: DocMatrix) -> list[str | None]:
@@ -383,7 +366,7 @@ def train_svm(
         codes == np.arange(len(classes))[:, None], np.int8(1), np.int8(-1)
     )
     dense, bias, losses = _sgd(vectors, targets, classes, cfg, n_features)
-    weights = _sparse(*np.nonzero(dense), dense[dense != 0.0], len(classes))
+    weights = _weight_matrix([np.arange(n_features)] * len(classes), dense)
     return LinearSvmModel(
         tuple(classes), weights, n_features, bias, cfg,
         dict(zip(classes, losses)), tfidf,
@@ -457,15 +440,14 @@ def _weights_rows(classes: Sequence[str], lists: list, n_features: int) -> DocMa
             raise ValueError(f"class {label!r}: feature indices are not ascending")
         indices.append(cols)
         weights.append(np.array(ws, dtype=float))
-    rows = np.repeat(np.arange(len(classes)), list(map(len, indices)))
-    return _sparse(rows, np.concatenate(indices), np.concatenate(weights), len(classes))
+    return _weight_matrix(indices, weights)
 
 
 def save_model(model: CentroidModel | LinearSvmModel, path: str | Path) -> None:
-    if model.tfidf is None:
-        raise ConfigurationError("model has no tf-idf reference to serialize")
     if not isinstance(model, (CentroidModel, LinearSvmModel)):
         raise ConfigurationError(f"cannot serialize {type(model).__name__}")
+    if model.tfidf is None:
+        raise ConfigurationError("model has no tf-idf reference to serialize")
     w, ptr = model.weights, model.weights.indptr.tolist()
     pairs = [Rows(w.indices[a:b], w.data[a:b]) for a, b in zip(ptr, ptr[1:])]
     doc = {"tfidf": tfidf_to_dict(model.tfidf)}

@@ -181,10 +181,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def _settings(args: argparse.Namespace) -> Callable[[str], Any]:
-    """Load the command's config and return ``get``: ``get(key)`` is the
-    flag's value if given, else the config's value checked against the
-    key's setting, else the setting's default.  Keys of other commands are
-    ignored, so one config file serves them all."""
+    """Load the command's config and return ``get``, which ``main`` passes to
+    the command: ``get(key)`` is the flag's value if given, else the
+    config's value checked against the key's setting, else the setting's
+    default.  Keys of other commands are ignored, so one config file serves
+    them all."""
     cfg = _load_config(args.config)
 
     def get(key: str) -> Any:
@@ -465,8 +466,7 @@ def _emit(summary: dict, out: str | None) -> None:
 # ------------------------------------------------------------ subcommands
 
 
-def _cmd_build_graph(args: argparse.Namespace) -> int:
-    get = _settings(args)
+def _cmd_build_graph(get: Callable[[str], Any]) -> int:
     config = {
         key: get(key)
         for key in ("lenient", "categories", "pages", "edges", "redirects", "out")
@@ -481,8 +481,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_map(args: argparse.Namespace) -> int:
-    get = _settings(args)
+def _cmd_map(get: Callable[[str], Any]) -> int:
     config = {
         key: get(key) for key in ("graph", "taxonomy", "threshold", "overrides", "out")
     }
@@ -511,8 +510,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_label(args: argparse.Namespace) -> int:
-    get = _settings(args)
+def _cmd_label(get: Callable[[str], Any]) -> int:
     scheme_name, workers = get("scheme"), get("workers")
     lab_cfg = LabelingConfig(mode=get("mode"), **{key: get(key) for key in _LABELING})
     out, summary_out = get("out"), get("summary_out")
@@ -533,8 +531,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
-    get = _settings(args)
+def _cmd_sample(get: Callable[[str], Any]) -> int:
     scheme_name, rows, n_per_class = _labeled_rows(get, lambda: get("seed"))
     seed, out, summary_out = get("seed"), get("out"), get("summary_out")
     write_jsonl(
@@ -558,8 +555,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    get = _settings(args)
+def _cmd_train(get: Callable[[str], Any]) -> int:
     scheme_name, rows, n_per_class = _labeled_rows(
         get, lambda: get("seed") if get("kind") == "svm" else None
     )
@@ -592,8 +588,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    get = _settings(args)
+def _cmd_predict(get: Callable[[str], Any]) -> int:
     out = get("out")
     model = load_model(get("model"))
     corpus = _load_corpus(get("corpus"))
@@ -606,8 +601,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    get = _settings(args)
+def _cmd_evaluate(get: Callable[[str], Any]) -> int:
     kind, out, models_dir = get("kind"), get("out"), Path(get("models_dir"))
     taxonomy = load_taxonomy(get("taxonomy"))
     eval_path = get("eval")
@@ -630,8 +624,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    get = _settings(args)
+def _cmd_ablate(get: Callable[[str], Any]) -> int:
     n_per_class = _n_per_class(get) or 200
     scheme_name, seed, min_df = get("scheme"), get("seed"), get("min_df")
     workers, modes = get("workers"), list(get("modes"))
@@ -765,7 +758,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
-        return args.func(args)
+        return args.func(_settings(args))
     except (WikicatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

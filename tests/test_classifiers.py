@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 import tracemalloc
 
@@ -71,14 +70,6 @@ def test_balance_deterministic_and_seed_sensitive():
     assert one != other
 
 
-def test_balance_warns_on_missing_expected_class(caplog):
-    corpus = [(1, "a", "x")]
-    with caplog.at_level(logging.WARNING):
-        out = sample_balance(corpus, 2, seed=0, expected_classes=["a", "ghost"])
-    assert "ghost" in caplog.text
-    assert [row[1] for row in out] == ["a", "a"]
-
-
 def test_balance_rejects_bad_count():
     with pytest.raises(ConfigurationError):
         sample_balance([(1, "a", "x")], 0, seed=0)
@@ -126,8 +117,6 @@ def test_centroid_validation():
         train_centroid(docs([]), [])
     with pytest.raises(ConfigurationError, match="all-zero"):
         train_centroid(docs([{}]), ["z"])
-    with pytest.raises(ConfigurationError, match="ghost"):
-        train_centroid(docs([{0: 1.0}]), ["a"], expected_classes=["a", "ghost"])
 
 
 def test_centroid_all_zero_error_names_the_first_such_class_in_sorted_order():
@@ -174,6 +163,30 @@ def test_train_centroid_checks_feature_indices_in_place():
     of them alone would take twice their bytes."""
     vectors, peak = _traced_train_centroid()
     assert peak < 1.5 * vectors.indices.nbytes, (peak, vectors.indices.nbytes)
+
+
+def test_train_centroid_joins_its_classes_once():
+    """1 000 classes of one 100-item document each over 20 000 features: the
+    model is large and each class small, so the peak is set while the
+    classes' weight rows are joined.  Holding the per-class rows and one
+    joined copy stays under three times the model's bytes."""
+    rng = np.random.default_rng(0)
+    n_cls, per_doc = 1_000, 100
+    vectors = DocMatrix(
+        np.arange(0, n_cls * per_doc + 1, per_doc, dtype=np.int64),
+        rng.integers(0, 20_000, n_cls * per_doc).astype(np.int32),
+        rng.random(n_cls * per_doc) + 0.5,
+    )
+    labels = [f"c{i:04d}" for i in range(n_cls)]
+    train_centroid(vectors, labels)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        weights = train_centroid(vectors, labels).weights
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    model = weights.indptr.nbytes + weights.indices.nbytes + weights.data.nbytes
+    assert peak < 3 * model, (peak, model)
 
 
 @pytest.mark.parametrize("ix", [-1, 3])
@@ -432,6 +445,12 @@ def test_save_requires_tfidf(tmp_path):
     model = train_centroid(docs([{0: 1.0}]), ["a"])
     with pytest.raises(ConfigurationError, match="tf-idf"):
         save_model(model, tmp_path / "no.json")
+
+
+def test_save_refuses_an_object_that_is_not_a_model(tmp_path):
+    with pytest.raises(ConfigurationError, match="^cannot serialize object$"):
+        save_model(object(), tmp_path / "no.json")
+    assert not (tmp_path / "no.json").exists()
 
 
 def test_load_rejects_unknown_format(tmp_path):

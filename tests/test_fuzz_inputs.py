@@ -17,6 +17,13 @@ redirects) are fuzzed at the byte level instead: a case flips a bit,
 inserts a byte, deletes bytes or truncates the file, at a seeded place.
 ``build-graph`` runs in process, strict and lenient, and must exit 0, or
 exit 2 naming a TSV as ``file:line`` or ``file: not UTF-8``.
+
+Version 1 and version 2 snapshots of the ``suvs`` fixture graph take the
+same byte-level mutations.  Each mutated file goes through
+``load_snapshot`` and, if it loads, ``map_taxonomy`` and ``label_corpus``,
+in process: the only exceptions allowed are ``WikicatError``, which the
+CLI reports with exit 2, and ``OSError``, and the traced peak stays under a
+fixed bound.
 """
 
 from __future__ import annotations
@@ -25,13 +32,20 @@ import copy
 import json
 import random
 import re
+import tracemalloc
 from pathlib import Path
 from typing import Any, Iterator
 
 import pytest
 
 from wikicat.cli import main
+from wikicat.exceptions import WikicatError
+from wikicat.graph_store import load_snapshot, save_snapshot
+from wikicat.labeler import LabelingConfig, coarse_scheme, label_corpus
 from wikicat.synth import make_ablation_wiki
+from wikicat.taxonomy_mapper import map_taxonomy
+
+from snapshot_v1_oracle import save_snapshot_v1
 
 # The substitutions: every JSON type, ints beyond int64, a label id of the
 # wiki and a string that is not a file name.
@@ -236,8 +250,8 @@ def build_tsvs(d: Path) -> dict[str, Path]:
     return {name: d / f"{name}.tsv" for name in TSVS}
 
 
-def tsv_cases(name: str) -> list[tuple[str, str, int]]:
-    """Every (input, mutation, seed) case of the TSV input ``name``."""
+def byte_cases(name: str) -> list[tuple[str, str, int]]:
+    """Every (input, mutation, seed) case of the input ``name``."""
     return [
         (name, mutation, seed)
         for mutation in MUTATIONS for seed in range(CASES_PER_MUTATION)
@@ -291,9 +305,65 @@ def wiki_tsvs(tmp_path_factory):
 
 @pytest.mark.parametrize("name", TSVS)
 def test_fuzzed_tsv_exits_0_or_2_naming_a_line(wiki_tsvs, tmp_path, capsys, name):
-    every = tsv_cases(name)
+    every = byte_cases(name)
     sample = random.Random(f"{SEED}:{name}").sample(every, TSV_SAMPLE_PER_INPUT)
     bad = []
     for case in sample:
         bad += run_tsv_case(wiki_tsvs, tmp_path, case, capsys)
     assert not bad, "\n".join(bad)
+
+
+# ------------------------------------------------------- snapshot bytes
+
+SNAPSHOTS = {"v1": save_snapshot_v1, "v2": save_snapshot}
+SNAPSHOT_SAMPLE_PER_INPUT = 250
+# A sample's traced peak.  The files are under 0.5 kB and a case peaked
+# at 1.1 MB, so a count read from corrupt bytes that sized an array would
+# pass it.
+SNAPSHOT_PEAK_BYTES = 16 << 20
+
+
+def run_snapshot_case(
+    snapshots: dict[str, Path], taxonomy, work: Path, case: tuple[str, str, int]
+) -> list[str]:
+    """Load the snapshot with one mutation and, if it loads, map the
+    taxonomy onto it and label its pages; the case if it raised other than
+    a WikicatError or an OSError."""
+    name, mutation, seed = case
+    path = work / f"{name}.bin"
+    path.write_bytes(mutated(snapshots[name].read_bytes(), mutation, seed))
+    try:
+        graph = load_snapshot(path)
+        mapping = map_taxonomy(taxonomy, graph)
+        label_corpus(graph, mapping, coarse_scheme(taxonomy), LabelingConfig())
+    except (WikicatError, OSError):
+        pass
+    except Exception as exc:
+        return [f"{case}: {type(exc).__name__}: {exc}"]
+    return []
+
+
+@pytest.fixture(scope="module")
+def snapshots(tmp_path_factory, suvs_graph):
+    d = tmp_path_factory.mktemp("fuzz_snapshots")
+    for name, save in SNAPSHOTS.items():
+        save(suvs_graph, d / f"{name}.bin")
+    return {name: d / f"{name}.bin" for name in SNAPSHOTS}
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOTS))
+def test_fuzzed_snapshot_loads_or_is_refused(snapshots, suvs_taxonomy, tmp_path, name):
+    sample = random.Random(f"{SEED}:{name}").sample(
+        byte_cases(name), SNAPSHOT_SAMPLE_PER_INPUT
+    )
+    tracemalloc.start()
+    try:
+        bad = [
+            fault for case in sample
+            for fault in run_snapshot_case(snapshots, suvs_taxonomy, tmp_path, case)
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not bad, "\n".join(bad)
+    assert peak < SNAPSHOT_PEAK_BYTES, peak

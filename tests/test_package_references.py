@@ -1,8 +1,11 @@
-"""Every top-level function and class in the package is used by the package.
+"""Every top-level function and class in the package is used by the package,
+and every defaulted parameter is passed by some call in it.
 
 Slow reference versions and helpers that only tests call belong in
 ``tests/``; a definition that nothing in ``src/wikicat`` refers to, and that
-``wikicat.__all__`` does not export, fails this check.
+``wikicat.__all__`` does not export, fails this check.  So does a parameter
+with a default that no call in ``src/wikicat`` passes, by keyword or by
+position: it selects a behaviour only tests use.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ import wikicat
 # Synthetic wiki generators for tests, scripts and users: no pipeline step
 # calls them.
 _EXEMPT = {"synth.py"}
+# The console entry point: the interpreter calls it without arguments, and
+# tests pass ``argv``.
+_UNPASSED = {("cli.py", "main", "argv")}
 
 
 def _names_used(node: ast.AST) -> set[str]:
@@ -78,4 +84,97 @@ def test_check_flags_test_only_and_self_only_definitions(tmp_path):
     assert _unreferenced(tmp_path, {"exported"}) == [
         "a.py:7: lonely",
         "a.py:10: Orphan",
+    ]
+
+
+def _defaulted(func: ast.FunctionDef | ast.AsyncFunctionDef, method: bool):
+    """``(name, position)`` of each parameter of ``func`` with a default; the
+    position counts the arguments a call passes (a method's ``self`` or
+    ``cls`` is not one of them), and is None for a keyword-only parameter."""
+    a = func.args
+    positional = a.posonlyargs + a.args
+    first, shift = len(positional) - len(a.defaults), 1 if method else 0
+    out = [(arg.arg, i - shift) for i, arg in enumerate(positional) if i >= first]
+    out += [
+        (arg.arg, None)
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def _unpassed(package: Path) -> list[str]:
+    """``file:line: function(parameter)`` of each defaulted parameter that no
+    call in the package passes.  Calls match definitions by name; a call
+    through a class's name calls its ``__init__``, and a call with ``*`` or
+    ``**`` passes every parameter."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    classes = {
+        node.name for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    passed: dict[str, set] = {}  # callee name -> keywords and positions
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in classes:
+                name = "__init__"
+            seen = passed.setdefault(name, set())
+            if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                kw.arg is None for kw in call.keywords
+            ):
+                seen.add("*")
+            seen.update(range(len(call.args)))
+            seen.update(kw.arg for kw in call.keywords)
+    found = []
+    for module, tree in trees.items():
+        if module in _EXEMPT:
+            continue
+        methods = {
+            id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            seen = passed.get(func.name, set())
+            for param, position in _defaulted(func, id(func) in methods):
+                if (module, func.name, param) in _UNPASSED or "*" in seen:
+                    continue
+                if param not in seen and position not in seen:
+                    found.append(f"{module}:{func.lineno}: {func.name}({param})")
+    return found
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert _unpassed(Path(wikicat.__file__).parent) == []
+
+
+def test_parameter_check_counts_keywords_positions_classes_and_stars(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def by_keyword(x, k=1):\n    pass\n\n"
+        "def by_position(x, k=1):\n    pass\n\n"
+        "def by_star(x, k=1):\n    pass\n\n"
+        "def unpassed(x, k=1, *, only=2):\n    pass\n\n"
+        "class Box:\n"
+        "    def __init__(self, k=1):\n        pass\n\n"
+        "    def method(self, k=1):\n        pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import Box, by_keyword, by_position, by_star, unpassed\n\n"
+        "by_keyword(0, k=2)\nby_position(0, 2)\nby_star(*[0, 2])\n"
+        "unpassed(0)\nBox(2).method()\n",
+        encoding="utf-8",
+    )
+    assert _unpassed(tmp_path) == [
+        "a.py:10: unpassed(k)",
+        "a.py:10: unpassed(only)",
+        "a.py:17: method(k)",
     ]

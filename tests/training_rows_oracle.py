@@ -9,13 +9,12 @@ corpus and keeps only the texts it uses; the differential tests require
 the same exit code, the same first error line, the same log records and
 the same output bytes.
 
-``sample`` and ``train`` take the parsed arguments, as the subcommands do;
-``COMMANDS`` gives their entries for ``cli.COMMANDS``.
+``sample`` and ``train`` take ``get``, the resolved settings, as the
+subcommands do; ``COMMANDS`` gives their entries for ``cli.COMMANDS``.
 """
 
 from __future__ import annotations
 
-import argparse
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -128,8 +127,7 @@ def train_sets(rows, kind, n_per_class, min_df, train_cfg, out_dir) -> Iterator:
         yield name, model, counts
 
 
-def sample(args: argparse.Namespace) -> int:
-    get = cli._settings(args)
+def sample(get: Callable[[str], Any]) -> int:
     scheme_name, rows, n_per_class = labeled_rows(get)
     seed, out, summary_out = get("seed"), get("out"), get("summary_out")
     balanced = {
@@ -153,8 +151,7 @@ def sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def train(args: argparse.Namespace) -> int:
-    get = cli._settings(args)
+def train(get: Callable[[str], Any]) -> int:
     scheme_name, rows, n_per_class = labeled_rows(get)
     kind, min_df = get("kind"), get("min_df")
     train_cfg = TrainConfig(
