@@ -156,6 +156,8 @@ def _checked(s: Setting, val: Any) -> Any:
         jtype = _JSON_TYPES[s.type]
         if type(val) not in jtype.types:
             raise ConfigurationError(f"{s.key}: expected {jtype.name}, got {val!r}")
+        if s.type == "str" and "\0" in val:  # every str setting is a path
+            raise ConfigurationError(f"{s.key}: a path cannot hold a NUL, got {val!r}")
         if s.type != "float":
             return val
         try:
@@ -248,7 +250,7 @@ def _load_corpus(
 def _set_name(name: str, where: str) -> str:
     """A competition set's name, which names its model files
     ``<set>.<kind>.json``; one that is not a plain file name is refused."""
-    if name in ("", ".", "..") or {os.sep, os.altsep} & set(name):
+    if name in ("", ".", "..") or {os.sep, os.altsep, "\0"} & set(name):
         raise ConfigurationError(
             f"{where} {name!r} names a competition set but is not a file name"
         )
@@ -336,10 +338,15 @@ def _check_rows(
 
 
 def _set_rows(
-    pages: list[int], tops: list[str | None], named: dict[str, list[str]]
+    pages: list[int],
+    tops: list[str | None],
+    named: dict[str, list[str]],
+    n_per_class: int,
+    seed: int | None,
 ) -> dict[str, list[tuple[int, str, None]]]:
     """The (page id, top label, None) rows of each set, in ``named``'s order,
-    of the pages whose top label is in a set."""
+    of the pages whose top label is in a set: all of them where ``seed`` is
+    None, else balanced to ``n_per_class`` per class."""
     label_to_set = {
         label: name for name, group in named.items() for label in group
     }
@@ -348,13 +355,8 @@ def _set_rows(
         name = label_to_set.get(top)
         if name is not None:
             rows[name].append((page, top, None))
-    return rows
-
-
-def _sample_sets(
-    rows: dict[str, list[tuple[int, str, None]]], n_per_class: int, seed: int
-) -> dict[str, list[tuple[int, str, None]]]:
-    """Each set's rows, balanced to ``n_per_class`` per class."""
+    if seed is None:
+        return rows
     return {
         name: sample_balance(set_rows, n_per_class, seed)
         for name, set_rows in rows.items()
@@ -379,35 +381,27 @@ def _labeled_rows(
     ``draw_seed()`` gives the seed to balance each set with, or None to keep
     every row.
 
-    The sample is drawn before the corpus is read, so only its texts are
+    The rows are drawn before the corpus is read, so only their texts are
     kept.  ``draw_seed`` must read only settings that its command resolves
-    again after this returns.  Then a draw that fails keeps every labeled
-    text, and its error is raised where it always was: here, after the
-    corpus and the rows are checked, or by the command.
+    again after this returns.  Then a draw that fails keeps no text, and its
+    error is raised where it always was, before the rows are used: here,
+    after the corpus and the rows are checked, or by the command.
     """
     n_per_class = _n_per_class(get)
     taxonomy = load_taxonomy(get("taxonomy"))
     pages, tops = read_labels(get("labels"))
-
-    def per_class() -> int:
-        # Coarse sets span the whole corpus; fine sets are per parent.
-        return n_per_class or (20_000 if get("scheme") == COARSE_SET else 1_000)
-
     try:
-        named, seed = _named_scheme(get, taxonomy), draw_seed()
+        named = _named_scheme(get, taxonomy)
+        # Coarse sets span the whole corpus; fine sets are per parent.
+        per_class = n_per_class or (20_000 if get("scheme") == COARSE_SET else 1_000)
+        rows = _set_rows(pages, tops, named, per_class, draw_seed())
     except WikicatError:
-        seed = None  # raised again below or by the command, as draw_seed asks
-    if seed is None:
-        drawn = None
-        keep = {page for page, top in zip(pages, tops) if top is not None}
-    else:
-        drawn = _sample_sets(_set_rows(pages, tops, named), per_class(), seed)
-        keep = {page for set_rows in drawn.values() for page, _, _ in set_rows}
+        rows = {}  # raised again below or by the command, as draw_seed asks
+    keep = {page for set_rows in rows.values() for page, _, _ in set_rows}
     corpus = _load_corpus(get("corpus"), keep)
     named = _named_scheme(get, taxonomy)
     _check_rows(pages, tops, corpus, named, get("labels"), get("corpus"))
-    rows = _set_rows(pages, tops, named) if drawn is None else drawn
-    return get("scheme"), _with_texts(rows, corpus), per_class()
+    return get("scheme"), _with_texts(rows, corpus), per_class
 
 
 def _train_sets(
@@ -646,9 +640,7 @@ def _cmd_ablate(get: Callable[[str], Any]) -> int:
         write_labels(labeled, graph, labels_path)
         pages, tops = graph.external_ids(labeled.page).tolist(), labeled.tops()
         _check_rows(pages, tops, corpus, named, labels_path, get("corpus"))
-        rows = _with_texts(
-            _sample_sets(_set_rows(pages, tops, named), n_per_class, seed), corpus
-        )
+        rows = _with_texts(_set_rows(pages, tops, named, n_per_class, seed), corpus)
         models, n_train = {}, 0
         for name, model, counts in _train_sets(
             rows, "svm", min_df, train_cfg, out_dir, f"{mode}."

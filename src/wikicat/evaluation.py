@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -87,9 +89,11 @@ def evaluate(
             "f1": f1,
             "support": float(support[cls]),
         }
+    # Added left to right: ``sum`` rounds floats differently from Python 3.12.
+    f1_sum = reduce(add, (row["f1"] for row in per_class.values()), 0.0)
     return EvalReport(
         accuracy=sum(hits.values()) / len(preds),
-        macro_f1=sum(row["f1"] for row in per_class.values()) / len(per_class),
+        macro_f1=f1_sum / len(per_class),
         per_class=per_class,
         n=len(preds),
         group=group,

@@ -22,10 +22,11 @@ children of a whole BFS level are gathered at once, and the pass sets
 their depth and their ``dag`` path weight w(v) = sum of w(u)/2 over the
 parents u one level up, with w = 1 at the mapped nodes.  That float equals
 (number of depth-increasing paths) / 2**depth exactly while the path count
-stays below 2**53 and the depth at most 1022.  Past that it is rounded,
-and a weight beyond the float range becomes ``inf``.  Candidates stay
-sparse, one row per (page, root), and a page's raw weights are summed in
-root order.
+stays below 2**53 and the depth at most 1022.  Past that it is rounded: a
+weight beyond the float range becomes ``inf``, and one below it 0.0.
+Candidates stay sparse, one row per (page, root), and a page's raw weights
+are summed in root order.  Its ``inf`` weights, or its weights if all are
+0.0, split its share evenly.
 
 In ``exact`` mode a page's raw weight is instead the sum of 2**-len over
 its simple paths of length at most ``exact_path_cap``.  A root with
@@ -58,7 +59,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, repeat
+from operator import add
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -72,30 +75,6 @@ from .taxonomy_mapper import CategoryMapping, Taxonomy
 MODES = ("full", "child_only", "all_descendants", "min_dist", "no_pruning")
 PATH_MODES = ("dag", "exact")
 _RECORDS_PER_RUN = 1024  # records formatted per written run of labels.jsonl
-
-
-@dataclass(frozen=True)
-class RootSpec:
-    """A label with the category nodes it is mapped to."""
-
-    label: str
-    nodes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CompetitionSet:
-    """The labels that compete for pages in one classification task."""
-
-    roots: tuple[RootSpec, ...]
-
-    def blocked_for(self, label: str) -> frozenset[int]:
-        """The root nodes of every other label in the set."""
-        return frozenset(
-            node
-            for spec in self.roots
-            if spec.label != label
-            for node in spec.nodes
-        )
 
 
 @dataclass(frozen=True)
@@ -139,7 +118,7 @@ def _gather(
 
 def _bfs(
     graph: CategoryGraph,
-    root: RootSpec,
+    nodes: tuple[int, ...],
     blocked: frozenset[int],
     max_depth: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +132,7 @@ def _bfs(
     fresh[list(blocked)] = False
     depth = np.full(n, -1, dtype=np.int32)  # node ids are int32 too
     weight = np.zeros(n)
-    frontier = np.unique(np.asarray(root.nodes, dtype=np.int64))
+    frontier = np.unique(np.asarray(nodes, dtype=np.int64))
     depth[frontier] = 0
     weight[frontier] = 1.0
     fresh[frontier] = False
@@ -196,19 +175,20 @@ def _coverage(graph: CategoryGraph, pages: np.ndarray, depth: np.ndarray) -> np.
 
 
 def _shares(group: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Each raw weight over its group's total; infinite raws split the group.
+    """Each raw weight over its group's total; infinite raws split the group,
+    and so do the raws of a group whose raws are all 0.0.
 
     Totals are summed in array order, so rows ordered by root give every
     page the same float as summing its raws root by root.
     """
-    if (raw <= 0).any():
-        raise ConfigurationError("raw weights must be positive")
-    infinite = np.isinf(raw)
-    n_inf = np.bincount(group, weights=infinite)[group]
-    total = np.bincount(group, weights=np.where(infinite, 0.0, raw))[group]
-    # Infinite raws (path-count overflow) dominate everything finite.
+    split = np.isinf(raw)  # path-count overflow dominates everything finite
+    n_split = np.bincount(group, weights=split)[group]
+    total = np.bincount(group, weights=np.where(split, 0.0, raw))[group]
+    if not total.all():  # some group's raws all underflowed to 0.0
+        split |= (total == 0.0) & (n_split == 0)
+        n_split = np.bincount(group, weights=split)[group]
     return np.divide(
-        raw, total, where=n_inf == 0, out=infinite / np.maximum(n_inf, 1.0)
+        raw, total, where=n_split == 0, out=split / np.maximum(n_split, 1.0)
     )
 
 
@@ -289,8 +269,9 @@ class CorpusLabels:
 
 def build_competition_sets(
     graph: CategoryGraph, mapping: CategoryMapping, scheme: Sequence[Sequence[str]]
-) -> list[CompetitionSet]:
-    """Resolve a scheme of label-id groups against a mapping.
+) -> list[dict[str, tuple[int, ...]]]:
+    """Resolve a scheme of label-id groups against a mapping: per group, each
+    label, in the group's order, to the category nodes it is mapped to.
 
     Within a group, label by label, a repeated label, a label with no
     category, a root that is not a category and a category already mapped
@@ -298,10 +279,10 @@ def build_competition_sets(
     """
     sets = []
     for group in scheme:
-        roots: list[RootSpec] = []
+        roots: dict[str, tuple[int, ...]] = {}
         owner: dict[int, str] = {}
         for label in group:
-            if any(spec.label == label for spec in roots):
+            if label in roots:
                 raise ConfigurationError(
                     f"duplicate labels in competition set: {label!r}"
                 )
@@ -319,8 +300,8 @@ def build_competition_sets(
                         f"category {graph.external_id(node)} is mapped for both "
                         f"{owner[node]!r} and {label!r}"
                     )
-            roots.append(RootSpec(label, nodes))
-        sets.append(CompetitionSet(tuple(roots)))
+            roots[label] = nodes
+        sets.append(roots)
     return sets
 
 
@@ -356,9 +337,9 @@ def label_corpus(
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
     sets = build_competition_sets(graph, mapping, scheme)
-    labels = sorted({spec.label for cs in sets for spec in cs.roots})
+    labels = sorted({label for roots in sets for label in roots})
     parts = [
-        _label_competition_set(graph, cs, cfg, labels) for cs in sets if cs.roots
+        _label_competition_set(graph, roots, cfg, labels) for roots in sets if roots
     ]
     # Column by column, each set's copy dropped once it is joined.
     page, n_rows, *rows = (
@@ -372,15 +353,15 @@ def label_corpus(
 
 def _collect_root(
     graph: CategoryGraph,
-    spec: RootSpec,
+    nodes: tuple[int, ...],
     blocked: frozenset[int],
     cfg: LabelingConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pages, raw weights, depths) of one root's candidates."""
+    """(pages, raw weights, depths) of the candidates below one label's nodes."""
     # A child_only candidate is a member page of a mapped node: exactly the
     # pages a one-level traversal reaches, whatever max_depth says.
     depth, weight = _bfs(
-        graph, spec, blocked, 1 if cfg.mode == "child_only" else cfg.max_depth
+        graph, nodes, blocked, 1 if cfg.mode == "child_only" else cfg.max_depth
     )
     split = graph.n_categories
     pages = np.flatnonzero(depth[split:] >= 0) + split
@@ -389,7 +370,7 @@ def _collect_root(
     if cfg.mode not in ("full", "no_pruning"):
         raw = np.ones(len(pages))
     elif cfg.path_mode == "exact" and len(pages):
-        raw = _exact_weights(graph, spec, blocked, pages, cfg.exact_path_cap)
+        raw = _exact_weights(graph, nodes, blocked, pages, cfg.exact_path_cap)
     else:
         raw = weight[pages]
     return pages, raw, depth[pages]
@@ -397,18 +378,18 @@ def _collect_root(
 
 def _exact_weights(
     graph: CategoryGraph,
-    spec: RootSpec,
+    nodes: tuple[int, ...],
     blocked: frozenset[int],
     pages: np.ndarray,
     cap: int,
 ) -> np.ndarray:
     """Sum of 2**-len over each page's simple paths of length <= cap.
 
-    One depth-first walk from the root's nodes counts the simple category
+    One depth-first walk from the root nodes counts the simple category
     paths that reach each (category, length < cap); a page's paths are
     those counts one member edge further.  Each page adds its terms one at
-    a time in ascending length order, the float order of its sorted path
-    lengths.
+    a time, left to right in ascending length order: the float order of its
+    sorted path lengths on every Python version, which ``sum`` is not.
     """
     split = graph.n_categories
     indptr, indices = graph.indptr, graph.indices
@@ -421,7 +402,7 @@ def _exact_weights(
         return subcats[u]
 
     paths: Counter[tuple[int, int]] = Counter()  # (category, length) -> paths
-    for start in sorted(set(spec.nodes)):
+    for start in sorted(set(nodes)):
         paths[start, 0] += 1
         # The path's last node has length len(path) - 1; a node is expanded
         # only when its children lie below the cap.
@@ -457,7 +438,7 @@ def _exact_weights(
             raise ConfigurationError(
                 f"page {graph.external_id(p)} has no path within the cap {cap}"
             )
-        raw[i] = sum(chain.from_iterable(terms[p]))
+        raw[i] = reduce(add, chain.from_iterable(terms[p]), 0.0)
     return raw
 
 
@@ -471,25 +452,25 @@ _NO_RECORDS = tuple(
 
 
 def _label_competition_set(
-    graph: CategoryGraph, cs: CompetitionSet, cfg: LabelingConfig, labels: list[str]
+    graph: CategoryGraph,
+    roots: dict[str, tuple[int, ...]],
+    cfg: LabelingConfig,
+    labels: list[str],
 ) -> list[np.ndarray]:
     """One set's record pages and the number of kept rows of each record,
     then the kept rows' label (an index into ``labels``), raw weight,
     normalized weight and depth, in record order."""
+    # A label is blocked at the set's other roots (no root has two labels).
+    every = frozenset(() if cfg.mode == "no_pruning" else chain(*roots.values()))
     per_root = [
-        _collect_root(
-            graph,
-            spec,
-            frozenset() if cfg.mode == "no_pruning" else cs.blocked_for(spec.label),
-            cfg,
-        )
-        for spec in cs.roots
+        _collect_root(graph, nodes, every.difference(nodes), cfg)
+        for nodes in roots.values()
     ]
     # One row per (page, root) candidate, rows grouped by root in set order;
     # ``label`` is as narrow as the number of labels allows.
     label = np.repeat(
         np.array(
-            [labels.index(spec.label) for spec in cs.roots],
+            [labels.index(label) for label in roots],
             np.min_scalar_type(len(labels)),
         ),
         [len(p) for p, _, _ in per_root],

@@ -143,6 +143,9 @@ def tfidf_from_dict(doc: dict) -> TfIdfModel:
         raise ConfigurationError(f"malformed tf-idf model: {exc}") from None
     if terms != sorted(terms):
         raise ConfigurationError("model terms are not sorted")
+    if len(model.index) < len(terms):  # sorted, so a repeat is adjacent
+        repeated = next(a for a, b in zip(terms, terms[1:]) if a == b)
+        raise ConfigurationError(f"model term {repeated!r} is repeated")
     return model
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import reduce
+from operator import add
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,13 +24,18 @@ from wikicat.graph_store import CategoryGraph
 from wikicat.jsonio import write_jsonl
 from wikicat.labeler import (
     Assignment,
-    CompetitionSet,
     LabelingConfig,
     PageLabels,
-    RootSpec,
     build_competition_sets,
 )
 from wikicat.taxonomy_mapper import CategoryMapping
+
+
+class RootSpec(NamedTuple):
+    """A label with the category nodes it is mapped to."""
+
+    label: str
+    nodes: tuple[int, ...]
 
 
 def bfs(
@@ -139,7 +146,8 @@ def weight(
             f"page {graph.external_id(page)} has no path within the cap "
             f"{cfg.exact_path_cap}"
         )
-    return float(sum(2.0 ** -n for n in lengths))
+    # Added left to right: ``sum`` rounds floats differently from Python 3.12.
+    return float(reduce(add, (2.0 ** -n for n in lengths), 0.0))
 
 
 def normalize_and_assign(
@@ -154,7 +162,7 @@ def normalize_and_assign(
             (label, share if math.isinf(raw) else 0.0) for label, raw in candidates
         ]
     else:
-        total = sum(raw for _, raw in candidates)
+        total = reduce(add, (raw for _, raw in candidates), 0.0)
         normalized = [(label, raw / total) for label, raw in candidates]
     assigned = [(label, w) for label, w in normalized if w > threshold]
     assigned.sort(key=lambda item: (-item[1], item[0]))
@@ -196,12 +204,19 @@ def collect_root(
 
 
 def label_competition_set(
-    graph: CategoryGraph, cs: CompetitionSet, cfg: LabelingConfig
+    graph: CategoryGraph, cs: Sequence[RootSpec], cfg: LabelingConfig
 ) -> list[PageLabels]:
     by_page: dict[int, list[tuple[str, float, int]]] = {}
-    for spec in cs.roots:
+    for spec in cs:
         blocked = (
-            frozenset() if cfg.mode == "no_pruning" else cs.blocked_for(spec.label)
+            frozenset()
+            if cfg.mode == "no_pruning"
+            else frozenset(
+                node
+                for other in cs
+                if other.label != spec.label
+                for node in other.nodes
+            )
         )
         for page, label, raw, d in collect_root(graph, spec, blocked, cfg):
             by_page.setdefault(page, []).append((label, raw, d))
@@ -241,7 +256,8 @@ def label_corpus(
     cfg: LabelingConfig,
 ) -> list[PageLabels]:
     records: list[PageLabels] = []
-    for cs in build_competition_sets(graph, mapping, scheme):
+    for roots in build_competition_sets(graph, mapping, scheme):
+        cs = [RootSpec(label, nodes) for label, nodes in roots.items()]
         records.extend(label_competition_set(graph, cs, cfg))
     return records
 

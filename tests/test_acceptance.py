@@ -24,7 +24,6 @@ from wikicat.classifiers import (
 from wikicat.cli import main
 from wikicat.labeler import (
     LabelingConfig,
-    RootSpec,
     _bfs,
     _coverage,
     coarse_scheme,
@@ -170,7 +169,7 @@ def test_c2_depth_coverage_and_pruning(trucks_graph, trucks_taxonomy):
     depth_ok = depths.get(ford) == 2
     # Coverage is not in the labels file: read it from the BFS depths.
     nodes = tuple(mc.node for mc in mapping.entries["trucks"])
-    depth, _ = _bfs(g, RootSpec("trucks", nodes), frozenset(), None)
+    depth, _ = _bfs(g, nodes, frozenset(), None)
     cov_ford, cov_club = _coverage(g, np.array([ford, club]), depth).tolist()
     full_pages = {g.external_id(r.page) for r in full}
     nop_pages = {

@@ -1198,7 +1198,7 @@ def test_sample_warns_once_per_set_with_classes_without_rows(
     assert [row["set"] for row in rows] == ["a"] * 10 + ["b"] * 5
 
 
-@pytest.mark.parametrize("name", ["../escape", "..", ".", "", "sub/dir"])
+@pytest.mark.parametrize("name", ["../escape", "..", ".", "", "sub/dir", "p\0"])
 def test_train_refuses_a_set_name_that_is_no_file_name(
     wiki, labels_path, tmp_path, capsys, name
 ):

@@ -161,6 +161,18 @@ def test_every_subcommand_has_settings_in_the_pair_test():
     assert len(_PAIRS) == sum(len(opts) - 3 for opts in _OPTIONS.values())
 
 
+@pytest.mark.parametrize(
+    "command, setting", [pair for pair in _PAIRS if pair.values[1].type == "str"]
+)
+def test_nul_in_a_config_path_exits_2_naming_the_key(
+    shared, tmp_path, capsys, command, setting
+):
+    value = f"{tmp_path}/x\0.json"
+    code, out, err = _run(tmp_path, capsys, command, {**shared, setting.key: value})
+    assert (code, out) == (2, ""), err
+    assert err == f"error: {setting.key}: a path cannot hold a NUL, got {value!r}\n"
+
+
 def _subprocess_run(tmp_path, command: str, config: dict):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

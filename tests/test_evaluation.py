@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -42,6 +43,18 @@ def test_macro_f1_hand_confusion_matrix():
     # preds [A, A] vs golds [{A}, {B}]: class A has tp=1 fp=1 fn=0 so
     # P=1/2 R=1 F1=2/3; class B has tp=0 fn=1 so F1=0; macro = 1/3.
     assert macro_f1(["A", "A"], [["A"], ["B"]]) == pytest.approx(1 / 3)
+
+
+def test_macro_f1_adds_the_class_f1s_left_to_right():
+    # F1s 1/2, 2/3, 2/5 added left to right give 1.5666666666666664, and the
+    # correctly rounded sum, which ``sum`` gives from Python 3.12 on, is
+    # 1.5666666666666667: macro-F1 0.5222222222222221, not ...223.  The
+    # report is the same on every version.
+    report = evaluate(list("bbacaa"), [[gold] for gold in "cbccac"])
+    f1s = [row["f1"] for row in report.per_class.values()]
+    assert f1s == [0.5, 2 / 3, 0.4]
+    assert math.fsum(f1s) / 3 == 0.5222222222222223
+    assert report.macro_f1 == 0.5222222222222221
 
 
 def test_macro_f1_trivial_cases():

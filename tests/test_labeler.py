@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import tracemalloc
 
@@ -19,7 +20,6 @@ from wikicat.labeler import (
     MODES,
     CorpusLabels,
     LabelingConfig,
-    RootSpec,
     _bfs,
     _coverage,
     build_competition_sets,
@@ -71,8 +71,10 @@ def test_competition_set_validation(make_graph):
         with pytest.raises(TaxonomyError, match="label '.*' is not mapped to any"):
             label_corpus(g, mapping, scheme, DAG_CFG)
     [cs] = build_competition_sets(g, mapping, [["a", "b"]])
-    assert cs.blocked_for("a") == frozenset({g.category_node(3)})
-    assert cs.blocked_for("b") == frozenset({g.category_node(1), g.category_node(2)})
+    assert list(cs.items()) == [
+        ("a", (g.category_node(1), g.category_node(2))),
+        ("b", (g.category_node(3),)),
+    ]
 
 
 # --------------------------------------------------------------- traversal
@@ -80,9 +82,9 @@ def test_competition_set_validation(make_graph):
 
 def _bfs_depth(graph, ext_ids, blocked=(), max_depth=None):
     """Depth of every node from the categories ``ext_ids``, -1 if unreached."""
-    spec = RootSpec("r", tuple(graph.category_node(e) for e in ext_ids))
+    roots = tuple(graph.category_node(e) for e in ext_ids)
     blocked = frozenset(graph.category_node(e) for e in blocked)
-    return _bfs(graph, spec, blocked, max_depth)[0]
+    return _bfs(graph, roots, blocked, max_depth)[0]
 
 
 def _mapping(graph, roots):
@@ -386,6 +388,24 @@ def _layered_dag_spec(rng, n_layers, width, page_count):
     return cats, pages, edges, layers[0]
 
 
+def test_exact_weight_adds_its_terms_left_to_right(make_graph):
+    # Page 5000 is a member of the root, one path of length 1, and lies 56
+    # edges below it along 128 paths: one of 128 categories, then a chain.
+    # Added shortest first, each 2**-56 is lost to rounding, so the weight is
+    # 0.5 on every Python version; ``sum`` gives 0.5 + 2**-49 from 3.12 on.
+    fan, chain = range(100, 228), range(300, 354)
+    g = make_graph(
+        [(1, "R")] + [(c, f"C{c}") for c in (*fan, *chain)],
+        [(5000, "p")],
+        [(1, c, "subcat") for c in fan]
+        + [(c, 300, "subcat") for c in fan]
+        + [(c, c + 1, "subcat") for c in chain[:-1]]
+        + [(353, 5000, "member"), (1, 5000, "member")],
+    )
+    assert math.fsum([0.5] + [2.0**-56] * 128) == 0.5 + 2.0**-49
+    assert _exact_raw(g, [1], 60) == {5000: 0.5}
+
+
 def test_dag_equals_exact_on_level_monotone_fixtures(make_graph):
     rng = random.Random(5)
     for _ in range(10):
@@ -462,15 +482,49 @@ def test_normalize_and_assign_errors(make_graph):
     mapping = _mapping(g, {"a": [1]})
     with pytest.raises(ConfigurationError, match="duplicate labels"):
         label_corpus(g, mapping, [["a", "a"]], DAG_CFG)
-    # A page 1 100 edges down has the dag weight 2**-1100, which is 0.0.
-    n = 1100
-    chain = make_graph(
-        [(i, f"C{i}") for i in range(n)],
-        [(5000, "deep")],
-        [(i, i + 1, "subcat") for i in range(n - 1)] + [(n - 1, 5000, "member")],
+
+
+def _chains(make_graph, lengths, direct=()):
+    """Page 5000 at the end of one chain of categories per length, the chain
+    of length n from category 10000 * k down to 10000 * k + n - 1, and a
+    member of each category in ``direct``."""
+    cats, edges = [], []
+    for k, n in enumerate(lengths):
+        ids = range(10000 * k, 10000 * k + n)
+        cats += [(i, f"C{i}") for i in ids]
+        edges += [(i, i + 1, "subcat") for i in ids[:-1]] + [(ids[-1], 5000, "member")]
+    cats += [(c, f"D{c}") for c in direct]
+    edges += [(c, 5000, "member") for c in direct]
+    return make_graph(cats, [(5000, "deep")], edges)
+
+
+@pytest.mark.parametrize(
+    "cfg", [{}, {"path_mode": "exact", "exact_path_cap": 2000}], ids=["dag", "exact"]
+)
+def test_underflowed_weights_split_the_page(make_graph, cfg):
+    cfg = {"coverage_threshold": 0.0, "assignment_threshold": 0.0, **cfg}
+    # 1 074 edges down the weight is 2**-1074, the least float; 1 100 down,
+    # 2**-1100 underflows to 0.0.
+    got = _labeled(_chains(make_graph, [1074]), {"r": [0]}, **cfg)
+    assert [(a.w_raw, a.w_norm) for a in got[5000].values()] == [(5e-324, 1.0)]
+    got = _labeled(_chains(make_graph, [1100]), {"r": [0]}, **cfg)
+    assert {(a.label, a.w_raw, a.w_norm, a.depth) for a in got[5000].values()} == {
+        ("r", 0.0, 1.0, 1100)
+    }
+    # All 0.0: the page is split evenly.
+    got = _labeled(_chains(make_graph, [1100, 1100]), {"r": [0], "s": [10000]}, **cfg)
+    assert {(a.label, a.w_raw, a.w_norm) for a in got[5000].values()} == {
+        ("r", 0.0, 0.5),
+        ("s", 0.0, 0.5),
+    }
+    # A 0.0 beside a positive weight gets share 0, which the strict
+    # threshold drops.
+    got = _labeled(
+        _chains(make_graph, [1100], direct=[20000]), {"r": [0], "s": [20000]}, **cfg
     )
-    with pytest.raises(ConfigurationError, match="raw weights must be positive"):
-        _labeled(chain, {"r": [0]})
+    assert {(a.label, a.w_raw, a.w_norm) for a in got[5000].values()} == {
+        ("s", 0.5, 1.0)
+    }
 
 
 def test_assignment_threshold_is_strict(make_graph):

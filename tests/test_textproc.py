@@ -138,6 +138,14 @@ def test_model_round_trip(tmp_path):
     )
 
 
+def test_model_terms_must_not_repeat():
+    doc = {"n_docs": 3, "min_df": 1, "terms": [["aa", 1, 1.5], ["bb", 1, 1.5]]}
+    assert tfidf_from_dict(doc).vocab_size == 2
+    doc["terms"] = [["aa", 1, 1.5], ["aa", 2, 1.2], ["bb", 1, 1.5], ["bb", 1, 1.5]]
+    with pytest.raises(ConfigurationError, match="^model term 'aa' is repeated$"):
+        tfidf_from_dict(doc)
+
+
 def test_transform_rejects_a_bare_string():
     model = fit_tfidf(["alpha beta", "alpha beta"], min_df=1)
     with pytest.raises(ConfigurationError, match="not a str"):
