@@ -11,17 +11,17 @@ in this module flows from explicit seeds.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence, TypeVar
+from typing import Any, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .jsonio import INTEGER, NUMBER, Rows, read_json, write_json
+from .jsonio import INTEGER, NUMBER, Rows, read_json_members, write_json
 from .taxonomy_mapper import strip_plural
 from .textproc import (
     DocMatrix,
@@ -37,6 +37,7 @@ SVM_FORMAT = "wikicat/svm/v1"
 _SCALE_FLOOR = 1e-9  # fold the scale factor back into the weights below this
 _CHUNK_SCORES = 1 << 15  # (docs x classes) floats per buffer of the scorer
 _MAX_TABLE_BYTES = 1 << 30  # bound on a loaded model's scoring table
+_MAX_SAMPLE_ROWS = 1 << 24  # bound on the rows of one balanced sample
 
 T = TypeVar("T")
 
@@ -71,13 +72,20 @@ def sample_balance(
 
     Larger classes are uniformly downsampled without replacement, smaller
     classes keep every document and then draw duplicates with replacement.
-    Output order is sorted labels, each followed by its sampled rows.
+    Output order is sorted labels, each followed by its sampled rows.  A
+    sample of more than ``_MAX_SAMPLE_ROWS`` rows is refused before any draw.
     """
     if n_per_class < 1:
         raise ConfigurationError("n_per_class must be >= 1")
     by_label: dict[str, list[tuple[int, str, T]]] = {}
     for row in corpus:
         by_label.setdefault(row[1], []).append(row)
+    n_rows = n_per_class * len(by_label)
+    if n_rows > _MAX_SAMPLE_ROWS:
+        raise ConfigurationError(
+            f"n_per_class {n_per_class} x {len(by_label)} classes is {n_rows} "
+            f"rows, over the {_MAX_SAMPLE_ROWS}-row limit"
+        )
     out: list[tuple[int, str, T]] = []
     for label in sorted(by_label):
         docs = sorted(by_label[label], key=lambda row: row[0])
@@ -176,17 +184,14 @@ def _predict(
 
     Centroids have b = 0.  A NaN score never wins.
     """
-    classes, weights = model.classes, model.weights
+    classes = model.classes
     if not classes:
         raise ConfigurationError("model has no classes")
     _check_features(vectors.indices, model.n_features)
     bias = getattr(model, "bias", np.zeros(len(classes)))
-    table = np.zeros((model.n_features + 1, len(classes)))  # the sink row last
-    rows = np.repeat(np.arange(len(classes)), np.diff(weights.indptr))
-    table[weights.indices, rows] = weights.data
     names = np.array([*classes, None], dtype=object)
     out: list[str | None] = []
-    for _, _, scores in _dot_chunks(table, bias, vectors):
+    for _, _, scores in _dot_chunks(model.table, bias, vectors):
         best = np.fmax.reduce(scores, axis=1)  # NaN only if every score is NaN
         win = np.argmax(scores == best[:, None], axis=1)
         win[~(best > -math.inf)] = len(classes)
@@ -194,11 +199,27 @@ def _predict(
     return out
 
 
+class _LinearModel:
+    """What both models score with: ``classes``, their ``weights`` rows and
+    ``n_features``."""
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The weights as a dense ``(n_features + 1) x classes`` table, a
+        feature per row, then a sink row of zeros.  It is built on the
+        first prediction and kept, so every later call reuses it."""
+        weights, n_cls = self.weights, len(self.classes)
+        table = np.zeros((self.n_features + 1, n_cls))
+        rows = np.repeat(np.arange(n_cls), np.diff(weights.indptr))
+        table[weights.indices, rows] = weights.data
+        return table
+
+
 # ----------------------------------------------------------------- centroid
 
 
 @dataclass
-class CentroidModel:
+class CentroidModel(_LinearModel):
     """Unit-length class means: row c of ``weights`` belongs to ``classes[c]``."""
 
     classes: tuple[str, ...]
@@ -263,7 +284,7 @@ def predict_centroid(model: CentroidModel, vectors: DocMatrix) -> list[str | Non
 
 
 @dataclass
-class LinearSvmModel:
+class LinearSvmModel(_LinearModel):
     """One-vs-rest scorer w.x + b over ``n_features`` features: row c of
     ``weights`` and ``bias[c]`` belong to ``classes[c]``."""
 
@@ -388,6 +409,8 @@ def _match_tokens(text: str) -> list[str]:
 
 def keyword_vote(text: str, label_names: dict[str, str], seed: int) -> str:
     """Label whose name tokens occur most often; random fallback on zeros."""
+    import hashlib  # only here: it maps OpenSSL, a few MB, into each process
+
     if not label_names:
         raise ConfigurationError("keyword voting needs at least one label")
     counts: dict[str, int] = {}
@@ -411,12 +434,37 @@ def keyword_vote(text: str, label_names: dict[str, str], seed: int) -> str:
 # ------------------------------------------------------------ serialization
 
 
+def _weight_columns(keys: tuple[str, ...], value: Any) -> Any:
+    """A class's ``[index, weight]`` rows, as a model file's reader decodes
+    them, turned into ``Rows`` of an int64 and a float64 array when every
+    row is a JSON integer and a JSON number that fit them.  Any other value
+    is kept as decoded, for ``_weights_rows`` to check."""
+    if not (
+        len(keys) == 2 and keys[0] == "centroids"
+        or len(keys) == 3 and keys[0] == "classes" and keys[2] == "weights"
+    ) or type(value) is not list:
+        return value
+    if not ({list} >= set(map(type, value)) and {2} >= set(map(len, value))):
+        return value
+    ixs, ws = zip(*value) if value else ((), ())
+    if not (
+        INTEGER.types.issuperset(map(type, ixs))
+        and NUMBER.types.issuperset(map(type, ws))
+    ):
+        return value
+    try:
+        return Rows(np.array(ixs, dtype=np.int64), np.array(ws, dtype=float))
+    except OverflowError:
+        return value
+
+
 def _weights_rows(classes: Sequence[str], lists: list, n_features: int) -> DocMatrix:
     """Weight rows: row c holds the nonzero ``[index, weight]`` pairs of
     ``classes[c]``, each a JSON integer and a JSON number, as ``save_model``
-    writes them, indices strictly ascending.  A model whose scoring table
-    would outgrow ``_MAX_TABLE_BYTES``, or that has no classes, is refused
-    first."""
+    writes them, indices strictly ascending.  A class is given as decoded, or
+    as the ``Rows`` that ``_weight_columns`` made of it, which passed the
+    type checks.  A model whose scoring table would outgrow
+    ``_MAX_TABLE_BYTES``, or that has no classes, is refused first."""
     if not classes:
         raise ConfigurationError("model has no classes")
     table = len(classes) * (n_features + 1) * 8
@@ -427,19 +475,22 @@ def _weights_rows(classes: Sequence[str], lists: list, n_features: int) -> DocMa
         )
     indices, weights = [], []
     for label, pairs in zip(classes, lists):
-        ixs = [ix for ix, _ in pairs]
-        ws = [w for _, w in pairs]
-        INTEGER.check(ixs, f"class {label!r}: feature index")
-        NUMBER.check(ws, f"class {label!r}: weight")
-        try:
-            cols = np.array(ixs, dtype=np.int64)
-        except OverflowError:
-            raise ConfigurationError("feature index out of range") from None
+        if isinstance(pairs, Rows):
+            cols, ws = pairs.columns
+        else:
+            ixs = [ix for ix, _ in pairs]
+            ws = [w for _, w in pairs]
+            INTEGER.check(ixs, f"class {label!r}: feature index")
+            NUMBER.check(ws, f"class {label!r}: weight")
+            try:
+                cols = np.array(ixs, dtype=np.int64)
+            except OverflowError:
+                raise ConfigurationError("feature index out of range") from None
         _check_features(cols, n_features)
         if (cols[1:] <= cols[:-1]).any():
             raise ValueError(f"class {label!r}: feature indices are not ascending")
         indices.append(cols)
-        weights.append(np.array(ws, dtype=float))
+        weights.append(np.asarray(ws, dtype=float))
     return _weight_matrix(indices, weights)
 
 
@@ -471,7 +522,7 @@ _CONFIG_TYPES = {"lam": NUMBER, "epochs": INTEGER, "eta0": NUMBER, "seed": INTEG
 
 
 def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
-    doc = read_json(path)
+    doc = read_json_members(path, _weight_columns)
     fmt = doc.get("format") if isinstance(doc, dict) else None
     try:
         if fmt == CENTROID_FORMAT:

@@ -22,6 +22,7 @@ import sys
 import traceback
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Container, Iterator, Sequence
 
@@ -71,6 +72,7 @@ logger = logging.getLogger(__name__)
 COARSE_SET = "coarse"
 SCHEMES = ("coarse", "fine")
 KINDS = ("centroid", "svm")
+_RUN_DOCS = 2048  # documents that predict reads, transforms and scores at once
 
 
 # --------------------------------------------------------------- settings
@@ -223,12 +225,11 @@ def _load_graph_arg(path: str):
     return load_snapshot(p)
 
 
-def _load_corpus(
-    path: str | Path, keep: Container[int] | None = None
-) -> dict[int, str | None]:
-    """Every page of a corpus file by id, with its text, or with None for a
-    page not in ``keep`` when that is given.  Every line is checked."""
-    texts: dict[int, str | None] = {}
+def _corpus_rows(path: str | Path, pages: dict[int, Any]) -> Iterator[tuple[int, str]]:
+    """Each page id and text of a corpus file, in file order.  Every line is
+    checked.  ``pages`` starts empty; each id is entered there, with None
+    for the caller to replace, before it is yielded, and an id that is
+    already there is refused."""
     for where, row in read_jsonl(path):
         if (
             not isinstance(row, dict)
@@ -239,11 +240,23 @@ def _load_corpus(
                 f"{where}: expected an object with int 'id' and str 'text'"
             )
         page = row["id"]
-        if page in texts:
+        if page in pages:
             raise ConfigurationError(f"{where}: duplicate page id {page}")
-        texts[page] = row["text"] if keep is None or page in keep else None
-    if not texts:
+        pages[page] = None
+        yield page, row["text"]
+    if not pages:
         raise ConfigurationError(f"{path}: no documents")
+
+
+def _load_corpus(
+    path: str | Path, keep: Container[int] | None = None
+) -> dict[int, str | None]:
+    """Every page of a corpus file by id, with its text, or with None for a
+    page not in ``keep`` when that is given."""
+    texts: dict[int, str | None] = {}
+    for page, text in _corpus_rows(path, texts):
+        if keep is None or page in keep:
+            texts[page] = text
     return texts
 
 
@@ -382,10 +395,12 @@ def _labeled_rows(
     every row.
 
     The rows are drawn before the corpus is read, so only their texts are
-    kept.  ``draw_seed`` must read only settings that its command resolves
-    again after this returns.  Then a draw that fails keeps no text, and its
-    error is raised where it always was, before the rows are used: here,
-    after the corpus and the rows are checked, or by the command.
+    kept, and a sample over ``sample_balance``'s row limit is refused before
+    it.  ``draw_seed`` must read only settings that its command resolves
+    again after this returns.  Then a scheme or a setting that fails keeps
+    no text, and its error is raised where it always was, before the rows
+    are used: here, after the corpus and the rows are checked, or by the
+    command.
     """
     n_per_class = _n_per_class(get)
     taxonomy = load_taxonomy(get("taxonomy"))
@@ -394,9 +409,10 @@ def _labeled_rows(
         named = _named_scheme(get, taxonomy)
         # Coarse sets span the whole corpus; fine sets are per parent.
         per_class = n_per_class or (20_000 if get("scheme") == COARSE_SET else 1_000)
-        rows = _set_rows(pages, tops, named, per_class, draw_seed())
-    except WikicatError:
-        rows = {}  # raised again below or by the command, as draw_seed asks
+        seed = draw_seed()
+    except WikicatError:  # raised again below or by the command, as draw_seed asks
+        named, per_class, seed = {}, n_per_class, None
+    rows = _set_rows(pages, tops, named, per_class, seed)
     keep = {page for set_rows in rows.values() for page, _, _ in set_rows}
     corpus = _load_corpus(get("corpus"), keep)
     named = _named_scheme(get, taxonomy)
@@ -584,14 +600,14 @@ def _cmd_train(get: Callable[[str], Any]) -> int:
 
 def _cmd_predict(get: Callable[[str], Any]) -> int:
     out = get("out")
-    model = load_model(get("model"))
-    corpus = _load_corpus(get("corpus"))
-    pages = sorted(corpus)
-    labels = _predictor(model)([corpus[page] for page in pages])
-    write_jsonl(
-        ({"id": page, "label": label} for page, label in zip(pages, labels)), out
-    )
-    print(json.dumps({"n": len(corpus), "out": out}, sort_keys=True))
+    classify = _predictor(load_model(get("model")))
+    labels: dict[int, str | None] = {}  # by page id
+    rows = _corpus_rows(get("corpus"), labels)
+    while run := list(islice(rows, _RUN_DOCS)):
+        labels.update(zip([page for page, _ in run], classify([t for _, t in run])))
+        del run  # before the next run is read
+    write_jsonl(({"id": page, "label": labels[page]} for page in sorted(labels)), out)
+    print(json.dumps({"n": len(labels), "out": out}, sort_keys=True))
     return 0
 
 

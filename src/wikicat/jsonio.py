@@ -10,8 +10,10 @@ naming it (and the line), so the CLI exits 2.  Callers check the shape.
 from __future__ import annotations
 
 import json
+import re
+from json.decoder import scanstring
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exceptions import ConfigurationError
 
@@ -19,6 +21,8 @@ from .exceptions import ConfigurationError
 # RecursionError comes from values nested too deeply.
 _PARSE_ERRORS = (ValueError, RecursionError)
 
+_scan = json.JSONDecoder().scan_once  # json.loads' own value scanner
+_space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace, as json.decoder has it
 _encode = json.JSONEncoder(sort_keys=True).encode
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _ROWS_PER_CHUNK = 2048  # rows of a Rows value formatted per written chunk
@@ -77,6 +81,64 @@ def read_json(path: str | Path) -> Any:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
 
 
+def read_json_members(
+    path: str | Path, convert: Callable[[tuple[str, ...], Any], Any]
+) -> Any:
+    """The value of a JSON document, as ``read_json`` gives it, except that
+    each member of an object, at any depth of objects, whose value is not
+    an object becomes ``convert(keys, value)`` as soon as it is decoded;
+    ``keys`` is the member's path of keys from the top.
+
+    The objects are walked here and every other value is decoded by
+    ``json.loads``' own scanner, so only the text, the converted values and
+    the value being decoded are alive at once.  A repeated key keeps its
+    last value, as in ``json.loads``.  A text that this walk cannot follow
+    (not UTF-8, a BOM, bad syntax, or a top level that is no object) is
+    read by ``read_json`` instead: its value comes unconverted, or its error
+    is raised.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        start = _space(text).end()
+        if text[start] != "{":
+            raise ValueError
+        doc, end = _members(text, start + 1, (), convert)
+        if _space(text, end).end() != len(text):
+            raise ValueError
+    except (IndexError, StopIteration, *_PARSE_ERRORS):
+        return read_json(path)
+    return doc
+
+
+def _members(
+    text: str, end: int, keys: tuple[str, ...], convert: Callable
+) -> tuple[dict, int]:
+    """The object whose ``{`` ends at ``end``, and the index past its ``}``."""
+    doc = {}
+    end = _space(text, end).end()
+    if text[end] == "}":
+        return doc, end + 1
+    while True:
+        if text[end] != '"':
+            raise ValueError
+        key, end = scanstring(text, end + 1, True)
+        end = _space(text, end).end()
+        if text[end] != ":":
+            raise ValueError
+        end = _space(text, end + 1).end()
+        if text[end] == "{":
+            doc[key], end = _members(text, end + 1, (*keys, key), convert)
+        else:
+            value, end = _scan(text, end)
+            doc[key] = convert((*keys, key), value)
+        end = _space(text, end).end()
+        if text[end] == "}":
+            return doc, end + 1
+        if text[end] != ",":
+            raise ValueError
+        end = _space(text, end + 1).end()
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[str, Any]]:
     """Yield ``("path:line", value)`` for each non-blank line of a JSON Lines
     file.
@@ -85,7 +147,6 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[str, Any]]:
     all of it.  Anything else (a BOM, extra data, a bad value) falls back to
     ``json.loads``, whose error is the one reported.
     """
-    scan = json.JSONDecoder().scan_once
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -94,7 +155,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[str, Any]]:
                     continue
                 where = f"{path}:{lineno}"
                 try:
-                    value, end = scan(line, 0)
+                    value, end = _scan(line, 0)
                     if end != len(line):
                         raise ValueError
                 except (StopIteration, *_PARSE_ERRORS):

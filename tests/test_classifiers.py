@@ -7,6 +7,7 @@ import pytest
 
 import model_file_oracle
 
+import wikicat.classifiers as classifiers
 from wikicat.classifiers import (
     CentroidModel,
     LinearSvmModel,
@@ -603,3 +604,73 @@ def test_load_takes_ints_for_numbers_as_floats(tmp_path, small_tfidf):
     assert model.loss_history["bee"] == [1.0, 2.5]
     assert type(model.loss_history["bee"][0]) is float
     assert model.tfidf.idf[0] == 3.0 and type(model.tfidf.idf[0]) is float
+
+
+def _seed1_shaped_centroid(path) -> CentroidModel:
+    """A centroid model shaped as the benchmark's 100-class seed-1 model:
+    9 120 terms and 127 117 weights, about 1 271 per class, saved to path
+    (an 8 MB file)."""
+    rng = np.random.default_rng(1)
+    n_terms, n_cls, per_class = 9_120, 100, 1_271
+    terms = [f"t{i:05d}" for i in range(n_terms)]
+    tfidf = TfIdfModel(20_000, 3, terms, rng.integers(3, 900, n_terms).tolist(),
+                       (rng.random(n_terms) * 8 + 1).tolist())
+    cols = [
+        np.sort(rng.choice(n_terms, per_class, replace=False)) for _ in range(n_cls)
+    ]
+    indptr = np.arange(0, n_cls * per_class + 1, per_class, dtype=np.int64)
+    weights = DocMatrix(indptr, np.concatenate(cols).astype(np.int32),
+                        rng.random(n_cls * per_class) / 30)
+    model = CentroidModel(tuple(f"label{c:03d}" for c in range(n_cls)),
+                          weights, n_terms, tfidf)
+    save_model(model, path)
+    return model
+
+
+def test_load_model_decodes_one_class_at_a_time(tmp_path):
+    """The traced peak stays under twice the file's bytes and the model's
+    arrays: only the text and the converted classes are held, never a list,
+    an int and a float per weight of the whole file."""
+    path = tmp_path / "model.json"
+    saved = _seed1_shaped_centroid(path)
+    load_model(path)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        model = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    w = model.weights
+    assert w.data.tolist() == saved.weights.data.tolist()
+    arrays = w.indptr.nbytes + w.indices.nbytes + w.data.nbytes
+    size = path.stat().st_size
+    assert size > 7_000_000
+    assert peak < 2 * (size + arrays), (peak, size, arrays)
+
+
+def test_scoring_table_is_built_once_per_model(monkeypatch):
+    tables = []
+    dot_chunks = classifiers._dot_chunks
+
+    def spy(table, first, docs):
+        tables.append(table)
+        return dot_chunks(table, first, docs)
+
+    monkeypatch.setattr(classifiers, "_dot_chunks", spy)
+    vecs, labs = _toy_corpus()
+    model = train_centroid(docs(vecs), labs)
+    first = predict_centroid(model, docs(vecs))
+    assert predict_centroid(model, docs(vecs[:3])) == first[:3]
+    assert len(tables) == 2 and tables[0] is tables[1] is model.table
+    assert model.table.shape == (model.n_features + 1, len(model.classes))
+
+
+def test_balance_refuses_a_sample_past_the_row_limit(monkeypatch):
+    monkeypatch.setattr(classifiers, "_MAX_SAMPLE_ROWS", 6)
+    rows = [(i, "ab"[i % 2], None) for i in range(4)]
+    assert len(sample_balance(rows, 3, 0)) == 6
+    with pytest.raises(
+        ConfigurationError,
+        match="^n_per_class 4 x 2 classes is 8 rows, over the 6-row limit$",
+    ):
+        sample_balance(rows, 4, 0)

@@ -11,7 +11,10 @@ from dataclasses import fields
 
 import pytest
 
-from wikicat.classifiers import TrainConfig, save_model, train_centroid, train_svm
+from wikicat.classifiers import (
+    TrainConfig, load_model, predict_centroid, save_model, train_centroid, train_svm,
+)
+import wikicat.cli as cli
 from wikicat.cli import KINDS, main
 from wikicat.graph_store import load_snapshot
 from wikicat.labeler import MODES, Assignment, LabelingConfig, PageLabels
@@ -1357,3 +1360,114 @@ def test_svm_train_keeps_only_the_sampled_texts(tmp_path, capsys):
     text_bytes = sum(map(len, texts))
     assert text_bytes > 3_000_000
     assert peak < text_bytes / 4, (peak, text_bytes)
+
+
+def _traced_predict(model: str, corpus, out) -> int:
+    tracemalloc.start()
+    try:
+        assert main(["predict", "--model", model, "--corpus", str(corpus),
+                     "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_holds_ids_and_labels_not_the_corpus(centroid_dir, tmp_path, capsys):
+    """``predict`` reads, transforms and scores the corpus in runs, so its
+    traced peak grows with the corpus by its page ids and labels alone:
+    far less than the 600 bytes of text each page adds.  The labels are
+    those of the pages' own order."""
+    model = str(centroid_dir / "coarse.centroid.json")
+    rng = random.Random(0)
+    words = ["alpha", "bravo", "charlie", "delta", "echo", "golf", "hotel"]
+    n = 2_500
+    texts = [" ".join(rng.choices(words, k=100))[:600] for _ in range(4 * n)]
+    peaks, outs = [], []
+    for size in (n, 4 * n):
+        corpus = tmp_path / f"corpus{size}.jsonl"
+        corpus.write_text("".join(  # ids descending, so the output is sorted
+            json.dumps({"id": 10**6 - i, "text": text}) + "\n"
+            for i, text in enumerate(texts[:size])
+        ), encoding="utf-8")
+        _traced_predict(model, corpus, tmp_path / "warm.jsonl")  # lazy imports
+        outs.append(tmp_path / f"preds{size}.jsonl")
+        peaks.append(_traced_predict(model, corpus, outs[-1]))
+    capsys.readouterr()
+    growth = peaks[1] - peaks[0]
+    assert growth < 3 * n * 150, (peaks, growth)
+    small, large = (p.read_text().splitlines() for p in outs)
+    assert [json.loads(line)["id"] for line in large] == list(
+        range(10**6 - 4 * n + 1, 10**6 + 1)
+    )
+    assert large[-n:] == small
+
+
+def test_import_leaves_hashlib_out():
+    """``hashlib`` maps OpenSSL, a few MB of every step's memory; only
+    ``keyword_vote``, which no subcommand runs, imports it.  numpy releases
+    before 2 import ``numpy.random`` eagerly, and with it ``hashlib``, so
+    only what ``wikicat.cli`` adds beyond numpy is checked."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy; hashes = {'hashlib', '_hashlib'}; "
+         "before = hashes & set(sys.modules); import wikicat.cli; "
+         "print(sorted(hashes & set(sys.modules) - before))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["sample", "train", "ablate"])
+def test_sample_past_the_row_limit_exits_2_naming_n_per_class(
+    wiki, labels_path, tmp_path, command
+):
+    """A draw of 10**12 rows per class is refused before it starts.  In a
+    child under 2 GiB, an attempted draw fails with exit 3 instead."""
+    out = tmp_path / "out"
+    args = {
+        "sample": ["--labels", str(labels_path), "--out", str(out)],
+        "train": ["--labels", str(labels_path), "--kind", "svm", "--out-dir", str(out)],
+        "ablate": [
+            "--graph", str(wiki / "graph.bin"), "--eval", str(wiki / "eval.jsonl"),
+            "--modes", "full", "--out-dir", str(out),
+        ],
+    }[command]
+    proc = _under_gib(
+        2, command, *args, "--corpus", str(wiki / "corpus.jsonl"),
+        "--taxonomy", str(wiki / "taxonomy.json"), "--n-per-class", "1000000000000",
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(
+        r"error: n_per_class 1000000000000 x \d+ classes is \d+ rows, "
+        r"over the 16777216-row limit", proc.stderr,
+    ), proc.stderr
+    assert not out.exists() or not any(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("run_docs", [1, 7, 2048])
+def test_labels_do_not_depend_on_the_run_size(
+    wiki, centroid_dir, tmp_path, monkeypatch, capsys, run_docs
+):
+    """Each document's terms are added to the scores in the document's
+    order whatever run it is scored in, so ``predict`` in runs of any size
+    gives the labels of one call over the whole corpus, sorted by page id."""
+    model_path = centroid_dir / "coarse.centroid.json"
+    model = load_model(model_path)
+    rows = [
+        json.loads(line)
+        for line in (wiki / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    whole = predict_centroid(model, transform(model.tfidf, [r["text"] for r in rows]))
+    monkeypatch.setattr(cli, "_RUN_DOCS", run_docs)
+    out = tmp_path / "preds.jsonl"
+    assert main([
+        "predict", "--model", str(model_path), "--corpus", str(wiki / "corpus.jsonl"),
+        "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    expected = sorted(zip([r["id"] for r in rows], whole))
+    assert len(rows) > 7
+    assert [
+        (row["id"], row["label"]) for row in map(json.loads, out.read_text().splitlines())
+    ] == expected

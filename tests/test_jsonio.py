@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 import wikicat
 import wikicat.jsonio as jsonio
 from wikicat.exceptions import ConfigurationError
-from wikicat.jsonio import Rows, read_json, read_jsonl, write_json, write_jsonl
+from wikicat.jsonio import (
+    Rows, read_json, read_json_members, read_jsonl, write_json, write_jsonl,
+)
 
 # Parsing or encoding a file.  json.dumps stays allowed as the argument of
 # print, for one-line stdout summaries.
@@ -326,3 +328,120 @@ def test_scanner_reads_drawn_lines_like_per_line_loads(lines):
         path = Path(d) / "rows.jsonl"
         path.write_text("".join("".join(line) + "\n" for line in lines), encoding="utf-8")
         _same_reads(path)
+
+
+# ------------------------------------------------------ read_json_members
+
+
+def _tag(keys, value):
+    return ("converted", keys, value)
+
+
+def _tagged(value, keys=()):
+    """``value`` with each value inside its objects that is not an object
+    itself replaced as ``read_json_members`` replaces it with ``_tag``."""
+    if not isinstance(value, dict):
+        return value
+    return {
+        key: _tagged(item, (*keys, key)) if isinstance(item, dict)
+        else _tag((*keys, key), item)
+        for key, item in value.items()
+    }
+
+
+def _read_outcome(read, path: Path) -> str:
+    # repr compares NaN with NaN, -0.0 with 0.0 apart, and keys in order
+    try:
+        return repr(read(path))
+    except ConfigurationError as exc:
+        return f"ConfigurationError: {exc}"
+
+
+def _same_members(path: Path) -> None:
+    got = _read_outcome(lambda p: read_json_members(p, _tag), path)
+    want = _read_outcome(lambda p: _tagged(read_json(p)), path)
+    assert got == want
+
+
+def test_members_are_converted_by_their_key_paths(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(
+        '{"a": 1, "b": {"c": [1, {"d": 2}], "e": {}, "f": {"g": null}}, "a": 3}',
+        encoding="utf-8",
+    )
+    assert read_json_members(path, _tag) == {
+        "a": _tag(("a",), 3),
+        "b": {"c": _tag(("b", "c"), [1, {"d": 2}]), "e": {},
+              "f": {"g": _tag(("b", "f", "g"), None)}},
+    }
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"a": 1}', id="object"),
+    pytest.param(' \t\r\n{ "a" :\n[1] , "b":{ } }\n ', id="spaced"),
+    pytest.param('{"a": 1, "a": {"b": 2}}', id="repeated-key"),
+    pytest.param('{"a": {"b": 1}, "a": 2}', id="repeated-object-key"),
+    pytest.param('{"\\u00e9\\"": NaN, "x": -Infinity, "y": -0.0}', id="escapes"),
+    pytest.param('{"a": 1', id="cut"),
+    pytest.param('{"a": 1,}', id="trailing-comma"),
+    pytest.param('{"a" 1}', id="no-colon"),
+    pytest.param("{'a': 1}", id="single-quotes"),
+    pytest.param('{"a": 1} x', id="extra-data"),
+    pytest.param('\ufeff{"a": 1}', id="bom"),
+    pytest.param('\x0b{"a": 1}', id="vt-padding"),
+    pytest.param('{"a":\xa01}', id="nbsp-inside"),
+    pytest.param('{"a\tb": 1}', id="control-in-key"),
+    pytest.param('{"\\x": 1}', id="bad-escape-in-key"),
+    pytest.param('{"a": 1' + "0" * 5000 + "}", id="long-integer"),
+    pytest.param('{"a": ' * _DEEP + "1" + "}" * _DEEP, id="deep-objects"),
+    pytest.param('{"a": ' + "[" * _DEEP + "]" * _DEEP + "}", id="deep-lists"),
+    pytest.param("[1]", id="top-level-list"),
+    pytest.param('"a"', id="top-level-string"),
+    pytest.param("", id="empty"),
+    pytest.param("  ", id="blank"),
+])
+def test_members_read_like_read_json(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    _same_members(path)
+
+
+def test_members_of_a_file_that_is_not_utf8_raise_like_read_json(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"a": "\xff"}')
+    _same_members(path)
+
+
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ints, _floats, _strs),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3), st.dictionaries(_strs, children, max_size=3)
+    ),
+    max_leaves=10,
+)
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.dictionaries(_strs, _json_values, max_size=4),
+    st.sampled_from([None, 0, 2, "\t", " \r\n"]),
+    st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", " : ")]),
+    st.booleans(),
+)
+def test_members_read_drawn_documents_like_read_json(doc, indent, separators, ascii):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "doc.json"
+        text = json.dumps(doc, indent=indent, separators=separators, ensure_ascii=ascii)
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        _same_members(path)
+
+
+@seed(20261021)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.sampled_from([*_FRAGMENTS, '"k": ', '{"k": ']), max_size=12))
+def test_members_read_drawn_texts_like_read_json(fragments):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "doc.json"
+        path.write_text("{" + "".join(fragments), encoding="utf-8")
+        _same_members(path)
