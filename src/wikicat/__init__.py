@@ -7,107 +7,49 @@ classifiers (classifiers), and score them (evaluation).  The cli module
 wires it all together behind subcommands.
 """
 
-from .classifiers import (
-    CentroidModel,
-    LinearSvmModel,
-    TrainConfig,
-    keyword_vote,
-    load_model,
-    predict_centroid,
-    predict_svm,
-    sample_balance,
-    save_model,
-    train_centroid,
-    train_svm,
-)
-from .evaluation import (
-    EvalInstance,
-    EvalReport,
-    accuracy,
-    evaluate,
-    evaluate_grouped,
-    load_eval,
-    macro_f1,
-    write_eval,
-)
-from .exceptions import (
-    ConfigurationError,
-    GraphFormatError,
-    TaxonomyError,
-    WikicatError,
-)
-from .graph_store import CategoryGraph, load_graph, load_snapshot, save_snapshot
-from .labeler import (
-    CorpusLabels,
-    LabelingConfig,
-    PageLabels,
-    coarse_scheme,
-    fine_scheme,
-    label_corpus,
-    read_labels,
-    write_labels,
-)
-from .taxonomy_mapper import (
-    CategoryMapping,
-    Taxonomy,
-    TaxonomyLabel,
-    jaro_winkler,
-    load_mapping,
-    load_taxonomy,
-    map_taxonomy,
-    save_mapping,
-)
-from .textproc import DocMatrix, TfIdfModel, fit_tfidf, transform
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CategoryGraph",
-    "CategoryMapping",
-    "CentroidModel",
-    "ConfigurationError",
-    "CorpusLabels",
-    "DocMatrix",
-    "EvalInstance",
-    "EvalReport",
-    "GraphFormatError",
-    "LabelingConfig",
-    "LinearSvmModel",
-    "PageLabels",
-    "Taxonomy",
-    "TaxonomyError",
-    "TaxonomyLabel",
-    "TfIdfModel",
-    "TrainConfig",
-    "WikicatError",
-    "__version__",
-    "accuracy",
-    "coarse_scheme",
-    "evaluate",
-    "evaluate_grouped",
-    "fine_scheme",
-    "fit_tfidf",
-    "jaro_winkler",
-    "keyword_vote",
-    "label_corpus",
-    "load_eval",
-    "load_graph",
-    "load_mapping",
-    "load_model",
-    "load_snapshot",
-    "load_taxonomy",
-    "macro_f1",
-    "map_taxonomy",
-    "predict_centroid",
-    "predict_svm",
-    "read_labels",
-    "sample_balance",
-    "save_mapping",
-    "save_model",
-    "save_snapshot",
-    "train_centroid",
-    "train_svm",
-    "transform",
-    "write_eval",
-    "write_labels",
-]
+# What the package exports, by module.  A name is imported from its module
+# when it is first read, so ``import wikicat`` loads no layer.
+_EXPORTS = {
+    "classifiers": (
+        "CentroidModel", "LinearSvmModel", "TrainConfig", "keyword_vote",
+        "load_model", "predict_centroid", "predict_svm", "sample_balance",
+        "save_model", "train_centroid", "train_svm",
+    ),
+    "evaluation": (
+        "EvalInstance", "EvalReport", "accuracy", "evaluate", "evaluate_grouped",
+        "load_eval", "macro_f1", "write_eval",
+    ),
+    "exceptions": (
+        "ConfigurationError", "GraphFormatError", "TaxonomyError", "WikicatError",
+    ),
+    "graph_store": ("CategoryGraph", "load_graph", "load_snapshot", "save_snapshot"),
+    "labeler": (
+        "CorpusLabels", "LabelingConfig", "PageLabels", "coarse_scheme",
+        "fine_scheme", "label_corpus", "read_labels", "write_labels",
+    ),
+    "taxonomy_mapper": (
+        "CategoryMapping", "Taxonomy", "TaxonomyLabel", "jaro_winkler",
+        "load_mapping", "load_taxonomy", "map_taxonomy", "save_mapping",
+    ),
+    "textproc": ("DocMatrix", "TfIdfModel", "fit_tfidf", "transform"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_MODULE_OF, "__version__"])
+
+
+def __getattr__(name: str):
+    """An exported name, imported from its module on first use (PEP 562)."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -22,7 +22,6 @@ import numpy as np
 
 from .exceptions import ConfigurationError
 from .jsonio import INTEGER, NUMBER, Rows, read_json_members, write_json
-from .taxonomy_mapper import strip_plural
 from .textproc import (
     DocMatrix,
     TfIdfModel,
@@ -403,6 +402,10 @@ def predict_svm(model: LinearSvmModel, vectors: DocMatrix) -> list[str | None]:
 
 
 def _match_tokens(text: str) -> list[str]:
+    # Imported here, for keyword_vote alone, so that no command that loads
+    # this module loads the mapper.
+    from .taxonomy_mapper import strip_plural
+
     # Plural-stripped so "suv" in a document matches the label name "SUVs".
     return [strip_plural(tok) for tok in tokenize(text)]
 

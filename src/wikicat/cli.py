@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 input or validation problem, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import logging
 import os
@@ -27,45 +28,34 @@ from pathlib import Path
 from typing import Any, Callable, Container, Iterator, Sequence
 
 from . import __version__
-from .classifiers import (
-    CentroidModel,
-    LinearSvmModel,
-    TrainConfig,
-    load_model,
-    predict_centroid,
-    predict_svm,
-    sample_balance,
-    save_model,
-    train_centroid,
-    train_svm,
-)
-from .evaluation import EvalInstance, evaluate_grouped, load_eval
 from .exceptions import ConfigurationError, TaxonomyError, WikicatError
-from .graph_store import load_graph, load_snapshot, save_snapshot
 from .jsonio import (
-    BOOLEAN, INTEGER, NUMBER, STRING, read_json, read_jsonl, write_json, write_jsonl,
+    BOOLEAN, INTEGER, NUMBER, STRING, json_text, read_json, read_jsonl, write_json,
+    write_jsonl, write_lines,
 )
-from .labeler import (
-    MODES,
-    PATH_MODES,
-    LabelingConfig,
-    build_competition_sets,
-    coarse_scheme,
-    fine_scheme,
-    label_corpus,
-    read_labels,
-    write_labels,
-)
-from .taxonomy_mapper import (
-    CategoryMapping,
-    Taxonomy,
-    load_mapping,
-    load_taxonomy,
-    map_taxonomy,
-    resolve_override_names,
-    save_mapping,
-)
-from .textproc import fit_tfidf, transform
+
+# The layer names that the commands use, by module.  Each COMMANDS entry
+# lists the modules its command runs, and ``main`` binds their names here
+# before it runs the command, so a step imports only the layers it runs.
+# A name that is already bound is kept: a caller may have wrapped it.
+_LAYERS = {
+    "classifiers": (
+        "CentroidModel", "LinearSvmModel", "TrainConfig", "load_model",
+        "predict_centroid", "predict_svm", "sample_balance", "save_model",
+        "train_centroid", "train_svm",
+    ),
+    "evaluation": ("EvalInstance", "evaluate_grouped", "load_eval"),
+    "graph_store": ("load_graph", "load_snapshot", "save_snapshot"),
+    "labeler": (
+        "LabelingConfig", "build_competition_sets", "coarse_scheme", "fine_scheme",
+        "label_corpus", "read_labels", "write_labels",
+    ),
+    "taxonomy_mapper": (
+        "CategoryMapping", "Taxonomy", "load_mapping", "load_taxonomy",
+        "map_taxonomy", "resolve_override_names", "save_mapping",
+    ),
+    "textproc": ("fit_tfidf", "transform"),
+}
 
 logger = logging.getLogger(__name__)
 
@@ -73,6 +63,26 @@ COARSE_SET = "coarse"
 SCHEMES = ("coarse", "fine")
 KINDS = ("centroid", "svm")
 _RUN_DOCS = 2048  # documents that predict reads, transforms and scores at once
+# labeler's, restated so that the flags can be built without loading it
+MODES = ("full", "child_only", "all_descendants", "min_dist", "no_pruning")
+PATH_MODES = ("dag", "exact")
+
+
+def _bind(modules: Sequence[str]) -> None:
+    """Bind the layer names of ``modules`` here, keeping any already bound."""
+    here = globals()
+    for module in modules:
+        layer = importlib.import_module(f"{__package__}.{module}")
+        for name in _LAYERS[module]:
+            here.setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name: str) -> Any:
+    """A layer name that no command has bound yet, from its module (PEP 562)."""
+    for module, names in _LAYERS.items():
+        if name in names:
+            return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --------------------------------------------------------------- settings
@@ -606,7 +616,15 @@ def _cmd_predict(get: Callable[[str], Any]) -> int:
     while run := list(islice(rows, _RUN_DOCS)):
         labels.update(zip([page for page, _ in run], classify([t for _, t in run])))
         del run  # before the next run is read
-    write_jsonl(({"id": page, "label": labels[page]} for page in sorted(labels)), out)
+    # write_jsonl's bytes, with each distinct label encoded once
+    encoded = {label: json_text(label) for label in set(labels.values())}
+    write_lines(
+        (
+            '{"id": %d, "label": %s}\n' % (page, encoded[labels[page]])
+            for page in sorted(labels)
+        ),
+        out,
+    )
     print(json.dumps({"n": len(labels), "out": out}, sort_keys=True))
     return 0
 
@@ -694,31 +712,53 @@ def _cmd_ablate(get: Callable[[str], Any]) -> int:
 # ----------------------------------------------------------------- parser
 
 
-# Each subcommand: its function, its help, and the settings it takes.
+# Each subcommand: its function, its help, the modules of _LAYERS it runs,
+# and the settings it takes.
 _LABEL_FLAGS = ("scheme", *_LABELING, "workers")
 COMMANDS = {
-    "build-graph": (_cmd_build_graph, "load TSV graph files, write a snapshot", (
-        "categories", "pages", "edges", "redirects", "stats_out", "lenient", "out")),
-    "map": (_cmd_map, "map taxonomy labels onto category nodes", (
-        "taxonomy", "summary_out", "graph", "overrides", "threshold", "out")),
-    "label": (_cmd_label, "propagate labels to pages over the graph", (
-        "graph", "taxonomy", "mapping", "summary_out", *_LABEL_FLAGS, "mode", "out")),
-    "sample": (_cmd_sample, "balance labeled pages per class", (
-        "labels", "corpus", "taxonomy", "out", "summary_out", "scheme",
-        "n_per_class", "seed")),
-    "train": (_cmd_train, "train one model per competition set", (
-        "labels", "corpus", "taxonomy", "out_dir", "scheme", "kind", "n_per_class",
-        "min_df", "lam", "epochs", "eta0", "seed")),
-    "predict": (_cmd_predict, "classify a corpus with a saved model", (
-        "model", "corpus", "out")),
-    "evaluate": (_cmd_evaluate, "score saved models on gold instances", (
-        "eval", "models_dir", "taxonomy", "kind", "out")),
-    "ablate": (_cmd_ablate, "compare labeling modes end to end", (
-        "graph", "taxonomy",
-        replace(SETTINGS["mapping"], default=None, help="mapping JSON; without "
-                "it the taxonomy is mapped at the default threshold"),
-        "corpus", "eval", "out_dir", *_LABEL_FLAGS, "modes", "n_per_class",
-        "min_df", "seed")),
+    "build-graph": (
+        _cmd_build_graph, "load TSV graph files, write a snapshot", ("graph_store",),
+        ("categories", "pages", "edges", "redirects", "stats_out", "lenient", "out"),
+    ),
+    "map": (
+        _cmd_map, "map taxonomy labels onto category nodes",
+        ("graph_store", "taxonomy_mapper"),
+        ("taxonomy", "summary_out", "graph", "overrides", "threshold", "out"),
+    ),
+    "label": (
+        _cmd_label, "propagate labels to pages over the graph",
+        ("graph_store", "taxonomy_mapper", "labeler"),
+        ("graph", "taxonomy", "mapping", "summary_out", *_LABEL_FLAGS, "mode", "out"),
+    ),
+    "sample": (
+        _cmd_sample, "balance labeled pages per class",
+        ("taxonomy_mapper", "labeler", "classifiers"),
+        ("labels", "corpus", "taxonomy", "out", "summary_out", "scheme",
+         "n_per_class", "seed"),
+    ),
+    "train": (
+        _cmd_train, "train one model per competition set",
+        ("taxonomy_mapper", "labeler", "classifiers", "textproc"),
+        ("labels", "corpus", "taxonomy", "out_dir", "scheme", "kind", "n_per_class",
+         "min_df", "lam", "epochs", "eta0", "seed"),
+    ),
+    "predict": (
+        _cmd_predict, "classify a corpus with a saved model",
+        ("classifiers", "textproc"), ("model", "corpus", "out"),
+    ),
+    "evaluate": (
+        _cmd_evaluate, "score saved models on gold instances",
+        ("taxonomy_mapper", "evaluation", "classifiers", "textproc"),
+        ("eval", "models_dir", "taxonomy", "kind", "out"),
+    ),
+    "ablate": (
+        _cmd_ablate, "compare labeling modes end to end", tuple(_LAYERS),
+        ("graph", "taxonomy",
+         replace(SETTINGS["mapping"], default=None, help="mapping JSON; without "
+                 "it the taxonomy is mapped at the default threshold"),
+         "corpus", "eval", "out_dir", *_LABEL_FLAGS, "modes", "n_per_class",
+         "min_df", "seed"),
+    ),
 }
 
 
@@ -747,13 +787,15 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="store_true", help="log progress to stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, keys) in COMMANDS.items():
+    for name, (func, help_text, modules, keys) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
         settings = [key if isinstance(key, Setting) else SETTINGS[key] for key in keys]
         for s in settings:
             _add_flag(p, s)
-        p.set_defaults(func=func, settings={s.key: s for s in settings})
+        p.set_defaults(
+            func=func, modules=modules, settings={s.key: s for s in settings}
+        )
     return parser
 
 
@@ -766,6 +808,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
+        _bind(args.modules)
         return args.func(_settings(args))
     except (WikicatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

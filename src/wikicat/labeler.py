@@ -63,14 +63,16 @@ from functools import reduce
 from itertools import chain, repeat
 from operator import add
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .exceptions import ConfigurationError, TaxonomyError
-from .graph_store import CategoryGraph
 from .jsonio import INTEGER, STRING, float_texts, json_text, read_jsonl, write_lines
 from .taxonomy_mapper import CategoryMapping, Taxonomy
+
+if TYPE_CHECKING:  # annotations only, so that importing this does not load it
+    from .graph_store import CategoryGraph
 
 MODES = ("full", "child_only", "all_descendants", "min_dist", "no_pruning")
 PATH_MODES = ("dag", "exact")

@@ -18,12 +18,15 @@ import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exceptions import ConfigurationError, TaxonomyError
-from .graph_store import CategoryGraph
 from .jsonio import INTEGER, NUMBER, STRING, read_json, write_json
+
+if TYPE_CHECKING:  # annotations only, so that importing this does not load it
+    from .graph_store import CategoryGraph
 
 DEFAULT_THRESHOLD = 0.9
 

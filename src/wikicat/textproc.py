@@ -18,6 +18,14 @@ from .jsonio import INTEGER, NUMBER, STRING, Rows
 logger = logging.getLogger(__name__)
 
 _TOKEN = re.compile(r"[^\W_]{2,}")
+# Among ASCII characters ``[^\W_]`` matches exactly 0-9, A-Z and a-z, so the
+# tokens of an ASCII text are the runs of two or more characters that this
+# table leaves between spaces: it keeps 0-9 and a-z, lowercases A-Z and turns
+# every other byte into a space.
+_ALNUM = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+_ASCII_WORDS = bytes(
+    ord(chr(c).lower()) if chr(c) in _ALNUM else 32 for c in range(256)
+)
 _RUN_TOKENS = 1 << 14  # known tokens per numpy pass of transform
 
 
@@ -36,7 +44,13 @@ class DocMatrix:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase tokens split on non-alphanumerics; tokens under 2 chars drop."""
+    """Lowercase tokens split on non-alphanumerics; tokens under 2 chars drop.
+
+    An ASCII text is split by a byte table, which gives the regex's tokens
+    in about half its time."""
+    if text.isascii():
+        words = text.encode().translate(_ASCII_WORDS).decode().split()
+        return [word for word in words if len(word) > 1]
     return _TOKEN.findall(text.lower())
 
 

@@ -17,6 +17,7 @@ from wikicat.classifiers import (
 import wikicat.cli as cli
 from wikicat.cli import KINDS, main
 from wikicat.graph_store import load_snapshot
+from wikicat.jsonio import write_jsonl
 from wikicat.labeler import MODES, Assignment, LabelingConfig, PageLabels
 from wikicat.synth import make_ablation_wiki
 from wikicat.textproc import fit_tfidf, transform
@@ -1401,6 +1402,29 @@ def test_predict_holds_ids_and_labels_not_the_corpus(centroid_dir, tmp_path, cap
     )
     assert large[-n:] == small
 
+
+
+def test_predict_lines_are_write_jsonls_bytes(
+    centroid_dir, tmp_path, monkeypatch, capsys
+):
+    """``predict`` formats its own lines.  They are ``write_jsonl``'s bytes
+    for an id past 64 bits, a label that needs escaping, and no label."""
+    labels = {10**30: 'quo"te \\ \u00e9\u4e2d', -7: None, 0: "plain", 12: None}
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": page, "text": "alpha"}) + "\n" for page in labels
+    ), encoding="utf-8")
+    monkeypatch.setattr(
+        cli, "predict_centroid", lambda model, vectors: list(labels.values())
+    )
+    out, ref = tmp_path / "preds.jsonl", tmp_path / "ref.jsonl"
+    assert main([
+        "predict", "--model", str(centroid_dir / "coarse.centroid.json"),
+        "--corpus", str(corpus), "--out", str(out),
+    ]) == 0
+    write_jsonl(({"id": page, "label": labels[page]} for page in sorted(labels)), ref)
+    assert out.read_bytes() == ref.read_bytes()
+    assert len(out.read_bytes().splitlines()) == 4
 
 def test_import_leaves_hashlib_out():
     """``hashlib`` maps OpenSSL, a few MB of every step's memory; only

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from wikicat import cli, labeler
 from wikicat.classifiers import TrainConfig
 from wikicat.cli import SETTINGS, build_parser, main
 from wikicat.labeler import LabelingConfig, label_corpus
@@ -347,3 +348,9 @@ def test_cli_defaults_equal_the_library_defaults():
         library[key] = inspect.signature(func).parameters[key].default
     assert len(library) == 13
     assert {key: SETTINGS[key].default for key in library} == library
+
+
+def test_cli_modes_equal_the_library_modes():
+    """The modes that cli restates, so that building the flags needs no
+    labeler, stay equal to labeler's."""
+    assert (cli.MODES, cli.PATH_MODES) == (labeler.MODES, labeler.PATH_MODES)

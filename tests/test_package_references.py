@@ -18,6 +18,9 @@ import wikicat
 # Synthetic wiki generators for tests, scripts and users: no pipeline step
 # calls them.
 _EXEMPT = {"synth.py"}
+# Module-level functions that the interpreter calls (PEP 562): a module's
+# ``__getattr__`` for a name it lacks, and its ``__dir__`` for ``dir()``.
+_MODULE_HOOKS = {"__getattr__", "__dir__"}
 # The console entry point: the interpreter calls it without arguments, and
 # tests pass ``argv``.
 _UNPASSED = {("cli.py", "main", "argv")}
@@ -54,7 +57,7 @@ def _unreferenced(package: Path, exported: set[str]) -> list[str]:
         for stmt in tree.body:
             if not isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ) or stmt.name in exported:
+            ) or stmt.name in exported | _MODULE_HOOKS:
                 continue
             if not any(
                 stmt.name in names
@@ -75,7 +78,10 @@ def test_check_flags_test_only_and_self_only_definitions(tmp_path):
         "def used():\n    return 1\n\n"
         "def exported():\n    return 2\n\n"
         "def lonely(n):\n    return lonely(n - 1) if n else 0\n\n"
-        "class Orphan:\n    pass\n",
+        "class Orphan:\n    pass\n\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n\n"
+        "def __dir__():\n    return []\n\n"
+        "def __repr__():\n    return 'a'\n",
         encoding="utf-8",
     )
     (tmp_path / "b.py").write_text(
@@ -84,6 +90,7 @@ def test_check_flags_test_only_and_self_only_definitions(tmp_path):
     assert _unreferenced(tmp_path, {"exported"}) == [
         "a.py:7: lonely",
         "a.py:10: Orphan",
+        "a.py:19: __repr__",
     ]
 
 

@@ -50,6 +50,32 @@ def test_tokenize_matches_filtered_runs(text):
     assert tokenize(text) == textproc_oracle.tokenize_runs(text)
 
 
+def test_ascii_tokenize_matches_filtered_runs():
+    """An ASCII text is split by a byte table, not by the regex: each of the
+    128 characters in runs of one to three at the start, middle and end of a
+    token, then seeded random texts.  The same texts with one non-ASCII
+    character go through the regex."""
+    chars = list(map(chr, range(128)))
+    ascii_texts = [
+        text
+        for run in (c * n for c in chars for n in (1, 2, 3))
+        for text in (run, run + "ab", "Ab" + run + "9c", "x" + run, "aB" + run)
+    ]
+    rng = random.Random(20261020)
+    for alphabet in (chars, list("aZ9_ -\t\n.'\x00\x7f")):
+        ascii_texts += [
+            "".join(rng.choices(alphabet, k=rng.randrange(60))) for _ in range(1000)
+        ]
+    assert all(map(str.isascii, ascii_texts))
+    others = ["é", "ß", "İ", "٣", "²", "中", "\u0301", "\x80", "\xa0"]
+    mixed = []
+    for text in ascii_texts[::7]:
+        at = rng.randrange(len(text) + 1)
+        mixed.append(text[:at] + rng.choice(others) + text[at:])
+    for text in ascii_texts + mixed:
+        assert tokenize(text) == textproc_oracle.tokenize_runs(text), repr(text)
+
+
 def test_fit_assigns_lexicographic_indices():
     corpus = ["zebra apple", "zebra apple", "zebra apple mango"]
     model = fit_tfidf(corpus, min_df=2)
