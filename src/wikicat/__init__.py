@@ -11,8 +11,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-# What the package exports, by module.  A name is imported from its module
-# when it is first read, so ``import wikicat`` loads no layer.
+# What the package exports, by module: the one list of layer names, which
+# ``cli`` also binds a command's names from.  A name is imported from its
+# module when it is first read, so ``import wikicat`` loads no layer.
 _EXPORTS = {
     "classifiers": (
         "CentroidModel", "LinearSvmModel", "TrainConfig", "keyword_vote",
@@ -28,12 +29,13 @@ _EXPORTS = {
     ),
     "graph_store": ("CategoryGraph", "load_graph", "load_snapshot", "save_snapshot"),
     "labeler": (
-        "CorpusLabels", "LabelingConfig", "PageLabels", "coarse_scheme",
-        "fine_scheme", "label_corpus", "read_labels", "write_labels",
+        "CorpusLabels", "LabelingConfig", "PageLabels", "build_competition_sets",
+        "coarse_scheme", "fine_scheme", "label_corpus", "read_labels", "write_labels",
     ),
     "taxonomy_mapper": (
         "CategoryMapping", "Taxonomy", "TaxonomyLabel", "jaro_winkler",
-        "load_mapping", "load_taxonomy", "map_taxonomy", "save_mapping",
+        "load_mapping", "load_taxonomy", "map_taxonomy", "resolve_override_names",
+        "save_mapping",
     ),
     "textproc": ("DocMatrix", "TfIdfModel", "fit_tfidf", "transform"),
 }

@@ -5,7 +5,8 @@ predict, evaluate, and ablate.  Each setting is declared once, in
 ``SETTINGS``, and each subcommand names its settings in ``COMMANDS``; the
 flags are built from them.  Every value can also come from a JSON config
 file (--config), where it must have the setting's JSON type; explicit flags
-win over the config, which wins over the built-in defaults.  Outputs embed
+win over the config, which wins over the built-in defaults.  ``main``
+resolves every setting before the command reads any input.  Outputs embed
 the resolved settings, never timestamps, so identical inputs and seeds
 reproduce identical bytes.
 
@@ -15,7 +16,6 @@ Exit codes: 0 success, 2 input or validation problem, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import logging
 import os
@@ -27,35 +27,14 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Container, Iterator, Sequence
 
+import wikicat
+
 from . import __version__
 from .exceptions import ConfigurationError, TaxonomyError, WikicatError
 from .jsonio import (
     BOOLEAN, INTEGER, NUMBER, STRING, json_text, read_json, read_jsonl, write_json,
     write_jsonl, write_lines,
 )
-
-# The layer names that the commands use, by module.  Each COMMANDS entry
-# lists the modules its command runs, and ``main`` binds their names here
-# before it runs the command, so a step imports only the layers it runs.
-# A name that is already bound is kept: a caller may have wrapped it.
-_LAYERS = {
-    "classifiers": (
-        "CentroidModel", "LinearSvmModel", "TrainConfig", "load_model",
-        "predict_centroid", "predict_svm", "sample_balance", "save_model",
-        "train_centroid", "train_svm",
-    ),
-    "evaluation": ("EvalInstance", "evaluate_grouped", "load_eval"),
-    "graph_store": ("load_graph", "load_snapshot", "save_snapshot"),
-    "labeler": (
-        "LabelingConfig", "build_competition_sets", "coarse_scheme", "fine_scheme",
-        "label_corpus", "read_labels", "write_labels",
-    ),
-    "taxonomy_mapper": (
-        "CategoryMapping", "Taxonomy", "load_mapping", "load_taxonomy",
-        "map_taxonomy", "resolve_override_names", "save_mapping",
-    ),
-    "textproc": ("fit_tfidf", "transform"),
-}
 
 logger = logging.getLogger(__name__)
 
@@ -69,20 +48,20 @@ PATH_MODES = ("dag", "exact")
 
 
 def _bind(modules: Sequence[str]) -> None:
-    """Bind the layer names of ``modules`` here, keeping any already bound."""
+    """Bind here the names that the package exports from ``modules``, so a
+    step imports only the layers it runs.  A name that is already bound is
+    kept: a caller may have wrapped it."""
     here = globals()
     for module in modules:
-        layer = importlib.import_module(f"{__package__}.{module}")
-        for name in _LAYERS[module]:
-            here.setdefault(name, getattr(layer, name))
+        for name in wikicat._EXPORTS[module]:
+            here.setdefault(name, getattr(wikicat, name))
 
 
 def __getattr__(name: str) -> Any:
-    """A layer name that no command has bound yet, from its module (PEP 562)."""
-    for module, names in _LAYERS.items():
-        if name in names:
-            return getattr(importlib.import_module(f"{__package__}.{module}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A layer name that no command has bound yet, from the package (PEP 562)."""
+    if name not in wikicat._MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(wikicat, name)
 
 
 # --------------------------------------------------------------- settings
@@ -194,28 +173,26 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _settings(args: argparse.Namespace) -> Callable[[str], Any]:
-    """Load the command's config and return ``get``, which ``main`` passes to
-    the command: ``get(key)`` is the flag's value if given, else the
-    config's value checked against the key's setting, else the setting's
-    default.  Keys of other commands are ignored, so one config file serves
-    them all."""
+def _settings(args: argparse.Namespace) -> dict[str, Any]:
+    """Each setting of the command, resolved in the order of its ``COMMANDS``
+    entry: the flag's value if given, else the config's value checked
+    against the setting, else the setting's default.  Keys of other
+    commands are ignored, so one config file serves them all."""
     cfg = _load_config(args.config)
-
-    def get(key: str) -> Any:
+    resolved = {}
+    for key, s in args.settings.items():
         val = getattr(args, key)
         if val is not None:
-            return val
-        s = args.settings[key]
-        if key in cfg:
-            return _checked(s, cfg[key])
-        if s.default is _REQUIRED:
+            resolved[key] = val
+        elif key in cfg:
+            resolved[key] = _checked(s, cfg[key])
+        elif s.default is not _REQUIRED:
+            resolved[key] = s.default
+        else:
             raise ConfigurationError(
                 f"missing required setting: {key.replace('_', '-')}"
             )
-        return s.default
-
-    return get
+    return resolved
 
 
 # ------------------------------------------------------------ shared bits
@@ -397,37 +374,24 @@ def _with_texts(
 
 
 def _labeled_rows(
-    get: Callable[[str], Any], draw_seed: Callable[[], int | None]
-) -> tuple[str, dict[str, list[tuple[int, str, str]]], int]:
-    """The scheme name, the (page id, top label, text) rows each competition
-    set trains on, and ``n_per_class`` (checked before any file is read).
-    ``draw_seed()`` gives the seed to balance each set with, or None to keep
-    every row.
-
+    get: Callable[[str], Any], seed: int | None
+) -> tuple[dict[str, list[tuple[int, str, str]]], int]:
+    """The (page id, top label, text) rows each competition set trains on,
+    balanced with ``seed`` (None keeps every row), and the rows per class.
     The rows are drawn before the corpus is read, so only their texts are
     kept, and a sample over ``sample_balance``'s row limit is refused before
-    it.  ``draw_seed`` must read only settings that its command resolves
-    again after this returns.  Then a scheme or a setting that fails keeps
-    no text, and its error is raised where it always was, before the rows
-    are used: here, after the corpus and the rows are checked, or by the
-    command.
-    """
+    it."""
     n_per_class = _n_per_class(get)
     taxonomy = load_taxonomy(get("taxonomy"))
+    named = _named_scheme(get, taxonomy)
+    # Coarse sets span the whole corpus; fine sets are per parent.
+    per_class = n_per_class or (20_000 if get("scheme") == COARSE_SET else 1_000)
     pages, tops = read_labels(get("labels"))
-    try:
-        named = _named_scheme(get, taxonomy)
-        # Coarse sets span the whole corpus; fine sets are per parent.
-        per_class = n_per_class or (20_000 if get("scheme") == COARSE_SET else 1_000)
-        seed = draw_seed()
-    except WikicatError:  # raised again below or by the command, as draw_seed asks
-        named, per_class, seed = {}, n_per_class, None
     rows = _set_rows(pages, tops, named, per_class, seed)
     keep = {page for set_rows in rows.values() for page, _, _ in set_rows}
     corpus = _load_corpus(get("corpus"), keep)
-    named = _named_scheme(get, taxonomy)
     _check_rows(pages, tops, corpus, named, get("labels"), get("corpus"))
-    return get("scheme"), _with_texts(rows, corpus), per_class
+    return _with_texts(rows, corpus), per_class
 
 
 def _train_sets(
@@ -552,8 +516,8 @@ def _cmd_label(get: Callable[[str], Any]) -> int:
 
 
 def _cmd_sample(get: Callable[[str], Any]) -> int:
-    scheme_name, rows, n_per_class = _labeled_rows(get, lambda: get("seed"))
     seed, out, summary_out = get("seed"), get("out"), get("summary_out")
+    rows, n_per_class = _labeled_rows(get, seed)
     write_jsonl(
         (
             {"id": page, "label": label, "set": name, "text": text}
@@ -564,7 +528,7 @@ def _cmd_sample(get: Callable[[str], Any]) -> int:
     )
     summary = {
         "config": {
-            "scheme": scheme_name,
+            "scheme": get("scheme"),
             "n_per_class": n_per_class,
             "seed": seed,
         },
@@ -576,14 +540,12 @@ def _cmd_sample(get: Callable[[str], Any]) -> int:
 
 
 def _cmd_train(get: Callable[[str], Any]) -> int:
-    scheme_name, rows, n_per_class = _labeled_rows(
-        get, lambda: get("seed") if get("kind") == "svm" else None
-    )
     kind, min_df = get("kind"), get("min_df")
     train_cfg = TrainConfig(
         lam=get("lam"), epochs=get("epochs"), eta0=get("eta0"), seed=get("seed")
     )
     out_dir = Path(get("out_dir"))
+    rows, n_per_class = _labeled_rows(get, train_cfg.seed if kind == "svm" else None)
     out_dir.mkdir(parents=True, exist_ok=True)
     sets_summary = {
         name: {
@@ -595,7 +557,7 @@ def _cmd_train(get: Callable[[str], Any]) -> int:
     }
     summary = {
         "config": {
-            "scheme": scheme_name,
+            "scheme": get("scheme"),
             "kind": kind,
             "n_per_class": n_per_class if kind == "svm" else None,
             "min_df": min_df,
@@ -712,8 +674,8 @@ def _cmd_ablate(get: Callable[[str], Any]) -> int:
 # ----------------------------------------------------------------- parser
 
 
-# Each subcommand: its function, its help, the modules of _LAYERS it runs,
-# and the settings it takes.
+# Each subcommand: its function, its help, the modules of ``wikicat._EXPORTS``
+# it runs, and the settings it takes, in the order they are resolved.
 _LABEL_FLAGS = ("scheme", *_LABELING, "workers")
 COMMANDS = {
     "build-graph": (
@@ -752,7 +714,7 @@ COMMANDS = {
         ("eval", "models_dir", "taxonomy", "kind", "out"),
     ),
     "ablate": (
-        _cmd_ablate, "compare labeling modes end to end", tuple(_LAYERS),
+        _cmd_ablate, "compare labeling modes end to end", tuple(wikicat._EXPORTS),
         ("graph", "taxonomy",
          replace(SETTINGS["mapping"], default=None, help="mapping JSON; without "
                  "it the taxonomy is mapped at the default threshold"),
@@ -809,7 +771,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         _bind(args.modules)
-        return args.func(_settings(args))
+        return args.func(_settings(args).__getitem__)
     except (WikicatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -371,7 +371,8 @@ def test_bad_config_exits_2(tmp_path, capsys):
 def test_missing_required_setting_exits_2(capsys):
     rc = main(["map"])
     assert rc == 2
-    assert "graph" in capsys.readouterr().err
+    # the first setting of map's list that has no value
+    assert capsys.readouterr().err == "error: missing required setting: taxonomy\n"
 
 
 @pytest.mark.parametrize(
@@ -551,12 +552,15 @@ def test_map_threshold_outside_0_1_exits_2(wiki, tmp_path, capsys, threshold):
     [
         ("train", "lam", "x"),
         ("train", "lam", "nan"),
+        ("train", "lam", -1),
         ("train", "eta0", "inf"),
         ("train", "epochs", "x"),
         ("train", "seed", [1]),
         ("train", "min_df", None),
         ("train", "n_per_class", "x"),
         ("train", "n_per_class", 0),
+        ("train", "kind", "nope"),
+        ("train", "scheme", "bogus"),
         ("sample", "seed", "x"),
         ("sample", "n_per_class", "x"),
         ("sample", "n_per_class", 0),
@@ -565,17 +569,20 @@ def test_map_threshold_outside_0_1_exits_2(wiki, tmp_path, capsys, threshold):
 def test_bad_training_config_value_exits_2(
     wiki, labels_path, tmp_path, capsys, command, key, value
 ):
+    """Every setting, and train's TrainConfig, is checked before any input
+    is read: the missing corpus is not reached."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "labels": str(labels_path),
-        "corpus": str(wiki / "corpus.jsonl"),
+        "corpus": str(tmp_path / "absent.jsonl"),
         "taxonomy": str(wiki / "taxonomy.json"),
         "out": str(tmp_path / "sampled.jsonl"),
         "out_dir": str(tmp_path / "models"),
         key: value,
     }))
     assert main([command, "--config", str(config)]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and "absent.jsonl" not in err
 
 
 def test_ablate_bad_config_value_exits_2(wiki, tmp_path, capsys):
@@ -584,6 +591,7 @@ def test_ablate_bad_config_value_exits_2(wiki, tmp_path, capsys):
         "graph": str(wiki / "graph.bin"),
         "taxonomy": str(wiki / "taxonomy.json"),
         "corpus": str(wiki / "corpus.jsonl"),
+        "eval": str(wiki / "eval.jsonl"),
         "out_dir": str(tmp_path / "ablate"),
         "min_df": "x",
     }))
@@ -986,9 +994,9 @@ def test_build_graph_lenient_must_be_a_json_bool(
         assert "lenient: expected true or false" in capsys.readouterr().err
 
 
-# Two faults in one input: the first one the parent commit reported still
-# comes first, since taxonomy, labels, corpus, scheme and rows are checked in
-# that order, and rows in file order.
+# Two faults in one input: a setting's fault comes before any file's, since
+# every setting is resolved first; then the taxonomy, labels, corpus and rows
+# are checked in that order, and rows in file order.
 
 
 def _label_line(page: int, label: str) -> str:
@@ -1022,7 +1030,7 @@ _BOTH = _label_line(999_999, "ghost")
         id="ghost-label-of-a-missing-page",
     ),
     pytest.param(
-        [_GOOD], False, "bogus", "corpus.jsonl:3: invalid JSON",
+        [_GOOD], False, "bogus", "unknown scheme 'bogus'; expected one of coarse, fine",
         id="unknown-scheme-and-bad-corpus-line",
     ),
 ])

@@ -125,16 +125,22 @@ def test_every_export_resolves_in_a_fresh_interpreter():
 
 def test_cli_serves_every_layer_name_before_main():
     """A caller may read ``cli``'s layer names before any command binds them,
-    as the benchmark's tracer does before it wraps them."""
-    layers = wikicat.cli._LAYERS
+    as the benchmark's tracer does before it wraps them.  They are the names
+    the package exports from its layers; ``cli`` keeps no list of its own."""
+    layers = {
+        module: names for module, names in wikicat._EXPORTS.items()
+        if module != "exceptions"
+    }
     code = (
-        "import json, wikicat.cli as cli; "
+        "import json, sys, wikicat.cli as cli; "
+        "layers = json.loads(sys.argv[1]); "
         "names = {m: [getattr(cli, n).__module__ for n in ns] "
-        "for m, ns in cli._LAYERS.items()}; "
+        "for m, ns in layers.items()}; "
         "print(json.dumps([names, hasattr(cli, 'no_such_name')]))"
     )
-    names, unknown = json.loads(_child(code))
+    names, unknown = json.loads(_child(code, json.dumps(layers)))
     assert names == {
         module: [f"wikicat.{module}"] * len(layer) for module, layer in layers.items()
     }
     assert unknown is False
+    assert not hasattr(wikicat.cli, "_LAYERS")

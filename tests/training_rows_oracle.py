@@ -98,9 +98,9 @@ def collect_training_rows(
 def labeled_rows(get: Callable[[str], Any]) -> tuple:
     n_per_class = cli._n_per_class(get)
     taxonomy = load_taxonomy(get("taxonomy"))
+    named = cli._named_scheme(get, taxonomy)
     pages, tops = read_labels(get("labels"))
     corpus = load_corpus(get("corpus"))
-    named = cli._named_scheme(get, taxonomy)
     rows = collect_training_rows(
         zip(pages, tops), corpus, named, get("labels"), get("corpus")
     )
