@@ -291,12 +291,13 @@ def _mapped_scheme(
     return mapping, named
 
 
-def _n_per_class(get: Callable[[str], Any]) -> int | None:
-    """``n_per_class``, or None for the command's default."""
-    n_per_class = get("n_per_class")
-    if n_per_class is not None and n_per_class < 1:
-        raise ConfigurationError("n_per_class must be >= 1")
-    return n_per_class
+def _at_least_1(get: Callable[[str], Any], key: str) -> int | None:
+    """The integer setting ``key`` (``n_per_class``, ``min_df`` or
+    ``workers``), or None for the command's default; below 1 it is refused."""
+    value = get(key)
+    if value is not None and value < 1:
+        raise ConfigurationError(f"{key} must be >= 1")
+    return value
 
 
 def _check_rows(
@@ -381,7 +382,7 @@ def _labeled_rows(
     The rows are drawn before the corpus is read, so only their texts are
     kept, and a sample over ``sample_balance``'s row limit is refused before
     it."""
-    n_per_class = _n_per_class(get)
+    n_per_class = _at_least_1(get, "n_per_class")
     taxonomy = load_taxonomy(get("taxonomy"))
     named = _named_scheme(get, taxonomy)
     # Coarse sets span the whole corpus; fine sets are per parent.
@@ -495,14 +496,15 @@ def _cmd_map(get: Callable[[str], Any]) -> int:
 
 
 def _cmd_label(get: Callable[[str], Any]) -> int:
-    scheme_name, workers = get("scheme"), get("workers")
+    scheme_name = get("scheme")
     lab_cfg = LabelingConfig(mode=get("mode"), **{key: get(key) for key in _LABELING})
+    workers = _at_least_1(get, "workers")
     out, summary_out = get("out"), get("summary_out")
     graph = _load_graph_arg(get("graph"))
     taxonomy = load_taxonomy(get("taxonomy"))
     mapping, named = _mapped_scheme(get, graph, taxonomy)
     scheme = list(named.values())
-    labeled = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
+    labeled = label_corpus(graph, mapping, scheme, lab_cfg)
     write_labels(labeled, graph, out)
     summary = {
         "config": {**asdict(lab_cfg), "scheme": scheme_name, "workers": workers},
@@ -540,7 +542,7 @@ def _cmd_sample(get: Callable[[str], Any]) -> int:
 
 
 def _cmd_train(get: Callable[[str], Any]) -> int:
-    kind, min_df = get("kind"), get("min_df")
+    kind, min_df = get("kind"), _at_least_1(get, "min_df")
     train_cfg = TrainConfig(
         lam=get("lam"), epochs=get("epochs"), eta0=get("eta0"), seed=get("seed")
     )
@@ -615,9 +617,10 @@ def _cmd_evaluate(get: Callable[[str], Any]) -> int:
 
 
 def _cmd_ablate(get: Callable[[str], Any]) -> int:
-    n_per_class = _n_per_class(get) or 200
-    scheme_name, seed, min_df = get("scheme"), get("seed"), get("min_df")
-    workers, modes = get("workers"), list(get("modes"))
+    n_per_class = _at_least_1(get, "n_per_class") or 200
+    scheme_name, seed, min_df = get("scheme"), get("seed"), _at_least_1(get, "min_df")
+    modes = list(get("modes"))
+    _at_least_1(get, "workers")  # checked only: labeling runs in one thread
     base_cfg = LabelingConfig(**{key: get(key) for key in _LABELING})
     out_dir = Path(get("out_dir"))
     graph = _load_graph_arg(get("graph"))
@@ -631,7 +634,7 @@ def _cmd_ablate(get: Callable[[str], Any]) -> int:
     rows_out = []
     for mode in modes:
         lab_cfg = replace(base_cfg, mode=mode)
-        labeled = label_corpus(graph, mapping, scheme, lab_cfg, workers=workers)
+        labeled = label_corpus(graph, mapping, scheme, lab_cfg)
         labels_path = out_dir / f"labels.{mode}.jsonl"
         write_labels(labeled, graph, labels_path)
         pages, tops = graph.external_ids(labeled.page).tolist(), labeled.tops()

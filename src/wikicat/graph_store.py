@@ -42,7 +42,6 @@ nodes), then the name blob and the alias blob, so every array lies aligned
 and is read whole with ``np.frombuffer``.  The reader checks that the file
 is as long as the header's counts say before it reads the body, then the
 CRC, then the structure: offsets, edges, rows, aliases, ids and names.
-Version 1 snapshots (magic ``WCG1``, length-prefixed strings) still load.
 """
 
 from __future__ import annotations
@@ -67,8 +66,6 @@ logger = logging.getLogger(__name__)
 SUBCAT = "subcat"
 MEMBER = "member"
 
-_V1_MAGIC = b"WCG1"
-_V1_HEADER = struct.Struct("<4sIQQQQ")  # magic, version, the four counts
 _V2_MAGIC = b"WCG2"
 # magic, version, the four counts, the two blobs' lengths, the body's CRC-32
 _V2_HEADER = struct.Struct("<4sI7Q")
@@ -159,10 +156,6 @@ class CategoryGraph:
         return _IdIndex(self.external[: self.n_categories])
 
     @cached_property
-    def _page_index(self) -> _IdIndex:
-        return _IdIndex(self.external[self.n_categories :])
-
-    @cached_property
     def in_degree(self) -> np.ndarray:
         """The number of parent categories of each node.
 
@@ -185,26 +178,11 @@ class CategoryGraph:
         if not 0 <= node < self.n_nodes:
             raise ConfigurationError(f"node id out of range: {node}")
 
-    def children(self, node: int) -> np.ndarray:
-        """Sorted child nodes of a category; pages have no children."""
-        self._check_node(node)
-        if node >= self.n_categories:
-            raise ConfigurationError(
-                f"children() called on page node {node}; pages are leaves"
-            )
-        return self.indices[self.indptr[node] : self.indptr[node + 1]]
-
     def category_node(self, external_id: int) -> int:
         row = self._cat_index.row(external_id)
         if row is None:
             raise ConfigurationError(f"unknown category id: {external_id}")
         return row
-
-    def page_node(self, external_id: int) -> int:
-        row = self._page_index.row(external_id)
-        if row is None:
-            raise ConfigurationError(f"unknown page id: {external_id}")
-        return self.n_categories + row
 
     def node_name(self, node: int) -> str:
         self._check_node(node)
@@ -688,23 +666,27 @@ def _v2_layout(
 
 
 def load_snapshot(path: str | Path) -> CategoryGraph:
-    """Read a snapshot written by :func:`save_snapshot`, or a version 1 one.
+    """Read a snapshot written by :func:`save_snapshot`.
 
-    A truncated or corrupt file raises :class:`GraphFormatError` naming it.
-    The header's counts are checked against the file's length before the
-    body is read, and the adjacency before any array is sized from its
-    values.
+    A truncated or corrupt file raises :class:`GraphFormatError` naming it,
+    and so does a version 1 snapshot, which is not read.  The header's
+    counts are checked against the file's length before the body is read,
+    and the adjacency before any array is sized from its values.
     """
     with open(path, "rb") as fh:
         head = fh.read(_V2_HEADER.size)
-        read = {_V1_MAGIC: _read_v1, _V2_MAGIC: _read_v2}.get(head[:4])
-        if read is None:
+        if head[:4] == b"WCG1":
+            raise GraphFormatError(
+                f"{path}: a version 1 snapshot, which is no longer read; "
+                "run build-graph again"
+            )
+        if head[:4] != _V2_MAGIC:
             raise GraphFormatError(f"{path}: not a graph snapshot")
         try:
-            return read(head, fh, os.fstat(fh.fileno()).st_size)
+            return _read_v2(head, fh, os.fstat(fh.fileno()).st_size)
         except GraphFormatError as exc:
             raise GraphFormatError(f"{path}: {exc}") from None
-        except (struct.error, ValueError) as exc:  # UnicodeDecodeError included
+        except (struct.error, ValueError) as exc:
             raise GraphFormatError(f"{path}: corrupt snapshot: {exc}") from None
 
 
@@ -751,54 +733,6 @@ def _checked_names(blob: np.ndarray, offsets: np.ndarray, what: str) -> Names:
     if ((blob[starts] & 0xC0) == 0x80).any():
         raise GraphFormatError(f"corrupt snapshot: a {what} starts inside a character")
     return Names(blob, offsets)
-
-
-def _read_v1(head: bytes, fh: BinaryIO, size: int) -> CategoryGraph:
-    """A version 1 snapshot: its strings are each a uint32 length and UTF-8,
-    and its aliases each a string and an int32 node.  Its records are read
-    in order, each once the file is known to hold it, so trailing bytes are
-    refused unread."""
-    (_, version, n_cats, n_pages, n_edges, n_aliases) = _V1_HEADER.unpack_from(head)
-    if version != 1:
-        raise GraphFormatError(f"unsupported snapshot version {version}")
-    off = _V1_HEADER.size
-    n_nodes = n_cats + n_pages
-    # The fewest bytes the counts need, in Python ints: a name or an alias
-    # takes at least its 4-byte length.
-    least = off + 20 * n_nodes + 8 + 4 * n_edges + 8 * n_aliases
-    if least > size:
-        raise GraphFormatError(
-            f"corrupt snapshot: its counts need {least} bytes, the file has {size}"
-        )
-    fh.seek(off)
-
-    def read(n: int) -> bytes:
-        nonlocal off
-        if n > size - off:
-            raise GraphFormatError(f"corrupt snapshot: truncated at byte {off}")
-        off += n
-        return fh.read(n)
-
-    def read_str() -> str:
-        (length,) = struct.unpack("<I", read(4))
-        return read(length).decode("utf-8")
-
-    external = np.frombuffer(read(8 * n_nodes), "<i8").astype(np.int64)
-    names = [read_str() for _ in range(n_nodes)]
-    indptr = np.frombuffer(read(8 * (n_nodes + 1)), "<i8").astype(np.int64)
-    indices = np.frombuffer(read(4 * n_edges), "<i4").astype(np.int32)
-    aliases, alias_nodes = [], []
-    for _ in range(n_aliases):
-        aliases.append(read_str())
-        alias_nodes.append(struct.unpack("<i", read(4))[0])
-    if off != size:
-        raise GraphFormatError("trailing bytes in snapshot")
-    alias_nodes = np.array(alias_nodes, dtype=np.int64)
-    _check_graph(n_cats, external, indptr, indices, aliases, alias_nodes)
-    return CategoryGraph(
-        n_cats, external, names, indptr, indices,
-        dict(zip(aliases, alias_nodes.tolist())),
-    )
 
 
 def _check_graph(

@@ -327,17 +327,12 @@ def label_corpus(
     mapping: CategoryMapping,
     scheme: Sequence[Sequence[str]],
     cfg: LabelingConfig,
-    workers: int = 1,
 ) -> CorpusLabels:
     """Label pages for every competition set in the scheme.
 
     Records are ordered by competition set, then external page id; a page
-    may appear once per competition set.  Labeling runs in the calling
-    thread; ``workers`` is validated but never changes the work or the
-    output.
+    may appear once per competition set.
     """
-    if workers < 1:
-        raise ConfigurationError("workers must be >= 1")
     sets = build_competition_sets(graph, mapping, scheme)
     labels = sorted({label for roots in sets for label in roots})
     parts = [

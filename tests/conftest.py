@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import os
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
 
-from wikicat.graph_store import load_graph
+from wikicat.graph_store import _V2_HEADER, load_graph
 from wikicat.taxonomy_mapper import CategoryMapping, MappedCategory, load_taxonomy
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -16,6 +18,27 @@ DATA_DIR = Path(__file__).parent / "data"
 # that tests start find wikicat there too.
 SRC = str(Path(__file__).parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.getenv("PYTHONPATH")]))
+
+
+def children(graph, node: int) -> list[int]:
+    """A category's child nodes, ascending: its row of the CSR."""
+    return graph.indices[graph.indptr[node] : graph.indptr[node + 1]].tolist()
+
+
+def page_node(graph, external_id: int) -> int:
+    """The node of the page with this external id."""
+    (rows,) = (graph.external[graph.n_categories :] == external_id).nonzero()
+    return graph.n_categories + int(rows[0])
+
+
+def with_crc(data: bytes) -> bytes:
+    """A snapshot's bytes with the header's CRC-32 set to that of the body,
+    so that a change to the file meets the reader's other checks; bytes too
+    short to hold a header are left as they are."""
+    size = _V2_HEADER.size
+    if len(data) < size:
+        return data
+    return data[: size - 8] + struct.pack("<Q", zlib.crc32(data[size:])) + data[size:]
 
 
 def load_fixture_graph(name: str):

@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from conftest import children
 from wikicat.exceptions import ConfigurationError
 from wikicat.graph_store import CategoryGraph
 from wikicat.jsonio import write_jsonl
@@ -59,7 +60,7 @@ def bfs(
         d = int(depth[u])
         if max_depth is not None and d + 1 > max_depth:
             continue
-        for v in graph.children(u).tolist():
+        for v in children(graph, u):
             if depth[v] == -1 and v not in blocked:
                 depth[v] = d + 1
                 if v < graph.n_categories:
@@ -79,7 +80,7 @@ def path_counts(
         if not cu:
             continue
         du = int(depth[u])
-        for v in graph.children(u).tolist():
+        for v in children(graph, u):
             if depth[v] == du + 1:
                 counts[v] = counts.get(v, 0) + cu
     return counts
@@ -103,7 +104,7 @@ def enumerate_paths(
     def walk(u: int, dist: int, on_path: set[int]) -> None:
         if dist >= cap:
             return
-        for v in graph.children(u).tolist():
+        for v in children(graph, u):
             if v == page:
                 lengths.append(dist + 1)
             elif v < split and v not in blocked and v not in on_path:
@@ -119,7 +120,9 @@ def enumerate_paths(
 
 def coverage(graph: CategoryGraph, page: int, depth: np.ndarray) -> float:
     """Reached share of the page's parents, found by scanning every row."""
-    parents = [u for u in range(graph.n_categories) if page in graph.children(u)]
+    parents = [
+        u for u in range(graph.n_categories) if page in children(graph, u)
+    ]
     if len(parents) == 0:
         return 0.0
     return int((depth[parents] >= 0).sum()) / len(parents)
@@ -180,7 +183,7 @@ def collect_root(
     out = []
     if cfg.mode == "child_only":
         for node in sorted(set(spec.nodes)):
-            for v in graph.children(node).tolist():
+            for v in children(graph, node):
                 if v >= graph.n_categories:
                     out.append((v, spec.label, 1.0, 1))
         return sorted(set(out))

@@ -40,7 +40,7 @@ from wikicat.taxonomy_mapper import (
 )
 from wikicat.textproc import fit_tfidf, transform
 
-from conftest import fan_in_case, write_graph_files
+from conftest import fan_in_case, page_node, write_graph_files
 from wikicat.graph_store import load_graph
 
 
@@ -161,8 +161,8 @@ def test_c1_dag_mode_matches_exact_enumeration(tmp_path):
 def test_c2_depth_coverage_and_pruning(trucks_graph, trucks_taxonomy):
     g = trucks_graph
     mapping = map_taxonomy(trucks_taxonomy, g)
-    ford = g.page_node(100)
-    club = g.page_node(101)
+    ford = page_node(g, 100)
+    club = page_node(g, 101)
     scheme = coarse_scheme(trucks_taxonomy)
     full = label_corpus(g, mapping, scheme, LabelingConfig())
     depths = {r.page: a.depth for r in full for a in r.assignments}
@@ -435,7 +435,7 @@ t0 = time.monotonic()
 graph = load_graph(src + "/categories.tsv", src + "/pages.tsv", src + "/edges.tsv")
 taxonomy = load_taxonomy(src + "/taxonomy.json")
 mapping = map_taxonomy(taxonomy, graph)
-records = label_corpus(graph, mapping, coarse_scheme(taxonomy), LabelingConfig(), workers=4)
+records = label_corpus(graph, mapping, coarse_scheme(taxonomy), LabelingConfig())
 write_labels(records, graph, out)
 print(json.dumps({
     "elapsed": time.monotonic() - t0,

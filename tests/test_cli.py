@@ -22,8 +22,7 @@ from wikicat.labeler import MODES, Assignment, LabelingConfig, PageLabels
 from wikicat.synth import make_ablation_wiki
 from wikicat.textproc import fit_tfidf, transform
 
-from conftest import write_graph_files
-from snapshot_v1_oracle import save_snapshot_v1
+from conftest import with_crc, write_graph_files
 
 
 def _last_json(capsys):
@@ -614,6 +613,32 @@ def test_ablate_n_per_class_0_exits_2(wiki, tmp_path, capsys):
     assert list((tmp_path / "ablate").glob("labels.*.jsonl")) == []
 
 
+@pytest.mark.parametrize(
+    "command, key",
+    [("train", "min_df"), ("ablate", "min_df"), ("label", "workers"), ("ablate", "workers")],
+)
+def test_setting_below_1_exits_2_before_any_input(
+    wiki, labels_path, tmp_path, capsys, command, key
+):
+    """``min_df`` and ``workers`` are checked with the other settings: the
+    missing graph or corpus is not reached, and no output is made."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "graph": str(tmp_path / "absent.bin"),
+        "taxonomy": str(wiki / "taxonomy.json"),
+        "mapping": str(wiki / "mapping.json"),
+        "labels": str(labels_path),
+        "corpus": str(tmp_path / "absent.jsonl"),
+        "eval": str(wiki / "eval.jsonl"),
+        "out": str(tmp_path / "out" / "labels.jsonl"),
+        "out_dir": str(tmp_path / "out"),
+        key: 0,
+    }))
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _mapping_with_zulu(wiki, path, table):
     """The wiki's mapping, with label ``zulu`` added to one of its tables."""
     doc = json.loads((wiki / "mapping.json").read_text(encoding="utf-8"))
@@ -706,11 +731,13 @@ def _truncated(data: bytes, n_edges: int) -> bytes:
 
 
 def _index_flipped(data: bytes, n_edges: int) -> bytes:
-    # No aliases, so the edge indices are the last 4 * n_edges bytes; setting
-    # bit 30 of the first one points it a billion nodes past the end.
+    # No aliases, so the edge indices lie just before the name blob, whose
+    # length is at byte 40; setting bit 30 of the first one points it a
+    # billion nodes past the end.  The checksum is mended to match.
+    (name_bytes,) = struct.unpack_from("<Q", data, 40)
     out = bytearray(data)
-    out[len(data) - 4 * n_edges + 3] ^= 0x40
-    return bytes(out)
+    out[len(data) - name_bytes - 4 * n_edges + 3] ^= 0x40
+    return with_crc(bytes(out))
 
 
 def _huge_count(data: bytes, n_edges: int) -> bytes:
@@ -718,17 +745,18 @@ def _huge_count(data: bytes, n_edges: int) -> bytes:
     return data[:8] + (2**63).to_bytes(8, "little") + data[16:]
 
 
-@pytest.mark.parametrize("damage", [_truncated, _index_flipped, _huge_count])
-def test_damaged_snapshot_exits_2_naming_it(wiki, tmp_path, damage):
-    graph = load_snapshot(wiki / "graph.bin")
-    assert not graph.aliases
-    v1 = tmp_path / "v1.bin"
-    save_snapshot_v1(graph, v1)
+@pytest.mark.parametrize(("damage", "message"), [
+    (_truncated, "its counts need"),
+    (_index_flipped, "edge to an unknown node"),
+    (_huge_count, "its counts need"),
+])
+def test_damaged_snapshot_exits_2_naming_it(wiki, tmp_path, damage, message):
+    n_edges = len(load_snapshot(wiki / "graph.bin").indices)
     bad = tmp_path / "damaged.bin"
-    bad.write_bytes(damage(v1.read_bytes(), len(graph.indices)))
+    bad.write_bytes(damage((wiki / "graph.bin").read_bytes(), n_edges))
     proc = _map_under_2_gib(wiki, bad, tmp_path)
     assert proc.returncode == 2, proc.stderr
-    assert f"error: {bad}: corrupt snapshot" in proc.stderr
+    assert f"error: {bad}: corrupt snapshot: {message}" in proc.stderr
 
 
 def _under_gib(gib: int, *args: str) -> subprocess.CompletedProcess:
@@ -756,6 +784,9 @@ def _map_under_2_gib(wiki, graph, tmp_path):
     )
 
 
+_VERSION_1 = "a version 1 snapshot, which is no longer read; run build-graph again"
+
+
 @pytest.mark.parametrize(("head", "message"), [
     pytest.param(b"JUNK", "not a graph snapshot", id="junk"),
     # one category with a one-byte name: a 113-byte file
@@ -764,20 +795,18 @@ def _map_under_2_gib(wiki, graph, tmp_path):
         "corrupt snapshot: its counts need 113 bytes, the file has 3221225472",
         id="v2",
     ),
-    # more categories than the file could hold
+    # Version 1 files, which are no longer read: more categories than the
+    # file could hold, an empty graph, and one category whose name claims
+    # 4 GiB.
     pytest.param(
-        b"WCG1" + struct.pack("<I4Q", 1, 2**62, 0, 0, 0),
-        "corrupt snapshot: its counts need", id="v1",
+        b"WCG1" + struct.pack("<I4Q", 1, 2**62, 0, 0, 0), _VERSION_1, id="v1"
     ),
-    # an empty graph: 48 bytes of records, then trailing bytes
     pytest.param(
-        b"WCG1" + struct.pack("<I4Q", 1, 0, 0, 0, 0),
-        "trailing bytes in snapshot", id="v1-empty",
+        b"WCG1" + struct.pack("<I4Q", 1, 0, 0, 0, 0), _VERSION_1, id="v1-empty"
     ),
-    # one category whose name, its length at byte 48, claims 4 GiB
     pytest.param(
         b"WCG1" + struct.pack("<I4Q", 1, 1, 0, 0, 0) + bytes(8) + b"\xff" * 4,
-        "corrupt snapshot: truncated at byte 52", id="v1-long-name",
+        _VERSION_1, id="v1-long-name",
     ),
 ])
 def test_big_file_that_is_not_a_snapshot_exits_2_unread(wiki, tmp_path, head, message):

@@ -15,7 +15,7 @@ import pytest
 from wikicat import cli, labeler
 from wikicat.classifiers import TrainConfig
 from wikicat.cli import SETTINGS, build_parser, main
-from wikicat.labeler import LabelingConfig, label_corpus
+from wikicat.labeler import LabelingConfig
 from wikicat.synth import make_ablation_wiki
 from wikicat.taxonomy_mapper import map_taxonomy
 from wikicat.textproc import fit_tfidf
@@ -343,10 +343,10 @@ def test_cli_defaults_equal_the_library_defaults():
     """The defaults that SETTINGS restates from the library stay equal to it."""
     library = {f.name: f.default for f in fields(LabelingConfig) + fields(TrainConfig)}
     for func, key in (
-        (map_taxonomy, "threshold"), (fit_tfidf, "min_df"), (label_corpus, "workers"),
+        (map_taxonomy, "threshold"), (fit_tfidf, "min_df"),
     ):
         library[key] = inspect.signature(func).parameters[key].default
-    assert len(library) == 13
+    assert len(library) == 12
     assert {key: SETTINGS[key].default for key in library} == library
 
 

@@ -18,12 +18,13 @@ inserts a byte, deletes bytes or truncates the file, at a seeded place.
 ``build-graph`` runs in process, strict and lenient, and must exit 0, or
 exit 2 naming a TSV as ``file:line`` or ``file: not UTF-8``.
 
-Version 1 and version 2 snapshots of the ``suvs`` fixture graph take the
-same byte-level mutations.  Each mutated file goes through
-``load_snapshot`` and, if it loads, ``map_taxonomy`` and ``label_corpus``,
-in process: the only exceptions allowed are ``WikicatError``, which the
-CLI reports with exit 2, and ``OSError``, and the traced peak stays under a
-fixed bound.
+The snapshot of the ``suvs`` fixture graph takes the same byte-level
+mutations, once as mutated and once with its CRC-32 recomputed after the
+mutation, so that a flipped byte gets past the checksum to the structural
+checks.  Each mutated file goes through ``load_snapshot`` and, if it loads,
+``map_taxonomy`` and ``label_corpus``, in process: the only exceptions
+allowed are ``WikicatError``, which the CLI reports with exit 2, and
+``OSError``, and the traced peak stays under a fixed bound.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from wikicat.labeler import LabelingConfig, coarse_scheme, label_corpus
 from wikicat.synth import make_ablation_wiki
 from wikicat.taxonomy_mapper import map_taxonomy
 
-from snapshot_v1_oracle import save_snapshot_v1
+from conftest import with_crc
 
 # The substitutions: every JSON type, ints beyond int64, a label id of the
 # wiki and a string that is not a file name.
@@ -315,23 +316,25 @@ def test_fuzzed_tsv_exits_0_or_2_naming_a_line(wiki_tsvs, tmp_path, capsys, name
 
 # ------------------------------------------------------- snapshot bytes
 
-SNAPSHOTS = {"v1": save_snapshot_v1, "v2": save_snapshot}
+# What each snapshot input makes of a mutated file: the bytes as they are,
+# which the CRC refuses almost always, or with the CRC mended.
+SNAPSHOTS = {"v2": bytes, "v2-crc": with_crc}
 SNAPSHOT_SAMPLE_PER_INPUT = 250
-# A sample's traced peak.  The files are under 0.5 kB and a case peaked
-# at 1.1 MB, so a count read from corrupt bytes that sized an array would
-# pass it.
+# A sample's traced peak.  The file is 431 bytes, and the 1 000 cases with
+# the CRC mended peaked at 1.2 MB all together, so a count read from
+# corrupt bytes that sized an array would pass it.
 SNAPSHOT_PEAK_BYTES = 16 << 20
 
 
 def run_snapshot_case(
-    snapshots: dict[str, Path], taxonomy, work: Path, case: tuple[str, str, int]
+    snapshot: Path, taxonomy, work: Path, case: tuple[str, str, int]
 ) -> list[str]:
     """Load the snapshot with one mutation and, if it loads, map the
     taxonomy onto it and label its pages; the case if it raised other than
     a WikicatError or an OSError."""
     name, mutation, seed = case
-    path = work / f"{name}.bin"
-    path.write_bytes(mutated(snapshots[name].read_bytes(), mutation, seed))
+    path = work / "graph.bin"
+    path.write_bytes(SNAPSHOTS[name](mutated(snapshot.read_bytes(), mutation, seed)))
     try:
         graph = load_snapshot(path)
         mapping = map_taxonomy(taxonomy, graph)
@@ -344,15 +347,14 @@ def run_snapshot_case(
 
 
 @pytest.fixture(scope="module")
-def snapshots(tmp_path_factory, suvs_graph):
-    d = tmp_path_factory.mktemp("fuzz_snapshots")
-    for name, save in SNAPSHOTS.items():
-        save(suvs_graph, d / f"{name}.bin")
-    return {name: d / f"{name}.bin" for name in SNAPSHOTS}
+def snapshot(tmp_path_factory, suvs_graph):
+    path = tmp_path_factory.mktemp("fuzz_snapshot") / "graph.bin"
+    save_snapshot(suvs_graph, path)
+    return path
 
 
 @pytest.mark.parametrize("name", sorted(SNAPSHOTS))
-def test_fuzzed_snapshot_loads_or_is_refused(snapshots, suvs_taxonomy, tmp_path, name):
+def test_fuzzed_snapshot_loads_or_is_refused(snapshot, suvs_taxonomy, tmp_path, name):
     sample = random.Random(f"{SEED}:{name}").sample(
         byte_cases(name), SNAPSHOT_SAMPLE_PER_INPUT
     )
@@ -360,7 +362,7 @@ def test_fuzzed_snapshot_loads_or_is_refused(snapshots, suvs_taxonomy, tmp_path,
     try:
         bad = [
             fault for case in sample
-            for fault in run_snapshot_case(snapshots, suvs_taxonomy, tmp_path, case)
+            for fault in run_snapshot_case(snapshot, suvs_taxonomy, tmp_path, case)
         ]
         peak = tracemalloc.get_traced_memory()[1]
     finally:

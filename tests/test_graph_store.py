@@ -7,7 +7,6 @@ import random
 import struct
 import tempfile
 import tracemalloc
-import zlib
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -22,9 +21,8 @@ from wikicat.exceptions import ConfigurationError, GraphFormatError
 from wikicat.graph_store import load_graph, load_snapshot, save_snapshot
 from wikicat.synth import make_ablation_wiki, make_scale_graph
 
-from conftest import write_graph_files
+from conftest import children, page_node, with_crc, write_graph_files
 from graph_loader_oracle import load_graph_lines
-from snapshot_v1_oracle import save_snapshot_v1
 
 CATS = [(10, "Vehicles"), (11, "Trucks"), (12, "Cars")]
 PAGES = [(200, "Ford F-150"), (201, "Honda Civic")]
@@ -49,14 +47,14 @@ def test_load_basic(make_graph):
     }
     root = g.category_node(10)
     trucks = g.category_node(11)
-    page = g.page_node(200)
+    page = page_node(g, 200)
     assert g.node_name(root) == "Vehicles"
     assert g.node_name(page) == "Ford F-150"
     assert g.external_id(trucks) == 11
     assert g.external.tolist() == [10, 11, 12, 200, 201]
     assert list(g.names) == ["Vehicles", "Trucks", "Cars", "Ford F-150", "Honda Civic"]
-    assert g.children(root).tolist() == sorted([trucks, g.category_node(12)])
-    assert g.children(trucks).tolist() == [page]
+    assert children(g, root) == sorted([trucks, g.category_node(12)])
+    assert children(g, trucks) == [page]
     assert g.in_degree.tolist() == [0, 1, 1, 1, 1]
 
 
@@ -67,7 +65,7 @@ def test_children_sorted_and_subcats_first(make_graph):
         [(50, "p"), (51, "q")],
         [(1, 51, "member"), (1, 3, "subcat"), (1, 50, "member"), (1, 2, "subcat")],
     )
-    kids = g.children(g.category_node(1)).tolist()
+    kids = children(g, g.category_node(1))
     assert kids == sorted(kids)
     split = g.n_categories
     assert [k for k in kids if k < split] == sorted(
@@ -79,7 +77,7 @@ def test_shared_external_ids_across_namespaces(make_graph):
     # Category ids and page ids live in separate namespaces.
     g = make_graph([(7, "Topic")], [(7, "Article")], [(7, 7, "member")])
     assert g.node_name(g.category_node(7)) == "Topic"
-    assert g.node_name(g.page_node(7)) == "Article"
+    assert g.node_name(page_node(g, 7)) == "Article"
 
 
 def test_external_ids_gather_matches_external_id(make_graph):
@@ -92,24 +90,16 @@ def test_external_ids_gather_matches_external_id(make_graph):
             g.external_ids(bad)
 
 
-def test_children_on_page_is_error(make_graph):
-    g = make_graph(CATS, PAGES, EDGES)
-    with pytest.raises(ConfigurationError):
-        g.children(g.page_node(200))
-
-
 def test_unknown_external_ids(make_graph):
     g = make_graph(CATS, PAGES, EDGES)
     with pytest.raises(ConfigurationError):
         g.category_node(999)
     with pytest.raises(ConfigurationError):
-        g.page_node(10)  # category id, not a page id
+        g.category_node(200)  # page id, not a category id
     # A JSON integer in a mapping file may lie beyond int64.
     for big in (2**63, -(2**63) - 1, 10**30):
         with pytest.raises(ConfigurationError, match=f"unknown category id: {big}$"):
             g.category_node(big)
-        with pytest.raises(ConfigurationError, match=f"unknown page id: {big}$"):
-            g.page_node(big)
 
 
 def test_duplicate_category_id_rejected(make_graph):
@@ -279,10 +269,9 @@ def test_snapshot_rejects_inconsistent_adjacency(make_graph, tmp_path, damage):
     g = make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)])
     damage(g)
     snap = tmp_path / "bad.bin"
-    for save in (save_snapshot, save_snapshot_v1):
-        save(g, snap)
-        with pytest.raises(GraphFormatError, match="bad.bin: corrupt snapshot"):
-            load_snapshot(snap)
+    save_snapshot(g, snap)
+    with pytest.raises(GraphFormatError, match="bad.bin: corrupt snapshot"):
+        load_snapshot(snap)
 
 
 @pytest.mark.parametrize(
@@ -297,17 +286,21 @@ def test_snapshot_names_a_repeated_id(make_graph, tmp_path, damage, message):
     ``category_node`` could never return the second node of one."""
     g = make_graph(CATS, PAGES, EDGES)
     damage(g)
-    for save in (save_snapshot, save_snapshot_v1):
-        save(g, tmp_path / "bad.bin")
-        with pytest.raises(GraphFormatError, match=f"corrupt snapshot: {message}$"):
-            load_snapshot(tmp_path / "bad.bin")
+    save_snapshot(g, tmp_path / "bad.bin")
+    with pytest.raises(GraphFormatError, match=f"corrupt snapshot: {message}$"):
+        load_snapshot(tmp_path / "bad.bin")
 
 
-@pytest.mark.parametrize("field", range(4))  # n_cats, n_pages, n_edges, n_aliases
+# The header's counts: n_cats, n_pages, n_edges, n_aliases and the two
+# blobs' lengths, each a uint64 from byte 8 on.
+_COUNTS = range(6)
+
+
+@pytest.mark.parametrize("field", _COUNTS)
 @pytest.mark.parametrize("count", [2**63, 2**64 - 1, 1 << 40])
 def test_snapshot_rejects_counts_beyond_the_file(make_graph, tmp_path, field, count):
     snap = tmp_path / "huge.bin"
-    save_snapshot_v1(make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]), snap)
+    save_snapshot(make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]), snap)
     data = bytearray(snap.read_bytes())
     struct.pack_into("<Q", data, 8 + 8 * field, count)
     snap.write_bytes(bytes(data))
@@ -315,16 +308,16 @@ def test_snapshot_rejects_counts_beyond_the_file(make_graph, tmp_path, field, co
         load_snapshot(snap)
 
 
-@pytest.mark.parametrize("field", range(4))  # n_cats, n_pages, n_edges, n_aliases
+@pytest.mark.parametrize("field", _COUNTS)
 def test_snapshot_of_the_least_size_loads(tmp_path, field):
-    """With every name and alias empty a version 1 file is exactly as long
-    as its counts need: it loads, and one more of any count is refused."""
+    """A file exactly as long as its counts need loads, here with every name
+    and alias empty, and one more of any count is refused."""
     g = graph_store.CategoryGraph(
         2, np.array([1, 2, 30]), ["", "", ""], np.array([0, 2, 2, 2]),
         np.array([1, 2], dtype=np.int32), {"": 0},
     )
     snap = tmp_path / "least.bin"
-    save_snapshot_v1(g, snap)
+    save_snapshot(g, snap)
     assert load_snapshot(snap).stats() == g.stats()
     data = bytearray(snap.read_bytes())
     (count,) = struct.unpack_from("<Q", data, 8 + 8 * field)
@@ -334,13 +327,8 @@ def test_snapshot_of_the_least_size_loads(tmp_path, field):
         load_snapshot(snap)
 
 
-# sha256 of two graphs' snapshots in each version: the formats must not
-# drift.
+# sha256 of two graphs' snapshots: the format must not drift.
 _PINNED_SNAPSHOTS = {
-    (save_snapshot_v1, "ablation"):
-        "297d62db9064011dd8a44b6c50c54274ce9444c6a75db5617fb85e7a0133990a",
-    (save_snapshot_v1, "small"):
-        "46aece4ee8259d36a45bf49f9e9ccb553e0efeb95895a2edc58f296236a78280",
     (save_snapshot, "ablation"):
         "cf16561f2700b049ecd01f07bc0953b8cd0b4cb108274ab95cf02131f3438ed8",
     (save_snapshot, "small"):
@@ -360,17 +348,6 @@ def test_snapshot_bytes_are_pinned(make_graph, tmp_path):
         save(graphs[name], tmp_path / "g.bin")
         digest = hashlib.sha256((tmp_path / "g.bin").read_bytes()).hexdigest()
         assert digest == pinned, (save.__name__, name)
-
-
-def test_snapshot_rejects_truncation_anywhere(make_graph, tmp_path):
-    snap = tmp_path / "graph.bin"
-    save_snapshot_v1(make_graph(CATS, PAGES, EDGES, redirects=[("Lorries", 11)]), snap)
-    data = snap.read_bytes()
-    cut = tmp_path / "cut.bin"
-    for size in range(4, len(data)):
-        cut.write_bytes(data[:size])
-        with pytest.raises(GraphFormatError, match="cut.bin: "):
-            load_snapshot(cut)
 
 
 def test_v2_snapshot_rejects_every_flipped_byte_and_truncation(make_graph, tmp_path):
@@ -403,9 +380,7 @@ def _v2_edit(data: bytes, section: int, at: int, value: bytes) -> bytes:
     out = bytearray(data)
     start = _v2_sections(data)[section].start + at
     out[start : start + len(value)] = value
-    body = bytes(out[graph_store._V2_HEADER.size :])
-    struct.pack_into("<Q", out, graph_store._V2_HEADER.size - 8, zlib.crc32(body))
-    return bytes(out)
+    return with_crc(bytes(out))
 
 
 _NAME_OFFSETS, _ALIAS_OFFSETS, _NAME_BLOB, _ALIAS_BLOB = 1, 3, 6, 7
@@ -441,41 +416,34 @@ def test_snapshot_rejects_a_repeated_alias(make_graph, tmp_path):
     the alias ``Y`` is renamed ``X`` in the file's bytes."""
     g = make_graph(CATS, PAGES, EDGES, redirects=[("X", 11), ("Y", 12)])
     snap = tmp_path / "bad.bin"
-    save_snapshot_v1(g, snap)
-    data = snap.read_bytes()
-    assert data.count(b"\x01\x00\x00\x00Y") == 1
-    v1 = data.replace(b"\x01\x00\x00\x00Y", b"\x01\x00\x00\x00X")
     save_snapshot(g, snap)
-    v2 = _v2_edit(snap.read_bytes(), _ALIAS_BLOB, 1, b"X")
-    for damaged in (v1, v2):
-        snap.write_bytes(damaged)
-        with pytest.raises(
-            GraphFormatError, match="bad.bin: corrupt snapshot: duplicate alias 'X'$"
-        ):
-            load_snapshot(snap)
+    snap.write_bytes(_v2_edit(snap.read_bytes(), _ALIAS_BLOB, 1, b"X"))
+    with pytest.raises(
+        GraphFormatError, match="bad.bin: corrupt snapshot: duplicate alias 'X'$"
+    ):
+        load_snapshot(snap)
 
 
-def _assert_snapshots_give(graph, d: Path) -> None:
-    """Both snapshot versions of ``graph`` load as ``graph``, and a version 2
-    file saved again from its load has the same bytes."""
-    save_snapshot_v1(graph, d / "v1.bin")
-    save_snapshot(graph, d / "v2.bin")
+def _assert_snapshot_gives(graph, d: Path) -> None:
+    """The snapshot of ``graph`` loads as ``graph``, and a snapshot saved
+    again from its load has the same bytes."""
+    save_snapshot(graph, d / "g.bin")
+    loaded = load_snapshot(d / "g.bin")
     n = graph.n_nodes
     names = [graph.names[node] for node in range(n)]
-    for loaded in (load_snapshot(d / "v1.bin"), load_snapshot(d / "v2.bin")):
-        assert loaded.n_categories == graph.n_categories
-        assert loaded.external.tolist() == graph.external.tolist()
-        assert loaded.indptr.tolist() == graph.indptr.tolist()
-        assert loaded.indices.tolist() == graph.indices.tolist()
-        assert list(loaded.aliases.items()) == list(graph.aliases.items())
-        assert loaded.stats() == graph.stats()
-        assert loaded.in_degree.tolist() == graph.in_degree.tolist()
-        assert [loaded.names[node] for node in range(n)] == names
-        for lo in range(n + 1):  # a slice is decoded in one piece
-            for hi in range(lo, n + 1):
-                assert loaded.names[lo:hi] == names[lo:hi]
-    save_snapshot(load_snapshot(d / "v2.bin"), d / "again.bin")
-    assert (d / "again.bin").read_bytes() == (d / "v2.bin").read_bytes()
+    assert loaded.n_categories == graph.n_categories
+    assert loaded.external.tolist() == graph.external.tolist()
+    assert loaded.indptr.tolist() == graph.indptr.tolist()
+    assert loaded.indices.tolist() == graph.indices.tolist()
+    assert list(loaded.aliases.items()) == list(graph.aliases.items())
+    assert loaded.stats() == graph.stats()
+    assert loaded.in_degree.tolist() == graph.in_degree.tolist()
+    assert [loaded.names[node] for node in range(n)] == names
+    for lo in range(n + 1):  # a slice is decoded in one piece
+        for hi in range(lo, n + 1):
+            assert loaded.names[lo:hi] == names[lo:hi]
+    save_snapshot(loaded, d / "again.bin")
+    assert (d / "again.bin").read_bytes() == (d / "g.bin").read_bytes()
 
 
 @st.composite
@@ -505,23 +473,23 @@ def _graph_rows(draw):
 @given(rows=_graph_rows())
 @example(rows=([(1, "Solo")], [], [], []))
 @example(rows=([], [], [], []))
-def test_snapshot_versions_and_the_loader_give_one_graph(rows):
+def test_snapshot_and_the_loader_give_one_graph(rows):
     with tempfile.TemporaryDirectory() as d:
         paths = write_graph_files(Path(d), *rows)
         graph = load_graph(
             paths["categories"], paths["pages"], paths["edges"], paths["redirects"]
         )
-        _assert_snapshots_give(graph, Path(d))
+        _assert_snapshot_gives(graph, Path(d))
 
 
-def test_snapshot_versions_agree_on_empty_names(tmp_path):
+def test_snapshot_keeps_empty_names(tmp_path):
     """No TSV file holds an empty name or alias, but a graph built in
     memory may."""
     g = graph_store.CategoryGraph(
         2, np.array([1, 2, 30]), ["", "é", ""], np.array([0, 2, 2, 2]),
         np.array([1, 2], dtype=np.int32), {"": 0, "€": 1},
     )
-    _assert_snapshots_give(g, tmp_path)
+    _assert_snapshot_gives(g, tmp_path)
 
 
 def test_empty_graph(make_graph):
@@ -549,12 +517,12 @@ def test_random_graphs_adjacency_consistent(make_graph):
         expected = set()
         for p_ext, c_ext, kind in edges:
             child = (
-                g.page_node(c_ext) if kind == "member" else g.category_node(c_ext)
+                page_node(g, c_ext) if kind == "member" else g.category_node(c_ext)
             )
             expected.add((g.category_node(p_ext), child))
         seen = set()
         for u in range(g.n_categories):
-            for v in g.children(u).tolist():
+            for v in children(g, u):
                 seen.add((u, v))
         assert seen == expected
         parents = Counter(v for _, v in expected)

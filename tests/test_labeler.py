@@ -11,7 +11,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import fan_in_case
+from conftest import children, fan_in_case, page_node
 from wikicat.exceptions import ConfigurationError, TaxonomyError
 from wikicat import graph_store
 from wikicat.graph_store import CategoryGraph, load_graph
@@ -143,7 +143,7 @@ def test_traverse_blocks_competitors(suvs_graph):
 def test_traverse_rejects_page_roots(trucks_graph):
     g = trucks_graph
     mapping = CategoryMapping(
-        {"bad": [MappedCategory(g.page_node(100), "exact", 1.0)]}, [], {}, 0.9
+        {"bad": [MappedCategory(page_node(g, 100), "exact", 1.0)]}, [], {}, 0.9
     )
     with pytest.raises(ConfigurationError, match="root page 100 of 'bad' is not a"):
         label_corpus(g, mapping, [["bad"]], DAG_CFG)
@@ -207,7 +207,7 @@ def test_multi_source_depth_is_min_of_single_sources(make_graph):
 
 def test_parent_coverage_on_trucks(trucks_graph):
     g = trucks_graph
-    pages = np.array([g.page_node(100), g.page_node(101)])
+    pages = np.array([page_node(g, 100), page_node(g, 101)])
     assert _coverage(g, pages, _bfs_depth(g, [1])).tolist() == [0.75, 0.25]
     # A page is kept when its coverage reaches the threshold.
     assert set(_labeled(g, {"trucks": [1]}, coverage_threshold=0.75)) == {100}
@@ -217,7 +217,7 @@ def test_parent_coverage_on_trucks(trucks_graph):
 
 def test_parent_coverage_full(suvs_graph):
     g = suvs_graph
-    page = np.array([g.page_node(200)])
+    page = np.array([page_node(g, 200)])
     assert _coverage(g, page, _bfs_depth(g, [4])).tolist() == [1.0]
 
 
@@ -230,7 +230,7 @@ def test_parent_coverage_counts_the_max_depth_level_not_blocked_roots(make_graph
         [(1, 2, "subcat"), (1, 10, "member"), (2, 10, "member"), (3, 10, "member")],
     )
     depth = _bfs_depth(g, [1], blocked=[3], max_depth=1)
-    assert _coverage(g, np.array([g.page_node(10)]), depth).tolist() == [2 / 3]
+    assert _coverage(g, np.array([page_node(g, 10)]), depth).tolist() == [2 / 3]
     roots = {"r": [1], "rival": [3]}
     assert set(_labeled(g, roots, max_depth=1, coverage_threshold=2 / 3)) == {10}
     assert set(_labeled(g, roots, max_depth=1, coverage_threshold=0.67)) == set()
@@ -299,7 +299,7 @@ def test_enumerate_paths_matches_networkx(make_graph):
         nxg = nx.DiGraph()
         nxg.add_nodes_from(range(g.n_nodes))
         for u in range(g.n_categories):
-            for v in g.children(u).tolist():
+            for v in children(g, u):
                 nxg.add_edge(u, v)
         ext = 100 + rng.randrange(8)
         root = g.category_node(ext)
@@ -314,7 +314,7 @@ def test_enumerate_paths_matches_networkx(make_graph):
         }
         beyond = [page for page, found in lengths.items() if not found]
         if beyond:
-            first = min(beyond, key=g.page_node)
+            first = min(beyond, key=lambda page: page_node(g, page))
             with pytest.raises(
                 ConfigurationError,
                 match=f"page {first} has no path within the cap {cap}",
@@ -558,13 +558,13 @@ def test_full_mode_resolves_competition(suvs_graph, suvs_taxonomy):
     records = label_corpus(g, mapping, [["trucks", "suvs"]], DAG_CFG)
     by_page = {rec.page: rec for rec in records}
     for ext in (200, 201):
-        labels = [a.label for a in by_page[g.page_node(ext)].assignments]
+        labels = [a.label for a in by_page[page_node(g, ext)].assignments]
         assert labels == ["suvs"]
-    assert [a.label for a in by_page[g.page_node(202)].assignments] == ["trucks"]
+    assert [a.label for a in by_page[page_node(g, 202)].assignments] == ["trucks"]
 
     solo = label_corpus(g, mapping, [["trucks"]], DAG_CFG)
     solo_pages = {rec.page: rec for rec in solo}
-    labels = [a.label for a in solo_pages[g.page_node(200)].assignments]
+    labels = [a.label for a in solo_pages[page_node(g, 200)].assignments]
     assert labels == ["trucks"]
 
 
@@ -572,7 +572,7 @@ def test_full_mode_coverage_pruning(trucks_graph, trucks_taxonomy):
     g = trucks_graph
     mapping = map_taxonomy(trucks_taxonomy, g)
     full = label_corpus(g, mapping, [["trucks"]], DAG_CFG)
-    assert [rec.page for rec in full] == [g.page_node(100)]
+    assert [rec.page for rec in full] == [page_node(g, 100)]
     ((assignment,),) = [rec.assignments for rec in full]
     assert assignment.label == "trucks"
     assert assignment.w_raw == pytest.approx(0.5)
@@ -582,7 +582,7 @@ def test_full_mode_coverage_pruning(trucks_graph, trucks_taxonomy):
     kept = label_corpus(
         g, mapping, [["trucks"]], LabelingConfig(mode="no_pruning")
     )
-    assert {rec.page for rec in kept} == {g.page_node(100), g.page_node(101)}
+    assert {rec.page for rec in kept} == {page_node(g, 100), page_node(g, 101)}
     assert all(rec.mode == "no_pruning" for rec in kept)
 
 
@@ -671,7 +671,7 @@ def test_label_corpus_empty_assignments_kept(make_graph):
         g, mapping, [["a", "b"]], LabelingConfig(assignment_threshold=0.5)
     )
     (rec,) = records
-    assert rec.page == g.page_node(10)
+    assert rec.page == page_node(g, 10)
     assert rec.assignments == ()
 
 
@@ -680,14 +680,6 @@ def test_label_corpus_requires_mapped_labels(suvs_graph, suvs_taxonomy):
     mapping = _suvs_setup(g, suvs_taxonomy)
     with pytest.raises(TaxonomyError, match="not mapped"):
         label_corpus(g, mapping, [["trucks", "ghost"]], DAG_CFG)
-
-
-def test_label_corpus_workers_equivalent(suvs_graph, suvs_taxonomy):
-    g = suvs_graph
-    mapping = _suvs_setup(g, suvs_taxonomy)
-    one = label_corpus(g, mapping, [["trucks", "suvs"]], DAG_CFG, workers=1)
-    four = label_corpus(g, mapping, [["trucks", "suvs"]], DAG_CFG, workers=4)
-    assert list(one) == list(four)
 
 
 def test_schemes_from_taxonomy():

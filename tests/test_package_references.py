@@ -1,16 +1,19 @@
-"""Every top-level function and class in the package is used by the package,
-and every defaulted parameter is passed by some call in it.
+"""Every top-level function and class and every method in the package is
+used by the package, and every defaulted parameter is passed by some call
+in it.
 
 Slow reference versions and helpers that only tests call belong in
 ``tests/``; a definition that nothing in ``src/wikicat`` refers to, and that
-``wikicat.__all__`` does not export, fails this check.  So does a parameter
-with a default that no call in ``src/wikicat`` passes, by keyword or by
-position: it selects a behaviour only tests use.
+``wikicat.__all__`` does not export, fails this check.  So does a method
+that no statement outside its own body names as an attribute, and a
+parameter with a default that no call in ``src/wikicat`` passes, by keyword
+or by position: it selects a behaviour only tests use.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import wikicat
@@ -91,6 +94,65 @@ def test_check_flags_test_only_and_self_only_definitions(tmp_path):
         "a.py:7: lonely",
         "a.py:10: Orphan",
         "a.py:19: __repr__",
+    ]
+
+
+def _unreferenced_methods(package: Path) -> list[str]:
+    """``file:line: Class.method`` of each method, other than a dunder, whose
+    name no attribute outside its own body spells.  Names are matched alone,
+    so a method is used when any object's attribute of its name is read."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+
+    def attributes(node: ast.AST) -> Counter:
+        return Counter(
+            sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+        )
+
+    everywhere = sum(map(attributes, trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        if module in _EXEMPT:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for func in cls.body:
+                if not isinstance(
+                    func, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) or func.name.startswith("__") and func.name.endswith("__"):
+                    continue
+                if everywhere[func.name] == attributes(func)[func.name]:
+                    found.append(f"{module}:{func.lineno}: {cls.name}.{func.name}")
+    return found
+
+
+def test_every_method_is_used():
+    assert _unreferenced_methods(Path(wikicat.__file__).parent) == []
+
+
+def test_method_check_flags_methods_only_their_own_bodies_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.n = 0\n\n"
+        "    def __len__(self):\n        return self.n\n\n"
+        "    def used(self):\n        return self.n\n\n"
+        "    @property\n"
+        "    def size(self):\n        return self.n\n\n"
+        "    def recursive(self, k):\n"
+        "        return self.recursive(k - 1) if k else 0\n\n"
+        "    def lonely(self):\n        return 1\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import Box\n\nVALUE = Box().used() + Box().size\n",
+        encoding="utf-8",
+    )
+    assert _unreferenced_methods(tmp_path) == [
+        "a.py:15: Box.recursive",
+        "a.py:18: Box.lonely",
     ]
 
 

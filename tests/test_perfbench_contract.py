@@ -78,8 +78,7 @@ def calls(tmp_path_factory):
     return {
         "load_graph": ((*files, None), {}),
         "label_corpus": (
-            (graph, mapping, coarse_scheme(taxonomy), LabelingConfig()),
-            {"workers": 1},
+            (graph, mapping, coarse_scheme(taxonomy), LabelingConfig()), {},
         ),
         "fit_tfidf": ((texts,), {"min_df": 2}),
         "train_svm": (

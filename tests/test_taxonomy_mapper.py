@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import page_node
 from wikicat.exceptions import TaxonomyError
 from wikicat.taxonomy_mapper import (
     CategoryMapping,
@@ -212,7 +213,7 @@ def test_override_validation(make_graph):
     with pytest.raises(TaxonomyError, match="unknown label"):
         map_taxonomy(tax, g, overrides={"nope": [0]})
     with pytest.raises(TaxonomyError, match="non-category"):
-        map_taxonomy(tax, g, overrides={"L0": [g.page_node(10)]})
+        map_taxonomy(tax, g, overrides={"L0": [page_node(g, 10)]})
     empty = map_taxonomy(tax, g, overrides={"L0": []})
     assert empty.unmapped == ["L0"]
 

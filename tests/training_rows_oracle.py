@@ -96,7 +96,7 @@ def collect_training_rows(
 
 
 def labeled_rows(get: Callable[[str], Any]) -> tuple:
-    n_per_class = cli._n_per_class(get)
+    n_per_class = cli._at_least_1(get, "n_per_class")
     taxonomy = load_taxonomy(get("taxonomy"))
     named = cli._named_scheme(get, taxonomy)
     pages, tops = read_labels(get("labels"))
@@ -152,12 +152,12 @@ def sample(get: Callable[[str], Any]) -> int:
 
 
 def train(get: Callable[[str], Any]) -> int:
-    scheme_name, rows, n_per_class = labeled_rows(get)
-    kind, min_df = get("kind"), get("min_df")
+    kind, min_df = get("kind"), cli._at_least_1(get, "min_df")
     train_cfg = TrainConfig(
         lam=get("lam"), epochs=get("epochs"), eta0=get("eta0"), seed=get("seed")
     )
     out_dir = Path(get("out_dir"))
+    scheme_name, rows, n_per_class = labeled_rows(get)
     out_dir.mkdir(parents=True, exist_ok=True)
     sets_summary = {
         name: {
