@@ -471,6 +471,9 @@ def _cmd_map(get: Callable[[str], Any]) -> int:
         key: get(key) for key in ("graph", "taxonomy", "threshold", "overrides", "out")
     }
     summary_out = get("summary_out")
+    threshold = config["threshold"]
+    if not 0.0 <= threshold <= 1.0:  # map_taxonomy's check, before any input
+        raise ConfigurationError(f"threshold must be in [0, 1], got {threshold}")
     graph = _load_graph_arg(config["graph"])
     taxonomy = load_taxonomy(config["taxonomy"])
     overrides_path = config["overrides"]
@@ -478,7 +481,7 @@ def _cmd_map(get: Callable[[str], Any]) -> int:
     try:
         overrides = None if raw is None else resolve_override_names(graph, raw)
         mapping = map_taxonomy(
-            taxonomy, graph, overrides=overrides, threshold=config["threshold"]
+            taxonomy, graph, overrides=overrides, threshold=threshold
         )
     except TaxonomyError as exc:  # only an override row can raise it here
         raise TaxonomyError(f"{overrides_path}: {exc}") from None

@@ -5,10 +5,10 @@ from __future__ import annotations
 import logging
 import math
 import re
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain, repeat
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -26,7 +26,13 @@ _ALNUM = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 _ASCII_WORDS = bytes(
     ord(chr(c).lower()) if chr(c) in _ALNUM else 32 for c in range(256)
 )
-_RUN_TOKENS = 1 << 14  # known tokens per numpy pass of transform
+# transform joins the words of a run of texts with " | ", then splits them and
+# looks them up in one call each.  No text yields "|" as a word, so the model
+# maps it to _SEP_ID: each text's ids end with it, and a word's row is the
+# number of separators before it.
+_SEP, _SEP_ID = "|", -2
+_RUN_CHARS = 1 << 12  # characters of words per split and lookup of transform
+_PASS_RUNS = 16  # runs per numpy pass of transform
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
@@ -43,15 +49,18 @@ class DocMatrix:
         return len(self.indptr) - 1
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase tokens split on non-alphanumerics; tokens under 2 chars drop.
-
-    An ASCII text is split by a byte table, which gives the regex's tokens
-    in about half its time."""
+def _words(text: str) -> str:
+    """A text's tokens, between spaces.  An ASCII text is split by a byte
+    table, which gives the regex's tokens in about half its time, and also
+    keeps its one-character words, which are no tokens."""
     if text.isascii():
-        words = text.encode().translate(_ASCII_WORDS).decode().split()
-        return [word for word in words if len(word) > 1]
-    return _TOKEN.findall(text.lower())
+        return text.encode().translate(_ASCII_WORDS).decode()
+    return " ".join(_TOKEN.findall(text.lower()))
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase tokens split on non-alphanumerics; tokens under 2 chars drop."""
+    return [word for word in _words(text).split() if len(word) > 1]
 
 
 @dataclass
@@ -63,7 +72,13 @@ class TfIdfModel:
     idf: list[float]
 
     def __post_init__(self) -> None:
-        self.index = {t: i for i, t in enumerate(self.terms)}
+        # A token's feature index, and transform's run separator's _SEP_ID.  A
+        # term under two characters is no token, so it is left out.  The keys
+        # are the terms themselves, so the model holds no second copy of them.
+        self.word_ids = {
+            term: ix for ix, term in enumerate(self.terms) if len(term) > 1
+        }
+        self.word_ids[_SEP] = _SEP_ID
 
     @property
     def vocab_size(self) -> int:
@@ -78,14 +93,13 @@ def fit_tfidf(corpus: Iterable[str], min_df: int = 3) -> TfIdfModel:
     """Count document frequencies in one pass, keep terms with df >= min_df."""
     if min_df < 1:
         raise ConfigurationError(f"min_df must be >= 1, got {min_df}")
-    df: Counter[str] = Counter()
-    n_docs = 0
-    for text in corpus:
-        n_docs += 1
-        df.update(set(tokenize(text)))
-    if n_docs == 0:
+    texts = list(corpus)
+    if not texts:
         raise ConfigurationError("cannot fit tf-idf on an empty corpus")
-    terms = sorted(t for t, c in df.items() if c >= min_df)
+    n_docs = len(texts)
+    df = Counter(chain.from_iterable(map(set, map(str.split, map(_words, texts)))))
+    # one-character words, which only ASCII texts give, are no tokens
+    terms = sorted(w for w, c in df.items() if c >= min_df and len(w) > 1)
     if not terms:
         logger.warning(
             "no term reached min_df=%d over %d documents; vocabulary is empty",
@@ -101,31 +115,47 @@ def transform(model: TfIdfModel, texts: Iterable[str]) -> DocMatrix:
     """One row per text: term counts times idf, L2 normalized.
 
     Unknown terms are ignored.  A row's norm adds the squared weights in the
-    order the terms first occur in its text.  The texts are weighed in runs
-    of about ``_RUN_TOKENS`` known tokens, so their temporary arrays stay
-    small beside the matrix, which takes 12 bytes per nonzero.
+    order the terms first occur in its text.  The words of a run of texts,
+    about ``_RUN_CHARS`` characters, are split and looked up in one call
+    each, so per text only the tokenizing runs in Python; ``_PASS_RUNS``
+    runs are weighed in one numpy pass.  Their temporaries stay small beside
+    the matrix, which takes 12 bytes per nonzero.
     """
     if isinstance(texts, str):
         raise ConfigurationError("transform takes an iterable of texts, not a str")
-    lookup, idf = model.index.get, np.array(model.idf)
-    runs = []
-    ids, ends = array("q"), array("q", [0])  # known terms in token order, row ends
-    for text in texts:
-        ids.extend([ix for ix in map(lookup, tokenize(text)) if ix is not None])
-        ends.append(len(ids))
-        if len(ids) >= _RUN_TOKENS:
-            runs.append(_weigh(idf, ids, ends))
-            ids, ends = array("q"), array("q", [0])
-    runs.append(_weigh(idf, ids, ends))
-    lengths, indices, data = (np.concatenate(parts) for parts in zip(*runs))
+    lookup, idf = model.word_ids.get, np.array(model.idf)
+    passes, ids, run, size = [], [], [], 0
+    for words in map(_words, texts):
+        run.append(words)
+        size += len(words)
+        if size >= _RUN_CHARS:
+            ids.append(_look_up(lookup, run))
+            run, size = [], 0
+            if len(ids) == _PASS_RUNS:
+                passes.append(_weigh(idf, ids))
+                ids = []
+    ids.append(_look_up(lookup, run))
+    passes.append(_weigh(idf, ids))
+    lengths, indices, data = (np.concatenate(parts) for parts in zip(*passes))
     return DocMatrix(np.concatenate([[0], np.cumsum(lengths)]), indices, data)
 
 
-def _weigh(idf: np.ndarray, ids: array, ends: array):
-    """Row lengths, int32 feature ids and normalized weights of a run of texts."""
-    n_docs, width = len(ends) - 1, max(len(idf), 1)
-    keys = np.repeat(np.arange(n_docs) * width, np.diff(ends))  # row * width + id
-    keys += np.frombuffer(ids, np.int64)
+def _look_up(lookup: Callable, run: list[str]) -> np.ndarray:
+    """The ids of a run of texts' words, each text's ending with _SEP_ID; an
+    unknown word's id is -1."""
+    words = f" {_SEP} ".join([*run, ""]).split()
+    return np.fromiter(map(lookup, words, repeat(-1)), np.int64, len(words))
+
+
+def _weigh(idf: np.ndarray, runs: list[np.ndarray]):
+    """Row lengths, int32 feature ids and normalized weights of runs of texts,
+    each run given by its word ids."""
+    ids = np.concatenate(runs)
+    ends = ids == _SEP_ID
+    n_docs, width = np.count_nonzero(ends), max(len(idf), 1)
+    known = ids >= 0  # neither unknown (-1) nor a separator
+    keys = np.cumsum(ends)[known] * width  # row * width + id
+    keys += ids[known]
     keys, first, counts = np.unique(keys, return_index=True, return_counts=True)
     rows, cols = np.divmod(keys, width)
     data = counts * idf[cols]
@@ -157,8 +187,8 @@ def tfidf_from_dict(doc: dict) -> TfIdfModel:
         raise ConfigurationError(f"malformed tf-idf model: {exc}") from None
     if terms != sorted(terms):
         raise ConfigurationError("model terms are not sorted")
-    if len(model.index) < len(terms):  # sorted, so a repeat is adjacent
-        repeated = next(a for a, b in zip(terms, terms[1:]) if a == b)
+    repeated = next((a for a, b in zip(terms, terms[1:]) if a == b), None)
+    if repeated is not None:  # sorted, so a repeat is adjacent
         raise ConfigurationError(f"model term {repeated!r} is repeated")
     return model
 

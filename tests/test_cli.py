@@ -546,6 +546,27 @@ def test_map_threshold_outside_0_1_exits_2(wiki, tmp_path, capsys, threshold):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("threshold", [2, -0.5, "nan"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_map_threshold_is_refused_before_any_input(tmp_path, capsys, source, threshold):
+    """A threshold outside [0, 1], from the flag or a config file, is named
+    before the missing graph and taxonomy are reached."""
+    value = float(threshold)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "graph": str(tmp_path / "absent.bin"),
+        "taxonomy": str(tmp_path / "absent.json"),
+        "out": str(tmp_path / "m.json"),
+        **({"threshold": value} if source == "config" else {}),
+    }))  # json.dumps writes NaN, which json.loads reads back
+    flag = ["--threshold", str(threshold)] if source == "flag" else []
+    assert main(["map", "--config", str(config), *flag]) == 2
+    assert capsys.readouterr().err == (
+        f"error: threshold must be in [0, 1], got {value}\n"
+    )
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize(
     "command, key, value",
     [

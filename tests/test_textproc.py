@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_tokenize():
 _TOKEN_CHARS = st.one_of(
     st.characters(),
     st.sampled_from(
-        list("aZ9_ -\t\n.'") + ["é", "ß", "İ", "ǅ", "٣", "²", "中", "\u0301", "\ud800"]
+        list("aZ9_| -\t\n.'") + ["é", "ß", "İ", "ǅ", "٣", "²", "中", "\u0301", "\ud800"]
     ),
 )
 
@@ -86,20 +87,20 @@ def test_fit_assigns_lexicographic_indices():
 def test_idf_values_frozen():
     # Term in every doc: idf = ln(1) + 1 = 1.0.
     model = fit_tfidf(["common", "common", "common"], min_df=1)
-    assert model.idf[model.index["common"]] == pytest.approx(1.0, abs=1e-12)
+    assert model.idf[model.terms.index("common")] == pytest.approx(1.0, abs=1e-12)
 
     # 4 docs, term in exactly 1: idf = ln(5/2) + 1 = 1.916290...
     corpus = ["rare word", "word here", "word there", "word again"]
     model = fit_tfidf(corpus, min_df=1)
-    assert model.idf[model.index["rare"]] == pytest.approx(1.9163, abs=1e-4)
+    assert model.idf[model.terms.index("rare")] == pytest.approx(1.9163, abs=1e-4)
 
 
 def test_min_df_is_document_frequency():
     # "dup" appears 3 times by term count but in only 2 documents.
     corpus = ["dup dup dup keep", "dup keep", "keep"]
     model = fit_tfidf(corpus, min_df=3)
-    assert "dup" not in model.index
-    assert "keep" in model.index
+    assert "dup" not in model.terms
+    assert "keep" in model.terms
 
 
 def test_empty_corpus_errors_all_filtered_warns(caplog):
@@ -122,7 +123,7 @@ def test_transform_normalizes():
 
     assert dicts(transform(model, ["unseen words only"])) == [{}]
     [single] = dicts(transform(model, ["alpha alpha alpha"]))
-    assert single == {model.index["alpha"]: pytest.approx(1.0)}
+    assert single == {model.terms.index("alpha"): pytest.approx(1.0)}
 
 
 def test_transform_scale_invariant():
@@ -183,31 +184,50 @@ def test_transform_rejects_a_bare_string():
 _WORDS = ["alpha", "beta", "gamma", "über", "жук", "x", "42", "a_b", "Alpha", "zz"]
 
 
+def _hex_rows(rows):
+    return [[(ix, w.hex()) for ix, w in row.items()] for row in rows]
+
+
 @st.composite
 def _transform_cases(draw):
-    text = st.lists(st.sampled_from(_WORDS + ["unseen", ""]), max_size=12).map(" ".join)
+    """Texts of words from a small pool, so that words repeat, or of any
+    ``_TOKEN_CHARS``.  The pool is ``_WORDS`` or drawn words, which may be
+    empty, one character long, or hold "|", "_" or a lone surrogate."""
+    pool = draw(st.one_of(
+        st.just(_WORDS + ["unseen", ""]),
+        st.lists(st.text(_TOKEN_CHARS, max_size=5), min_size=1, max_size=8),
+    ))
+    text = st.one_of(
+        st.lists(st.sampled_from(pool), max_size=12).map(" ".join),
+        st.text(_TOKEN_CHARS, max_size=40),
+    )
     fit = draw(st.lists(text, min_size=1, max_size=8))
     corpus = draw(st.lists(text, max_size=8))
     return fit, draw(st.integers(1, 4)), corpus
 
 
 @seed(20261021)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None, database=None)
 @given(_transform_cases())
 def test_transform_matches_dict_oracle(case):
+    """``fit_tfidf`` and ``transform`` give the loop oracles' model and rows,
+    bit for bit; the vocabulary may be empty."""
     fit, min_df, corpus = case
-    model = fit_tfidf(fit, min_df=min_df)  # vocabulary may be empty
+    model = fit_tfidf(iter(fit), min_df=min_df)
+    want = textproc_oracle.fit_tfidf(fit, min_df)
+    assert (model.n_docs, model.terms, model.df) == (want.n_docs, want.terms, want.df)
+    assert [w.hex() for w in model.idf] == [w.hex() for w in want.idf]
     got = transform(model, iter(corpus))
     assert len(got) == len(corpus)
     assert got.data.dtype == np.float64
-    rows = dicts(got)
-    for row, text in zip(rows, corpus):
-        want = textproc_oracle.transform(model, text)
-        assert list(row) == list(want)
-        assert [w.hex() for w in row.values()] == [w.hex() for w in want.values()]
+    rows = _hex_rows(dicts(got))
+    assert rows == _hex_rows(textproc_oracle.transform(model, t) for t in corpus)
 
 
 def test_transform_rows_do_not_depend_on_the_run_length(monkeypatch):
+    """Runs of one text each (a bound of 1 character), of a few texts and of
+    the default bound, weighed one run or the default number of runs at a
+    time, give the oracle's rows, bit for bit."""
     import wikicat.textproc as textproc
 
     rng = random.Random(4)
@@ -217,11 +237,72 @@ def test_transform_rows_do_not_depend_on_the_run_length(monkeypatch):
         for _ in range(40)
     ]
     model = fit_tfidf(corpus, min_df=2)
-    want = [textproc_oracle.transform(model, text) for text in corpus]
-    for run in (1, 2, 7, 1 << 14):
-        monkeypatch.setattr(textproc, "_RUN_TOKENS", run)
-        got = dicts(transform(model, corpus))
-        assert [list(row) for row in got] == [list(row) for row in want]
-        assert [[w.hex() for w in row.values()] for row in got] == [
-            [w.hex() for w in row.values()] for row in want
-        ]
+    want = _hex_rows(textproc_oracle.transform(model, text) for text in corpus)
+    for run in (1, 60, textproc._RUN_CHARS):
+        for runs in (1, textproc._PASS_RUNS):
+            monkeypatch.setattr(textproc, "_RUN_CHARS", run)
+            monkeypatch.setattr(textproc, "_PASS_RUNS", runs)
+            assert _hex_rows(dicts(transform(model, corpus))) == want, (run, runs)
+
+
+def test_terms_no_text_yields_load_and_get_no_weight(tmp_path):
+    """A model file may hold terms that no text can yield: one character,
+    uppercase, with a space or "|", or a lone surrogate.  It loads, and no
+    text gives those terms a weight."""
+    odd = ["a", "AA", "Ab", "aa bb", "aa|bb", "|", "x\ud800", "\ud800\ud800"]
+    terms = sorted(odd + ["aa", "bb"])
+    doc = {"n_docs": 9, "min_df": 1, "terms": [[t, 2, 1.5] for t in terms]}
+    path = tmp_path / "tfidf_model.json"
+    write_json(doc, path)
+    model = tfidf_from_dict(read_json(path))
+    assert model.terms == terms
+    texts = [
+        "a A AA Ab aa bb", "aa bb | aa|bb", "x\ud800 aa \ud800\ud800",
+        "| a|b A|A", "é a AA bb", "",
+    ]
+    rows = dicts(transform(model, texts))
+    real = {terms.index("aa"), terms.index("bb")}
+    assert set().union(*rows) <= real
+    assert _hex_rows(rows) == _hex_rows(
+        textproc_oracle.transform(model, t) for t in texts
+    )
+
+
+def test_a_bar_in_a_text_never_shifts_another_row(monkeypatch):
+    """"|" joins a run's texts, so texts made of it, or holding it between
+    words, must keep every row in its place, in one run and in runs of one."""
+    import wikicat.textproc as textproc
+
+    model = fit_tfidf(["alpha beta", "beta gamma", "gamma alpha"], min_df=1)
+    texts = [
+        "alpha | beta", "|", "| |", "gamma|alpha|", "beta", "||| alpha",
+        "é|gamma", "", "|é|", "beta |gamma",
+    ]
+    want = _hex_rows(textproc_oracle.transform(model, t) for t in texts)
+    alone = [_hex_rows(dicts(transform(model, [t])))[0] for t in texts]
+    assert alone == want
+    for run in (1, textproc._RUN_CHARS):
+        monkeypatch.setattr(textproc, "_RUN_CHARS", run)
+        assert _hex_rows(dicts(transform(model, texts))) == want
+
+
+def test_transform_temporaries_stay_bounded():
+    """3.4 million characters of texts, about 50 numpy passes, with one text
+    of 129 000 in the middle, in which one word in 20 is a term: beside the
+    matrix and its parts, which the last step concatenates, ``transform``
+    holds about one pass's or the long text's words at a time (0.9 MB here),
+    not the corpus's (about 40 MB)."""
+    rng = random.Random(5)
+    vocab = [f"w{i}x" for i in range(2000)]
+    model = fit_tfidf([" ".join(vocab[:100])], min_df=1)
+    texts = [" ".join(rng.choices(vocab, k=30)) for _ in range(17_000)]
+    texts.insert(8_500, " ".join(rng.choices(vocab, k=20_000)))
+    tracemalloc.start()
+    try:
+        matrix = transform(model, texts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(matrix) == len(texts)
+    held = matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes
+    assert peak < 2 * held + 2_000_000, (peak, held)

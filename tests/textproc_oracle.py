@@ -1,11 +1,14 @@
 """Loop references for ``wikicat.textproc``.
 
 ``tokenize_runs`` finds every run of letters and digits, then drops the
-runs under two characters.  ``transform`` uses one dict per text: it counts
-the known terms of a text in a dict, in the order they first occur, then
-adds the squared weights in that order with a plain ``s += w * w`` loop
-(not ``sum()``, which adds floats with compensated summation from Python
-3.12 on) and returns the normalized weights sorted by feature id.
+runs under two characters.  ``fit_tfidf`` counts each token once per text
+in a dict and keeps the tokens with ``df >= min_df``, sorted as strings.
+``transform`` uses one dict per text: it looks the tokens up in its own
+term-to-index dict, built from ``model.terms``, counts the known terms of a
+text in the order they first occur, then adds the squared weights in that
+order with a plain ``s += w * w`` loop (not ``sum()``, which adds floats
+with compensated summation from Python 3.12 on) and returns the normalized
+weights sorted by feature id.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 
-from wikicat.textproc import TfIdfModel, tokenize
+from wikicat.textproc import TfIdfModel
 
 _RUN = re.compile(r"[^\W_]+")
 
@@ -22,10 +25,23 @@ def tokenize_runs(text: str) -> list[str]:
     return [t for t in _RUN.findall(text.lower()) if len(t) >= 2]
 
 
+def fit_tfidf(corpus: list[str], min_df: int) -> TfIdfModel:
+    df: dict[str, int] = {}
+    for text in corpus:
+        for tok in set(tokenize_runs(text)):
+            df[tok] = df.get(tok, 0) + 1
+    terms = sorted(t for t, c in df.items() if c >= min_df)
+    kept = [df[t] for t in terms]
+    n_docs = len(corpus)
+    idf = [math.log((1 + n_docs) / (1 + c)) + 1.0 for c in kept]
+    return TfIdfModel(n_docs, min_df, terms, kept, idf)
+
+
 def transform(model: TfIdfModel, text: str) -> dict[int, float]:
+    index = {t: i for i, t in enumerate(model.terms)}
     counts: dict[int, int] = {}
-    for tok in tokenize(text):
-        ix = model.index.get(tok)
+    for tok in tokenize_runs(text):
+        ix = index.get(tok)
         if ix is not None:
             counts[ix] = counts.get(ix, 0) + 1
     if not counts:
