@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 # module when it is first read, so ``import wikicat`` loads no layer.
 _EXPORTS = {
     "classifiers": (
-        "CentroidModel", "LinearSvmModel", "TrainConfig", "keyword_vote",
-        "load_model", "predict_centroid", "predict_svm", "sample_balance",
-        "save_model", "train_centroid", "train_svm",
+        "CentroidModel", "LinearSvmModel", "TrainConfig", "load_model",
+        "predict_centroid", "predict_svm", "sample_balance", "save_model",
+        "train_centroid", "train_svm",
     ),
     "evaluation": (
         "EvalInstance", "EvalReport", "accuracy", "evaluate", "evaluate_grouped",

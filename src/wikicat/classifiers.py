@@ -1,4 +1,4 @@
-"""Corpus balancing, centroid and linear-SVM classifiers, keyword baseline.
+"""Corpus balancing, centroid and linear-SVM classifiers.
 
 Both trainable models consume a tf-idf ``DocMatrix`` and score its rows as
 w.x + b.  Their weights are a ``DocMatrix`` too: row c holds the nonzero
@@ -27,7 +27,6 @@ from .textproc import (
     TfIdfModel,
     tfidf_from_dict,
     tfidf_to_dict,
-    tokenize,
 )
 
 CENTROID_FORMAT = "wikicat/centroid/v1"
@@ -396,42 +395,6 @@ def train_svm(
 def predict_svm(model: LinearSvmModel, vectors: DocMatrix) -> list[str | None]:
     """Per row, the argmax of w.x + b over classes; ties go to the first label."""
     return _predict(model, vectors)
-
-
-# ------------------------------------------------------------ keyword vote
-
-
-def _match_tokens(text: str) -> list[str]:
-    # Imported here, for keyword_vote alone, so that no command that loads
-    # this module loads the mapper.
-    from .taxonomy_mapper import strip_plural
-
-    # Plural-stripped so "suv" in a document matches the label name "SUVs".
-    return [strip_plural(tok) for tok in tokenize(text)]
-
-
-def keyword_vote(text: str, label_names: dict[str, str], seed: int) -> str:
-    """Label whose name tokens occur most often; random fallback on zeros."""
-    import hashlib  # only here: it maps OpenSSL, a few MB, into each process
-
-    if not label_names:
-        raise ConfigurationError("keyword voting needs at least one label")
-    counts: dict[str, int] = {}
-    for tok in _match_tokens(text):
-        counts[tok] = counts.get(tok, 0) + 1
-    scores = {
-        label: sum(counts.get(tok, 0) for tok in _match_tokens(name))
-        for label, name in label_names.items()
-    }
-    best = max(scores.values())
-    digest = hashlib.md5(text.encode("utf-8")).hexdigest()
-    rng = random.Random(f"{seed}:{digest}")
-    if best == 0:
-        return rng.choice(sorted(scores))
-    tied = sorted(label for label, score in scores.items() if score == best)
-    if len(tied) == 1:
-        return tied[0]
-    return rng.choice(tied)
 
 
 # ------------------------------------------------------------ serialization

@@ -2,11 +2,12 @@
 
 Matching per label: manual overrides win outright; otherwise the label name
 and its conjunction parts are normalized, and one pass over the category
-names and redirect aliases normalizes each form once and joins it to those
-parts by token key.  All exact normalized matches are accepted, and each
-query part may additionally accept its best fuzzy candidate when its
-similarity clears the threshold.  The candidates of every label are scored
-in one batched Jaro-Winkler kernel.
+names and redirect aliases normalizes them a run at a time and joins each
+form to those parts by token key.  All exact normalized matches are
+accepted, and each query part may additionally accept its best fuzzy
+candidate when its similarity clears the threshold.  Only the candidate
+pairs whose score bound reaches a part's best are scored, by a batched
+Jaro-Winkler kernel.
 For labels that stay unmapped, the best below-threshold candidates are
 reported so they can be curated into overrides.
 """
@@ -14,11 +15,11 @@ reported so they can be curated into overrides.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -38,17 +39,27 @@ _PREFIX_LEN = 4
 _BLOCK_PAIRS = 1 << 12  # (query, form) pairs per padded numpy pass of the scorer
 # pads above every code point, and unequal, so a pad never matches anything
 _PAD_QUERY, _PAD_FORM = 0xFFFFFFFF, 0xFFFFFFFE
+_RUN_NAMES = 1 << 12  # names per lowercase, substitution and split
+# _match joins a run of names with _SEP.  It is neither cased nor
+# case-ignorable, so lowercasing the run lowercases each name as on its own
+# (a final sigma stays final), and normalize_name reads it as punctuation.
+# _RUN_PUNCT leaves it, whitespace and word characters but "_" in place.
+_SEP, _SEP_KEY = "\x00", -2
+_RUN_PUNCT = re.compile(r"[^\w\s\x00]+")
+# added to each score bound: above any rounding error of a score in [0, 1]
+_BOUND_SLACK = 1e-9
+_HEAD = operator.itemgetter(slice(_PREFIX_LEN))  # a token's key
 
 
 def strip_plural(token: str) -> str:
     """Rule-based singularization of one lowercase token."""
+    if not token.endswith("s"):
+        return token
     if token.endswith("ies"):
         return token[:-3] + "y"
     if token.endswith(("ses", "xes", "zes", "ches", "shes")):
         return token[:-2]
-    if token.endswith("s"):
-        return token[:-1]
-    return token
+    return token[:-1]
 
 
 def normalize_name(name: str) -> str:
@@ -92,6 +103,15 @@ class _Strings:
         out = np.full(inside.shape, fill, np.uint32)
         out[inside] = self.codes[(starts[:, None] + cols)[inside]]
         return out, lengths
+
+    def heads(self, fill: int) -> np.ndarray:
+        """The first ``_PREFIX_LEN`` code points of every string, as a
+        matrix padded with ``fill``."""
+        cols = np.arange(_PREFIX_LEN)
+        inside = cols < np.diff(self.indptr)[:, None]
+        out = np.full(inside.shape, fill, np.uint32)
+        out[inside] = self.codes[(self.indptr[:-1, None] + cols)[inside]]
+        return out
 
 
 def _score_pairs(
@@ -146,6 +166,24 @@ def _score_block(
     score[m == 0] = 0.0
     score[(len_a == 0) & (len_b == 0)] = 1.0
     return score
+
+
+def _bounds(
+    queries: _Strings, qrows: np.ndarray, forms: _Strings, frows: np.ndarray
+) -> np.ndarray:
+    """An upper bound on ``_score_pairs`` of the same nonempty strings.
+
+    Jaro is highest when every character of the shorter string matches and
+    none is transposed, so only the two lengths and the common prefix are
+    read.  The bound is raised by ``_BOUND_SLACK``, so that float rounding
+    never puts it below the score.
+    """
+    len_a, len_b = np.diff(queries.indptr)[qrows], np.diff(forms.indptr)[frows]
+    same = queries.heads(_PAD_QUERY)[qrows] == forms.heads(_PAD_FORM)[frows]
+    prefix = np.logical_and.accumulate(same, axis=1).sum(axis=1)
+    m = np.minimum(len_a, len_b)
+    jaro = (m / len_a + m / len_b + 1.0) / 3.0
+    return jaro + prefix * 0.1 * (1.0 - jaro) + _BOUND_SLACK
 
 
 def split_conjunctions(name: str) -> list[str]:
@@ -254,56 +292,160 @@ def _match(
 ) -> tuple[list[list[int]], list[int], list[float]]:
     """Per query, its exact nodes, its best fuzzy node and that node's score.
 
-    Each category name, then each alias, is normalized once.  A form equal
-    to a query names one of its exact nodes.  A form is a fuzzy candidate
-    of every query that shares a key with it, a key being the first four
-    characters of a token (a shorter token is its own key), so that close
-    inflections (singular against -ism, -ing, ... variants) stay reachable.
-    A node's score is the highest Jaro-Winkler similarity of its forms;
-    the best node has the highest score, the lowest node id among equal
-    ones.  A query's exact nodes are not its candidates, and a query
-    without candidates gets node -1 and score 0.0.  Every candidate pair
-    is scored in one kernel call.
+    Each alias, then each category name, is normalized once, a run of
+    names at a time.  A form equal to a query names one of its exact nodes.
+    A form is a fuzzy candidate of every query that shares a key with it, a
+    key being the first four characters of a token (a shorter token is its
+    own key), so that close inflections (singular against -ism, -ing, ...
+    variants) stay reachable.  A node's score is the highest Jaro-Winkler
+    similarity of its forms; the best node has the highest score, the
+    lowest node id among equal ones.  A query's exact nodes are not its
+    candidates, and a query without candidates gets node -1 and score 0.0.
+
+    Only the pairs that can still reach a query's best are scored.  Each
+    pair has a bound on its score (``_bounds``), and each query a floor: a
+    score that one of its candidates reaches.  A pair whose bound is below
+    the floor is dropped.  The floor rises with the score of each run's
+    highest-bound pair, and at the end with that of the highest-bound pair
+    kept.  Aliases come first because only a category run's pairs can raise
+    the floor: a node's aliases and name have then all been read, so no
+    later form can make it exact and drop the pair that set the floor.
     """
-    by_norm: dict[str, list[int]] = {}
+    texts = list(dict.fromkeys(queries))  # each distinct query once
+    query_of = {text: q for q, text in enumerate(texts)}
     by_key: dict[str, list[int]] = {}
-    for qid, query in enumerate(queries):
-        by_norm.setdefault(query, []).append(qid)
-        for key in {tok[:_PREFIX_LEN] for tok in query.split()}:
-            by_key.setdefault(key, []).append(qid)
-    exact: list[set[int]] = [set() for _ in queries]
-    # per form that has candidates: its text, node and number of queries;
-    # then those queries, in form order
-    form_text: list[str] = []
-    form_node, form_pairs, pair_query = array("q"), array("q"), array("q")
-    categories = enumerate(graph.names[: graph.n_categories])
-    aliases = ((node, alias) for alias, node in graph.aliases.items())
-    for node, raw in itertools.chain(categories, aliases):
-        norm = normalize_name(raw)
-        for qid in by_norm.get(norm, ()):
-            exact[qid].add(node)
-        hits = {q for tok in norm.split() for q in by_key.get(tok[:_PREFIX_LEN], ())}
-        if hits:
-            form_text.append(norm)
-            form_node.append(node)
-            form_pairs.append(len(hits))
-            pair_query.extend(hits)
-    fid = np.repeat(np.arange(len(form_text)), form_pairs)
-    qid, node = np.array(pair_query, np.int64), np.array(form_node, np.int64)[fid]
-    # a form equal to the query names one of its exact nodes, so this also
-    # drops the pairs that would score 1.0
+    for q, text in enumerate(texts):
+        for key in {tok[:_PREFIX_LEN] for tok in text.split()}:
+            by_key.setdefault(key, []).append(q)
+    # the queries of each key, as CSR rows
+    sizes = np.fromiter(map(len, by_key.values()), np.int64, len(by_key))
+    key_ptr = np.concatenate([[0], np.cumsum(sizes)])
+    key_queries = np.fromiter(itertools.chain(*by_key.values()), np.int64, sizes.sum())
+    key_rows = {key: row for row, key in enumerate(by_key)}
+    key_rows[_SEP] = _SEP_KEY  # no query has it
+    singular: dict[str, str] = {}  # strip_plural of each distinct token read
+    query_strings = _Strings.encode(texts)
+    floor = np.full(len(texts), -np.inf)
+
+    def raise_floor(
+        query: np.ndarray, bound: np.ndarray, forms: _Strings, rows: np.ndarray
+    ) -> None:
+        """Raise each query's floor to the score of its highest-bound pair."""
+        top = np.full(len(texts), -np.inf)
+        np.maximum.at(top, query, bound)
+        at_top = np.flatnonzero(bound == top[query])
+        first = at_top[np.unique(query[at_top], return_index=True)[1]]
+        scores = _score_pairs(query_strings, query[first], forms, rows[first])
+        floor[query[first]] = np.maximum(floor[query[first]], scores)
+
     n_nodes = graph.n_nodes
-    exact_keys = [q * n_nodes + n for q, nodes in enumerate(exact) for n in nodes]
-    keep = ~np.isin(qid * n_nodes + node, exact_keys)
-    qid, fid, node = qid[keep], fid[keep], node[keep]
-    score = _score_pairs(_Strings.encode(queries), qid, _Strings.encode(form_text), fid)
-    order = np.lexsort((node, -score, qid))
-    best = order[_run_starts(qid[order])]
-    best_node = np.full(len(queries), -1)
-    best_score = np.zeros(len(queries))
-    best_node[qid[best]] = node[best]
-    best_score[qid[best]] = score[best]
-    return [sorted(nodes) for nodes in exact], best_node.tolist(), best_score.tolist()
+    exact: list[set[int]] = [set() for _ in texts]
+    exact_keys: list[int] = []  # query * n_nodes + node of each exact node
+    # the candidate pairs that can still reach their query's best
+    query = node = np.zeros(0, np.int64)
+    bound = np.zeros(0)
+    forms: list[str] = []
+    for names, nodes, final in _name_runs(graph):
+        run_forms, tokens = _normalize_run(names, singular)
+        del names  # free the run's names before the next is decoded
+        found = np.fromiter(
+            map(query_of.get, run_forms, itertools.repeat(-1)), np.int64, len(nodes)
+        )
+        for q, v in zip(found[found >= 0].tolist(), nodes[found >= 0].tolist()):
+            if v not in exact[q]:
+                exact[q].add(v)
+                exact_keys.append(q * n_nodes + v)
+        token_key = np.fromiter(
+            map(key_rows.get, map(_HEAD, tokens), itertools.repeat(-1)),
+            np.int64,
+            len(tokens),
+        )
+        run_query, row = _candidates(token_key, key_ptr, key_queries, len(nodes))
+        candidate = ~np.isin(run_query * n_nodes + nodes[row], exact_keys)
+        run_query, row = run_query[candidate], row[candidate]
+        run_strings = _Strings.encode(run_forms)
+        run_bound = _bounds(query_strings, run_query, run_strings, row)
+        if final:
+            raise_floor(run_query, run_bound, run_strings, row)
+        keep, run_keep = bound >= floor[query], run_bound >= floor[run_query]
+        query = np.concatenate([query[keep], run_query[run_keep]])
+        node = np.concatenate([node[keep], nodes[row[run_keep]]])
+        bound = np.concatenate([bound[keep], run_bound[run_keep]])
+        forms = [
+            *itertools.compress(forms, keep.tolist()),
+            *(run_forms[k] for k in row[run_keep].tolist()),
+        ]
+
+    # an alias's node may have turned exact since its pairs were kept
+    keep = np.flatnonzero(~np.isin(query * n_nodes + node, exact_keys))
+    strings = _Strings.encode(forms)
+    raise_floor(query[keep], bound[keep], strings, keep)
+    chosen = keep[bound[keep] >= floor[query[keep]]]
+    query, node = query[chosen], node[chosen]
+    scores = _score_pairs(query_strings, query, strings, chosen)
+    order = np.lexsort((node, -scores, query))
+    best = order[_run_starts(query[order])]
+    best_node = np.full(len(texts), -1)
+    best_score = np.zeros(len(texts))
+    best_node[query[best]] = node[best]
+    best_score[query[best]] = scores[best]
+    of_query = [query_of[text] for text in queries]
+    return (
+        [sorted(exact[q]) for q in of_query],
+        best_node[of_query].tolist(),
+        best_score[of_query].tolist(),
+    )
+
+
+def _candidates(
+    token_key: np.ndarray, key_ptr: np.ndarray, key_queries: np.ndarray, n_forms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(query, form) of each candidate pair of a run, sorted, from the key
+    row of each token of the run's forms (``_SEP_KEY`` between forms, -1 for
+    a key of no query)."""
+    form = np.cumsum(token_key == _SEP_KEY)
+    hit = token_key >= 0
+    key, form = token_key[hit], form[hit]
+    lens = key_ptr[key + 1] - key_ptr[key]
+    at = np.repeat(key_ptr[key] - np.cumsum(lens) + lens, lens)
+    at += np.arange(len(at))
+    pair = np.sort(key_queries[at] * n_forms + np.repeat(form, lens))
+    return np.divmod(pair[_run_starts(pair)], n_forms)
+
+
+def _name_runs(graph: CategoryGraph) -> Iterator[tuple[list[str], np.ndarray, bool]]:
+    """The aliases, then the category names, ``_RUN_NAMES`` at a time, with
+    their nodes and whether the run is of category names."""
+    aliases, nodes = iter(graph.aliases), iter(graph.aliases.values())
+    for _ in range(0, len(graph.aliases), _RUN_NAMES):
+        run = list(itertools.islice(aliases, _RUN_NAMES))
+        nodes_run = np.fromiter(itertools.islice(nodes, len(run)), np.int64, len(run))
+        yield run, nodes_run, False
+    n = graph.n_categories
+    for lo in range(0, n, _RUN_NAMES):
+        hi = min(lo + _RUN_NAMES, n)
+        yield graph.names[lo:hi], np.arange(lo, hi), True
+
+
+def _normalize_run(
+    names: list[str], singular: dict[str, str]
+) -> tuple[list[str], list[str]]:
+    """``normalize_name`` of each name, and the tokens of those forms with
+    ``_SEP`` after each but the last.
+
+    The run is joined, lowercased, cleared of punctuation and split once.
+    ``singular`` maps a token to ``strip_plural`` of it, and gains the
+    run's new tokens.
+    """
+    text = _SEP.join(names)
+    if text.count(_SEP) >= len(names):  # a name holds the separator
+        text = _SEP.join(name.replace(_SEP, " ") for name in names)
+    text = _RUN_PUNCT.sub(" ", text.lower().replace("_", " "))
+    words = text.replace(_SEP, f" {_SEP} ").split()
+    new = set(words).difference(singular)
+    singular.update(zip(new, map(strip_plural, new)))
+    tokens = list(filter(None, map(singular.__getitem__, words)))
+    return list(map(str.strip, " ".join(tokens).split(_SEP))), tokens
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:

@@ -58,11 +58,6 @@ def _words(text: str) -> str:
     return " ".join(_TOKEN.findall(text.lower()))
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase tokens split on non-alphanumerics; tokens under 2 chars drop."""
-    return [word for word in _words(text).split() if len(word) > 1]
-
-
 @dataclass
 class TfIdfModel:
     n_docs: int

@@ -1,9 +1,10 @@
 """Loop reference for ``wikicat.taxonomy_mapper.map_taxonomy``.
 
 Set-valued token and prefix postings, and for each query part a scalar
-Jaro–Winkler call per candidate form, the best score per node kept in a
-dict and the best node found by a scan in node order.  The batched mapper
-is tested against it.
+Jaro–Winkler call per candidate form, with no pair left out: the best
+score per node kept in a dict and the best node found by a scan in node
+order.  The batched mapper, which scores only the pairs that can still
+win, is tested against it.
 """
 
 from __future__ import annotations
@@ -67,6 +68,26 @@ class NameIndex:
         return out
 
 
+def best_candidate(index: NameIndex, query: str) -> tuple[list[int], int | None, float]:
+    """A query's exact nodes, and its best fuzzy node (None without
+    candidates) and that node's score, from every candidate form scored."""
+    exact = index.exact_nodes(query)
+    exact_set = set(exact)
+    node_best: dict[int, float] = {}
+    for fid in index.candidate_forms(query):
+        form, node = index.forms[fid]
+        if form == query or node in exact_set:
+            continue
+        score = jaro_winkler(query, form)
+        if score > node_best.get(node, -1.0):
+            node_best[node] = score
+    best_node, best_score = None, 0.0
+    for node in sorted(node_best):
+        if best_node is None or node_best[node] > best_score:
+            best_node, best_score = node, node_best[node]
+    return exact, best_node, best_score
+
+
 def map_taxonomy(
     taxonomy: Taxonomy,
     graph: CategoryGraph,
@@ -106,23 +127,9 @@ def map_taxonomy(
         accepted: dict[int, MappedCategory] = {}
         label_near: list[NearMiss] = []
         for part, query in queries:
-            exact = index.exact_nodes(query)
+            exact, best_node, best_score = best_candidate(index, query)
             for node in exact:
                 accepted[node] = MappedCategory(node, "exact", 1.0)
-            exact_set = set(exact)
-
-            node_best: dict[int, float] = {}
-            for fid in index.candidate_forms(query):
-                form, node = index.forms[fid]
-                if form == query or node in exact_set:
-                    continue
-                score = jaro_winkler(query, form)
-                if score > node_best.get(node, -1.0):
-                    node_best[node] = score
-            best_node, best_score = None, 0.0
-            for node in sorted(node_best):
-                if best_node is None or node_best[node] > best_score:
-                    best_node, best_score = node, node_best[node]
             if best_node is None:
                 continue
             if best_score >= threshold:

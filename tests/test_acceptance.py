@@ -13,9 +13,9 @@ import time
 import numpy as np
 import pytest
 
+from keyword_baseline import keyword_vote
 from wikicat.classifiers import (
     TrainConfig,
-    keyword_vote,
     predict_centroid,
     predict_svm,
     train_centroid,

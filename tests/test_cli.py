@@ -1485,8 +1485,8 @@ def test_predict_lines_are_write_jsonls_bytes(
     assert len(out.read_bytes().splitlines()) == 4
 
 def test_import_leaves_hashlib_out():
-    """``hashlib`` maps OpenSSL, a few MB of every step's memory; only
-    ``keyword_vote``, which no subcommand runs, imports it.  numpy releases
+    """``hashlib`` maps OpenSSL, a few MB of every step's memory, and no
+    module of the package imports it.  numpy releases
     before 2 import ``numpy.random`` eagerly, and with it ``hashlib``, so
     only what ``wikicat.cli`` adds beyond numpy is checked."""
     proc = subprocess.run(

@@ -3,13 +3,19 @@
 Scores must be equal bit for bit (compared by ``float.hex``): the kernel
 counts the same matches, transpositions and prefix as the scalar loop in
 ``jw_oracle`` and evaluates the same float expression in the same order.
-The mapper must write the same mapping file as ``mapper_oracle``.
+A run of names must normalize as ``normalize_name`` does one name, and a
+pair's score bound must never be below its score.  The mapper, which scores
+only the pairs that can still win, must find the same nodes and scores as
+``mapper_oracle``, which scores every candidate pair, and write the same
+mapping file.
 """
 
 from __future__ import annotations
 
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,14 +29,19 @@ from conftest import write_graph_files
 from wikicat.graph_store import load_graph
 from wikicat.synth import make_scale_graph
 from wikicat.taxonomy_mapper import (
+    _SEP,
     DEFAULT_THRESHOLD,
     Taxonomy,
     TaxonomyLabel,
+    _bounds,
+    _match,
+    _normalize_run,
     _score_pairs,
     _Strings,
     jaro_winkler,
     load_taxonomy,
     map_taxonomy,
+    normalize_name,
     save_mapping,
 )
 
@@ -113,6 +124,71 @@ def test_scores_do_not_depend_on_the_block_size(monkeypatch):
     for block in (1, 2, 7, taxonomy_mapper._BLOCK_PAIRS):
         monkeypatch.setattr(taxonomy_mapper, "_BLOCK_PAIRS", block)
         assert [s.hex() for s in _kernel(batch)] == want
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(pairs().filter(all), min_size=1, max_size=40))
+def test_the_bound_is_never_below_the_score(batch):
+    """Nonempty strings, as the mapper's queries and candidate forms are, of
+    mixed lengths, with common prefixes past the boost's cap and astral code
+    points, in one batch."""
+    rows = np.arange(len(batch))
+    queries = _Strings.encode([a for a, _ in batch])
+    forms = _Strings.encode([b for _, b in reversed(batch)])  # rows differ
+    bound = _bounds(queries, rows, forms, rows[::-1])
+    score = _score_pairs(queries, rows, forms, rows[::-1])
+    assert (bound >= score).all(), list(zip(batch, bound, score))
+
+
+def test_the_bound_of_equal_strings_is_one_plus_the_slack():
+    strings = _Strings.encode(["pagan", "wiccan"])
+    rows = np.arange(2)
+    bound = _bounds(strings, rows, strings, rows)
+    assert bound.tolist() == [1.0 + taxonomy_mapper._BOUND_SLACK] * 2
+
+
+# ------------------------------------------------------- batch normalization
+
+# Pieces that lowercasing, the punctuation rule or strip_plural treat apart:
+# final sigmas, a capital that lowercases to two characters, "_", digits and
+# punctuation runs, tokens that strip_plural empties or shortens, and the
+# run separator itself.
+NAME_PIECES = [
+    "ΟΔΟΣ", "ΑΣ.Β", "Σ", "ς", "İ", "_", "__", "2021", "4x4", "...", " - ",
+    "&/", "s", "S", "'s", "ies", "Boxes", "Branches", "Cities", _SEP, " | ",
+    "\t", "\x1f", "ǅ", "中文", "\U0001f600",
+]
+names = st.lists(
+    st.one_of(st.text(max_size=3), st.sampled_from(NAME_PIECES)), max_size=6
+).map("".join)
+
+
+@seed(20261021)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(names, min_size=1, max_size=30), st.integers(1, 30))
+def test_runs_normalize_each_name_as_normalize_name(batch, cut):
+    """Two runs that share one token table, as ``_match`` reads them; the
+    tokens of a run are its forms' tokens with the separator between."""
+    singular: dict[str, str] = {}
+    got = []
+    for run in (batch[:cut], batch[cut:]):
+        if run:
+            forms, tokens = _normalize_run(run, singular)
+            assert tokens == f" {_SEP} ".join(forms).split()
+            got += forms
+    assert got == [normalize_name(name) for name in batch]
+
+
+def test_each_ascii_character_normalizes_as_in_normalize_name():
+    """Each of the 128 characters in runs of one to three, alone and inside
+    words, in one run."""
+    run = [
+        name
+        for chars in (chr(c) * n for c in range(128) for n in (1, 2, 3))
+        for name in (chars, chars + "ab", "Ab" + chars + "9S", "x" + chars + "s")
+    ]
+    assert _normalize_run(run, {})[0] == [normalize_name(name) for name in run]
 
 
 # ------------------------------------------------------------------ mapper
@@ -227,16 +303,111 @@ def test_mapper_edge_cases_match_the_loop_oracle():
     assert above.near_misses["b"][0].node == 3
 
 
-def test_mapper_on_the_scale_graph_matches_the_loop_oracle(tmp_path):
+@st.composite
+def match_cases(draw):
+    """Names of one to three words, some of them tied on one form; aliases;
+    normalized queries, repeated ones and ones with no candidate; and the
+    number of names per run."""
+    words = st.lists(
+        st.sampled_from([*WORDS, "Wiccanism", "Wiccanisms", "Zebra"]),
+        min_size=1,
+        max_size=3,
+    )
+    name = st.tuples(words, st.sampled_from([" ", " - ", ", ", "_"])).map(
+        lambda t: t[1].join(t[0])
+    )
+    cats = list(enumerate(draw(st.lists(name, min_size=1, max_size=12, unique=True)), 1))
+    aliases = draw(
+        st.lists(
+            st.tuples(name, st.integers(1, len(cats))),
+            max_size=6,
+            unique_by=lambda row: row[0],
+        )
+    )
+    query = st.one_of(name.map(normalize_name), st.sampled_from(["zzz", "qqq art"]))
+    queries = draw(st.lists(query, min_size=1, max_size=8))
+    return cats, aliases, queries, draw(st.sampled_from([1, 2, 3, 4096]))
+
+
+def _match_oracle(graph, queries):
+    index = mapper_oracle.NameIndex(graph)
+    found = [mapper_oracle.best_candidate(index, query) for query in queries]
+    return (
+        [exact for exact, _, _ in found],
+        [-1 if node is None else node for _, node, _ in found],
+        [score.hex() for _, _, score in found],
+    )
+
+
+def _pruned_match(graph, queries, run):
+    with mock.patch.object(taxonomy_mapper, "_RUN_NAMES", run):
+        exact, node, score = _match(graph, queries)
+    return exact, node, [s.hex() for s in score]
+
+
+@seed(20261022)
+@settings(max_examples=150, deadline=None, database=None)
+@given(match_cases())
+def test_pruned_match_finds_what_scoring_every_pair_finds(case):
+    cats, aliases, queries, run = case
+    graph = _load(cats, aliases)
+    assert _pruned_match(graph, queries, run) == _match_oracle(graph, queries)
+
+
+@pytest.mark.parametrize("run", [1, 2, 4096])
+def test_pruned_match_edge_cases(run):
+    cats = [
+        (1, "Wiccanism"),  # ties node 1 for "wiccan"
+        (2, "Wiccanisms"),
+        (3, "Pagans"),  # an alias makes it exact for "paganism" ...
+        (4, "Paganism studies"),
+        (5, "Pagan"),  # ... and its name makes it exact for "pagan"
+        (6, "Branch"),
+    ]
+    aliases = [("Paganisms", 3), ("Pagan people", 5), ("Brans", 6)]
+    graph = _load(cats, aliases)
+    queries = ["wiccan", "paganism", "pagan", "zzz", "pagan", "bran", "branch"]
+    got = _pruned_match(graph, queries, run)
+    assert got == _match_oracle(graph, queries)
+    exact, node, score = got
+    assert node[0] == 0  # the lowest of the tied nodes
+    assert exact[1] == [2] and node[1] != 2  # its exact node is no candidate
+    assert exact[2] == [2, 4] and node[2] not in (2, 4)
+    assert (node[3], score[3]) == (-1, (0.0).hex())  # no candidate
+    assert got[0][4] == exact[2] and node[4] == node[2]
+
+
+@pytest.fixture(scope="module")
+def scale_case(tmp_path_factory):
     """The benchmark's shape: labels "Branch r topics" against names
     "Branch t area k", so every form shares the key "bran" with every query,
     and the digit tokens are keys of their own."""
-    make_scale_graph(tmp_path, n_categories=2_400, n_pages=2_000, n_edges=20_000)
-    files = [tmp_path / f"{t}.tsv" for t in ("categories", "pages", "edges")]
-    graph = load_graph(*files)
-    taxonomy = load_taxonomy(tmp_path / "taxonomy.json")
+    path = tmp_path_factory.mktemp("scale")
+    make_scale_graph(path, n_categories=2_400, n_pages=2_000, n_edges=20_000)
+    graph = load_graph(*[path / f"{t}.tsv" for t in ("categories", "pages", "edges")])
+    return graph, load_taxonomy(path / "taxonomy.json")
+
+
+def test_mapper_on_the_scale_graph_matches_the_loop_oracle(scale_case):
+    graph, taxonomy = scale_case
     for threshold in (0.9, 0.0):
         got = map_taxonomy(taxonomy, graph, threshold=threshold)
         want = mapper_oracle.map_taxonomy(taxonomy, graph, threshold=threshold)
         assert got == want
         assert _mapping_bytes(got, graph) == _mapping_bytes(want, graph)
+
+
+def test_mapper_on_the_scale_graph_holds_little_memory(scale_case):
+    """All 2 400 names are candidates of all 5 labels.  Normalized a run at
+    a time, with only the pairs that can still win kept, the traced peak is
+    about 1.8 MB; scoring every pair of names normalized all at once took
+    2.9 MB."""
+    graph, taxonomy = scale_case
+    map_taxonomy(taxonomy, graph)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        map_taxonomy(taxonomy, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000, peak

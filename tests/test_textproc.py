@@ -16,14 +16,20 @@ import textproc_oracle
 from wikicat.exceptions import ConfigurationError
 from wikicat.jsonio import read_json, write_json
 from wikicat.textproc import (
+    _words,
     fit_tfidf,
     tfidf_from_dict,
     tfidf_to_dict,
-    tokenize,
     transform,
 )
 
 from docmatrix import dicts
+
+
+def tokenize(text: str) -> list[str]:
+    """The tokens that ``fit_tfidf`` and ``transform`` count: the words of
+    ``_words``, less the one-character ones."""
+    return [word for word in _words(text).split() if len(word) > 1]
 
 
 def test_tokenize():
