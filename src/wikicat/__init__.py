@@ -1,10 +1,10 @@
 """Bootstrap text classifiers from a knowledge-base category graph.
 
-The pipeline: load a category graph (graph_store), map taxonomy labels
-onto category nodes (taxonomy_mapper), propagate labels to pages by graph
-traversal (labeler), vectorize page text (textproc), train and apply
-classifiers (classifiers), and score them (evaluation).  The cli module
-wires it all together behind subcommands.
+The pipeline: load a category graph (graph_store), read a taxonomy
+(taxonomy) and map its labels onto category nodes (taxonomy_mapper),
+propagate labels to pages by graph traversal (labeler), vectorize page
+text (textproc), train and apply classifiers (classifiers), and score them
+(evaluation).  The cli module wires it all together behind subcommands.
 """
 
 import importlib
@@ -32,9 +32,9 @@ _EXPORTS = {
         "CorpusLabels", "LabelingConfig", "PageLabels", "build_competition_sets",
         "coarse_scheme", "fine_scheme", "label_corpus", "read_labels", "write_labels",
     ),
+    "taxonomy": ("CategoryMapping", "Taxonomy", "TaxonomyLabel", "load_taxonomy"),
     "taxonomy_mapper": (
-        "CategoryMapping", "Taxonomy", "TaxonomyLabel", "jaro_winkler",
-        "load_mapping", "load_taxonomy", "map_taxonomy", "resolve_override_names",
+        "jaro_winkler", "load_mapping", "map_taxonomy", "resolve_override_names",
         "save_mapping",
     ),
     "textproc": ("DocMatrix", "TfIdfModel", "fit_tfidf", "transform"),

@@ -16,7 +16,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Sequence, TypeVar
+from typing import Any, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .exceptions import ConfigurationError
 from .jsonio import INTEGER, NUMBER, Rows, read_json_members, write_json
 from .textproc import (
     DocMatrix,
+    RowWriter,
     TfIdfModel,
     tfidf_from_dict,
     tfidf_to_dict,
@@ -138,17 +139,17 @@ def _items(docs: DocMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weight_matrix(
-    cols: Sequence[np.ndarray], weights: Sequence[np.ndarray]
+    rows: Iterable[tuple[np.ndarray, np.ndarray]], n_rows: int, most: int
 ) -> DocMatrix:
-    """A model's CSR weight rows: row c holds the nonzero ``weights[c]`` at
-    the feature indices ``cols[c]``.  Beside the per-class arrays, only the
-    joined rows are allocated whole."""
-    indptr = np.cumsum([0, *map(np.count_nonzero, weights)])
-    indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
-    for lo, hi, ix, w in zip(indptr.tolist(), indptr[1:].tolist(), cols, weights):
-        keep = w != 0.0
-        indices[lo:hi], data[lo:hi] = ix[keep], w[keep]
-    return DocMatrix(indptr, indices, data)
+    """A model's CSR weight rows, written one class at a time: row c holds
+    the nonzero weights of the c-th ``(feature indices, weights)`` pair of
+    ``rows``.  ``most`` bounds the pairs' items in all; the columns are
+    sized for ``n_rows`` classes like the ones written so far, within it."""
+    out = RowWriter(n_rows, lambda done, nonzeros: nonzeros * n_rows / done, most)
+    for cols, weights in rows:
+        keep = weights != 0.0
+        out.add(np.count_nonzero(keep, keepdims=True), cols[keep], weights[keep])
+    return out.matrix()
 
 
 def _dot_chunks(table: np.ndarray, first: np.ndarray, docs: DocMatrix):
@@ -240,8 +241,9 @@ def train_centroid(
     per feature, and the squares of its means are added up in the order the
     class first saw its features, as the stored bytes depend on it; the
     class's weights are its means over that norm.  Past the check of every
-    feature index, no temporary spans more than one class's items, and the
-    classes' weights are joined into the model's rows once.
+    feature index, no temporary spans more than one class's items, and each
+    class's weights go straight into the model's rows, so no step holds the
+    classes' weights beside a joined copy of them.
     """
     if len(vectors) != len(labels):
         raise ConfigurationError("vectors and labels differ in length")
@@ -257,20 +259,27 @@ def train_centroid(
     doc_class = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
     n_docs = np.bincount(doc_class, minlength=len(classes))
     by_class = np.argsort(doc_class, kind="stable")  # document order within a class
-    cols, weights = [], []
-    for c, hi in enumerate(np.cumsum(n_docs).tolist()):
-        features, values = _items(vectors, by_class[hi - n_docs[c] : hi])
-        keys, first, at = np.unique(features, return_index=True, return_inverse=True)
-        mean = np.zeros(len(keys))
-        np.add.at(mean, at, values)  # in document order
-        mean /= n_docs[c]
-        norm = np.zeros(1)
-        np.add.at(norm, np.zeros_like(keys), np.square(mean[np.argsort(first)]))
-        if norm[0] == 0.0:
-            raise ConfigurationError(f"class {classes[c]!r} has an all-zero centroid")
-        cols.append(keys)
-        weights.append(mean / np.sqrt(norm[0]))
-    return CentroidModel(classes, _weight_matrix(cols, weights), width, tfidf)
+
+    def rows() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for c, hi in enumerate(np.cumsum(n_docs).tolist()):
+            features, values = _items(vectors, by_class[hi - n_docs[c] : hi])
+            keys, first, at = np.unique(
+                features, return_index=True, return_inverse=True
+            )
+            mean = np.zeros(len(keys))
+            np.add.at(mean, at, values)  # in document order
+            mean /= n_docs[c]
+            norm = np.zeros(1)
+            np.add.at(norm, np.zeros_like(keys), np.square(mean[np.argsort(first)]))
+            if norm[0] == 0.0:
+                raise ConfigurationError(
+                    f"class {classes[c]!r} has an all-zero centroid"
+                )
+            yield keys, mean / np.sqrt(norm[0])
+
+    # a class has at most one weight per item of its documents
+    weights = _weight_matrix(rows(), len(classes), int(vectors.indptr[-1]))
+    return CentroidModel(classes, weights, width, tfidf)
 
 
 def predict_centroid(model: CentroidModel, vectors: DocMatrix) -> list[str | None]:
@@ -385,7 +394,10 @@ def train_svm(
         codes == np.arange(len(classes))[:, None], np.int8(1), np.int8(-1)
     )
     dense, bias, losses = _sgd(vectors, targets, classes, cfg, n_features)
-    weights = _weight_matrix([np.arange(n_features)] * len(classes), dense)
+    every = np.arange(n_features)
+    weights = _weight_matrix(
+        ((every, row) for row in dense), len(classes), dense.size
+    )
     return LinearSvmModel(
         tuple(classes), weights, n_features, bias, cfg,
         dict(zip(classes, losses)), tfidf,
@@ -457,7 +469,7 @@ def _weights_rows(classes: Sequence[str], lists: list, n_features: int) -> DocMa
             raise ValueError(f"class {label!r}: feature indices are not ascending")
         indices.append(cols)
         weights.append(np.asarray(ws, dtype=float))
-    return _weight_matrix(indices, weights)
+    return _weight_matrix(zip(indices, weights), len(classes), sum(map(len, indices)))
 
 
 def save_model(model: CentroidModel | LinearSvmModel, path: str | Path) -> None:

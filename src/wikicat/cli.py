@@ -690,23 +690,23 @@ COMMANDS = {
     ),
     "map": (
         _cmd_map, "map taxonomy labels onto category nodes",
-        ("graph_store", "taxonomy_mapper"),
+        ("graph_store", "taxonomy", "taxonomy_mapper"),
         ("taxonomy", "summary_out", "graph", "overrides", "threshold", "out"),
     ),
     "label": (
         _cmd_label, "propagate labels to pages over the graph",
-        ("graph_store", "taxonomy_mapper", "labeler"),
+        ("graph_store", "taxonomy", "taxonomy_mapper", "labeler"),
         ("graph", "taxonomy", "mapping", "summary_out", *_LABEL_FLAGS, "mode", "out"),
     ),
     "sample": (
         _cmd_sample, "balance labeled pages per class",
-        ("taxonomy_mapper", "labeler", "classifiers"),
+        ("taxonomy", "labeler", "classifiers"),
         ("labels", "corpus", "taxonomy", "out", "summary_out", "scheme",
          "n_per_class", "seed"),
     ),
     "train": (
         _cmd_train, "train one model per competition set",
-        ("taxonomy_mapper", "labeler", "classifiers", "textproc"),
+        ("taxonomy", "labeler", "classifiers", "textproc"),
         ("labels", "corpus", "taxonomy", "out_dir", "scheme", "kind", "n_per_class",
          "min_df", "lam", "epochs", "eta0", "seed"),
     ),
@@ -716,7 +716,7 @@ COMMANDS = {
     ),
     "evaluate": (
         _cmd_evaluate, "score saved models on gold instances",
-        ("taxonomy_mapper", "evaluation", "classifiers", "textproc"),
+        ("taxonomy", "evaluation", "classifiers", "textproc"),
         ("eval", "models_dir", "taxonomy", "kind", "out"),
     ),
     "ablate": (

@@ -69,7 +69,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, TaxonomyError
 from .jsonio import INTEGER, STRING, float_texts, json_text, read_jsonl, write_lines
-from .taxonomy_mapper import CategoryMapping, Taxonomy
+from .taxonomy import CategoryMapping, Taxonomy
 
 if TYPE_CHECKING:  # annotations only, so that importing this does not load it
     from .graph_store import CategoryGraph

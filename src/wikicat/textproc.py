@@ -7,8 +7,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Callable, Iterable
+from itertools import chain, islice, repeat
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 
@@ -33,6 +33,7 @@ _ASCII_WORDS = bytes(
 _SEP, _SEP_ID = "|", -2
 _RUN_CHARS = 1 << 12  # characters of words per split and lookup of transform
 _PASS_RUNS = 16  # runs per numpy pass of transform
+_HEADROOM = 1.1  # a RowWriter's room past the nonzeros it expects
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
@@ -47,6 +48,58 @@ class DocMatrix:
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
+
+
+class RowWriter:
+    """A ``DocMatrix`` written a batch of rows at a time into columns that
+    grow in place (``ndarray.resize``), then trimmed once, so that no step
+    holds the rows' parts beside a joined copy.
+
+    When a batch does not fit, the columns grow to ``_HEADROOM`` times
+    ``expect(rows, nonzeros)``, the caller's estimate of all the nonzeros
+    from the rows and nonzeros written so far, but never past ``most``, an
+    upper bound on them; and by at least a quarter, so that a low estimate
+    costs few copies.
+    """
+
+    def __init__(
+        self,
+        n_rows: int,
+        expect: Callable[[int, int], float],
+        most: float = math.inf,
+    ) -> None:
+        self.indptr = np.zeros(n_rows + 1, np.int64)
+        self.indices = np.empty(0, np.int32)
+        self.data = np.empty(0)
+        self.rows = 0
+        self._expect, self._most = expect, most
+
+    def add(self, lengths: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
+        """Append rows with ``lengths[r]`` items each, given one row after another."""
+        lo, hi = self.rows, self.rows + len(lengths)
+        start = int(self.indptr[lo])
+        stop = start + len(indices)
+        if hi >= len(self.indptr):
+            self.indptr.resize(max(hi + 1, len(self.indptr) * 5 // 4), refcheck=False)
+        ends = self.indptr[lo + 1 : hi + 1]
+        np.cumsum(lengths, out=ends)
+        ends += start
+        if stop > len(self.indices):
+            want = max(self._expect(hi, stop) * _HEADROOM, len(self.indices) * 1.25)
+            size = max(stop, int(min(want, self._most)))
+            self.indices.resize(size, refcheck=False)
+            self.data.resize(size, refcheck=False)
+        self.indices[start:stop] = indices
+        self.data[start:stop] = data
+        self.rows = hi
+
+    def matrix(self) -> DocMatrix:
+        """The rows written, in columns trimmed to them."""
+        self.indptr.resize(self.rows + 1, refcheck=False)
+        size = int(self.indptr[-1])
+        self.indices.resize(size, refcheck=False)
+        self.data.resize(size, refcheck=False)
+        return DocMatrix(self.indptr, self.indices, self.data)
 
 
 def _words(text: str) -> str:
@@ -113,13 +166,28 @@ def transform(model: TfIdfModel, texts: Iterable[str]) -> DocMatrix:
     order the terms first occur in its text.  The words of a run of texts,
     about ``_RUN_CHARS`` characters, are split and looked up in one call
     each, so per text only the tokenizing runs in Python; ``_PASS_RUNS``
-    runs are weighed in one numpy pass.  Their temporaries stay small beside
-    the matrix, which takes 12 bytes per nonzero.
+    runs are weighed in one numpy pass, whose rows a ``RowWriter`` writes
+    straight into the matrix.  The matrix takes 12 bytes per nonzero; from
+    the first pass its columns are sized for all the texts, at the lower of
+    that pass's nonzeros per text and per character, so a corpus whose
+    first texts are unlike the rest grows them a few times rather than
+    reserving a multiple of the matrix.  A pass's temporaries stay small
+    beside it.
     """
     if isinstance(texts, str):
         raise ConfigurationError("transform takes an iterable of texts, not a str")
     lookup, idf = model.word_ids.get, np.array(model.idf)
-    passes, ids, run, size = [], [], [], 0
+    if isinstance(texts, Collection):
+        n_texts, n_chars = len(texts), sum(map(len, texts))
+
+        def expect(rows: int, nonzeros: int) -> float:
+            chars = sum(map(len, islice(texts, rows)))  # > 0, as nonzeros > 0
+            return nonzeros * min(n_texts / rows, n_chars / chars)
+
+        out = RowWriter(n_texts, expect)
+    else:  # a single pass over the texts: grow as they come
+        out = RowWriter(0, lambda rows, nonzeros: nonzeros)
+    ids, run, size = [], [], 0
     for words in map(_words, texts):
         run.append(words)
         size += len(words)
@@ -127,12 +195,11 @@ def transform(model: TfIdfModel, texts: Iterable[str]) -> DocMatrix:
             ids.append(_look_up(lookup, run))
             run, size = [], 0
             if len(ids) == _PASS_RUNS:
-                passes.append(_weigh(idf, ids))
+                out.add(*_weigh(idf, ids))
                 ids = []
     ids.append(_look_up(lookup, run))
-    passes.append(_weigh(idf, ids))
-    lengths, indices, data = (np.concatenate(parts) for parts in zip(*passes))
-    return DocMatrix(np.concatenate([[0], np.cumsum(lengths)]), indices, data)
+    out.add(*_weigh(idf, ids))
+    return out.matrix()
 
 
 def _look_up(lookup: Callable, run: list[str]) -> np.ndarray:

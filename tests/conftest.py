@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from wikicat.graph_store import _V2_HEADER, load_graph
-from wikicat.taxonomy_mapper import CategoryMapping, MappedCategory, load_taxonomy
+from wikicat.taxonomy import CategoryMapping, MappedCategory, load_taxonomy
 
 DATA_DIR = Path(__file__).parent / "data"
 

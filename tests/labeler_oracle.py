@@ -29,7 +29,7 @@ from wikicat.labeler import (
     PageLabels,
     build_competition_sets,
 )
-from wikicat.taxonomy_mapper import CategoryMapping
+from wikicat.taxonomy import CategoryMapping
 
 
 class RootSpec(NamedTuple):

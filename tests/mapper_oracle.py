@@ -14,12 +14,9 @@ import itertools
 from jw_oracle import jaro_winkler
 from wikicat.exceptions import TaxonomyError
 from wikicat.graph_store import CategoryGraph
+from wikicat.taxonomy import CategoryMapping, MappedCategory, NearMiss, Taxonomy
 from wikicat.taxonomy_mapper import (
     DEFAULT_THRESHOLD,
-    CategoryMapping,
-    MappedCategory,
-    NearMiss,
-    Taxonomy,
     normalize_name,
     split_conjunctions,
 )

@@ -30,14 +30,8 @@ from wikicat.labeler import (
     label_corpus,
 )
 from wikicat.synth import make_ablation_wiki, make_scale_graph, make_separable_corpus, split_corpus
-from wikicat.taxonomy_mapper import (
-    CategoryMapping,
-    MappedCategory,
-    Taxonomy,
-    TaxonomyLabel,
-    jaro_winkler,
-    map_taxonomy,
-)
+from wikicat.taxonomy import CategoryMapping, MappedCategory, Taxonomy, TaxonomyLabel
+from wikicat.taxonomy_mapper import jaro_winkler, map_taxonomy
 from wikicat.textproc import fit_tfidf, transform
 
 from conftest import fan_in_case, page_node, write_graph_files
@@ -428,7 +422,8 @@ import json, resource, sys, time
 
 from wikicat.graph_store import load_graph
 from wikicat.labeler import LabelingConfig, coarse_scheme, label_corpus, write_labels
-from wikicat.taxonomy_mapper import load_taxonomy, map_taxonomy
+from wikicat.taxonomy import load_taxonomy
+from wikicat.taxonomy_mapper import map_taxonomy
 
 src, out = sys.argv[1], sys.argv[2]
 t0 = time.monotonic()

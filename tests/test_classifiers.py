@@ -167,9 +167,10 @@ def test_train_centroid_checks_feature_indices_in_place():
 
 def test_train_centroid_joins_its_classes_once():
     """1 000 classes of one 100-item document each over 20 000 features: the
-    model is large and each class small, so the peak is set while the
-    classes' weight rows are joined.  Holding the per-class rows and one
-    joined copy stays under three times the model's bytes."""
+    model is large and each class small.  Each class's row is written into
+    the model's columns as it is computed, so the peak stays near the
+    model's bytes, with the columns' headroom; holding every class's row
+    beside a joined copy would take twice them."""
     rng = np.random.default_rng(0)
     n_cls, per_doc = 1_000, 100
     vectors = DocMatrix(
@@ -186,7 +187,7 @@ def test_train_centroid_joins_its_classes_once():
     finally:
         tracemalloc.stop()
     model = weights.indptr.nbytes + weights.indices.nbytes + weights.data.nbytes
-    assert peak < 3 * model, (peak, model)
+    assert peak < 1.5 * model, (peak, model)
 
 
 @pytest.mark.parametrize("ix", [-1, 3])

@@ -318,6 +318,36 @@ def test_train_centroid_per_class_matches_loop_oracle_on_repeated_items(case):
         assert _bits(row.values()) == _bits(want[label][ix] for ix in cols), label
 
 
+@pytest.mark.parametrize("n_classes", [1, 2, 1_000])
+def test_train_centroid_rows_written_a_class_at_a_time_match_the_oracle(n_classes):
+    """Each class's row goes into the model's columns as it is computed; the
+    columns are sized from the classes before it.  The rows hold the
+    oracle's weights, bit for bit, without the ones that come out 0.0: a
+    feature whose values cancel, or one seen only at 0.0."""
+    rng = np.random.default_rng(n_classes)
+    items, labels = [], []
+    for d in range(3 * n_classes):
+        # the first class's documents are the longest, so the columns are
+        # first sized for rows wider than the rest
+        size = 40 if d % n_classes == 0 else int(rng.integers(1, 8))
+        doc = [(int(ix), float(w)) for ix, w in zip(
+            rng.integers(0, 50, size), rng.normal(size=size)
+        )]
+        doc += [(50, 0.0), (51, 0.25), (51, -0.25)]
+        items.append(doc)
+        labels.append(f"c{d % n_classes:04d}")
+    model = train_centroid(_item_rows(items), labels)
+    want = centroid_oracle.train_centroid(items, labels)
+    assert model.classes == tuple(want) and len(model.weights) == n_classes
+    assert model.weights.indices.dtype == np.int32
+    assert model.weights.indptr[-1] == len(model.weights.indices)
+    for row, label in zip(dicts(model.weights), model.classes):
+        cols = sorted(ix for ix, w in want[label].items() if w != 0.0)
+        assert 50 not in cols and 51 not in cols
+        assert list(row) == cols, label
+        assert _bits(row.values()) == _bits(want[label][ix] for ix in cols), label
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @seed(20261021)
 @settings(max_examples=100, deadline=None)

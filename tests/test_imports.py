@@ -16,19 +16,19 @@ from wikicat.synth import make_ablation_wiki
 # Loaded by every command: the CLI itself, its errors and its JSON files.
 _BASE = {"cli", "exceptions", "jsonio"}
 # What a command does not run, it does not load: graph_store reads the
-# graph, taxonomy_mapper the taxonomy and mappings, labeler the labels
-# (classifiers loads textproc, which its models hold).
+# graph, taxonomy the taxonomy, taxonomy_mapper maps it and reads mappings,
+# labeler the labels (classifiers loads textproc, which its models hold).
 _LOADED = {
     "build-graph": {"graph_store"},
-    "map": {"graph_store", "taxonomy_mapper"},
-    "label": {"graph_store", "taxonomy_mapper", "labeler"},
-    "sample": {"taxonomy_mapper", "labeler", "classifiers", "textproc"},
-    "train": {"taxonomy_mapper", "labeler", "classifiers", "textproc"},
+    "map": {"graph_store", "taxonomy", "taxonomy_mapper"},
+    "label": {"graph_store", "taxonomy", "taxonomy_mapper", "labeler"},
+    "sample": {"taxonomy", "labeler", "classifiers", "textproc"},
+    "train": {"taxonomy", "labeler", "classifiers", "textproc"},
     "predict": {"classifiers", "textproc"},
-    "evaluate": {"taxonomy_mapper", "evaluation", "classifiers", "textproc"},
+    "evaluate": {"taxonomy", "evaluation", "classifiers", "textproc"},
     "ablate": {
-        "graph_store", "taxonomy_mapper", "labeler", "classifiers", "textproc",
-        "evaluation",
+        "graph_store", "taxonomy", "taxonomy_mapper", "labeler", "classifiers",
+        "textproc", "evaluation",
     },
 }
 

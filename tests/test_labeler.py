@@ -30,13 +30,8 @@ from wikicat.labeler import (
     write_labels,
 )
 from wikicat.synth import make_scale_graph
-from wikicat.taxonomy_mapper import (
-    CategoryMapping,
-    MappedCategory,
-    Taxonomy,
-    TaxonomyLabel,
-    map_taxonomy,
-)
+from wikicat.taxonomy import CategoryMapping, MappedCategory, Taxonomy, TaxonomyLabel
+from wikicat.taxonomy_mapper import map_taxonomy
 
 DAG_CFG = LabelingConfig()
 

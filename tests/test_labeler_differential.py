@@ -37,12 +37,8 @@ from wikicat.labeler import (
     write_labels,
 )
 from wikicat.synth import make_ablation_wiki
-from wikicat.taxonomy_mapper import (
-    CategoryMapping,
-    MappedCategory,
-    load_taxonomy,
-    map_taxonomy,
-)
+from wikicat.taxonomy import CategoryMapping, MappedCategory, load_taxonomy
+from wikicat.taxonomy_mapper import map_taxonomy
 
 
 def _load(cats, pages, edges):

@@ -28,18 +28,16 @@ import wikicat.taxonomy_mapper as taxonomy_mapper
 from conftest import write_graph_files
 from wikicat.graph_store import load_graph
 from wikicat.synth import make_scale_graph
+from wikicat.taxonomy import Taxonomy, TaxonomyLabel, load_taxonomy
 from wikicat.taxonomy_mapper import (
     _SEP,
     DEFAULT_THRESHOLD,
-    Taxonomy,
-    TaxonomyLabel,
     _bounds,
     _match,
     _normalize_run,
     _score_pairs,
     _Strings,
     jaro_winkler,
-    load_taxonomy,
     map_taxonomy,
     normalize_name,
     save_mapping,

@@ -8,7 +8,8 @@ from wikicat.synth import (
     make_separable_corpus,
     split_corpus,
 )
-from wikicat.taxonomy_mapper import load_taxonomy, map_taxonomy
+from wikicat.taxonomy import load_taxonomy
+from wikicat.taxonomy_mapper import map_taxonomy
 
 
 def _load_dir(d):

@@ -8,10 +8,8 @@ import pytest
 
 from conftest import page_node
 from wikicat.exceptions import TaxonomyError
+from wikicat.taxonomy import CategoryMapping, Taxonomy, TaxonomyLabel
 from wikicat.taxonomy_mapper import (
-    CategoryMapping,
-    Taxonomy,
-    TaxonomyLabel,
     jaro_winkler,
     load_mapping,
     map_taxonomy,

@@ -251,6 +251,49 @@ def test_transform_rows_do_not_depend_on_the_run_length(monkeypatch):
             assert _hex_rows(dicts(transform(model, corpus))) == want, (run, runs)
 
 
+def _corpora():
+    """Corpora whose first pass is unlike the rest: long texts, then many
+    short ones; empty texts, then words; nothing but empty texts; one text."""
+    rng = random.Random(8)
+    words = _WORDS + ["unseen"]
+
+    def text(n):
+        return " ".join(rng.choice(words) for _ in range(n))
+
+    return {
+        "long first": [text(3_000) for _ in range(3)] + [text(2) for _ in range(300)],
+        "empty first": [""] * 200 + [text(rng.randint(0, 9)) for _ in range(200)],
+        "all empty": ["", " ", "|", "x"] * 50,
+        "single": [text(7)],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_corpora()))
+@pytest.mark.parametrize("given", ["list", "generator"])
+@pytest.mark.parametrize("per_pass", ["default", "one"])
+def test_transform_written_in_place_matches_the_oracle(
+    monkeypatch, name, given, per_pass
+):
+    """The columns that each pass writes into, sized from the first pass
+    for a list and grown as the texts come for a generator, hold the
+    oracle's rows, bit for bit.  With a run of one character and a pass of
+    one run, every text is a pass of its own and the columns grow again
+    and again."""
+    import wikicat.textproc as textproc
+
+    corpus = _corpora()[name]
+    model = fit_tfidf(_corpora()["empty first"], min_df=2)
+    if per_pass == "one":
+        monkeypatch.setattr(textproc, "_RUN_CHARS", 1)
+        monkeypatch.setattr(textproc, "_PASS_RUNS", 1)
+    got = transform(model, corpus if given == "list" else iter(corpus))
+    assert len(got) == len(corpus) == len(got.indptr) - 1
+    assert got.indptr[-1] == len(got.indices) == len(got.data)
+    assert got.indices.dtype == np.int32 and got.data.dtype == np.float64
+    want = _hex_rows(textproc_oracle.transform(model, t) for t in corpus)
+    assert _hex_rows(dicts(got)) == want
+
+
 def test_terms_no_text_yields_load_and_get_no_weight(tmp_path):
     """A model file may hold terms that no text can yield: one character,
     uppercase, with a space or "|", or a lone surrogate.  It loads, and no
@@ -295,9 +338,8 @@ def test_a_bar_in_a_text_never_shifts_another_row(monkeypatch):
 def test_transform_temporaries_stay_bounded():
     """3.4 million characters of texts, about 50 numpy passes, with one text
     of 129 000 in the middle, in which one word in 20 is a term: beside the
-    matrix and its parts, which the last step concatenates, ``transform``
-    holds about one pass's or the long text's words at a time (0.9 MB here),
-    not the corpus's (about 40 MB)."""
+    matrix, ``transform`` holds about one pass's or the long text's words at
+    a time (0.9 MB here), not the corpus's (about 40 MB)."""
     rng = random.Random(5)
     vocab = [f"w{i}x" for i in range(2000)]
     model = fit_tfidf([" ".join(vocab[:100])], min_df=1)
@@ -312,3 +354,48 @@ def test_transform_temporaries_stay_bounded():
     assert len(matrix) == len(texts)
     held = matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes
     assert peak < 2 * held + 2_000_000, (peak, held)
+
+
+def _traced_transform(model, texts):
+    """The matrix, its bytes and the ``tracemalloc`` peak of the call, which
+    counts every byte its columns reserve, used or not."""
+    tracemalloc.start()
+    try:
+        matrix = transform(model, texts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes
+    return matrix, held, peak
+
+
+def test_transform_holds_its_matrix_once():
+    """30 000 texts of 40 words, a 14.5 MB matrix: the passes write into its
+    columns, so the peak stays near one matrix, not the two that joining
+    every pass's parts at the end holds."""
+    rng = random.Random(6)
+    vocab = [f"w{i}x" for i in range(3000)]
+    model = fit_tfidf([" ".join(vocab)], min_df=1)
+    texts = [" ".join(rng.choices(vocab, k=40)) for _ in range(30_000)]
+    transform(model, texts[:10])  # numpy's lazy imports
+    matrix, held, peak = _traced_transform(model, texts)
+    assert len(matrix) == len(texts)
+    assert held > 10_000_000
+    assert peak < 1.25 * held + 2_000_000, (peak, held)
+
+
+def test_a_skewed_first_pass_reserves_no_multiple_of_the_matrix():
+    """The first pass holds about 340 texts of 30 distinct terms; 600 000
+    one-word texts follow, for a 12 MB matrix.  At the first pass's
+    nonzeros per text the columns would reserve (and ``resize`` would zero)
+    about 240 MB; its nonzeros per character hold them to about the
+    matrix."""
+    rng = random.Random(7)
+    vocab = [f"w{i}x" for i in range(3000)]
+    model = fit_tfidf([" ".join(vocab)], min_df=1)
+    texts = [" ".join(rng.sample(vocab, 30)) for _ in range(500)]
+    texts += ["w7x"] * 600_000
+    transform(model, texts[:10])  # numpy's lazy imports
+    matrix, held, peak = _traced_transform(model, texts)
+    assert matrix.indptr[-1] == 500 * 30 + 600_000
+    assert peak < 1.25 * held + 2_000_000, (peak, held)

@@ -31,7 +31,7 @@ from wikicat.classifiers import (
 from wikicat.exceptions import ConfigurationError
 from wikicat.jsonio import INTEGER, STRING, read_jsonl, write_jsonl
 from wikicat.labeler import read_labels
-from wikicat.taxonomy_mapper import load_taxonomy
+from wikicat.taxonomy import load_taxonomy
 from wikicat.textproc import fit_tfidf, transform
 
 
