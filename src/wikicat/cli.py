@@ -408,9 +408,11 @@ def _train_sets(
     set name and class counts, so a caller keeps only the models it needs."""
     for name, set_rows in rows.items():
         labels = [label for _, label, _ in set_rows]
+        texts = [text for _, _, text in set_rows]
         counts = Counter(labels)
-        tfidf = fit_tfidf((text for _, _, text in set_rows), min_df=min_df)
-        vectors = transform(tfidf, [text for _, _, text in set_rows])
+        tfidf = fit_tfidf(texts, min_df=min_df)
+        vectors = transform(tfidf, texts)
+        del texts  # free the list before training
         if kind == "centroid":
             model = train_centroid(vectors, labels, tfidf=tfidf)
         else:

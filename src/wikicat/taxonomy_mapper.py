@@ -25,22 +25,13 @@ import numpy as np
 
 from .exceptions import ConfigurationError, TaxonomyError
 from .jsonio import INTEGER, NUMBER, STRING, read_json, write_json
-# load_taxonomy is unused here, but callers that map also read it from here
-from .taxonomy import (
-    MAPPED_KINDS,
-    CategoryMapping,
-    MappedCategory,
-    NearMiss,
-    Taxonomy,
-    load_taxonomy,
-)
+from .taxonomy import MAPPED_KINDS, CategoryMapping, MappedCategory, NearMiss, Taxonomy
 
 if TYPE_CHECKING:  # annotations only, so that importing this does not load it
     from .graph_store import CategoryGraph
 
 DEFAULT_THRESHOLD = 0.9
 
-_NON_WORD = re.compile(r"[\W_]+")
 _CONJUNCTION = re.compile(r"&|/|,|\band\b", re.IGNORECASE)
 # minimum shared prefix for a token to widen candidate retrieval, and the
 # cap on the Winkler prefix boost
@@ -49,9 +40,9 @@ _BLOCK_PAIRS = 1 << 12  # (query, form) pairs per padded numpy pass of the score
 # pads above every code point, and unequal, so a pad never matches anything
 _PAD_QUERY, _PAD_FORM = 0xFFFFFFFF, 0xFFFFFFFE
 _RUN_NAMES = 1 << 12  # names per lowercase, substitution and split
-# _match joins a run of names with _SEP.  It is neither cased nor
+# _normalize_run joins a run of names with _SEP.  It is neither cased nor
 # case-ignorable, so lowercasing the run lowercases each name as on its own
-# (a final sigma stays final), and normalize_name reads it as punctuation.
+# (a final sigma stays final); inside a name it is punctuation, a space.
 # _RUN_PUNCT leaves it, whitespace and word characters but "_" in place.
 _SEP, _SEP_KEY = "\x00", -2
 _RUN_PUNCT = re.compile(r"[^\w\s\x00]+")
@@ -69,12 +60,6 @@ def strip_plural(token: str) -> str:
     if token.endswith(("ses", "xes", "zes", "ches", "shes")):
         return token[:-2]
     return token[:-1]
-
-
-def normalize_name(name: str) -> str:
-    """Lowercase, turn punctuation runs into spaces, singularize tokens."""
-    tokens = _NON_WORD.sub(" ", name.lower()).split()
-    return " ".join(t for t in (strip_plural(tok) for tok in tokens) if t)
 
 
 def jaro_winkler(a: str, b: str) -> float:
@@ -101,26 +86,19 @@ class _Strings:
             np.frombuffer(blob, np.uint32),
         )
 
-    def padded(self, rows: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
-        """The strings ``rows`` as a matrix padded with ``fill``, and their
-        lengths.  The matrix has at least one column, so a row always has a
-        position for ``argmax`` to return."""
+    def padded(
+        self, rows: np.ndarray, fill: int, width: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The strings ``rows`` as a matrix padded with ``fill``, cut to ``width``
+        columns if given, and their lengths.  The matrix has at least one column,
+        so a row always has a position for ``argmax`` to return."""
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
-        cols = np.arange(max(lengths.max(initial=0), 1))
+        cols = np.arange(max(lengths.max(initial=0), 1) if width is None else width)
         inside = cols < lengths[:, None]
         out = np.full(inside.shape, fill, np.uint32)
         out[inside] = self.codes[(starts[:, None] + cols)[inside]]
         return out, lengths
-
-    def heads(self, fill: int) -> np.ndarray:
-        """The first ``_PREFIX_LEN`` code points of every string, as a
-        matrix padded with ``fill``."""
-        cols = np.arange(_PREFIX_LEN)
-        inside = cols < np.diff(self.indptr)[:, None]
-        out = np.full(inside.shape, fill, np.uint32)
-        out[inside] = self.codes[(self.indptr[:-1, None] + cols)[inside]]
-        return out
 
 
 def _score_pairs(
@@ -187,8 +165,11 @@ def _bounds(
     read.  The bound is raised by ``_BOUND_SLACK``, so that float rounding
     never puts it below the score.
     """
-    len_a, len_b = np.diff(queries.indptr)[qrows], np.diff(forms.indptr)[frows]
-    same = queries.heads(_PAD_QUERY)[qrows] == forms.heads(_PAD_FORM)[frows]
+    n_a, n_b = len(queries.indptr) - 1, len(forms.indptr) - 1
+    head_a, len_a = queries.padded(np.arange(n_a), _PAD_QUERY, _PREFIX_LEN)
+    head_b, len_b = forms.padded(np.arange(n_b), _PAD_FORM, _PREFIX_LEN)
+    same = head_a[qrows] == head_b[frows]
+    len_a, len_b = len_a[qrows], len_b[frows]
     prefix = np.logical_and.accumulate(same, axis=1).sum(axis=1)
     m = np.minimum(len_a, len_b)
     jaro = (m / len_a + m / len_b + 1.0) / 3.0
@@ -348,13 +329,16 @@ def _name_runs(graph: CategoryGraph) -> Iterator[tuple[list[str], np.ndarray, bo
 def _normalize_run(
     names: list[str], singular: dict[str, str]
 ) -> tuple[list[str], list[str]]:
-    """``normalize_name`` of each name, and the tokens of those forms with
-    ``_SEP`` after each but the last.
+    """The form of each name, its lowercase words between characters that
+    are not alphanumeric, singularized and joined by single spaces; and the
+    tokens of those forms with ``_SEP`` after each but the last.
 
     The run is joined, lowercased, cleared of punctuation and split once.
     ``singular`` maps a token to ``strip_plural`` of it, and gains the
     run's new tokens.
     """
+    if not names:
+        return [], []
     text = _SEP.join(names)
     if text.count(_SEP) >= len(names):  # a name holds the separator
         text = _SEP.join(name.replace(_SEP, " ") for name in names)
@@ -397,18 +381,21 @@ def map_taxonomy(
                     f"override for {label_id!r} maps to non-category node {node}"
                 )
 
-    # every label's query parts first, so one kernel call scores them all
+    # every label's query parts first, normalized in one run and scored in one call
+    parts = {
+        lab.id: split_conjunctions(lab.name)
+        for lab in taxonomy.labels
+        if lab.id not in overrides
+    }
+    norms = iter(_normalize_run(list(itertools.chain(*parts.values())), {})[0])
     queries: list[tuple[str, str]] = []  # (part, normalized part)
     label_queries: dict[str, range] = {}
-    for lab in taxonomy.labels:
-        if lab.id in overrides:
-            continue
+    for label_id, label_parts in parts.items():
         start = len(queries)
-        for part in split_conjunctions(lab.name):
-            norm = normalize_name(part)
+        for part, norm in zip(label_parts, norms):
             if norm and norm not in (q for _, q in queries[start:]):
                 queries.append((part, norm))
-        label_queries[lab.id] = range(start, len(queries))
+        label_queries[label_id] = range(start, len(queries))
     exact, best_node, best_score = _match(graph, [q for _, q in queries])
 
     entries: dict[str, list[MappedCategory]] = {}

@@ -8,7 +8,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection
 
 import numpy as np
 
@@ -31,7 +31,7 @@ _ASCII_WORDS = bytes(
 # maps it to _SEP_ID: each text's ids end with it, and a word's row is the
 # number of separators before it.
 _SEP, _SEP_ID = "|", -2
-_RUN_CHARS = 1 << 12  # characters of words per split and lookup of transform
+_RUN_CHARS = 1 << 12  # characters of a joined run of transform, separators too
 _PASS_RUNS = 16  # runs per numpy pass of transform
 _HEADROOM = 1.1  # a RowWriter's room past the nonzeros it expects
 
@@ -51,9 +51,9 @@ class DocMatrix:
 
 
 class RowWriter:
-    """A ``DocMatrix`` written a batch of rows at a time into columns that
-    grow in place (``ndarray.resize``), then trimmed once, so that no step
-    holds the rows' parts beside a joined copy.
+    """A ``DocMatrix`` of ``n_rows`` rows, written a batch of rows at a time
+    into columns that grow in place (``ndarray.resize``), then trimmed once,
+    so that no step holds the rows' parts beside a joined copy.
 
     When a batch does not fit, the columns grow to ``_HEADROOM`` times
     ``expect(rows, nonzeros)``, the caller's estimate of all the nonzeros
@@ -79,8 +79,6 @@ class RowWriter:
         lo, hi = self.rows, self.rows + len(lengths)
         start = int(self.indptr[lo])
         stop = start + len(indices)
-        if hi >= len(self.indptr):
-            self.indptr.resize(max(hi + 1, len(self.indptr) * 5 // 4), refcheck=False)
         ends = self.indptr[lo + 1 : hi + 1]
         np.cumsum(lengths, out=ends)
         ends += start
@@ -95,7 +93,6 @@ class RowWriter:
 
     def matrix(self) -> DocMatrix:
         """The rows written, in columns trimmed to them."""
-        self.indptr.resize(self.rows + 1, refcheck=False)
         size = int(self.indptr[-1])
         self.indices.resize(size, refcheck=False)
         self.data.resize(size, refcheck=False)
@@ -137,15 +134,14 @@ def _idf(n_docs: int, df: int) -> float:
     return math.log((1 + n_docs) / (1 + df)) + 1.0
 
 
-def fit_tfidf(corpus: Iterable[str], min_df: int = 3) -> TfIdfModel:
+def fit_tfidf(corpus: Collection[str], min_df: int = 3) -> TfIdfModel:
     """Count document frequencies in one pass, keep terms with df >= min_df."""
     if min_df < 1:
         raise ConfigurationError(f"min_df must be >= 1, got {min_df}")
-    texts = list(corpus)
-    if not texts:
+    if not corpus:
         raise ConfigurationError("cannot fit tf-idf on an empty corpus")
-    n_docs = len(texts)
-    df = Counter(chain.from_iterable(map(set, map(str.split, map(_words, texts)))))
+    n_docs = len(corpus)
+    df = Counter(chain.from_iterable(map(set, map(str.split, map(_words, corpus)))))
     # one-character words, which only ASCII texts give, are no tokens
     terms = sorted(w for w, c in df.items() if c >= min_df and len(w) > 1)
     if not terms:
@@ -159,38 +155,36 @@ def fit_tfidf(corpus: Iterable[str], min_df: int = 3) -> TfIdfModel:
     return TfIdfModel(n_docs, min_df, terms, kept_df, idf)
 
 
-def transform(model: TfIdfModel, texts: Iterable[str]) -> DocMatrix:
+def transform(model: TfIdfModel, texts: Collection[str]) -> DocMatrix:
     """One row per text: term counts times idf, L2 normalized.
 
     Unknown terms are ignored.  A row's norm adds the squared weights in the
     order the terms first occur in its text.  The words of a run of texts,
-    about ``_RUN_CHARS`` characters, are split and looked up in one call
-    each, so per text only the tokenizing runs in Python; ``_PASS_RUNS``
-    runs are weighed in one numpy pass, whose rows a ``RowWriter`` writes
-    straight into the matrix.  The matrix takes 12 bytes per nonzero; from
-    the first pass its columns are sized for all the texts, at the lower of
-    that pass's nonzeros per text and per character, so a corpus whose
-    first texts are unlike the rest grows them a few times rather than
-    reserving a multiple of the matrix.  A pass's temporaries stay small
-    beside it.
+    about ``_RUN_CHARS`` characters joined, are split and looked up in one
+    call each, so per text only the tokenizing runs in Python;
+    ``_PASS_RUNS`` runs are weighed in one numpy pass, whose rows a
+    ``RowWriter`` writes straight into the matrix.  The matrix takes 12
+    bytes per nonzero; from the first pass its columns are sized for all
+    the texts, at the lower of that pass's nonzeros per text and per
+    character, so a corpus whose first texts are unlike the rest grows them
+    a few times rather than reserving a multiple of the matrix.  Separators
+    count as a run's characters, so however short the texts, a pass's
+    temporaries take about 1.5 MB (more for a text longer than a run).
     """
     if isinstance(texts, str):
-        raise ConfigurationError("transform takes an iterable of texts, not a str")
+        raise ConfigurationError("transform takes a collection of texts, not a str")
     lookup, idf = model.word_ids.get, np.array(model.idf)
-    if isinstance(texts, Collection):
-        n_texts, n_chars = len(texts), sum(map(len, texts))
+    n_texts, n_chars = len(texts), sum(map(len, texts))
 
-        def expect(rows: int, nonzeros: int) -> float:
-            chars = sum(map(len, islice(texts, rows)))  # > 0, as nonzeros > 0
-            return nonzeros * min(n_texts / rows, n_chars / chars)
+    def expect(rows: int, nonzeros: int) -> float:
+        chars = sum(map(len, islice(texts, rows)))  # > 0, as nonzeros > 0
+        return nonzeros * min(n_texts / rows, n_chars / chars)
 
-        out = RowWriter(n_texts, expect)
-    else:  # a single pass over the texts: grow as they come
-        out = RowWriter(0, lambda rows, nonzeros: nonzeros)
+    out = RowWriter(n_texts, expect)
     ids, run, size = [], [], 0
     for words in map(_words, texts):
         run.append(words)
-        size += len(words)
+        size += len(words) + 3  # and the " | " after them
         if size >= _RUN_CHARS:
             ids.append(_look_up(lookup, run))
             run, size = [], 0

@@ -3,13 +3,15 @@
 Set-valued token and prefix postings, and for each query part a scalar
 Jaro–Winkler call per candidate form, with no pair left out: the best
 score per node kept in a dict and the best node found by a scan in node
-order.  The batched mapper, which scores only the pairs that can still
-win, is tested against it.
+order.  Each name is normalized alone, by one regex (``normalize_name``),
+where the mapper normalizes names a run at a time.  The batched mapper,
+which scores only the pairs that can still win, is tested against it.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 from jw_oracle import jaro_winkler
 from wikicat.exceptions import TaxonomyError
@@ -17,11 +19,18 @@ from wikicat.graph_store import CategoryGraph
 from wikicat.taxonomy import CategoryMapping, MappedCategory, NearMiss, Taxonomy
 from wikicat.taxonomy_mapper import (
     DEFAULT_THRESHOLD,
-    normalize_name,
     split_conjunctions,
+    strip_plural,
 )
 
 _PREFIX_LEN = 4
+_NON_WORD = re.compile(r"[\W_]+")
+
+
+def normalize_name(name: str) -> str:
+    """Lowercase, turn punctuation runs into spaces, singularize tokens."""
+    tokens = _NON_WORD.sub(" ", name.lower()).split()
+    return " ".join(t for t in (strip_plural(tok) for tok in tokens) if t)
 
 
 class NameIndex:

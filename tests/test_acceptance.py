@@ -289,8 +289,9 @@ def test_c6_classifiers_beat_keyword_baseline():
     t0 = time.monotonic()
     rows, names = make_separable_corpus(5, 200, seed=0)
     train, test = split_corpus(rows, fold=5)
-    tfidf = fit_tfidf((text for _, _, text in train), min_df=3)
-    vectors = transform(tfidf, [text for _, _, text in train])
+    texts = [text for _, _, text in train]
+    tfidf = fit_tfidf(texts, min_df=3)
+    vectors = transform(tfidf, texts)
     labels = [lab for _, lab, _ in train]
     cen = train_centroid(vectors, labels)
     svm = train_svm(vectors, labels, TrainConfig(seed=0), tfidf.vocab_size)

@@ -25,6 +25,15 @@ checks.  Each mutated file goes through ``load_snapshot`` and, if it loads,
 ``map_taxonomy`` and ``label_corpus``, in process: the only exceptions
 allowed are ``WikicatError``, which the CLI reports with exit 2, and
 ``OSError``, and the traced peak stays under a fixed bound.
+
+Three more inputs run through ``main`` in process, each case under
+``tracemalloc`` with a fixed bound on its peak, and must exit 0 or 2:
+- a ``--config`` file that holds one odd JSON value for one key of one
+  command, its flag left out, for every key of every command;
+- ``map --overrides`` files, with a value replaced or a byte mutated, whose
+  exit-2 messages must name a file;
+- the bytes of a centroid and an SVM model, mutated as the TSVs are, through
+  ``predict``, whose exit-2 messages must name a file.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from typing import Any, Iterator
 
 import pytest
 
+from wikicat.cli import COMMANDS as CLI_COMMANDS
 from wikicat.cli import main
 from wikicat.exceptions import WikicatError
 from wikicat.graph_store import load_snapshot, save_snapshot
@@ -369,3 +379,226 @@ def test_fuzzed_snapshot_loads_or_is_refused(snapshot, suvs_taxonomy, tmp_path, 
         tracemalloc.stop()
     assert not bad, "\n".join(bad)
     assert peak < SNAPSHOT_PEAK_BYTES, peak
+
+
+# ------------------------------------------- configs, overrides and models
+
+
+@pytest.fixture(scope="module")
+def wiki_files(wiki_inputs):
+    """The fuzz wiki's inputs, with its TSVs, an SVM model trained on two
+    documents per class, and an overrides file that names two categories
+    for one label and one for another."""
+    d = wiki_inputs["graph"].parent
+    paths = {**wiki_inputs, **{name: d / f"{name}.tsv" for name in TSVS[:3]}}
+    paths["svm"] = d / "svm" / "coarse.svm.json"
+    argv = [
+        "train", "--labels", paths["labels"], "--corpus", paths["corpus"],
+        "--taxonomy", paths["taxonomy"], "--kind", "svm", "--n-per-class", "2",
+        "--out-dir", paths["svm"].parent,
+    ]
+    assert main([str(arg) for arg in argv]) == 0
+    paths["overrides"] = d / "overrides.json"
+    paths["overrides"].write_text(
+        json.dumps({"alpha": ["Alpha", "Alpha section 1"], "charlie": ["Charlie"]}),
+        encoding="utf-8",
+    )
+    return paths
+
+
+def flags(values: dict[str, str], paths: dict[str, Path], work: Path) -> list[str]:
+    """Command-line flags: an input's name stands for its path, an "out"
+    name for a path in ``work``, and any other value for itself."""
+    argv = []
+    for key, arg in values.items():
+        value = paths.get(arg) or (work / arg if arg.startswith("out/") else arg)
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    return argv
+
+
+def traced_faults(
+    runs: list[tuple[Any, list[str], Path]], bound: int, capsys, monkeypatch,
+    name_a_file: bool = True,
+) -> list[str]:
+    """Run each (case, command line, working directory) in process under
+    ``tracemalloc``; the runs that exited other than 0 or 2, that traced
+    ``bound`` bytes or more above what was traced before them, or, with
+    ``name_a_file``, that exited 2 without naming a path of their command
+    line."""
+    bad = []
+    tracemalloc.start()
+    try:
+        for case, argv, cwd in runs:
+            monkeypatch.chdir(cwd)
+            capsys.readouterr()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            err = capsys.readouterr().err
+            named = any(arg in err for arg in argv if Path(arg).is_absolute())
+            if code not in (0, 2) or peak >= bound or (
+                name_a_file and code == 2 and not named
+            ):
+                bad.append(f"{case}: exit {code}, peak {peak}: {err.strip()}")
+    finally:
+        tracemalloc.stop()
+    return bad
+
+
+# A config key's odd values: every JSON type, int64's edge and an int beyond
+# any float, signed zero and the extreme floats, a NUL, a relative path, a
+# scheme's name and a list of labeling modes.
+CONFIG_VALUES = (
+    None, True, False, 0, 1, -1, 2**63, 10**400, -0.0, 0.5, 5e-324, 1e308,
+    "", "\0", "coarse", "../x", [], {}, ["full", "min_dist"],
+)
+# An SVM epoch is a pass over the training rows, so 2**63 epochs is work that
+# the config asks for, not a fault: ``epochs`` takes no value above this.
+MOST_EPOCHS = 3
+# Each command's flags for a run that exits 0.  A case leaves out its key's
+# flag, so that the config's value is read.  Two or five documents per
+# class keep training and sampling fast.
+CONFIG_FLAGS = {
+    "build-graph": {
+        "categories": "categories", "pages": "pages", "edges": "edges",
+        "out": "out/graph.bin",
+    },
+    "map": {"graph": "graph", "taxonomy": "taxonomy", "out": "out/mapping.json"},
+    "label": {
+        "graph": "graph", "taxonomy": "taxonomy", "mapping": "mapping",
+        "out": "out/labels.jsonl",
+    },
+    "sample": {
+        "labels": "labels", "corpus": "corpus", "taxonomy": "taxonomy",
+        "n_per_class": "5", "out": "out/sample.jsonl",
+    },
+    "train": {
+        "labels": "labels", "corpus": "corpus", "taxonomy": "taxonomy",
+        "n_per_class": "2", "out_dir": "out/models",
+    },
+    "predict": {"model": "model", "corpus": "corpus", "out": "out/preds.jsonl"},
+    "evaluate": {
+        "eval": "eval", "models_dir": "models", "taxonomy": "taxonomy",
+        "kind": "centroid", "out": "out/report.json",
+    },
+    "ablate": {
+        "graph": "graph", "taxonomy": "taxonomy", "corpus": "corpus", "eval": "eval",
+        "n_per_class": "2", "out_dir": "out/ablate",
+    },
+}
+CONFIG_SAMPLE = 120
+# A config case's traced peak.  The sample's worst was 1.3 MB, ``ablate``'s
+# default of 200 documents per class; of every case, ``train``'s default of
+# 20 000 per class (3 classes) peaked highest, at 67 MB, in 50 s.
+CONFIG_PEAK_BYTES = 16 << 20
+
+
+def config_cases() -> list[tuple[str, str, Any]]:
+    """Every (command, key, value) case: each value for each key of each
+    command, but ``epochs`` above MOST_EPOCHS."""
+    return [
+        (command, key, value)
+        for command, (_, _, _, keys) in CLI_COMMANDS.items()
+        for key in (getattr(k, "key", k) for k in keys)
+        for value in CONFIG_VALUES
+        if key != "epochs" or type(value) is not int or value <= MOST_EPOCHS
+    ]
+
+
+def config_run(
+    paths: dict[str, Path], work: Path, case: tuple[str, str, Any]
+) -> tuple[Any, list[str], Path]:
+    """A case's run: its config, in ``work``, holds the case's value, and
+    the command's other flags are CONFIG_FLAGS'.  ``work`` is the working
+    directory too, so that a relative path in the config stays inside it."""
+    command, key, value = case
+    (work / "out").mkdir(parents=True)
+    config = work / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    values = {k: v for k, v in CONFIG_FLAGS[command].items() if k != key}
+    return case, [command, "--config", str(config), *flags(values, paths, work)], work
+
+
+def test_fuzzed_config_exits_0_or_2(wiki_files, tmp_path, capsys, monkeypatch):
+    sample = random.Random(SEED).sample(config_cases(), CONFIG_SAMPLE)
+    runs = [
+        config_run(wiki_files, tmp_path / str(i), case)
+        for i, case in enumerate(sample)
+    ]
+    bad = traced_faults(runs, CONFIG_PEAK_BYTES, capsys, monkeypatch, False)
+    assert not bad, "\n".join(bad)
+
+
+OVERRIDES_SAMPLE = 150
+OVERRIDES_PEAK_BYTES = 4 << 20  # every case peaked at 0.13 MB or less
+
+
+def overrides_cases(paths: dict[str, Path]) -> list[tuple]:
+    """Every ("value", path in the document, value) and every ("bytes",
+    mutation, seed) case of the overrides file."""
+    doc = json.loads(paths["overrides"].read_text(encoding="utf-8"))
+    values = [("value", path, value) for path in positions(doc) for value in VALUES]
+    return values + byte_cases("bytes")
+
+
+def overrides_run(
+    paths: dict[str, Path], work: Path, case: tuple
+) -> tuple[Any, list[str], Path]:
+    """``map`` with the case's overrides file, written into ``work``."""
+    data = paths["overrides"].read_bytes()
+    if case[0] == "value":
+        data = json.dumps(replaced(json.loads(data), *case[1:])).encode()
+    else:
+        data = mutated(data, *case[1:])
+    (work / "out").mkdir(parents=True)
+    fuzzed = {**paths, "overrides": work / "overrides.json"}
+    fuzzed["overrides"].write_bytes(data)
+    values = {
+        "graph": "graph", "taxonomy": "taxonomy", "overrides": "overrides",
+        "out": "out/mapping.json",
+    }
+    return case, ["map", *flags(values, fuzzed, work)], work
+
+
+MODELS = ("model", "svm")  # the centroid model and the SVM one
+MODEL_SAMPLE = 150  # per model
+# Every case peaked at 0.7 MB or less, for model files of 22 and 3.4 KB.
+MODEL_PEAK_BYTES = 8 << 20
+
+
+def model_run(
+    paths: dict[str, Path], work: Path, case: tuple[str, str, int]
+) -> tuple[Any, list[str], Path]:
+    """``predict`` with the case's model file, written into ``work``."""
+    name, mutation, seed = case
+    (work / "out").mkdir(parents=True)
+    fuzzed = {**paths, "model": work / "model.json"}
+    fuzzed["model"].write_bytes(mutated(paths[name].read_bytes(), mutation, seed))
+    values = {"model": "model", "corpus": "corpus", "out": "out/preds.jsonl"}
+    return case, ["predict", *flags(values, fuzzed, work)], work
+
+
+def test_fuzzed_overrides_exit_0_or_2_naming_a_file(
+    wiki_files, tmp_path, capsys, monkeypatch
+):
+    every = overrides_cases(wiki_files)
+    sample = random.Random(SEED).sample(every, OVERRIDES_SAMPLE)
+    runs = [
+        overrides_run(wiki_files, tmp_path / str(i), case)
+        for i, case in enumerate(sample)
+    ]
+    bad = traced_faults(runs, OVERRIDES_PEAK_BYTES, capsys, monkeypatch)
+    assert not bad, "\n".join(bad)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_fuzzed_model_bytes_exit_0_or_2_naming_a_file(
+    wiki_files, tmp_path, capsys, monkeypatch, name
+):
+    sample = random.Random(f"{SEED}:{name}").sample(byte_cases(name), MODEL_SAMPLE)
+    runs = [
+        model_run(wiki_files, tmp_path / str(i), case) for i, case in enumerate(sample)
+    ]
+    bad = traced_faults(runs, MODEL_PEAK_BYTES, capsys, monkeypatch)
+    assert not bad, "\n".join(bad)

@@ -26,6 +26,7 @@ import jw_oracle
 import mapper_oracle
 import wikicat.taxonomy_mapper as taxonomy_mapper
 from conftest import write_graph_files
+from mapper_oracle import normalize_name
 from wikicat.graph_store import load_graph
 from wikicat.synth import make_scale_graph
 from wikicat.taxonomy import Taxonomy, TaxonomyLabel, load_taxonomy
@@ -39,7 +40,6 @@ from wikicat.taxonomy_mapper import (
     _Strings,
     jaro_winkler,
     map_taxonomy,
-    normalize_name,
     save_mapping,
 )
 
@@ -167,14 +167,14 @@ names = st.lists(
 @given(st.lists(names, min_size=1, max_size=30), st.integers(1, 30))
 def test_runs_normalize_each_name_as_normalize_name(batch, cut):
     """Two runs that share one token table, as ``_match`` reads them; the
-    tokens of a run are its forms' tokens with the separator between."""
+    tokens of a run are its forms' tokens with the separator between.  The
+    second run may be empty, and has no forms then."""
     singular: dict[str, str] = {}
     got = []
     for run in (batch[:cut], batch[cut:]):
-        if run:
-            forms, tokens = _normalize_run(run, singular)
-            assert tokens == f" {_SEP} ".join(forms).split()
-            got += forms
+        forms, tokens = _normalize_run(run, singular)
+        assert tokens == f" {_SEP} ".join(forms).split()
+        got += forms
     assert got == [normalize_name(name) for name in batch]
 
 

@@ -1,6 +1,6 @@
 """Every top-level function and class and every method in the package is
-used by the package, and every defaulted parameter is passed by some call
-in it.
+used by the package, every defaulted parameter is passed by some call in
+it, and every name a module imports is referred to in that module.
 
 Slow reference versions and helpers that only tests call belong in
 ``tests/``; a definition that nothing in ``src/wikicat`` refers to, and that
@@ -246,4 +246,45 @@ def test_parameter_check_counts_keywords_positions_classes_and_stars(tmp_path):
         "a.py:10: unpassed(k)",
         "a.py:10: unpassed(only)",
         "a.py:17: method(k)",
+    ]
+
+
+def _unused_imports(package: Path) -> list[str]:
+    """``file:line: name`` of each name that a module imports, under
+    ``TYPE_CHECKING`` too, and never refers to.  ``from __future__``
+    imports set compiler flags, so they are exempt."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_every_imported_name_is_used():
+    assert _unused_imports(Path(wikicat.__file__).parent) == []
+
+
+def test_import_check_flags_names_their_module_never_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\nimport re as regex\nimport sys\n"
+        "from typing import TYPE_CHECKING, Any\n\n"
+        "from .b import VALUE, unused\n\n"
+        "if TYPE_CHECKING:\n    from .c import Graph, Lonely\n\n"
+        "def f(g: Graph) -> Any:\n    return os.path.join(regex.escape(VALUE))\n",
+        encoding="utf-8",
+    )
+    assert _unused_imports(tmp_path) == [
+        "a.py:5: sys",
+        "a.py:8: unused",
+        "a.py:11: Lonely",
     ]

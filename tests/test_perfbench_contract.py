@@ -24,7 +24,8 @@ from docmatrix import docs
 from wikicat.classifiers import TrainConfig, train_centroid, train_svm
 from wikicat.labeler import LabelingConfig, coarse_scheme
 from wikicat.synth import make_ablation_wiki
-from wikicat.taxonomy_mapper import load_taxonomy, map_taxonomy
+from wikicat.taxonomy import load_taxonomy
+from wikicat.taxonomy_mapper import map_taxonomy
 
 SHIM = Path(__file__).resolve().parents[1] / "perfbench" / "shim.py"
 

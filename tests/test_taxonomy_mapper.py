@@ -10,10 +10,10 @@ from conftest import page_node
 from wikicat.exceptions import TaxonomyError
 from wikicat.taxonomy import CategoryMapping, Taxonomy, TaxonomyLabel
 from wikicat.taxonomy_mapper import (
+    _normalize_run,
     jaro_winkler,
     load_mapping,
     map_taxonomy,
-    normalize_name,
     resolve_override_names,
     save_mapping,
     split_conjunctions,
@@ -42,7 +42,7 @@ from wikicat.taxonomy_mapper import (
     ],
 )
 def test_normalize_name(raw, expected):
-    assert normalize_name(raw) == expected
+    assert _normalize_run([raw], {})[0] == [expected]
 
 
 def test_normalize_output_shape():
@@ -51,7 +51,7 @@ def test_normalize_output_shape():
     alphabet = "abcdefgs .&-XYZ"
     for _ in range(200):
         s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
-        out = normalize_name(s)
+        (out,) = _normalize_run([s], {})[0]
         assert out == out.lower()
         assert out == " ".join(out.split())
         assert all(tok.isalnum() for tok in out.split())

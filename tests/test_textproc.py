@@ -219,11 +219,11 @@ def test_transform_matches_dict_oracle(case):
     """``fit_tfidf`` and ``transform`` give the loop oracles' model and rows,
     bit for bit; the vocabulary may be empty."""
     fit, min_df, corpus = case
-    model = fit_tfidf(iter(fit), min_df=min_df)
+    model = fit_tfidf(fit, min_df=min_df)
     want = textproc_oracle.fit_tfidf(fit, min_df)
     assert (model.n_docs, model.terms, model.df) == (want.n_docs, want.terms, want.df)
     assert [w.hex() for w in model.idf] == [w.hex() for w in want.idf]
-    got = transform(model, iter(corpus))
+    got = transform(model, corpus)
     assert len(got) == len(corpus)
     assert got.data.dtype == np.float64
     rows = _hex_rows(dicts(got))
@@ -269,16 +269,12 @@ def _corpora():
 
 
 @pytest.mark.parametrize("name", sorted(_corpora()))
-@pytest.mark.parametrize("given", ["list", "generator"])
 @pytest.mark.parametrize("per_pass", ["default", "one"])
-def test_transform_written_in_place_matches_the_oracle(
-    monkeypatch, name, given, per_pass
-):
-    """The columns that each pass writes into, sized from the first pass
-    for a list and grown as the texts come for a generator, hold the
-    oracle's rows, bit for bit.  With a run of one character and a pass of
-    one run, every text is a pass of its own and the columns grow again
-    and again."""
+def test_transform_written_in_place_matches_the_oracle(monkeypatch, name, per_pass):
+    """The columns that each pass writes into, sized from the first pass,
+    hold the oracle's rows, bit for bit.  With a run of one character and a
+    pass of one run, every text is a pass of its own and the columns grow
+    again and again."""
     import wikicat.textproc as textproc
 
     corpus = _corpora()[name]
@@ -286,7 +282,7 @@ def test_transform_written_in_place_matches_the_oracle(
     if per_pass == "one":
         monkeypatch.setattr(textproc, "_RUN_CHARS", 1)
         monkeypatch.setattr(textproc, "_PASS_RUNS", 1)
-    got = transform(model, corpus if given == "list" else iter(corpus))
+    got = transform(model, corpus)
     assert len(got) == len(corpus) == len(got.indptr) - 1
     assert got.indptr[-1] == len(got.indices) == len(got.data)
     assert got.indices.dtype == np.int32 and got.data.dtype == np.float64
@@ -336,24 +332,35 @@ def test_a_bar_in_a_text_never_shifts_another_row(monkeypatch):
 
 
 def test_transform_temporaries_stay_bounded():
-    """3.4 million characters of texts, about 50 numpy passes, with one text
-    of 129 000 in the middle, in which one word in 20 is a term: beside the
-    matrix, ``transform`` holds about one pass's or the long text's words at
-    a time (0.9 MB here), not the corpus's (about 40 MB)."""
+    """Beside the matrix, ``transform`` holds about one pass's or one long
+    text's words at a time, not the corpus's.  Two corpora: 3.4 million
+    characters of texts, about 50 numpy passes, with one text of 129 000 in
+    the middle, in which one word in 20 is a term (1.7 MB beside the
+    matrix, where the corpus's words take about 40 MB); and 500 texts of 30
+    terms, then 200 000 texts of one three-character term each, whose
+    passes hold many rows (1.6 MB beside a 4.2 MB matrix)."""
     rng = random.Random(5)
     vocab = [f"w{i}x" for i in range(2000)]
     model = fit_tfidf([" ".join(vocab[:100])], min_df=1)
-    texts = [" ".join(rng.choices(vocab, k=30)) for _ in range(17_000)]
-    texts.insert(8_500, " ".join(rng.choices(vocab, k=20_000)))
-    tracemalloc.start()
-    try:
-        matrix = transform(model, texts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(matrix) == len(texts)
-    held = matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes
-    assert peak < 2 * held + 2_000_000, (peak, held)
+    long = [" ".join(rng.choices(vocab, k=30)) for _ in range(17_000)]
+    long.insert(8_500, " ".join(rng.choices(vocab, k=20_000)))
+    short = [" ".join(rng.choices(vocab[:100], k=30)) for _ in range(500)]
+    short += rng.choices(vocab[:10], k=200_000)
+    for texts in (long, short):
+        matrix, held, peak = _traced_transform(model, texts)
+        assert len(matrix) == len(texts)
+        assert peak < 2 * held + 2_000_000, (len(texts), peak, held)
+
+
+def test_transform_passes_of_empty_texts_stay_bounded():
+    """A run's separators count towards its characters, so empty texts are
+    split into passes like any other texts.  When only their words counted,
+    300 000 empty texts made one pass whose words and ids took about five
+    times the 2.4 MB matrix."""
+    model = fit_tfidf(["alpha beta"], min_df=1)
+    matrix, held, peak = _traced_transform(model, [""] * 300_000)
+    assert len(matrix) == 300_000 and len(matrix.indices) == 0
+    assert peak < 1.25 * held + 1_000_000, (peak, held)
 
 
 def _traced_transform(model, texts):

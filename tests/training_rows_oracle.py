@@ -115,8 +115,9 @@ def train_sets(rows, kind, n_per_class, min_df, train_cfg, out_dir) -> Iterator:
             set_rows = sample_balance(set_rows, n_per_class, train_cfg.seed)
         labels = [label for _, label, _ in set_rows]
         counts = Counter(labels)
-        tfidf = fit_tfidf((text for _, _, text in set_rows), min_df=min_df)
-        vectors = transform(tfidf, [text for _, _, text in set_rows])
+        texts = [text for _, _, text in set_rows]
+        tfidf = fit_tfidf(texts, min_df=min_df)
+        vectors = transform(tfidf, texts)
         if kind == "centroid":
             model = train_centroid(vectors, labels, tfidf=tfidf)
         else:
