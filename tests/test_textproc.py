@@ -185,6 +185,18 @@ def test_transform_rejects_a_bare_string():
         transform(model, "alpha beta")
 
 
+@pytest.mark.parametrize("call", ["fit_tfidf", "transform"])
+def test_a_one_pass_iterator_is_refused_before_any_text_is_read(call):
+    """Both take a sized collection of texts: a generator fails on its
+    length, with none of its texts consumed, rather than being copied or
+    read as it comes."""
+    model = fit_tfidf(["alpha beta", "alpha beta"], min_df=1)
+    texts = iter(["alpha beta", "beta gamma"])
+    with pytest.raises(TypeError, match="has no len"):
+        fit_tfidf(texts, min_df=1) if call == "fit_tfidf" else transform(model, texts)
+    assert list(texts) == ["alpha beta", "beta gamma"]
+
+
 # a small pool, so that tokens repeat; "ü" and "ж" words are non-ASCII, and
 # single letters, digits-only words and "_" joiners test the tokenizer
 _WORDS = ["alpha", "beta", "gamma", "über", "жук", "x", "42", "a_b", "Alpha", "zz"]
