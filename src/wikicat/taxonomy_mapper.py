@@ -2,12 +2,13 @@
 
 Matching per label: manual overrides win outright; otherwise the label name
 and its conjunction parts are normalized, and one pass over the category
-names and redirect aliases normalizes them a run at a time and joins each
-form to those parts by token key.  All exact normalized matches are
-accepted, and each query part may additionally accept its best fuzzy
-candidate when its similarity clears the threshold.  Only the candidate
-pairs whose score bound reaches a part's best are scored, by a batched
-Jaro-Winkler kernel.
+names normalizes them a run at a time, each run with its categories'
+redirect aliases, and joins each form to those parts by token key.  All
+exact normalized matches are accepted, and each query part may additionally
+accept its best fuzzy candidate when its similarity clears the threshold.
+A run's pairs are scored within the run, by a batched Jaro-Winkler kernel,
+only where their score bound reaches the part's best, and only each part's
+best so far carries over to the next run.
 For labels that stay unmapped, the best below-threshold candidates are
 reported so they can be curated into overrides.
 """
@@ -191,24 +192,22 @@ def _match(
 ) -> tuple[list[list[int]], list[int], list[float]]:
     """Per query, its exact nodes, its best fuzzy node and that node's score.
 
-    Each alias, then each category name, is normalized once, a run of
-    names at a time.  A form equal to a query names one of its exact nodes.
-    A form is a fuzzy candidate of every query that shares a key with it, a
-    key being the first four characters of a token (a shorter token is its
-    own key), so that close inflections (singular against -ism, -ing, ...
-    variants) stay reachable.  A node's score is the highest Jaro-Winkler
-    similarity of its forms; the best node has the highest score, the
-    lowest node id among equal ones.  A query's exact nodes are not its
-    candidates, and a query without candidates gets node -1 and score 0.0.
+    The category names are normalized a run of names at a time, each run
+    with the aliases of its categories.  A form equal to a query names one
+    of its exact nodes.  A form is a fuzzy candidate of every query that
+    shares a key with it, a key being the first four characters of a token
+    (a shorter token is its own key), so that close inflections (singular
+    against -ism, -ing, ... variants) stay reachable.  A node's score is
+    the highest Jaro-Winkler similarity of its forms; the best node has the
+    highest score, the lowest node id among equal ones.  A query's exact
+    nodes are not its candidates, and a query without candidates gets node
+    -1 and score 0.0.
 
-    Only the pairs that can still reach a query's best are scored.  Each
-    pair has a bound on its score (``_bounds``), and each query a floor: a
-    score that one of its candidates reaches.  A pair whose bound is below
-    the floor is dropped.  The floor rises with the score of each run's
-    highest-bound pair, and at the end with that of the highest-bound pair
-    kept.  Aliases come first because only a category run's pairs can raise
-    the floor: a node's aliases and name have then all been read, so no
-    later form can make it exact and drop the pair that set the floor.
+    Every form of a node is in the node's run, so a run settles its own
+    pairs, and only each query's best so far carries over to the next run.
+    Each pair has a bound on its score (``_bounds``), and each query a
+    floor: its best so far, raised to the score of the run's highest-bound
+    pair.  Only the pairs whose bound reaches the floor are scored.
     """
     texts = list(dict.fromkeys(queries))  # each distinct query once
     query_of = {text: q for q, text in enumerate(texts)}
@@ -224,70 +223,47 @@ def _match(
     key_rows[_SEP] = _SEP_KEY  # no query has it
     singular: dict[str, str] = {}  # strip_plural of each distinct token read
     query_strings = _Strings.encode(texts)
-    floor = np.full(len(texts), -np.inf)
-
-    def raise_floor(
-        query: np.ndarray, bound: np.ndarray, forms: _Strings, rows: np.ndarray
-    ) -> None:
-        """Raise each query's floor to the score of its highest-bound pair."""
-        top = np.full(len(texts), -np.inf)
-        np.maximum.at(top, query, bound)
-        at_top = np.flatnonzero(bound == top[query])
-        first = at_top[np.unique(query[at_top], return_index=True)[1]]
-        scores = _score_pairs(query_strings, query[first], forms, rows[first])
-        floor[query[first]] = np.maximum(floor[query[first]], scores)
 
     n_nodes = graph.n_nodes
     exact: list[set[int]] = [set() for _ in texts]
-    exact_keys: list[int] = []  # query * n_nodes + node of each exact node
-    # the candidate pairs that can still reach their query's best
-    query = node = np.zeros(0, np.int64)
-    bound = np.zeros(0)
-    forms: list[str] = []
-    for names, nodes, final in _name_runs(graph):
-        run_forms, tokens = _normalize_run(names, singular)
+    best_node = np.full(len(texts), -1)
+    best_score = np.full(len(texts), -np.inf)
+    for names, nodes in _name_runs(graph):
+        forms, tokens = _normalize_run(names, singular)
         del names  # free the run's names before the next is decoded
         found = np.fromiter(
-            map(query_of.get, run_forms, itertools.repeat(-1)), np.int64, len(nodes)
+            map(query_of.get, forms, itertools.repeat(-1)), np.int64, len(nodes)
         )
-        for q, v in zip(found[found >= 0].tolist(), nodes[found >= 0].tolist()):
-            if v not in exact[q]:
-                exact[q].add(v)
-                exact_keys.append(q * n_nodes + v)
+        hit = found >= 0
+        for q, v in zip(found[hit].tolist(), nodes[hit].tolist()):
+            exact[q].add(v)
         token_key = np.fromiter(
             map(key_rows.get, map(_HEAD, tokens), itertools.repeat(-1)),
             np.int64,
             len(tokens),
         )
-        run_query, row = _candidates(token_key, key_ptr, key_queries, len(nodes))
-        candidate = ~np.isin(run_query * n_nodes + nodes[row], exact_keys)
-        run_query, row = run_query[candidate], row[candidate]
-        run_strings = _Strings.encode(run_forms)
-        run_bound = _bounds(query_strings, run_query, run_strings, row)
-        if final:
-            raise_floor(run_query, run_bound, run_strings, row)
-        keep, run_keep = bound >= floor[query], run_bound >= floor[run_query]
-        query = np.concatenate([query[keep], run_query[run_keep]])
-        node = np.concatenate([node[keep], nodes[row[run_keep]]])
-        bound = np.concatenate([bound[keep], run_bound[run_keep]])
-        forms = [
-            *itertools.compress(forms, keep.tolist()),
-            *(run_forms[k] for k in row[run_keep].tolist()),
-        ]
-
-    # an alias's node may have turned exact since its pairs were kept
-    keep = np.flatnonzero(~np.isin(query * n_nodes + node, exact_keys))
-    strings = _Strings.encode(forms)
-    raise_floor(query[keep], bound[keep], strings, keep)
-    chosen = keep[bound[keep] >= floor[query[keep]]]
-    query, node = query[chosen], node[chosen]
-    scores = _score_pairs(query_strings, query, strings, chosen)
-    order = np.lexsort((node, -scores, query))
-    best = order[_run_starts(query[order])]
-    best_node = np.full(len(texts), -1)
-    best_score = np.zeros(len(texts))
-    best_node[query[best]] = node[best]
-    best_score[query[best]] = scores[best]
+        query, row = _candidates(token_key, key_ptr, key_queries, len(nodes))
+        node = nodes[row]
+        # no later run holds a form of these nodes, so they stay exact
+        candidate = ~np.isin(query * n_nodes + node, found[hit] * n_nodes + nodes[hit])
+        query, row, node = query[candidate], row[candidate], node[candidate]
+        strings = _Strings.encode(forms)
+        bound = _bounds(query_strings, query, strings, row)
+        order = np.lexsort((-bound, query))
+        top = order[_run_starts(query[order])]  # each query's highest bound
+        floor = best_score.copy()
+        top_scores = _score_pairs(query_strings, query[top], strings, row[top])
+        floor[query[top]] = np.maximum(floor[query[top]], top_scores)
+        chosen = np.flatnonzero(bound >= floor[query])
+        query, node = query[chosen], node[chosen]
+        scores = _score_pairs(query_strings, query, strings, row[chosen])
+        order = np.lexsort((node, -scores, query))
+        best = order[_run_starts(query[order])]
+        # an earlier run's best has a lower node, so it wins a tie
+        best = best[scores[best] > best_score[query[best]]]
+        best_node[query[best]] = node[best]
+        best_score[query[best]] = scores[best]
+    best_score[best_node < 0] = 0.0
     of_query = [query_of[text] for text in queries]
     return (
         [sorted(exact[q]) for q in of_query],
@@ -312,18 +288,21 @@ def _candidates(
     return np.divmod(pair[_run_starts(pair)], n_forms)
 
 
-def _name_runs(graph: CategoryGraph) -> Iterator[tuple[list[str], np.ndarray, bool]]:
-    """The aliases, then the category names, ``_RUN_NAMES`` at a time, with
-    their nodes and whether the run is of category names."""
-    aliases, nodes = iter(graph.aliases), iter(graph.aliases.values())
-    for _ in range(0, len(graph.aliases), _RUN_NAMES):
-        run = list(itertools.islice(aliases, _RUN_NAMES))
-        nodes_run = np.fromiter(itertools.islice(nodes, len(run)), np.int64, len(run))
-        yield run, nodes_run, False
+def _name_runs(graph: CategoryGraph) -> Iterator[tuple[list[str], np.ndarray]]:
+    """The category names ``_RUN_NAMES`` at a time, each run followed by the
+    aliases of its categories in file order, with the node of each name."""
+    aliases = list(graph.aliases)
+    targets = np.fromiter(graph.aliases.values(), np.int64, len(aliases))
+    order = np.argsort(targets, kind="stable")
+    targets = targets[order]
     n = graph.n_categories
     for lo in range(0, n, _RUN_NAMES):
         hi = min(lo + _RUN_NAMES, n)
-        yield graph.names[lo:hi], np.arange(lo, hi), True
+        a, b = np.searchsorted(targets, [lo, hi])
+        yield (
+            [*graph.names[lo:hi], *map(aliases.__getitem__, order[a:b].tolist())],
+            np.concatenate([np.arange(lo, hi), targets[a:b]]),
+        )
 
 
 def _normalize_run(

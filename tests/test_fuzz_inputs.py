@@ -18,6 +18,11 @@ inserts a byte, deletes bytes or truncates the file, at a seeded place.
 ``build-graph`` runs in process, strict and lenient, and must exit 0, or
 exit 2 naming a TSV as ``file:line`` or ``file: not UTF-8``.
 
+The JSON inputs above, all but the model file, take the same byte-level
+mutations.  Each goes through every run that reads it, and the taxonomy,
+mapping, corpus and eval files through ``ablate`` (two modes, two
+documents per class) too, under the rule of the value substitutions.
+
 The snapshot of the ``suvs`` fixture graph takes the same byte-level
 mutations, once as mutated and once with its CRC-32 recomputed after the
 mutation, so that a flipped byte gets past the checksum to the structural
@@ -104,6 +109,11 @@ COMMANDS = {
         "evaluate", "--eval", "eval", "--models-dir", "models", "--taxonomy",
         "taxonomy", "--kind", "centroid", "--out", "out/report.json",
     ),
+    "ablate": (
+        "ablate", "--graph", "graph", "--taxonomy", "taxonomy", "--mapping", "mapping",
+        "--corpus", "corpus", "--eval", "eval", "--out-dir", "out/ablate",
+        "--modes", "full", "child_only", "--n-per-class", "2", "--min-df", "1",
+    ),
 }
 
 SAMPLE_PER_INPUT = 40
@@ -182,7 +192,6 @@ def run_case(
     """Write the input ``name`` with ``path`` of its ``line`` replaced by
     ``value`` into ``work``, run every subcommand that reads it, and return
     each one's (command, exit code, stderr)."""
-    file, _, commands = INPUTS[name]
     text = paths[name].read_text(encoding="utf-8")
     if line is None:
         new = json.dumps(replaced(json.loads(text), path, value))
@@ -190,14 +199,23 @@ def run_case(
         lines = text.splitlines()
         lines[line] = json.dumps(replaced(json.loads(lines[line]), path, value))
         new = "".join(item + "\n" for item in lines)
+    return run_commands(paths, work, name, new.encode("utf-8"), INPUTS[name][2], capsys)
+
+
+def run_commands(
+    paths: dict[str, Path], work: Path, name: str, data: bytes,
+    commands: tuple[str, ...], capsys,
+) -> list[tuple[list[str], int, str]]:
+    """Write ``data`` as the input ``name`` into ``work``, run ``commands``
+    on it, and return each one's (command, exit code, stderr)."""
     models = work / "models"
     models.mkdir(parents=True, exist_ok=True)
     (work / "out").mkdir(exist_ok=True)
     fuzzed = {**paths, "models": models, "model": models / "coarse.centroid.json"}
     fuzzed["model"].write_bytes(paths["model"].read_bytes())
     if name != "model":
-        fuzzed[name] = work / Path(file).name
-    fuzzed[name].write_text(new, encoding="utf-8")
+        fuzzed[name] = work / Path(INPUTS[name][0]).name
+    fuzzed[name].write_bytes(data)
     results = []
     for command in commands:
         argv = [
@@ -321,6 +339,37 @@ def test_fuzzed_tsv_exits_0_or_2_naming_a_line(wiki_tsvs, tmp_path, capsys, name
     bad = []
     for case in sample:
         bad += run_tsv_case(wiki_tsvs, tmp_path, case, capsys)
+    assert not bad, "\n".join(bad)
+
+
+# ------------------------------------------------------- JSON input bytes
+
+# The inputs whose bytes are mutated, and those of them that ablate reads too.
+BYTE_INPUTS = ("corpus", "eval", "labels", "mapping", "taxonomy")
+ABLATE_INPUTS = ("corpus", "eval", "mapping", "taxonomy")
+BYTES_SAMPLE_PER_INPUT = 20
+
+
+def byte_commands(name: str) -> tuple[str, ...]:
+    """Every run that reads the input ``name``."""
+    return (*INPUTS[name][2], *(("ablate",) if name in ABLATE_INPUTS else ()))
+
+
+@pytest.mark.parametrize("name", BYTE_INPUTS)
+def test_mutated_input_bytes_exit_0_or_2_naming_a_file(
+    wiki_inputs, tmp_path, capsys, name
+):
+    sample = random.Random(f"{SEED}:bytes:{name}").sample(
+        byte_cases(name), BYTES_SAMPLE_PER_INPUT
+    )
+    data = wiki_inputs[name].read_bytes()
+    bad = []
+    for _, mutation, seed in sample:
+        results = run_commands(
+            wiki_inputs, tmp_path, name, mutated(data, mutation, seed),
+            byte_commands(name), capsys,
+        )
+        bad += [f"{mutation}:{seed}: {fault}" for fault in faults(results)]
     assert not bad, "\n".join(bad)
 
 

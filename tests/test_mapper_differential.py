@@ -35,6 +35,7 @@ from wikicat.taxonomy_mapper import (
     DEFAULT_THRESHOLD,
     _bounds,
     _match,
+    _name_runs,
     _normalize_run,
     _score_pairs,
     _Strings,
@@ -373,6 +374,54 @@ def test_pruned_match_edge_cases(run):
     assert exact[2] == [2, 4] and node[2] not in (2, 4)
     assert (node[3], score[3]) == (-1, (0.0).hex())  # no candidate
     assert got[0][4] == exact[2] and node[4] == node[2]
+
+
+@pytest.mark.parametrize("run", [1, 2, 3])
+def test_each_alias_is_read_in_the_run_of_its_category(run):
+    """Every name is read once: a run's category names, then the aliases
+    of those categories, in file order, each with its node."""
+    cats = [(k, f"Name {k}") for k in range(1, 8)]
+    aliases = [("Alias a", 5), ("Alias b", 1), ("Alias c", 5), ("Alias d", 7),
+               ("Alias e", 2), ("Alias f", 5)]
+    graph = _load(cats, aliases)
+    with mock.patch.object(taxonomy_mapper, "_RUN_NAMES", run):
+        runs = list(_name_runs(graph))
+    read, lo = [], 0
+    for names, nodes in runs:
+        hi = min(lo + run, graph.n_categories)
+        assert names[: hi - lo] == graph.names[lo:hi]
+        assert nodes[: hi - lo].tolist() == list(range(lo, hi))
+        for alias, node in zip(names[hi - lo :], nodes[hi - lo :].tolist()):
+            assert lo <= node < hi and graph.aliases[alias] == node
+            read.append(alias)
+        lo = hi
+    assert lo == graph.n_categories
+    assert read == sorted(graph.aliases, key=graph.aliases.__getitem__)
+
+
+def test_many_aliases_hold_no_pair_table():
+    """10 000 aliases spread over 1 000 categories, each sharing the key
+    "bran" with all five labels, read 32 names a run.  A run settles its own
+    pairs, so the traced peak is about 0.7 MB; holding every alias pair until
+    the category runs raised the floor took 3.4 MB."""
+    cats = [(k, f"Branch {k % 5} topic {k}") for k in range(1, 1_001)]
+    aliases = [
+        (f"Branch {n % 5} topic redirect {' '.join(str(n))}", 1 + n % 1_000)
+        for n in range(10_000)
+    ]
+    graph = _load(cats, aliases)
+    taxonomy = Taxonomy(
+        [TaxonomyLabel(f"b{r}", f"Branch {r} topics") for r in range(5)]
+    )
+    with mock.patch.object(taxonomy_mapper, "_RUN_NAMES", 32):
+        map_taxonomy(taxonomy, graph)  # numpy's lazy imports
+        tracemalloc.start()
+        try:
+            map_taxonomy(taxonomy, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_500_000, peak
 
 
 @pytest.fixture(scope="module")
