@@ -129,17 +129,8 @@ def _pad_docs(
     return idx, val
 
 
-def _items(docs: DocMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The feature indices and values of CSR rows ``rows``, one row after
-    another."""
-    starts = docs.indptr[rows]
-    lens = docs.indptr[rows + 1] - starts
-    at = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-    return docs.indices[at], docs.data[at]
-
-
 def _weight_matrix(
-    rows: Iterable[tuple[np.ndarray, np.ndarray]], n_rows: int, most: int
+    rows: Iterable[tuple[np.ndarray, np.ndarray]], n_rows: int, most: float
 ) -> DocMatrix:
     """A model's CSR weight rows, written one class at a time: row c holds
     the nonzero weights of the c-th ``(feature indices, weights)`` pair of
@@ -213,6 +204,13 @@ class _LinearModel:
         table[weights.indices, rows] = weights.data
         return table
 
+    def drop_weights(self) -> None:
+        """Build the scoring table and let the weight rows go: a model that
+        only predicts from here on scores with the table alone, which holds
+        every weight.  Such a model can no longer be saved."""
+        self.table  # built and kept
+        self.weights = None
+
 
 # ----------------------------------------------------------------- centroid
 
@@ -227,59 +225,74 @@ class CentroidModel(_LinearModel):
     tfidf: TfIdfModel | None = None
 
 
+def _centroid_row(matrix: DocMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """The features and unit-length mean of a class's rows, or None when the
+    mean is all zero.  The items are summed per feature in row order, and
+    the squared means in the order the rows first hold their features."""
+    keys, first, at = np.unique(
+        matrix.indices, return_index=True, return_inverse=True
+    )
+    mean = np.zeros(len(keys))
+    np.add.at(mean, at, matrix.data)
+    mean /= len(matrix)
+    norm = np.zeros(1)
+    np.add.at(norm, np.zeros_like(keys), np.square(mean[np.argsort(first)]))
+    return None if norm[0] == 0.0 else (keys, mean / np.sqrt(norm[0]))
+
+
 def train_centroid(
-    vectors: DocMatrix,
-    labels: Sequence[str],
+    classes: Sequence[str],
+    class_rows: Iterable[DocMatrix],
     tfidf: TfIdfModel | None = None,
 ) -> CentroidModel:
-    """Per class: mean of the class rows, L2-normalized.
+    """Per class: mean of its rows, L2-normalized.  ``class_rows`` gives the
+    rows of ``classes[0]``, then those of ``classes[1]`` and so on, the
+    classes in sorted order, each once.
 
     The model is as wide as the tf-idf vocabulary, or one past the largest
     feature index when no tf-idf model is given.
 
-    One class at a time: its documents' items, in document order, are summed
-    per feature, and the squares of its means are added up in the order the
-    class first saw its features, as the stored bytes depend on it; the
-    class's weights are its means over that norm.  Past the check of every
-    feature index, no temporary spans more than one class's items, and each
-    class's weights go straight into the model's rows, so no step holds the
-    classes' weights beside a joined copy of them.
+    A class's items, in row order, are summed per feature, and the squares
+    of its means are added up in the order the class first saw its
+    features, as the stored bytes depend on it; the class's weights are its
+    means over that norm.  The rows are read a class at a time, so a caller
+    that makes each class's matrix as it is asked for never holds the set's
+    whole matrix, and each class's weights go straight into the model's
+    rows.  The refusals come after every class is read, in this order: no
+    rows at all, the first feature index out of range, then the first class
+    whose centroid is all zero.
     """
-    if len(vectors) != len(labels):
-        raise ConfigurationError("vectors and labels differ in length")
-    if not len(vectors):
-        raise ConfigurationError("no training documents")
-    classes = tuple(sorted(set(labels)))
-    if tfidf is not None:
-        width = tfidf.vocab_size
-    else:
-        width = 1 + int(vectors.indices.max(initial=-1))
-    _check_features(vectors.indices, width)
-    code = {label: i for i, label in enumerate(classes)}
-    doc_class = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
-    n_docs = np.bincount(doc_class, minlength=len(classes))
-    by_class = np.argsort(doc_class, kind="stable")  # document order within a class
+    classes = tuple(classes)
+    if list(classes) != sorted(set(classes)):
+        raise ValueError("classes are not sorted and distinct")
+    width = math.inf if tfidf is None else tfidf.vocab_size
+    n_rows, widest, faults = 0, -1, {}
 
     def rows() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for c, hi in enumerate(np.cumsum(n_docs).tolist()):
-            features, values = _items(vectors, by_class[hi - n_docs[c] : hi])
-            keys, first, at = np.unique(
-                features, return_index=True, return_inverse=True
-            )
-            mean = np.zeros(len(keys))
-            np.add.at(mean, at, values)  # in document order
-            mean /= n_docs[c]
-            norm = np.zeros(1)
-            np.add.at(norm, np.zeros_like(keys), np.square(mean[np.argsort(first)]))
-            if norm[0] == 0.0:
-                raise ConfigurationError(
-                    f"class {classes[c]!r} has an all-zero centroid"
-                )
-            yield keys, mean / np.sqrt(norm[0])
+        nonlocal n_rows, widest
+        for label, matrix in zip(classes, class_rows, strict=True):
+            n_rows += len(matrix)
+            widest = max(widest, int(matrix.indices.max(initial=-1)))
+            try:
+                _check_features(matrix.indices, width)
+            except ConfigurationError as exc:
+                faults.setdefault("features", exc)
+            row = None if faults else _centroid_row(matrix)
+            if row is None:  # past a fault, only the checks go on
+                faults.setdefault("zero", ConfigurationError(
+                    f"class {label!r} has an all-zero centroid"
+                ))
+                row = matrix.indices[:0], matrix.data[:0]
+            yield row
 
-    # a class has at most one weight per item of its documents
-    weights = _weight_matrix(rows(), len(classes), int(vectors.indptr[-1]))
-    return CentroidModel(classes, weights, width, tfidf)
+    # a class has at most one weight per feature
+    weights = _weight_matrix(rows(), len(classes), len(classes) * width)
+    if not n_rows:
+        raise ConfigurationError("no training documents")
+    if faults:
+        raise faults.get("features") or faults["zero"]
+    n_features = 1 + widest if tfidf is None else tfidf.vocab_size
+    return CentroidModel(classes, weights, n_features, tfidf)
 
 
 def predict_centroid(model: CentroidModel, vectors: DocMatrix) -> list[str | None]:
@@ -415,8 +428,9 @@ def predict_svm(model: LinearSvmModel, vectors: DocMatrix) -> list[str | None]:
 def _weight_columns(keys: tuple[str, ...], value: Any) -> Any:
     """A class's ``[index, weight]`` rows, as a model file's reader decodes
     them, turned into ``Rows`` of an int64 and a float64 array when every
-    row is a JSON integer and a JSON number that fit them.  Any other value
-    is kept as decoded, for ``_weights_rows`` to check."""
+    row is a JSON integer and a JSON number that fit them; the indices are
+    int32, as the model's rows hold them, when they fit that.  Any other
+    value is kept as decoded, for ``_weights_rows`` to check."""
     if not (
         len(keys) == 2 and keys[0] == "centroids"
         or len(keys) == 3 and keys[0] == "classes" and keys[2] == "weights"
@@ -431,9 +445,12 @@ def _weight_columns(keys: tuple[str, ...], value: Any) -> Any:
     ):
         return value
     try:
-        return Rows(np.array(ixs, dtype=np.int64), np.array(ws, dtype=float))
+        cols, ws = np.array(ixs, dtype=np.int64), np.array(ws, dtype=float)
     except OverflowError:
         return value
+    if len(cols) and cols.min() >= 0 and cols.max() <= np.iinfo(np.int32).max:
+        cols = cols.astype(np.int32)
+    return Rows(cols, ws)
 
 
 def _weights_rows(classes: Sequence[str], lists: list, n_features: int) -> DocMatrix:
@@ -504,7 +521,7 @@ def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
     fmt = doc.get("format") if isinstance(doc, dict) else None
     try:
         if fmt == CENTROID_FORMAT:
-            tfidf = tfidf_from_dict(doc["tfidf"])
+            tfidf = tfidf_from_dict(doc.pop("tfidf"))  # frees its rows
             classes = tuple(sorted(doc["centroids"]))
             rows = [doc["centroids"][label] for label in classes]
             n = tfidf.vocab_size
@@ -515,7 +532,7 @@ def load_model(path: str | Path) -> CentroidModel | LinearSvmModel:
                 if key in _CONFIG_TYPES:
                     _CONFIG_TYPES[key].check([value], key)
             cfg = TrainConfig(**config)
-            tfidf = tfidf_from_dict(doc["tfidf"])
+            tfidf = tfidf_from_dict(doc.pop("tfidf"))  # frees its rows
             n_features = doc["n_features"]
             INTEGER.check([n_features], "n_features")
             if n_features != tfidf.vocab_size:

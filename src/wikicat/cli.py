@@ -342,7 +342,7 @@ def _set_rows(
     pages: list[int],
     tops: list[str | None],
     named: dict[str, list[str]],
-    n_per_class: int,
+    n_per_class: int | None,
     seed: int | None,
 ) -> dict[str, list[tuple[int, str, None]]]:
     """The (page id, top label, None) rows of each set, in ``named``'s order,
@@ -376,23 +376,29 @@ def _with_texts(
 
 def _labeled_rows(
     get: Callable[[str], Any], seed: int | None
-) -> tuple[dict[str, list[tuple[int, str, str]]], int]:
+) -> tuple[dict[str, list[tuple[int, str, str]]], int | None]:
     """The (page id, top label, text) rows each competition set trains on,
     balanced with ``seed`` (None keeps every row), and the rows per class.
-    The rows are drawn before the corpus is read, so only their texts are
-    kept, and a sample over ``sample_balance``'s row limit is refused before
-    it."""
+    Without ``n_per_class``, a sample balances to the largest labeled class
+    of the scheme, but to no more than 20 000 rows a class for the coarse
+    set, which spans the whole corpus, or 1 000 for a fine set, which holds
+    one parent's children.  The rows are drawn before the corpus is read,
+    so only their texts are kept, and a sample over ``sample_balance``'s
+    row limit is refused before it."""
     n_per_class = _at_least_1(get, "n_per_class")
     taxonomy = load_taxonomy(get("taxonomy"))
     named = _named_scheme(get, taxonomy)
-    # Coarse sets span the whole corpus; fine sets are per parent.
-    per_class = n_per_class or (20_000 if get("scheme") == COARSE_SET else 1_000)
     pages, tops = read_labels(get("labels"))
-    rows = _set_rows(pages, tops, named, per_class, seed)
+    if n_per_class is None and seed is not None:
+        in_scheme = {label for group in named.values() for label in group}
+        counts = Counter(top for top in tops if top in in_scheme)
+        cap = 20_000 if get("scheme") == COARSE_SET else 1_000
+        n_per_class = min(max(counts.values(), default=1), cap)
+    rows = _set_rows(pages, tops, named, n_per_class, seed)
     keep = {page for set_rows in rows.values() for page, _, _ in set_rows}
     corpus = _load_corpus(get("corpus"), keep)
     _check_rows(pages, tops, corpus, named, get("labels"), get("corpus"))
-    return _with_texts(rows, corpus), per_class
+    return _with_texts(rows, corpus), n_per_class
 
 
 def _train_sets(
@@ -411,11 +417,22 @@ def _train_sets(
         texts = [text for _, _, text in set_rows]
         counts = Counter(labels)
         tfidf = fit_tfidf(texts, min_df=min_df)
-        vectors = transform(tfidf, texts)
-        del texts  # free the list before training
         if kind == "centroid":
-            model = train_centroid(vectors, labels, tfidf=tfidf)
+            # a class's texts, in document order, are transformed as the
+            # model asks for them, so the set's matrix is never held whole
+            by_class: dict[str, list[str]] = {}
+            for label, text in zip(labels, texts):
+                by_class.setdefault(label, []).append(text)
+            del texts
+            classes = sorted(by_class)
+            model = train_centroid(
+                classes,
+                (transform(tfidf, by_class.pop(label)) for label in classes),
+                tfidf=tfidf,
+            )
         else:
+            vectors = transform(tfidf, texts)
+            del texts  # free the list before training
             model = train_svm(
                 vectors, labels, train_cfg, n_features=tfidf.vocab_size, tfidf=tfidf
             )
@@ -438,7 +455,9 @@ def _load_eval_sets(path: str, taxonomy: Taxonomy) -> list[EvalInstance]:
 def _predictor(
     model: CentroidModel | LinearSvmModel,
 ) -> Callable[[Sequence[str]], list[str | None]]:
-    """Classify a batch of texts in one call, with the model's own tf-idf."""
+    """Classify a batch of texts in one call, with the model's own tf-idf.
+    The model keeps its scoring table, not its weight rows."""
+    model.drop_weights()
     if isinstance(model, CentroidModel):
         return lambda texts: predict_centroid(model, transform(model.tfidf, texts))
     return lambda texts: predict_svm(model, transform(model.tfidf, texts))

@@ -13,7 +13,9 @@ import json
 import re
 from json.decoder import scanstring
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import (
+    IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar,
+)
 
 from .exceptions import ConfigurationError
 
@@ -26,6 +28,9 @@ _space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace, as json.decoder has
 _encode = json.JSONEncoder(sort_keys=True).encode
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _ROWS_PER_CHUNK = 2048  # rows of a Rows value formatted per written chunk
+_WINDOW = 1 << 17  # characters that read_json_members reads ahead of a member
+
+T = TypeVar("T")
 
 
 class Rows:
@@ -90,53 +95,119 @@ def read_json_members(
     ``keys`` is the member's path of keys from the top.
 
     The objects are walked here and every other value is decoded by
-    ``json.loads``' own scanner, so only the text, the converted values and
-    the value being decoded are alive at once.  A repeated key keeps its
-    last value, as in ``json.loads``.  A text that this walk cannot follow
-    (not UTF-8, a BOM, bad syntax, or a top level that is no object) is
-    read by ``read_json`` instead: its value comes unconverted, or its error
-    is raised.
+    ``json.loads``' own scanner, over a window of the text: the file is
+    decoded as it is read, ``_WINDOW`` characters ahead of the member being
+    read, and the text before it is dropped.  So only the window, the
+    converted values and the value being decoded are alive at once.  Each
+    value is scanned once, but one longer than the window, which is scanned
+    again once the window has grown to hold it.  The window is small, as a
+    refill holds the old window, its unread part and the new text at once.
+    A repeated key keeps its last value, as in ``json.loads``.  A text that
+    this walk cannot follow (not UTF-8, a BOM, bad syntax, or a top level
+    that is no object) is read by ``read_json`` instead: its value comes
+    unconverted, or its error is raised.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        start = _space(text).end()
-        if text[start] != "{":
-            raise ValueError
-        doc, end = _members(text, start + 1, (), convert)
-        if _space(text, end).end() != len(text):
-            raise ValueError
+        with open(path, encoding="utf-8", newline="") as fh:
+            window = _Window(fh)
+            end = window.step(_skip_space, 0)
+            if window.text[end] != "{":
+                raise ValueError
+            doc, end = _members(window, end + 1, (), convert)
+            rest = window.text[end:] + fh.read()
+            if _space(rest).end() != len(rest):
+                raise ValueError
     except (IndexError, StopIteration, *_PARSE_ERRORS):
         return read_json(path)
     return doc
 
 
+class _Window:
+    """The characters of a text file from the walk's last step on."""
+
+    def __init__(self, fh: IO[str]) -> None:
+        self.fh = fh
+        self.text = ""
+        self.at_end = False  # the file is read to its end
+
+    def _read(self, size: int) -> str:
+        chunk = self.fh.read(size)
+        self.at_end = len(chunk) < size
+        return chunk
+
+    def step(self, step: Callable[[str, int], T], end: int) -> T:
+        """``step(text, end)``, over a window that holds at least
+        ``_WINDOW`` characters past ``end``, or the rest of the file; ``end``
+        becomes the window's first character.  A step that fails before
+        the file's end may have run into the window's edge, so it is tried
+        again over a window four times as long."""
+        if len(self.text) - end < _WINDOW and not self.at_end:
+            self.text = self.text[end:] + self._read(_WINDOW)
+            end = 0
+        while True:
+            try:
+                return step(self.text, end)
+            except (IndexError, StopIteration, *_PARSE_ERRORS):
+                if self.at_end:
+                    raise
+                self.text += self._read(3 * max(len(self.text), _WINDOW))
+
+
+_OBJECT = object()  # a member's value that is an object, walked apart
+
+
+def _skip_space(text: str, end: int) -> int:
+    """The index of the next character that is not whitespace."""
+    end = _space(text, end).end()
+    if end == len(text):
+        raise IndexError  # the text may go on past the window
+    return end
+
+
+def _member(text: str, end: int) -> tuple[str, Any, int, bool]:
+    """From the whitespace before a member: its key; its value, or
+    ``_OBJECT`` for an object; the index past the ``{`` of the object, or
+    past the ``,`` or ``}`` that follows the value; and whether that was
+    a ``}``."""
+    end = _space(text, end).end()
+    if text[end] != '"':
+        raise ValueError
+    key, end = scanstring(text, end + 1, True)
+    end = _space(text, end).end()
+    if text[end] != ":":
+        raise ValueError
+    end = _space(text, end + 1).end()
+    if text[end] == "{":
+        return key, _OBJECT, end + 1, False
+    value, end = _scan(text, end)
+    return key, value, *_after(text, end)
+
+
+def _after(text: str, end: int) -> tuple[int, bool]:
+    """The index past the ``,`` or ``}`` that follows a member's value, after
+    any whitespace, and whether it is a ``}``."""
+    end = _space(text, end).end()
+    if text[end] not in ",}":
+        raise ValueError
+    return end + 1, text[end] == "}"
+
+
 def _members(
-    text: str, end: int, keys: tuple[str, ...], convert: Callable
+    window: _Window, end: int, keys: tuple[str, ...], convert: Callable
 ) -> tuple[dict, int]:
     """The object whose ``{`` ends at ``end``, and the index past its ``}``."""
     doc = {}
-    end = _space(text, end).end()
-    if text[end] == "}":
-        return doc, end + 1
-    while True:
-        if text[end] != '"':
-            raise ValueError
-        key, end = scanstring(text, end + 1, True)
-        end = _space(text, end).end()
-        if text[end] != ":":
-            raise ValueError
-        end = _space(text, end + 1).end()
-        if text[end] == "{":
-            doc[key], end = _members(text, end + 1, (*keys, key), convert)
+    end = window.step(_skip_space, end)
+    closed = window.text[end] == "}"
+    end += closed
+    while not closed:
+        key, value, end, closed = window.step(_member, end)
+        if value is _OBJECT:
+            doc[key], end = _members(window, end, (*keys, key), convert)
+            end, closed = window.step(_after, end)
         else:
-            value, end = _scan(text, end)
             doc[key] = convert((*keys, key), value)
-        end = _space(text, end).end()
-        if text[end] == "}":
-            return doc, end + 1
-        if text[end] != ",":
-            raise ValueError
-        end = _space(text, end + 1).end()
+    return doc, end
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[str, Any]]:

@@ -289,20 +289,28 @@ def _candidates(
 
 
 def _name_runs(graph: CategoryGraph) -> Iterator[tuple[list[str], np.ndarray]]:
-    """The category names ``_RUN_NAMES`` at a time, each run followed by the
-    aliases of its categories in file order, with the node of each name."""
+    """The category names in runs, each run followed by the aliases of its
+    categories in file order, with the node of each name.  A run holds as
+    many categories as keep it within ``_RUN_NAMES`` names, aliases
+    included, and at least one: a category with more aliases than that
+    makes a run of its own."""
     aliases = list(graph.aliases)
     targets = np.fromiter(graph.aliases.values(), np.int64, len(aliases))
     order = np.argsort(targets, kind="stable")
     targets = targets[order]
     n = graph.n_categories
-    for lo in range(0, n, _RUN_NAMES):
-        hi = min(lo + _RUN_NAMES, n)
+    # the names up to and with each category, aliases included
+    ends = np.cumsum(1 + np.bincount(targets, minlength=n)[:n])
+    lo = 0
+    while lo < n:
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _RUN_NAMES, "right")))
         a, b = np.searchsorted(targets, [lo, hi])
         yield (
             [*graph.names[lo:hi], *map(aliases.__getitem__, order[a:b].tolist())],
             np.concatenate([np.arange(lo, hi), targets[a:b]]),
         )
+        lo = hi
 
 
 def _normalize_run(

@@ -124,6 +124,7 @@ class TfIdfModel:
             term: ix for ix, term in enumerate(self.terms) if len(term) > 1
         }
         self.word_ids[_SEP] = _SEP_ID
+        self.idf_weights = np.array(self.idf)  # as transform weighs with them
 
     @property
     def vocab_size(self) -> int:
@@ -173,7 +174,7 @@ def transform(model: TfIdfModel, texts: Collection[str]) -> DocMatrix:
     """
     if isinstance(texts, str):
         raise ConfigurationError("transform takes a collection of texts, not a str")
-    lookup, idf = model.word_ids.get, np.array(model.idf)
+    lookup, idf = model.word_ids.get, model.idf_weights
     n_texts, n_chars = len(texts), sum(map(len, texts))
 
     def expect(rows: int, nonzeros: int) -> float:

@@ -39,3 +39,25 @@ def dense(matrix: DocMatrix, width: int) -> np.ndarray:
     rows = np.repeat(np.arange(len(matrix)), np.diff(matrix.indptr))
     out[rows, matrix.indices] = matrix.data
     return out
+
+
+def by_class(
+    vectors: DocMatrix, labels: Sequence[str]
+) -> tuple[list[str], list[DocMatrix]]:
+    """``train_centroid``'s classes and class rows for a whole matrix: the
+    sorted labels, and per label the rows it labels, in row order."""
+    if len(vectors) != len(labels):
+        raise ValueError("vectors and labels differ in length")
+    classes = sorted(set(labels))
+    ptr = vectors.indptr.tolist()
+    matrices = []
+    for label in classes:
+        rows = [r for r, lab in enumerate(labels) if lab == label]
+        lengths = [ptr[r + 1] - ptr[r] for r in rows]
+        parts = [slice(ptr[r], ptr[r + 1]) for r in rows]
+        matrices.append(DocMatrix(
+            np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]).astype(np.int64),
+            np.concatenate([vectors.indices[p] for p in parts]),
+            np.concatenate([vectors.data[p] for p in parts]),
+        ))
+    return classes, matrices

@@ -35,6 +35,7 @@ from wikicat.taxonomy_mapper import jaro_winkler, map_taxonomy
 from wikicat.textproc import fit_tfidf, transform
 
 from conftest import fan_in_case, page_node, write_graph_files
+from docmatrix import by_class
 from wikicat.graph_store import load_graph
 
 
@@ -293,7 +294,7 @@ def test_c6_classifiers_beat_keyword_baseline():
     tfidf = fit_tfidf(texts, min_df=3)
     vectors = transform(tfidf, texts)
     labels = [lab for _, lab, _ in train]
-    cen = train_centroid(vectors, labels)
+    cen = train_centroid(*by_class(vectors, labels))
     svm = train_svm(vectors, labels, TrainConfig(seed=0), tfidf.vocab_size)
 
     def acc(predict):

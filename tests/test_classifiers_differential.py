@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ import centroid_oracle
 import predict_oracle
 import svm_oracle
 import wikicat.classifiers as classifiers
-from docmatrix import dicts, docs, sparse
+import wikicat.cli as cli
+from docmatrix import by_class, dicts, docs, sparse
 from wikicat.classifiers import (
     CentroidModel,
     LinearSvmModel,
@@ -36,7 +38,7 @@ from wikicat.classifiers import (
     train_svm,
 )
 from wikicat.exceptions import ConfigurationError
-from wikicat.textproc import DocMatrix, TfIdfModel
+from wikicat.textproc import DocMatrix, TfIdfModel, fit_tfidf, transform
 
 _VALUES = st.one_of(
     st.floats(0.01, 1.0),
@@ -262,7 +264,7 @@ def _centroid_cases(draw):
 @given(_centroid_cases())
 def test_train_centroid_matches_loop_oracle(case):
     vectors, labels, n_features = case
-    model = train_centroid(docs(vectors), labels)
+    model = train_centroid(*by_class(docs(vectors), labels))
     want = centroid_oracle.train_centroid(vectors, labels)
     assert model.classes == tuple(want)
     assert model.n_features == 1 + max(ix for vec in vectors for ix in vec)
@@ -307,10 +309,10 @@ def test_train_centroid_per_class_matches_loop_oracle_on_repeated_items(case):
         want = centroid_oracle.train_centroid(items, labels)
     except ConfigurationError as exc:
         with pytest.raises(ConfigurationError) as got:
-            train_centroid(_item_rows(items), labels)
+            train_centroid(*by_class(_item_rows(items), labels))
         assert str(got.value) == str(exc)
         return
-    model = train_centroid(_item_rows(items), labels)
+    model = train_centroid(*by_class(_item_rows(items), labels))
     assert model.classes == tuple(want)
     for row, label in zip(dicts(model.weights), model.classes):
         cols = sorted(ix for ix, w in want[label].items() if w != 0.0)
@@ -336,7 +338,7 @@ def test_train_centroid_rows_written_a_class_at_a_time_match_the_oracle(n_classe
         doc += [(50, 0.0), (51, 0.25), (51, -0.25)]
         items.append(doc)
         labels.append(f"c{d % n_classes:04d}")
-    model = train_centroid(_item_rows(items), labels)
+    model = train_centroid(*by_class(_item_rows(items), labels))
     want = centroid_oracle.train_centroid(items, labels)
     assert model.classes == tuple(want) and len(model.weights) == n_classes
     assert model.weights.indices.dtype == np.int32
@@ -361,7 +363,8 @@ def test_models_trained_in_process_predict_as_their_saved_copies(case):
     matrix = docs(vectors)
     models = [(train_svm(matrix, labels, cfg, n_features, tfidf), predict_svm)]
     try:
-        models.append((train_centroid(matrix, labels, tfidf=tfidf), predict_centroid))
+        centroid = train_centroid(*by_class(matrix, labels), tfidf=tfidf)
+        models.append((centroid, predict_centroid))
     except ConfigurationError:  # a class whose docs cancel out
         pass
     with tempfile.TemporaryDirectory() as d:
@@ -373,3 +376,85 @@ def test_models_trained_in_process_predict_as_their_saved_copies(case):
             assert loaded.weights.indices.tolist() == model.weights.indices.tolist()
             assert _bits(loaded.weights.data) == _bits(model.weights.data)
             assert predict(loaded, matrix) == predict(model, matrix)
+
+
+# ------------------------------------------- centroid sets, a class at a time
+
+_TEXT_WORDS = "amber basil cedar dune ember fern grove x y".split()
+
+
+@st.composite
+def _centroid_sets(draw):
+    """A set's (page, label, text) rows with the labels interleaved, words
+    repeated across a class's texts, and texts of no term at all (one
+    letter words, or words under min_df), so that a class whose texts all
+    lack terms, anywhere in file order, has an all-zero centroid."""
+    names = [f"c{i}" for i in range(draw(st.integers(1, 5)))]
+    rows = []
+    for page in range(draw(st.integers(1, 30))):
+        label = draw(st.sampled_from(names))
+        words = draw(st.lists(st.sampled_from(_TEXT_WORDS), max_size=6))
+        rows.append((page, label, " ".join(words)))
+    return rows, draw(st.integers(1, 3))
+
+
+@seed(20261026)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_centroid_sets())
+def test_centroid_sets_train_a_class_at_a_time_like_the_loop_oracle(case):
+    """``train --kind centroid`` transforms each class's texts, in document
+    order, as the model reads that class, and gives the weights, or the
+    error, of the loop oracle over the whole set's matrix."""
+    rows, min_df = case
+    labels = [label for _, label, _ in rows]
+    texts = [text for _, _, text in rows]
+    tfidf = fit_tfidf(texts, min_df=min_df)
+    items = [list(row.items()) for row in dicts(transform(tfidf, texts))]
+    calls = []
+
+    def spy(model, class_texts):
+        calls.append(list(class_texts))
+        return transform(model, class_texts)
+
+    cli._bind(cli.COMMANDS["train"][2])
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(cli, "transform", spy):
+        try:
+            want = centroid_oracle.train_centroid(items, labels)
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError) as got:
+                list(cli._train_sets({"s": rows}, "centroid", min_df, None, Path(d)))
+            assert str(got.value) == str(exc)
+            return
+        [(_, model, _)] = cli._train_sets(
+            {"s": rows}, "centroid", min_df, None, Path(d)
+        )
+    assert calls == [
+        [text for _, label, text in rows if label == name] for name in sorted(want)
+    ]
+    assert model.classes == tuple(want) and model.n_features == tfidf.vocab_size
+    for row, label in zip(dicts(model.weights), model.classes):
+        cols = sorted(ix for ix, w in want[label].items() if w != 0.0)
+        assert list(row) == cols, label
+        assert _bits(row.values()) == _bits(want[label][ix] for ix in cols), label
+
+
+def test_the_first_all_zero_class_in_sorted_order_is_named_after_every_check():
+    """'d' has no term and comes first in the file; 'b', whose words fall
+    under min_df too, comes first in sorted order."""
+    rows = [(1, "d", "x y"), (2, "a", "fern fern"), (3, "b", "amber"),
+            (4, "c", "fern dune"), (5, "d", "basil"), (6, "a", "dune")]
+    cli._bind(cli.COMMANDS["train"][2])
+    with tempfile.TemporaryDirectory() as d, pytest.raises(ConfigurationError) as got:
+        list(cli._train_sets({"s": rows}, "centroid", 2, None, Path(d)))
+    assert str(got.value) == "class 'b' has an all-zero centroid"
+
+
+def test_centroid_training_refuses_features_before_all_zero_classes():
+    """A class whose rows fall outside the vocabulary is refused before an
+    earlier class with an all-zero centroid, and an empty set before both."""
+    tfidf = TfIdfModel(1, 1, ["aa", "bb"], [1, 1], [1.0, 1.0])
+    zero, wide = docs([{}]), docs([{0: 1.0}, {5: 1.0}])
+    with pytest.raises(ConfigurationError, match="^feature index 5 out of range$"):
+        train_centroid(["a", "b"], iter([zero, wide]), tfidf=tfidf)
+    with pytest.raises(ConfigurationError, match="^no training documents$"):
+        train_centroid([], iter([]), tfidf=tfidf)

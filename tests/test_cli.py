@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -18,11 +19,12 @@ import wikicat.cli as cli
 from wikicat.cli import KINDS, main
 from wikicat.graph_store import load_snapshot
 from wikicat.jsonio import write_jsonl
-from wikicat.labeler import MODES, Assignment, LabelingConfig, PageLabels
+from wikicat.labeler import MODES, Assignment, LabelingConfig, PageLabels, read_labels
 from wikicat.synth import make_ablation_wiki
 from wikicat.textproc import fit_tfidf, transform
 
 from conftest import with_crc, write_graph_files
+from docmatrix import by_class
 
 
 def _last_json(capsys):
@@ -434,7 +436,7 @@ def test_predict_model_with_unsorted_terms_exits_2(tmp_path, capsys):
     tfidf = fit_tfidf(["aa bb", "bb cc"], min_df=1)
     vectors = transform(tfidf, ["aa bb", "bb cc"])
     model_path = tmp_path / "model.json"
-    save_model(train_centroid(vectors, ["x", "y"], tfidf=tfidf), model_path)
+    save_model(train_centroid(*by_class(vectors, ["x", "y"]), tfidf=tfidf), model_path)
     doc = json.loads(model_path.read_text())
     doc["tfidf"]["terms"].reverse()
     model_path.write_text(json.dumps(doc))
@@ -471,7 +473,7 @@ def test_predict_model_with_malformed_weight_pairs_exits_2(
     vectors = transform(tfidf, texts)
     model_path = tmp_path / "model.json"
     if kind == "centroid":
-        save_model(train_centroid(vectors, labels, tfidf=tfidf), model_path)
+        save_model(train_centroid(*by_class(vectors, labels), tfidf=tfidf), model_path)
     else:
         model = train_svm(vectors, labels, TrainConfig(), tfidf.vocab_size, tfidf)
         save_model(model, model_path)
@@ -518,6 +520,36 @@ def labels_path(wiki, tmp_path_factory):
         "--workers", "1",
     ]) == 0
     return path
+
+
+@pytest.mark.parametrize("command", ["sample", "train"])
+def test_default_sample_balances_to_the_largest_labeled_class(
+    wiki, labels_path, tmp_path, capsys, command
+):
+    """Without --n-per-class, ``sample`` and ``train --kind svm`` balance to
+    the largest labeled class (at most 53 pages on the ablation wiki), not
+    to 20 000 rows a class, and their summaries say so."""
+    _, tops = read_labels(labels_path)
+    counts = Counter(top for top in tops if top is not None)
+    largest = max(counts.values())
+    assert largest <= 53
+    args = [
+        "--labels", str(labels_path), "--corpus", str(wiki / "corpus.jsonl"),
+        "--taxonomy", str(wiki / "taxonomy.json"),
+    ]
+    if command == "sample":
+        out = tmp_path / "sample.jsonl"
+        assert main(["sample", *args, "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        lines = out.read_text(encoding="utf-8").splitlines()
+        drawn = Counter(json.loads(line)["label"] for line in lines)
+    else:
+        out_dir = tmp_path / "models"
+        assert main(["train", *args, "--kind", "svm", "--out-dir", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "train_summary.json").read_text())
+        drawn = summary["sets"]["coarse"]["classes"]
+    assert summary["config"]["n_per_class"] == largest
+    assert drawn == {label: largest for label in counts}
 
 
 def test_map_bad_threshold_exits_2(wiki, tmp_path, capsys):
@@ -1419,6 +1451,32 @@ def test_svm_train_keeps_only_the_sampled_texts(tmp_path, capsys):
     text_bytes = sum(map(len, texts))
     assert text_bytes > 3_000_000
     assert peak < text_bytes / 4, (peak, text_bytes)
+
+
+def test_centroid_train_never_holds_the_sets_whole_matrix(tmp_path):
+    """20 interleaved classes of 500 pages each: every class's rows are
+    transformed as the model reads them, so training the set peaks far
+    under the set's whole matrix, which a single transform would hold."""
+    rng = random.Random(0)
+    words = [f"w{i}" for i in range(500)]
+    rows = [
+        (page, f"c{page % 20:02d}", " ".join(rng.choices(words, k=60)))
+        for page in range(10_000)
+    ]
+    texts = [text for _, _, text in rows]
+    matrix = transform(fit_tfidf(texts, min_df=3), texts)
+    whole = matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes
+    del matrix, texts
+    cli._bind(cli.COMMANDS["train"][2])
+    list(cli._train_sets({"coarse": rows[:100]}, "centroid", 3, None, tmp_path))
+    tracemalloc.start()
+    try:
+        list(cli._train_sets({"coarse": rows}, "centroid", 3, None, tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert whole > 6_000_000
+    assert peak < whole / 2, (peak, whole)
 
 
 def _traced_predict(model: str, corpus, out) -> int:

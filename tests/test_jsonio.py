@@ -8,6 +8,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -445,3 +446,117 @@ def test_members_read_drawn_texts_like_read_json(fragments):
         path = Path(d) / "doc.json"
         path.write_text("{" + "".join(fragments), encoding="utf-8")
         _same_members(path)
+
+
+# Windows of a few characters, so that drawn documents cross their edges.
+_SMALL_WINDOWS = st.sampled_from([1, 2, 3, 5, 8])
+
+
+def _window(size: int):
+    return mock.patch.object(jsonio, "_WINDOW", size)
+
+
+@seed(20261024)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.dictionaries(_strs, _json_values, max_size=4),
+    st.sampled_from([None, 0, 2, "\t", " \r\n"]),
+    st.booleans(),
+    _SMALL_WINDOWS,
+)
+def test_members_read_through_a_small_window_like_read_json(doc, indent, ascii, window):
+    with tempfile.TemporaryDirectory() as d, _window(window):
+        path = Path(d) / "doc.json"
+        text = json.dumps(doc, indent=indent, ensure_ascii=ascii)
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        _same_members(path)
+
+
+@seed(20261025)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(st.sampled_from([*_FRAGMENTS, '"k": ', '{"k": ']), max_size=12),
+    _SMALL_WINDOWS,
+)
+def test_members_read_drawn_texts_through_a_small_window_like_read_json(
+    fragments, window
+):
+    with tempfile.TemporaryDirectory() as d, _window(window):
+        path = Path(d) / "doc.json"
+        path.write_text("{" + "".join(fragments), encoding="utf-8")
+        _same_members(path)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"a": 1, ' + '"b": [2, 3], ' * 50 + '"c": x}', id="bad-value"),
+    pytest.param('{"a": 1, ' + '"b": {"c": 2}, ' * 50 + '"d" 4}', id="no-colon"),
+    pytest.param('{"a": 1, ' + '"b": "cc", ' * 50 + '"d": 4,}', id="trailing-comma"),
+    pytest.param('{"a": 1, ' + '"b": 2, ' * 50 + '"d": 4} x', id="extra-data"),
+    pytest.param('{"a": 1, ' + '"b": 2, ' * 50 + '"d": "\\q"}', id="bad-escape"),
+    pytest.param('{"a": 1, ' + '"b": 2, ' * 50 + '"d": 4', id="cut"),
+])
+@pytest.mark.parametrize("window", [4, 16])
+def test_a_fault_past_the_first_window_raises_like_read_json(
+    tmp_path, monkeypatch, text, window
+):
+    monkeypatch.setattr(jsonio, "_WINDOW", window)
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    _same_members(path)
+    assert _read_outcome(read_json, path).startswith("ConfigurationError: ")
+
+
+def test_only_a_value_longer_than_the_window_is_scanned_again(tmp_path, monkeypatch):
+    """Each value shorter than the window is scanned once; the long list,
+    which crosses the window's edge, once more after the window grows."""
+    monkeypatch.setattr(jsonio, "_WINDOW", 64)
+    scanned = []
+
+    def scan(text, end):
+        scanned.append(text[end])
+        return scan_once(text, end)
+
+    scan_once = jsonio._scan
+    monkeypatch.setattr(jsonio, "_scan", scan)
+    doc = {f"k{i:02d}": i for i in range(40)}
+    doc["long"] = list(range(200))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    _same_members(path)
+    scanned.clear()
+    read_json_members(path, _tag)
+    assert scanned.count("[") > 1 and len(scanned) - scanned.count("[") == 40
+
+
+@pytest.mark.parametrize("window", range(1, 9))
+def test_numbers_split_between_reads_read_like_read_json(tmp_path, window):
+    """A number cut by the window's edge ("0." of "0.5", "2e" of "2e10")
+    may scan as a shorter number; the member is read again once the
+    window holds what follows it."""
+    path = tmp_path / "doc.json"
+    for pad in range(8):
+        path.write_text(
+            "{" + " " * pad + '"a": 0.5, "b": -1.25e-3, "c": 10, "d": [1.5, 2e10],'
+            ' "e": {"f": 3.0E+2, "g": -0}, "h": 123456789}',
+            encoding="utf-8",
+        )
+        with _window(window):
+            _same_members(path)
+
+
+@pytest.mark.parametrize("window", range(1, 9))
+def test_characters_split_between_reads_read_like_read_json(tmp_path, window):
+    """Multi-byte characters straddle the file's 8 KiB reads, and ``\\r\\n``
+    pairs and those characters the window's reads."""
+    wide = "é中\U0001f600\U00010348"
+    head = '{"a": "' + " " * (8191 - len('{"a": "'))  # "é" sits at bytes 8191-8192
+    text = head + wide + '",\r\n' + "".join(
+        f'"{wide[:i]}{i}":\r\n"{wide[i:]}",\r\n' for i in range(len(wide))
+    ) + '"z": "\U0001f600"\r\n}\r\n'
+    data = text.encode("utf-8")
+    assert data[:8192].decode("utf-8", "replace").endswith("\ufffd")
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with _window(window):
+        _same_members(path)
+        assert read_json_members(path, lambda keys, value: value) == read_json(path)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -379,24 +380,65 @@ def test_pruned_match_edge_cases(run):
 @pytest.mark.parametrize("run", [1, 2, 3])
 def test_each_alias_is_read_in_the_run_of_its_category(run):
     """Every name is read once: a run's category names, then the aliases
-    of those categories, in file order, each with its node."""
+    of those categories, in file order, each with its node.  A run holds
+    as many categories as fit in ``_RUN_NAMES`` names with their aliases,
+    and at least one, whatever its aliases."""
     cats = [(k, f"Name {k}") for k in range(1, 8)]
     aliases = [("Alias a", 5), ("Alias b", 1), ("Alias c", 5), ("Alias d", 7),
                ("Alias e", 2), ("Alias f", 5)]
     graph = _load(cats, aliases)
     with mock.patch.object(taxonomy_mapper, "_RUN_NAMES", run):
         runs = list(_name_runs(graph))
+    n_aliases = Counter(graph.aliases.values())
     read, lo = [], 0
     for names, nodes in runs:
-        hi = min(lo + run, graph.n_categories)
+        hi = lo  # the category names come first, their nodes counting up
+        while hi - lo < len(nodes) and nodes[hi - lo] == hi:
+            hi += 1
         assert names[: hi - lo] == graph.names[lo:hi]
         assert nodes[: hi - lo].tolist() == list(range(lo, hi))
         for alias, node in zip(names[hi - lo :], nodes[hi - lo :].tolist()):
             assert lo <= node < hi and graph.aliases[alias] == node
             read.append(alias)
+        # within run names with their aliases, or one category alone, and
+        # no room for the next category with its aliases
+        assert len(names) <= run or hi == lo + 1
+        if hi < graph.n_categories:
+            assert len(names) + 1 + n_aliases[hi] > run
         lo = hi
     assert lo == graph.n_categories
     assert read == sorted(graph.aliases, key=graph.aliases.__getitem__)
+
+
+@st.composite
+def alias_heavy_cases(draw):
+    """A mapping case whose categories hold up to nine aliases each, and a
+    few names per run, so that runs end on every kind of boundary."""
+    cats, aliases, taxonomy, threshold, overrides = draw(mapping_cases())
+    counts = draw(st.lists(st.integers(0, 9), min_size=len(cats), max_size=len(cats)))
+    words = st.lists(st.sampled_from(WORDS), min_size=1, max_size=2).map(" ".join)
+    taken = {name for name, _ in aliases} | {name for _, name in cats}
+    for (k, _), count in zip(cats, counts):
+        for i in range(count):
+            alias = f"{draw(words)} {k} {i}"
+            if alias not in taken:
+                taken.add(alias)
+                aliases.append((alias, k))
+    return cats, aliases, taxonomy, threshold or 0.85, overrides
+
+
+@seed(20261023)
+@settings(max_examples=100, deadline=None, database=None)
+@given(alias_heavy_cases(), st.sampled_from([1, 2, 3, 5, 8]))
+def test_mapping_bytes_do_not_depend_on_the_run_size(case, run):
+    """Runs sized by names and aliases, however small, give the loop
+    oracle's mapping file."""
+    cats, aliases, taxonomy, threshold, overrides = case
+    graph = _load(cats, aliases)
+    with mock.patch.object(taxonomy_mapper, "_RUN_NAMES", run):
+        got = map_taxonomy(taxonomy, graph, overrides, threshold)
+    want = mapper_oracle.map_taxonomy(taxonomy, graph, overrides, threshold)
+    assert _mapping_bytes(got, graph) == _mapping_bytes(want, graph)
 
 
 def test_many_aliases_hold_no_pair_table():

@@ -20,7 +20,7 @@ import pytest
 
 import wikicat.cli as cli
 import wikicat.taxonomy_mapper as taxonomy_mapper
-from docmatrix import docs
+from docmatrix import by_class, docs
 from wikicat.classifiers import TrainConfig, train_centroid, train_svm
 from wikicat.labeler import LabelingConfig, coarse_scheme
 from wikicat.synth import make_ablation_wiki
@@ -49,7 +49,7 @@ def test_doc_class_counter_reads_both_model_kinds(shim):
     vectors = docs([{0: 1.0}, {1: 1.0}, {0: 0.5, 1: 0.5}])
     labels = ["a", "b", "c"]
     models = [
-        train_centroid(vectors, labels),
+        train_centroid(*by_class(vectors, labels)),
         train_svm(vectors, labels, TrainConfig(), n_features=2),
     ]
     for model in models:
@@ -75,7 +75,7 @@ def calls(tmp_path_factory):
     tfidf = cli.fit_tfidf(texts, min_df=2)
     vectors = cli.transform(tfidf, texts)
     svm = cli.train_svm(vectors, labels, TrainConfig(epochs=1), tfidf.vocab_size, tfidf)
-    centroid = cli.train_centroid(vectors, labels, tfidf=tfidf)
+    centroid = cli.train_centroid(*by_class(vectors, labels), tfidf=tfidf)
     return {
         "load_graph": ((*files, None), {}),
         "label_corpus": (

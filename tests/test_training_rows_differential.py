@@ -170,8 +170,9 @@ def test_rows_match_the_every_text_reference(
 
 @pytest.mark.parametrize("scheme", ["coarse", "fine"])
 def test_default_sample_size_matches_the_reference(tmp_path, caplog, capsys, scheme):
-    """Without n_per_class, a coarse set samples 20 000 a class and a fine
-    set 1 000."""
+    """Without n_per_class, a sample balances to the largest labeled class
+    of the scheme, within 20 000 a class for a coarse set and 1 000 for a
+    fine set."""
     config = _draw(random.Random(scheme), tmp_path, "none", scheme)
     del config["n_per_class"]
     got = _run("sample", config, tmp_path / "run", caplog, capsys)

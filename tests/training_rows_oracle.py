@@ -20,6 +20,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
+from docmatrix import by_class
 from wikicat import cli
 from wikicat.classifiers import (
     TrainConfig,
@@ -105,8 +106,14 @@ def labeled_rows(get: Callable[[str], Any]) -> tuple:
         zip(pages, tops), corpus, named, get("labels"), get("corpus")
     )
     scheme_name = get("scheme")
-    default = 20_000 if scheme_name == cli.COARSE_SET else 1_000
-    return scheme_name, rows, n_per_class or default
+    if n_per_class is None:  # the largest class, within the scheme's default
+        largest = max(
+            count
+            for set_rows in rows.values()
+            for count in Counter(top for _, top, _ in set_rows).values()
+        )
+        n_per_class = min(largest, 20_000 if scheme_name == cli.COARSE_SET else 1_000)
+    return scheme_name, rows, n_per_class
 
 
 def train_sets(rows, kind, n_per_class, min_df, train_cfg, out_dir) -> Iterator:
@@ -119,7 +126,7 @@ def train_sets(rows, kind, n_per_class, min_df, train_cfg, out_dir) -> Iterator:
         tfidf = fit_tfidf(texts, min_df=min_df)
         vectors = transform(tfidf, texts)
         if kind == "centroid":
-            model = train_centroid(vectors, labels, tfidf=tfidf)
+            model = train_centroid(*by_class(vectors, labels), tfidf=tfidf)
         else:
             model = train_svm(
                 vectors, labels, train_cfg, n_features=tfidf.vocab_size, tfidf=tfidf
