@@ -29,15 +29,20 @@ _EXPORTS = {
     ),
     "graph_store": ("CategoryGraph", "load_graph", "load_snapshot", "save_snapshot"),
     "labeler": (
-        "CorpusLabels", "LabelingConfig", "PageLabels", "build_competition_sets",
-        "coarse_scheme", "fine_scheme", "label_corpus", "read_labels", "write_labels",
+        "CorpusLabels", "LabelingConfig", "PageLabels", "TopLabels",
+        "build_competition_sets", "coarse_scheme", "fine_scheme", "label_corpus",
+        "read_labels", "write_labels",
     ),
+    "synth": ("make_ablation_wiki",),
     "taxonomy": ("CategoryMapping", "Taxonomy", "TaxonomyLabel", "load_taxonomy"),
     "taxonomy_mapper": (
         "jaro_winkler", "load_mapping", "map_taxonomy", "resolve_override_names",
         "save_mapping",
     ),
-    "textproc": ("DocMatrix", "TfIdfModel", "fit_tfidf", "transform"),
+    "textproc": (
+        "Corpus", "DocMatrix", "TfIdfModel", "corpus_runs", "fit_tfidf", "read_corpus",
+        "transform",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,8 +37,6 @@ _SCALE_FLOOR = 1e-9  # fold the scale factor back into the weights below this
 _CHUNK_SCORES = 1 << 15  # (docs x classes) floats per buffer of the scorer
 _MAX_TABLE_BYTES = 1 << 30  # bound on a loaded model's scoring table
 _MAX_SAMPLE_ROWS = 1 << 24  # bound on the rows of one balanced sample
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -63,40 +61,48 @@ def _class_rng(seed: int, label: str) -> random.Random:
 
 
 def sample_balance(
-    corpus: Iterable[tuple[int, str, T]],
+    pages: np.ndarray,
+    labels: np.ndarray,
+    names: Sequence[str],
     n_per_class: int,
     seed: int,
-) -> list[tuple[int, str, T]]:
-    """Balance (doc id, label, payload) rows to n_per_class per label.
+) -> np.ndarray:
+    """The positions of a sample of rows balanced to n_per_class per label,
+    where row ``i`` is page ``pages[i]`` with label ``names[labels[i]]``; a
+    row whose label is -1 is not drawn.
 
+    A label's rows are taken in page id order, equal ids in row order.
     Larger classes are uniformly downsampled without replacement, smaller
-    classes keep every document and then draw duplicates with replacement.
-    Output order is sorted labels, each followed by its sampled rows.  A
-    sample of more than ``_MAX_SAMPLE_ROWS`` rows is refused before any draw.
+    classes keep every row and then draw duplicates with replacement.  Each
+    class draws positions from its own generator, and which positions it
+    draws depends only on its size.  Output order is sorted labels, each
+    followed by its sampled rows.  A sample of more than
+    ``_MAX_SAMPLE_ROWS`` rows is refused before any draw.
     """
     if n_per_class < 1:
         raise ConfigurationError("n_per_class must be >= 1")
-    by_label: dict[str, list[tuple[int, str, T]]] = {}
-    for row in corpus:
-        by_label.setdefault(row[1], []).append(row)
-    n_rows = n_per_class * len(by_label)
+    by_label = np.argsort(labels, kind="stable")
+    # where each label's rows start and end in ``by_label``
+    bounds = np.searchsorted(labels[by_label], np.arange(len(names) + 1)).tolist()
+    classes = [code for code in range(len(names)) if bounds[code] < bounds[code + 1]]
+    n_rows = n_per_class * len(classes)
     if n_rows > _MAX_SAMPLE_ROWS:
         raise ConfigurationError(
-            f"n_per_class {n_per_class} x {len(by_label)} classes is {n_rows} "
+            f"n_per_class {n_per_class} x {len(classes)} classes is {n_rows} "
             f"rows, over the {_MAX_SAMPLE_ROWS}-row limit"
         )
-    out: list[tuple[int, str, T]] = []
-    for label in sorted(by_label):
-        docs = sorted(by_label[label], key=lambda row: row[0])
-        rng = _class_rng(seed, label)
-        if len(docs) > n_per_class:
-            out.extend(rng.sample(docs, n_per_class))
-        elif len(docs) < n_per_class:
-            out.extend(docs)
-            out.extend(rng.choices(docs, k=n_per_class - len(docs)))
-        else:
-            out.extend(docs)
-    return out
+    out = [np.zeros(0, np.intp)]
+    for code in sorted(classes, key=names.__getitem__):
+        rows = by_label[bounds[code] : bounds[code + 1]]
+        rows = rows[np.argsort(pages[rows], kind="stable")]
+        n = len(rows)
+        rng = _class_rng(seed, names[code])
+        if n > n_per_class:
+            rows = rows[rng.sample(range(n), n_per_class)]
+        elif n < n_per_class:
+            rows = rows[[*range(n), *rng.choices(range(n), k=n_per_class - n)]]
+        out.append(rows)
+    return np.concatenate(out)
 
 
 # ------------------------------------------------------------ linear models

@@ -23,18 +23,20 @@ import sys
 import traceback
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Container, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import wikicat
 
 from . import __version__
 from .exceptions import ConfigurationError, TaxonomyError, WikicatError
 from .jsonio import (
-    BOOLEAN, INTEGER, NUMBER, STRING, json_text, read_json, read_jsonl, write_json,
-    write_jsonl, write_lines,
+    BOOLEAN, INTEGER, NUMBER, STRING, json_text, read_json, write_json, write_jsonl,
+    write_lines,
 )
+
+if TYPE_CHECKING:  # annotations only: numpy loads with the layers, not here
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +44,9 @@ COARSE_SET = "coarse"
 SCHEMES = ("coarse", "fine")
 KINDS = ("centroid", "svm")
 _RUN_DOCS = 2048  # documents that predict reads, transforms and scores at once
+# text that train, sample and ablate read at once, before they drop the
+# texts of the pages they do not keep
+_RUN_CHARS = 1 << 18
 # labeler's, restated so that the flags can be built without loading it
 MODES = ("full", "child_only", "all_descendants", "min_dist", "no_pruning")
 PATH_MODES = ("dag", "exact")
@@ -212,41 +217,6 @@ def _load_graph_arg(path: str):
     return load_snapshot(p)
 
 
-def _corpus_rows(path: str | Path, pages: dict[int, Any]) -> Iterator[tuple[int, str]]:
-    """Each page id and text of a corpus file, in file order.  Every line is
-    checked.  ``pages`` starts empty; each id is entered there, with None
-    for the caller to replace, before it is yielded, and an id that is
-    already there is refused."""
-    for where, row in read_jsonl(path):
-        if (
-            not isinstance(row, dict)
-            or type(row.get("id")) not in INTEGER.types
-            or type(row.get("text")) not in STRING.types
-        ):
-            raise ConfigurationError(
-                f"{where}: expected an object with int 'id' and str 'text'"
-            )
-        page = row["id"]
-        if page in pages:
-            raise ConfigurationError(f"{where}: duplicate page id {page}")
-        pages[page] = None
-        yield page, row["text"]
-    if not pages:
-        raise ConfigurationError(f"{path}: no documents")
-
-
-def _load_corpus(
-    path: str | Path, keep: Container[int] | None = None
-) -> dict[int, str | None]:
-    """Every page of a corpus file by id, with its text, or with None for a
-    page not in ``keep`` when that is given."""
-    texts: dict[int, str | None] = {}
-    for page, text in _corpus_rows(path, texts):
-        if keep is None or page in keep:
-            texts[page] = text
-    return texts
-
-
 def _set_name(name: str, where: str) -> str:
     """A competition set's name, which names its model files
     ``<set>.<kind>.json``; one that is not a plain file name is refused."""
@@ -301,37 +271,39 @@ def _at_least_1(get: Callable[[str], Any], key: str) -> int | None:
 
 
 def _check_rows(
-    pages: list[int],
-    tops: list[str | None],
-    corpus: Container[int],
+    labels: TopLabels,
+    corpus: Corpus,
     named: dict[str, list[str]],
     labels_path: str | Path,
     corpus_path: str,
 ) -> None:
-    """Check each page id and top label (or None), read from
-    ``labels_path``, in file order: the label must be in a set of ``named``
-    and the page in the corpus.  Every set must have labeled pages, and each
-    warns once about its classes without any."""
-    in_scheme = {label for group in named.values() for label in group}
-    for page, top in zip(pages, tops):
-        if top is None:
-            continue
-        if top not in in_scheme:
+    """Check each record read from ``labels_path`` that has a top label,
+    in file order: the label must be in a set of ``named`` and the page in
+    the corpus.  Every set must have labeled pages, and each warns once
+    about its classes without any."""
+    of_set = labels.sets(named)
+    bad = of_set == -1
+    bad |= (of_set >= 0) & ~corpus.has(labels.page)
+    if bad.any():
+        first = int(bad.argmax())
+        if of_set[first] == -1:
+            top = labels.names[labels.top[first]]
             raise ConfigurationError(
                 f"{labels_path}: label {top!r} in labels file is not in the "
                 "chosen scheme"
             )
-        if page not in corpus:
-            raise ConfigurationError(f"{corpus_path}: page {page} missing from corpus")
-    counts = Counter(tops)
-    if counts[None]:
-        logger.info("skipped %d pages with no assignment", counts[None])
+        raise ConfigurationError(
+            f"{corpus_path}: page {labels.page[first]} missing from corpus"
+        )
+    unassigned, counts = labels.counts()
+    if unassigned:
+        logger.info("skipped %d pages with no assignment", unassigned)
     for name, group in named.items():
-        if not any(counts[label] for label in group):
+        if not any(counts.get(label) for label in group):
             raise ConfigurationError(
                 f"{labels_path}: no labeled documents for set {name!r}"
             )
-        missing = sorted({label for label in group if not counts[label]})
+        missing = sorted({label for label in group if not counts.get(label)})
         if missing:
             logger.warning(
                 "classes with no training documents: %s", ", ".join(missing)
@@ -339,45 +311,42 @@ def _check_rows(
 
 
 def _set_rows(
-    pages: list[int],
-    tops: list[str | None],
+    labels: TopLabels,
     named: dict[str, list[str]],
     n_per_class: int | None,
     seed: int | None,
-) -> dict[str, list[tuple[int, str, None]]]:
-    """The (page id, top label, None) rows of each set, in ``named``'s order,
-    of the pages whose top label is in a set: all of them where ``seed`` is
-    None, else balanced to ``n_per_class`` per class."""
-    label_to_set = {
-        label: name for name, group in named.items() for label in group
-    }
-    rows: dict[str, list[tuple[int, str, None]]] = {name: [] for name in named}
-    for page, top in zip(pages, tops):
-        name = label_to_set.get(top)
-        if name is not None:
-            rows[name].append((page, top, None))
-    if seed is None:
-        return rows
-    return {
-        name: sample_balance(set_rows, n_per_class, seed)
-        for name, set_rows in rows.items()
-    }
+) -> dict[str, np.ndarray]:
+    """The positions in ``labels`` of each set's rows, in ``named``'s order,
+    of the records whose top label is in a set: all of them, in file order,
+    where ``seed`` is None, else balanced to ``n_per_class`` per class."""
+    rows = {}
+    for name, tops in zip(named, labels.set_tops(named)):
+        if seed is None:
+            rows[name] = (tops >= 0).nonzero()[0]
+        else:
+            rows[name] = sample_balance(
+                labels.page, tops, labels.names, n_per_class, seed
+            )
+    return rows
 
 
 def _with_texts(
-    rows: dict[str, list[tuple[int, str, None]]], corpus: dict[int, str | None]
-) -> dict[str, list[tuple[int, str, str]]]:
-    """Each set's (page id, top label, text) rows."""
-    return {
-        name: [(page, top, corpus[page]) for page, top, _ in set_rows]
-        for name, set_rows in rows.items()
-    }
+    labels: TopLabels, rows: dict[str, np.ndarray], corpus: Corpus
+) -> dict[str, tuple[np.ndarray, list[str], list[str]]]:
+    """Each set's page ids, top labels and texts, from its positions in
+    ``labels``."""
+    out = {}
+    for name, at in rows.items():
+        pages = labels.page[at]
+        tops = [labels.names[top] for top in labels.top[at].tolist()]
+        out[name] = (pages, tops, corpus.texts_of(pages))
+    return out
 
 
 def _labeled_rows(
     get: Callable[[str], Any], seed: int | None
-) -> tuple[dict[str, list[tuple[int, str, str]]], int | None]:
-    """The (page id, top label, text) rows each competition set trains on,
+) -> tuple[dict[str, tuple[np.ndarray, list[str], list[str]]], int | None]:
+    """The page ids, top labels and texts each competition set trains on,
     balanced with ``seed`` (None keeps every row), and the rows per class.
     Without ``n_per_class``, a sample balances to the largest labeled class
     of the scheme, but to no more than 20 000 rows a class for the coarse
@@ -388,21 +357,22 @@ def _labeled_rows(
     n_per_class = _at_least_1(get, "n_per_class")
     taxonomy = load_taxonomy(get("taxonomy"))
     named = _named_scheme(get, taxonomy)
-    pages, tops = read_labels(get("labels"))
+    labels = read_labels(get("labels"))
     if n_per_class is None and seed is not None:
-        in_scheme = {label for group in named.values() for label in group}
-        counts = Counter(top for top in tops if top in in_scheme)
+        counts = labels.counts()[1]
+        largest = max(counts.get(label, 0) for group in named.values() for label in group)
         cap = 20_000 if get("scheme") == COARSE_SET else 1_000
-        n_per_class = min(max(counts.values(), default=1), cap)
-    rows = _set_rows(pages, tops, named, n_per_class, seed)
-    keep = {page for set_rows in rows.values() for page, _, _ in set_rows}
-    corpus = _load_corpus(get("corpus"), keep)
-    _check_rows(pages, tops, corpus, named, get("labels"), get("corpus"))
-    return _with_texts(rows, corpus), n_per_class
+        n_per_class = min(max(largest, 1), cap)
+    rows = _set_rows(labels, named, n_per_class, seed)
+    corpus = read_corpus(
+        get("corpus"), _RUN_DOCS, _RUN_CHARS, [labels.page[at] for at in rows.values()]
+    )
+    _check_rows(labels, corpus, named, get("labels"), get("corpus"))
+    return _with_texts(labels, rows, corpus), n_per_class
 
 
 def _train_sets(
-    rows: dict[str, list[tuple[int, str, str]]],
+    rows: dict[str, tuple[Any, list[str], list[str]]],
     kind: str,
     min_df: int,
     train_cfg: TrainConfig,
@@ -410,11 +380,10 @@ def _train_sets(
     prefix: str = "",
 ) -> Iterator[tuple[str, CentroidModel | LinearSvmModel, Counter]]:
     """Fit tf-idf and one model per competition set, in ``rows``' order,
-    save each as ``out_dir/<prefix><set>.<kind>.json`` and yield it with its
-    set name and class counts, so a caller keeps only the models it needs."""
-    for name, set_rows in rows.items():
-        labels = [label for _, label, _ in set_rows]
-        texts = [text for _, _, text in set_rows]
+    from each set's (page ids, labels, texts), save each as
+    ``out_dir/<prefix><set>.<kind>.json`` and yield it with its set name and
+    class counts, so a caller keeps only the models it needs."""
+    for name, (_, labels, texts) in rows.items():
         counts = Counter(labels)
         tfidf = fit_tfidf(texts, min_df=min_df)
         if kind == "centroid":
@@ -423,7 +392,6 @@ def _train_sets(
             by_class: dict[str, list[str]] = {}
             for label, text in zip(labels, texts):
                 by_class.setdefault(label, []).append(text)
-            del texts
             classes = sorted(by_class)
             model = train_centroid(
                 classes,
@@ -431,10 +399,9 @@ def _train_sets(
                 tfidf=tfidf,
             )
         else:
-            vectors = transform(tfidf, texts)
-            del texts  # free the list before training
             model = train_svm(
-                vectors, labels, train_cfg, n_features=tfidf.vocab_size, tfidf=tfidf
+                transform(tfidf, texts), labels, train_cfg,
+                n_features=tfidf.vocab_size, tfidf=tfidf,
             )
         save_model(model, out_dir / f"{prefix}{name}.{kind}.json")
         yield name, model, counts
@@ -547,8 +514,8 @@ def _cmd_sample(get: Callable[[str], Any]) -> int:
     write_jsonl(
         (
             {"id": page, "label": label, "set": name, "text": text}
-            for name, set_rows in rows.items()
-            for page, label, text in set_rows
+            for name, (pages, labels, texts) in rows.items()
+            for page, label, text in zip(pages.tolist(), labels, texts)
         ),
         out,
     )
@@ -559,7 +526,7 @@ def _cmd_sample(get: Callable[[str], Any]) -> int:
             "seed": seed,
         },
         "out": out,
-        "rows": sum(map(len, rows.values())),
+        "rows": sum(len(labels) for _, labels, _ in rows.values()),
     }
     _emit(summary, summary_out)
     return 0
@@ -599,17 +566,24 @@ def _cmd_train(get: Callable[[str], Any]) -> int:
 def _cmd_predict(get: Callable[[str], Any]) -> int:
     out = get("out")
     classify = _predictor(load_model(get("model")))
-    labels: dict[int, str | None] = {}  # by page id
-    rows = _corpus_rows(get("corpus"), labels)
-    while run := list(islice(rows, _RUN_DOCS)):
-        labels.update(zip([page for page, _ in run], classify([t for _, t in run])))
-        del run  # before the next run is read
+    ids: list[np.ndarray] = []
+    labels: list[str | None] = []  # in file order
+    for _, texts in corpus_runs(get("corpus"), _RUN_DOCS, sys.maxsize, ids):
+        labels += classify(texts)
+        del texts  # before the next run is read
+    [pages] = ids
+    order = pages.argsort()
     # write_jsonl's bytes, with each distinct label encoded once
-    encoded = {label: json_text(label) for label in set(labels.values())}
+    encoded = {label: json_text(label) for label in set(labels)}
     write_lines(
         (
-            '{"id": %d, "label": %s}\n' % (page, encoded[labels[page]])
-            for page in sorted(labels)
+            "".join(
+                '{"id": %d, "label": %s}\n' % (page, encoded[labels[i]])
+                for page, i in zip(pages[at].tolist(), at.tolist())
+            )
+            for at in (
+                order[lo : lo + _RUN_DOCS] for lo in range(0, len(order), _RUN_DOCS)
+            )
         ),
         out,
     )
@@ -649,7 +623,7 @@ def _cmd_ablate(get: Callable[[str], Any]) -> int:
     out_dir = Path(get("out_dir"))
     graph = _load_graph_arg(get("graph"))
     taxonomy = load_taxonomy(get("taxonomy"))
-    corpus = _load_corpus(get("corpus"))
+    corpus = read_corpus(get("corpus"), _RUN_DOCS, _RUN_CHARS)
     out_dir.mkdir(parents=True, exist_ok=True)
     mapping, named = _mapped_scheme(get, graph, taxonomy)
     scheme = list(named.values())
@@ -661,9 +635,11 @@ def _cmd_ablate(get: Callable[[str], Any]) -> int:
         labeled = label_corpus(graph, mapping, scheme, lab_cfg)
         labels_path = out_dir / f"labels.{mode}.jsonl"
         write_labels(labeled, graph, labels_path)
-        pages, tops = graph.external_ids(labeled.page).tolist(), labeled.tops()
-        _check_rows(pages, tops, corpus, named, labels_path, get("corpus"))
-        rows = _with_texts(_set_rows(pages, tops, named, n_per_class, seed), corpus)
+        labels = TopLabels(
+            graph.external_ids(labeled.page), labeled.tops(), labeled.labels
+        )
+        _check_rows(labels, corpus, named, labels_path, get("corpus"))
+        rows = _with_texts(labels, _set_rows(labels, named, n_per_class, seed), corpus)
         models, n_train = {}, 0
         for name, model, counts in _train_sets(
             rows, "svm", min_df, train_cfg, out_dir, f"{mode}."
@@ -721,7 +697,7 @@ COMMANDS = {
     ),
     "sample": (
         _cmd_sample, "balance labeled pages per class",
-        ("taxonomy", "labeler", "classifiers"),
+        ("taxonomy", "labeler", "classifiers", "textproc"),
         ("labels", "corpus", "taxonomy", "out", "summary_out", "scheme",
          "n_per_class", "seed"),
     ),
@@ -741,7 +717,9 @@ COMMANDS = {
         ("eval", "models_dir", "taxonomy", "kind", "out"),
     ),
     "ablate": (
-        _cmd_ablate, "compare labeling modes end to end", tuple(wikicat._EXPORTS),
+        _cmd_ablate, "compare labeling modes end to end",
+        ("graph_store", "taxonomy", "taxonomy_mapper", "labeler", "classifiers",
+         "textproc", "evaluation"),
         ("graph", "taxonomy",
          replace(SETTINGS["mapping"], default=None, help="mapping JSON; without "
                  "it the taxonomy is mapped at the default threshold"),

@@ -241,6 +241,18 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[str, Any]]:
         raise ConfigurationError(f"{path}: not UTF-8: {exc}") from None
 
 
+def int_column(values: list[int]) -> Any:
+    """JSON ints as an int64 array, or as an object array where one is
+    beyond int64.  numpy is imported here, not with this module, so that
+    the CLI starts without it."""
+    import numpy as np
+
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 def write_json(doc: Any, path: str | Path) -> None:
     """Write ``doc`` as an indented, key-sorted JSON document.
 

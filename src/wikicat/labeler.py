@@ -39,8 +39,9 @@ returns a ``CorpusLabels``: per record a page and an offset into per-row
 label, raw weight, normalized weight and depth columns.  ``write_labels``
 formats each JSON line from those columns, and writes a bounded run of
 records at a time, so it never holds the whole file's text.
-``read_labels`` returns only what training uses, each record's (external
-page id, top label or None).
+``read_labels`` returns only what training uses, as ``TopLabels``
+columns: each record's external page id and the position of its top label
+among the label names read, or -1.
 
 ``label_corpus`` holds few arrays at once.  A root's pass keeps an int32
 depth and a float weight per node.  A BFS level gathers its children, then
@@ -60,15 +61,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .exceptions import ConfigurationError, TaxonomyError
-from .jsonio import INTEGER, STRING, float_texts, json_text, read_jsonl, write_lines
+from .jsonio import (
+    INTEGER, STRING, float_texts, int_column, json_text, read_jsonl, write_lines,
+)
 from .taxonomy import CategoryMapping, Taxonomy
 
 if TYPE_CHECKING:  # annotations only, so that importing this does not load it
@@ -76,7 +79,7 @@ if TYPE_CHECKING:  # annotations only, so that importing this does not load it
 
 MODES = ("full", "child_only", "all_descendants", "min_dist", "no_pruning")
 PATH_MODES = ("dag", "exact")
-_RECORDS_PER_RUN = 1024  # records formatted per written run of labels.jsonl
+_RECORDS_PER_RUN = 1024  # labels.jsonl records per run, written or read
 
 
 @dataclass(frozen=True)
@@ -251,13 +254,14 @@ class CorpusLabels:
             )
             yield PageLabels(page, assignments, self.mode)
 
-    def tops(self) -> list[str | None]:
-        """Each record's best label, or None where it has no assignment."""
-        labels, label, bounds = self.labels, self.label.tolist(), self.start.tolist()
-        return [
-            labels[label[lo]] if lo < hi else None
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
+    def tops(self) -> np.ndarray:
+        """Each record's best label, as its int32 position in ``labels``, or
+        -1 where it has no assignment."""
+        lo = self.start[:-1]
+        has = lo < self.start[1:]
+        top = np.full(len(self), -1, np.int32)
+        top[has] = self.label[lo[has]]
+        return top
 
     def unassigned(self) -> int:
         """The number of records with no assignment."""
@@ -560,27 +564,68 @@ def _is_labels_row(rec) -> bool:
     return True
 
 
-def read_labels(path: str | Path) -> tuple[list[int], list[str | None]]:
-    """Each record's external page id and top label (None where it has no
-    assignment), in file order, read in full.
+class TopLabels(NamedTuple):
+    """Each labels record's external page id and top label, as columns.
+
+    ``top[i]`` is the position in ``names`` of record ``i``'s best label,
+    or -1 where the record has no assignment.  ``page`` is int64, or an
+    object column where an id is beyond int64; ``top`` is int32.
+    """
+
+    page: np.ndarray
+    top: np.ndarray
+    names: Sequence[str]
+
+    def sets(self, named: dict[str, Sequence[str]]) -> np.ndarray:
+        """Per record, the position in ``named`` of the competition set of
+        its top label: -1 where no set has that label, -2 where the record
+        has no assignment."""
+        set_of = {label: i for i, group in enumerate(named.values()) for label in group}
+        of_top = [set_of.get(name, -1) for name in self.names]
+        return np.array([*of_top, -2], np.int32)[self.top]  # top -1 picks -2
+
+    def set_tops(self, named: dict[str, Sequence[str]]) -> Iterator[np.ndarray]:
+        """For each competition set of ``named``, in order, the ``top``
+        column with -1 where a record's top label is not in that set."""
+        of_set = self.sets(named)
+        for i in range(len(named)):
+            yield np.where(of_set == i, self.top, -1)
+
+    def counts(self) -> tuple[int, dict[str, int]]:
+        """The number of records without an assignment, and the number of
+        records with each label name on top."""
+        counts = np.bincount(self.top + 1, minlength=len(self.names) + 1).tolist()
+        return counts[0], dict(zip(self.names, counts[1:]))
+
+
+def read_labels(path: str | Path) -> TopLabels:
+    """Each record's external page id and top label, in file order, read in
+    full.  The names are the top labels in the order they were first read.
 
     Every line is checked to hold an int ``page`` and ``assignments`` with a
-    str ``label`` each.  Records with the same top label share one str.
+    str ``label`` each.  The columns are built ``_RECORDS_PER_RUN`` lines at
+    a time, so no Python object is kept per record.
     """
-    pages: list[int] = []
-    tops: list[str | None] = []
-    seen: dict[str, str] = {}
-    for where, rec in read_jsonl(path):
-        if not _is_labels_row(rec):
-            raise ConfigurationError(
-                f"{where}: expected an object with int 'page' and a list of "
-                "'assignments', each with a str 'label'"
-            )
-        assignments = rec["assignments"]
-        pages.append(rec["page"])
-        if assignments:
-            top = assignments[0]["label"]
-            tops.append(seen.setdefault(top, top))
-        else:
-            tops.append(None)
-    return pages, tops
+    code_of: dict[str | None, int] = {None: -1}  # each top label's position
+    pages: list[np.ndarray] = [int_column([])]
+    tops: list[np.ndarray] = [np.zeros(0, np.int32)]
+    records = read_jsonl(path)
+    while True:
+        run_pages: list[int] = []
+        run_tops: list[str | None] = []
+        for where, rec in islice(records, _RECORDS_PER_RUN):
+            if not _is_labels_row(rec):
+                raise ConfigurationError(
+                    f"{where}: expected an object with int 'page' and a list of "
+                    "'assignments', each with a str 'label'"
+                )
+            assignments = rec["assignments"]
+            run_pages.append(rec["page"])
+            run_tops.append(assignments[0]["label"] if assignments else None)
+        if not run_pages:
+            break
+        for top in dict.fromkeys(run_tops):  # new labels in the order read
+            code_of.setdefault(top, len(code_of) - 1)
+        pages.append(int_column(run_pages))
+        tops.append(np.fromiter(map(code_of.__getitem__, run_tops), np.int32))
+    return TopLabels(np.concatenate(pages), np.concatenate(tops), list(code_of)[1:])

@@ -221,7 +221,6 @@ def _match(
     key_queries = np.fromiter(itertools.chain(*by_key.values()), np.int64, sizes.sum())
     key_rows = {key: row for row, key in enumerate(by_key)}
     key_rows[_SEP] = _SEP_KEY  # no query has it
-    singular: dict[str, str] = {}  # strip_plural of each distinct token read
     query_strings = _Strings.encode(texts)
 
     n_nodes = graph.n_nodes
@@ -229,7 +228,7 @@ def _match(
     best_node = np.full(len(texts), -1)
     best_score = np.full(len(texts), -np.inf)
     for names, nodes in _name_runs(graph):
-        forms, tokens = _normalize_run(names, singular)
+        forms, tokens = _normalize_run(names)
         del names  # free the run's names before the next is decoded
         found = np.fromiter(
             map(query_of.get, forms, itertools.repeat(-1)), np.int64, len(nodes)
@@ -313,16 +312,15 @@ def _name_runs(graph: CategoryGraph) -> Iterator[tuple[list[str], np.ndarray]]:
         lo = hi
 
 
-def _normalize_run(
-    names: list[str], singular: dict[str, str]
-) -> tuple[list[str], list[str]]:
+def _normalize_run(names: list[str]) -> tuple[list[str], list[str]]:
     """The form of each name, its lowercase words between characters that
     are not alphanumeric, singularized and joined by single spaces; and the
     tokens of those forms with ``_SEP`` after each but the last.
 
-    The run is joined, lowercased, cleared of punctuation and split once.
-    ``singular`` maps a token to ``strip_plural`` of it, and gains the
-    run's new tokens.
+    The run is joined, lowercased, cleared of punctuation and split once,
+    and each distinct word of the run is singularized once.  The table of
+    those words is the run's own, so the memory it takes is bounded by the
+    run, not by every word of the graph.
     """
     if not names:
         return [], []
@@ -331,8 +329,7 @@ def _normalize_run(
         text = _SEP.join(name.replace(_SEP, " ") for name in names)
     text = _RUN_PUNCT.sub(" ", text.lower().replace("_", " "))
     words = text.replace(_SEP, f" {_SEP} ").split()
-    new = set(words).difference(singular)
-    singular.update(zip(new, map(strip_plural, new)))
+    singular = {word: strip_plural(word) for word in set(words)}
     tokens = list(filter(None, map(singular.__getitem__, words)))
     return list(map(str.strip, " ".join(tokens).split(_SEP))), tokens
 
@@ -374,7 +371,7 @@ def map_taxonomy(
         for lab in taxonomy.labels
         if lab.id not in overrides
     }
-    norms = iter(_normalize_run(list(itertools.chain(*parts.values())), {})[0])
+    norms = iter(_normalize_run(list(itertools.chain(*parts.values())))[0])
     queries: list[tuple[str, str]] = []  # (part, normalized part)
     label_queries: dict[str, range] = {}
     for label_id, label_parts in parts.items():

@@ -1,4 +1,9 @@
-"""Tokenization, tf-idf vectorization and the document matrix of all classifiers."""
+"""The corpus file, tokenization, tf-idf vectorization and the document
+matrix of all classifiers.
+
+A corpus file is read a run of lines at a time.  Its page ids become one
+column, not an object per page, and only the texts a step keeps are held.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +12,14 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from typing import Callable, Collection
+from itertools import chain, compress, islice, repeat
+from pathlib import Path
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .jsonio import INTEGER, NUMBER, STRING, Rows
+from .jsonio import INTEGER, NUMBER, STRING, Rows, int_column, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -97,6 +103,118 @@ class RowWriter:
         self.indices.resize(size, refcheck=False)
         self.data.resize(size, refcheck=False)
         return DocMatrix(self.indptr, self.indices, self.data)
+
+
+def corpus_runs(
+    path: str | Path, docs: int, chars: int, ids: list[np.ndarray]
+) -> Iterator[tuple[np.ndarray, list[str]]]:
+    """Each run of a corpus file, JSON lines of an int ``id`` and a str
+    ``text``, as a page id column (``int_column``) and the texts, in file
+    order.  A run ends after ``docs`` documents, or at the first document
+    that takes its texts to ``chars`` characters.  Every line is checked.
+
+    ``ids`` starts empty.  Each run's column is appended to it before the
+    run is yielded, and once the file is read ``ids`` holds one column of
+    every id.  A page id that repeats is refused, naming the line where it
+    first repeats: after the last line, and before the fault of a bad line,
+    so that the fault named is the first in the file.
+    """
+    run_ids: list[int] = []
+    texts: list[str] = []
+    size = 0
+    try:
+        for where, row in read_jsonl(path):
+            if (
+                not isinstance(row, dict)
+                or type(row.get("id")) not in INTEGER.types
+                or type(row.get("text")) not in STRING.types
+            ):
+                raise ConfigurationError(
+                    f"{where}: expected an object with int 'id' and str 'text'"
+                )
+            run_ids.append(row["id"])
+            texts.append(row["text"])
+            size += len(row["text"])
+            if len(texts) == docs or size >= chars:
+                ids.append(int_column(run_ids))
+                yield ids[-1], texts
+                run_ids, texts, size = [], [], 0
+    except ConfigurationError:
+        _refuse_repeat(path, np.concatenate([*ids, int_column(run_ids)]))
+        raise
+    if texts:
+        ids.append(int_column(run_ids))
+        yield ids[-1], texts
+    if not ids:
+        raise ConfigurationError(f"{path}: no documents")
+    ids[:] = [np.concatenate(ids)]
+    _refuse_repeat(path, ids[0])
+
+
+def _refuse_repeat(path: str | Path, ids: np.ndarray) -> None:
+    """Refuse the first of a corpus file's ``ids``, in file order, that
+    repeats an earlier one, naming its line."""
+    ranked = np.sort(ids)
+    if not (ranked[1:] == ranked[:-1]).any():
+        return
+    del ranked
+    order = np.argsort(ids, kind="stable")  # equal ids stay in file order
+    ranked = ids[order]
+    at = int(order[1:][ranked[1:] == ranked[:-1]].min())
+    where, _ = next(islice(read_jsonl(path), at, None))
+    raise ConfigurationError(f"{where}: duplicate page id {ids[at]}")
+
+
+def _in_sorted(values: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` is in the sorted column ``ranked``."""
+    if not len(ranked):
+        return np.zeros(len(values), bool)
+    at = np.searchsorted(ranked, values)
+    np.minimum(at, len(ranked) - 1, out=at)
+    return ranked[at] == values
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A corpus file's page ids, sorted, and the texts it kept, with their
+    page ids, sorted."""
+
+    ids: np.ndarray
+    kept: np.ndarray
+    texts: list[str]
+
+    def has(self, pages: np.ndarray) -> np.ndarray:
+        """Whether each of ``pages`` is in the corpus."""
+        return _in_sorted(pages, self.ids)
+
+    def texts_of(self, pages: np.ndarray) -> list[str]:
+        """The kept text of each of ``pages``."""
+        texts = self.texts
+        return [texts[i] for i in np.searchsorted(self.kept, pages).tolist()]
+
+
+def read_corpus(
+    path: str | Path, docs: int, chars: int, keep: Sequence[np.ndarray] | None = None
+) -> Corpus:
+    """A corpus file read as ``corpus_runs`` reads it, keeping the texts of
+    the page ids in the ``keep`` columns, or of every page."""
+    ids: list[np.ndarray] = []
+    ranked_keep = None if keep is None else np.sort(np.concatenate(keep))
+    kept: list[np.ndarray] = []
+    texts: list[str] = []
+    for run_ids, run_texts in corpus_runs(path, docs, chars, ids):
+        if ranked_keep is not None:
+            hit = _in_sorted(run_ids, ranked_keep)
+            run_ids = run_ids[hit]
+            run_texts = list(compress(run_texts, hit.tolist()))
+        kept.append(run_ids)
+        texts += run_texts
+        del run_texts  # before the next run is read
+    kept_ids = np.concatenate(kept)
+    order = np.argsort(kept_ids)
+    kept_ids = kept_ids[order]
+    texts = [texts[i] for i in order.tolist()]
+    return Corpus(kept_ids if keep is None else np.sort(ids[0]), kept_ids, texts)
 
 
 def _words(text: str) -> str:

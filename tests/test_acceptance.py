@@ -29,13 +29,14 @@ from wikicat.labeler import (
     coarse_scheme,
     label_corpus,
 )
-from wikicat.synth import make_ablation_wiki, make_scale_graph, make_separable_corpus, split_corpus
+from wikicat.synth import make_ablation_wiki
 from wikicat.taxonomy import CategoryMapping, MappedCategory, Taxonomy, TaxonomyLabel
 from wikicat.taxonomy_mapper import jaro_winkler, map_taxonomy
 from wikicat.textproc import fit_tfidf, transform
 
 from conftest import fan_in_case, page_node, write_graph_files
 from docmatrix import by_class
+from synth_fixtures import make_scale_graph, make_separable_corpus, split_corpus
 from wikicat.graph_store import load_graph
 
 

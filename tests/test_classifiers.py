@@ -41,10 +41,20 @@ def _toy_corpus():
 # ------------------------------------------------------------------ balance
 
 
+def _balanced(rows, n_per_class, seed):
+    """The (page id, label, payload) rows that ``sample_balance`` picks from
+    their columns, with the label names in the order first seen."""
+    names = list(dict.fromkeys(label for _, label, _ in rows))
+    pages = np.array([page for page, _, _ in rows], dtype=np.int64)
+    labels = np.array([names.index(label) for _, label, _ in rows], dtype=np.int32)
+    picked = sample_balance(pages, labels, names, n_per_class, seed)
+    return [rows[i] for i in picked.tolist()]
+
+
 def test_balance_downsamples_without_replacement():
     corpus = [(i, "a", f"d{i}") for i in range(5)]
     corpus += [(10, "b", "x"), (11, "b", "y")]
-    out = sample_balance(corpus, 3, seed=0)
+    out = _balanced(corpus, 3, seed=0)
     assert len(out) == 6
     assert [row[1] for row in out] == ["a"] * 3 + ["b"] * 3
     a_ids = [row[0] for row in out[:3]]
@@ -55,7 +65,7 @@ def test_balance_downsamples_without_replacement():
 
 def test_balance_oversamples_keeping_every_original():
     corpus = [(1, "b", "x"), (2, "b", "y")]
-    out = sample_balance(corpus, 5, seed=3)
+    out = _balanced(corpus, 5, seed=3)
     assert len(out) == 5
     assert {row[0] for row in out} == {1, 2}
     assert out[0][2] == "x" and out[1][2] == "y"
@@ -63,16 +73,28 @@ def test_balance_oversamples_keeping_every_original():
 
 def test_balance_deterministic_and_seed_sensitive():
     corpus = [(i, "a", str(i)) for i in range(30)]
-    one = sample_balance(corpus, 10, seed=7)
-    two = sample_balance(corpus, 10, seed=7)
-    other = sample_balance(corpus, 10, seed=8)
+    one = _balanced(corpus, 10, seed=7)
+    two = _balanced(corpus, 10, seed=7)
+    other = _balanced(corpus, 10, seed=8)
     assert one == two
     assert one != other
 
 
 def test_balance_rejects_bad_count():
     with pytest.raises(ConfigurationError):
-        sample_balance([(1, "a", "x")], 0, seed=0)
+        _balanced([(1, "a", "x")], 0, seed=0)
+
+
+def test_balance_sorts_labels_by_name_and_rows_by_page_id():
+    """Labels come in name order whatever their codes, and a class kept
+    whole comes in page id order, equal ids in row order."""
+    corpus = [(9, "b", "late"), (3, "a", "x"), (2, "b", "early"), (9, "b", "later")]
+    out = _balanced(corpus, 1, seed=0)
+    assert [row[1] for row in out] == ["a", "b"] and out[0] == (3, "a", "x")
+    assert _balanced(corpus, 3, seed=0)[3:] == [
+        (2, "b", "early"), (9, "b", "late"), (9, "b", "later"),
+    ]
+    assert len(sample_balance(np.zeros(0, np.int64), np.zeros(0, np.int32), [], 4, 0)) == 0
 
 
 # ----------------------------------------------------------------- centroid
@@ -641,9 +663,9 @@ def test_scoring_table_is_built_once_per_model(monkeypatch):
 def test_balance_refuses_a_sample_past_the_row_limit(monkeypatch):
     monkeypatch.setattr(classifiers, "_MAX_SAMPLE_ROWS", 6)
     rows = [(i, "ab"[i % 2], None) for i in range(4)]
-    assert len(sample_balance(rows, 3, 0)) == 6
+    assert len(_balanced(rows, 3, 0)) == 6
     with pytest.raises(
         ConfigurationError,
         match="^n_per_class 4 x 2 classes is 8 rows, over the 6-row limit$",
     ):
-        sample_balance(rows, 4, 0)
+        _balanced(rows, 4, 0)

@@ -408,6 +408,7 @@ def test_centroid_sets_train_a_class_at_a_time_like_the_loop_oracle(case):
     rows, min_df = case
     labels = [label for _, label, _ in rows]
     texts = [text for _, _, text in rows]
+    columns = ([page for page, _, _ in rows], labels, texts)
     tfidf = fit_tfidf(texts, min_df=min_df)
     items = [list(row.items()) for row in dicts(transform(tfidf, texts))]
     calls = []
@@ -422,11 +423,11 @@ def test_centroid_sets_train_a_class_at_a_time_like_the_loop_oracle(case):
             want = centroid_oracle.train_centroid(items, labels)
         except ConfigurationError as exc:
             with pytest.raises(ConfigurationError) as got:
-                list(cli._train_sets({"s": rows}, "centroid", min_df, None, Path(d)))
+                list(cli._train_sets({"s": columns}, "centroid", min_df, None, Path(d)))
             assert str(got.value) == str(exc)
             return
         [(_, model, _)] = cli._train_sets(
-            {"s": rows}, "centroid", min_df, None, Path(d)
+            {"s": columns}, "centroid", min_df, None, Path(d)
         )
     assert calls == [
         [text for _, label, text in rows if label == name] for name in sorted(want)
@@ -445,7 +446,8 @@ def test_the_first_all_zero_class_in_sorted_order_is_named_after_every_check():
             (4, "c", "fern dune"), (5, "d", "basil"), (6, "a", "dune")]
     cli._bind(cli.COMMANDS["train"][2])
     with tempfile.TemporaryDirectory() as d, pytest.raises(ConfigurationError) as got:
-        list(cli._train_sets({"s": rows}, "centroid", 2, None, Path(d)))
+        columns = [list(column) for column in zip(*rows)]
+        list(cli._train_sets({"s": columns}, "centroid", 2, None, Path(d)))
     assert str(got.value) == "class 'b' has an all-zero centroid"
 
 

@@ -529,8 +529,8 @@ def test_default_sample_balances_to_the_largest_labeled_class(
     """Without --n-per-class, ``sample`` and ``train --kind svm`` balance to
     the largest labeled class (at most 53 pages on the ablation wiki), not
     to 20 000 rows a class, and their summaries say so."""
-    _, tops = read_labels(labels_path)
-    counts = Counter(top for top in tops if top is not None)
+    _, tops, names = read_labels(labels_path)
+    counts = Counter(names[top] for top in tops.tolist() if top >= 0)
     largest = max(counts.values())
     assert largest <= 53
     args = [
@@ -1468,10 +1468,12 @@ def test_centroid_train_never_holds_the_sets_whole_matrix(tmp_path):
     whole = matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes
     del matrix, texts
     cli._bind(cli.COMMANDS["train"][2])
-    list(cli._train_sets({"coarse": rows[:100]}, "centroid", 3, None, tmp_path))
+    columns = [list(column) for column in zip(*rows)]  # page ids, labels, texts
+    warm = [column[:100] for column in columns]
+    list(cli._train_sets({"coarse": warm}, "centroid", 3, None, tmp_path))
     tracemalloc.start()
     try:
-        list(cli._train_sets({"coarse": rows}, "centroid", 3, None, tmp_path))
+        list(cli._train_sets({"coarse": columns}, "centroid", 3, None, tmp_path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1611,3 +1613,53 @@ def test_labels_do_not_depend_on_the_run_size(
     assert [
         (row["id"], row["label"]) for row in map(json.loads, out.read_text().splitlines())
     ] == expected
+
+
+@pytest.mark.parametrize("run_docs", [1, 2, 2048])
+@pytest.mark.parametrize(
+    ("faults", "named"),
+    [
+        ({3: "repeat", 5: "bad"}, "3: duplicate page id"),
+        ({2: "bad", 4: "repeat"}, "2: expected an object"),
+        ({7: "repeat"}, "7: duplicate page id"),
+    ],
+)
+def test_every_corpus_reader_names_the_first_fault_in_the_file(
+    wiki, labels_path, centroid_dir, tmp_path, capsys, monkeypatch, run_docs,
+    faults, named,
+):
+    """``predict``, ``train``, ``sample`` and ``ablate`` share one corpus
+    reader: a repeated page id is named at the line where it first repeats
+    once the file is read, and before a bad line after it, whatever runs
+    the lines are read in."""
+    monkeypatch.setattr(cli, "_RUN_DOCS", run_docs)
+    lines = (wiki / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[:6]
+    for at in sorted(faults):
+        fault = {"repeat": lines[0], "bad": '{"id": "x"}'}[faults[at]]
+        lines.insert(at - 1, fault)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    common = ["--corpus", str(corpus), "--taxonomy", str(wiki / "taxonomy.json")]
+    runs = {
+        "predict": [
+            "predict", "--model", str(centroid_dir / "coarse.centroid.json"),
+            "--corpus", str(corpus), "--out", str(tmp_path / "preds.jsonl"),
+        ],
+        "train": [
+            "train", *common, "--labels", str(labels_path), "--n-per-class", "2",
+            "--out-dir", str(tmp_path / "models"),
+        ],
+        "sample": [
+            "sample", *common, "--labels", str(labels_path), "--n-per-class", "2",
+            "--out", str(tmp_path / "sample.jsonl"),
+        ],
+        "ablate": [
+            "ablate", *common, "--graph", str(wiki / "graph.bin"),
+            "--eval", str(wiki / "eval.jsonl"), "--modes", "full",
+            "--out-dir", str(tmp_path / "ablate"),
+        ],
+    }
+    for command, argv in runs.items():
+        assert main(argv) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}:{named}"), (command, err)

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 from wikicat import graph_store
 from wikicat.exceptions import ConfigurationError, GraphFormatError
 from wikicat.graph_store import load_graph, load_snapshot, save_snapshot
-from wikicat.synth import make_ablation_wiki, make_scale_graph
+from wikicat.synth import make_ablation_wiki
 
 from conftest import children, page_node, with_crc, write_graph_files
 from graph_loader_oracle import load_graph_lines
+from synth_fixtures import make_scale_graph
 
 CATS = [(10, "Vehicles"), (11, "Trucks"), (12, "Cars")]
 PAGES = [(200, "Ford F-150"), (201, "Honda Civic")]

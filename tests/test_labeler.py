@@ -29,9 +29,9 @@ from wikicat.labeler import (
     read_labels,
     write_labels,
 )
-from wikicat.synth import make_scale_graph
 from wikicat.taxonomy import CategoryMapping, MappedCategory, Taxonomy, TaxonomyLabel
 from wikicat.taxonomy_mapper import map_taxonomy
+from synth_fixtures import make_scale_graph
 
 DAG_CFG = LabelingConfig()
 
@@ -713,15 +713,17 @@ def test_build_competition_sets_checks_overlap(make_graph):
 
 
 def test_read_labels_shares_one_str_per_label(tmp_path):
+    """Each top label's name is held once; a record holds its position."""
     path = tmp_path / "labels.jsonl"
     path.write_text("".join(
         json.dumps({"assignments": [{"label": label}] if label else [], "page": page})
         + "\n"
         for page, label in enumerate(["trucks", "suvs", None, "trucks", "suvs"])
     ), encoding="utf-8")
-    pages, tops = read_labels(path)
-    assert tops == ["trucks", "suvs", None, "trucks", "suvs"]
-    assert tops[0] is tops[3] and tops[1] is tops[4]
+    pages, tops, names = read_labels(path)
+    assert names == ["trucks", "suvs"]
+    assert tops.dtype == np.int32 and tops.tolist() == [0, 1, -1, 0, 1]
+    assert pages.dtype == np.int64 and pages.tolist() == [0, 1, 2, 3, 4]
 
 
 def _write_labels_peak(path, n_records: int) -> int:
@@ -814,11 +816,14 @@ def test_labels_round_trip(suvs_graph, suvs_taxonomy, tmp_path):
     labeled = label_corpus(g, mapping, [["trucks", "suvs"]], DAG_CFG)
     path = tmp_path / "labels.jsonl"
     write_labels(labeled, g, path)
-    pages, tops = read_labels(path)
+    pages, tops, names = read_labels(path)
     records = list(labeled)
-    assert pages == [g.external_id(r.page) for r in records]
-    assert tops == [r.assignments[0].label if r.assignments else None for r in records]
-    assert tops == labeled.tops()
+    assert pages.tolist() == [g.external_id(r.page) for r in records]
+    want = [r.assignments[0].label if r.assignments else None for r in records]
+    assert [names[top] if top >= 0 else None for top in tops.tolist()] == want
+    assert [
+        labeled.labels[top] if top >= 0 else None for top in labeled.tops().tolist()
+    ] == want
     rows = [row for _, row in read_jsonl(path)]
     assert all(row["mode"] == "full" for row in rows)
     first = rows[0]["assignments"][0]

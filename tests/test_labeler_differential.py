@@ -272,9 +272,11 @@ def test_columnar_writer_matches_dict_writer(labeled, run):
             got = _written(write_labels, labeled, Path(d) / "got.jsonl")
         want = _written(labeler_oracle.write_labels, list(labeled), Path(d) / "want.jsonl")
         assert got == want
-        pages, tops = read_labels(Path(d) / "got.jsonl")
-    assert pages == _WRITE_GRAPH.external_ids(labeled.page).tolist()
-    assert tops == labeled.tops()
+        pages, tops, names = read_labels(Path(d) / "got.jsonl")
+    assert pages.tolist() == _WRITE_GRAPH.external_ids(labeled.page).tolist()
+    assert [names[top] if top >= 0 else None for top in tops.tolist()] == [
+        labeled.labels[top] if top >= 0 else None for top in labeled.tops().tolist()
+    ] == [rec.assignments[0].label if rec.assignments else None for rec in labeled]
     # the label summary's counts, as they were taken from the records
     records = list(labeled)
     assert labeled.unassigned() == sum(1 for rec in records if not rec.assignments)

@@ -28,8 +28,8 @@ import mapper_oracle
 import wikicat.taxonomy_mapper as taxonomy_mapper
 from conftest import write_graph_files
 from mapper_oracle import normalize_name
+from synth_fixtures import make_scale_graph
 from wikicat.graph_store import load_graph
-from wikicat.synth import make_scale_graph
 from wikicat.taxonomy import Taxonomy, TaxonomyLabel, load_taxonomy
 from wikicat.taxonomy_mapper import (
     _SEP,
@@ -168,13 +168,12 @@ names = st.lists(
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.lists(names, min_size=1, max_size=30), st.integers(1, 30))
 def test_runs_normalize_each_name_as_normalize_name(batch, cut):
-    """Two runs that share one token table, as ``_match`` reads them; the
-    tokens of a run are its forms' tokens with the separator between.  The
-    second run may be empty, and has no forms then."""
-    singular: dict[str, str] = {}
+    """Two runs, as ``_match`` reads them; the tokens of a run are its forms'
+    tokens with the separator between.  The second run may be empty, and
+    has no forms then."""
     got = []
     for run in (batch[:cut], batch[cut:]):
-        forms, tokens = _normalize_run(run, singular)
+        forms, tokens = _normalize_run(run)
         assert tokens == f" {_SEP} ".join(forms).split()
         got += forms
     assert got == [normalize_name(name) for name in batch]
@@ -188,7 +187,7 @@ def test_each_ascii_character_normalizes_as_in_normalize_name():
         for chars in (chr(c) * n for c in range(128) for n in (1, 2, 3))
         for name in (chars, chars + "ab", "Ab" + chars + "9S", "x" + chars + "s")
     ]
-    assert _normalize_run(run, {})[0] == [normalize_name(name) for name in run]
+    assert _normalize_run(run)[0] == [normalize_name(name) for name in run]
 
 
 # ------------------------------------------------------------------ mapper

@@ -18,9 +18,6 @@ from pathlib import Path
 
 import wikicat
 
-# Synthetic wiki generators for tests, scripts and users: no pipeline step
-# calls them.
-_EXEMPT = {"synth.py"}
 # Module-level functions that the interpreter calls (PEP 562): a module's
 # ``__getattr__`` for a name it lacks, and its ``__dir__`` for ``dir()``.
 _MODULE_HOOKS = {"__getattr__", "__dir__"}
@@ -55,8 +52,6 @@ def _unreferenced(package: Path, exported: set[str]) -> list[str]:
     }
     found = []
     for module, tree in trees.items():
-        if module in _EXEMPT:
-            continue
         for stmt in tree.body:
             if not isinstance(
                 stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -114,8 +109,6 @@ def _unreferenced_methods(package: Path) -> list[str]:
     everywhere = sum(map(attributes, trees.values()), Counter())
     found = []
     for module, tree in trees.items():
-        if module in _EXEMPT:
-            continue
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -203,8 +196,6 @@ def _unpassed(package: Path) -> list[str]:
             seen.update(kw.arg for kw in call.keywords)
     found = []
     for module, tree in trees.items():
-        if module in _EXEMPT:
-            continue
         methods = {
             id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
             for node in cls.body

@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Iterator
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wikicat.cli as cli
@@ -172,8 +173,10 @@ def test_read_labels_returns_what_it_read(calls, tmp_path):
     result = cli.read_labels(path)
     path.unlink()
     assert not isinstance(result, Iterator)
-    pages, tops = result
-    assert isinstance(pages, list) and isinstance(tops, list)
-    assert pages == graph.external_ids(labeled.page).tolist()
-    assert tops == labeled.tops()
+    pages, tops, names = result
+    assert isinstance(pages, np.ndarray) and isinstance(tops, np.ndarray)
+    assert pages.tolist() == graph.external_ids(labeled.page).tolist()
+    assert [names[top] if top >= 0 else None for top in tops.tolist()] == [
+        labeled.labels[top] if top >= 0 else None for top in labeled.tops().tolist()
+    ]
     assert len(pages) == len(labeled) > 0

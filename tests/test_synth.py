@@ -2,12 +2,8 @@ import json
 
 from wikicat.evaluation import load_eval
 from wikicat.graph_store import load_graph
-from wikicat.synth import (
-    make_ablation_wiki,
-    make_scale_graph,
-    make_separable_corpus,
-    split_corpus,
-)
+from synth_fixtures import make_scale_graph, make_separable_corpus, split_corpus
+from wikicat.synth import make_ablation_wiki
 from wikicat.taxonomy import load_taxonomy
 from wikicat.taxonomy_mapper import map_taxonomy
 

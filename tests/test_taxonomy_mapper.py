@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import page_node
+from wikicat import taxonomy_mapper
 from wikicat.exceptions import TaxonomyError
+from wikicat.graph_store import CategoryGraph
 from wikicat.taxonomy import CategoryMapping, Taxonomy, TaxonomyLabel
 from wikicat.taxonomy_mapper import (
     _normalize_run,
@@ -42,7 +46,7 @@ from wikicat.taxonomy_mapper import (
     ],
 )
 def test_normalize_name(raw, expected):
-    assert _normalize_run([raw], {})[0] == [expected]
+    assert _normalize_run([raw])[0] == [expected]
 
 
 def test_normalize_output_shape():
@@ -51,7 +55,7 @@ def test_normalize_output_shape():
     alphabet = "abcdefgs .&-XYZ"
     for _ in range(200):
         s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
-        (out,) = _normalize_run([s], {})[0]
+        (out,) = _normalize_run([s])[0]
         assert out == out.lower()
         assert out == " ".join(out.split())
         assert all(tok.isalnum() for tok in out.split())
@@ -278,3 +282,37 @@ def test_mapping_round_trip(make_graph, tmp_path):
     assert loaded.unmapped == mapping.unmapped
     assert loaded.near_misses == mapping.near_misses
     assert loaded.threshold == mapping.threshold
+
+
+def _mapping_peak(n_categories: int) -> int:
+    """The traced peak of mapping two labels onto ``n_categories``
+    categories, each with two aliases of a token no other name has, in
+    runs of 64 names."""
+    names = [f"Branch {k} topics" for k in range(n_categories)]
+    aliases = {
+        f"Branch redirect w{k}x{j}": k for k in range(n_categories) for j in range(2)
+    }
+    graph = CategoryGraph(
+        n_categories, np.arange(n_categories, dtype=np.int64), names,
+        np.zeros(n_categories + 1, dtype=np.int64), np.zeros(0, dtype=np.int32),
+        aliases,
+    )
+    taxonomy = Taxonomy([TaxonomyLabel("a", "Branch topics"), TaxonomyLabel("b", "Area")])
+    map_taxonomy(taxonomy, graph)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        map_taxonomy(taxonomy, graph)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mapping_keeps_no_word_table_beyond_a_run(monkeypatch):
+    """Each run singularizes its own words, so a graph four times the size,
+    with four times the distinct alias words, raises the traced peak by the
+    arrays that order the aliases (about 32 bytes an alias), not by a table
+    of every word read (over 100 bytes a word)."""
+    monkeypatch.setattr(taxonomy_mapper, "_RUN_NAMES", 64)
+    small, large = _mapping_peak(5_000), _mapping_peak(20_000)
+    added = 2 * 15_000  # aliases, each with a word of its own
+    assert large - small < 48 * added, (small, large)
